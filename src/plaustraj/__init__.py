@@ -21,11 +21,11 @@ from .locoval import (
     score_with_traj_grad,
     train_locoval,
 )
+from .datakit import TrainingInstance
 from .predictor import (
     InputLayout,
     PredictionSet,
     PredictorModel,
-    TrainingInstance,
     build_predictor,
     load_predictor,
     predict,

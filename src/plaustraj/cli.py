@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datakit, filtering, locoval as locoval_mod, metrics, oracle, predictor as predictor_mod
 from .config import RunConfig, load_config, save_resolved_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, InputShapeError, NumericError
 from .metrics import pearson_r
 
 OUT_ENV_VAR = "PLAUSTRAJ_OUT"
@@ -434,11 +434,12 @@ def load_observables_json(path) -> dict:
     observables = {}
     for key, entry in doc.items():
         try:
+            case = int(key)
             joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
             velocity = np.array(entry["root_velocity"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed observable for case {key} ({exc})")
-        observables[int(key)] = oracle.ObservableState(joints=joints, root_velocity=velocity)
+            raise DataError(f"{path}: malformed observable for case {key!r} ({exc})")
+        observables[case] = oracle.ObservableState(joints=joints, root_velocity=velocity)
     return observables
 
 
@@ -459,7 +460,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, InputShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

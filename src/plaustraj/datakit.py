@@ -22,7 +22,6 @@ from .oracle import (
     rotation_matrix,
     wrap_angle,
 )
-from .predictor import TrainingInstance
 
 
 @dataclass
@@ -151,17 +150,7 @@ def make_walking_pose(
                 [*jitter_rng.normal(0.0, 0.01, size=2), jitter_rng.normal(0.0, 0.005)]
             )
     direction = np.array([math.cos(heading), math.sin(heading)])
-    swing_speed = stride * math.cos(phase)
-    joint_velocities = {
-        "left_ankle": np.array([*(direction * swing_speed), 0.0]),
-        "right_ankle": np.array([*(-direction * swing_speed), 0.0]),
-    }
-    return HumanoidState(
-        joints=joints,
-        heading=heading,
-        root_velocity=speed * direction,
-        joint_velocities=joint_velocities,
-    )
+    return HumanoidState(joints=joints, heading=heading, root_velocity=speed * direction)
 
 
 def generate_pose_bank(n: int, seed: int = 0,
@@ -415,6 +404,13 @@ def filter_pose_sequence(seq: PoseSequence, window: int = 9) -> dict:
 
 # ---------------------------------------------------------------------------
 # Training instances
+
+
+@dataclass
+class TrainingInstance:
+    past: Trajectory
+    future: Trajectory
+    observable: ObservableState
 
 
 def make_training_instances(

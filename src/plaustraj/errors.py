@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericError -> 3.
+The CLI maps these onto exit codes: ConfigError -> 1, DataError and
+InputShapeError -> 2, NumericError -> 3.
 """
 
 

@@ -4,7 +4,7 @@ argmax fallback, plus threshold sweeps."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,15 @@ def locoval_filter(
 ) -> FilterResult:
     """Keep candidates scoring >= threshold; if none do, keep the single
     argmax-score candidate (ties to the lowest head index)."""
-    if not candidates:
-        raise InputShapeError("empty candidate set")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError("threshold must lie in [0, 1]")
-    scores = score_batch(scorer, candidates, obs)
+    return _partition(candidates, score_batch(scorer, candidates, obs), threshold)
+
+
+def _partition(candidates: list[Trajectory], scores: list[float],
+               threshold: float) -> FilterResult:
+    if not candidates:
+        raise InputShapeError("empty candidate set")
     kept, rejected = [], []
     fallback = False
     if any(s >= threshold for s in scores):
@@ -75,17 +79,19 @@ def sweep_lambda(
     thresholds: list[float],
 ) -> list[SweepEntry]:
     """For each threshold, metrics of kept and rejected candidate sets over
-    (candidates, observable, ground truth) evaluation cases."""
+    (candidates, observable, ground truth) evaluation cases. Each case is
+    scored once and partitioned by the locoval_filter rule per threshold."""
     for lam in thresholds:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("every threshold must lie in [0, 1]")
+    scored = [(c, score_batch(scorer, c, obs), gt) for c, obs, gt in cases]
     entries = []
     for lam in thresholds:
         kept_sets, kept_gts = [], []
         rej_sets, rej_gts = [], []
         total, n_rejected, fallback_cases = 0, 0, 0
-        for candidates, obs, gt in cases:
-            result = locoval_filter(scorer, candidates, obs, lam)
+        for candidates, scores, gt in scored:
+            result = _partition(candidates, scores, lam)
             total += len(candidates)
             n_rejected += len(result.rejected)
             fallback_cases += int(result.fallback_used)

@@ -249,20 +249,6 @@ class AdamW:
                 )
 
 
-def adamw_step(
-    model: MlpModel,
-    grads: Gradients,
-    config: TrainConfig,
-    optimizer: AdamW | None = None,
-) -> AdamW:
-    """Single functional-style update; pass the returned optimizer back in to
-    retain moments across calls."""
-    if optimizer is None:
-        optimizer = AdamW(model, config)
-    optimizer.step(model, grads)
-    return optimizer
-
-
 # ---------------------------------------------------------------------------
 # Gradient verification
 

@@ -47,15 +47,6 @@ class FeatureLayout:
             n += 2
         return n
 
-    def joint_order(self, joints: dict) -> list[str]:
-        extras = sorted(set(joints) - set(REQUIRED_JOINTS))
-        names = list(REQUIRED_JOINTS) + extras
-        if len(names) != self.joint_count:
-            raise InputShapeError(
-                f"expected {self.joint_count} joints, got {len(names)}"
-            )
-        return names
-
 
 @dataclass
 class LocoValModel:
@@ -83,6 +74,10 @@ def build_locoval(layout: FeatureLayout, hidden=DEFAULT_HIDDEN, seed: int = 0) -
 
 # ---------------------------------------------------------------------------
 # Canonicalization
+#
+# A feature row is the trajectory block (per-step displacements rotated into
+# the canonical frame) then the observation tail. All scorer features are built
+# by encode_steps, and all gradients to the steps by encode_steps_adjoint.
 
 
 def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
@@ -90,26 +85,73 @@ def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
     return obs.root_position, rotation_matrix(-obs.heading())
 
 
-def canonicalize(traj: Trajectory, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
-    """Feature vector: rotated per-step displacements (first step taken from
-    the root), then root-relative rotated joints, then rotated root velocity."""
+def observation_tail(obs: ObservableState, root: np.ndarray, rot: np.ndarray,
+                     layout: FeatureLayout) -> np.ndarray:
+    """Features after the trajectory block, for the canonical frame (root,
+    rot): root-relative rotated joints (x, y, z per joint in the observable's
+    joint order), then the rotated root velocity."""
+    parts = []
+    if layout.include_pose:
+        names = obs.joint_order()
+        if len(names) != layout.joint_count:
+            raise InputShapeError(f"expected {layout.joint_count} joints, got {len(names)}")
+        joints = np.stack([obs.joints[n] for n in names])
+        xy = (rot[None] @ (joints[:, :2] - root)[:, :, None])[:, :, 0]
+        parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
+    if layout.include_velocity:
+        parts.append(rot @ obs.root_velocity)
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Feature rows (N, F) for N world-frame step sequences (N, T_f, 2).
+
+    rot is one (2, 2) canonical rotation or one per row (N, 2, 2); tail is one
+    observation tail or one per row (N, F - 2 T_f)."""
+    n, horizon = steps.shape[:2]
+    rotated = (steps @ np.swapaxes(rot, -1, -2)).reshape(n, 2 * horizon)
+    tail = np.broadcast_to(tail, (n, tail.shape[-1]))
+    return np.concatenate([rotated, tail], axis=1)
+
+
+def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
+                         horizon: int) -> np.ndarray:
+    """Pull gradients w.r.t. feature rows (N, F) back to the world-frame steps
+    (N, T_f, 2) passed to encode_steps with the same rot."""
+    g = feature_grad[:, : 2 * horizon].reshape(len(feature_grad), horizon, 2)
+    return g @ rot
+
+
+def _check_horizon(traj: Trajectory, layout: FeatureLayout):
     if len(traj) != layout.horizon:
         raise InputShapeError(
             f"trajectory length {len(traj)} != layout horizon {layout.horizon}"
         )
+
+
+def _steps_from(root: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per-step displacements of points (N, T, 2), the first step taken from
+    root, which is one (2,) position or one per row (N, 2)."""
+    steps = np.empty_like(points)
+    steps[:, 0] = points[:, 0] - root
+    steps[:, 1:] = points[:, 1:] - points[:, :-1]
+    return steps
+
+
+def canonicalize(traj: Trajectory, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
+    """Feature vector: rotated per-step displacements (first step taken from
+    the root), then root-relative rotated joints, then rotated root velocity."""
+    return _canonicalize_shared([traj], obs, layout)[0]
+
+
+def _canonicalize_shared(trajs: list[Trajectory], obs: ObservableState,
+                         layout: FeatureLayout) -> np.ndarray:
+    """Feature rows of trajectories in the canonical frame of one observable."""
+    for traj in trajs:
+        _check_horizon(traj, layout)
     root, rot = canonical_frame(obs)
-    steps = np.diff(np.vstack([root, traj.points]), axis=0)
-    parts = [(steps @ rot.T).reshape(-1)]
-    if layout.include_pose:
-        pose = []
-        for name in layout.joint_order(obs.joints):
-            j = obs.joints[name]
-            xy = rot @ (j[:2] - root)
-            pose.extend([xy[0], xy[1], j[2]])
-        parts.append(np.array(pose))
-    if layout.include_velocity:
-        parts.append(rot @ obs.root_velocity)
-    return np.concatenate(parts)
+    steps = _steps_from(root, np.stack([t.points for t in trajs]))
+    return encode_steps(steps, rot, observation_tail(obs, root, rot, layout))
 
 
 def feature_grad_to_traj_grad(feature_grad: np.ndarray, obs: ObservableState,
@@ -117,7 +159,7 @@ def feature_grad_to_traj_grad(feature_grad: np.ndarray, obs: ObservableState,
     """Pull a gradient w.r.t. the trajectory-feature block back to the
     trajectory points. Features are linear in the points, so this is exact."""
     _, rot = canonical_frame(obs)
-    g = feature_grad[: 2 * layout.horizon].reshape(layout.horizon, 2) @ rot
+    g = encode_steps_adjoint(feature_grad[None], rot, layout.horizon)[0]
     # step t contributes +p_t and step t+1 contributes -p_t
     out = g.copy()
     out[:-1] -= g[1:]
@@ -135,7 +177,13 @@ def score(model: LocoValModel, traj: Trajectory, obs: ObservableState) -> float:
 
 def score_batch(model: LocoValModel, candidates: list[Trajectory],
                 obs: ObservableState) -> list[float]:
-    return [score(model, traj, obs) for traj in candidates]
+    """Scores of candidates sharing one observable. The candidates are
+    canonicalized together; each row gets its own forward pass so a score
+    does not depend on the batch it came in."""
+    if not candidates:
+        return []
+    X = _canonicalize_shared(candidates, obs, model.layout)
+    return [float(gradcore.forward(model.net, x)[0]) for x in X]
 
 
 def score_with_traj_grad(model: LocoValModel, traj: Trajectory,
@@ -169,7 +217,18 @@ class LocoValTrainResult:
 
 def features_and_targets(dataset: list[PlausibilitySample],
                          layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([canonicalize(s.trajectory, s.observable, layout) for s in dataset])
+    """Feature rows, canonicalized in one batch, and oracle rewards."""
+    n = len(dataset)
+    roots = np.empty((n, 2))
+    rots = np.empty((n, 2, 2))
+    tails = np.empty((n, layout.feature_size - 2 * layout.horizon))
+    points = np.empty((n, layout.horizon, 2))
+    for i, s in enumerate(dataset):
+        _check_horizon(s.trajectory, layout)
+        roots[i], rots[i] = canonical_frame(s.observable)
+        tails[i] = observation_tail(s.observable, roots[i], rots[i], layout)
+        points[i] = s.trajectory.points
+    X = encode_steps(_steps_from(roots, points), rots, tails)
     y = np.array([s.reward for s in dataset])
     return X, y
 

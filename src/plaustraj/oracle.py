@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,23 +118,26 @@ class ObservableState:
             return math.atan2(self.root_velocity[1], self.root_velocity[0])
         return 0.0
 
+    def joint_order(self) -> list[str]:
+        """The required joints in their fixed order, then any extra joints by
+        name. Every flat encoding of the joints (plausibility CSV columns,
+        scorer features, predictor input) uses this order."""
+        extras = sorted(set(self.joints) - set(REQUIRED_JOINTS))
+        return [*REQUIRED_JOINTS, *extras]
+
 
 @dataclass
 class HumanoidState:
-    """Full oracle-side state: observable joints plus heading and joint
-    velocities that only the simulator sees."""
+    """Full oracle-side state: observable joints plus the heading that only
+    the simulator sees."""
 
     joints: dict
     heading: float
     root_velocity: np.ndarray
-    joint_velocities: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.joints = {k: np.asarray(v, dtype=float) for k, v in self.joints.items()}
         self.root_velocity = np.asarray(self.root_velocity, dtype=float)
-        self.joint_velocities = {
-            k: np.asarray(v, dtype=float) for k, v in self.joint_velocities.items()
-        }
         missing = [j for j in REQUIRED_JOINTS if j not in self.joints]
         if missing:
             raise InputShapeError(f"missing required joints: {missing}")
@@ -161,14 +164,10 @@ class HumanoidState:
         for name, pos in self.joints.items():
             xy = rot @ (pos[:2] - pivot) + pivot + translation
             joints[name] = np.array([xy[0], xy[1], pos[2]])
-        jvel = {
-            name: np.array([*(rot @ v[:2]), v[2]]) for name, v in self.joint_velocities.items()
-        }
         return HumanoidState(
             joints=joints,
             heading=wrap_angle(self.heading + angle),
             root_velocity=rot @ self.root_velocity,
-            joint_velocities=jvel,
         )
 
 
@@ -418,16 +417,11 @@ def build_plausibility_dataset(
 # Dataset file I/O
 
 
-def _joint_names(sample: PlausibilitySample) -> list[str]:
-    extras = sorted(set(sample.observable.joints) - set(REQUIRED_JOINTS))
-    return list(REQUIRED_JOINTS) + extras
-
-
 def save_plausibility_csv(samples: list[PlausibilitySample], path):
     if not samples:
         raise DataError("refusing to write an empty plausibility dataset")
     horizon = len(samples[0].trajectory)
-    names = _joint_names(samples[0])
+    names = samples[0].observable.joint_order()
     header = ["label", "omega", "dt", "T_f"]
     header += [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]

@@ -10,19 +10,17 @@ a frozen scorer on every head.
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import gradcore, locoval as locoval_mod
+from .datakit import TrainingInstance
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
 from .locoval import LocoValModel, canonical_frame
 from .oracle import ObservableState, Trajectory
-
-log = logging.getLogger(__name__)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 EMLOCO_FORMS = ("squared", "negative")
@@ -82,14 +80,6 @@ class PredictionSet:
                 raise InputShapeError("non-finite predicted trajectory")
 
 
-@dataclass
-class TrainingInstance:
-    past: Trajectory
-    future: Trajectory
-    observable: ObservableState
-    past_poses: list[dict] | None = None
-
-
 def build_predictor(
     input_layout: InputLayout,
     horizon: int,
@@ -133,22 +123,15 @@ def build_input(past: Trajectory, obs: ObservableState | None,
         return rel
     if obs is None:
         raise InputShapeError("layout includes pose but no observable state given")
+    names = obs.joint_order()
+    if len(names) != layout.joint_count:
+        raise InputShapeError(f"expected {layout.joint_count} joints, got {len(names)}")
     parts = [rel]
     root = obs.root_position
-    for name in _joint_order(obs, layout):
+    for name in names:
         j = obs.joints[name]
         parts.append(np.array([j[0] - root[0], j[1] - root[1], j[2]]))
     return np.concatenate(parts)
-
-
-def _joint_order(obs: ObservableState, layout: InputLayout) -> list[str]:
-    from .oracle import REQUIRED_JOINTS
-
-    extras = sorted(set(obs.joints) - set(REQUIRED_JOINTS))
-    names = list(REQUIRED_JOINTS) + extras
-    if len(names) != layout.joint_count:
-        raise InputShapeError(f"expected {layout.joint_count} joints, got {len(names)}")
-    return names
 
 
 def head_displacements(model: PredictorModel, features: np.ndarray) -> np.ndarray:
@@ -248,27 +231,15 @@ def _prepare_training_arrays(dataset: list[TrainingInstance], model: PredictorMo
     X = np.stack([build_input(inst.past, inst.observable, layout) for inst in dataset])
     gt = np.stack([inst.future.points for inst in dataset])
     anchors = np.stack([inst.past.points[-1] for inst in dataset])
-    rots = None
-    tails = None
-    offsets = None
+    rots = offsets = tails = None
     if scorer is not None:
-        slayout = scorer.layout
-        rots = np.zeros((len(dataset), 2, 2))
-        offsets = np.zeros((len(dataset), 2))
-        tails = np.zeros((len(dataset), slayout.feature_size - 2 * slayout.horizon))
-        for i, inst in enumerate(dataset):
-            root, rot = canonical_frame(inst.observable)
-            rots[i] = rot
-            offsets[i] = anchors[i] - root
-            parts = []
-            if slayout.include_pose:
-                for name in slayout.joint_order(inst.observable.joints):
-                    j = inst.observable.joints[name]
-                    xy = rot @ (j[:2] - root)
-                    parts.extend([xy[0], xy[1], j[2]])
-            if slayout.include_velocity:
-                parts.extend(rot @ inst.observable.root_velocity)
-            tails[i] = np.array(parts)
+        frames = [canonical_frame(inst.observable) for inst in dataset]
+        rots = np.stack([rot for _, rot in frames])
+        offsets = anchors - np.stack([root for root, _ in frames])
+        tails = np.stack([
+            locoval_mod.observation_tail(inst.observable, root, rot, scorer.layout)
+            for inst, (root, rot) in zip(dataset, frames)
+        ])
     return X, gt, anchors, rots, offsets, tails
 
 
@@ -364,8 +335,7 @@ def train_predictor(
             for k in range(K):
                 steps = disp[k].copy()
                 steps[:, 0, :] += ob
-                traj_feats = np.einsum("bij,btj->bti", rb, steps).reshape(B, -1)
-                feats = np.concatenate([traj_feats, tb], axis=1)
+                feats = locoval_mod.encode_steps(steps, rb, tb)
                 s_out, s_cache = gradcore.forward_cached(scorer.net, feats)
                 s = s_out[:, 0]
                 if emloco_form == "squared":
@@ -376,8 +346,9 @@ def train_predictor(
                     ds = np.full(B, -1.0 / B / K)
                 if alpha > 0.0:
                     s_grads = gradcore.backward(scorer.net, s_cache, ds[:, None])
-                    g_feats = s_grads.inputs[:, : 2 * horizon].reshape(B, horizon, 2)
-                    d_disp[k] += alpha * np.einsum("btj,bji->bti", g_feats, rb)
+                    d_disp[k] += alpha * locoval_mod.encode_steps_adjoint(
+                        s_grads.inputs, rb, horizon
+                    )
             loss_pl_val /= K
 
         # backprop heads into the trunk
@@ -398,11 +369,6 @@ def train_predictor(
             mean_pl = acc_pl / acc_n
             ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
             dominates = bool(alpha * mean_pl > mean_gt) and include_gt_loss
-            if dominates:
-                log.warning(
-                    "regularizer dominates at step %d: alpha*L_plaus=%.4g > L_gt=%.4g",
-                    step + 1, alpha * mean_pl, mean_gt,
-                )
             curve.append(
                 PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates)
             )

@@ -14,7 +14,14 @@ import pytest
 
 from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor
 from plaustraj.gradcore import TrainConfig
-from plaustraj.locoval import FeatureLayout, build_locoval, canonical_frame, canonicalize
+from plaustraj.locoval import (
+    FeatureLayout,
+    build_locoval,
+    canonical_frame,
+    encode_steps,
+    encode_steps_adjoint,
+    observation_tail,
+)
 from plaustraj.oracle import Trajectory
 from plaustraj.predictor import InputLayout, PredictionSet, build_predictor, predict
 
@@ -167,14 +174,12 @@ def test_criterion_2_gradient_correctness():
         root, rot = canonical_frame(obs)
         steps = disp.copy()
         steps[0] += anchor - root
-        tail = canonicalize(
-            Trajectory(anchor + np.cumsum(disp, axis=0), 0.4), obs, scorer.layout
-        )[2 * horizon :]
-        feats = np.concatenate([(steps @ rot.T).reshape(-1), tail])
+        tail = observation_tail(obs, root, rot, scorer.layout)
+        feats = encode_steps(steps[None], rot[None], tail[None])
         out, cache = gradcore.forward_cached(scorer.net, feats)
-        upstream = np.full(1, 2.0 * (out[0] - 1.0))
+        upstream = np.full((1, 1), 2.0 * (out[0, 0] - 1.0))
         grads = gradcore.backward(scorer.net, cache, upstream)
-        analytic = grads.inputs[: 2 * horizon].reshape(horizon, 2) @ rot
+        analytic = encode_steps_adjoint(grads.inputs, rot[None], horizon)[0]
 
         def emloco_of(d):
             pts = anchor + np.cumsum(d, axis=0)

@@ -118,13 +118,13 @@ def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
     assert len(rows) == 3
 
 
-def test_filter_external_candidates(tiny_config, trained_dir, tmp_path):
-    # two cases, two heads each, externally produced
+def write_filter_inputs(trained_dir, tmp_path, frames=12, keys=("0", "1")):
+    """Candidates TSV (two cases, two heads each) and observables JSON."""
     lines = []
     rng = np.random.default_rng(0)
     for case in range(2):
         for head in range(2):
-            pts = np.cumsum(rng.uniform(0.2, 0.5, size=(12, 2)), axis=0)
+            pts = np.cumsum(rng.uniform(0.2, 0.5, size=(frames, 2)), axis=0)
             for frame, (x, y) in enumerate(pts):
                 lines.append(f"{case} {head} {frame} {x} {y}")
     cand = tmp_path / "cands.tsv"
@@ -132,15 +132,19 @@ def test_filter_external_candidates(tiny_config, trained_dir, tmp_path):
 
     bank = json.loads((trained_dir / "pose_bank.json").read_text())
     obs_doc = {
-        str(case): {
-            "joints": bank[case]["joints"],
-            "root_velocity": [bank[case]["speed"], 0.0],
+        key: {
+            "joints": bank[i]["joints"],
+            "root_velocity": [bank[i]["speed"], 0.0],
         }
-        for case in range(2)
+        for i, key in enumerate(keys)
     }
     obs_path = tmp_path / "obs.json"
     obs_path.write_text(json.dumps(obs_doc))
+    return cand, obs_path
 
+
+def test_filter_external_candidates(tiny_config, trained_dir, tmp_path):
+    cand, obs_path = write_filter_inputs(trained_dir, tmp_path)
     assert run(
         "filter", "--config", tiny_config, "--out", str(trained_dir),
         "--candidates", str(cand), "--observables", str(obs_path),
@@ -163,3 +167,34 @@ def test_filter_malformed_candidates(tiny_config, trained_dir, tmp_path):
         "--candidates", str(cand), "--observables", str(obs),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "frames, keys", [(5, ("0", "1")), (12, ("0", "case-1"))],
+    ids=["wrong-horizon", "non-integer-case-key"],
+)
+def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
+                                                 capsys, frames, keys):
+    cand, obs_path = write_filter_inputs(trained_dir, tmp_path, frames=frames, keys=keys)
+    capsys.readouterr()
+    code = run(
+        "filter", "--config", tiny_config, "--out", str(trained_dir),
+        "--candidates", str(cand), "--observables", str(obs_path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
+    capsys.readouterr()
+    assert run(
+        "train-predictor", "--config", tiny_config, "--out", str(trained_dir),
+        "--alpha", "10000", "--heads", "3",
+    ) == 0
+    out = capsys.readouterr().out
+    rows = (trained_dir / "predictor_curve.csv").read_text().strip().splitlines()[1:]
+    assert any(row.endswith(",1") for row in rows)
+    assert out.count("warning:") == 1
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]

@@ -162,6 +162,26 @@ def test_sweep_rejection_rate_monotone(monkeypatch):
     assert rates == sorted(rates)
 
 
+def test_sweep_scores_each_case_once(monkeypatch):
+    calls = []
+
+    def counting(scorer, cands, obs):
+        calls.append(len(cands))
+        return score_batch(scorer, cands, obs)
+
+    monkeypatch.setattr("plaustraj.filtering.score_batch", counting)
+    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=9)
+    obs = make_observable()
+    gt = straight_trajectory(n=12)
+    cases = [(candidates(3), obs, gt) for _ in range(5)]
+    entries = sweep_lambda(scorer, cases, [0.3, 0.5, 0.7])
+    assert len(calls) == len(cases)
+    for entry in entries:
+        direct = [locoval_filter(scorer, c, obs, entry.threshold) for c, _, _ in cases]
+        assert entry.fallback_cases == sum(r.fallback_used for r in direct)
+        assert entry.rejection_rate == sum(len(r.rejected) for r in direct) / 15
+
+
 def test_sweep_validates_thresholds():
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=7)
     with pytest.raises(ConfigError):

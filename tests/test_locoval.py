@@ -11,6 +11,7 @@ from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import (
     FeatureLayout,
     build_locoval,
+    canonical_frame,
     canonicalize,
     feature_grad_to_traj_grad,
     load_locoval,
@@ -74,6 +75,57 @@ def test_canonicalize_length_mismatch():
     obs = make_observable()
     with pytest.raises(InputShapeError):
         canonicalize(straight_trajectory(n=5), obs, LAYOUT)
+
+
+def _reference_features(traj, obs, layout):
+    """Per-row, per-joint canonicalization that the batched encoding must
+    reproduce bit for bit."""
+    root, rot = canonical_frame(obs)
+    steps = np.diff(np.vstack([root, traj.points]), axis=0)
+    parts = [(steps @ rot.T).reshape(-1)]
+    if layout.include_pose:
+        pose = []
+        for name in obs.joint_order():
+            j = obs.joints[name]
+            xy = rot @ (j[:2] - root)
+            pose.extend([xy[0], xy[1], j[2]])
+        parts.append(np.array(pose))
+    if layout.include_velocity:
+        parts.append(rot @ obs.root_velocity)
+    return np.concatenate(parts)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    headings=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=12),
+    root=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    seed=st.integers(0, 10_000),
+)
+def test_batched_canonicalization_bit_identical(headings, root, seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for heading in headings:
+        r = np.array(root) + rng.normal(0.0, 5.0, size=2)
+        obs = make_observable(heading=heading, speed=rng.uniform(0.3, 2.0), root=tuple(r))
+        pts = r + np.cumsum(rng.normal(0.0, 0.5, size=(12, 2)), axis=0)
+        samples.append(PlausibilitySample(Trajectory(pts, 0.4), obs, 0.5, "plausible_pair"))
+    reference = np.stack(
+        [_reference_features(s.trajectory, s.observable, LAYOUT) for s in samples]
+    )
+    # one canonical frame per row
+    X, _ = locoval.features_and_targets(samples, LAYOUT)
+    assert np.array_equal(X, reference)
+    singles = np.stack([canonicalize(s.trajectory, s.observable, LAYOUT) for s in samples])
+    assert np.array_equal(singles, reference)
+    # every candidate in the frame of one observable, as score_batch does
+    model = build_locoval(LAYOUT, hidden=(8,), seed=seed)
+    obs = samples[0].observable
+    cands = [s.trajectory for s in samples]
+    expected = [
+        float(gradcore.forward(model.net, _reference_features(t, obs, LAYOUT))[0])
+        for t in cands
+    ]
+    assert score_batch(model, cands, obs) == expected
 
 
 def test_feature_layout_sizes():

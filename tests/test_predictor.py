@@ -11,7 +11,6 @@ from plaustraj.oracle import Trajectory
 from plaustraj.predictor import (
     InputLayout,
     PredictionSet,
-    TrainingInstance,
     build_input,
     build_predictor,
     load_predictor,
@@ -198,7 +197,12 @@ def test_emloco_gradient_through_scorer_finite_differences():
     anchor = past.points[-1]
 
     from plaustraj import gradcore
-    from plaustraj.locoval import canonical_frame, canonicalize
+    from plaustraj.locoval import (
+        canonical_frame,
+        encode_steps,
+        encode_steps_adjoint,
+        observation_tail,
+    )
 
     root, rot = canonical_frame(obs)
     offset = anchor - root
@@ -208,18 +212,15 @@ def test_emloco_gradient_through_scorer_finite_differences():
         s = predictor.locoval_mod.score(scorer, Trajectory(pts, 0.4), obs)
         return (s - 1.0) ** 2
 
-    # analytic: same einsum path train_predictor uses
+    # analytic: the shared encoding and adjoint that train_predictor uses
     steps = disp.copy()
     steps[0] += offset
-    tail_feats = canonicalize(
-        Trajectory(anchor + np.cumsum(disp, axis=0), 0.4), obs, scorer.layout
-    )[2 * horizon :]
-    feats = np.concatenate([(steps @ rot.T).reshape(-1), tail_feats])
+    tail = observation_tail(obs, root, rot, scorer.layout)
+    feats = encode_steps(steps[None], rot[None], tail[None])
     out, cache = gradcore.forward_cached(scorer.net, feats)
-    ds = 2.0 * (out[0] - 1.0)
-    grads = gradcore.backward(scorer.net, cache, np.full(1, ds))
-    g_feats = grads.inputs[: 2 * horizon].reshape(horizon, 2)
-    analytic = g_feats @ rot
+    ds = 2.0 * (out[0, 0] - 1.0)
+    grads = gradcore.backward(scorer.net, cache, np.full((1, 1), ds))
+    analytic = encode_steps_adjoint(grads.inputs, rot[None], horizon)[0]
 
     eps = 1e-6
     for t in range(horizon):
@@ -319,10 +320,11 @@ def test_train_validates_inputs(training_instances, trained_scorer):
         train_predictor(training_instances[:5], None, cfg, alpha=10.0)
 
 
-def test_train_curve_logs_ratio(training_instances, trained_scorer):
+def test_train_curve_logs_ratio(training_instances, trained_scorer, caplog):
     cfg = _tiny_config(steps=100)
     result = train_predictor(
-        training_instances[:30], trained_scorer.model, cfg, alpha=100.0, n_heads=2
+        training_instances[:30], trained_scorer.model, cfg, alpha=100.0, n_heads=2,
+        eval_every=1,
     )
     assert result.curve
     for point in result.curve:
@@ -330,6 +332,9 @@ def test_train_curve_logs_ratio(training_instances, trained_scorer):
         assert point.regularizer_dominates == (
             100.0 * point.loss_plaus > point.loss_gt
         )
+    # the flag is recorded per interval; the summary is left to the caller
+    assert sum(p.regularizer_dominates for p in result.curve) >= 2
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_minmse_routes_gradient_to_argmin_head_only(training_instances):

@@ -62,7 +62,8 @@ def _build_instances(cfg: RunConfig, seed: int, n_tracks: int):
 
 
 def _eval_cases(model, scorer, instances):
-    """(candidates, observable, ground truth) triples plus per-head scores."""
+    """(candidates, per-head scores or None, ground truth) triples, the cases
+    filtering.sweep_lambda takes."""
     cases = []
     for inst in instances:
         pred = predictor_mod.predict(model, inst.past, inst.observable)
@@ -71,7 +72,7 @@ def _eval_cases(model, scorer, instances):
             if scorer is not None
             else None
         )
-        cases.append((pred.trajectories, inst.observable, inst.future, scores))
+        cases.append((pred.trajectories, scores, inst.future))
     return cases
 
 
@@ -262,7 +263,7 @@ def cmd_eval(config_path, out, threshold):
 
     if scorer is not None:
         scores, ades = [], []
-        for candidates, _, gt, case_scores in cases:
+        for candidates, case_scores, gt in cases:
             for traj, s in zip(candidates, case_scores):
                 scores.append(s)
                 ades.append(metrics.ade(traj, gt))
@@ -270,9 +271,7 @@ def cmd_eval(config_path, out, threshold):
         metrics.save_bins_csv(bins, out_dir / "score_bins.csv")
 
     if threshold is not None:
-        entry = filtering.sweep_lambda(
-            scorer, [(c[0], c[1], c[2]) for c in cases], [threshold]
-        )[0]
+        entry = filtering.sweep_lambda(cases, [threshold])[0]
         metrics.save_report_json(entry.kept_report, out_dir / "metrics_kept.json")
         if entry.rejected_report is not None:
             metrics.save_report_json(entry.rejected_report, out_dir / "metrics_rejected.json")
@@ -341,8 +340,7 @@ def cmd_sweep(config_path, out, param, values):
     rows = []
     if param == "lambda":
         model = predictor_mod.load_predictor(out_dir / "predictor.json")
-        cases = [(c[0], c[1], c[2]) for c in _eval_cases(model, None, instances)]
-        for entry in filtering.sweep_lambda(scorer, cases, grid):
+        for entry in filtering.sweep_lambda(_eval_cases(model, scorer, instances), grid):
             rows.append(
                 {
                     "value": entry.threshold,

@@ -74,23 +74,22 @@ class SweepEntry:
 
 
 def sweep_lambda(
-    scorer: LocoValModel,
-    cases: list[tuple[list[Trajectory], ObservableState, Trajectory]],
+    cases: list[tuple[list[Trajectory], list[float], Trajectory]],
     thresholds: list[float],
 ) -> list[SweepEntry]:
     """For each threshold, metrics of kept and rejected candidate sets over
-    (candidates, observable, ground truth) evaluation cases. Each case is
-    scored once and partitioned by the locoval_filter rule per threshold."""
+    (candidates, scores, ground truth) evaluation cases, the scores being
+    score_batch's for the candidates. Each case is partitioned by the
+    locoval_filter rule per threshold."""
     for lam in thresholds:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("every threshold must lie in [0, 1]")
-    scored = [(c, score_batch(scorer, c, obs), gt) for c, obs, gt in cases]
     entries = []
     for lam in thresholds:
         kept_sets, kept_gts = [], []
         rej_sets, rej_gts = [], []
         total, n_rejected, fallback_cases = 0, 0, 0
-        for candidates, scores, gt in scored:
+        for candidates, scores, gt in cases:
             result = _partition(candidates, scores, lam)
             total += len(candidates)
             n_rejected += len(result.rejected)

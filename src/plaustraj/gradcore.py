@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InputShapeError, NumericError
+from .errors import ConfigError, DataError, InputShapeError, NumericError
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
@@ -355,6 +355,20 @@ def save_model(model: MlpModel, path, seed: int | None = None,
         json.dump(model_to_dict(model, seed, train_config), fh)
 
 
-def load_model(path) -> MlpModel:
+def load_checkpoint(path, build: Callable[[dict], object]):
+    """build(doc) from the JSON document at path. A file that is not JSON, or
+    whose structure build cannot read, is a DataError naming the path; the
+    ConfigErrors build raises for well-formed but wrong documents pass through."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not a JSON file ({exc})") from None
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
+
+
+def load_model(path) -> MlpModel:
+    return load_checkpoint(path, model_from_dict)

@@ -314,10 +314,10 @@ def save_locoval(model: LocoValModel, path, seed: int | None = None,
 
 
 def load_locoval(path) -> LocoValModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "feature_layout" not in doc:
-        raise ConfigError(f"{path}: not a scorer checkpoint (missing feature_layout)")
-    net = gradcore.model_from_dict(doc)
-    layout = FeatureLayout(**doc["feature_layout"])
-    return LocoValModel(net=net, layout=layout)
+    def build(doc):
+        if "feature_layout" not in doc:
+            raise ConfigError(f"{path}: not a scorer checkpoint (missing feature_layout)")
+        return LocoValModel(net=gradcore.model_from_dict(doc),
+                            layout=FeatureLayout(**doc["feature_layout"]))
+
+    return gradcore.load_checkpoint(path, build)

@@ -60,9 +60,6 @@ class Trajectory:
     def displacements(self) -> np.ndarray:
         return np.diff(self.points, axis=0)
 
-    def speeds(self) -> np.ndarray:
-        return np.linalg.norm(self.displacements(), axis=1) / self.dt
-
     def initial_heading(self) -> float:
         d = self.points[1] - self.points[0]
         return math.atan2(d[1], d[0])

@@ -1,10 +1,10 @@
 """Compact multi-head trajectory predictor.
 
-A shared MLP trunk feeds K linear heads that each emit future per-step
-displacements; predicted trajectories are cumulative sums anchored at the
-last observed position. Training combines the ground-truth loss (MSE for one
-head, min-of-K MSE for several) with a plausibility regularizer evaluated by
-a frozen scorer on every head.
+A shared MLP trunk feeds one linear head layer whose column block k holds
+head k's future per-step displacements; predicted trajectories are cumulative
+sums anchored at the last observed position. Training combines the min-of-K
+MSE (plain MSE for one head) with a plausibility regularizer evaluated by a
+frozen scorer on every head. Checkpoints store one single-layer entry per head.
 """
 
 from __future__ import annotations
@@ -43,25 +43,52 @@ class InputLayout:
 @dataclass
 class PredictorModel:
     trunk: MlpModel
-    heads: list[MlpModel]
+    head: MlpModel              # one linear layer [H, K·2·T_f]; column block k is head k
     horizon: int                # T_f
     input_layout: InputLayout
 
     @property
     def n_heads(self) -> int:
-        return len(self.heads)
+        return self.head.layer_sizes[-1] // (2 * self.horizon)
 
     def __post_init__(self):
-        if not self.heads:
-            raise ConfigError("need at least one prediction head")
-        trunk_out = self.trunk.layer_sizes[-1]
-        for k, head in enumerate(self.heads):
-            if head.layer_sizes[0] != trunk_out:
-                raise ConfigError(f"head {k} input != trunk output")
-            if head.layer_sizes[-1] != 2 * self.horizon:
-                raise ConfigError(f"head {k} must emit {2 * self.horizon} displacements")
+        width = self.head.layer_sizes[-1]
+        if (self.horizon < 1 or self.head.n_layers != 1 or width < 1
+                or width % (2 * self.horizon)):
+            raise ConfigError(
+                f"the head must be one linear layer emitting a multiple of "
+                f"{2 * self.horizon} displacements"
+            )
+        if self.head.layer_sizes[0] != self.trunk.layer_sizes[-1]:
+            raise ConfigError("head input != trunk output")
         if self.trunk.layer_sizes[0] != self.input_layout.feature_size:
             raise ConfigError("trunk input size != input layout feature size")
+
+
+def _fuse_heads(heads: list[MlpModel], horizon: int) -> MlpModel:
+    """One linear layer whose column block k is heads[k]'s only layer."""
+    if not heads:
+        raise ConfigError("need at least one prediction head")
+    first, sizes = heads[0], [heads[0].layer_sizes[0], 2 * horizon]
+    for k, h in enumerate(heads):
+        if h.layer_sizes != sizes or h.output_activation != first.output_activation:
+            raise ConfigError(f"head {k} must be one linear layer {sizes} like head 0")
+    return MlpModel([sizes[0], len(heads) * sizes[1]],
+                    [np.concatenate([h.weights[0] for h in heads], axis=1)],
+                    [np.concatenate([h.biases[0] for h in heads])],
+                    first.hidden_activation, first.output_activation)
+
+
+def _split_head(model: PredictorModel) -> list[MlpModel]:
+    """One single-layer model per column block: the inverse of _fuse_heads."""
+    h, K = model.head, model.n_heads
+    return [MlpModel([len(w), w.shape[1]], [w], [b], h.hidden_activation, h.output_activation)
+            for w, b in zip(np.split(h.weights[0], K, axis=1), np.split(h.biases[0], K))]
+
+
+def _head_blocks(out: np.ndarray, horizon: int) -> np.ndarray:
+    """(B, K·2T_f) head-layer rows as a (K, B, T_f, 2) view of the same memory."""
+    return out.reshape(len(out), -1, horizon, 2).transpose(1, 0, 2, 3)
 
 
 @dataclass
@@ -87,23 +114,23 @@ def build_predictor(
     trunk_hidden=(256, 256),
     seed: int = 0,
 ) -> PredictorModel:
-    """Trunk and heads drawn from head-specific seeds so heads start diverse."""
+    """Trunk and heads drawn from head-specific seeds so heads start diverse:
+    head k's column block from SeedSequence([seed, k + 1])."""
     rng = np.random.default_rng(seed)
     trunk = gradcore.init_mlp(
         [input_layout.feature_size, *trunk_hidden], rng,
         hidden_activation="relu", output_activation="identity",
     )
-    heads = []
-    for k in range(n_heads):
-        head_rng = np.random.default_rng(np.random.SeedSequence([seed, k + 1]))
-        heads.append(
-            gradcore.init_mlp(
-                [trunk_hidden[-1], 2 * horizon], head_rng,
-                hidden_activation="relu", output_activation="identity",
-            )
+    heads = [
+        gradcore.init_mlp(
+            [trunk_hidden[-1], 2 * horizon],
+            np.random.default_rng(np.random.SeedSequence([seed, k + 1])),
+            hidden_activation="relu", output_activation="identity",
         )
-    return PredictorModel(trunk=trunk, heads=heads, horizon=horizon,
-                          input_layout=input_layout)
+        for k in range(n_heads)
+    ]
+    return PredictorModel(trunk=trunk, head=_fuse_heads(heads, horizon),
+                          horizon=horizon, input_layout=input_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +161,11 @@ def build_input(past: Trajectory, obs: ObservableState | None,
     return np.concatenate(parts)
 
 
-def head_displacements(model: PredictorModel, features: np.ndarray) -> np.ndarray:
-    """All-head displacements for a batch, shape (K, B, T_f, 2)."""
-    single = features.ndim == 1
-    X = features[None, :] if single else features
-    trunk_out, _ = gradcore.forward_cached(model.trunk, X)
-    out = np.stack(
-        [
-            gradcore.forward(head, trunk_out).reshape(len(X), model.horizon, 2)
-            for head in model.heads
-        ]
-    )
-    return out[:, 0] if single else out
-
-
 def predict(model: PredictorModel, past: Trajectory,
             obs: ObservableState | None = None) -> PredictionSet:
     feats = build_input(past, obs, model.input_layout)
-    disp = head_displacements(model, feats)  # (K, T_f, 2)
+    trunk_out = gradcore.forward(model.trunk, feats[None])
+    disp = _head_blocks(gradcore.forward(model.head, trunk_out), model.horizon)[:, 0]
     anchor = past.points[-1]
     trajectories = [
         Trajectory(anchor + np.cumsum(d, axis=0), past.dt) for d in disp
@@ -285,7 +299,7 @@ def train_predictor(
     n = len(X)
     rng = np.random.default_rng(config.seed)
     opt_trunk = AdamW(model.trunk, config)
-    opt_heads = [AdamW(h, config) for h in model.heads]
+    opt_head = AdamW(model.head, config)
 
     curve = []
     acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
@@ -298,36 +312,23 @@ def train_predictor(
         B = len(idx)
 
         trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, xb)
-        head_caches = []
-        disp = np.empty((K, B, horizon, 2))
-        for k, head in enumerate(model.heads):
-            out, cache = gradcore.forward_cached(head, trunk_out)
-            head_caches.append(cache)
-            disp[k] = out.reshape(B, horizon, 2)
+        out, head_cache = gradcore.forward_cached(model.head, trunk_out)
+        disp = _head_blocks(out, horizon)                            # (K, B, T_f, 2)
         points = anchb[None, :, None, :] + np.cumsum(disp, axis=2)  # (K, B, T_f, 2)
 
-        # upstream gradients on displacements, per head
-        d_disp = np.zeros_like(disp)
+        # upstream gradients on the head layer's output, written through d_disp
+        d_out = np.zeros_like(out)
+        d_disp = _head_blocks(d_out, horizon)
         loss_gt_val = 0.0
         if include_gt_loss:
+            # min-of-K: each sample's gradient goes to its argmin head only
             err = points - gtb[None]                       # (K, B, T_f, 2)
             per_head_mse = np.mean(err**2, axis=(2, 3))    # (K, B)
-            if K == 1:
-                loss_gt_val = float(np.mean(per_head_mse))
-                d_points = 2.0 * err[0] / (2 * horizon) / B
-                d_disp[0] += np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
-            else:
-                sel = np.argmin(per_head_mse, axis=0)      # (B,)
-                loss_gt_val = float(np.mean(per_head_mse[sel, np.arange(B)]))
-                for k in range(K):
-                    mask = sel == k
-                    if not np.any(mask):
-                        continue
-                    d_points = np.zeros((B, horizon, 2))
-                    d_points[mask] = 2.0 * err[k, mask] / (2 * horizon) / B
-                    d_disp[k] += np.flip(
-                        np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1
-                    )
+            sel = np.argmin(per_head_mse, axis=0)          # (B,)
+            rows = np.arange(B)
+            loss_gt_val = float(np.mean(per_head_mse[sel, rows]))
+            d_points = 2.0 * err[sel, rows] / (2 * horizon) / B
+            d_disp[sel, rows] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
         loss_pl_val = 0.0
         if scorer is not None:
@@ -351,14 +352,9 @@ def train_predictor(
                     )
             loss_pl_val /= K
 
-        # backprop heads into the trunk
-        d_trunk_out = np.zeros_like(trunk_out)
-        for k, head in enumerate(model.heads):
-            upstream = d_disp[k].reshape(B, 2 * horizon)
-            g = gradcore.backward(head, head_caches[k], upstream)
-            d_trunk_out += g.inputs
-            opt_heads[k].step(head, g)
-        g_trunk = gradcore.backward(model.trunk, trunk_cache, d_trunk_out)
+        g_head = gradcore.backward(model.head, head_cache, d_out)
+        opt_head.step(model.head, g_head)
+        g_trunk = gradcore.backward(model.trunk, trunk_cache, g_head.inputs)
         opt_trunk.step(model.trunk, g_trunk)
 
         acc_gt += loss_gt_val
@@ -390,7 +386,7 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
     doc = {
         "predictor_schema_version": CHECKPOINT_SCHEMA_VERSION,
         "trunk": gradcore.model_to_dict(model.trunk, train_config=train_config),
-        "heads": [gradcore.model_to_dict(h) for h in model.heads],
+        "heads": [gradcore.model_to_dict(h) for h in _split_head(model)],
         "horizon": model.horizon,
         "input_layout": asdict(model.input_layout),
         "alpha": alpha,
@@ -401,13 +397,15 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
 
 
 def load_predictor(path) -> PredictorModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "trunk" not in doc or "heads" not in doc:
-        raise ConfigError(f"{path}: not a predictor checkpoint")
-    return PredictorModel(
-        trunk=gradcore.model_from_dict(doc["trunk"]),
-        heads=[gradcore.model_from_dict(h) for h in doc["heads"]],
-        horizon=int(doc["horizon"]),
-        input_layout=InputLayout(**doc["input_layout"]),
-    )
+    def build(doc):
+        if "trunk" not in doc or "heads" not in doc:
+            raise ConfigError(f"{path}: not a predictor checkpoint")
+        horizon = int(doc["horizon"])
+        return PredictorModel(
+            trunk=gradcore.model_from_dict(doc["trunk"]),
+            head=_fuse_heads([gradcore.model_from_dict(h) for h in doc["heads"]], horizon),
+            horizon=horizon,
+            input_layout=InputLayout(**doc["input_layout"]),
+        )
+
+    return gradcore.load_checkpoint(path, build)

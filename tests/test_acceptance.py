@@ -235,7 +235,7 @@ def test_criterion_4_baseline_recovery(corpus, scorer_run):
     identical = all(
         np.array_equal(wa, wb)
         for ma, mb in [(with_scorer.model.trunk, deleted.model.trunk)]
-        + list(zip(with_scorer.model.heads, deleted.model.heads))
+        + [(with_scorer.model.head, deleted.model.head)]
         for wa, wb in zip(ma.weights + ma.biases, mb.weights + mb.biases)
     )
     report(4, identical, "alpha=0 parameters bit-identical with scorer wired vs deleted")
@@ -251,10 +251,10 @@ def test_criterion_5_filter_soundness(corpus, scorer_run, paired_runs):
     for seed in range(N_SEED_PAIRS):
         _, sets, gts = evaluate(paired_runs[(seed, ALPHA)], corpus["eval_hard"])
         cases.extend(
-            (s, inst.observable, g)
+            (s, locoval.score_batch(scorer, s, inst.observable), g)
             for s, inst, g in zip(sets, corpus["eval_hard"], gts)
         )
-    [entry] = filtering.sweep_lambda(scorer, cases, [LAMBDA])
+    [entry] = filtering.sweep_lambda(cases, [LAMBDA])
     rate_ok = 0.0 < entry.rejection_rate < 0.5
     order_ok = (
         entry.rejected_report is not None

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from plaustraj import filtering, locoval, predictor
 from plaustraj.cli import main
+
+PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
 
 TINY = {
     "data": {"n_tracks": 8, "n_eval_tracks": 5, "pose_bank_size": 12},
@@ -109,6 +113,26 @@ def test_eval_filter_zero_keeps_everything(tiny_config, trained_dir):
     assert not (trained_dir / "metrics_rejected.json").exists()
 
 
+def test_eval_filter_scores_each_case_once(tiny_config, trained_dir, monkeypatch):
+    calls = {"predict": 0, "score_batch": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(predictor, "predict", counting("predict", predictor.predict))
+    score_batch = counting("score_batch", locoval.score_batch)
+    monkeypatch.setattr(locoval, "score_batch", score_batch)
+    monkeypatch.setattr(filtering, "score_batch", score_batch)
+    assert run(
+        "eval", "--config", tiny_config, "--out", str(trained_dir), "--filter", "0.5"
+    ) == 0
+    assert calls["predict"] > 0
+    assert calls["score_batch"] == calls["predict"]
+
+
 def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
     assert run(
         "sweep", "--config", tiny_config, "--out", str(trained_dir),
@@ -184,6 +208,44 @@ def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_p
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _without_horizon() -> str:
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    del doc["horizon"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("predictor.json", "{not json"),
+        ("predictor.json", '{"trunk": 1, "heads": [1]}'),
+        ("predictor.json", _without_horizon()),
+        ("locoval.json", "{not json"),
+    ],
+    ids=["predictor-not-json", "predictor-wrong-structure", "predictor-no-horizon",
+         "locoval-not-json"],
+)
+def test_eval_corrupt_checkpoint_is_one_line_data_error(tiny_config, tmp_path, capsys,
+                                                        name, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "predictor.json").write_bytes(PREDICTOR_FIXTURE.read_bytes())
+    (out / name).write_text(content)
+    assert run("eval", "--config", tiny_config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_train_predictor_zero_heads_is_config_error(tiny_config, tmp_path, capsys):
+    code = run("train-predictor", "--config", tiny_config, "--out", str(tmp_path / "o"),
+               "--heads", "0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -135,57 +135,26 @@ def test_sweep_lambda_matches_direct_filter():
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=6)
     obs = make_observable()
     gt = straight_trajectory(n=12, speed=1.0)
-    cases = [(candidates(4), obs, gt)]
-    [entry] = sweep_lambda(scorer, cases, [0.5])
-    direct = locoval_filter(scorer, cases[0][0], obs, 0.5)
-    n_kept = len(direct.kept)
-    assert entry.rejection_rate == pytest.approx((4 - n_kept) / 4)
-    assert entry.fallback_cases == int(direct.fallback_used)
+    sets = [candidates(4), candidates(3)[::-1]]
+    cases = [(c, score_batch(scorer, c, obs), gt) for c in sets]
+    for entry in sweep_lambda(cases, [0.3, 0.5, 0.7]):
+        direct = [locoval_filter(scorer, c, obs, entry.threshold) for c in sets]
+        assert entry.rejection_rate == pytest.approx(sum(len(r.rejected) for r in direct) / 7)
+        assert entry.fallback_cases == sum(r.fallback_used for r in direct)
 
 
-def test_sweep_rejection_rate_monotone(monkeypatch):
+def test_sweep_rejection_rate_monotone():
     rng = np.random.default_rng(17)
-    per_case_scores = [rng.uniform(0.05, 0.95, size=4).tolist() for _ in range(6)]
-    calls = {"i": 0}
-
-    def fake(scorer, cands, obs):
-        out = per_case_scores[calls["i"] % 6]
-        calls["i"] += 1
-        return out[: len(cands)]
-
-    monkeypatch.setattr("plaustraj.filtering.score_batch", fake)
-    obs = make_observable()
     gt = straight_trajectory(n=12)
-    cases = [(candidates(4), obs, gt) for _ in range(6)]
-    entries = sweep_lambda(StubScorer([0.5] * 4), cases, [0.2, 0.5, 0.8])
+    cases = [(candidates(4), rng.uniform(0.05, 0.95, size=4).tolist(), gt) for _ in range(6)]
+    entries = sweep_lambda(cases, [0.2, 0.5, 0.8])
     rates = [e.rejection_rate for e in entries]
     assert rates == sorted(rates)
 
 
-def test_sweep_scores_each_case_once(monkeypatch):
-    calls = []
-
-    def counting(scorer, cands, obs):
-        calls.append(len(cands))
-        return score_batch(scorer, cands, obs)
-
-    monkeypatch.setattr("plaustraj.filtering.score_batch", counting)
-    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=9)
-    obs = make_observable()
-    gt = straight_trajectory(n=12)
-    cases = [(candidates(3), obs, gt) for _ in range(5)]
-    entries = sweep_lambda(scorer, cases, [0.3, 0.5, 0.7])
-    assert len(calls) == len(cases)
-    for entry in entries:
-        direct = [locoval_filter(scorer, c, obs, entry.threshold) for c, _, _ in cases]
-        assert entry.fallback_cases == sum(r.fallback_used for r in direct)
-        assert entry.rejection_rate == sum(len(r.rejected) for r in direct) / 15
-
-
 def test_sweep_validates_thresholds():
-    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=7)
     with pytest.raises(ConfigError):
-        sweep_lambda(scorer, [], [0.5, 1.2])
+        sweep_lambda([], [0.5, 1.2])
 
 
 def test_filter_report_json(tmp_path):

@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
-from plaustraj import predictor
+from plaustraj import gradcore, predictor
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
@@ -24,6 +27,12 @@ from plaustraj.predictor import (
 )
 
 LAYOUT = InputLayout(past_frames=9)
+FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
+
+
+def head_block(head, k, horizon=12):
+    """Head k's weight columns in the fused head layer."""
+    return head.weights[0][:, k * 2 * horizon : (k + 1) * 2 * horizon]
 
 
 def past_and_obs(speed=1.2, heading=0.0):
@@ -39,8 +48,7 @@ def past_and_obs(speed=1.2, heading=0.0):
 def test_predict_anchored_at_last_observation():
     model = build_predictor(LAYOUT, horizon=12, n_heads=1, seed=0)
     # zero out the single head so every displacement vanishes
-    for w in model.heads[0].weights:
-        w[:] = 0.0
+    model.head.weights[0][:] = 0.0
     past, obs = past_and_obs()
     pred = predict(model, past, obs)
     assert pred.n_heads == 1
@@ -71,6 +79,83 @@ def test_predict_anchor_exact():
     # first predicted point = anchor + first displacement, by construction
     assert np.array_equal(pred.anchor, past.points[-1])
     assert np.all(np.isfinite(disp0))
+
+
+def test_head_blocks_are_the_per_head_seeded_draws():
+    model = build_predictor(LAYOUT, horizon=12, n_heads=3, trunk_hidden=(16, 8), seed=7)
+    assert model.n_heads == 3
+    assert model.head.layer_sizes == [8, 3 * 24]
+    for k in range(3):
+        ref = gradcore.init_mlp([8, 24], np.random.default_rng(np.random.SeedSequence([7, k + 1])))
+        assert np.array_equal(head_block(model.head, k), ref.weights[0])
+    assert np.array_equal(model.head.biases[0], np.zeros(3 * 24))
+
+
+def per_head_reference(trunk, heads, feats, anchor):
+    """Trajectory points of each head, one gradcore.forward per head."""
+    h = gradcore.forward(trunk, feats)
+    return [anchor + np.cumsum(gradcore.forward(head, h).reshape(-1, 2), axis=0)
+            for head in heads]
+
+
+def test_predict_equals_per_head_forward():
+    model = build_predictor(LAYOUT, horizon=12, n_heads=4, trunk_hidden=(16, 8), seed=8)
+    model.head.biases[0][:] = np.linspace(-1.0, 1.0, 4 * 24)
+    heads = [
+        gradcore.MlpModel([8, 24], [head_block(model.head, k)],
+                          [model.head.biases[0][k * 24 : (k + 1) * 24]])
+        for k in range(4)
+    ]
+    past, obs = past_and_obs()
+    pred = predict(model, past, obs)
+    feats = build_input(past, obs, LAYOUT)
+    ref = per_head_reference(model.trunk, heads, feats, past.points[-1])
+    for traj, points in zip(pred.trajectories, ref, strict=True):
+        assert np.array_equal(traj.points, points)
+
+
+def test_checkpoint_written_per_head_loads_and_resaves(tmp_path):
+    """A K=2 checkpoint written when the heads were separate models."""
+    doc = json.loads(FIXTURE.read_text())
+    model = load_predictor(FIXTURE)
+    assert model.n_heads == 2
+    past, obs = past_and_obs()
+    pred = predict(model, past, obs)
+    ref = per_head_reference(
+        gradcore.model_from_dict(doc["trunk"]),
+        [gradcore.model_from_dict(h) for h in doc["heads"]],
+        build_input(past, obs, model.input_layout), past.points[-1],
+    )
+    for traj, points in zip(pred.trajectories, ref, strict=True):
+        assert np.array_equal(traj.points, points)
+    path = tmp_path / "resaved.json"
+    save_predictor(model, path)
+    assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def _narrow_second_head(doc):
+    head = doc["heads"][1]
+    head["layer_sizes"] = [8, 12]
+    layer = head["parameters"][0]
+    layer["weights"] = layer["weights"][: 8 * 12]
+    layer["biases"] = layer["biases"][:12]
+
+
+def _two_layer_second_head(doc):
+    doc["heads"][1] = gradcore.model_to_dict(
+        gradcore.init_mlp([8, 8, 24], np.random.default_rng(0))
+    )
+
+
+@pytest.mark.parametrize("corrupt", [_narrow_second_head, _two_layer_second_head],
+                         ids=["different-widths", "two-layers"])
+def test_load_predictor_rejects_mismatched_heads(tmp_path, corrupt):
+    doc = json.loads(FIXTURE.read_text())
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_predictor(path)
 
 
 def test_build_input_shape_checks():
@@ -272,9 +357,8 @@ def test_train_alpha_zero_bit_identical_to_no_scorer(training_instances, trained
     without = train_predictor(training_instances[:40], None, cfg, alpha=0.0, n_heads=2)
     for wa, wb in zip(with_scorer.model.trunk.weights, without.model.trunk.weights):
         assert np.array_equal(wa, wb)
-    for ha, hb in zip(with_scorer.model.heads, without.model.heads):
-        for wa, wb in zip(ha.weights, hb.weights):
-            assert np.array_equal(wa, wb)
+    assert np.array_equal(with_scorer.model.head.weights[0], without.model.head.weights[0])
+    assert np.array_equal(with_scorer.model.head.biases[0], without.model.head.biases[0])
 
 
 def test_train_deterministic(training_instances):
@@ -349,7 +433,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     m0, _ = loss_minmse(pred, inst.future)
 
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)
-    before = [h.copy() for h in model.heads]
+    before = model.head.copy()
     result = train_predictor([inst], None, cfg, n_heads=2, model=model)
     values = [
         loss_mse(PredictionSet([t], pred.anchor), inst.future)
@@ -357,14 +441,9 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     ]
     winner = int(np.argmin(values))
     loser = 1 - winner
-    # loser head got a zero upstream gradient; AdamW leaves it untouched
-    for wa, wb in zip(before[loser].weights, result.model.heads[loser].weights):
-        assert np.array_equal(wa, wb)
-    changed = any(
-        not np.array_equal(wa, wb)
-        for wa, wb in zip(before[winner].weights, result.model.heads[winner].weights)
-    )
-    assert changed
+    # loser head got a zero upstream gradient; AdamW leaves its columns untouched
+    assert np.array_equal(head_block(before, loser), head_block(result.model.head, loser))
+    assert not np.array_equal(head_block(before, winner), head_block(result.model.head, winner))
 
 
 # ---------------------------------------------------------------------------

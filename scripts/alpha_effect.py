@@ -54,12 +54,12 @@ def main():
     ap.add_argument("--steps", type=int, default=800)
     ns = ap.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, pairs, instances, eval_instances = build_corpus()
     scorer_cfg = TrainConfig(learning_rate=1e-3, total_steps=3000, batch_size=64,
                              seed=104, schedule="cosine")
     scorer = locoval.train_locoval(pairs, scorer_cfg, hidden=(128, 128, 128)).model
-    print(f"scorer trained in {time.time() - t0:.0f} s on {len(pairs)} pairs")
+    print(f"scorer trained in {time.perf_counter() - t0:.0f} s on {len(pairs)} pairs")
 
     rows = []
     for seed in range(ns.seeds):
@@ -85,7 +85,7 @@ def main():
     print(f"\nchi2 velocity wins: {chi_wins}/{ns.seeds}  ade wins: {ade_wins}/{ns.seeds}")
     print(f"mean minADE: {minade0:.4f} (alpha=0) vs {minade1:.4f} "
           f"(alpha={ns.alpha}), ratio {minade1 / minade0:.3f}")
-    print(f"total {time.time() - t0:.0f} s")
+    print(f"total {time.perf_counter() - t0:.0f} s")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from plaustraj.cli import main as cli_main
 
 
 def stage(label, args, timings):
-    t0 = time.time()
+    t0 = time.perf_counter()
     code = cli_main(args)
-    timings.append((label, time.time() - t0))
+    timings.append((label, time.perf_counter() - t0))
     if code != 0:
         print(f"{label} failed with exit code {code}", file=sys.stderr)
         sys.exit(code)

@@ -159,27 +159,28 @@ class Gradients:
     inputs: np.ndarray  # gradient of the loss w.r.t. the network input
 
 
-def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
-    """Backpropagate upstream = dL/d(output) through a cached forward pass."""
+def _output_delta(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
+    """dL/d(pre-activation of the last layer), as a (B, n_out) array."""
     upstream = np.asarray(upstream, dtype=float)
     if cache["single"]:
         upstream = upstream[None, :]
-    pre, acts = cache["pre"], cache["activations"]
-    last = model.n_layers - 1
-    if upstream.shape != acts[-1].shape:
+    y = cache["activations"][-1]
+    if upstream.shape != y.shape:
         raise InputShapeError(
-            f"upstream gradient shape {upstream.shape} != output shape {acts[-1].shape}"
+            f"upstream gradient shape {upstream.shape} != output shape {y.shape}"
         )
-
     if model.output_activation == "sigmoid":
-        y = acts[-1]
-        delta = upstream * y * (1.0 - y)
-    else:
-        delta = upstream
+        return upstream * y * (1.0 - y)
+    return upstream
 
+
+def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
+    """Backpropagate upstream = dL/d(output) through a cached forward pass."""
+    pre, acts = cache["pre"], cache["activations"]
+    delta = _output_delta(model, cache, upstream)
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
-    for i in range(last, -1, -1):
+    for i in range(model.n_layers - 1, -1, -1):
         w_grads[i] = acts[i].T @ delta
         b_grads[i] = delta.sum(axis=0)
         if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
@@ -191,6 +192,22 @@ def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
             )
     input_grad = delta[0] if cache["single"] else delta
     return Gradients(weights=w_grads, biases=b_grads, inputs=input_grad)
+
+
+def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
+    """dL/d(input) of a cached forward pass through a frozen model: the
+    inputs of backward(), bit for bit, without any parameter gradient."""
+    pre, acts = cache["pre"], cache["activations"]
+    delta = _output_delta(model, cache, upstream)
+    for i in range(model.n_layers - 1, -1, -1):
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta = delta * _hidden_derivative(
+                pre[i - 1], acts[i], model.hidden_activation
+            )
+    if not np.all(np.isfinite(delta)):
+        raise NumericError("non-finite input gradient")
+    return delta[0] if cache["single"] else delta
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int, min_lr: float = 0.0) -> float:
@@ -206,7 +223,8 @@ class AdamW:
     """Decoupled-weight-decay Adam over an MlpModel's parameters.
 
     Moments persist across step() calls; the step counter is internal and
-    starts at 1 on the first update.
+    starts at 1 on the first update. step() updates the moments and the
+    model's parameter arrays in place.
     """
 
     def __init__(self, model: MlpModel, config: TrainConfig):
@@ -234,19 +252,26 @@ class AdamW:
         b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
+        decay = 1.0 - lr * cfg.weight_decay
         for params, gs, ms, vs in (
             (model.weights, grads.weights, self.m_w, self.v_w),
             (model.biases, grads.biases, self.m_b, self.v_b),
         ):
-            for i in range(len(params)):
-                g = gs[i]
-                ms[i] = b1 * ms[i] + (1.0 - b1) * g
-                vs[i] = b2 * vs[i] + (1.0 - b2) * (g * g)
-                m_hat = ms[i] / bc1
-                v_hat = vs[i] / bc2
-                params[i] = params[i] * (1.0 - lr * cfg.weight_decay) - lr * m_hat / (
-                    np.sqrt(v_hat) + eps
-                )
+            for p, g, m, v in zip(params, gs, ms, vs):
+                # in place, in the operation order of p * decay - lr * (m / bc1) / (sqrt(v / bc2) + eps),
+                # so results are bit-identical to computing that expression out of place
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                denom = v / bc2
+                np.sqrt(denom, out=denom)
+                denom += eps
+                update = m / bc1
+                update *= lr
+                update /= denom
+                p *= decay
+                p -= update
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +360,25 @@ def model_from_dict(doc: dict) -> MlpModel:
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ConfigError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
     sizes = [int(s) for s in doc["layer_sizes"]]
+    if len(doc["parameters"]) != len(sizes) - 1:
+        raise DataError(
+            f"{len(doc['parameters'])} parameter layers for layer sizes {sizes}"
+        )
     weights, biases = [], []
     for i, layer in enumerate(doc["parameters"]):
         n_in, n_out = sizes[i], sizes[i + 1]
-        weights.append(np.array(layer["weights"], dtype=float).reshape(n_in, n_out))
-        biases.append(np.array(layer["biases"], dtype=float))
+        try:
+            w = np.array(layer["weights"], dtype=float)
+            b = np.array(layer["biases"], dtype=float)
+        except ValueError as exc:
+            raise DataError(f"layer {i}: parameters are not lists of numbers ({exc})") from None
+        if w.size != n_in * n_out or b.shape != (n_out,):
+            raise DataError(
+                f"layer {i}: expected {n_in * n_out} weights and {n_out} biases, "
+                f"got {w.size} and {b.size}"
+            )
+        weights.append(w.reshape(n_in, n_out))
+        biases.append(b)
     model = MlpModel(
         sizes, weights, biases,
         hidden_activation=doc["hidden_activation"],
@@ -351,8 +390,44 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 def save_model(model: MlpModel, path, seed: int | None = None,
                train_config: TrainConfig | None = None):
+    save_checkpoint(model_to_dict(model, seed, train_config), path)
+
+
+def save_checkpoint(doc: dict, path):
+    """Write doc to path with the bytes json.dump(doc, fh) writes, but
+    faster: json.dump runs json's pure-Python encoder, this runs its C encoder
+    piece by piece (see _write_json), so the encoded text of a large
+    checkpoint is never held in memory at once."""
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, seed, train_config), fh)
+        _write_json(fh, doc)
+
+
+# list items encoded per json.dumps call when a list of scalars is written
+_JSON_CHUNK = 4096
+
+
+def _write_json(fh, value):
+    """json.dump's text of value: a dict with string keys, or a list of
+    containers, one item at a time; a list of scalars _JSON_CHUNK items at a
+    time; anything else in one json.dumps call."""
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write(", " if i else "")
+            _write_json(fh, item)
+        fh.write("]")
+    elif isinstance(value, list) and len(value) > _JSON_CHUNK:
+        for i in range(0, len(value), _JSON_CHUNK):
+            fh.write(("[" if i == 0 else ", ") + json.dumps(value[i : i + _JSON_CHUNK])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))
 
 
 def load_checkpoint(path, build: Callable[[dict], object]):
@@ -366,6 +441,8 @@ def load_checkpoint(path, build: Callable[[dict], object]):
             raise DataError(f"{path}: not a JSON file ({exc})") from None
     try:
         return build(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: malformed checkpoint ({exc})") from None
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
 

@@ -10,7 +10,6 @@ against it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -191,8 +190,8 @@ def score_with_traj_grad(model: LocoValModel, traj: Trajectory,
     """Score plus d(score)/d(trajectory points), shape (T_f, 2)."""
     feats = canonicalize(traj, obs, model.layout)
     out, cache = gradcore.forward_cached(model.net, feats)
-    grads = gradcore.backward(model.net, cache, np.ones(1))
-    return float(out[0]), feature_grad_to_traj_grad(grads.inputs, obs, model.layout)
+    g_feats = gradcore.input_grad(model.net, cache, np.ones(1))
+    return float(out[0]), feature_grad_to_traj_grad(g_feats, obs, model.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,7 @@ def save_locoval(model: LocoValModel, path, seed: int | None = None,
     doc = gradcore.model_to_dict(model.net, seed=seed, train_config=train_config)
     doc["feature_layout"] = asdict(model.layout)
     doc["locoval_schema_version"] = CHECKPOINT_SCHEMA_VERSION
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    gradcore.save_checkpoint(doc, path)
 
 
 def load_locoval(path) -> LocoValModel:

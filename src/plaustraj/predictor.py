@@ -9,7 +9,6 @@ frozen scorer on every head. Checkpoints store one single-layer entry per head.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -332,25 +331,27 @@ def train_predictor(
 
         loss_pl_val = 0.0
         if scorer is not None:
-            rb, ob, tb = rots[idx], offsets[idx], tails[idx]
-            for k in range(K):
-                steps = disp[k].copy()
-                steps[:, 0, :] += ob
-                feats = locoval_mod.encode_steps(steps, rb, tb)
-                s_out, s_cache = gradcore.forward_cached(scorer.net, feats)
-                s = s_out[:, 0]
-                if emloco_form == "squared":
-                    loss_pl_val += float(np.mean((s - 1.0) ** 2))
-                    ds = 2.0 * (s - 1.0) / B / K
-                else:
-                    loss_pl_val += float(np.mean(-s))
-                    ds = np.full(B, -1.0 / B / K)
-                if alpha > 0.0:
-                    s_grads = gradcore.backward(scorer.net, s_cache, ds[:, None])
-                    d_disp[k] += alpha * locoval_mod.encode_steps_adjoint(
-                        s_grads.inputs, rb, horizon
-                    )
-            loss_pl_val /= K
+            # one frozen-scorer pass over all K·B rows, row k·B + b = head k, sample b
+            rb = np.tile(rots[idx], (K, 1, 1))
+            steps = disp.copy()
+            steps[:, :, 0, :] += offsets[idx]
+            feats = locoval_mod.encode_steps(steps.reshape(K * B, horizon, 2), rb,
+                                             np.tile(tails[idx], (K, 1)))
+            s_out, s_cache = gradcore.forward_cached(scorer.net, feats)
+            s = s_out[:, 0].reshape(K, B)
+            if emloco_form == "squared":
+                per_head = np.mean((s - 1.0) ** 2, axis=1)
+                ds = 2.0 * (s - 1.0) / B / K
+            else:
+                per_head = np.mean(-s, axis=1)
+                ds = np.full((K, B), -1.0 / B / K)
+            # added in head order: np.sum's pairwise order would move loss_plaus in the last bits
+            loss_pl_val = sum(float(v) for v in per_head) / K
+            if alpha > 0.0:
+                g_feats = gradcore.input_grad(scorer.net, s_cache, ds.reshape(K * B, 1))
+                d_disp += alpha * locoval_mod.encode_steps_adjoint(
+                    g_feats, rb, horizon
+                ).reshape(K, B, horizon, 2)
 
         g_head = gradcore.backward(model.head, head_cache, d_out)
         opt_head.step(model.head, g_head)
@@ -392,8 +393,7 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
         "alpha": alpha,
         "locoval_checksum": locoval_checksum,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    gradcore.save_checkpoint(doc, path)
 
 
 def load_predictor(path) -> PredictorModel:

@@ -217,15 +217,30 @@ def _without_horizon() -> str:
     return json.dumps(doc)
 
 
+def _head_weight_short() -> str:
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    doc["heads"][0]["parameters"][0]["weights"].pop()
+    return json.dumps(doc)
+
+
+def _head_weight_not_a_number() -> str:
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    doc["heads"][0]["parameters"][0]["weights"][0] = "abc"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
         ("predictor.json", "{not json"),
         ("predictor.json", '{"trunk": 1, "heads": [1]}'),
         ("predictor.json", _without_horizon()),
+        ("predictor.json", _head_weight_short()),
+        ("predictor.json", _head_weight_not_a_number()),
         ("locoval.json", "{not json"),
     ],
     ids=["predictor-not-json", "predictor-wrong-structure", "predictor-no-horizon",
+         "predictor-head-weight-short", "predictor-head-weight-not-a-number",
          "locoval-not-json"],
 )
 def test_eval_corrupt_checkpoint_is_one_line_data_error(tiny_config, tmp_path, capsys,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plaustraj import gradcore
-from plaustraj.errors import ConfigError, InputShapeError, NumericError
+from plaustraj.errors import ConfigError, DataError, InputShapeError, NumericError
 from plaustraj.gradcore import (
     AdamW,
     MlpModel,
@@ -16,6 +16,7 @@ from plaustraj.gradcore import (
     forward_cached,
     grad_check,
     init_mlp,
+    input_grad,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -130,6 +131,30 @@ def test_backward_rejects_nonfinite():
     _, cache = forward_cached(model, np.ones(4))
     with pytest.raises(NumericError):
         backward(model, cache, np.ones(3))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["single", "batch-1", "batch-7"])
+@pytest.mark.parametrize("hidden, output", [("relu", "sigmoid"), ("relu", "identity"),
+                                            ("tanh", "sigmoid"), ("tanh", "identity")])
+def test_input_grad_equals_backward_inputs(hidden, output, rows):
+    model = small_model(seed=3, sizes=(5, 9, 7, 2), hidden=hidden, output=output)
+    rng = np.random.default_rng(4)
+    shape = (5,) if rows is None else (rows, 5)
+    _, cache = forward_cached(model, rng.normal(size=shape))
+    upstream = rng.normal(size=shape[:-1] + (2,))
+    got = input_grad(model, cache, upstream)
+    assert got.shape == shape
+    assert np.array_equal(got, backward(model, cache, upstream).inputs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_input_grad_rejects_nonfinite_upstream(bad):
+    model = small_model(seed=5, hidden="relu", output="sigmoid")
+    _, cache = forward_cached(model, np.ones((2, 4)))
+    upstream = np.ones((2, 3))
+    upstream[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        input_grad(model, cache, upstream)
 
 
 @settings(deadline=None, max_examples=20)
@@ -248,6 +273,40 @@ def test_adamw_moments_persist_across_steps():
     assert np.all(opt.m_w[0] != 0)
 
 
+def test_adamw_in_place_equals_out_of_place_recurrence():
+    """The in-place update, over many weight-decay and cosine steps, equals
+    the out-of-place recurrence it replaced bit for bit."""
+    cfg = TrainConfig(learning_rate=0.03, weight_decay=0.1, total_steps=40,
+                      schedule="cosine", min_lr=1e-4)
+    model = small_model(seed=12, sizes=(4, 8, 8, 3))
+    ref = model.copy()
+    opt = AdamW(model, cfg)
+    m = [np.zeros_like(p) for p in ref.weights + ref.biases]
+    v = [np.zeros_like(p) for p in ref.weights + ref.biases]
+    rng = np.random.default_rng(13)
+    for t in range(1, 61):
+        g = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+             for p in ref.weights + ref.biases]
+        lr = opt.current_lr()
+        opt.step(model, gradcore.Gradients(g[:3], g[3:], np.zeros(4)))
+        params = ref.weights + ref.biases
+        for i in range(len(params)):
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i]
+            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g[i] * g[i])
+            m_hat = m[i] / (1.0 - cfg.beta1**t)
+            v_hat = v[i] / (1.0 - cfg.beta2**t)
+            params[i] = params[i] * (1.0 - lr * cfg.weight_decay) - lr * m_hat / (
+                np.sqrt(v_hat) + cfg.eps
+            )
+        ref.weights, ref.biases = params[:3], params[3:]
+        for got, want in zip(model.weights + model.biases, params, strict=True):
+            assert np.array_equal(got, want)
+    for got, want in zip(opt.m_w + opt.m_b, m, strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(opt.v_w + opt.v_b, v, strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_cosine_lr_endpoints_and_midpoint():
     assert cosine_lr(1e-3, 0, 100) == pytest.approx(1e-3)
     assert cosine_lr(1e-3, 100, 100) == 0.0
@@ -309,6 +368,35 @@ def test_checkpoint_rejects_unknown_schema():
     doc = model_to_dict(small_model())
     doc["schema_version"] = 99
     with pytest.raises(ConfigError):
+        model_from_dict(doc)
+
+
+def test_save_checkpoint_bytes_match_json_dump(tmp_path):
+    """Lists longer than one encoder chunk, lists mixing containers and
+    scalars, non-string keys, tuples, empty containers, non-ASCII text and
+    NaN all come out as json.dump writes them."""
+    n = 2 * gradcore._JSON_CHUNK + 5
+    doc = {
+        "long": np.random.default_rng(0).normal(size=n).tolist(),
+        "exact": [0.5] * gradcore._JSON_CHUNK,
+        "mixed": [[1, 2], 3, {"x": None}, "s"],
+        "nested": {"a": [{}], "b": [[]], 7: [True], "t": (1, 2.5)},
+        "text": "é\n\"", "nan": float("nan"), "empty": {},
+    }
+    path = tmp_path / "c.json"
+    gradcore.save_checkpoint(doc, path)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("field", ["weights", "biases", "parameters"])
+def test_checkpoint_count_mismatch_is_data_error(field):
+    """One weight, one bias or one whole layer short."""
+    doc = model_to_dict(small_model())
+    entry = doc if field == "parameters" else doc["parameters"][0]
+    entry[field] = entry[field][:-1]
+    with pytest.raises(DataError):
         model_from_dict(doc)
 
 

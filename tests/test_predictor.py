@@ -272,16 +272,16 @@ def test_loss_total():
 
 def test_emloco_gradient_through_scorer_finite_differences():
     """The regularizer gradient w.r.t. head displacements, as assembled inside
-    the training loop, must match central finite differences of the composed
-    score. This is the chain that makes the second training stage work."""
-    horizon = 6
+    the training loop (one scorer pass over the rows of K heads), must match
+    central finite differences of the composed score. This is the chain that
+    makes the second training stage work."""
+    horizon, K = 6, 3
     scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=9)
     past, obs = past_and_obs(speed=1.0, heading=0.2)
     rng = np.random.default_rng(10)
-    disp = rng.uniform(0.05, 0.4, size=(horizon, 2))
+    disp = rng.uniform(0.05, 0.4, size=(K, horizon, 2))
     anchor = past.points[-1]
 
-    from plaustraj import gradcore
     from plaustraj.locoval import (
         canonical_frame,
         encode_steps,
@@ -297,27 +297,29 @@ def test_emloco_gradient_through_scorer_finite_differences():
         s = predictor.locoval_mod.score(scorer, Trajectory(pts, 0.4), obs)
         return (s - 1.0) ** 2
 
-    # analytic: the shared encoding and adjoint that train_predictor uses
+    # analytic: the shared encoding, input-only backward and adjoint that
+    # train_predictor uses, on K rows in one pass
     steps = disp.copy()
-    steps[0] += offset
+    steps[:, 0] += offset
+    rots = np.tile(rot, (K, 1, 1))
     tail = observation_tail(obs, root, rot, scorer.layout)
-    feats = encode_steps(steps[None], rot[None], tail[None])
+    feats = encode_steps(steps, rots, np.tile(tail, (K, 1)))
     out, cache = gradcore.forward_cached(scorer.net, feats)
-    ds = 2.0 * (out[0, 0] - 1.0)
-    grads = gradcore.backward(scorer.net, cache, np.full((1, 1), ds))
-    analytic = encode_steps_adjoint(grads.inputs, rot[None], horizon)[0]
+    ds = 2.0 * (out - 1.0)
+    analytic = encode_steps_adjoint(gradcore.input_grad(scorer.net, cache, ds), rots, horizon)
 
     eps = 1e-6
-    for t in range(horizon):
-        for c in range(2):
-            bumped = disp.copy()
-            bumped[t, c] += eps
-            up = emloco_of(bumped)
-            bumped[t, c] -= 2 * eps
-            down = emloco_of(bumped)
-            numeric = (up - down) / (2 * eps)
-            denom = max(abs(analytic[t, c]), abs(numeric), 1e-6)
-            assert abs(analytic[t, c] - numeric) / denom < 1e-4
+    for k in range(K):
+        for t in range(horizon):
+            for c in range(2):
+                bumped = disp[k].copy()
+                bumped[t, c] += eps
+                up = emloco_of(bumped)
+                bumped[t, c] -= 2 * eps
+                down = emloco_of(bumped)
+                numeric = (up - down) / (2 * eps)
+                denom = max(abs(analytic[k, t, c]), abs(numeric), 1e-6)
+                assert abs(analytic[k, t, c] - numeric) / denom < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,25 @@ def test_train_alpha_zero_bit_identical_to_no_scorer(training_instances, trained
         assert np.array_equal(wa, wb)
     assert np.array_equal(with_scorer.model.head.weights[0], without.model.head.weights[0])
     assert np.array_equal(with_scorer.model.head.biases[0], without.model.head.biases[0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 100.0])
+def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatch, alpha):
+    """The frozen scorer runs once per step over all K·B rows, at alpha 0
+    (reporting loss_plaus only) as at alpha 100."""
+    scorer = trained_scorer.model
+    calls = []
+    forward_cached = gradcore.forward_cached
+
+    def counting(model, x):
+        if model is scorer.net:
+            calls.append(len(x))
+        return forward_cached(model, x)
+
+    monkeypatch.setattr(gradcore, "forward_cached", counting)
+    cfg = _tiny_config(steps=5)
+    train_predictor(training_instances[:20], scorer, cfg, alpha=alpha, n_heads=3)
+    assert calls == [3 * cfg.batch_size] * cfg.total_steps
 
 
 def test_train_deterministic(training_instances):
@@ -461,6 +482,21 @@ def test_predictor_checkpoint_roundtrip(tmp_path, training_instances):
     b = predict(loaded, inst.past, inst.observable)
     for ta, tb in zip(a.trajectories, b.trajectories):
         assert np.array_equal(ta.points, tb.points)
+
+
+def test_save_checkpoint_writes_json_dump_bytes(tmp_path, trained_scorer):
+    """save_checkpoint writes what json.dump writes, for a predictor and a
+    scorer checkpoint."""
+    scorer_path = tmp_path / "locoval.json"
+    predictor.locoval_mod.save_locoval(trained_scorer.model, scorer_path, seed=14,
+                                       train_config=TrainConfig())
+    for source in (FIXTURE, scorer_path):
+        doc = json.loads(source.read_text())
+        gradcore.save_checkpoint(doc, tmp_path / "fast.json")
+        with open(tmp_path / "dump.json", "w") as fh:
+            json.dump(doc, fh)
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+        assert (tmp_path / "fast.json").read_bytes() == source.read_bytes()
 
 
 def test_load_predictor_rejects_wrong_doc(tmp_path):

@@ -2,7 +2,9 @@
 
 gen-data -> train-locoval -> train-predictor -> eval (optionally filtered),
 all through the CLI entry points so the run matches what a shell invocation
-would produce. Timing for each stage is printed at the end.
+would produce. Timing for each stage is printed at the end, then the sha256
+of every file in the output directory (in `sha256sum` format), so two runs'
+outputs can be compared with `diff`.
 
 Usage:
     python scripts/run_pipeline.py --out runs/demo [--config cfg.json]
@@ -10,8 +12,10 @@ Usage:
 """
 
 import argparse
+import hashlib
 import sys
 import time
+from pathlib import Path
 
 from plaustraj.cli import main as cli_main
 
@@ -57,6 +61,12 @@ def main():
     for label, t in timings:
         print(f"  {label:16s} {t:7.1f} s")
     print(f"  {'total':16s} {total:7.1f} s")
+
+    out = Path(ns.out)
+    print("\noutput sha256:")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
 
 
 if __name__ == "__main__":

@@ -225,9 +225,11 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
         f"trained {result.n_heads}-head predictor (alpha={result.alpha}): "
         f"loss_gt={last.loss_gt:.4f} loss_plaus={last.loss_plaus:.4f}"
     )
-    if any(p.regularizer_dominates for p in result.curve):
-        click.echo("warning: alpha * plausibility loss exceeded the ground-truth "
-                   "loss during training; consider lowering alpha")
+    flagged = sum(p.regularizer_dominates for p in result.curve)
+    if flagged:
+        click.echo(f"warning: alpha * plausibility loss exceeded the ground-truth "
+                   f"loss on {flagged} of {len(result.curve)} curve intervals "
+                   f"(last interval ratio {last.ratio:.3g}); consider lowering alpha")
 
 
 @cli.command("eval")

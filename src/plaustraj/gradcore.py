@@ -110,10 +110,14 @@ def _apply_hidden(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _hidden_derivative(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _times_hidden_derivative(delta: np.ndarray, z: np.ndarray, a: np.ndarray,
+                             kind: str) -> None:
+    """Multiply delta in place by the hidden activation's derivative (relu:
+    by its boolean mask directly, which gives the bits of a 0/1 float mask)."""
     if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return 1.0 - a * a
+        delta *= z > 0.0
+    else:
+        delta *= 1.0 - a * a
 
 
 def forward_cached(model: MlpModel, x: np.ndarray):
@@ -187,9 +191,7 @@ def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
             raise NumericError("non-finite gradient", layer_index=i)
         delta = delta @ model.weights[i].T
         if i > 0:
-            delta = delta * _hidden_derivative(
-                pre[i - 1], acts[i], model.hidden_activation
-            )
+            _times_hidden_derivative(delta, pre[i - 1], acts[i], model.hidden_activation)
     input_grad = delta[0] if cache["single"] else delta
     return Gradients(weights=w_grads, biases=b_grads, inputs=input_grad)
 
@@ -202,9 +204,7 @@ def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray
     for i in range(model.n_layers - 1, -1, -1):
         delta = delta @ model.weights[i].T
         if i > 0:
-            delta = delta * _hidden_derivative(
-                pre[i - 1], acts[i], model.hidden_activation
-            )
+            _times_hidden_derivative(delta, pre[i - 1], acts[i], model.hidden_activation)
     if not np.all(np.isfinite(delta)):
         raise NumericError("non-finite input gradient")
     return delta[0] if cache["single"] else delta

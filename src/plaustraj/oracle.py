@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -213,13 +214,19 @@ def rollout(traj: Trajectory, state: HumanoidState,
     return rollout_detailed(traj, state, params)["reward"]
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 2-vector, bit for bit (the same BLAS dot), without
+    its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def rollout_detailed(traj: Trajectory, state: HumanoidState,
                      params: OracleParams) -> dict:
     """Rollout returning per-step positions, velocities, and rewards."""
     dt = traj.dt
     pos = state.root_position.copy()
     vel = state.root_velocity.copy()
-    speed = np.linalg.norm(vel)
+    speed = _norm(vel)
     if speed > params.v_max:
         vel = vel * (params.v_max / speed)
     heading = state.heading
@@ -229,7 +236,7 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
     rewards = []
     for target in traj.points:
         to_target = target - pos
-        dist = np.linalg.norm(to_target)
+        dist = _norm(to_target)
         if dist > 1e-12:
             desired_heading = math.atan2(to_target[1], to_target[0])
             turn = wrap_angle(desired_heading - heading)
@@ -242,19 +249,19 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
             target_speed = 0.0
         target_vel = target_speed * np.array([math.cos(new_heading), math.sin(new_heading)])
         dv = target_vel - vel
-        dv_norm = np.linalg.norm(dv)
+        dv_norm = _norm(dv)
         accel_cap = params.a_max * dt
         if dv_norm > accel_cap:
             dv = dv * (accel_cap / dv_norm)
         new_vel = vel + dv
-        accel = np.linalg.norm(dv) / dt
+        accel = _norm(dv) / dt
         pos = pos + new_vel * dt
-        new_speed = np.linalg.norm(new_vel)
+        new_speed = _norm(new_vel)
         if new_speed > 1e-9:
             heading = math.atan2(new_vel[1], new_vel[0])
         vel = new_vel
 
-        err = np.linalg.norm(pos - target)
+        err = _norm(pos - target)
         r = params.w_follow * math.exp(-(err / params.follow_scale) ** 2)
         r -= params.w_energy * (accel / params.a_max) ** 2
         rewards.append(min(1.0, max(0.0, r)))
@@ -270,6 +277,97 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
         "positions": np.array(positions),
         "velocities": np.array(velocities),
     }
+
+
+# The batched walker below repeats rollout_detailed's arithmetic on (N, 2)
+# arrays and must return its rewards bit for bit. Three things make that hold:
+# - atan2, cos, sin, exp and the squares go through math (libm) per element,
+#   because numpy's SIMD versions differ in the last bit and a heading-flip
+#   pair sits on the +-pi tie of the turn, where one bit flips the direction
+#   (numpy squares with x*x, the scalar code with pow);
+# - row norms are one BLAS dot per row, as in np.linalg.norm;
+# - the angle wrap is fmod plus one +-2pi correction: both steps are exact,
+#   so it lands on the same representative in (-pi, pi] as wrap_angle.
+
+
+def _map(f, *columns: np.ndarray) -> np.ndarray:
+    """f applied to each element (or tuple of elements) through Python floats."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), dtype=float,
+                       count=len(columns[0]))
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 of each element as the scalar code squares it (pow, not x * x)."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), dtype=float,
+                       count=len(x))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (N, 2) array, bit for bit."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
+def _capped(v: np.ndarray, norms: np.ndarray, cap: float) -> np.ndarray:
+    """Rows with norm above cap scaled down to it; cap / cap is exactly 1,
+    so the other rows keep their bits."""
+    return v * (cap / np.maximum(norms, cap))[:, None]
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle of each element, bit for bit."""
+    two_pi = 2.0 * math.pi
+    a = np.fmod(a, two_pi)
+    a = np.where(a > math.pi, a - two_pi, a)
+    return np.where(a <= -math.pi, a + two_pi, a)
+
+
+def rollout_batch(points: np.ndarray, root: np.ndarray, velocity: np.ndarray,
+                  heading: np.ndarray, dt: float,
+                  params: OracleParams = OracleParams()) -> np.ndarray:
+    """rollout() of N pairs of one horizon and dt at once, bit for bit.
+
+    points is (N, T, 2), root and velocity are (N, 2) and heading is (N,);
+    returns the N rewards. Each of the T steps moves all N walkers at once.
+    """
+    points = np.asarray(points, dtype=float)
+    pos = np.asarray(root, dtype=float)
+    vel = np.asarray(velocity, dtype=float)
+    heading = np.asarray(heading, dtype=float)
+    vel = _capped(vel, _row_norms(vel), params.v_max)
+    max_turn = params.turn_rate_max * dt
+    accel_cap = params.a_max * dt
+
+    rewards = np.empty(points.shape[:2])
+    for t in range(points.shape[1]):
+        target = points[:, t]
+        to_target = target - pos
+        dist = _row_norms(to_target)
+        moving = dist > 1e-12
+        turn = wrap_angles(_map(math.atan2, to_target[:, 1], to_target[:, 0]) - heading)
+        turn = np.where(turn < max_turn, turn, max_turn)
+        turn = np.where(turn > -max_turn, turn, -max_turn)
+        new_heading = np.where(moving, wrap_angles(heading + turn), heading)
+        target_speed = np.where(moving, np.minimum(dist / dt, params.v_max), 0.0)
+        target_vel = target_speed[:, None] * np.stack(
+            [_map(math.cos, new_heading), _map(math.sin, new_heading)], axis=1
+        )
+        dv = target_vel - vel
+        dv = _capped(dv, _row_norms(dv), accel_cap)
+        new_vel = vel + dv
+        accel = _row_norms(dv) / dt
+        pos = pos + new_vel * dt
+        heading = np.where(_row_norms(new_vel) > 1e-9,
+                           _map(math.atan2, new_vel[:, 1], new_vel[:, 0]), heading)
+        vel = new_vel
+
+        err = _row_norms(pos - target)
+        r = params.w_follow * _map(math.exp, -_squares(err / params.follow_scale))
+        r -= params.w_energy * _squares(accel / params.a_max)
+        r = np.where(r > 0.0, r, 0.0)
+        rewards[:, t] = np.where(r < 1.0, r, 1.0)
+
+    discounts = params.gamma ** np.arange(points.shape[1])
+    return np.matmul(rewards[:, None, :], discounts[:, None])[:, 0, 0] / discounts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +484,12 @@ def build_plausibility_dataset(
     params: OracleParams = OracleParams(),
     seed: int = 0,
 ) -> list[PlausibilitySample]:
-    """Oracle-labeled pairs; deterministic given the seed."""
+    """Oracle-labeled pairs; deterministic given the seed.
+
+    Every pair is drawn first (rollouts draw nothing from the RNG, so the
+    draws are those of labelling pair by pair), then each group of one
+    horizon and dt is labelled by one rollout_batch call.
+    """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
     if n_plausible + n_implausible == 0:
@@ -394,20 +497,32 @@ def build_plausibility_dataset(
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_plausible):
-        traj, state = sample_plausible_pair(pose_bank, traj_bank, rng)
-        samples.append(
-            PlausibilitySample(traj, state.observable(), rollout(traj, state, params),
-                               "plausible_pair")
+    pairs = [sample_plausible_pair(pose_bank, traj_bank, rng) for _ in range(n_plausible)]
+    pairs += [sample_implausible_pair(pose_bank, traj_bank, rng, params)
+              for _ in range(n_implausible)]
+
+    groups = {}
+    for i, (traj, _) in enumerate(pairs):
+        groups.setdefault((len(traj), traj.dt), []).append(i)
+    rewards = [0.0] * len(pairs)
+    for (_, dt), idx in groups.items():
+        trajs, states = zip(*(pairs[i] for i in idx))
+        batch = rollout_batch(
+            np.stack([t.points for t in trajs]),
+            np.stack([s.root_position for s in states]),
+            np.stack([s.root_velocity for s in states]),
+            np.array([s.heading for s in states]),
+            dt,
+            params,
         )
-    for _ in range(n_implausible):
-        traj, state = sample_implausible_pair(pose_bank, traj_bank, rng, params)
-        samples.append(
-            PlausibilitySample(traj, state.observable(), rollout(traj, state, params),
-                               "implausible_pair")
-        )
-    return samples
+        for i, r in zip(idx, batch.tolist()):
+            rewards[i] = r
+
+    return [
+        PlausibilitySample(traj, state.observable(), reward,
+                           "plausible_pair" if i < n_plausible else "implausible_pair")
+        for i, ((traj, state), reward) in enumerate(zip(pairs, rewards))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,10 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
     ) == 0
     out = capsys.readouterr().out
     rows = (trained_dir / "predictor_curve.csv").read_text().strip().splitlines()[1:]
-    assert any(row.endswith(",1") for row in rows)
+    flagged = sum(row.endswith(",1") for row in rows)
+    assert flagged > 0
     assert out.count("warning:") == 1
+    assert f" on {flagged} of {len(rows)} curve intervals " in out
+    last_ratio = float(rows[-1].split(",")[3])
+    assert f"(last interval ratio {last_ratio:.3g})" in out
     assert not [r for r in caplog.records if r.levelname == "WARNING"]

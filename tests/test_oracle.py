@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
 from plaustraj import oracle
@@ -15,11 +15,13 @@ from plaustraj.oracle import (
     build_plausibility_dataset,
     load_plausibility_csv,
     rollout,
+    rollout_batch,
     rollout_detailed,
     sample_implausible_pair,
     sample_plausible_pair,
     save_plausibility_csv,
     wrap_angle,
+    wrap_angles,
 )
 from plaustraj.datakit import make_walking_pose
 
@@ -163,6 +165,149 @@ def test_rollout_speed_cap_monotonicity():
         for s in (params.v_max, 1.5 * params.v_max, 2.0 * params.v_max, 3.0 * params.v_max)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(rewards, rewards[1:]))
+
+
+# ---------------------------------------------------------------------------
+# batched rollout: the per-pair rollout is the reference, bit for bit
+
+
+def _batch_rewards(pairs, params=OracleParams()):
+    trajs, states = zip(*pairs)
+    return rollout_batch(
+        np.stack([t.points for t in trajs]),
+        np.stack([s.root_position for s in states]),
+        np.stack([s.root_velocity for s in states]),
+        np.array([s.heading for s in states]),
+        trajs[0].dt,
+        params,
+    )
+
+
+def _assert_bits_equal(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.flatnonzero(got != want)
+
+
+def test_wrap_angles_equals_wrap_angle_at_ties():
+    pi = math.pi
+    centres = [0.0, pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 5 * pi, -5 * pi, 1e3 * pi]
+    values = []
+    for c in centres:
+        below, above = c, c
+        for _ in range(3):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            values += [below, above]
+        values.append(c)
+    values += [-0.0, 1e-300, -1e-300]
+    values = np.array(values)
+    _assert_bits_equal(wrap_angles(values), [wrap_angle(v) for v in values.tolist()])
+
+
+@given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20))
+def test_wrap_angles_equals_wrap_angle(values):
+    values = np.array(values)
+    _assert_bits_equal(wrap_angles(values), [wrap_angle(v) for v in values.tolist()])
+
+
+def _probe_pair(heading, speed, kind, horizon, dt, seed, params):
+    """One pair of a given kind: a random walk from the root, a walk whose
+    first target is the root itself (distance 0), or a heading-flip walk,
+    whose targets sit behind the walker on the +-pi turn tie."""
+    rng = np.random.default_rng(seed)
+    state = walker(heading=heading, speed=speed, root=rng.uniform(-5.0, 5.0, size=2))
+    steps = rng.uniform(-1.5, 1.5, size=(horizon, 2))
+    if kind == "still":
+        steps[0] = 0.0
+        steps[rng.integers(horizon)] = 0.0
+    points = state.root_position + np.cumsum(steps, axis=0)
+    traj = Trajectory(points, dt)
+    if kind == "flip":
+        traj = oracle._perturb(traj, state, "heading_flip", params, rng)
+    return traj, state
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-math.pi, math.pi),
+            st.one_of(st.just(0.0), st.floats(0.0, 2.5), st.floats(2.5, 10.0)),
+            st.sampled_from(["walk", "still", "flip"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    horizon=st.integers(2, 20),
+    dt=st.sampled_from([0.1, 0.4, 0.5]),
+)
+# pairs whose reward changes when a square is taken as x * x instead of pow:
+# the first two in the tracking term, the last two in the energy term
+@example(rows=[(-1.8642575314417265, 0.7343883265450446, "walk", 1856926885)],
+         horizon=2, dt=0.5)
+@example(rows=[(-0.6248806835841116, 0.0, "walk", 556722921)], horizon=12, dt=0.1)
+@example(rows=[(-2.527182333473754, 3.3155790506214173, "still", 3751821119)],
+         horizon=15, dt=0.4)
+@example(rows=[(2.5692969871512465, 4.455711493096713, "walk", 47661300)],
+         horizon=13, dt=0.5)
+def test_rollout_batch_equals_rollout(rows, horizon, dt):
+    params = OracleParams()
+    pairs = [_probe_pair(h, v, kind, horizon, dt, seed, params) for h, v, kind, seed in rows]
+    _assert_bits_equal(_batch_rewards(pairs, params), [rollout(t, s, params) for t, s in pairs])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rollout_batch_equals_rollout_on_seeded_banks(pose_bank, traj_bank, seed):
+    params = OracleParams()
+    rng = np.random.default_rng(seed)
+    pairs = [sample_plausible_pair(pose_bank, traj_bank, rng) for _ in range(100)]
+    for kind in oracle.PERTURBATIONS:
+        pairs += [
+            sample_implausible_pair(pose_bank, traj_bank, rng, params, perturbation=kind)
+            for _ in range(100)
+        ]
+    _assert_bits_equal(_batch_rewards(pairs, params), [rollout(t, s, params) for t, s in pairs])
+
+
+def _reference_dataset(pose_bank, traj_bank, n_plausible, n_implausible, params, seed):
+    """build_plausibility_dataset as a loop that labels pair by pair."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_plausible):
+        traj, state = sample_plausible_pair(pose_bank, traj_bank, rng)
+        out.append((traj, state, rollout(traj, state, params), "plausible_pair"))
+    for _ in range(n_implausible):
+        traj, state = sample_implausible_pair(pose_bank, traj_bank, rng, params)
+        out.append((traj, state, rollout(traj, state, params), "implausible_pair"))
+    return out
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_dataset_equals_per_pair_reference(pose_bank, traj_bank, mixed):
+    params = OracleParams()
+    bank = traj_bank
+    if mixed:
+        bank = (
+            traj_bank[:20]
+            + [Trajectory(t.points[:7], t.dt) for t in traj_bank[20:40]]
+            + [Trajectory(t.points, 0.2) for t in traj_bank[40:60]]
+        )
+    got = build_plausibility_dataset(pose_bank, bank, 150, 150, params, seed=21)
+    want = _reference_dataset(pose_bank, bank, 150, 150, params, seed=21)
+    assert len(got) == len(want)
+    horizons = set()
+    for sample, (traj, state, reward, label) in zip(got, want):
+        assert sample.label == label
+        _assert_bits_equal(sample.reward, reward)
+        assert sample.trajectory.dt == traj.dt
+        _assert_bits_equal(sample.trajectory.points, traj.points)
+        _assert_bits_equal(sample.observable.root_velocity, state.root_velocity)
+        for name, pos in state.joints.items():
+            _assert_bits_equal(sample.observable.joints[name], pos)
+        horizons.add((len(traj), traj.dt))
+    assert len(horizons) == (3 if mixed else 1)
 
 
 # ---------------------------------------------------------------------------

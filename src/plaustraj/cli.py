@@ -16,7 +16,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import datakit, filtering, locoval as locoval_mod, metrics, oracle, predictor as predictor_mod
+from . import datakit, filtering, gradcore, locoval as locoval_mod, metrics, oracle
+from . import predictor as predictor_mod
 from .config import RunConfig, load_config, save_resolved_config
 from .errors import ConfigError, DataError, InputShapeError, NumericError
 from .metrics import pearson_r
@@ -162,10 +163,10 @@ def cmd_train_locoval(config_path, out, data_dir):
             writer.writerow([p.step, repr(p.lr), repr(p.train_mse), repr(p.holdout_mse)])
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 
-    holdout = [samples[i] for i in result.holdout_indices]
-    preds = [locoval_mod.score(result.model, s.trajectory, s.observable) for s in holdout]
-    targets = [s.reward for s in holdout]
-    corr = pearson_r(preds, targets)
+    X_ho, y_ho = locoval_mod.features_and_targets(
+        [samples[i] for i in result.holdout_indices], result.model.layout
+    )
+    corr = pearson_r(gradcore.forward(result.model.net, X_ho)[:, 0], y_ho)
     click.echo(
         f"best holdout MSE: {result.best_holdout_mse:.5f}  "
         f"holdout correlation(score, reward): {corr:.3f}"

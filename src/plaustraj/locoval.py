@@ -216,18 +216,25 @@ class LocoValTrainResult:
 
 def features_and_targets(dataset: list[PlausibilitySample],
                          layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, canonicalized in one batch, and oracle rewards."""
+    """Feature rows, canonicalized in one batch, and oracle rewards. Samples
+    may share one ObservableState, which nothing mutates; the canonical frame
+    and observation tail are computed once per distinct observable."""
     n = len(dataset)
-    roots = np.empty((n, 2))
-    rots = np.empty((n, 2, 2))
-    tails = np.empty((n, layout.feature_size - 2 * layout.horizon))
     points = np.empty((n, layout.horizon, 2))
+    which = np.empty(n, dtype=np.intp)
+    observables = {}  # id of an observable -> (its index, the observable)
     for i, s in enumerate(dataset):
         _check_horizon(s.trajectory, layout)
-        roots[i], rots[i] = canonical_frame(s.observable)
-        tails[i] = observation_tail(s.observable, roots[i], rots[i], layout)
         points[i] = s.trajectory.points
-    X = encode_steps(_steps_from(roots, points), rots, tails)
+        which[i] = observables.setdefault(id(s.observable), (len(observables), s.observable))[0]
+    m = len(observables)
+    roots = np.empty((m, 2))
+    rots = np.empty((m, 2, 2))
+    tails = np.empty((m, layout.feature_size - 2 * layout.horizon))
+    for k, (_, obs) in enumerate(observables.values()):
+        roots[k], rots[k] = canonical_frame(obs)
+        tails[k] = observation_tail(obs, roots[k], rots[k], layout)
+    X = encode_steps(_steps_from(roots[which], points), rots[which], tails[which])
     y = np.array([s.reward for s in dataset])
     return X, y
 

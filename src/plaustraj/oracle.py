@@ -192,6 +192,9 @@ class OracleParams:
 
 @dataclass
 class PlausibilitySample:
+    """One oracle-labelled pose-trajectory pair. Samples of one pose may
+    share one ObservableState, which nothing mutates."""
+
     trajectory: Trajectory
     observable: ObservableState
     reward: float
@@ -488,7 +491,8 @@ def build_plausibility_dataset(
 
     Every pair is drawn first (rollouts draw nothing from the RNG, so the
     draws are those of labelling pair by pair), then each group of one
-    horizon and dt is labelled by one rollout_batch call.
+    horizon and dt is labelled by one rollout_batch call. The pairs of one
+    bank state share one ObservableState, which nothing mutates.
     """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
@@ -518,11 +522,16 @@ def build_plausibility_dataset(
         for i, r in zip(idx, batch.tolist()):
             rewards[i] = r
 
-    return [
-        PlausibilitySample(traj, state.observable(), reward,
-                           "plausible_pair" if i < n_plausible else "implausible_pair")
-        for i, ((traj, state), reward) in enumerate(zip(pairs, rewards))
-    ]
+    observables = {}  # id of a bank state -> its one ObservableState
+    samples = []
+    for i, ((traj, state), reward) in enumerate(zip(pairs, rewards)):
+        obs = observables.get(id(state))
+        if obs is None:
+            obs = observables[id(state)] = state.observable()
+        samples.append(PlausibilitySample(
+            traj, obs, reward, "plausible_pair" if i < n_plausible else "implausible_pair"
+        ))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +539,13 @@ def build_plausibility_dataset(
 
 
 def save_plausibility_csv(samples: list[PlausibilitySample], path):
+    """Write samples as CSV: the header, then one row per sample.
+
+    Rows are the bytes csv.writer writes for the repr of each value: labels
+    are one of two literals and a float repr never needs quoting. Samples
+    that share one ObservableState share its formatted heading, root
+    velocity and joint columns.
+    """
     if not samples:
         raise DataError("refusing to write an empty plausibility dataset")
     horizon = len(samples[0].trajectory)
@@ -538,57 +554,60 @@ def save_plausibility_csv(samples: list[PlausibilitySample], path):
     header += [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
     header += [f"{n}_{ax}" for n in names for ax in ("x", "y", "z")]
+    state_columns = {}  # id of an observable -> its formatted columns
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for s in samples:
-            row = [s.label, repr(float(s.reward)), repr(float(s.trajectory.dt)), len(s.trajectory)]
-            row += [repr(float(v)) for v in s.trajectory.points.reshape(-1)]
-            row += [repr(float(s.observable.heading()))]
-            row += [repr(float(v)) for v in s.observable.root_velocity]
-            for n in names:
-                row += [repr(float(v)) for v in s.observable.joints[n]]
-            writer.writerow(row)
+            obs = s.observable
+            state = state_columns.get(id(obs))
+            if state is None:
+                values = [float(obs.heading()), *obs.root_velocity.tolist()]
+                for n in names:
+                    values += obs.joints[n].tolist()
+                state = state_columns[id(obs)] = ",".join(map(repr, values))
+            traj = s.trajectory
+            fh.write(",".join([
+                s.label, repr(float(s.reward)), repr(float(traj.dt)), str(len(traj)),
+                *map(repr, traj.points.reshape(-1).tolist()), state,
+            ]) + "\r\n")
+
+
+def _parse_row(row: list[str], joint_names: list[str],
+               observables: dict) -> PlausibilitySample:
+    """One sample from a row of save_plausibility_csv's columns. Rows with
+    the same state column strings share the ObservableState in observables."""
+    horizon = int(row[3])
+    heading_col = 4 + 2 * horizon
+    n_columns = heading_col + 3 + 3 * len(joint_names)
+    if len(row) != n_columns:
+        raise InputShapeError(f"expected {n_columns} columns for T_f {horizon}, got {len(row)}")
+    pts = np.array([float(v) for v in row[4:heading_col]]).reshape(horizon, 2)
+    key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
+    obs = observables.get(key)
+    if obs is None:
+        values = [float(v) for v in key]
+        joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j]) for j, n in enumerate(joint_names)}
+        obs = observables[key] = ObservableState(joints=joints, root_velocity=np.array(values[:2]))
+    return PlausibilitySample(Trajectory(pts, float(row[2])), obs, float(row[1]), row[0])
 
 
 def load_plausibility_csv(path) -> list[PlausibilitySample]:
+    """Samples written by save_plausibility_csv. Rows with the same state
+    columns share one ObservableState, which nothing mutates. A malformed row
+    is a DataError naming the file and line."""
     samples = []
+    observables = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty plausibility file")
-        joint_names = []
-        for col in header:
-            if col.endswith("_x") and col[:-2] not in ("root_v",):
-                joint_names.append(col[:-2])
+        joint_names = [col[:-2] for col in header
+                       if col.endswith("_x") and col[:-2] != "root_v"]
         for line_no, row in enumerate(reader, start=2):
             try:
-                label = row[0]
-                omega = float(row[1])
-                dt = float(row[2])
-                horizon = int(row[3])
-                off = 4
-                pts = np.array([float(v) for v in row[off : off + 2 * horizon]]).reshape(
-                    horizon, 2
-                )
-                off += 2 * horizon
-                off += 1  # heading column is derivable; kept for readability
-                vel = np.array([float(row[off]), float(row[off + 1])])
-                off += 2
-                joints = {}
-                for n in joint_names:
-                    joints[n] = np.array([float(v) for v in row[off : off + 3]])
-                    off += 3
-            except (ValueError, IndexError) as exc:
+                samples.append(_parse_row(row, joint_names, observables))
+            except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
                 raise DataError(f"{path}:{line_no}: malformed row ({exc})")
-            samples.append(
-                PlausibilitySample(
-                    Trajectory(pts, dt),
-                    ObservableState(joints=joints, root_velocity=vel),
-                    omega,
-                    label,
-                )
-            )
     return samples

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -80,6 +81,53 @@ def test_unknown_config_key_exit_code(tmp_path):
 
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
+
+
+
+@pytest.fixture(scope="module")
+def pairs_csv(tmp_path_factory):
+    """plausibility.csv of the tiny config (horizon 12, 8 joints), as rows."""
+    root = tmp_path_factory.mktemp("pairs")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    assert run("gen-data", "--config", str(cfg), "--out", str(root)) == 0
+    with open(root / "plausibility.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        (2, "0.0", "dt must be positive"),
+        (0, "foo", "unknown label 'foo'"),
+        (3, "0", "expected 31 columns for T_f 0, got 55"),
+        (1, "nan", "reward must be in [0, 1], got nan"),
+        (1, "5", "reward must be in [0, 1], got 5.0"),
+        (-1, None, "expected 55 columns for T_f 12, got 54"),
+        (-1, "nan", "joint 'right_ankle' must be a finite 3-vector"),
+        (3, "13", "expected 57 columns for T_f 13, got 55"),
+    ],
+    ids=["dt-zero", "unknown-label", "horizon-zero", "reward-nan", "reward-five",
+         "short-row", "nan-joint", "horizon-one-too-long"],
+)
+def test_train_locoval_bad_row_is_located_data_error(tiny_config, tmp_path, capsys, pairs_csv,
+                                                     column, value, reason):
+    rows = [list(r) for r in pairs_csv]
+    if value is None:
+        del rows[2][column]
+    else:
+        rows[2][column] = value
+    out = tmp_path / "run"
+    out.mkdir()
+    path = out / "plausibility.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run("train-locoval", "--config", tiny_config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:3: ")
+    assert reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture

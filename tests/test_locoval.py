@@ -22,7 +22,7 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import PlausibilitySample, Trajectory
+from plaustraj.oracle import ObservableState, PlausibilitySample, Trajectory
 
 
 LAYOUT = FeatureLayout(horizon=12)
@@ -126,6 +126,30 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
         for t in cands
     ]
     assert score_batch(model, cands, obs) == expected
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [LAYOUT, FeatureLayout(horizon=12, include_pose=False),
+     FeatureLayout(horizon=12, include_velocity=False)],
+    ids=["pose-and-velocity", "no-pose", "no-velocity"],
+)
+def test_features_and_targets_shared_observables_equal_per_row_reference(
+        plausibility_dataset, layout):
+    samples = list(plausibility_dataset)
+    assert len({id(s.observable) for s in samples}) < len(samples)
+    # an equal copy of a shared observable is another object with the same rows
+    samples += [
+        PlausibilitySample(s.trajectory, ObservableState(dict(s.observable.joints),
+                                                         s.observable.root_velocity.copy()),
+                           s.reward, s.label)
+        for s in samples[:5]
+    ]
+    X, y = locoval.features_and_targets(samples, layout)
+    reference = np.stack([_reference_features(s.trajectory, s.observable, layout)
+                          for s in samples])
+    assert X.shape == reference.shape and X.tobytes() == reference.tobytes()
+    assert y.tolist() == [s.reward for s in samples]
 
 
 def test_feature_layout_sizes():

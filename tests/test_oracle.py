@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -429,3 +430,139 @@ def test_plausibility_csv_malformed_row(tmp_path):
     path.write_text("label,omega,dt,T_f,x0,y0\nplausible_pair,0.5,0.4,oops,1,2\n")
     with pytest.raises(DataError):
         load_plausibility_csv(path)
+
+
+# The writer and reader share one ObservableState between the samples of a
+# bank state. These references format and parse every row on its own.
+
+
+def _reference_save(samples, path):
+    """csv.writer over the repr of every value, one row per sample."""
+    horizon = len(samples[0].trajectory)
+    names = samples[0].observable.joint_order()
+    header = ["label", "omega", "dt", "T_f"]
+    header += [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
+    header += ["heading", "root_vx", "root_vy"]
+    header += [f"{n}_{ax}" for n in names for ax in ("x", "y", "z")]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in samples:
+            row = [s.label, repr(float(s.reward)), repr(float(s.trajectory.dt)), len(s.trajectory)]
+            row += [repr(float(v)) for v in s.trajectory.points.reshape(-1)]
+            row += [repr(float(s.observable.heading()))]
+            row += [repr(float(v)) for v in s.observable.root_velocity]
+            for n in names:
+                row += [repr(float(v)) for v in s.observable.joints[n]]
+            writer.writerow(row)
+
+
+def _reference_load(path):
+    """(label, reward, dt, points, root velocity, joints) of every row, each
+    row parsed on its own."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        names = [c[:-2] for c in header if c.endswith("_x") and c[:-2] != "root_v"]
+        rows = []
+        for row in reader:
+            horizon = int(row[3])
+            off = 4 + 2 * horizon
+            pts = np.array([float(v) for v in row[4:off]]).reshape(horizon, 2)
+            vel = np.array([float(row[off + 1]), float(row[off + 2])])
+            off += 3
+            joints = {}
+            for n in names:
+                joints[n] = np.array([float(v) for v in row[off : off + 3]])
+                off += 3
+            rows.append((row[0], float(row[1]), float(row[2]), pts, vel, joints))
+    return rows
+
+
+def _mixed_dataset(pose_bank, traj_bank):
+    bank = (
+        traj_bank[:20]
+        + [Trajectory(t.points[:7], t.dt) for t in traj_bank[20:40]]
+        + [Trajectory(t.points, 0.2) for t in traj_bank[40:60]]
+    )
+    return build_plausibility_dataset(pose_bank, bank, 40, 40, seed=21)
+
+
+def _extra_joint_dataset(pose_bank, traj_bank):
+    samples = build_plausibility_dataset(pose_bank[:5], traj_bank, 10, 10, seed=22)
+    extended = {}
+    for s in samples:
+        if id(s.observable) not in extended:
+            joints = dict(s.observable.joints)
+            joints["neck"] = (joints["head"] + joints["pelvis"]) / 2
+            joints["left_wrist"] = joints["left_shoulder"] - [0.0, 0.1, 0.5]
+            extended[id(s.observable)] = oracle.ObservableState(joints, s.observable.root_velocity)
+    return [oracle.PlausibilitySample(s.trajectory, extended[id(s.observable)], s.reward, s.label)
+            for s in samples]
+
+
+def _edge_value_dataset(pose_bank, traj_bank):
+    edges = [-0.0, 5e-324, 1e22, 0.1 + 0.2]
+    obs = pose_bank[0].observable()
+    joints = dict(obs.joints)
+    joints["head"] = np.array(edges[:3])
+    joints["left_knee"] = np.array(edges[1:])
+    edge_obs = oracle.ObservableState(joints, np.array(edges[2:]))
+    pts = np.array(edges * 3).reshape(6, 2)
+    return [
+        oracle.PlausibilitySample(Trajectory(pts, 0.1 + 0.2), edge_obs, 0.1 + 0.2,
+                                  "plausible_pair"),
+        oracle.PlausibilitySample(Trajectory(-pts, 0.4), obs, 5e-324, "implausible_pair"),
+        oracle.PlausibilitySample(Trajectory(pts[::-1], 0.4), edge_obs, -0.0,
+                                  "implausible_pair"),
+    ]
+
+
+DATASETS = {"mixed-horizon": _mixed_dataset, "extra-joints": _extra_joint_dataset,
+            "edge-values": _edge_value_dataset}
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_save_plausibility_csv_bytes_equal_reference(tmp_path, pose_bank, traj_bank, name):
+    samples = DATASETS[name](pose_bank, traj_bank)
+    save_plausibility_csv(samples, tmp_path / "got.csv")
+    _reference_save(samples, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, traj_bank, name):
+    path = tmp_path / "pairs.csv"
+    save_plausibility_csv(DATASETS[name](pose_bank, traj_bank), path)
+    got = load_plausibility_csv(path)
+    want = _reference_load(path)
+    assert len(got) == len(want)
+    for s, (label, reward, dt, pts, vel, joints) in zip(got, want):
+        assert s.label == label
+        _assert_bits_equal(s.reward, reward)
+        _assert_bits_equal(s.trajectory.dt, dt)
+        _assert_bits_equal(s.trajectory.points, pts)
+        _assert_bits_equal(s.observable.root_velocity, vel)
+        assert list(s.observable.joints) == list(joints)
+        for n, pos in joints.items():
+            _assert_bits_equal(s.observable.joints[n], pos)
+
+
+def _state_key(obs):
+    return (obs.root_velocity.tobytes(),
+            tuple((n, p.tobytes()) for n, p in sorted(obs.joints.items())))
+
+
+def test_one_observable_per_bank_state(tmp_path, pose_bank, traj_bank):
+    built = build_plausibility_dataset(pose_bank, traj_bank, 150, 150, seed=21)
+    drawn = _reference_dataset(pose_bank, traj_bank, 150, 150, OracleParams(), seed=21)
+    n_states = len({id(state) for _, state, _, _ in drawn})
+    assert len({_state_key(s.observable()) for s in pose_bank}) == len(pose_bank)
+    path = tmp_path / "pairs.csv"
+    save_plausibility_csv(built, path)
+    for samples in (built, load_plausibility_csv(path)):
+        by_state = {}
+        for s in samples:
+            by_state.setdefault(_state_key(s.observable), set()).add(id(s.observable))
+        assert len(by_state) == n_states
+        assert all(len(ids) == 1 for ids in by_state.values())

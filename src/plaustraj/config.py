@@ -30,6 +30,11 @@ class PlausibilitySection:
     seed: int = 2
 
 
+def _check_widths(name: str, widths):
+    if not all(isinstance(w, int) and w >= 1 for w in widths):
+        raise ConfigError(f"{name} widths must be integers >= 1, got {list(widths)}")
+
+
 @dataclass
 class LocoValSection:
     hidden: list = field(default_factory=lambda: [128, 128, 128])
@@ -42,6 +47,11 @@ class LocoValSection:
             schedule="cosine",
         )
     )
+
+    def __post_init__(self):
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError("locoval.holdout_fraction must be in [0, 1)")
+        _check_widths("locoval.hidden", self.hidden)
 
 
 @dataclass
@@ -60,6 +70,13 @@ class PredictorSection:
             schedule="constant",
         )
     )
+
+    def __post_init__(self):
+        if self.stride < 1:
+            raise ConfigError("predictor.stride must be >= 1")
+        if self.future_frames < 2:
+            raise ConfigError("predictor.future_frames must be >= 2")
+        _check_widths("predictor.trunk_hidden", self.trunk_hidden)
 
 
 @dataclass

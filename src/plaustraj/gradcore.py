@@ -36,8 +36,15 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be positive and finite")
+        if not math.isfinite(self.min_lr):
+            raise ConfigError("min_lr must be finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError("eps must be positive and finite")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
         if self.total_steps < 1:
@@ -48,17 +55,59 @@ class TrainConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
+def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of the flat array buf, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buf[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def _pack(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Copy every weight array, then every bias array, into one new contiguous
+    float64 buffer; return it and per-layer views of it with the same shapes."""
+    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+    buf = np.empty(sum(a.size for a in arrays))
+    views = _views(buf, [a.shape for a in arrays])
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return buf, views[: len(weights)], views[len(weights) :]
+
+
 @dataclass
 class MlpModel:
+    """A feed-forward net that owns its parameters in one flat buffer.
+
+    Construction copies the given weights and biases into `params`, one
+    contiguous float64 array holding every weight matrix in layer order, then
+    every bias vector, and rebinds weights[i] and biases[i] to views of it: a
+    write through a view is a write to params, and an optimizer updates the
+    whole model in one pass over params. backward() writes parameter
+    gradients into a second buffer with the same layout, allocated on the
+    model's first backward, so a model that only serves never has one.
+    """
+
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     hidden_activation: str = "relu"
     output_activation: str = "identity"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    _grad: tuple | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases): per-layer views of a flat array in the layout of params."""
+        views = _views(flat, [a.shape for a in (*self.weights, *self.biases)])
+        return views[: self.n_layers], views[self.n_layers :]
 
     def validate(self):
         if len(self.layer_sizes) < 2:
@@ -74,14 +123,22 @@ class MlpModel:
                     f"layer {i}: expected W{(n_in, n_out)} b{(n_out,)}, "
                     f"got W{w.shape} b{b.shape}"
                 )
+        # a layer rebound to another array would silently stop training
+        expected_w, expected_b = self.split(self.params)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            for got, view in ((w, expected_w[i]), (b, expected_b[i])):
+                if not (got.base is self.params and got.flags.c_contiguous
+                        and got.ctypes.data == view.ctypes.data):
+                    raise ConfigError(f"layer {i}: parameters are no longer a view of params")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError("non-finite parameter", layer_index=i)
 
     def copy(self) -> "MlpModel":
+        """A model with its own copy of the parameters (and no gradient buffer)."""
         return MlpModel(
             layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=self.weights,
+            biases=self.biases,
             hidden_activation=self.hidden_activation,
             output_activation=self.output_activation,
         )
@@ -104,18 +161,21 @@ def init_mlp(
     return model
 
 
-def _apply_hidden(z: np.ndarray, kind: str) -> np.ndarray:
+def _apply_hidden(z: np.ndarray, kind: str) -> None:
+    """Apply the hidden activation to z in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
-def _times_hidden_derivative(delta: np.ndarray, z: np.ndarray, a: np.ndarray,
-                             kind: str) -> None:
-    """Multiply delta in place by the hidden activation's derivative (relu:
-    by its boolean mask directly, which gives the bits of a 0/1 float mask)."""
+def _times_hidden_derivative(delta: np.ndarray, a: np.ndarray, kind: str) -> None:
+    """Multiply delta in place by the hidden activation's derivative, read
+    from the activation a. relu: by the boolean mask a > 0, which equals
+    z > 0 for every pre-activation z, -0.0 and NaN included, and gives the
+    bits of a 0/1 float mask."""
     if kind == "relu":
-        delta *= z > 0.0
+        delta *= a > 0.0
     else:
         delta *= 1.0 - a * a
 
@@ -123,7 +183,9 @@ def _times_hidden_derivative(delta: np.ndarray, z: np.ndarray, a: np.ndarray,
 def forward_cached(model: MlpModel, x: np.ndarray):
     """Batched forward pass; returns (output, cache) with cache usable by backward().
 
-    x may be (n_in,) or (B, n_in); the output matches the leading shape.
+    x may be (n_in,) or (B, n_in); the output matches the leading shape. The
+    cache holds each layer's input and the output ("activations"); hidden
+    activations are computed in place over the pre-activations.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -133,20 +195,20 @@ def forward_cached(model: MlpModel, x: np.ndarray):
             f"expected input of size {model.layer_sizes[0]}, got shape {x.shape}"
         )
     activations = [X]
-    pre = []
     a = X
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
+        z = a @ w
+        z += b
         if i < last:
-            a = _apply_hidden(z, model.hidden_activation)
+            _apply_hidden(z, model.hidden_activation)
+            a = z
         elif model.output_activation == "sigmoid":
             a = 1.0 / (1.0 + np.exp(-z))
         else:
             a = z
         activations.append(a)
-    cache = {"pre": pre, "activations": activations, "single": single}
+    cache = {"activations": activations, "single": single}
     out = activations[-1][0] if single else activations[-1]
     return out, cache
 
@@ -158,9 +220,24 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Gradients:
+    """Parameter gradients as per-layer views of one flat array, `flat`, in
+    the layout of MlpModel.params, plus the input gradient. Gradients built
+    from per-layer arrays copy them into a new flat array."""
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     inputs: np.ndarray  # gradient of the loss w.r.t. the network input
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    @classmethod
+    def _over(cls, flat, weights, biases, inputs) -> "Gradients":
+        """Gradients already laid out in flat, wrapped without a copy."""
+        grads = cls.__new__(cls)
+        grads.weights, grads.biases, grads.inputs, grads.flat = weights, biases, inputs, flat
+        return grads
 
 
 def _output_delta(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
@@ -179,32 +256,42 @@ def _output_delta(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndar
 
 
 def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
-    """Backpropagate upstream = dL/d(output) through a cached forward pass."""
-    pre, acts = cache["pre"], cache["activations"]
+    """Backpropagate upstream = dL/d(output) through a cached forward pass.
+
+    The parameter gradients are written into the model's gradient buffer and
+    returned as views of it, so the next backward() of the same model
+    overwrites them. A non-finite gradient raises NumericError naming the
+    highest layer that has one.
+    """
+    acts = cache["activations"]
     delta = _output_delta(model, cache, upstream)
-    w_grads = [None] * model.n_layers
-    b_grads = [None] * model.n_layers
+    if model._grad is None:
+        flat = np.empty_like(model.params)
+        model._grad = (flat, *model.split(flat))
+    flat, w_grads, b_grads = model._grad
     for i in range(model.n_layers - 1, -1, -1):
-        w_grads[i] = acts[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
-        if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
-            raise NumericError("non-finite gradient", layer_index=i)
+        np.matmul(acts[i].T, delta, out=w_grads[i])
+        np.sum(delta, axis=0, out=b_grads[i])
         delta = delta @ model.weights[i].T
         if i > 0:
-            _times_hidden_derivative(delta, pre[i - 1], acts[i], model.hidden_activation)
+            _times_hidden_derivative(delta, acts[i], model.hidden_activation)
+    if not np.isfinite(flat).all():
+        layer = max(i for i in range(model.n_layers)
+                    if not (np.isfinite(w_grads[i]).all() and np.isfinite(b_grads[i]).all()))
+        raise NumericError("non-finite gradient", layer_index=layer)
     input_grad = delta[0] if cache["single"] else delta
-    return Gradients(weights=w_grads, biases=b_grads, inputs=input_grad)
+    return Gradients._over(flat, list(w_grads), list(b_grads), input_grad)
 
 
 def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
     """dL/d(input) of a cached forward pass through a frozen model: the
     inputs of backward(), bit for bit, without any parameter gradient."""
-    pre, acts = cache["pre"], cache["activations"]
+    acts = cache["activations"]
     delta = _output_delta(model, cache, upstream)
     for i in range(model.n_layers - 1, -1, -1):
         delta = delta @ model.weights[i].T
         if i > 0:
-            _times_hidden_derivative(delta, pre[i - 1], acts[i], model.hidden_activation)
+            _times_hidden_derivative(delta, acts[i], model.hidden_activation)
     if not np.all(np.isfinite(delta)):
         raise NumericError("non-finite input gradient")
     return delta[0] if cache["single"] else delta
@@ -220,20 +307,23 @@ def cosine_lr(base_lr: float, step: int, total_steps: int, min_lr: float = 0.0) 
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over an MlpModel's parameters.
+    """Decoupled-weight-decay Adam over an MlpModel's flat parameter buffer.
 
-    Moments persist across step() calls; the step counter is internal and
-    starts at 1 on the first update. step() updates the moments and the
-    model's parameter arrays in place.
+    Moments persist across step() calls as two flat arrays, m and v, in the
+    layout of params; m_w, m_b, v_w and v_b are their per-layer views. The
+    step counter is internal and starts at 1 on the first update. step()
+    updates the moments and model.params in place, with a fixed number of
+    whole-buffer numpy calls whatever the number of layers.
     """
 
     def __init__(self, model: MlpModel, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in model.weights]
-        self.v_w = [np.zeros_like(w) for w in model.weights]
-        self.m_b = [np.zeros_like(b) for b in model.biases]
-        self.v_b = [np.zeros_like(b) for b in model.biases]
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
+        self.m_w, self.m_b = model.split(self.m)
+        self.v_w, self.v_b = model.split(self.v)
+        self._scratch = (np.empty_like(model.params), np.empty_like(model.params))
 
     def current_lr(self) -> float:
         if self.config.schedule == "cosine":
@@ -253,25 +343,29 @@ class AdamW:
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
         decay = 1.0 - lr * cfg.weight_decay
-        for params, gs, ms, vs in (
-            (model.weights, grads.weights, self.m_w, self.v_w),
-            (model.biases, grads.biases, self.m_b, self.v_b),
-        ):
-            for p, g, m, v in zip(params, gs, ms, vs):
-                # in place, in the operation order of p * decay - lr * (m / bc1) / (sqrt(v / bc2) + eps),
-                # so results are bit-identical to computing that expression out of place
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * (g * g)
-                denom = v / bc2
-                np.sqrt(denom, out=denom)
-                denom += eps
-                update = m / bc1
-                update *= lr
-                update /= denom
-                p *= decay
-                p -= update
+        p, g, m, v = model.params, grads.flat, self.m, self.v
+        denom, update = self._scratch
+        # in place, in the operation order of p * decay - lr * (m / bc1) / (sqrt(v / bc2) + eps),
+        # so results are bit-identical to computing that expression out of place
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=update)
+        m += update
+        v *= b2
+        np.multiply(g, g, out=update)
+        update *= 1.0 - b2
+        v += update
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        if bc1 == 1.0:  # m / 1.0 is m exactly (from t ~ 350 at beta1 0.9)
+            np.multiply(m, lr, out=update)
+        else:
+            np.divide(m, bc1, out=update)
+            update *= lr
+        update /= denom
+        if decay != 1.0:  # p * 1.0 is p exactly (weight_decay 0)
+            p *= decay
+        p -= update
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +482,6 @@ def model_from_dict(doc: dict) -> MlpModel:
     return model
 
 
-def save_model(model: MlpModel, path, seed: int | None = None,
-               train_config: TrainConfig | None = None):
-    save_checkpoint(model_to_dict(model, seed, train_config), path)
-
-
 def save_checkpoint(doc: dict, path):
     """Write doc to path with the bytes json.dump(doc, fh) writes, but
     faster: json.dump runs json's pure-Python encoder, this runs its C encoder
@@ -445,7 +534,3 @@ def load_checkpoint(path, build: Callable[[dict], object]):
         raise DataError(f"{path}: malformed checkpoint ({exc})") from None
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
-
-
-def load_model(path) -> MlpModel:
-    return load_checkpoint(path, model_from_dict)

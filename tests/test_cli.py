@@ -327,3 +327,31 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
     last_ratio = float(rows[-1].split(",")[3])
     assert f"(last interval ratio {last_ratio:.3g})" in out
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("train-locoval", {"locoval": {"train": {"learning_rate": 1e400}}}, "learning_rate"),
+        ("train-locoval", {"locoval": {"train": {"learning_rate": float("nan")}}},
+         "learning_rate"),
+        ("train-locoval", {"locoval": {"train": {"beta1": 1.0}}}, "beta1"),
+        ("train-locoval", {"locoval": {"train": {"eps": 0}}}, "eps"),
+        ("gen-data", {"predictor": {"stride": 0}}, "predictor.stride"),
+        ("gen-data", {"predictor": {"stride": -1}}, "predictor.stride"),
+        ("gen-data", {"predictor": {"future_frames": 1}}, "predictor.future_frames"),
+        ("train-locoval", {"locoval": {"holdout_fraction": 1.5}}, "locoval.holdout_fraction"),
+        ("train-locoval", {"locoval": {"hidden": [0]}}, "locoval.hidden"),
+        ("train-predictor", {"predictor": {"trunk_hidden": [0]}}, "predictor.trunk_hidden"),
+    ],
+    ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
+         "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero"],
+)
+def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
+                                                   message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -72,3 +72,53 @@ def test_resolved_config_roundtrip(tmp_path):
 def test_resolved_config_contains_every_section():
     doc = resolved_config_dict(RunConfig())
     assert set(doc) == {"oracle", "data", "plausibility", "locoval", "predictor", "eval"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")),
+        ("min_lr", float("inf")),
+        ("min_lr", float("nan")),
+        ("beta1", 1.0),
+        ("beta1", -0.1),
+        ("beta2", 1.0),
+        ("beta2", float("nan")),
+        ("eps", 0.0),
+        ("eps", -1e-8),
+        ("eps", float("inf")),
+    ],
+)
+@pytest.mark.parametrize("section", ["locoval", "predictor"])
+def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({section: {"train": {field: value}}})
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("predictor", "stride", 0),
+        ("predictor", "stride", -1),
+        ("predictor", "future_frames", 1),
+        ("locoval", "holdout_fraction", 1.0),
+        ("locoval", "holdout_fraction", 1.5),
+        ("locoval", "holdout_fraction", -0.1),
+        ("locoval", "hidden", [128, 0]),
+        ("predictor", "trunk_hidden", [0]),
+        ("predictor", "trunk_hidden", [2.5]),
+    ],
+)
+def test_bad_section_fields_rejected(section, field, value):
+    with pytest.raises(ConfigError, match=f"{section}.{field}"):
+        config_from_dict({section: {field: value}})
+
+
+def test_edge_values_accepted():
+    cfg = config_from_dict({
+        "locoval": {"holdout_fraction": 0.0, "hidden": [1],
+                    "train": {"beta1": 0.0, "beta2": 0.0, "min_lr": -1.0}},
+        "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1]},
+    })
+    assert cfg.predictor.future_frames == 2 and cfg.locoval.train.beta1 == 0.0

@@ -17,11 +17,19 @@ from plaustraj.gradcore import (
     grad_check,
     init_mlp,
     input_grad,
-    load_model,
+    load_checkpoint,
     model_from_dict,
     model_to_dict,
-    save_model,
+    save_checkpoint,
 )
+
+
+def save_model(model, path, seed=None, train_config=None):
+    save_checkpoint(model_to_dict(model, seed, train_config), path)
+
+
+def load_model(path):
+    return load_checkpoint(path, model_from_dict)
 
 
 def small_model(seed=0, sizes=(4, 8, 3), hidden="tanh", output="identity"):
@@ -274,37 +282,41 @@ def test_adamw_moments_persist_across_steps():
 
 
 def test_adamw_in_place_equals_out_of_place_recurrence():
-    """The in-place update, over many weight-decay and cosine steps, equals
-    the out-of-place recurrence it replaced bit for bit."""
-    cfg = TrainConfig(learning_rate=0.03, weight_decay=0.1, total_steps=40,
-                      schedule="cosine", min_lr=1e-4)
-    model = small_model(seed=12, sizes=(4, 8, 8, 3))
-    ref = model.copy()
-    opt = AdamW(model, cfg)
-    m = [np.zeros_like(p) for p in ref.weights + ref.biases]
-    v = [np.zeros_like(p) for p in ref.weights + ref.biases]
-    rng = np.random.default_rng(13)
-    for t in range(1, 61):
-        g = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
-             for p in ref.weights + ref.biases]
-        lr = opt.current_lr()
-        opt.step(model, gradcore.Gradients(g[:3], g[3:], np.zeros(4)))
-        params = ref.weights + ref.biases
-        for i in range(len(params)):
-            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i]
-            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g[i] * g[i])
-            m_hat = m[i] / (1.0 - cfg.beta1**t)
-            v_hat = v[i] / (1.0 - cfg.beta2**t)
-            params[i] = params[i] * (1.0 - lr * cfg.weight_decay) - lr * m_hat / (
-                np.sqrt(v_hat) + cfg.eps
-            )
-        ref.weights, ref.biases = params[:3], params[3:]
-        for got, want in zip(model.weights + model.biases, params, strict=True):
+    """The whole-buffer update, over 420 weight-decay and cosine steps, equals
+    the per-layer out-of-place recurrence bit for bit. 420 steps pass t ~ 350,
+    where 1 - beta1**t rounds to 1 and the division by it is skipped; weight
+    decay 0 skips the decay product."""
+    for weight_decay in (0.0, 0.1):
+        cfg = TrainConfig(learning_rate=0.03, weight_decay=weight_decay, total_steps=300,
+                          schedule="cosine", min_lr=1e-4)
+        model = small_model(seed=12, sizes=(4, 8, 8, 3))
+        ref = model.copy()
+        opt = AdamW(model, cfg)
+        m = [np.zeros_like(p) for p in ref.weights + ref.biases]
+        v = [np.zeros_like(p) for p in ref.weights + ref.biases]
+        rng = np.random.default_rng(13)
+        for t in range(1, 421):
+            g = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                 for p in ref.weights + ref.biases]
+            lr = opt.current_lr()
+            opt.step(model, gradcore.Gradients(g[:3], g[3:], np.zeros(4)))
+            params = ref.weights + ref.biases
+            for i in range(len(params)):
+                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i]
+                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g[i] * g[i])
+                m_hat = m[i] / (1.0 - cfg.beta1**t)
+                v_hat = v[i] / (1.0 - cfg.beta2**t)
+                params[i] = params[i] * (1.0 - lr * cfg.weight_decay) - lr * m_hat / (
+                    np.sqrt(v_hat) + cfg.eps
+                )
+            ref.weights, ref.biases = params[:3], params[3:]
+            for got, want in zip(model.weights + model.biases, params, strict=True):
+                assert np.array_equal(got, want)
+        assert 1.0 - cfg.beta1**opt.t == 1.0
+        for got, want in zip(opt.m_w + opt.m_b, m, strict=True):
             assert np.array_equal(got, want)
-    for got, want in zip(opt.m_w + opt.m_b, m, strict=True):
-        assert np.array_equal(got, want)
-    for got, want in zip(opt.v_w + opt.v_b, v, strict=True):
-        assert np.array_equal(got, want)
+        for got, want in zip(opt.v_w + opt.v_b, v, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_cosine_lr_endpoints_and_midpoint():
@@ -318,6 +330,191 @@ def test_cosine_lr_endpoints_and_midpoint():
 def test_cosine_lr_bounded(step, total):
     lr = cosine_lr(0.01, step, total, min_lr=0.001)
     assert 0.001 <= lr <= 0.01 + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# flat buffers against per-layer out-of-place references
+
+
+def reference_forward_cached(model, x):
+    """Out-of-place forward that caches every pre-activation."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    a = x[None, :] if single else x
+    acts, pre = [a], []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        pre.append(z)
+        if i < model.n_layers - 1:
+            a = np.maximum(z, 0.0) if model.hidden_activation == "relu" else np.tanh(z)
+        elif model.output_activation == "sigmoid":
+            a = 1.0 / (1.0 + np.exp(-z))
+        else:
+            a = z
+        acts.append(a)
+    return (acts[-1][0] if single else acts[-1]), {"pre": pre, "activations": acts,
+                                                  "single": single}
+
+
+def reference_backward(model, cache, upstream):
+    """Per-layer out-of-place backprop from the top layer down, with relu masks
+    from the pre-activations; raises at the first layer whose gradient is not
+    finite."""
+    pre, acts = cache["pre"], cache["activations"]
+    upstream = np.asarray(upstream, dtype=float)
+    delta = upstream[None, :] if cache["single"] else upstream
+    if model.output_activation == "sigmoid":
+        delta = delta * acts[-1] * (1.0 - acts[-1])
+    w_grads, b_grads = [None] * model.n_layers, [None] * model.n_layers
+    for i in range(model.n_layers - 1, -1, -1):
+        w_grads[i] = acts[i].T @ delta
+        b_grads[i] = delta.sum(axis=0)
+        if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
+            raise NumericError("non-finite gradient", layer_index=i)
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            if model.hidden_activation == "relu":
+                delta = delta * (pre[i - 1] > 0.0).astype(float)
+            else:
+                delta = delta * (1.0 - acts[i] * acts[i])
+    return gradcore.Gradients(w_grads, b_grads, delta[0] if cache["single"] else delta)
+
+
+def reference_adamw_step(opt, model, grads, lr=None):
+    """Out-of-place AdamW over each layer's arrays; the moments live on opt."""
+    cfg = opt.config
+    if lr is None:
+        lr = opt.current_lr()
+    opt.t += 1
+    params = model.weights + model.biases
+    if opt.t == 1:
+        opt.ref_m = [np.zeros_like(p) for p in params]
+        opt.ref_v = [np.zeros_like(p) for p in params]
+    for i, (p, g) in enumerate(zip(params, grads.weights + grads.biases, strict=True)):
+        opt.ref_m[i] = cfg.beta1 * opt.ref_m[i] + (1.0 - cfg.beta1) * g
+        opt.ref_v[i] = cfg.beta2 * opt.ref_v[i] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = opt.ref_m[i] / (1.0 - cfg.beta1**opt.t)
+        v_hat = opt.ref_v[i] / (1.0 - cfg.beta2**opt.t)
+        p[...] = p * (1.0 - lr * cfg.weight_decay) - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+@pytest.mark.parametrize("poison", [None, "input", "hidden-weight", "output-weight", "upstream"])
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["single", "batch-1", "batch-7"])
+@pytest.mark.parametrize("hidden, output", [("relu", "sigmoid"), ("relu", "identity"),
+                                            ("tanh", "sigmoid"), ("tanh", "identity")])
+def test_forward_and_backward_equal_out_of_place_reference(hidden, output, rows, poison):
+    """Outputs, parameter gradients and input gradients bit for bit; with a
+    non-finite value planted, the same NumericError layer index."""
+    model = small_model(seed=31, sizes=(5, 9, 7, 2), hidden=hidden, output=output)
+    rng = np.random.default_rng(32)
+    shape = (5,) if rows is None else (rows, 5)
+    x = rng.normal(size=shape)
+    if rows == 7:
+        x[1] = -0.0  # with zero biases, every pre-activation of this row is exactly 0
+    upstream = rng.normal(size=shape[:-1] + (2,))
+    if poison == "input":
+        x.reshape(-1, 5)[0, 3] = np.inf
+    elif poison == "hidden-weight":
+        model.weights[1][2, 4] = np.nan
+    elif poison == "output-weight":
+        model.weights[2][3, 1] = np.inf
+    elif poison == "upstream":
+        upstream.reshape(-1, 2)[-1, 0] = np.nan
+    with np.errstate(all="ignore"):
+        want_out, want_cache = reference_forward_cached(model, x)
+        got_out, got_cache = forward_cached(model, x)
+        assert np.array_equal(got_out, want_out, equal_nan=True)
+        try:
+            want = reference_backward(model, want_cache, upstream)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as got_exc:
+                backward(model, got_cache, upstream)
+            assert got_exc.value.layer_index == exc.layer_index
+            assert str(got_exc.value) == str(exc)
+            return
+        got = backward(model, got_cache, upstream)
+    for g, w in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert np.array_equal(got.inputs, want.inputs, equal_nan=True)
+    assert np.array_equal(got.flat, want.flat)
+
+
+def test_relu_mask_from_activation_equals_mask_from_pre_activation():
+    z = np.array([-0.0, 0.0, np.nan, -np.nan, -np.inf, np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    a = z.copy()
+    np.maximum(a, 0.0, out=a)
+    assert np.array_equal(a > 0.0, z > 0.0)
+
+
+def test_parameters_and_gradients_are_views_of_flat_buffers():
+    model = small_model(seed=33, sizes=(4, 8, 3))
+    assert model.params.size == 4 * 8 + 8 * 3 + 8 + 3
+    model.weights[1][2, 0] = 5.0
+    model.biases[0][7] = -2.0
+    assert model.params[4 * 8 + 2 * 3] == 5.0 and model.params[4 * 8 + 8 * 3 + 7] == -2.0
+    twin = model.copy()
+    twin.params[:] = 0.0
+    assert model.weights[1][2, 0] == 5.0
+    assert model._grad is None
+    _, cache = forward_cached(model, np.ones((3, 4)))
+    assert model._grad is None  # serving allocates no gradient buffer
+    grads = backward(model, cache, np.ones((3, 3)))
+    assert np.shares_memory(grads.weights[0], grads.flat)
+    assert np.array_equal(grads.flat, np.concatenate(
+        [a.ravel() for a in grads.weights + grads.biases]))
+    packed = gradcore.Gradients([np.ones((4, 8)), np.ones((8, 3))], [np.zeros(8), np.zeros(3)],
+                                np.zeros(4))
+    assert np.array_equal(packed.flat, np.r_[np.ones(56), np.zeros(11)])
+
+
+@pytest.mark.parametrize("attr, layer", [("weights", 0), ("weights", 1), ("biases", 1)])
+def test_rebound_layer_fails_validate(attr, layer):
+    model = small_model(seed=34, sizes=(4, 8, 3))
+    model.validate()
+    getattr(model, attr)[layer] = getattr(model, attr)[layer].copy()
+    with pytest.raises(ConfigError, match=f"layer {layer}: .*no longer a view of params"):
+        model.validate()
+
+
+@pytest.fixture
+def reference_gradcore(monkeypatch):
+    """Route forward_cached, backward and AdamW.step through the references."""
+    monkeypatch.setattr(gradcore, "forward_cached", reference_forward_cached)
+    monkeypatch.setattr(gradcore, "backward", reference_backward)
+    monkeypatch.setattr(gradcore.AdamW, "step", reference_adamw_step)
+
+
+def test_train_locoval_equals_reference_run(plausibility_dataset, request):
+    from plaustraj import locoval
+
+    cfg = TrainConfig(learning_rate=1e-3, total_steps=400, batch_size=32, seed=35,
+                      schedule="cosine", weight_decay=0.01)
+
+    def run():
+        return locoval.train_locoval(plausibility_dataset, cfg, hidden=(16, 16))
+
+    got = run()
+    request.getfixturevalue("reference_gradcore")
+    want = run()
+    assert np.array_equal(got.model.net.params, want.model.net.params)
+    assert got.curve == want.curve and got.best_holdout_mse == want.best_holdout_mse
+
+
+def test_train_predictor_equals_reference_run(training_instances, trained_scorer, request):
+    from plaustraj import predictor
+
+    cfg = TrainConfig(learning_rate=1e-3, total_steps=60, batch_size=8, seed=36)
+
+    def run():
+        return predictor.train_predictor(training_instances[:30], trained_scorer.model, cfg,
+                                         alpha=100.0, n_heads=3, trunk_hidden=(32, 32))
+
+    got = run()
+    request.getfixturevalue("reference_gradcore")
+    want = run()
+    assert np.array_equal(got.model.trunk.params, want.model.trunk.params)
+    assert np.array_equal(got.model.head.params, want.model.head.params)
+    assert got.curve == want.curve
 
 
 # ---------------------------------------------------------------------------

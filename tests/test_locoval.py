@@ -345,6 +345,6 @@ def test_locoval_checkpoint_roundtrip(tmp_path, trained_scorer):
 def test_load_rejects_plain_model_checkpoint(tmp_path):
     path = tmp_path / "plain.json"
     rng = np.random.default_rng(0)
-    gradcore.save_model(gradcore.init_mlp([4, 4, 1], rng), path)
+    gradcore.save_checkpoint(gradcore.model_to_dict(gradcore.init_mlp([4, 4, 1], rng)), path)
     with pytest.raises(ConfigError):
         load_locoval(path)

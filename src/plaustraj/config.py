@@ -29,6 +29,12 @@ class PlausibilitySection:
     n_implausible: int = 200
     seed: int = 2
 
+    def __post_init__(self):
+        for name in ("n_plausible", "n_implausible", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
+                raise ConfigError(f"plausibility.{name} must be an integer >= 0, got {value!r}")
+
 
 def _check_widths(name: str, widths):
     if not all(isinstance(w, int) and w >= 1 for w in widths):
@@ -133,9 +139,7 @@ _NESTED_TYPES = {
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    cfg = _from_dict(RunConfig, data)
-    _check_tuplish(cfg)
-    return cfg
+    return _from_dict(RunConfig, data)
 
 
 def load_config(path) -> RunConfig:
@@ -145,14 +149,6 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     return config_from_dict(data)
-
-
-def _check_tuplish(cfg: RunConfig):
-    # JSON lists arrive where the dataclasses default to tuples; normalize
-    syn = cfg.data.synthetic
-    syn.speed_range = tuple(syn.speed_range)
-    syn.accel_range = tuple(syn.accel_range)
-    syn.turn_rate_range = tuple(syn.turn_rate_range)
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:

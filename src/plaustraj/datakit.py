@@ -234,6 +234,28 @@ class SyntheticConfig:
         unknown = set(self.scenario_weights) - set(SCENARIOS)
         if unknown:
             raise ConfigError(f"unknown scenarios {sorted(unknown)}")
+        for name in ("speed_range", "accel_range", "turn_rate_range"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                    and all(map(_finite, bounds)) and bounds[0] <= bounds[1]):
+                raise ConfigError(
+                    f"{name} must be two finite numbers, low <= high, got {bounds!r}")
+            setattr(self, name, tuple(bounds))
+        if not (_finite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (_finite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not (_finite(self.min_reward) and 0.0 <= self.min_reward <= 1.0):
+            raise ConfigError(f"min_reward must be in [0, 1], got {self.min_reward!r}")
+        if isinstance(self.max_retries, bool) or not (
+                isinstance(self.max_retries, int) and self.max_retries >= 1):
+            raise ConfigError(f"max_retries must be an integer >= 1, got {self.max_retries!r}")
+
+
+def _finite(value) -> bool:
+    """A finite real number; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _speed_profile(scenario: str, cfg: SyntheticConfig, rng: np.random.Generator,

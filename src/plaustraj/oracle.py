@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -50,9 +50,9 @@ class Trajectory:
             raise InputShapeError(f"trajectory points must be (T, 2), got {self.points.shape}")
         if len(self.points) < 2:
             raise InputShapeError("trajectory needs at least 2 points")
-        if not np.all(np.isfinite(self.points)):
+        if not np.isfinite(self.points).all():
             raise InputShapeError("trajectory contains non-finite coordinates")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError("dt must be positive")
 
     def __len__(self) -> int:
@@ -180,6 +180,9 @@ class OracleParams:
     follow_scale: float = 0.5   # meters
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.v_max, self.a_max, self.turn_rate_max) <= 0:
             raise ConfigError("kinematic caps must be positive")
         if not (0.0 < self.gamma <= 1.0):
@@ -375,108 +378,59 @@ def rollout_batch(points: np.ndarray, root: np.ndarray, velocity: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Pair construction
-
-
-def align_trajectory_to_pose(traj: Trajectory, state: HumanoidState) -> Trajectory:
-    """Orientation + velocity alignment followed by translation to the root.
-
-    The trajectory is rotated about its first point so its initial direction
-    matches the pose heading, its displacements are uniformly scaled so the
-    first-step speed equals the pose root speed, and its start is moved to
-    the pose root position.
-    """
-    disp = traj.displacements()
-    first = disp[0]
-    first_norm = np.linalg.norm(first)
-    pose_speed = np.linalg.norm(state.root_velocity)
-    if first_norm < 1e-12:
-        raise DataError("cannot align a trajectory with a zero first step")
-    angle = wrap_angle(state.heading - math.atan2(first[1], first[0]))
-    rot = rotation_matrix(angle)
-    scale = (pose_speed * traj.dt) / first_norm
-    scaled = disp @ rot.T * scale
-    pts = np.vstack([state.root_position, state.root_position + np.cumsum(scaled, axis=0)])
-    return Trajectory(pts, traj.dt)
-
-
-def translate_trajectory_to_root(traj: Trajectory, state: HumanoidState) -> Trajectory:
-    return Trajectory(traj.points - traj.points[0] + state.root_position, traj.dt)
-
+#
+# A plausible pair aligns a bank trajectory to a bank pose: it is rotated
+# about its first point so that its first step faces the pose heading, its
+# displacements are scaled so that the first step has the pose speed, and
+# its start is moved to the pose root. An implausible pair starts an
+# unaligned trajectory at the root after one perturbation. The pairs of one
+# horizon and dt are built as arrays and match the per-pair construction
+# (kept in the tests as the reference) bit for bit, because:
+# - each rotation is a 2x2 matmul, disp @ rot.T with rot built from math.cos
+#   and math.sin, and the stacked matmul makes the same BLAS call per pair;
+# - the operation orders stay: (disp @ rot.T) * scale, heading + pi - angle;
+# - sharp turns keep numpy's cumsum, norm, cos and sin, over (N, T-1) arrays.
 
 PERTURBATIONS = ("heading_flip", "speed_scale", "sharp_turns")
+# the kind of a pair: _ALIGNED for a plausible one, else its index in PERTURBATIONS
+_ALIGNED, _FLIP, _SPEED, _SHARP = -1, 0, 1, 2
 
 
-def _perturb(traj: Trajectory, state: HumanoidState, kind: str,
-             params: OracleParams, rng: np.random.Generator) -> Trajectory:
-    disp = traj.displacements()
-    if kind == "heading_flip":
-        first = disp[0]
-        angle = wrap_angle(state.heading + math.pi - math.atan2(first[1], first[0]))
-        disp = disp @ rotation_matrix(angle).T
-    elif kind == "speed_scale":
-        disp = disp * rng.uniform(2.0, 4.0)
-    elif kind == "sharp_turns":
-        # alternate heading changes at or beyond the walker's turn-rate cap
-        step = params.turn_rate_max * traj.dt * rng.uniform(1.2, 2.0)
-        angles = np.cumsum(step * np.where(np.arange(len(disp)) % 2 == 0, 1.0, -1.0))
-        norms = np.linalg.norm(disp, axis=1)
-        base = math.atan2(disp[0][1], disp[0][0])
-        disp = norms[:, None] * np.stack(
-            [np.cos(base + angles), np.sin(base + angles)], axis=1
-        )
-    else:
-        raise ConfigError(f"unknown perturbation {kind!r}")
-    pts = np.vstack(
-        [state.root_position, state.root_position + np.cumsum(disp, axis=0)]
-    )
-    return Trajectory(pts, traj.dt)
+def _pair_points(disp: np.ndarray, root: np.ndarray, heading: np.ndarray,
+                 speed: np.ndarray, first_norm: np.ndarray, first_angle: np.ndarray,
+                 kind: np.ndarray, u: np.ndarray, dt: float,
+                 params: OracleParams) -> np.ndarray:
+    """Points (N, T, 2) of N pairs of one horizon and dt.
 
-
-def sample_plausible_pair(
-    pose_bank: list[HumanoidState],
-    traj_bank: list[Trajectory],
-    rng: np.random.Generator,
-    max_resamples: int = 32,
-    stats: dict | None = None,
-) -> tuple[Trajectory, HumanoidState]:
-    """Independent pose/trajectory draw with spatial alignment."""
-    if not pose_bank or not traj_bank:
-        raise DataError("pose and trajectory banks must be non-empty")
-    for _ in range(max_resamples):
-        state = pose_bank[rng.integers(len(pose_bank))]
-        traj = traj_bank[rng.integers(len(traj_bank))]
-        moving = np.linalg.norm(traj.displacements()[0]) > 1e-9
-        if np.linalg.norm(state.root_velocity) < 1e-9 and moving:
-            if stats is not None:
-                stats["zero_speed_resamples"] = stats.get("zero_speed_resamples", 0) + 1
-            continue
-        if not moving:
-            if stats is not None:
-                stats["zero_step_resamples"] = stats.get("zero_step_resamples", 0) + 1
-            continue
-        return align_trajectory_to_pose(traj, state), state
-    raise DataError("exhausted resampling attempts for a plausible pair")
-
-
-def sample_implausible_pair(
-    pose_bank: list[HumanoidState],
-    traj_bank: list[Trajectory],
-    rng: np.random.Generator,
-    params: OracleParams = OracleParams(),
-    perturbation: str | None = None,
-) -> tuple[Trajectory, HumanoidState]:
-    """Unaligned pose/trajectory pair with one randomly chosen perturbation.
-
-    The trajectory start is still moved to the pose root so implausibility
-    comes from orientation/speed mismatch rather than spatial separation.
+    disp (N, T-1, 2) holds the displacements of each pair's bank trajectory
+    and is overwritten; first_norm and first_angle are the norm and atan2 of
+    its first step. root (N, 2), heading and speed are those of the pair's
+    bank state, kind is the pair's kind and u the uniform drawn for a
+    speed_scale or sharp_turns pair.
     """
-    if not pose_bank or not traj_bank:
-        raise DataError("pose and trajectory banks must be non-empty")
-    state = pose_bank[rng.integers(len(pose_bank))]
-    traj = traj_bank[rng.integers(len(traj_bank))]
-    if perturbation is None:
-        perturbation = PERTURBATIONS[rng.integers(len(PERTURBATIONS))]
-    return _perturb(traj, state, perturbation, params, rng), state
+    turn = kind <= _FLIP
+    angle = wrap_angles(np.where(kind == _FLIP, heading + math.pi, heading)[turn]
+                        - first_angle[turn])
+    c, s = _map(math.cos, angle), _map(math.sin, angle)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    disp[turn] = disp[turn] @ rot.transpose(0, 2, 1)
+    aligned = kind == _ALIGNED
+    disp[aligned] *= ((speed[aligned] * dt) / first_norm[aligned])[:, None, None]
+    scaled = kind == _SPEED
+    disp[scaled] *= u[scaled, None, None]
+    # alternate heading changes at or beyond the walker's turn-rate cap
+    sharp = kind == _SHARP
+    step = params.turn_rate_max * dt * u[sharp]
+    signs = np.where(np.arange(disp.shape[1]) % 2 == 0, 1.0, -1.0)
+    theta = first_angle[sharp, None] + np.cumsum(step[:, None] * signs, axis=1)
+    disp[sharp] = np.linalg.norm(disp[sharp], axis=2)[:, :, None] * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=2
+    )
+    points = np.empty((len(disp), disp.shape[1] + 1, 2))
+    points[:, 0] = root
+    np.cumsum(disp, axis=1, out=points[:, 1:])
+    points[:, 1:] += root[:, None]  # root + cumsum: float addition commutes exactly
+    return points
 
 
 def build_plausibility_dataset(
@@ -489,10 +443,13 @@ def build_plausibility_dataset(
 ) -> list[PlausibilitySample]:
     """Oracle-labeled pairs; deterministic given the seed.
 
-    Every pair is drawn first (rollouts draw nothing from the RNG, so the
-    draws are those of labelling pair by pair), then each group of one
-    horizon and dt is labelled by one rollout_batch call. The pairs of one
-    bank state share one ObservableState, which nothing mutates.
+    One loop draws every pair. A plausible pair redraws its pose and
+    trajectory, up to 32 times, until the trajectory's first step moves and
+    so does the pose. An implausible pair draws a perturbation and the
+    uniform that it needs. Then the pairs of each horizon and dt are built
+    as one array and labelled by one rollout_batch call. The pairs of one
+    bank state share one ObservableState and those of one horizon and dt
+    one points array, which nothing mutates.
     """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
@@ -500,34 +457,66 @@ def build_plausibility_dataset(
         return []
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
+    heading = np.array([s.heading for s in pose_bank])
+    root = np.stack([s.root_position for s in pose_bank])
+    velocity = np.stack([s.root_velocity for s in pose_bank])
+    speed = _row_norms(velocity)
+    first = np.stack([t.points[1] - t.points[0] for t in traj_bank])
+    first_norm = _row_norms(first)
+    first_angle = _map(math.atan2, first[:, 1], first[:, 0])
+
     rng = np.random.default_rng(seed)
-    pairs = [sample_plausible_pair(pose_bank, traj_bank, rng) for _ in range(n_plausible)]
-    pairs += [sample_implausible_pair(pose_bank, traj_bank, rng, params)
-              for _ in range(n_implausible)]
+    draw = rng.integers
+    n_poses, n_trajs = len(pose_bank), len(traj_bank)
+    still = (speed < 1e-9).tolist()
+    moving = (first_norm > 1e-9).tolist()
+    pose_idx, traj_idx = [], []
+    for _ in range(n_plausible):
+        for _ in range(32):
+            p, t = draw(n_poses), draw(n_trajs)
+            if moving[t] and not still[p]:
+                break
+        else:
+            raise DataError("exhausted resampling attempts for a plausible pair")
+        pose_idx.append(p)
+        traj_idx.append(t)
+    kinds = [_ALIGNED] * n_plausible
+    uniforms = [0.0] * n_plausible
+    for _ in range(n_implausible):
+        pose_idx.append(draw(n_poses))
+        traj_idx.append(draw(n_trajs))
+        kind = int(draw(len(PERTURBATIONS)))
+        kinds.append(kind)
+        uniforms.append(rng.uniform(2.0, 4.0) if kind == _SPEED
+                        else rng.uniform(1.2, 2.0) if kind == _SHARP else 0.0)
+    pose_idx, traj_idx = np.array(pose_idx), np.array(traj_idx)
+    kinds, uniforms = np.array(kinds), np.array(uniforms)
 
-    groups = {}
-    for i, (traj, _) in enumerate(pairs):
-        groups.setdefault((len(traj), traj.dt), []).append(i)
-    rewards = [0.0] * len(pairs)
-    for (_, dt), idx in groups.items():
-        trajs, states = zip(*(pairs[i] for i in idx))
-        batch = rollout_batch(
-            np.stack([t.points for t in trajs]),
-            np.stack([s.root_position for s in states]),
-            np.stack([s.root_velocity for s in states]),
-            np.array([s.heading for s in states]),
-            dt,
-            params,
-        )
-        for i, r in zip(idx, batch.tolist()):
-            rewards[i] = r
+    keys = {}  # (horizon, dt) -> group number, in bank order
+    group_of = np.array([keys.setdefault((len(t), t.dt), len(keys)) for t in traj_bank])
+    trajectories = [None] * len(pose_idx)
+    rewards = np.empty(len(pose_idx))
+    for g, (_, dt) in enumerate(keys):
+        rows = np.flatnonzero(group_of[traj_idx] == g)
+        if not len(rows):
+            continue
+        members = np.flatnonzero(group_of == g)
+        bank_disp = np.diff(np.stack([traj_bank[j].points for j in members.tolist()]), axis=1)
+        p, t = pose_idx[rows], traj_idx[rows]
+        points = _pair_points(bank_disp[np.searchsorted(members, t)], root[p], heading[p],
+                              speed[p], first_norm[t], first_angle[t], kinds[rows],
+                              uniforms[rows], dt, params)
+        for i, pts in zip(rows.tolist(), points):
+            trajectories[i] = Trajectory(pts, dt)
+        rewards[rows] = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
 
-    observables = {}  # id of a bank state -> its one ObservableState
+    observables = {}  # index of a bank state -> its one ObservableState
     samples = []
-    for i, ((traj, state), reward) in enumerate(zip(pairs, rewards)):
-        obs = observables.get(id(state))
+    for i, (p, traj, reward) in enumerate(zip(pose_idx.tolist(), trajectories,
+                                              rewards.tolist())):
+        obs = observables.get(p)
         if obs is None:
-            obs = observables[id(state)] = state.observable()
+            obs = observables[p] = pose_bank[p].observable()
         samples.append(PlausibilitySample(
             traj, obs, reward, "plausible_pair" if i < n_plausible else "implausible_pair"
         ))

@@ -343,9 +343,25 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
         ("train-locoval", {"locoval": {"holdout_fraction": 1.5}}, "locoval.holdout_fraction"),
         ("train-locoval", {"locoval": {"hidden": [0]}}, "locoval.hidden"),
         ("train-predictor", {"predictor": {"trunk_hidden": [0]}}, "predictor.trunk_hidden"),
+        ("gen-data", {"plausibility": {"n_plausible": "abc"}}, "plausibility.n_plausible"),
+        ("gen-data", {"plausibility": {"n_plausible": 2.5}}, "plausibility.n_plausible"),
+        ("gen-data", {"plausibility": {"n_implausible": True}}, "plausibility.n_implausible"),
+        ("gen-data", {"plausibility": {"seed": "s"}}, "plausibility.seed"),
+        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0]}}}, "speed_range"),
+        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0, 1.0]}}}, "speed_range"),
+        ("gen-data", {"data": {"synthetic": {"accel_range": [0.2, "x"]}}}, "accel_range"),
+        ("gen-data", {"data": {"synthetic": {"noise_sigma": -1}}}, "noise_sigma"),
+        ("gen-data", {"data": {"synthetic": {"min_reward": 1.5}}}, "min_reward"),
+        ("gen-data", {"data": {"synthetic": {"max_retries": 0}}}, "max_retries"),
+        ("gen-data", {"oracle": {"a_max": float("inf")}}, "a_max must be finite"),
+        ("gen-data", {"oracle": {"v_max": float("nan")}}, "v_max must be finite"),
     ],
     ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
-         "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero"],
+         "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
+         "n-plausible-string", "n-plausible-float", "n-implausible-bool", "pair-seed-string",
+         "speed-range-one-value", "speed-range-reversed", "accel-range-string",
+         "noise-negative", "min-reward-above-one", "max-retries-zero", "a-max-infinite",
+         "v-max-nan"],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):

@@ -115,10 +115,69 @@ def test_bad_section_fields_rejected(section, field, value):
         config_from_dict({section: {field: value}})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_plausible", "abc"),
+        ("n_plausible", 2.5),
+        ("n_plausible", -1),
+        ("n_implausible", True),
+        ("n_implausible", None),
+        ("seed", "s"),
+        ("seed", -1),
+        ("seed", False),
+    ],
+)
+def test_bad_plausibility_fields_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"plausibility.{field}"):
+        config_from_dict({"plausibility": {field: value}})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("speed_range", [2.0]),
+        ("speed_range", [2.0, 1.0]),
+        ("speed_range", [1.0, 2.0, 3.0]),
+        ("accel_range", [0.2, "x"]),
+        ("accel_range", [True, 0.5]),
+        ("turn_rate_range", [0.3, float("inf")]),
+        ("turn_rate_range", [float("nan"), 0.9]),
+        ("dt", 0.0),
+        ("dt", float("nan")),
+        ("noise_sigma", -1),
+        ("noise_sigma", float("nan")),
+        ("min_reward", 1.5),
+        ("min_reward", -0.1),
+        ("min_reward", float("nan")),
+        ("max_retries", 0),
+        ("max_retries", 2.0),
+        ("max_retries", True),
+    ],
+)
+def test_bad_synthetic_fields_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"data": {"synthetic": {field: value}}})
+
+
+@pytest.mark.parametrize(
+    "field", ["v_max", "a_max", "turn_rate_max", "gamma", "w_follow", "w_energy", "follow_scale"]
+)
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_oracle_params_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        config_from_dict({"oracle": {field: value}})
+
+
 def test_edge_values_accepted():
     cfg = config_from_dict({
         "locoval": {"holdout_fraction": 0.0, "hidden": [1],
                     "train": {"beta1": 0.0, "beta2": 0.0, "min_lr": -1.0}},
         "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1]},
+        "plausibility": {"n_plausible": 0, "n_implausible": 0, "seed": 0},
+        "data": {"synthetic": {"speed_range": [1, 1], "noise_sigma": 0, "min_reward": 1,
+                               "max_retries": 1}},
     })
     assert cfg.predictor.future_frames == 2 and cfg.locoval.train.beta1 == 0.0
+    assert cfg.plausibility.n_plausible == 0 and cfg.data.synthetic.speed_range == (1, 1)
+    assert config_from_dict({"data": {"synthetic": {"min_reward": 0.0}}})

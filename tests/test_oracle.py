@@ -7,19 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
 from plaustraj import oracle
-from plaustraj.errors import DataError, InputShapeError
+from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.oracle import (
+    PERTURBATIONS,
     HumanoidState,
     OracleParams,
     Trajectory,
-    align_trajectory_to_pose,
     build_plausibility_dataset,
     load_plausibility_csv,
     rollout,
     rollout_batch,
     rollout_detailed,
-    sample_implausible_pair,
-    sample_plausible_pair,
+    rotation_matrix,
     save_plausibility_csv,
     wrap_angle,
     wrap_angles,
@@ -30,6 +29,110 @@ from plaustraj.datakit import make_walking_pose
 def walker(heading=0.0, speed=1.2, root=(0.0, 0.0)):
     state = make_walking_pose(heading, speed)
     return state.transformed(translation=np.asarray(root, dtype=float) - state.root_position)
+
+
+# ---------------------------------------------------------------------------
+# Pair construction one pair at a time: the reference that
+# build_plausibility_dataset matches bit for bit
+
+
+def _count(stats, key):
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + 1
+
+
+def align_trajectory_to_pose(traj: Trajectory, state: HumanoidState) -> Trajectory:
+    """Rotate the trajectory about its first point so its initial direction
+    matches the pose heading, scale its displacements so the first-step speed
+    equals the pose root speed, and move its start to the pose root."""
+    disp = traj.displacements()
+    first = disp[0]
+    first_norm = np.linalg.norm(first)
+    pose_speed = np.linalg.norm(state.root_velocity)
+    if first_norm < 1e-12:
+        raise DataError("cannot align a trajectory with a zero first step")
+    angle = wrap_angle(state.heading - math.atan2(first[1], first[0]))
+    rot = rotation_matrix(angle)
+    scale = (pose_speed * traj.dt) / first_norm
+    scaled = disp @ rot.T * scale
+    pts = np.vstack([state.root_position, state.root_position + np.cumsum(scaled, axis=0)])
+    return Trajectory(pts, traj.dt)
+
+
+def translate_trajectory_to_root(traj: Trajectory, state: HumanoidState) -> Trajectory:
+    return Trajectory(traj.points - traj.points[0] + state.root_position, traj.dt)
+
+
+def perturb(traj: Trajectory, state: HumanoidState, kind: str,
+            params: OracleParams, rng: np.random.Generator) -> Trajectory:
+    disp = traj.displacements()
+    if kind == "heading_flip":
+        first = disp[0]
+        angle = wrap_angle(state.heading + math.pi - math.atan2(first[1], first[0]))
+        disp = disp @ rotation_matrix(angle).T
+    elif kind == "speed_scale":
+        disp = disp * rng.uniform(2.0, 4.0)
+    elif kind == "sharp_turns":
+        step = params.turn_rate_max * traj.dt * rng.uniform(1.2, 2.0)
+        angles = np.cumsum(step * np.where(np.arange(len(disp)) % 2 == 0, 1.0, -1.0))
+        norms = np.linalg.norm(disp, axis=1)
+        base = math.atan2(disp[0][1], disp[0][0])
+        disp = norms[:, None] * np.stack(
+            [np.cos(base + angles), np.sin(base + angles)], axis=1
+        )
+    else:
+        raise ValueError(f"unknown perturbation {kind!r}")
+    pts = np.vstack(
+        [state.root_position, state.root_position + np.cumsum(disp, axis=0)]
+    )
+    return Trajectory(pts, traj.dt)
+
+
+def sample_plausible_pair(pose_bank, traj_bank, rng, max_resamples=32, stats=None):
+    """Independent pose/trajectory draw with alignment; redraws a still
+    trajectory, and a still pose under a moving one."""
+    for attempt in range(max_resamples):
+        state = pose_bank[rng.integers(len(pose_bank))]
+        traj = traj_bank[rng.integers(len(traj_bank))]
+        moving = np.linalg.norm(traj.displacements()[0]) > 1e-9
+        if np.linalg.norm(state.root_velocity) < 1e-9 and moving:
+            _count(stats, "zero_speed_resamples")
+            continue
+        if not moving:
+            _count(stats, "zero_step_resamples")
+            continue
+        if stats is not None:
+            stats["most_tries"] = max(stats.get("most_tries", 0), attempt + 1)
+        return align_trajectory_to_pose(traj, state), state
+    raise DataError("exhausted resampling attempts for a plausible pair")
+
+
+def sample_implausible_pair(pose_bank, traj_bank, rng, params=OracleParams(),
+                            perturbation=None, stats=None):
+    """Unaligned pose/trajectory pair, started at the pose root, with one
+    perturbation (drawn when not given)."""
+    state = pose_bank[rng.integers(len(pose_bank))]
+    traj = traj_bank[rng.integers(len(traj_bank))]
+    if perturbation is None:
+        perturbation = PERTURBATIONS[rng.integers(len(PERTURBATIONS))]
+    _count(stats, perturbation)
+    if not np.any(traj.displacements()[0]):
+        _count(stats, f"{perturbation}_zero_step")
+    return perturb(traj, state, perturbation, params, rng), state
+
+
+def _reference_dataset(pose_bank, traj_bank, n_plausible, n_implausible, params, seed,
+                       stats=None):
+    """build_plausibility_dataset as a loop that builds and labels pair by pair."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_plausible):
+        traj, state = sample_plausible_pair(pose_bank, traj_bank, rng, stats=stats)
+        out.append((traj, state, rollout(traj, state, params), "plausible_pair"))
+    for _ in range(n_implausible):
+        traj, state = sample_implausible_pair(pose_bank, traj_bank, rng, params, stats=stats)
+        out.append((traj, state, rollout(traj, state, params), "implausible_pair"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +154,9 @@ def test_trajectory_validation():
         Trajectory(np.array([[0.0, 0.0], [np.nan, 1.0]]))
     with pytest.raises(InputShapeError):
         Trajectory(np.zeros((5, 3)))
+    for dt in (0.0, -0.4, float("nan")):
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            Trajectory(np.zeros((3, 2)), dt)
 
 
 def test_observable_requires_all_joints():
@@ -225,7 +331,7 @@ def _probe_pair(heading, speed, kind, horizon, dt, seed, params):
     points = state.root_position + np.cumsum(steps, axis=0)
     traj = Trajectory(points, dt)
     if kind == "flip":
-        traj = oracle._perturb(traj, state, "heading_flip", params, rng)
+        traj = perturb(traj, state, "heading_flip", params, rng)
     return traj, state
 
 
@@ -264,7 +370,7 @@ def test_rollout_batch_equals_rollout_on_seeded_banks(pose_bank, traj_bank, seed
     params = OracleParams()
     rng = np.random.default_rng(seed)
     pairs = [sample_plausible_pair(pose_bank, traj_bank, rng) for _ in range(100)]
-    for kind in oracle.PERTURBATIONS:
+    for kind in PERTURBATIONS:
         pairs += [
             sample_implausible_pair(pose_bank, traj_bank, rng, params, perturbation=kind)
             for _ in range(100)
@@ -272,17 +378,16 @@ def test_rollout_batch_equals_rollout_on_seeded_banks(pose_bank, traj_bank, seed
     _assert_bits_equal(_batch_rewards(pairs, params), [rollout(t, s, params) for t, s in pairs])
 
 
-def _reference_dataset(pose_bank, traj_bank, n_plausible, n_implausible, params, seed):
-    """build_plausibility_dataset as a loop that labels pair by pair."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_plausible):
-        traj, state = sample_plausible_pair(pose_bank, traj_bank, rng)
-        out.append((traj, state, rollout(traj, state, params), "plausible_pair"))
-    for _ in range(n_implausible):
-        traj, state = sample_implausible_pair(pose_bank, traj_bank, rng, params)
-        out.append((traj, state, rollout(traj, state, params), "implausible_pair"))
-    return out
+def _assert_equals_reference(got, want):
+    assert len(got) == len(want)
+    for sample, (traj, state, reward, label) in zip(got, want):
+        assert sample.label == label
+        _assert_bits_equal(sample.reward, reward)
+        assert sample.trajectory.dt == traj.dt
+        _assert_bits_equal(sample.trajectory.points, traj.points)
+        _assert_bits_equal(sample.observable.root_velocity, state.root_velocity)
+        for name, pos in state.joints.items():
+            _assert_bits_equal(sample.observable.joints[name], pos)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -297,18 +402,67 @@ def test_dataset_equals_per_pair_reference(pose_bank, traj_bank, mixed):
         )
     got = build_plausibility_dataset(pose_bank, bank, 150, 150, params, seed=21)
     want = _reference_dataset(pose_bank, bank, 150, 150, params, seed=21)
-    assert len(got) == len(want)
-    horizons = set()
-    for sample, (traj, state, reward, label) in zip(got, want):
-        assert sample.label == label
-        _assert_bits_equal(sample.reward, reward)
-        assert sample.trajectory.dt == traj.dt
-        _assert_bits_equal(sample.trajectory.points, traj.points)
-        _assert_bits_equal(sample.observable.root_velocity, state.root_velocity)
-        for name, pos in state.joints.items():
-            _assert_bits_equal(sample.observable.joints[name], pos)
-        horizons.add((len(traj), traj.dt))
-    assert len(horizons) == (3 if mixed else 1)
+    _assert_equals_reference(got, want)
+    # the pairs of one horizon and dt are rows of one points array
+    groups = {}
+    for s in got:
+        groups.setdefault((len(s.trajectory), s.trajectory.dt), set()).add(
+            id(s.trajectory.points.base))
+    assert len(groups) == (3 if mixed else 1)
+    assert all(len(bases) == 1 for bases in groups.values())
+
+
+def _degenerate_banks(pose_bank, traj_bank):
+    """Banks with a still pose, tracks 10-14 whose first step (or every step)
+    has length zero, and tracks of two and three points."""
+    poses = pose_bank[:6] + [walker(heading=0.7, speed=0.0, root=(1.0, -2.0))]
+    tracks = traj_bank[:10]
+    for t in traj_bank[10:14]:
+        tracks.append(Trajectory(np.vstack([t.points[:1], t.points[:1], t.points[2:]]), t.dt))
+    tracks.append(Trajectory(np.tile(traj_bank[14].points[:1], (12, 1)), traj_bank[14].dt))
+    tracks += [Trajectory(t.points[:2], t.dt) for t in traj_bank[15:17]]
+    tracks += [Trajectory(t.points[:3], 0.25) for t in traj_bank[17:19]]
+    return poses, tracks
+
+
+@pytest.mark.parametrize("n_plausible, n_implausible", [(60, 300), (0, 60), (60, 0)])
+def test_dataset_equals_reference_on_degenerate_banks(pose_bank, traj_bank, n_plausible,
+                                                      n_implausible):
+    params = OracleParams()
+    poses, tracks = _degenerate_banks(pose_bank, traj_bank)
+    stats = {}
+    want = _reference_dataset(poses, tracks, n_plausible, n_implausible, params, 23, stats)
+    got = build_plausibility_dataset(poses, tracks, n_plausible, n_implausible, params, seed=23)
+    _assert_equals_reference(got, want)
+    expected = []
+    if n_plausible:
+        expected += ["zero_speed_resamples", "zero_step_resamples"]
+    if n_implausible:
+        expected += [*PERTURBATIONS, "heading_flip_zero_step", "sharp_turns_zero_step"]
+    assert all(stats.get(key, 0) > 0 for key in expected), stats
+
+
+def test_plausible_pair_found_on_last_try(pose_bank, traj_bank):
+    poses, tracks = _degenerate_banks(pose_bank, traj_bank)
+    poses, tracks = poses[:1], tracks[:1] + tracks[10:14] * 2 + tracks[14:15]
+    stats = {}
+    want = _reference_dataset(poses, tracks, 3, 0, OracleParams(), 57, stats)
+    assert stats["most_tries"] == 32
+    _assert_equals_reference(build_plausibility_dataset(poses, tracks, 3, 0, seed=57), want)
+
+
+@pytest.mark.parametrize("still", ["poses", "tracks"])
+def test_plausible_draws_exhausted(pose_bank, traj_bank, still):
+    poses, tracks = _degenerate_banks(pose_bank, traj_bank)
+    if still == "poses":
+        poses = poses[-1:]
+    else:
+        tracks = tracks[10:15]
+    message = "^exhausted resampling attempts for a plausible pair$"
+    with pytest.raises(DataError, match=message):
+        _reference_dataset(poses, tracks, 3, 3, OracleParams(), 24)
+    with pytest.raises(DataError, match=message):
+        build_plausibility_dataset(poses, tracks, 3, 3, seed=24)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +493,7 @@ def test_alignment_improves_reward_on_average(pose_bank, traj_bank):
         state = pose_bank[rng.integers(len(pose_bank))]
         traj = traj_bank[rng.integers(len(traj_bank))]
         aligned = align_trajectory_to_pose(traj, state)
-        raw = oracle.translate_trajectory_to_root(traj, state)
+        raw = translate_trajectory_to_root(traj, state)
         gains.append(rollout(aligned, state) - rollout(raw, state))
     assert np.mean(gains) > 0.0
 
@@ -401,10 +555,11 @@ def test_zero_speed_pose_resampling(traj_bank):
     stats = {}
     still = make_walking_pose(0.0, 0.0)
     moving = walker(speed=1.0)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        sample_plausible_pair([still, moving], traj_bank, rng, stats=stats)
+    want = _reference_dataset([still, moving], traj_bank, 20, 0, OracleParams(), 8, stats)
     assert stats.get("zero_speed_resamples", 0) > 0
+    got = build_plausibility_dataset([still, moving], traj_bank, 20, 0, seed=8)
+    _assert_equals_reference(got, want)
+    assert all(np.array_equal(s.observable.root_velocity, moving.root_velocity) for s in got)
 
 
 # ---------------------------------------------------------------------------

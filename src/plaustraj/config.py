@@ -33,7 +33,7 @@ class PlausibilitySection:
         for name in ("n_plausible", "n_implausible", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
-                raise ConfigError(f"plausibility.{name} must be an integer >= 0, got {value!r}")
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _check_widths(name: str, widths):
@@ -56,8 +56,8 @@ class LocoValSection:
 
     def __post_init__(self):
         if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError("locoval.holdout_fraction must be in [0, 1)")
-        _check_widths("locoval.hidden", self.hidden)
+            raise ConfigError("holdout_fraction must be in [0, 1)")
+        _check_widths("hidden", self.hidden)
 
 
 @dataclass
@@ -79,10 +79,10 @@ class PredictorSection:
 
     def __post_init__(self):
         if self.stride < 1:
-            raise ConfigError("predictor.stride must be >= 1")
+            raise ConfigError("stride must be >= 1")
         if self.future_frames < 2:
-            raise ConfigError("predictor.future_frames must be >= 2")
-        _check_widths("predictor.trunk_hidden", self.trunk_hidden)
+            raise ConfigError("future_frames must be >= 2")
+        _check_widths("trunk_hidden", self.trunk_hidden)
 
 
 @dataclass
@@ -123,6 +123,8 @@ def _from_dict(cls, data, path="config"):
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}")
+    except ConfigError as exc:  # each section names the field, this the section
+        raise ConfigError(f"{path}.{exc}")
 
 
 _NESTED_TYPES = {

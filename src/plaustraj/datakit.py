@@ -233,7 +233,7 @@ class SyntheticConfig:
             raise ConfigError("n_frames must be at least 4")
         unknown = set(self.scenario_weights) - set(SCENARIOS)
         if unknown:
-            raise ConfigError(f"unknown scenarios {sorted(unknown)}")
+            raise ConfigError(f"scenario_weights has unknown scenarios {sorted(unknown)}")
         for name in ("speed_range", "accel_range", "turn_rate_range"):
             bounds = getattr(self, name)
             if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2

@@ -52,7 +52,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+            raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
 
 
 def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, InputShapeError
-from .oracle import Trajectory, wrap_angle
+from .oracle import Trajectory, _map, _row_norms, wrap_angles
 
 
 @dataclass
@@ -49,30 +49,74 @@ class MetricsReport:
         return asdict(self)
 
 
-def ade(pred: Trajectory, gt: Trajectory) -> float:
-    """Mean Euclidean distance over frames."""
+# ---------------------------------------------------------------------------
+# Array core
+#
+# Every metric is computed for n trajectories of one length at once, from
+# (n, T, 2) points; the one-trajectory functions below are one-row calls into
+# the same core. Each row gets the bits of the per-trajectory computation:
+# - errors and speeds are np.linalg.norm over the last axis, the same
+#   x*x + y*y per row, and ADE is a mean along the contiguous last axis,
+#   the same pairwise sum as the mean of one row;
+# - the final-frame error and the stationary test are np.linalg.norm of one
+#   2-vector, a BLAS dot (which may fuse to an FMA), so they use the
+#   one-dot-per-row matmul of _row_norms rather than x*x + y*y;
+# - headings go through math.atan2 per element and angle differences through
+#   wrap_angles, which match wrap_angle bit for bit.
+
+# samples per trajectory of each primitive are T minus these
+_LOST_STEPS = {"velocity": 1, "acceleration": 2, "angular_velocity": 2,
+               "angular_acceleration": 3}
+EVAL_BLOCK = 1024  # trajectories per array pass of evaluate_predictions
+
+
+def _displacement_errors(pred: np.ndarray, gt: np.ndarray):
+    """Per-frame errors (n, T), ADEs (n,) and FDEs (n,) of predictions
+    against ground truths, both (n, T, 2)."""
+    err = np.linalg.norm(pred - gt, axis=-1)
+    return err, np.mean(err, axis=1), _row_norms(pred[:, -1] - gt[:, -1])
+
+
+def _primitives(points: np.ndarray, dt: np.ndarray) -> dict:
+    """physics_primitives of each row of points (n, T, 2) with its dt (n,)."""
+    dt = dt[:, None]
+    disp = np.diff(points, axis=1)
+    speeds = np.linalg.norm(disp, axis=-1) / dt
+    n, steps = speeds.shape
+    # each step takes the heading of the last moving step up to it in its
+    # row (1 + its flat index into the atan2s), or 0.0 before the first one
+    moving = _row_norms(disp.reshape(-1, 2)) >= STATIONARY_EPS
+    last = np.where(moving, np.arange(1, n * steps + 1), 0).reshape(n, steps)
+    np.maximum.accumulate(last, axis=1, out=last)
+    atans = _map(math.atan2, disp[..., 1].ravel(), disp[..., 0].ravel())
+    headings = np.concatenate([[0.0], atans])[last]
+    ang_vel = wrap_angles(np.diff(headings, axis=1)) / dt
+    return {
+        "velocity": speeds,
+        "acceleration": np.diff(speeds, axis=1) / dt,
+        "angular_velocity": ang_vel,
+        "angular_acceleration": np.diff(ang_vel, axis=1) / dt,
+    }
+
+
+def _one_row(pred: Trajectory, gt: Trajectory):
     if len(pred) != len(gt):
         raise InputShapeError("prediction/ground-truth length mismatch")
-    return float(np.mean(np.linalg.norm(pred.points - gt.points, axis=1)))
+    return pred.points[None], gt.points[None]
+
+
+def ade(pred: Trajectory, gt: Trajectory) -> float:
+    """Mean Euclidean distance over frames."""
+    return float(_displacement_errors(*_one_row(pred, gt))[1][0])
 
 
 def fde(pred: Trajectory, gt: Trajectory) -> float:
     """Euclidean distance at the final frame."""
-    if len(pred) != len(gt):
-        raise InputShapeError("prediction/ground-truth length mismatch")
-    return float(np.linalg.norm(pred.points[-1] - gt.points[-1]))
+    return float(_displacement_errors(*_one_row(pred, gt))[2][0])
 
 
 def per_timestep_errors(pred: Trajectory, gt: Trajectory) -> np.ndarray:
-    if len(pred) != len(gt):
-        raise InputShapeError("prediction/ground-truth length mismatch")
-    return np.linalg.norm(pred.points - gt.points, axis=1)
-
-
-def min_over_heads(metric, trajectories: list[Trajectory], gt: Trajectory) -> float:
-    if not trajectories:
-        raise InputShapeError("need at least one head")
-    return min(metric(t, gt) for t in trajectories)
+    return _displacement_errors(*_one_row(pred, gt))[0][0]
 
 
 def physics_primitives(traj: Trajectory) -> dict:
@@ -80,27 +124,8 @@ def physics_primitives(traj: Trajectory) -> dict:
     sequences. Stationary steps carry the previous heading forward."""
     if len(traj) < 4:
         raise InputShapeError("need at least 4 points for all physics primitives")
-    dt = traj.dt
-    disp = traj.displacements()
-    speeds = np.linalg.norm(disp, axis=1) / dt
-    accel = np.diff(speeds) / dt
-
-    headings = np.empty(len(disp))
-    prev = 0.0
-    for i, d in enumerate(disp):
-        if np.linalg.norm(d) >= STATIONARY_EPS:
-            prev = math.atan2(d[1], d[0])
-        headings[i] = prev
-    ang_vel = np.array(
-        [wrap_angle(headings[i + 1] - headings[i]) / dt for i in range(len(headings) - 1)]
-    )
-    ang_acc = np.diff(ang_vel) / dt
-    return {
-        "velocity": speeds,
-        "acceleration": accel,
-        "angular_velocity": ang_vel,
-        "angular_acceleration": ang_acc,
-    }
+    prims = _primitives(traj.points[None], np.array([traj.dt]))
+    return {p: v[0] for p, v in prims.items()}
 
 
 def chi2_distance(pred_samples, gt_samples, spec: HistogramSpec) -> float:
@@ -207,53 +232,66 @@ def evaluate_predictions(
     """Aggregate metrics over a list of evaluation cases. ADE/FDE are averaged
     over every head of every case; minADE/minFDE take the best head per case.
     Chi-square distances compare pooled physics primitives of predictions
-    against those of the ground truths."""
+    against those of the ground truths.
+
+    Every head of every case is scored in blocks of EVAL_BLOCK trajectories
+    into per-trajectory arrays. Per-timestep errors are summed and primitive
+    samples pooled in trajectory order, so the report has the bits of
+    scoring one trajectory at a time.
+    """
     if len(prediction_sets) != len(ground_truths) or not prediction_sets:
         raise InputShapeError("need matching, non-empty prediction and ground-truth lists")
+    counts = np.array([len(heads) for heads in prediction_sets])
+    if not counts.all():
+        raise InputShapeError(f"case {np.argmin(counts)} has no heads")
     horizon = len(ground_truths[0])
+    for c, gt in enumerate(ground_truths):
+        if len(gt) != horizon:
+            raise InputShapeError(
+                f"case {c}: ground truth has {len(gt)} points, case 0's has {horizon}"
+            )
+    trajs = [t for heads in prediction_sets for t in heads]
+    case_of = np.repeat(np.arange(len(counts)), counts)
+    mismatched = np.flatnonzero(np.array([len(t.points) for t in trajs]) != horizon)
+    if mismatched.size:
+        raise InputShapeError(
+            f"case {case_of[mismatched[0]]}: prediction/ground-truth length mismatch"
+        )
+    if horizon < 4:
+        raise InputShapeError("need at least 4 points for all physics primitives")
 
+    truths = np.stack([g.points for g in ground_truths])
+    n = len(trajs)
+    ades, fdes = np.empty(n), np.empty(n)
     per_ts_sum = np.zeros(horizon)
-    ades, fdes, min_ades, min_fdes = [], [], [], []
-    pred_prims = {p: [] for p in PRIMITIVES}
-    gt_prims = {p: [] for p in PRIMITIVES}
-
-    n_traj = 0
-    for heads, gt in zip(prediction_sets, ground_truths):
-        case_ades = []
-        case_fdes = []
-        for t in heads:
-            case_ades.append(ade(t, gt))
-            case_fdes.append(fde(t, gt))
-            per_ts_sum += per_timestep_errors(t, gt)
-            n_traj += 1
-            prims = physics_primitives(t)
-            for p in PRIMITIVES:
-                pred_prims[p].append(prims[p])
-        ades.extend(case_ades)
-        fdes.extend(case_fdes)
-        min_ades.append(min(case_ades))
-        min_fdes.append(min(case_fdes))
-        gprims = physics_primitives(gt)
-        for p in PRIMITIVES:
-            gt_prims[p].append(gprims[p])
+    pred_prims = {p: np.empty((n, horizon - k)) for p, k in _LOST_STEPS.items()}
+    for lo in range(0, n, EVAL_BLOCK):
+        block = trajs[lo:lo + EVAL_BLOCK]
+        hi = lo + len(block)
+        pred = np.stack([t.points for t in block])
+        err, ades[lo:hi], fdes[lo:hi] = _displacement_errors(pred, truths[case_of[lo:hi]])
+        # an axis-0 sum adds the rows one at a time, in trajectory order
+        per_ts_sum = np.vstack([per_ts_sum, err]).sum(axis=0)
+        for p, v in _primitives(pred, np.array([t.dt for t in block])).items():
+            pred_prims[p][lo:hi] = v
+    gt_prims = _primitives(truths, np.array([g.dt for g in ground_truths]))
 
     chi2 = {}
     specs = {}
     for p in PRIMITIVES:
-        gt_all = np.concatenate(gt_prims[p])
-        pred_all = np.concatenate(pred_prims[p])
+        gt_all = gt_prims[p].ravel()
         spec = histogram_spec_from_samples(gt_all, n_bins=n_bins)
         specs[p] = asdict(spec)
-        chi2[p] = chi2_distance(pred_all, gt_all, spec)
+        chi2[p] = chi2_distance(pred_prims[p].ravel(), gt_all, spec)
 
-    per_timestep = (per_ts_sum / n_traj).tolist()
+    starts = np.cumsum(counts) - counts
     return MetricsReport(
         ade=float(np.mean(ades)),
         fde=float(np.mean(fdes)),
-        min_ade=float(np.mean(min_ades)),
-        min_fde=float(np.mean(min_fdes)),
+        min_ade=float(np.mean(np.minimum.reduceat(ades, starts))),
+        min_fde=float(np.mean(np.minimum.reduceat(fdes, starts))),
         chi2=chi2,
-        per_timestep=per_timestep,
+        per_timestep=(per_ts_sum / n).tolist(),
         n_samples=len(prediction_sets),
         histogram_specs=specs,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -55,11 +56,16 @@ class Trajectory:
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
 
+    @classmethod
+    def _over(cls, points: np.ndarray, dt: float) -> "Trajectory":
+        """A Trajectory around points already checked to be a finite float
+        (T, 2) array with T >= 2, and a positive dt, without a copy."""
+        traj = cls.__new__(cls)
+        traj.points, traj.dt = points, dt
+        return traj
+
     def __len__(self) -> int:
         return len(self.points)
-
-    def displacements(self) -> np.ndarray:
-        return np.diff(self.points, axis=0)
 
     def initial_heading(self) -> float:
         d = self.points[1] - self.points[0]
@@ -181,16 +187,21 @@ class OracleParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if min(self.v_max, self.a_max, self.turn_rate_max) <= 0:
-            raise ConfigError("kinematic caps must be positive")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("v_max", "a_max", "turn_rate_max", "follow_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not (0.0 < self.gamma <= 1.0):
-            raise ConfigError("gamma must be in (0, 1]")
-        if self.w_follow < 0 or self.w_energy < 0 or self.w_follow + self.w_energy <= 0:
-            raise ConfigError("reward weights must be non-negative and not both zero")
-        if self.follow_scale <= 0:
-            raise ConfigError("follow_scale must be positive")
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma!r}")
+        for name in ("w_follow", "w_energy"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.w_follow + self.w_energy <= 0:
+            raise ConfigError("w_follow and w_energy must not both be zero")
 
 
 @dataclass
@@ -506,8 +517,12 @@ def build_plausibility_dataset(
         points = _pair_points(bank_disp[np.searchsorted(members, t)], root[p], heading[p],
                               speed[p], first_norm[t], first_angle[t], kinds[rows],
                               uniforms[rows], dt, params)
+        # the bank trajectories fix the shape and dt; the pair points are
+        # checked once per group, then each row is wrapped as it is
+        if not np.isfinite(points).all():
+            raise InputShapeError("trajectory contains non-finite coordinates")
         for i, pts in zip(rows.tolist(), points):
-            trajectories[i] = Trajectory(pts, dt)
+            trajectories[i] = Trajectory._over(pts, dt)
         rewards[rows] = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
 
     observables = {}  # index of a bank state -> its one ObservableState

@@ -332,36 +332,50 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
 @pytest.mark.parametrize(
     "command, override, message",
     [
-        ("train-locoval", {"locoval": {"train": {"learning_rate": 1e400}}}, "learning_rate"),
+        ("train-locoval", {"locoval": {"train": {"learning_rate": 1e400}}},
+         "locoval.train.learning_rate must be"),
         ("train-locoval", {"locoval": {"train": {"learning_rate": float("nan")}}},
-         "learning_rate"),
-        ("train-locoval", {"locoval": {"train": {"beta1": 1.0}}}, "beta1"),
-        ("train-locoval", {"locoval": {"train": {"eps": 0}}}, "eps"),
-        ("gen-data", {"predictor": {"stride": 0}}, "predictor.stride"),
-        ("gen-data", {"predictor": {"stride": -1}}, "predictor.stride"),
-        ("gen-data", {"predictor": {"future_frames": 1}}, "predictor.future_frames"),
-        ("train-locoval", {"locoval": {"holdout_fraction": 1.5}}, "locoval.holdout_fraction"),
-        ("train-locoval", {"locoval": {"hidden": [0]}}, "locoval.hidden"),
-        ("train-predictor", {"predictor": {"trunk_hidden": [0]}}, "predictor.trunk_hidden"),
-        ("gen-data", {"plausibility": {"n_plausible": "abc"}}, "plausibility.n_plausible"),
-        ("gen-data", {"plausibility": {"n_plausible": 2.5}}, "plausibility.n_plausible"),
-        ("gen-data", {"plausibility": {"n_implausible": True}}, "plausibility.n_implausible"),
-        ("gen-data", {"plausibility": {"seed": "s"}}, "plausibility.seed"),
-        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0]}}}, "speed_range"),
-        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0, 1.0]}}}, "speed_range"),
-        ("gen-data", {"data": {"synthetic": {"accel_range": [0.2, "x"]}}}, "accel_range"),
-        ("gen-data", {"data": {"synthetic": {"noise_sigma": -1}}}, "noise_sigma"),
-        ("gen-data", {"data": {"synthetic": {"min_reward": 1.5}}}, "min_reward"),
-        ("gen-data", {"data": {"synthetic": {"max_retries": 0}}}, "max_retries"),
-        ("gen-data", {"oracle": {"a_max": float("inf")}}, "a_max must be finite"),
-        ("gen-data", {"oracle": {"v_max": float("nan")}}, "v_max must be finite"),
+         "locoval.train.learning_rate must be"),
+        ("train-locoval", {"locoval": {"train": {"beta1": 1.0}}}, "locoval.train.beta1 must be"),
+        ("train-locoval", {"locoval": {"train": {"eps": 0}}}, "locoval.train.eps must be"),
+        ("gen-data", {"predictor": {"stride": 0}}, "predictor.stride must be"),
+        ("gen-data", {"predictor": {"stride": -1}}, "predictor.stride must be"),
+        ("gen-data", {"predictor": {"future_frames": 1}}, "predictor.future_frames must be"),
+        ("train-locoval", {"locoval": {"holdout_fraction": 1.5}},
+         "locoval.holdout_fraction must be"),
+        ("train-locoval", {"locoval": {"hidden": [0]}}, "locoval.hidden widths must be"),
+        ("train-predictor", {"predictor": {"trunk_hidden": [0]}},
+         "predictor.trunk_hidden widths must be"),
+        ("gen-data", {"plausibility": {"n_plausible": "abc"}},
+         "plausibility.n_plausible must be"),
+        ("gen-data", {"plausibility": {"n_plausible": 2.5}}, "plausibility.n_plausible must be"),
+        ("gen-data", {"plausibility": {"n_implausible": True}},
+         "plausibility.n_implausible must be"),
+        ("gen-data", {"plausibility": {"seed": "s"}}, "plausibility.seed must be"),
+        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0]}}},
+         "data.synthetic.speed_range must be"),
+        ("gen-data", {"data": {"synthetic": {"speed_range": [2.0, 1.0]}}},
+         "data.synthetic.speed_range must be"),
+        ("gen-data", {"data": {"synthetic": {"accel_range": [0.2, "x"]}}},
+         "data.synthetic.accel_range must be"),
+        ("gen-data", {"data": {"synthetic": {"noise_sigma": -1}}},
+         "data.synthetic.noise_sigma must be"),
+        ("gen-data", {"data": {"synthetic": {"min_reward": 1.5}}},
+         "data.synthetic.min_reward must be"),
+        ("gen-data", {"data": {"synthetic": {"max_retries": 0}}},
+         "data.synthetic.max_retries must be"),
+        ("gen-data", {"oracle": {"a_max": float("inf")}}, "oracle.a_max must be finite"),
+        ("gen-data", {"oracle": {"v_max": float("nan")}}, "oracle.v_max must be finite"),
+        ("gen-data", {"oracle": {"w_energy": "x"}},
+         "oracle.w_energy must be a real number, got 'x'"),
+        ("gen-data", {"oracle": {"v_max": -1}}, "oracle.v_max must be positive"),
     ],
     ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
          "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
          "n-plausible-string", "n-plausible-float", "n-implausible-bool", "pair-seed-string",
          "speed-range-one-value", "speed-range-reversed", "accel-range-string",
          "noise-negative", "min-reward-above-one", "max-retries-zero", "a-max-infinite",
-         "v-max-nan"],
+         "v-max-nan", "w-energy-string", "v-max-negative"],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):
@@ -369,5 +383,6 @@ def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, ov
     cfg.write_text(json.dumps(override))
     assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    # the section path, then the field and what is wrong with it
+    assert err.startswith(f"config error: config.{message}")
     assert err.count("\n") == 1 and "Traceback" not in err

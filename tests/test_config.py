@@ -92,7 +92,7 @@ def test_resolved_config_contains_every_section():
 )
 @pytest.mark.parametrize("section", ["locoval", "predictor"])
 def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=rf"^config\.{section}\.train\.{field} must be"):
         config_from_dict({section: {"train": {field: value}}})
 
 
@@ -111,7 +111,7 @@ def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value
     ],
 )
 def test_bad_section_fields_rejected(section, field, value):
-    with pytest.raises(ConfigError, match=f"{section}.{field}"):
+    with pytest.raises(ConfigError, match=rf"^config\.{section}\.{field} (widths )?must be"):
         config_from_dict({section: {field: value}})
 
 
@@ -129,7 +129,7 @@ def test_bad_section_fields_rejected(section, field, value):
     ],
 )
 def test_bad_plausibility_fields_rejected(field, value):
-    with pytest.raises(ConfigError, match=f"plausibility.{field}"):
+    with pytest.raises(ConfigError, match=rf"^config\.plausibility\.{field} must be"):
         config_from_dict({"plausibility": {field: value}})
 
 
@@ -156,7 +156,7 @@ def test_bad_plausibility_fields_rejected(field, value):
     ],
 )
 def test_bad_synthetic_fields_rejected(field, value):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=rf"^config\.data\.synthetic\.{field} must be"):
         config_from_dict({"data": {"synthetic": {field: value}}})
 
 
@@ -165,8 +165,40 @@ def test_bad_synthetic_fields_rejected(field, value):
 )
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_oracle_params_rejected(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+    with pytest.raises(ConfigError, match=rf"^config\.oracle\.{field} must be finite"):
         config_from_dict({"oracle": {field: value}})
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"w_energy": "x"}, "config.oracle.w_energy must be a real number, got 'x'"),
+        ({"gamma": None}, "config.oracle.gamma must be a real number, got None"),
+        ({"a_max": True}, "config.oracle.a_max must be a real number, got True"),
+        ({"v_max": -1}, "config.oracle.v_max must be positive, got -1"),
+        ({"turn_rate_max": 0.0}, "config.oracle.turn_rate_max must be positive, got 0.0"),
+        ({"follow_scale": -0.5}, "config.oracle.follow_scale must be positive, got -0.5"),
+        ({"gamma": 1.5}, "config.oracle.gamma must be in (0, 1], got 1.5"),
+        ({"w_follow": -1.0}, "config.oracle.w_follow must be non-negative, got -1.0"),
+        ({"w_follow": 0.0, "w_energy": 0.0},
+         "config.oracle.w_follow and w_energy must not both be zero"),
+    ],
+)
+def test_bad_oracle_params_name_the_field(override, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"oracle": override})
+    assert str(exc.value) == message
+
+
+def test_section_path_is_prefixed_once():
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"data": {"synthetic": {"speed_range": [2, 1]}}})
+    assert str(exc.value).startswith("config.data.synthetic.speed_range must be")
+    assert str(exc.value).count("config.") == 1
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"predictor": {"train": {"schedule": "linear"}}})
+    assert str(exc.value) == ("config.predictor.train.schedule must be constant or cosine, "
+                              "got 'linear'")
 
 
 def test_edge_values_accepted():

@@ -138,7 +138,7 @@ def test_synthetic_noiseless_straight_displacements():
     )
     ds = generate_synthetic(cfg, 3, seed=11)
     for track in ds.tracks.values():
-        norms = np.linalg.norm(track.displacements(), axis=1)
+        norms = np.linalg.norm(np.diff(track.points, axis=0), axis=1)
         np.testing.assert_allclose(norms, cfg.dt * 1.0, atol=1e-9)
 
 

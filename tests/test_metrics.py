@@ -1,25 +1,32 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plaustraj import metrics
 from plaustraj.errors import ConfigError, InputShapeError
 from plaustraj.metrics import (
+    DEFAULT_N_BINS,
+    PRIMITIVES,
+    STATIONARY_EPS,
+    EVAL_BLOCK,
     HistogramSpec,
+    MetricsReport,
     ade,
     bin_by_plausibility,
     chi2_distance,
     evaluate_predictions,
     fde,
     histogram_spec_from_samples,
-    min_over_heads,
     pearson_r,
     per_timestep_errors,
     physics_primitives,
     spearman_rho,
 )
-from plaustraj.oracle import Trajectory
+from plaustraj.oracle import Trajectory, wrap_angle
 
 
 def traj(pts, dt=0.4):
@@ -28,6 +35,99 @@ def traj(pts, dt=0.4):
 
 def random_traj(rng, n=8):
     return traj(rng.normal(scale=2.0, size=(n, 2)))
+
+
+def min_over_heads(metric, trajectories, gt):
+    if not trajectories:
+        raise InputShapeError("need at least one head")
+    return min(metric(t, gt) for t in trajectories)
+
+
+# ---------------------------------------------------------------------------
+# Reference: every metric one trajectory at a time. The array core in
+# plaustraj.metrics must reproduce it bit for bit.
+
+
+def ref_errors(pred, gt):
+    if len(pred) != len(gt):
+        raise InputShapeError("prediction/ground-truth length mismatch")
+    return np.linalg.norm(pred.points - gt.points, axis=1)
+
+
+def ref_ade(pred, gt):
+    return float(np.mean(ref_errors(pred, gt)))
+
+
+def ref_fde(pred, gt):
+    ref_errors(pred, gt)
+    return float(np.linalg.norm(pred.points[-1] - gt.points[-1]))
+
+
+def ref_physics_primitives(t):
+    if len(t) < 4:
+        raise InputShapeError("need at least 4 points for all physics primitives")
+    dt = t.dt
+    disp = np.diff(t.points, axis=0)
+    speeds = np.linalg.norm(disp, axis=1) / dt
+    accel = np.diff(speeds) / dt
+    headings = np.empty(len(disp))
+    prev = 0.0
+    for i, d in enumerate(disp):
+        if np.linalg.norm(d) >= STATIONARY_EPS:
+            prev = math.atan2(d[1], d[0])
+        headings[i] = prev
+    ang_vel = np.array(
+        [wrap_angle(headings[i + 1] - headings[i]) / dt for i in range(len(headings) - 1)]
+    )
+    ang_acc = np.diff(ang_vel) / dt
+    return {"velocity": speeds, "acceleration": accel, "angular_velocity": ang_vel,
+            "angular_acceleration": ang_acc}
+
+
+def ref_evaluate_predictions(prediction_sets, ground_truths, n_bins=DEFAULT_N_BINS):
+    if len(prediction_sets) != len(ground_truths) or not prediction_sets:
+        raise InputShapeError("need matching, non-empty prediction and ground-truth lists")
+    per_ts_sum = np.zeros(len(ground_truths[0]))
+    ades, fdes, min_ades, min_fdes = [], [], [], []
+    pred_prims = {p: [] for p in PRIMITIVES}
+    gt_prims = {p: [] for p in PRIMITIVES}
+    n_traj = 0
+    for heads, gt in zip(prediction_sets, ground_truths):
+        case_ades = [ref_ade(t, gt) for t in heads]
+        case_fdes = [ref_fde(t, gt) for t in heads]
+        for t in heads:
+            per_ts_sum += ref_errors(t, gt)
+            n_traj += 1
+            for p, v in ref_physics_primitives(t).items():
+                pred_prims[p].append(v)
+        ades.extend(case_ades)
+        fdes.extend(case_fdes)
+        min_ades.append(min(case_ades))
+        min_fdes.append(min(case_fdes))
+        for p, v in ref_physics_primitives(gt).items():
+            gt_prims[p].append(v)
+    chi2, specs = {}, {}
+    for p in PRIMITIVES:
+        gt_all = np.concatenate(gt_prims[p])
+        spec = histogram_spec_from_samples(gt_all, n_bins=n_bins)
+        specs[p] = asdict(spec)
+        chi2[p] = chi2_distance(np.concatenate(pred_prims[p]), gt_all, spec)
+    return MetricsReport(
+        ade=float(np.mean(ades)), fde=float(np.mean(fdes)),
+        min_ade=float(np.mean(min_ades)), min_fde=float(np.mean(min_fdes)),
+        chi2=chi2, per_timestep=(per_ts_sum / n_traj).tolist(),
+        n_samples=len(prediction_sets), histogram_specs=specs,
+    )
+
+
+def report_bytes(report):
+    return json.dumps(report.to_json_dict(), indent=2)
+
+
+def assert_matches_reference(cases, gts, **kwargs):
+    got = evaluate_predictions(cases, gts, **kwargs)
+    assert report_bytes(got) == report_bytes(ref_evaluate_predictions(cases, gts, **kwargs))
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +375,163 @@ def test_evaluate_predictions_brute_force_oracle():
 def test_evaluate_predictions_empty_raises():
     with pytest.raises(InputShapeError):
         evaluate_predictions([], [])
+
+
+# ---------------------------------------------------------------------------
+# array core against the per-trajectory reference, bit for bit
+
+
+def ragged_cases(rng, n_traj, horizon=12, max_heads=5, dts=(0.4,)):
+    """Cases of 1 to max_heads heads, n_traj heads in all; each case's dt is
+    drawn from dts and each ground truth has the horizon."""
+    cases, gts = [], []
+    while n_traj:
+        k = min(int(rng.integers(1, max_heads + 1)), n_traj)
+        dt = float(rng.choice(dts))
+        cases.append([traj(rng.normal(scale=2.0, size=(horizon, 2)), dt) for _ in range(k)])
+        gts.append(traj(rng.normal(scale=2.0, size=(horizon, 2)), dt))
+        n_traj -= k
+    return cases, gts
+
+
+@pytest.mark.parametrize("n_traj", [1, EVAL_BLOCK - 1, EVAL_BLOCK, 2 * EVAL_BLOCK,
+                                    2 * EVAL_BLOCK + 1])
+def test_evaluate_matches_reference_around_the_block_size(n_traj):
+    rng = np.random.default_rng(n_traj)
+    cases, gts = ragged_cases(rng, n_traj)
+    report = assert_matches_reference(cases, gts)
+    assert report.n_samples == len(cases)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_evaluate_matches_reference_with_small_blocks(monkeypatch, block):
+    # cases straddle block boundaries; some blocks hold only part of a case
+    monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
+    rng = np.random.default_rng(block)
+    cases, gts = ragged_cases(rng, 23, max_heads=4)
+    assert_matches_reference(cases, gts)
+
+
+def test_evaluate_matches_reference_with_one_head_cases_and_mixed_dt():
+    rng = np.random.default_rng(11)
+    cases, gts = ragged_cases(rng, 300, horizon=9, max_heads=1, dts=(0.1, 0.4, 0.25))
+    assert all(len(c) == 1 for c in cases)
+    assert_matches_reference(cases, gts)
+    cases, gts = ragged_cases(rng, 300, horizon=9, max_heads=6, dts=(0.1, 0.4, 0.25))
+    # a head may carry a dt other than its ground truth's
+    cases[0][0] = traj(cases[0][0].points, 0.7)
+    assert_matches_reference(cases, gts)
+
+
+def test_evaluate_matches_reference_with_a_non_default_bin_count():
+    rng = np.random.default_rng(12)
+    cases, gts = ragged_cases(rng, 200)
+    for n_bins in (2, 7, 123):
+        report = assert_matches_reference(cases, gts, n_bins=n_bins)
+        assert all(s["n_bins"] == n_bins for s in report.histogram_specs.values())
+
+
+def awkward_tracks():
+    """Stationary steps and headings on the +-pi tie."""
+    walk = np.cumsum(np.full((10, 2), 0.3), axis=0)
+    paused = walk.copy()
+    paused[4:7] = paused[4]  # a pause mid-track
+    first_still = walk.copy()
+    first_still[1] = first_still[0]  # a stationary first step
+    creep = walk.copy()
+    creep[6] = creep[5] + [4e-7, -4e-7]  # below the stationary threshold
+    still = np.zeros((10, 2))
+    # a first step whose norm is at least the threshold by np.linalg.norm's
+    # dot (with this BLAS's fused multiply-add) but not by sqrt(x*x + y*y)
+    step = np.array([1.7220220392534248e-07, -9.850616229268372e-07])
+    edge = np.concatenate([[[0.0, 0.0], step], step + walk[:8]])
+    # steps heading due west: atan2(+0.0, -1) = pi and atan2(-0.0, -1) = -pi
+    west = np.array([[-float(i), 0.0 if i % 2 else -0.0] for i in range(10)])
+    zigzag = np.array([[-float(i), (-1e-300, 0.0, -0.0, 1e-300)[i % 4]] for i in range(10)])
+    return [paused, first_still, creep, still, west, zigzag, edge]
+
+
+def test_physics_primitives_match_reference_on_awkward_tracks():
+    rng = np.random.default_rng(13)
+    tracks = awkward_tracks() + [rng.normal(size=(int(rng.integers(4, 15)), 2))
+                                 for _ in range(200)]
+    for pts in tracks:
+        for dt in (0.4, 0.13):
+            got, want = physics_primitives(traj(pts, dt)), ref_physics_primitives(traj(pts, dt))
+            for p in PRIMITIVES:
+                assert got[p].tobytes() == want[p].tobytes(), p
+
+
+def test_array_core_rows_match_reference():
+    # each row of one block, not only the means that a report keeps
+    rng = np.random.default_rng(20)
+    points = np.concatenate([np.stack(awkward_tracks()), rng.normal(size=(500, 10, 2))])
+    truths = rng.normal(size=points.shape)
+    dt = rng.choice([0.4, 0.13, 0.25], size=len(points))
+    err, ades, fdes = metrics._displacement_errors(points, truths)
+    prims = metrics._primitives(points, dt)
+    for i, (pts, gt_pts) in enumerate(zip(points, truths)):
+        pred, gt = traj(pts, dt[i]), traj(gt_pts, dt[i])
+        assert err[i].tobytes() == ref_errors(pred, gt).tobytes()
+        assert ades[i] == ref_ade(pred, gt) and fdes[i] == ref_fde(pred, gt)
+        want = ref_physics_primitives(pred)
+        for p in PRIMITIVES:
+            assert prims[p][i].tobytes() == want[p].tobytes(), (i, p)
+
+
+def test_headings_on_the_pi_tie_wrap_to_zero_turn():
+    west = traj(awkward_tracks()[4])
+    np.testing.assert_array_equal(physics_primitives(west)["angular_velocity"], 0.0)
+
+
+def test_evaluate_matches_reference_on_awkward_tracks():
+    rng = np.random.default_rng(14)
+    tracks = [traj(p) for p in awkward_tracks()]
+    cases = [tracks[:2], [tracks[3]], tracks[2:], [tracks[4], tracks[5], tracks[0]],
+             [tracks[6]]]
+    gts = [tracks[3], tracks[5], traj(rng.normal(size=(10, 2))), tracks[1], tracks[6]]
+    assert_matches_reference(cases, gts)
+    # all-stationary ground truths and heads
+    assert_matches_reference([[tracks[3]], [tracks[3], tracks[3]]], [tracks[3], tracks[3]])
+
+
+def test_one_row_metrics_match_reference():
+    rng = np.random.default_rng(15)
+    for _ in range(4000):
+        horizon = int(rng.integers(2, 15))
+        a, b = (traj(rng.normal(scale=3.0, size=(horizon, 2))) for _ in range(2))
+        assert ade(a, b) == ref_ade(a, b)
+        assert fde(a, b) == ref_fde(a, b)
+        assert per_timestep_errors(a, b).tobytes() == ref_errors(a, b).tobytes()
+
+
+def test_evaluate_rejects_a_case_without_heads():
+    rng = np.random.default_rng(16)
+    cases, gts = ragged_cases(rng, 6)
+    cases[1] = []
+    with pytest.raises(InputShapeError, match="case 1 has no heads"):
+        evaluate_predictions(cases, gts)
+
+
+def test_evaluate_rejects_ground_truths_of_two_lengths():
+    rng = np.random.default_rng(17)
+    cases = [[random_traj(rng, 8)], [random_traj(rng, 9)]]
+    gts = [random_traj(rng, 8), random_traj(rng, 9)]
+    with pytest.raises(InputShapeError, match="case 1: ground truth has 9 points"):
+        evaluate_predictions(cases, gts)
+
+
+def test_evaluate_rejects_a_head_of_another_length():
+    rng = np.random.default_rng(18)
+    cases = [[random_traj(rng, 8)], [random_traj(rng, 8), random_traj(rng, 7)]]
+    gts = [random_traj(rng, 8), random_traj(rng, 8)]
+    with pytest.raises(InputShapeError, match="case 1: prediction/ground-truth length"):
+        evaluate_predictions(cases, gts)
+
+
+def test_evaluate_rejects_short_tracks_and_list_mismatch():
+    rng = np.random.default_rng(19)
+    with pytest.raises(InputShapeError, match="at least 4 points"):
+        evaluate_predictions([[random_traj(rng, 3)]], [random_traj(rng, 3)])
+    with pytest.raises(InputShapeError, match="matching, non-empty"):
+        evaluate_predictions([[random_traj(rng)]], [random_traj(rng), random_traj(rng)])

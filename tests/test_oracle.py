@@ -45,7 +45,7 @@ def align_trajectory_to_pose(traj: Trajectory, state: HumanoidState) -> Trajecto
     """Rotate the trajectory about its first point so its initial direction
     matches the pose heading, scale its displacements so the first-step speed
     equals the pose root speed, and move its start to the pose root."""
-    disp = traj.displacements()
+    disp = np.diff(traj.points, axis=0)
     first = disp[0]
     first_norm = np.linalg.norm(first)
     pose_speed = np.linalg.norm(state.root_velocity)
@@ -65,7 +65,7 @@ def translate_trajectory_to_root(traj: Trajectory, state: HumanoidState) -> Traj
 
 def perturb(traj: Trajectory, state: HumanoidState, kind: str,
             params: OracleParams, rng: np.random.Generator) -> Trajectory:
-    disp = traj.displacements()
+    disp = np.diff(traj.points, axis=0)
     if kind == "heading_flip":
         first = disp[0]
         angle = wrap_angle(state.heading + math.pi - math.atan2(first[1], first[0]))
@@ -94,7 +94,7 @@ def sample_plausible_pair(pose_bank, traj_bank, rng, max_resamples=32, stats=Non
     for attempt in range(max_resamples):
         state = pose_bank[rng.integers(len(pose_bank))]
         traj = traj_bank[rng.integers(len(traj_bank))]
-        moving = np.linalg.norm(traj.displacements()[0]) > 1e-9
+        moving = np.linalg.norm(np.diff(traj.points, axis=0)[0]) > 1e-9
         if np.linalg.norm(state.root_velocity) < 1e-9 and moving:
             _count(stats, "zero_speed_resamples")
             continue
@@ -116,7 +116,7 @@ def sample_implausible_pair(pose_bank, traj_bank, rng, params=OracleParams(),
     if perturbation is None:
         perturbation = PERTURBATIONS[rng.integers(len(PERTURBATIONS))]
     _count(stats, perturbation)
-    if not np.any(traj.displacements()[0]):
+    if not np.any(np.diff(traj.points, axis=0)[0]):
         _count(stats, f"{perturbation}_zero_step")
     return perturb(traj, state, perturbation, params, rng), state
 
@@ -482,7 +482,7 @@ def test_alignment_scales_to_pose_speed():
     slow = straight_trajectory(n=6, speed=0.75)
     aligned = align_trajectory_to_pose(slow, state)
     np.testing.assert_allclose(
-        aligned.displacements(), slow.displacements() * 2.0, atol=1e-12
+        np.diff(aligned.points, axis=0), np.diff(slow.points, axis=0) * 2.0, atol=1e-12
     )
 
 
@@ -549,6 +549,21 @@ def test_dataset_empty_counts():
 def test_dataset_empty_banks_error():
     with pytest.raises(DataError):
         build_plausibility_dataset([], [], 5, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_dataset_rejects_non_finite_pairs(traj_bank):
+    # the pose speed overflows, so every aligned pair is scaled to infinity
+    with pytest.raises(InputShapeError, match="non-finite"):
+        build_plausibility_dataset([walker(speed=1e300)], traj_bank, 5, 0, seed=0)
+
+
+def test_dataset_rows_are_checked_trajectories(pose_bank, traj_bank):
+    for s in build_plausibility_dataset(pose_bank, traj_bank, 20, 20, seed=3):
+        t = s.trajectory
+        assert t.points.dtype == np.float64 and t.points.shape == (len(t), 2)
+        assert isinstance(t.dt, float) and t.dt > 0
+        assert np.isfinite(t.points).all()
 
 
 def test_zero_speed_pose_resampling(traj_bank):

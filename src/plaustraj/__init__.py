@@ -18,7 +18,6 @@ from .locoval import (
     load_locoval,
     save_locoval,
     score,
-    score_with_traj_grad,
     train_locoval,
 )
 from .datakit import TrainingInstance
@@ -54,7 +53,6 @@ __all__ = [
     "load_locoval",
     "save_locoval",
     "score",
-    "score_with_traj_grad",
     "train_locoval",
     "InputLayout",
     "PredictionSet",

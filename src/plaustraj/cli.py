@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datakit, filtering, gradcore, locoval as locoval_mod, metrics, oracle
 from . import predictor as predictor_mod
-from .config import RunConfig, load_config, save_resolved_config
+from .config import RunConfig, load_config, override, save_resolved_config
 from .errors import ConfigError, DataError, InputShapeError, NumericError
 from .metrics import pearson_r
 
@@ -138,6 +138,8 @@ def cmd_train_locoval(config_path, out, data_dir):
     if not csv_path.exists():
         raise DataError(f"missing {csv_path}; run gen-data first")
     samples = oracle.load_plausibility_csv(csv_path)
+    if not samples:
+        raise DataError(f"{csv_path}: no pairs after the header")
 
     layout = locoval_mod.FeatureLayout(
         horizon=len(samples[0].trajectory),
@@ -182,10 +184,7 @@ def cmd_train_locoval(config_path, out, data_dir):
 def cmd_train_predictor(config_path, out, alpha, heads, seed):
     """Train the trajectory predictor (regularized when alpha > 0)."""
     cfg = _load_run_config(config_path)
-    if alpha is not None:
-        cfg.predictor.alpha = alpha
-    if heads is not None:
-        cfg.predictor.n_heads = heads
+    cfg.predictor = override(cfg.predictor, "config.predictor", alpha=alpha, n_heads=heads)
     if seed is not None:
         cfg.predictor.train.seed = seed
     out_dir = _out_dir(out)
@@ -207,7 +206,6 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
         alpha=cfg.predictor.alpha,
         n_heads=cfg.predictor.n_heads,
         trunk_hidden=tuple(cfg.predictor.trunk_hidden),
-        emloco_form=cfg.predictor.emloco_form,
     )
     predictor_mod.save_predictor(
         result, out_dir / "predictor.json", train_config=cfg.predictor.train
@@ -332,7 +330,7 @@ def cmd_sweep(config_path, out, param, values):
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
     grid = (
-        [float(v) for v in values.split(",")]
+        _parse_grid(values)
         if values
         else list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
     )
@@ -365,7 +363,6 @@ def cmd_sweep(config_path, out, param, values):
                 alpha=alpha,
                 n_heads=cfg.predictor.n_heads,
                 trunk_hidden=tuple(cfg.predictor.trunk_hidden),
-                emloco_form=cfg.predictor.emloco_form,
             )
             cases = _eval_cases(result.model, None, instances)
             report = metrics.evaluate_predictions(
@@ -390,6 +387,16 @@ def cmd_sweep(config_path, out, param, values):
     for row in rows:
         click.echo("  ".join(f"{k}={v}" for k, v in row.items()))
     click.echo(f"wrote {sweep_path}")
+
+
+def _parse_grid(values: str) -> list[float]:
+    grid = []
+    for v in values.split(","):
+        try:
+            grid.append(float(v))
+        except ValueError:
+            raise ConfigError(f"--values: {v!r} is not a number")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,10 @@ def load_candidates_tsv(path, dt: float) -> dict:
 
 def load_observables_json(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected an object mapping case id to state")
     observables = {}

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 from .datakit import SyntheticConfig
@@ -31,14 +33,22 @@ class PlausibilitySection:
 
     def __post_init__(self):
         for name in ("n_plausible", "n_implausible", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
-                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+            _check_int(name, getattr(self, name), 0)
 
 
 def _check_widths(name: str, widths):
     if not all(isinstance(w, int) and w >= 1 for w in widths):
         raise ConfigError(f"{name} widths must be integers >= 1, got {list(widths)}")
+
+
+def _check_int(name: str, value, low: int):
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_unit(name: str, value):
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -68,7 +78,6 @@ class PredictorSection:
     window_seed: int = 4
     n_heads: int = 1
     alpha: float = 0.0
-    emloco_form: str = "squared"
     trunk_hidden: list = field(default_factory=lambda: [256, 256])
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(
@@ -82,6 +91,8 @@ class PredictorSection:
             raise ConfigError("stride must be >= 1")
         if self.future_frames < 2:
             raise ConfigError("future_frames must be >= 2")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         _check_widths("trunk_hidden", self.trunk_hidden)
 
 
@@ -92,6 +103,17 @@ class EvalSection:
     chi2_bins: int = 50
     lambdas: list = field(default_factory=lambda: [0.5, 0.6, 0.7, 0.8])
 
+    def __post_init__(self):
+        _check_unit("threshold", self.threshold)
+        if not self.lambdas:
+            raise ConfigError("lambdas must be a non-empty list, got []")
+        for value in self.lambdas:
+            if not _is_number(value):
+                raise ConfigError(f"lambdas must be numbers, got {value!r}")
+            _check_unit("lambdas", value)
+        _check_int("score_bins", self.score_bins, 1)
+        _check_int("chi2_bins", self.chi2_bins, 2)
+
 
 @dataclass
 class RunConfig:
@@ -101,6 +123,34 @@ class RunConfig:
     locoval: LocoValSection = field(default_factory=LocoValSection)
     predictor: PredictorSection = field(default_factory=PredictorSection)
     eval: EvalSection = field(default_factory=EvalSection)
+
+
+def _is_number(value) -> bool:
+    """A real number; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (type of a field's default, check on a value, what the value must be); bool
+# comes first because a bool is also an integer, and int before real
+_KINDS = (
+    (bool, lambda v: isinstance(v, bool), "true or false"),
+    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    (numbers.Real, _is_number, "a real number"),
+    (str, lambda v: isinstance(v, str), "a string"),
+    ((list, tuple), lambda v: isinstance(v, (list, tuple)), "a list"),
+    (dict, lambda v: isinstance(v, dict), "an object"),
+)
+
+
+def _check_kind(f: dataclasses.Field, value, path: str):
+    """A value of the kind of its field's default, so a section's own checks
+    compare like with like."""
+    default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+    for kind, ok, what in _KINDS:
+        if isinstance(default, kind):
+            if not ok(value):
+                raise ConfigError(f"{path}.{f.name} must be {what}, got {value!r}")
+            return
 
 
 def _from_dict(cls, data, path="config"):
@@ -115,10 +165,9 @@ def _from_dict(cls, data, path="config"):
         nested = _NESTED_TYPES.get((cls, name))
         if nested is not None:
             kwargs[name] = _from_dict(nested, value, f"{path}.{name}")
-        elif isinstance(value, list):
-            kwargs[name] = list(value)
-        else:
-            kwargs[name] = value
+            continue
+        _check_kind(field_map[name], value, path)
+        kwargs[name] = list(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -142,6 +191,16 @@ _NESTED_TYPES = {
 
 def config_from_dict(data: dict) -> RunConfig:
     return _from_dict(RunConfig, data)
+
+
+def override(section, path: str, **values):
+    """A copy of a config section with the given values set, checked as at
+    load; a value of None leaves its field as it is."""
+    try:
+        return dataclasses.replace(
+            section, **{k: v for k, v in values.items() if v is not None})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}")
 
 
 def load_config(path) -> RunConfig:

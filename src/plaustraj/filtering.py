@@ -3,7 +3,6 @@ argmax fallback, plus threshold sweeps."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +112,3 @@ def sweep_lambda(
             )
         )
     return entries
-
-
-def save_filter_report(result: FilterResult, path):
-    with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)

@@ -3,9 +3,9 @@
 A sigmoid-headed MLP regressed onto the locomotion oracle's reward. Inputs are
 canonicalized (root at the origin, facing direction rotated to +x) and the
 trajectory is encoded as per-step displacements, so the score is invariant to
-rigid motions and the speed cue is explicit. The scorer exposes analytic
-gradients w.r.t. the trajectory points, which is what lets a predictor train
-against it.
+rigid motions and the speed cue is explicit. Feature rows are linear in the
+displacements and encode_steps_adjoint pulls gradients back to them, which is
+what lets a predictor train against the scorer.
 """
 
 from __future__ import annotations
@@ -84,11 +84,13 @@ def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
     return obs.root_position, rotation_matrix(-obs.heading())
 
 
-def observation_tail(obs: ObservableState, root: np.ndarray, rot: np.ndarray,
-                     layout: FeatureLayout) -> np.ndarray:
-    """Features after the trajectory block, for the canonical frame (root,
-    rot): root-relative rotated joints (x, y, z per joint in the observable's
-    joint order), then the rotated root velocity."""
+def observation_frame(obs: ObservableState, layout: FeatureLayout
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(root, rot, tail) of one observable: its canonical frame and the
+    features after the trajectory block in that frame, which are the
+    root-relative rotated joints (x, y, z per joint in the observable's joint
+    order), then the rotated root velocity."""
+    root, rot = canonical_frame(obs)
     parts = []
     if layout.include_pose:
         names = obs.joint_order()
@@ -99,7 +101,7 @@ def observation_tail(obs: ObservableState, root: np.ndarray, rot: np.ndarray,
         parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
     if layout.include_velocity:
         parts.append(rot @ obs.root_velocity)
-    return np.concatenate(parts) if parts else np.empty(0)
+    return root, rot, np.concatenate(parts) if parts else np.empty(0)
 
 
 def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -148,21 +150,8 @@ def _canonicalize_shared(trajs: list[Trajectory], obs: ObservableState,
     """Feature rows of trajectories in the canonical frame of one observable."""
     for traj in trajs:
         _check_horizon(traj, layout)
-    root, rot = canonical_frame(obs)
-    steps = _steps_from(root, np.stack([t.points for t in trajs]))
-    return encode_steps(steps, rot, observation_tail(obs, root, rot, layout))
-
-
-def feature_grad_to_traj_grad(feature_grad: np.ndarray, obs: ObservableState,
-                              layout: FeatureLayout) -> np.ndarray:
-    """Pull a gradient w.r.t. the trajectory-feature block back to the
-    trajectory points. Features are linear in the points, so this is exact."""
-    _, rot = canonical_frame(obs)
-    g = encode_steps_adjoint(feature_grad[None], rot, layout.horizon)[0]
-    # step t contributes +p_t and step t+1 contributes -p_t
-    out = g.copy()
-    out[:-1] -= g[1:]
-    return out
+    root, rot, tail = observation_frame(obs, layout)
+    return encode_steps(_steps_from(root, np.stack([t.points for t in trajs])), rot, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +172,6 @@ def score_batch(model: LocoValModel, candidates: list[Trajectory],
         return []
     X = _canonicalize_shared(candidates, obs, model.layout)
     return [float(gradcore.forward(model.net, x)[0]) for x in X]
-
-
-def score_with_traj_grad(model: LocoValModel, traj: Trajectory,
-                         obs: ObservableState) -> tuple[float, np.ndarray]:
-    """Score plus d(score)/d(trajectory points), shape (T_f, 2)."""
-    feats = canonicalize(traj, obs, model.layout)
-    out, cache = gradcore.forward_cached(model.net, feats)
-    g_feats = gradcore.input_grad(model.net, cache, np.ones(1))
-    return float(out[0]), feature_grad_to_traj_grad(g_feats, obs, model.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +207,8 @@ def features_and_targets(dataset: list[PlausibilitySample],
         _check_horizon(s.trajectory, layout)
         points[i] = s.trajectory.points
         which[i] = observables.setdefault(id(s.observable), (len(observables), s.observable))[0]
-    m = len(observables)
-    roots = np.empty((m, 2))
-    rots = np.empty((m, 2, 2))
-    tails = np.empty((m, layout.feature_size - 2 * layout.horizon))
-    for k, (_, obs) in enumerate(observables.values()):
-        roots[k], rots[k] = canonical_frame(obs)
-        tails[k] = observation_tail(obs, roots[k], rots[k], layout)
+    roots, rots, tails = map(np.stack, zip(*(observation_frame(obs, layout)
+                                             for _, obs in observables.values())))
     X = encode_steps(_steps_from(roots[which], points), rots[which], tails[which])
     y = np.array([s.reward for s in dataset])
     return X, y

@@ -67,10 +67,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    def initial_heading(self) -> float:
-        d = self.points[1] - self.points[0]
-        return math.atan2(d[1], d[0])
-
     def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
                     pivot=(0.0, 0.0)) -> "Trajectory":
         """Rigid transform: rotate by angle about pivot, then translate."""

@@ -2,9 +2,10 @@
 
 A shared MLP trunk feeds one linear head layer whose column block k holds
 head k's future per-step displacements; predicted trajectories are cumulative
-sums anchored at the last observed position. Training combines the min-of-K
-MSE (plain MSE for one head) with a plausibility regularizer evaluated by a
-frozen scorer on every head. Checkpoints store one single-layer entry per head.
+sums anchored at the last observed position. Training minimizes the min-of-K
+MSE (plain MSE for one head) plus alpha * mean_k (score_k - 1)^2, the scores
+coming from a frozen scorer on every head. Checkpoints store one single-layer
+entry per head.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from . import gradcore, locoval as locoval_mod
 from .datakit import TrainingInstance
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
-from .locoval import LocoValModel, canonical_frame
+# canonical_frame is imported for the traced benchmark, which wraps
+# predictor.canonical_frame
+from .locoval import LocoValModel, canonical_frame  # noqa: F401
 from .oracle import ObservableState, Trajectory
 
 CHECKPOINT_SCHEMA_VERSION = 1
-EMLOCO_FORMS = ("squared", "negative")
 
 
 @dataclass(frozen=True)
@@ -173,51 +175,6 @@ def predict(model: PredictorModel, past: Trajectory,
 
 
 # ---------------------------------------------------------------------------
-# Losses
-
-
-def _traj_mse(pred: Trajectory, gt: Trajectory) -> float:
-    if len(pred) != len(gt):
-        raise InputShapeError("prediction/ground-truth length mismatch")
-    return float(np.mean((pred.points - gt.points) ** 2))
-
-
-def loss_mse(pred: PredictionSet, gt: Trajectory) -> float:
-    """Deterministic-setting MSE; requires a single head."""
-    if pred.n_heads != 1:
-        raise InputShapeError("loss_mse expects a single-head prediction set")
-    return _traj_mse(pred.trajectories[0], gt)
-
-
-def loss_minmse(pred: PredictionSet, gt: Trajectory) -> tuple[float, int]:
-    """Min over heads of per-head MSE; ties go to the lowest head index."""
-    values = [_traj_mse(t, gt) for t in pred.trajectories]
-    k = int(np.argmin(values))
-    return values[k], k
-
-
-def loss_emloco(scorer: LocoValModel, pred: PredictionSet, obs: ObservableState,
-                form: str = "squared") -> float:
-    """Plausibility regularizer averaged over every head.
-
-    squared: mean_k (score_k - 1)^2, bounded in [0, 1];
-    negative: mean_k -score_k.
-    """
-    if form not in EMLOCO_FORMS:
-        raise ConfigError(f"unknown regularizer form {form!r}")
-    scores = locoval_mod.score_batch(scorer, pred.trajectories, obs)
-    if form == "squared":
-        return float(np.mean([(s - 1.0) ** 2 for s in scores]))
-    return float(np.mean([-s for s in scores]))
-
-
-def loss_total(l_t: float, l_e: float, alpha: float) -> float:
-    if alpha < 0:
-        raise ConfigError("alpha must be non-negative")
-    return l_t + alpha * l_e
-
-
-# ---------------------------------------------------------------------------
 # Training
 
 
@@ -246,14 +203,55 @@ def _prepare_training_arrays(dataset: list[TrainingInstance], model: PredictorMo
     anchors = np.stack([inst.past.points[-1] for inst in dataset])
     rots = offsets = tails = None
     if scorer is not None:
-        frames = [canonical_frame(inst.observable) for inst in dataset]
-        rots = np.stack([rot for _, rot in frames])
-        offsets = anchors - np.stack([root for root, _ in frames])
-        tails = np.stack([
-            locoval_mod.observation_tail(inst.observable, root, rot, scorer.layout)
-            for inst, (root, rot) in zip(dataset, frames)
-        ])
+        roots, rots, tails = map(np.stack, zip(*(
+            locoval_mod.observation_frame(inst.observable, scorer.layout) for inst in dataset)))
+        offsets = anchors - roots
     return X, gt, anchors, rots, offsets, tails
+
+
+def min_of_k_mse(points: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Min-of-K MSE of head points (K, B, T_f, 2) against ground truths
+    (B, T_f, 2), plain MSE for one head. Returns the mean over samples of the
+    smallest per-head MSE, the argmin head per sample (ties go to the lowest
+    index) and the gradient w.r.t. points[sel[b], b] (B, T_f, 2); every other
+    head's points get zero gradient."""
+    B, horizon = points.shape[1:3]
+    rows = np.arange(B)
+    err = points - gt[None]
+    per_head = np.mean(err**2, axis=(2, 3))  # (K, B)
+    sel = np.argmin(per_head, axis=0)
+    return (float(np.mean(per_head[sel, rows])), sel,
+            2.0 * err[sel, rows] / (2 * horizon) / B)
+
+
+def emloco_loss(scorer: LocoValModel, steps: np.ndarray, rots: np.ndarray,
+                tails: np.ndarray) -> tuple[float, tuple]:
+    """The Embodied Locomotion term mean_k mean_b (score - 1)^2 of K heads on
+    B samples, from one frozen-scorer pass over the K·B rows (row k·B + b).
+
+    steps (K, B, T_f, 2) are world-frame displacements, the first taken from
+    sample b's root; rots (B, 2, 2) and tails (B, F - 2 T_f) are each sample's
+    canonical rotation and observation tail. Returns the loss and the scorer
+    pass, from which emloco_grad takes the gradient."""
+    K, B, horizon = steps.shape[:3]
+    rb = np.tile(rots, (K, 1, 1))
+    feats = locoval_mod.encode_steps(steps.reshape(K * B, horizon, 2), rb,
+                                     np.tile(tails, (K, 1)))
+    out, cache = gradcore.forward_cached(scorer.net, feats)
+    s = out[:, 0].reshape(K, B)
+    # added in head order: np.sum's pairwise order would move loss_plaus in the last bits
+    loss = sum(float(v) for v in np.mean((s - 1.0) ** 2, axis=1)) / K
+    return loss, (s, rb, cache)
+
+
+def emloco_grad(scorer: LocoValModel, scorer_pass: tuple) -> np.ndarray:
+    """Gradient of emloco_loss w.r.t. its steps (K, B, T_f, 2), from the
+    scorer pass it returned, with one input-only backward."""
+    s, rb, cache = scorer_pass
+    K, B = s.shape
+    g_feats = gradcore.input_grad(scorer.net, cache, (2.0 * (s - 1.0) / B / K).reshape(K * B, 1))
+    horizon = scorer.layout.horizon
+    return locoval_mod.encode_steps_adjoint(g_feats, rb, horizon).reshape(K, B, horizon, 2)
 
 
 def train_predictor(
@@ -263,22 +261,19 @@ def train_predictor(
     alpha: float = 0.0,
     n_heads: int = 1,
     trunk_hidden=(256, 256),
-    emloco_form: str = "squared",
     model: PredictorModel | None = None,
     eval_every: int = 50,
     include_gt_loss: bool = True,
 ) -> PredictorTrainResult:
-    """Train with loss_gt + alpha * regularizer; the scorer's weights stay
-    frozen. At alpha == 0 the regularizer term is fully detached so results
-    are bit-identical to a run without a scorer."""
+    """Train with min_of_k_mse + alpha * emloco_loss; the scorer's weights
+    stay frozen. At alpha == 0 the regularizer term is fully detached so
+    results are bit-identical to a run without a scorer."""
     if not dataset:
         raise DataError("empty training dataset")
-    if alpha < 0:
-        raise ConfigError("alpha must be non-negative")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha > 0 and scorer is None:
         raise ConfigError("alpha > 0 requires a scorer")
-    if emloco_form not in EMLOCO_FORMS:
-        raise ConfigError(f"unknown regularizer form {emloco_form!r}")
 
     horizon = len(dataset[0].future)
     if model is None:
@@ -320,38 +315,20 @@ def train_predictor(
         d_disp = _head_blocks(d_out, horizon)
         loss_gt_val = 0.0
         if include_gt_loss:
-            # min-of-K: each sample's gradient goes to its argmin head only
-            err = points - gtb[None]                       # (K, B, T_f, 2)
-            per_head_mse = np.mean(err**2, axis=(2, 3))    # (K, B)
-            sel = np.argmin(per_head_mse, axis=0)          # (B,)
-            rows = np.arange(B)
-            loss_gt_val = float(np.mean(per_head_mse[sel, rows]))
-            d_points = 2.0 * err[sel, rows] / (2 * horizon) / B
-            d_disp[sel, rows] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
+            loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
+            d_disp[sel, np.arange(B)] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1),
+                                                axis=1)
 
         loss_pl_val = 0.0
         if scorer is not None:
-            # one frozen-scorer pass over all K·B rows, row k·B + b = head k, sample b
-            rb = np.tile(rots[idx], (K, 1, 1))
             steps = disp.copy()
             steps[:, :, 0, :] += offsets[idx]
-            feats = locoval_mod.encode_steps(steps.reshape(K * B, horizon, 2), rb,
-                                             np.tile(tails[idx], (K, 1)))
-            s_out, s_cache = gradcore.forward_cached(scorer.net, feats)
-            s = s_out[:, 0].reshape(K, B)
-            if emloco_form == "squared":
-                per_head = np.mean((s - 1.0) ** 2, axis=1)
-                ds = 2.0 * (s - 1.0) / B / K
-            else:
-                per_head = np.mean(-s, axis=1)
-                ds = np.full((K, B), -1.0 / B / K)
-            # added in head order: np.sum's pairwise order would move loss_plaus in the last bits
-            loss_pl_val = sum(float(v) for v in per_head) / K
+            # the pass stays bound until the next one replaces it: freed within a
+            # step, its 2.6 MB of activations (K=20, B=32) went back to the
+            # system and faulted in again, 630 minor page faults a step, not 15
+            loss_pl_val, scorer_pass = emloco_loss(scorer, steps, rots[idx], tails[idx])
             if alpha > 0.0:
-                g_feats = gradcore.input_grad(scorer.net, s_cache, ds.reshape(K * B, 1))
-                d_disp += alpha * locoval_mod.encode_steps_adjoint(
-                    g_feats, rb, horizon
-                ).reshape(K, B, horizon, 2)
+                d_disp += alpha * emloco_grad(scorer, scorer_pass)
 
         g_head = gradcore.backward(model.head, head_cache, d_out)
         opt_head.step(model.head, g_head)

@@ -14,14 +14,7 @@ import pytest
 
 from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor
 from plaustraj.gradcore import TrainConfig
-from plaustraj.locoval import (
-    FeatureLayout,
-    build_locoval,
-    canonical_frame,
-    encode_steps,
-    encode_steps_adjoint,
-    observation_tail,
-)
+from plaustraj.locoval import FeatureLayout, build_locoval
 from plaustraj.oracle import Trajectory
 from plaustraj.predictor import InputLayout, PredictionSet, build_predictor, predict
 
@@ -160,8 +153,8 @@ def test_criterion_2_gradient_correctness():
         rep = gradcore.grad_check(net, mse_loss, x)
         worst = max(worst, rep.max_rel_error)
 
-        # regularizer gradient through the scorer, assembled exactly the way
-        # the training loop assembles it
+        # regularizer gradient through the scorer, from the functions the
+        # training loop calls (one head, one sample)
         horizon = 6
         scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=seed)
         heading = rng.uniform(-np.pi, np.pi)
@@ -171,15 +164,11 @@ def test_criterion_2_gradient_correctness():
         anchor = obs.root_position + rng.normal(0, 0.2, size=2)
         disp = rng.uniform(0.05, 0.4, size=(horizon, 2))
 
-        root, rot = canonical_frame(obs)
+        root, rot, tail = locoval.observation_frame(obs, scorer.layout)
         steps = disp.copy()
         steps[0] += anchor - root
-        tail = observation_tail(obs, root, rot, scorer.layout)
-        feats = encode_steps(steps[None], rot[None], tail[None])
-        out, cache = gradcore.forward_cached(scorer.net, feats)
-        upstream = np.full((1, 1), 2.0 * (out[0, 0] - 1.0))
-        grads = gradcore.backward(scorer.net, cache, upstream)
-        analytic = encode_steps_adjoint(grads.inputs, rot[None], horizon)[0]
+        _, scorer_pass = predictor.emloco_loss(scorer, steps[None, None], rot[None], tail[None])
+        analytic = predictor.emloco_grad(scorer, scorer_pass)[0, 0]
 
         def emloco_of(d):
             pts = anchor + np.cumsum(d, axis=0)

@@ -106,26 +106,29 @@ def pairs_csv(tmp_path_factory):
         (-1, None, "expected 55 columns for T_f 12, got 54"),
         (-1, "nan", "joint 'right_ankle' must be a finite 3-vector"),
         (3, "13", "expected 57 columns for T_f 13, got 55"),
+        (None, None, "no pairs after the header"),
     ],
     ids=["dt-zero", "unknown-label", "horizon-zero", "reward-nan", "reward-five",
-         "short-row", "nan-joint", "horizon-one-too-long"],
+         "short-row", "nan-joint", "horizon-one-too-long", "header-only"],
 )
 def test_train_locoval_bad_row_is_located_data_error(tiny_config, tmp_path, capsys, pairs_csv,
                                                      column, value, reason):
-    rows = [list(r) for r in pairs_csv]
-    if value is None:
-        del rows[2][column]
-    else:
-        rows[2][column] = value
     out = tmp_path / "run"
     out.mkdir()
     path = out / "plausibility.csv"
+    rows, where = [list(r) for r in pairs_csv], f"{path}:3"
+    if column is None:
+        rows, where = rows[:1], str(path)
+    elif value is None:
+        del rows[2][column]
+    else:
+        rows[2][column] = value
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     capsys.readouterr()
     assert run("train-locoval", "--config", tiny_config, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {path}:3: ")
+    assert err.startswith(f"data error: {where}: ")
     assert reason in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -242,12 +245,19 @@ def test_filter_malformed_candidates(tiny_config, trained_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "frames, keys", [(5, ("0", "1")), (12, ("0", "case-1"))],
-    ids=["wrong-horizon", "non-integer-case-key"],
+    "frames, keys, observables, reason",
+    [
+        (5, ("0", "1"), None, "trajectory length 5 != layout horizon 12"),
+        (12, ("0", "case-1"), None, ": malformed observable for case 'case-1'"),
+        (12, ("0", "1"), "{not json", ": invalid JSON"),
+    ],
+    ids=["wrong-horizon", "non-integer-case-key", "observables-not-json"],
 )
 def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
-                                                 capsys, frames, keys):
+                                                 capsys, frames, keys, observables, reason):
     cand, obs_path = write_filter_inputs(trained_dir, tmp_path, frames=frames, keys=keys)
+    if observables is not None:
+        obs_path.write_text(observables)
     capsys.readouterr()
     code = run(
         "filter", "--config", tiny_config, "--out", str(trained_dir),
@@ -256,6 +266,9 @@ def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_p
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
+    assert reason in err
+    if reason.startswith(":"):  # the observables file is named
+        assert err.startswith(f"data error: {obs_path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -369,20 +382,48 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
         ("gen-data", {"oracle": {"w_energy": "x"}},
          "oracle.w_energy must be a real number, got 'x'"),
         ("gen-data", {"oracle": {"v_max": -1}}, "oracle.v_max must be positive"),
+        ("train-predictor", {"predictor": {"alpha": float("nan")}},
+         "predictor.alpha must be finite and >= 0, got nan"),
+        ("train-predictor", {"predictor": {"alpha": -1}},
+         "predictor.alpha must be finite and >= 0, got -1"),
+        ("train-predictor --alpha nan", {}, "predictor.alpha must be finite and >= 0, got nan"),
+        ("train-predictor --alpha -0.5", {}, "predictor.alpha must be finite and >= 0, got -0.5"),
+        ("gen-data", {"eval": {"threshold": 1.5}}, "eval.threshold must be in [0, 1]"),
+        ("sweep", {"eval": {"lambdas": ["x"]}}, "eval.lambdas must be numbers, got 'x'"),
+        ("sweep", {"eval": {"lambdas": [0.5, 2]}}, "eval.lambdas must be in [0, 1], got 2"),
+        ("eval", {"eval": {"chi2_bins": 1}}, "eval.chi2_bins must be an integer >= 2, got 1"),
+        ("eval", {"eval": {"score_bins": 0}}, "eval.score_bins must be an integer >= 1, got 0"),
+        ("gen-data", {"predictor": {"stride": "x"}},
+         "predictor.stride must be an integer, got 'x'"),
+        ("gen-data", {"data": {"n_tracks": 2.5}}, "data.n_tracks must be an integer, got 2.5"),
+        ("train-locoval", {"locoval": {"train": {"learning_rate": "x"}}},
+         "locoval.train.learning_rate must be a real number, got 'x'"),
+        ("train-locoval", {"locoval": {"holdout_fraction": None}},
+         "locoval.holdout_fraction must be a real number, got None"),
+        ("gen-data", {"predictor": {"n_heads": True}},
+         "predictor.n_heads must be an integer, got True"),
+        ("gen-data", {"locoval": {"include_pose": 1}},
+         "locoval.include_pose must be true or false, got 1"),
+        ("sweep --values a,b", {}, "--values: 'a' is not a number"),
     ],
     ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
          "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
          "n-plausible-string", "n-plausible-float", "n-implausible-bool", "pair-seed-string",
          "speed-range-one-value", "speed-range-reversed", "accel-range-string",
          "noise-negative", "min-reward-above-one", "max-retries-zero", "a-max-infinite",
-         "v-max-nan", "w-energy-string", "v-max-negative"],
+         "v-max-nan", "w-energy-string", "v-max-negative", "alpha-nan", "alpha-negative",
+         "alpha-option-nan", "alpha-option-negative", "threshold-1.5", "lambdas-string",
+         "lambdas-above-one", "chi2-bins-one", "score-bins-zero", "stride-string", "n-tracks-float",
+         "lr-string", "holdout-null", "n-heads-bool", "include-pose-int",
+         "sweep-values-not-a-number"],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
-    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert run(*command.split(), "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
-    # the section path, then the field and what is wrong with it
-    assert err.startswith(f"config error: config.{message}")
+    # the section path and the field (or the option), then what is wrong with it
+    where = "" if message.startswith("--") else "config."
+    assert err.startswith(f"config error: {where}{message}")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -39,6 +39,11 @@ def test_unknown_top_level_key():
         config_from_dict({"predictr": {}})
 
 
+def test_emloco_form_is_an_unknown_key():
+    with pytest.raises(ConfigError, match=r"^config\.predictor: unknown keys \['emloco_form'\]$"):
+        config_from_dict({"predictor": {"emloco_form": "squared"}})
+
+
 def test_nested_validation_propagates():
     with pytest.raises(ConfigError):
         config_from_dict({"locoval": {"train": {"learning_rate": -1.0}}})
@@ -108,6 +113,24 @@ def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value
         ("locoval", "hidden", [128, 0]),
         ("predictor", "trunk_hidden", [0]),
         ("predictor", "trunk_hidden", [2.5]),
+        ("predictor", "trunk_hidden", "256"),
+        ("predictor", "alpha", -1.0),
+        ("predictor", "alpha", float("nan")),
+        ("predictor", "alpha", float("inf")),
+        ("predictor", "stride", "x"),
+        ("predictor", "window_seed", None),
+        ("data", "n_tracks", 2.5),
+        ("data", "seed", True),
+        ("locoval", "include_pose", 1),
+        ("eval", "threshold", 1.5),
+        ("eval", "threshold", float("nan")),
+        ("eval", "lambdas", []),
+        ("eval", "lambdas", ["x"]),
+        ("eval", "lambdas", [0.5, True]),
+        ("eval", "lambdas", [-0.1]),
+        ("eval", "chi2_bins", 1),
+        ("eval", "chi2_bins", 2.5),
+        ("eval", "score_bins", 0),
     ],
 )
 def test_bad_section_fields_rejected(section, field, value):
@@ -205,7 +228,8 @@ def test_edge_values_accepted():
     cfg = config_from_dict({
         "locoval": {"holdout_fraction": 0.0, "hidden": [1],
                     "train": {"beta1": 0.0, "beta2": 0.0, "min_lr": -1.0}},
-        "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1]},
+        "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1], "alpha": 0},
+        "eval": {"threshold": 1, "lambdas": [0, 1.0], "chi2_bins": 2, "score_bins": 1},
         "plausibility": {"n_plausible": 0, "n_implausible": 0, "seed": 0},
         "data": {"synthetic": {"speed_range": [1, 1], "noise_sigma": 0, "min_reward": 1,
                                "max_retries": 1}},

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
 from plaustraj.errors import ConfigError, InputShapeError
-from plaustraj.filtering import locoval_filter, save_filter_report, sweep_lambda
+from plaustraj.filtering import locoval_filter, sweep_lambda
 from plaustraj.locoval import FeatureLayout, build_locoval, score_batch
 from plaustraj.oracle import Trajectory
 
@@ -157,14 +159,11 @@ def test_sweep_validates_thresholds():
         sweep_lambda([], [0.5, 1.2])
 
 
-def test_filter_report_json(tmp_path):
+def test_filter_report_json():
+    """The per-case document the filter command writes survives JSON."""
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=8)
     result = locoval_filter(scorer, candidates(3), make_observable(), 0.5)
-    path = tmp_path / "report.json"
-    save_filter_report(result, path)
-    import json
-
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(result.to_json_dict()))
     assert doc["lambda"] == 0.5
     assert len(doc["kept"]) + len(doc["rejected"]) == 3
     assert {"head", "score"} <= set(doc["kept"][0])

@@ -13,12 +13,12 @@ from plaustraj.locoval import (
     build_locoval,
     canonical_frame,
     canonicalize,
-    feature_grad_to_traj_grad,
+    encode_steps,
+    encode_steps_adjoint,
     load_locoval,
     save_locoval,
     score,
     score_batch,
-    score_with_traj_grad,
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
@@ -214,50 +214,25 @@ def test_model_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# trajectory gradients
+# feature gradients
 
 
-@settings(deadline=None, max_examples=15)
-@given(seed=st.integers(0, 5000))
-def test_traj_grad_matches_finite_differences(seed):
-    model = build_locoval(FeatureLayout(horizon=6), hidden=(12, 12), seed=seed)
-    obs = make_observable(heading=0.3, speed=1.0, root=(0.5, 0.5))
-    rng = np.random.default_rng(seed)
-    pts = np.array([0.5, 0.5]) + np.cumsum(rng.uniform(0.1, 0.5, size=(6, 2)), axis=0)
-    traj = Trajectory(pts, 0.4)
-
-    s0, grad = score_with_traj_grad(model, traj, obs)
-    eps = 1e-6
-    for t in range(6):
-        for c in range(2):
-            bumped = pts.copy()
-            bumped[t, c] += eps
-            up = score(model, Trajectory(bumped, 0.4), obs)
-            bumped[t, c] -= 2 * eps
-            down = score(model, Trajectory(bumped, 0.4), obs)
-            numeric = (up - down) / (2 * eps)
-            denom = max(abs(grad[t, c]), abs(numeric), 1e-6)
-            assert abs(grad[t, c] - numeric) / denom < 1e-4
-
-
-def test_feature_grad_pullback_linearity():
-    """Trajectory features are linear in the points, so the pullback of a
-    feature-space gradient equals the Jacobian-transpose product computed by
-    explicit differencing of the feature map."""
-    obs = make_observable(heading=1.2, speed=0.9)
-    layout = FeatureLayout(horizon=4)
-    g = np.random.default_rng(3).normal(size=layout.feature_size)
-    pulled = feature_grad_to_traj_grad(g, obs, layout)
-
-    pts = np.random.default_rng(4).normal(size=(4, 2))
-    base = canonicalize(Trajectory(pts, 0.4), obs, layout)
-    eps = 1e-7
-    for t in range(4):
-        for c in range(2):
-            bumped = pts.copy()
-            bumped[t, c] += eps
-            delta = (canonicalize(Trajectory(bumped, 0.4), obs, layout) - base) / eps
-            assert np.dot(g, delta) == pytest.approx(pulled[t, c], abs=1e-6)
+def test_encode_steps_adjoint_identity():
+    """encode_steps is linear in the steps (the tail held at zero), and
+    encode_steps_adjoint is its transpose: <g, encode_steps(d)> equals
+    <encode_steps_adjoint(g), d>, for one shared rotation and one per row."""
+    layout = FeatureLayout(horizon=5)
+    rng = np.random.default_rng(3)
+    n = 7
+    tail = np.zeros(layout.feature_size - 2 * layout.horizon)
+    rots = np.stack([canonical_frame(make_observable(heading=a))[1]
+                     for a in rng.uniform(-math.pi, math.pi, size=n)])
+    for rot in (rots[0], rots):
+        d = rng.normal(size=(n, layout.horizon, 2))
+        g = rng.normal(size=(n, layout.feature_size))
+        lhs = np.sum(g * encode_steps(d, rot, tail))
+        rhs = np.sum(encode_steps_adjoint(g, rot, layout.horizon) * d)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

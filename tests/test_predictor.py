@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
-from plaustraj import gradcore, predictor
+from plaustraj import gradcore, locoval, predictor
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
 from plaustraj.oracle import Trajectory
 from plaustraj.predictor import (
     InputLayout,
-    PredictionSet,
     build_input,
     build_predictor,
+    emloco_grad,
+    emloco_loss,
     load_predictor,
-    loss_emloco,
-    loss_minmse,
-    loss_mse,
-    loss_total,
+    min_of_k_mse,
     predict,
     save_predictor,
     train_predictor,
@@ -175,151 +173,133 @@ def test_input_layout_sizes():
 
 
 def test_loss_mse_zero_and_offset():
-    gt = straight_trajectory(n=12)
-    same = PredictionSet([Trajectory(gt.points.copy(), gt.dt)], gt.points[0])
-    assert loss_mse(same, gt) == 0.0
-    shifted = PredictionSet([Trajectory(gt.points + [1.0, 0.0], gt.dt)], gt.points[0])
-    assert loss_mse(shifted, gt) == pytest.approx(0.5)
+    gt = straight_trajectory(n=12).points
+    value, sel, grad = min_of_k_mse(gt[None, None], gt[None])
+    assert (value, int(sel[0])) == (0.0, 0)
+    assert not grad.any()
+    value, _, _ = min_of_k_mse((gt + [1.0, 0.0])[None, None], gt[None])
+    assert value == pytest.approx(0.5)
 
 
 def test_loss_mse_matches_double_loop():
+    """K=1 is plain MSE, averaged over the batch."""
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(12, 2))
-    b = rng.normal(size=(12, 2))
-    got = loss_mse(PredictionSet([Trajectory(a, 0.4)], a[0]), Trajectory(b, 0.4))
+    a = rng.normal(size=(1, 3, 12, 2))
+    b = rng.normal(size=(3, 12, 2))
+    got, _, grad = min_of_k_mse(a, b)
     total = 0.0
-    for t in range(12):
-        for c in range(2):
-            total += (a[t, c] - b[t, c]) ** 2
-    assert got == pytest.approx(total / 24)
-
-
-def test_loss_mse_requires_single_head():
-    gt = straight_trajectory(n=12)
-    two = PredictionSet(
-        [Trajectory(gt.points, gt.dt), Trajectory(gt.points + 1, gt.dt)], gt.points[0]
-    )
-    with pytest.raises(InputShapeError):
-        loss_mse(two, gt)
+    for i in range(3):
+        for t in range(12):
+            for c in range(2):
+                total += (a[0, i, t, c] - b[i, t, c]) ** 2
+    assert got == pytest.approx(total / (3 * 24))
+    np.testing.assert_allclose(grad, 2.0 * (a[0] - b) / (3 * 24))
 
 
 def test_loss_minmse_picks_exact_head():
-    gt = straight_trajectory(n=12)
-    pred = PredictionSet(
-        [Trajectory(gt.points + 2.0, gt.dt), Trajectory(gt.points.copy(), gt.dt)],
-        gt.points[0],
-    )
-    value, k = loss_minmse(pred, gt)
+    gt = straight_trajectory(n=12).points
+    value, sel, grad = min_of_k_mse(np.stack([gt + 2.0, gt])[:, None], gt[None])
     assert value == 0.0
-    assert k == 1
+    assert sel.tolist() == [1]
+    assert not grad.any()
 
 
 def test_loss_minmse_tie_breaks_low_index():
-    gt = straight_trajectory(n=12)
-    dup = Trajectory(gt.points + 1.0, gt.dt)
-    value, k = loss_minmse(PredictionSet([dup, dup], gt.points[0]), gt)
-    assert k == 0
+    gt = straight_trajectory(n=12).points
+    dup = gt + 1.0
+    _, sel, _ = min_of_k_mse(np.stack([dup, dup, dup])[:, None], gt[None])
+    assert sel.tolist() == [0]
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 6))
 def test_minmse_dominance(seed, k):
     rng = np.random.default_rng(seed)
-    gt = Trajectory(rng.normal(size=(8, 2)), 0.4)
-    heads = [Trajectory(rng.normal(size=(8, 2)), 0.4) for _ in range(k)]
-    pred = PredictionSet(heads, gt.points[0])
-    value, _ = loss_minmse(pred, gt)
-    per_head = [
-        loss_mse(PredictionSet([h], gt.points[0]), gt) for h in heads
-    ]
-    assert value == min(per_head)
+    gt = rng.normal(size=(4, 8, 2))
+    heads = rng.normal(size=(k, 4, 8, 2))
+    value, sel, _ = min_of_k_mse(heads, gt)
+    per_head = [[min_of_k_mse(heads[j : j + 1, i : i + 1], gt[i : i + 1])[0]
+                 for i in range(4)] for j in range(k)]
+    for i in range(4):
+        column = [per_head[j][i] for j in range(k)]
+        assert column[sel[i]] == min(column)
+    assert value == pytest.approx(np.mean(np.min(per_head, axis=0)))
     if k == 1:
-        assert value == per_head[0]
+        assert value == pytest.approx(np.mean(per_head[0]))
 
 
-def test_loss_emloco_trivial_values(monkeypatch):
+def _frames(observables, layout):
+    """Each sample's canonical root (B, 2), rotation (B, 2, 2) and observation tail."""
+    return map(np.stack, zip(*(locoval.observation_frame(obs, layout) for obs in observables)))
+
+
+def test_loss_emloco_trivial_values():
+    """A scorer whose output layer is zeroed scores every row sigmoid(bias):
+    the loss is (sigmoid(bias) - 1)^2 and no gradient reaches the steps."""
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=5)
     past, obs = past_and_obs()
-    pred = predict(build_predictor(LAYOUT, 12, 2, seed=6), past, obs)
-
-    monkeypatch.setattr("plaustraj.predictor.locoval_mod.score_batch",
-                        lambda *a: [1.0, 1.0])
-    assert loss_emloco(scorer, pred, obs) == 0.0
-    monkeypatch.setattr("plaustraj.predictor.locoval_mod.score_batch",
-                        lambda *a: [0.5, 0.5])
-    assert loss_emloco(scorer, pred, obs) == pytest.approx(0.25)
-
-
-def test_loss_emloco_negative_form():
-    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=7)
-    past, obs = past_and_obs()
-    pred = predict(build_predictor(LAYOUT, 12, 2, seed=8), past, obs)
-    from plaustraj.locoval import score_batch
-
-    expected = -np.mean(score_batch(scorer, pred.trajectories, obs))
-    assert loss_emloco(scorer, pred, obs, form="negative") == pytest.approx(expected)
-    with pytest.raises(ConfigError):
-        loss_emloco(scorer, pred, obs, form="cubed")
+    _, rots, tails = _frames([obs, obs], scorer.layout)
+    steps = np.random.default_rng(6).uniform(0.1, 0.5, size=(3, 2, 12, 2))
+    scorer.net.weights[-1][:] = 0.0
+    for bias, expected in ((0.0, 0.25), (800.0, 0.0)):
+        scorer.net.biases[-1][:] = bias
+        value, scorer_pass = emloco_loss(scorer, steps, rots, tails)
+        assert value == expected
+        assert not emloco_grad(scorer, scorer_pass).any()
 
 
-def test_loss_total():
-    assert loss_total(1.5, 0.2, 0.0) == 1.5
-    assert loss_total(1.5, 0.2, 100.0) == pytest.approx(1.5 + 20.0)
-    assert loss_total(0.0, 0.0, 3.0) == 0.0
-    with pytest.raises(ConfigError):
-        loss_total(1.0, 1.0, -0.5)
-
-
-def test_emloco_gradient_through_scorer_finite_differences():
-    """The regularizer gradient w.r.t. head displacements, as assembled inside
-    the training loop (one scorer pass over the rows of K heads), must match
-    central finite differences of the composed score. This is the chain that
-    makes the second training stage work."""
-    horizon, K = 6, 3
-    scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=9)
-    past, obs = past_and_obs(speed=1.0, heading=0.2)
-    rng = np.random.default_rng(10)
-    disp = rng.uniform(0.05, 0.4, size=(K, horizon, 2))
-    anchor = past.points[-1]
-
-    from plaustraj.locoval import (
-        canonical_frame,
-        encode_steps,
-        encode_steps_adjoint,
-        observation_tail,
-    )
-
-    root, rot = canonical_frame(obs)
-    offset = anchor - root
-
-    def emloco_of(d):
-        pts = anchor + np.cumsum(d, axis=0)
-        s = predictor.locoval_mod.score(scorer, Trajectory(pts, 0.4), obs)
-        return (s - 1.0) ** 2
-
-    # analytic: the shared encoding, input-only backward and adjoint that
-    # train_predictor uses, on K rows in one pass
+def _emloco_fd_check(scorer, observables, disp, anchors):
+    """emloco_grad's step gradient against central finite differences of
+    mean_k mean_b (score - 1)^2, each score from locoval.score."""
+    K, B, horizon = disp.shape[:3]
+    roots, rots, tails = _frames(observables, scorer.layout)
     steps = disp.copy()
-    steps[:, 0] += offset
-    rots = np.tile(rot, (K, 1, 1))
-    tail = observation_tail(obs, root, rot, scorer.layout)
-    feats = encode_steps(steps, rots, np.tile(tail, (K, 1)))
-    out, cache = gradcore.forward_cached(scorer.net, feats)
-    ds = 2.0 * (out - 1.0)
-    analytic = encode_steps_adjoint(gradcore.input_grad(scorer.net, cache, ds), rots, horizon)
+    steps[:, :, 0] += anchors - roots
+    analytic = emloco_grad(scorer, emloco_loss(scorer, steps, rots, tails)[1])
+
+    def emloco_of(d, b):
+        pts = anchors[b] + np.cumsum(d, axis=0)
+        s = locoval.score(scorer, Trajectory(pts, 0.4), observables[b])
+        return (s - 1.0) ** 2 / (K * B)
 
     eps = 1e-6
     for k in range(K):
-        for t in range(horizon):
-            for c in range(2):
-                bumped = disp[k].copy()
-                bumped[t, c] += eps
-                up = emloco_of(bumped)
-                bumped[t, c] -= 2 * eps
-                down = emloco_of(bumped)
-                numeric = (up - down) / (2 * eps)
-                denom = max(abs(analytic[k, t, c]), abs(numeric), 1e-6)
-                assert abs(analytic[k, t, c] - numeric) / denom < 1e-4
+        for b in range(B):
+            for t in range(horizon):
+                for c in range(2):
+                    bumped = disp[k, b].copy()
+                    bumped[t, c] += eps
+                    up = emloco_of(bumped, b)
+                    bumped[t, c] -= 2 * eps
+                    down = emloco_of(bumped, b)
+                    numeric = (up - down) / (2 * eps)
+                    denom = max(abs(analytic[k, b, t, c]), abs(numeric), 1e-6)
+                    assert abs(analytic[k, b, t, c] - numeric) / denom < 1e-4
+
+
+def test_emloco_gradient_through_scorer_finite_differences():
+    """The regularizer gradient w.r.t. head displacements, from the functions
+    train_predictor calls (one scorer pass over the rows of K heads), must
+    match central finite differences of the composed score. This is the chain
+    that makes the second training stage work."""
+    horizon, K = 6, 3
+    scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=9)
+    past, obs = past_and_obs(speed=1.0, heading=0.2)
+    disp = np.random.default_rng(10).uniform(0.05, 0.4, size=(K, 1, horizon, 2))
+    _emloco_fd_check(scorer, [obs], disp, past.points[-1][None])
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(0, 5000))
+def test_emloco_gradient_per_sample_frames(seed):
+    """Samples of one batch each bring their own canonical frame and tail."""
+    rng = np.random.default_rng(seed)
+    scorer = build_locoval(FeatureLayout(horizon=6), hidden=(12, 12), seed=seed)
+    observables = [make_observable(heading=h, speed=1.0, root=tuple(rng.normal(size=2)))
+                   for h in rng.uniform(-np.pi, np.pi, size=2)]
+    anchors = np.stack([o.root_position for o in observables]) + rng.normal(0, 0.2, size=(2, 2))
+    disp = rng.uniform(0.1, 0.5, size=(2, 2, 6, 2))
+    _emloco_fd_check(scorer, observables, disp, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +402,8 @@ def test_train_validates_inputs(training_instances, trained_scorer):
     with pytest.raises(ConfigError):
         train_predictor(training_instances[:5], None, cfg, alpha=-1.0)
     with pytest.raises(ConfigError):
+        train_predictor(training_instances[:5], None, cfg, alpha=float("nan"))
+    with pytest.raises(ConfigError):
         train_predictor(training_instances[:5], None, cfg, alpha=10.0)
 
 
@@ -451,16 +433,13 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     model = build_predictor(layout, 12, 2, seed=50)
     # make head 1 match the ground truth closely so head 0 is never argmin
     pred = predict(model, inst.past, inst.observable)
-    m0, _ = loss_minmse(pred, inst.future)
+    points = np.stack([t.points for t in pred.trajectories])[:, None]
+    _, sel, _ = min_of_k_mse(points, inst.future.points[None])
 
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)
     before = model.head.copy()
     result = train_predictor([inst], None, cfg, n_heads=2, model=model)
-    values = [
-        loss_mse(PredictionSet([t], pred.anchor), inst.future)
-        for t in pred.trajectories
-    ]
-    winner = int(np.argmin(values))
+    winner = int(sel[0])
     loser = 1 - winner
     # loser head got a zero upstream gradient; AdamW leaves its columns untouched
     assert np.array_equal(head_block(before, loser), head_block(result.model.head, loser))

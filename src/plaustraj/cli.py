@@ -37,16 +37,6 @@ def _load_run_config(config_path) -> RunConfig:
     return load_config(config_path)
 
 
-def _future_slices(dataset: datakit.TrajectoryDataset, horizon: int,
-                   stride: int) -> list[oracle.Trajectory]:
-    slices = []
-    for tid in sorted(dataset.tracks):
-        pts = dataset.tracks[tid].points
-        for start in range(0, len(pts) - horizon + 1, stride):
-            slices.append(oracle.Trajectory(pts[start : start + horizon], dataset.dt))
-    return slices
-
-
 def _build_instances(cfg: RunConfig, seed: int, n_tracks: int):
     dataset = datakit.generate_synthetic(
         cfg.data.synthetic, n_tracks, seed=seed, params=cfg.oracle
@@ -99,7 +89,7 @@ def cmd_gen_data(config_path, out):
     bank = datakit.generate_pose_bank(cfg.data.pose_bank_size, seed=cfg.data.seed + 7)
     datakit.save_pose_bank(bank, out_dir / "pose_bank.json")
 
-    traj_bank = _future_slices(dataset, cfg.predictor.future_frames, cfg.predictor.stride)
+    traj_bank = datakit.future_slices(dataset, cfg.predictor.future_frames, cfg.predictor.stride)
     samples = oracle.build_plausibility_dataset(
         bank,
         traj_bank,
@@ -184,9 +174,9 @@ def cmd_train_locoval(config_path, out, data_dir):
 def cmd_train_predictor(config_path, out, alpha, heads, seed):
     """Train the trajectory predictor (regularized when alpha > 0)."""
     cfg = _load_run_config(config_path)
-    cfg.predictor = override(cfg.predictor, "config.predictor", alpha=alpha, n_heads=heads)
-    if seed is not None:
-        cfg.predictor.train.seed = seed
+    train = override(cfg.predictor.train, "config.predictor.train", seed=seed)
+    cfg.predictor = override(cfg.predictor, "config.predictor", alpha=alpha, n_heads=heads,
+                             train=train)
     out_dir = _out_dir(out)
 
     instances = _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks)

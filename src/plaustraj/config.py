@@ -24,6 +24,12 @@ class DataSection:
     eval_seed: int = 1001
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
+    def __post_init__(self):
+        for name in ("n_tracks", "n_eval_tracks", "pose_bank_size"):
+            _check_int(name, getattr(self, name), 1)
+        for name in ("seed", "eval_seed"):
+            _check_int(name, getattr(self, name), 0)
+
 
 @dataclass
 class PlausibilitySection:
@@ -87,10 +93,9 @@ class PredictorSection:
     )
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.future_frames < 2:
-            raise ConfigError("future_frames must be >= 2")
+        for name, low in (("past_frames", 2), ("future_frames", 2), ("stride", 1),
+                          ("window_seed", 0), ("n_heads", 1)):
+            _check_int(name, getattr(self, name), low)
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         _check_widths("trunk_hidden", self.trunk_hidden)

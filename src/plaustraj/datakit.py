@@ -428,6 +428,17 @@ def filter_pose_sequence(seq: PoseSequence, window: int = 9) -> dict:
 # Training instances
 
 
+def future_slices(dataset: TrajectoryDataset, horizon: int, stride: int) -> list[Trajectory]:
+    """Every horizon-frame window of every track, one every stride frames,
+    tracks in id order: the trajectory bank that oracle pairs draw from."""
+    slices = []
+    for tid in sorted(dataset.tracks):
+        pts = dataset.tracks[tid].points
+        for start in range(0, len(pts) - horizon + 1, stride):
+            slices.append(Trajectory(pts[start : start + horizon], dataset.dt))
+    return slices
+
+
 @dataclass
 class TrainingInstance:
     past: Trajectory

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError("total_steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
 
@@ -99,6 +101,12 @@ class MlpModel:
 
     def __post_init__(self):
         self.params, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor: restoring the
+        # fields one by one would leave weights and biases detached from params
+        return (MlpModel, (self.layer_sizes, self.weights, self.biases,
+                           self.hidden_activation, self.output_activation))
 
     @property
     def n_layers(self) -> int:

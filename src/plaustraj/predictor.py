@@ -263,7 +263,6 @@ def train_predictor(
     trunk_hidden=(256, 256),
     model: PredictorModel | None = None,
     eval_every: int = 50,
-    include_gt_loss: bool = True,
 ) -> PredictorTrainResult:
     """Train with min_of_k_mse + alpha * emloco_loss; the scorer's weights
     stay frozen. At alpha == 0 the regularizer term is fully detached so
@@ -313,11 +312,8 @@ def train_predictor(
         # upstream gradients on the head layer's output, written through d_disp
         d_out = np.zeros_like(out)
         d_disp = _head_blocks(d_out, horizon)
-        loss_gt_val = 0.0
-        if include_gt_loss:
-            loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
-            d_disp[sel, np.arange(B)] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1),
-                                                axis=1)
+        loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
+        d_disp[sel, np.arange(B)] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
         loss_pl_val = 0.0
         if scorer is not None:
@@ -342,7 +338,7 @@ def train_predictor(
             mean_gt = acc_gt / acc_n
             mean_pl = acc_pl / acc_n
             ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
-            dominates = bool(alpha * mean_pl > mean_gt) and include_gt_loss
+            dominates = bool(alpha * mean_pl > mean_gt)
             curve.append(
                 PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates)
             )

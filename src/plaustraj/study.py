@@ -1,0 +1,101 @@
+"""The paired-seed study behind the regularizer claim: one seeded corpus, one
+frozen scorer, and K-head predictors trained at alpha 0 and at alpha from the
+same seed (same init and batch order), then evaluated on held-out windows.
+
+The acceptance tests and scripts/alpha_effect.py both run it. `paired_runs`
+trains the pairs in worker processes, with the bits of training in-process.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
+from . import datakit, locoval, metrics, oracle, predictor
+from .gradcore import TrainConfig
+
+PREDICTOR_STEPS = 800
+N_HEADS = 20
+ALPHA = 100.0
+
+# evaluation distribution for the filter checks: deliberately wider than the
+# training one so some candidate futures are genuinely implausible
+HARD_EVAL = dict(
+    speed_range=(0.4, 2.3),
+    turn_rate_range=(0.7, 1.6),
+    noise_sigma=0.04,
+    scenario_weights={"straight": 0.2, "accelerate": 1.0, "turn": 1.5, "stop_and_go": 1.5},
+)
+
+
+@dataclass
+class Corpus:
+    bank: list                 # pose bank
+    traj_bank: list            # 12-frame windows of the training tracks
+    pairs: list                # oracle-labelled plausibility pairs
+    instances: list            # predictor training windows
+    eval_default: list         # held-out windows, training distribution
+    eval_hard: list            # held-out windows, HARD_EVAL distribution
+
+
+def build_corpus() -> Corpus:
+    bank = datakit.generate_pose_bank(64, seed=101)
+    train_ds = datakit.generate_synthetic(datakit.SyntheticConfig(), 60, seed=102)
+    traj_bank = datakit.future_slices(train_ds, 12, 3)
+    pairs = oracle.build_plausibility_dataset(bank, traj_bank, 200, 200, seed=103)
+
+    def windows(dataset, seed):
+        return datakit.make_training_instances(dataset, bank, 9, 12, stride=3, seed=seed)
+
+    def eval_windows(**synthetic):
+        return windows(datakit.generate_synthetic(
+            datakit.SyntheticConfig(**synthetic), 30, seed=1002), 106)
+
+    return Corpus(bank, traj_bank, pairs, windows(train_ds, 105),
+                  eval_windows(), eval_windows(**HARD_EVAL))
+
+
+def train_scorer(pairs) -> locoval.LocoValModel:
+    cfg = TrainConfig(learning_rate=1e-3, total_steps=3000, batch_size=64, seed=104,
+                      schedule="cosine")
+    return locoval.train_locoval(pairs, cfg, hidden=(128, 128, 128)).model
+
+
+def train_model(instances, scorer, seed: int, alpha: float, steps: int,
+                heads: int) -> predictor.PredictorModel:
+    """One run of a pair; the scorer is unused at alpha 0."""
+    cfg = TrainConfig(learning_rate=1e-4, total_steps=steps, batch_size=32, seed=200 + seed)
+    return predictor.train_predictor(instances, scorer if alpha > 0 else None, cfg,
+                                     alpha=alpha, n_heads=heads).model
+
+
+def paired_runs(instances, scorer, seeds: int, alpha: float = ALPHA,
+                steps: int = PREDICTOR_STEPS, heads: int = N_HEADS) -> dict:
+    """{(seed, a): model} for seed in range(seeds) and a in (0, alpha), each
+    run in one of min(runs, usable cores) spawned worker processes."""
+    jobs = [(seed, a) for seed in range(seeds) for a in (0.0, alpha)]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    # one BLAS thread per worker, read when it imports numpy: a thread per core
+    # in each worker oversubscribes the cores (the acceptance corpus, scorer
+    # and pairs took 147 s, not 32 s, on 2 cores); the bits do not change
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(train_model, instances, scorer, seed, a, steps, heads)
+                       for seed, a in jobs]
+            return {job: future.result() for job, future in zip(jobs, futures)}
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def evaluate(model, instances) -> tuple[metrics.MetricsReport, list]:
+    """The metrics report over the windows, and each window's predicted heads."""
+    sets = [predictor.predict(model, inst.past, inst.observable).trajectories
+            for inst in instances]
+    return metrics.evaluate_predictions(sets, [inst.future for inst in instances]), sets

@@ -31,13 +31,7 @@ def pose_bank():
 @pytest.fixture(scope="session")
 def traj_bank():
     cfg = datakit.SyntheticConfig()
-    dataset = datakit.generate_synthetic(cfg, 20, seed=12)
-    bank = []
-    for tid in sorted(dataset.tracks):
-        pts = dataset.tracks[tid].points
-        for start in range(0, len(pts) - 12 + 1, 4):
-            bank.append(oracle.Trajectory(pts[start : start + 12], dataset.dt))
-    return bank
+    return datakit.future_slices(datakit.generate_synthetic(cfg, 20, seed=12), 12, 4)
 
 
 @pytest.fixture(scope="session")

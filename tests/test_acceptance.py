@@ -12,28 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor
+from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor, study
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
 from plaustraj.oracle import Trajectory
-from plaustraj.predictor import InputLayout, PredictionSet, build_predictor, predict
 
-SCORER_HIDDEN = (128, 128, 128)
-SCORER_STEPS = 3000
-PREDICTOR_STEPS = 800
-N_HEADS = 20
-ALPHA = 100.0
 N_SEED_PAIRS = 5
 LAMBDA = 0.7
-
-# evaluation distribution for the filter checks: deliberately wider than the
-# training one so some candidate futures are genuinely implausible
-HARD_EVAL = dict(
-    speed_range=(0.4, 2.3),
-    turn_rate_range=(0.7, 1.6),
-    noise_sigma=0.04,
-    scenario_weights={"straight": 0.2, "accelerate": 1.0, "turn": 1.5, "stop_and_go": 1.5},
-)
 
 
 def report(criterion, passed, detail):
@@ -48,72 +33,21 @@ def report(criterion, passed, detail):
 
 @pytest.fixture(scope="module")
 def corpus():
-    bank = datakit.generate_pose_bank(64, seed=101)
-    syn = datakit.SyntheticConfig()
-    train_ds = datakit.generate_synthetic(syn, 60, seed=102)
-    traj_bank = []
-    for tid in sorted(train_ds.tracks):
-        pts = train_ds.tracks[tid].points
-        for start in range(0, len(pts) - 12 + 1, 3):
-            traj_bank.append(Trajectory(pts[start : start + 12], train_ds.dt))
-    pairs = oracle.build_plausibility_dataset(bank, traj_bank, 200, 200, seed=103)
-    instances = datakit.make_training_instances(train_ds, bank, 9, 12, stride=3, seed=105)
-
-    def eval_instances(cfg_kwargs):
-        ds = datakit.generate_synthetic(
-            datakit.SyntheticConfig(**cfg_kwargs), 30, seed=1002
-        )
-        return datakit.make_training_instances(ds, bank, 9, 12, stride=3, seed=106)
-
-    return {
-        "bank": bank,
-        "traj_bank": traj_bank,
-        "pairs": pairs,
-        "instances": instances,
-        "eval_default": eval_instances({}),
-        "eval_hard": eval_instances(HARD_EVAL),
-    }
+    return study.build_corpus()
 
 
 @pytest.fixture(scope="module")
 def scorer_run(corpus):
-    cfg = TrainConfig(
-        learning_rate=1e-3, total_steps=SCORER_STEPS, batch_size=64, seed=104,
-        schedule="cosine",
-    )
     t0 = time.time()
-    result = locoval.train_locoval(corpus["pairs"], cfg, hidden=SCORER_HIDDEN)
-    return {"model": result.model, "seconds": time.time() - t0}
-
-
-def evaluate(model, instances):
-    sets, gts = [], []
-    for inst in instances:
-        sets.append(predict(model, inst.past, inst.observable).trajectories)
-        gts.append(inst.future)
-    return metrics.evaluate_predictions(sets, gts), sets, gts
+    model = study.train_scorer(corpus.pairs)
+    return {"model": model, "seconds": time.time() - t0}
 
 
 @pytest.fixture(scope="module")
 def paired_runs(corpus, scorer_run):
     """K-head predictors trained with and without the regularizer, identical
     seeds otherwise."""
-    runs = {}
-    for seed in range(N_SEED_PAIRS):
-        for alpha in (0.0, ALPHA):
-            cfg = TrainConfig(
-                learning_rate=1e-4, total_steps=PREDICTOR_STEPS, batch_size=32,
-                seed=200 + seed,
-            )
-            result = predictor.train_predictor(
-                corpus["instances"],
-                scorer_run["model"] if alpha > 0 else None,
-                cfg,
-                alpha=alpha,
-                n_heads=N_HEADS,
-            )
-            runs[(seed, alpha)] = result.model
-    return runs
+    return study.paired_runs(corpus.instances, scorer_run["model"], N_SEED_PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +56,7 @@ def paired_runs(corpus, scorer_run):
 
 def test_criterion_1_scorer_fidelity(corpus, scorer_run):
     fresh = oracle.build_plausibility_dataset(
-        corpus["bank"], corpus["traj_bank"], 100, 100, seed=999
+        corpus.bank, corpus.traj_bank, 100, 100, seed=999
     )
     preds = [locoval.score(scorer_run["model"], s.trajectory, s.observable) for s in fresh]
     targets = [s.reward for s in fresh]
@@ -198,8 +132,8 @@ def test_criterion_3_regularizer_effect(corpus, paired_runs):
     chi_wins = ade_wins = 0
     minade_base, minade_reg = [], []
     for seed in range(N_SEED_PAIRS):
-        r0, _, _ = evaluate(paired_runs[(seed, 0.0)], corpus["eval_default"])
-        r1, _, _ = evaluate(paired_runs[(seed, ALPHA)], corpus["eval_default"])
+        r0, _ = study.evaluate(paired_runs[(seed, 0.0)], corpus.eval_default)
+        r1, _ = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_default)
         chi_wins += r1.chi2["velocity"] < r0.chi2["velocity"]
         ade_wins += r1.ade < r0.ade
         minade_base.append(r0.min_ade)
@@ -216,7 +150,7 @@ def test_criterion_3_regularizer_effect(corpus, paired_runs):
 
 def test_criterion_4_baseline_recovery(corpus, scorer_run):
     cfg = TrainConfig(learning_rate=1e-4, total_steps=80, batch_size=16, seed=77)
-    subset = corpus["instances"][:40]
+    subset = corpus.instances[:40]
     with_scorer = predictor.train_predictor(
         subset, scorer_run["model"], cfg, alpha=0.0, n_heads=4
     )
@@ -238,10 +172,10 @@ def test_criterion_5_filter_soundness(corpus, scorer_run, paired_runs):
     scorer = scorer_run["model"]
     cases = []
     for seed in range(N_SEED_PAIRS):
-        _, sets, gts = evaluate(paired_runs[(seed, ALPHA)], corpus["eval_hard"])
+        _, sets = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_hard)
         cases.extend(
-            (s, locoval.score_batch(scorer, s, inst.observable), g)
-            for s, inst, g in zip(sets, corpus["eval_hard"], gts)
+            (s, locoval.score_batch(scorer, s, inst.observable), inst.future)
+            for s, inst in zip(sets, corpus.eval_hard)
         )
     [entry] = filtering.sweep_lambda(cases, [LAMBDA])
     rate_ok = 0.0 < entry.rejection_rate < 0.5
@@ -252,10 +186,10 @@ def test_criterion_5_filter_soundness(corpus, scorer_run, paired_runs):
 
     # adversarial all-low inputs: candidates moving far too fast for the
     # walker, so every score sits below the threshold
-    inst = corpus["eval_hard"][0]
+    inst = corpus.eval_hard[0]
     rng = np.random.default_rng(55)
     bad = []
-    for _ in range(N_HEADS):
+    for _ in range(study.N_HEADS):
         heading = rng.uniform(-np.pi, np.pi)
         step = 8.0 * inst.past.dt * np.array([np.cos(heading), np.sin(heading)])
         pts = inst.past.points[-1] + np.cumsum(
@@ -270,7 +204,7 @@ def test_criterion_5_filter_soundness(corpus, scorer_run, paired_runs):
         and result.fallback_used
         and len(result.kept) == 1
         and result.kept[0][0] == int(np.argmax(scores))
-        and len(result.rejected) == N_HEADS - 1
+        and len(result.rejected) == study.N_HEADS - 1
     )
 
     ok = rate_ok and order_ok and fallback_ok
@@ -390,10 +324,10 @@ def test_criterion_8_score_error_monotonicity(corpus, scorer_run, paired_runs):
     scorer = scorer_run["model"]
     scores, ades = [], []
     for seed in range(N_SEED_PAIRS):
-        _, sets, gts = evaluate(paired_runs[(seed, ALPHA)], corpus["eval_hard"])
-        for s, inst, g in zip(sets, corpus["eval_hard"], gts):
+        _, sets = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_hard)
+        for s, inst in zip(sets, corpus.eval_hard):
             scores.extend(locoval.score_batch(scorer, s, inst.observable))
-            ades.extend(metrics.ade(t, g) for t in s)
+            ades.extend(metrics.ade(t, inst.future) for t in s)
     bins = metrics.bin_by_plausibility(scores, ades, n_bins=10)
     occupied = [(b["bin"], b["mean_ade"]) for b in bins if b["count"] > 0]
     rho = metrics.spearman_rho([i for i, _ in occupied], [a for _, a in occupied])
@@ -411,8 +345,9 @@ def test_criterion_9_end_to_end_budget(tmp_path):
     stages = [
         ["gen-data", "--out", out],
         ["train-locoval", "--out", out],
-        ["train-predictor", "--out", out, "--alpha", "0", "--heads", str(N_HEADS)],
-        ["train-predictor", "--out", out, "--alpha", str(ALPHA), "--heads", str(N_HEADS)],
+        ["train-predictor", "--out", out, "--alpha", "0", "--heads", str(study.N_HEADS)],
+        ["train-predictor", "--out", out, "--alpha", str(study.ALPHA),
+         "--heads", str(study.N_HEADS)],
         ["eval", "--out", out, "--filter", str(LAMBDA)],
     ]
     for stage in stages:

@@ -405,6 +405,24 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
         ("gen-data", {"locoval": {"include_pose": 1}},
          "locoval.include_pose must be true or false, got 1"),
         ("sweep --values a,b", {}, "--values: 'a' is not a number"),
+        ("gen-data", {"data": {"seed": -1}}, "data.seed must be an integer >= 0, got -1"),
+        ("gen-data", {"data": {"eval_seed": -1}}, "data.eval_seed must be an integer >= 0"),
+        ("gen-data", {"predictor": {"window_seed": -1}},
+         "predictor.window_seed must be an integer >= 0"),
+        ("gen-data", {"locoval": {"train": {"seed": -1}}},
+         "locoval.train.seed must be >= 0, got -1"),
+        ("gen-data", {"predictor": {"train": {"seed": -1}}},
+         "predictor.train.seed must be >= 0, got -1"),
+        ("train-predictor --seed -1", {}, "predictor.train.seed must be >= 0, got -1"),
+        ("gen-data", {"data": {"pose_bank_size": 0}},
+         "data.pose_bank_size must be an integer >= 1, got 0"),
+        ("gen-data", {"predictor": {"n_heads": 0}}, "predictor.n_heads must be an integer >= 1"),
+        ("train-predictor --heads 0", {}, "predictor.n_heads must be an integer >= 1, got 0"),
+        ("gen-data", {"data": {"n_tracks": 0}}, "data.n_tracks must be an integer >= 1"),
+        ("gen-data", {"data": {"n_eval_tracks": 0}},
+         "data.n_eval_tracks must be an integer >= 1"),
+        ("gen-data", {"predictor": {"past_frames": 1}},
+         "predictor.past_frames must be an integer >= 2, got 1"),
     ],
     ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
          "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
@@ -415,7 +433,10 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
          "alpha-option-nan", "alpha-option-negative", "threshold-1.5", "lambdas-string",
          "lambdas-above-one", "chi2-bins-one", "score-bins-zero", "stride-string", "n-tracks-float",
          "lr-string", "holdout-null", "n-heads-bool", "include-pose-int",
-         "sweep-values-not-a-number"],
+         "sweep-values-not-a-number", "data-seed-negative", "eval-seed-negative",
+         "window-seed-negative", "locoval-train-seed-negative", "predictor-train-seed-negative",
+         "seed-option-negative", "pose-bank-zero", "n-heads-zero", "heads-option-zero",
+         "n-tracks-zero", "n-eval-tracks-zero", "past-frames-one"],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -131,11 +132,25 @@ def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value
         ("eval", "chi2_bins", 1),
         ("eval", "chi2_bins", 2.5),
         ("eval", "score_bins", 0),
+        ("data", "seed", -1),
+        ("data", "eval_seed", -1),
+        ("data", "n_tracks", 0),
+        ("data", "n_eval_tracks", 0),
+        ("data", "pose_bank_size", 0),
+        ("predictor", "window_seed", -1),
+        ("predictor", "n_heads", 0),
+        ("predictor", "past_frames", 1),
+        ("locoval", "train.seed", -1),
+        ("predictor", "train.seed", -1),
     ],
 )
 def test_bad_section_fields_rejected(section, field, value):
-    with pytest.raises(ConfigError, match=rf"^config\.{section}\.{field} (widths )?must be"):
-        config_from_dict({section: {field: value}})
+    doc = value
+    for key in reversed(f"{section}.{field}".split(".")):
+        doc = {key: doc}
+    with pytest.raises(ConfigError, match=rf"^config\.{re.escape(section)}\.{re.escape(field)} "
+                                          r"(widths )?must be"):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -228,10 +243,13 @@ def test_edge_values_accepted():
     cfg = config_from_dict({
         "locoval": {"holdout_fraction": 0.0, "hidden": [1],
                     "train": {"beta1": 0.0, "beta2": 0.0, "min_lr": -1.0}},
-        "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1], "alpha": 0},
+        "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1], "alpha": 0,
+                      "past_frames": 2, "window_seed": 0, "n_heads": 1, "train": {"seed": 0}},
         "eval": {"threshold": 1, "lambdas": [0, 1.0], "chi2_bins": 2, "score_bins": 1},
         "plausibility": {"n_plausible": 0, "n_implausible": 0, "seed": 0},
-        "data": {"synthetic": {"speed_range": [1, 1], "noise_sigma": 0, "min_reward": 1,
+        "data": {"n_tracks": 1, "n_eval_tracks": 1, "pose_bank_size": 1, "seed": 0,
+                 "eval_seed": 0,
+                 "synthetic": {"speed_range": [1, 1], "noise_sigma": 0, "min_reward": 1,
                                "max_retries": 1}},
     })
     assert cfg.predictor.future_frames == 2 and cfg.locoval.train.beta1 == 0.0

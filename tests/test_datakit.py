@@ -309,3 +309,18 @@ def test_instance_parameter_validation(pose_bank):
         make_training_instances(ds, pose_bank, 9, 0)
     with pytest.raises(DataError):
         make_training_instances(ds, [], 9, 12)
+
+
+def test_future_slices_equal_the_window_loop():
+    dataset = generate_synthetic(SyntheticConfig(), 6, seed=3)
+    dataset.tracks = dict(reversed(dataset.tracks.items()))
+    expected = []
+    for tid in sorted(dataset.tracks):
+        pts = dataset.tracks[tid].points
+        for start in range(0, len(pts) - 12 + 1, 3):
+            expected.append(pts[start : start + 12])
+    slices = datakit.future_slices(dataset, 12, 3)
+    assert len(slices) == len(expected) > 6
+    for got, want in zip(slices, expected):
+        assert np.array_equal(got.points, want) and got.dt == dataset.dt
+    assert datakit.future_slices(dataset, len(dataset.tracks[0]) + 1, 1) == []

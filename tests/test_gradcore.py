@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -476,6 +478,22 @@ def test_rebound_layer_fails_validate(attr, layer):
         model.validate()
 
 
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_model_keeps_training(round_trip):
+    model = small_model(seed=37, sizes=(4, 8, 3), hidden="tanh", output="sigmoid")
+    x = np.random.default_rng(37).normal(size=(5, 4))
+    before = forward(model, x)
+    twin = round_trip(model)
+    twin.validate()
+    assert twin.hidden_activation == "tanh" and twin.output_activation == "sigmoid"
+    assert np.array_equal(forward(twin, x), before)
+    out, cache = forward_cached(twin, x)
+    AdamW(twin, TrainConfig()).step(twin, backward(twin, cache, np.ones_like(out)))
+    assert not np.array_equal(forward(twin, x), before)
+    assert np.array_equal(forward(model, x), before)
+
+
 @pytest.fixture
 def reference_gradcore(monkeypatch):
     """Route forward_cached, backward and AdamW.step through the references."""
@@ -530,6 +548,7 @@ def test_train_predictor_equals_reference_run(training_instances, trained_scorer
         {"batch_size": 0},
         {"weight_decay": -0.1},
         {"schedule": "linear"},
+        {"seed": -1},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):

@@ -228,6 +228,8 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
               help="Apply the plausibility filter at this threshold first.")
 def cmd_eval(config_path, out, threshold):
     """Evaluate the trained predictor on a fresh synthetic evaluation set."""
+    if threshold is not None and not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"--filter must lie in [0, 1], got {threshold!r}")
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
 

@@ -229,22 +229,21 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 @dataclass
 class Gradients:
     """Parameter gradients as per-layer views of one flat array, `flat`, in
-    the layout of MlpModel.params, plus the input gradient. Gradients built
-    from per-layer arrays copy them into a new flat array."""
+    the layout of MlpModel.params. Gradients built from per-layer arrays copy
+    them into a new flat array."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray  # gradient of the loss w.r.t. the network input
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @classmethod
-    def _over(cls, flat, weights, biases, inputs) -> "Gradients":
+    def _over(cls, flat, weights, biases) -> "Gradients":
         """Gradients already laid out in flat, wrapped without a copy."""
         grads = cls.__new__(cls)
-        grads.weights, grads.biases, grads.inputs, grads.flat = weights, biases, inputs, flat
+        grads.weights, grads.biases, grads.flat = weights, biases, flat
         return grads
 
 
@@ -264,7 +263,8 @@ def _output_delta(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndar
 
 
 def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
-    """Backpropagate upstream = dL/d(output) through a cached forward pass.
+    """Backpropagate upstream = dL/d(output) through a cached forward pass
+    to the parameter gradients; input_grad() gives the input gradient.
 
     The parameter gradients are written into the model's gradient buffer and
     returned as views of it, so the next backward() of the same model
@@ -280,20 +280,20 @@ def backward(model: MlpModel, cache: dict, upstream: np.ndarray) -> Gradients:
     for i in range(model.n_layers - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=w_grads[i])
         np.sum(delta, axis=0, out=b_grads[i])
-        delta = delta @ model.weights[i].T
         if i > 0:
+            delta = delta @ model.weights[i].T
             _times_hidden_derivative(delta, acts[i], model.hidden_activation)
     if not np.isfinite(flat).all():
         layer = max(i for i in range(model.n_layers)
                     if not (np.isfinite(w_grads[i]).all() and np.isfinite(b_grads[i]).all()))
         raise NumericError("non-finite gradient", layer_index=layer)
-    input_grad = delta[0] if cache["single"] else delta
-    return Gradients._over(flat, list(w_grads), list(b_grads), input_grad)
+    return Gradients._over(flat, list(w_grads), list(b_grads))
 
 
 def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
-    """dL/d(input) of a cached forward pass through a frozen model: the
-    inputs of backward(), bit for bit, without any parameter gradient."""
+    """dL/d(input) of a cached forward pass, without any parameter gradient.
+    It reads the model's current weights, so call it before an optimizer step
+    changes the weights the forward pass used."""
     acts = cache["activations"]
     delta = _output_delta(model, cache, upstream)
     for i in range(model.n_layers - 1, -1, -1):

@@ -266,7 +266,13 @@ def train_predictor(
 ) -> PredictorTrainResult:
     """Train with min_of_k_mse + alpha * emloco_loss; the scorer's weights
     stay frozen. At alpha == 0 the regularizer term is fully detached so
-    results are bit-identical to a run without a scorer."""
+    results are bit-identical to a run without a scorer.
+
+    Every eval_every steps, and at the last step, a curve point records the
+    interval's mean loss_gt. Its loss_plaus is the interval's mean at
+    alpha > 0; at alpha == 0, where it only reports, the scorer runs on the
+    interval's last batch alone and loss_plaus is that batch's loss (0.0
+    without a scorer)."""
     if not dataset:
         raise DataError("empty training dataset")
     if not (alpha >= 0 and math.isfinite(alpha)):
@@ -315,8 +321,9 @@ def train_predictor(
         loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
         d_disp[sel, np.arange(B)] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
+        closes_interval = (step + 1) % eval_every == 0 or step == config.total_steps - 1
         loss_pl_val = 0.0
-        if scorer is not None:
+        if scorer is not None and (alpha > 0.0 or closes_interval):
             steps = disp.copy()
             steps[:, :, 0, :] += offsets[idx]
             # the pass stays bound until the next one replaces it: freed within a
@@ -327,16 +334,17 @@ def train_predictor(
                 d_disp += alpha * emloco_grad(scorer, scorer_pass)
 
         g_head = gradcore.backward(model.head, head_cache, d_out)
+        d_trunk = gradcore.input_grad(model.head, head_cache, d_out)
         opt_head.step(model.head, g_head)
-        g_trunk = gradcore.backward(model.trunk, trunk_cache, g_head.inputs)
+        g_trunk = gradcore.backward(model.trunk, trunk_cache, d_trunk)
         opt_trunk.step(model.trunk, g_trunk)
 
         acc_gt += loss_gt_val
         acc_pl += loss_pl_val
         acc_n += 1
-        if (step + 1) % eval_every == 0 or step == config.total_steps - 1:
+        if closes_interval:
             mean_gt = acc_gt / acc_n
-            mean_pl = acc_pl / acc_n
+            mean_pl = acc_pl / acc_n if alpha > 0.0 else loss_pl_val
             ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
             dominates = bool(alpha * mean_pl > mean_gt)
             curve.append(

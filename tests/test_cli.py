@@ -164,6 +164,19 @@ def test_eval_filter_zero_keeps_everything(tiny_config, trained_dir):
     assert not (trained_dir / "metrics_rejected.json").exists()
 
 
+@pytest.mark.parametrize("value", ["2", "-1", "nan"])
+def test_eval_filter_out_of_range_fails_before_writing(tiny_config, trained_dir, capsys, value):
+    assert run("eval", "--config", tiny_config, "--out", str(trained_dir)) == 0
+    before = (trained_dir / "metrics.json").read_bytes()
+    capsys.readouterr()
+    assert run("eval", "--config", tiny_config, "--out", str(trained_dir),
+               "--filter", value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --filter must lie in [0, 1], got {float(value)!r}\n"
+    assert captured.out == ""
+    assert (trained_dir / "metrics.json").read_bytes() == before
+
+
 def test_eval_filter_scores_each_case_once(tiny_config, trained_dir, monkeypatch):
     calls = {"predict": 0, "score_batch": 0}
 

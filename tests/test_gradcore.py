@@ -116,7 +116,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     grads = backward(model, cache, np.zeros(3))
     assert all(np.all(g == 0) for g in grads.weights)
     assert all(np.all(g == 0) for g in grads.biases)
-    assert np.all(grads.inputs == 0)
+    assert np.all(input_grad(model, cache, np.zeros(3)) == 0)
 
 
 def test_backward_linear_squared_error_closed_form():
@@ -147,14 +147,19 @@ def test_backward_rejects_nonfinite():
 @pytest.mark.parametrize("hidden, output", [("relu", "sigmoid"), ("relu", "identity"),
                                             ("tanh", "sigmoid"), ("tanh", "identity")])
 def test_input_grad_equals_backward_inputs(hidden, output, rows):
+    """input_grad equals the input gradient of the out-of-place reference
+    backward pass bit for bit, and leaves the model's gradient buffer alone."""
     model = small_model(seed=3, sizes=(5, 9, 7, 2), hidden=hidden, output=output)
     rng = np.random.default_rng(4)
     shape = (5,) if rows is None else (rows, 5)
-    _, cache = forward_cached(model, rng.normal(size=shape))
+    x = rng.normal(size=shape)
+    _, cache = forward_cached(model, x)
     upstream = rng.normal(size=shape[:-1] + (2,))
     got = input_grad(model, cache, upstream)
     assert got.shape == shape
-    assert np.array_equal(got, backward(model, cache, upstream).inputs)
+    assert np.array_equal(got, reference_input_grad(model, reference_forward_cached(model, x)[1],
+                                                    upstream))
+    assert model._grad is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -229,7 +234,6 @@ def test_adamw_zero_grad_is_identity():
     zero = gradcore.Gradients(
         weights=[np.zeros_like(w) for w in model.weights],
         biases=[np.zeros_like(b) for b in model.biases],
-        inputs=np.zeros(4),
     )
     opt.step(model, zero)
     for w0, w1 in zip(before.weights, model.weights):
@@ -246,9 +250,7 @@ def test_adamw_first_step_hand_recurrence():
         output_activation="identity",
     )
     g = 0.3
-    grads = gradcore.Gradients(
-        weights=[np.array([[g]])], biases=[np.array([0.0])], inputs=np.zeros(1)
-    )
+    grads = gradcore.Gradients(weights=[np.array([[g]])], biases=[np.array([0.0])])
     opt = AdamW(model, TrainConfig(learning_rate=lr, eps=eps))
     opt.step(model, grads)
     expected = 1.0 - lr * g / (abs(g) + eps)
@@ -263,7 +265,6 @@ def test_adamw_decoupled_decay_shrinks_params():
     zero = gradcore.Gradients(
         weights=[np.zeros_like(w) for w in model.weights],
         biases=[np.zeros_like(b) for b in model.biases],
-        inputs=np.zeros(4),
     )
     AdamW(model, cfg).step(model, zero)
     assert np.allclose(model.weights[0], w_before * (1.0 - 0.1 * 0.5))
@@ -275,7 +276,6 @@ def test_adamw_moments_persist_across_steps():
     grads = gradcore.Gradients(
         weights=[np.ones_like(w) for w in model.weights],
         biases=[np.ones_like(b) for b in model.biases],
-        inputs=np.zeros(4),
     )
     opt.step(model, grads)
     opt.step(model, grads)
@@ -301,7 +301,7 @@ def test_adamw_in_place_equals_out_of_place_recurrence():
             g = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
                  for p in ref.weights + ref.biases]
             lr = opt.current_lr()
-            opt.step(model, gradcore.Gradients(g[:3], g[3:], np.zeros(4)))
+            opt.step(model, gradcore.Gradients(g[:3], g[3:]))
             params = ref.weights + ref.biases
             for i in range(len(params)):
                 m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i]
@@ -358,28 +358,46 @@ def reference_forward_cached(model, x):
                                                   "single": single}
 
 
-def reference_backward(model, cache, upstream):
-    """Per-layer out-of-place backprop from the top layer down, with relu masks
-    from the pre-activations; raises at the first layer whose gradient is not
-    finite."""
+def reference_deltas(model, cache, upstream):
+    """Yield dL/d(pre-activation) of each layer from the top layer down, then
+    dL/d(input): per-layer out-of-place backprop with relu masks from the
+    pre-activations."""
     pre, acts = cache["pre"], cache["activations"]
     upstream = np.asarray(upstream, dtype=float)
     delta = upstream[None, :] if cache["single"] else upstream
     if model.output_activation == "sigmoid":
         delta = delta * acts[-1] * (1.0 - acts[-1])
-    w_grads, b_grads = [None] * model.n_layers, [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
-        w_grads[i] = acts[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
-        if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
-            raise NumericError("non-finite gradient", layer_index=i)
+        yield delta
         delta = delta @ model.weights[i].T
         if i > 0:
             if model.hidden_activation == "relu":
                 delta = delta * (pre[i - 1] > 0.0).astype(float)
             else:
                 delta = delta * (1.0 - acts[i] * acts[i])
-    return gradcore.Gradients(w_grads, b_grads, delta[0] if cache["single"] else delta)
+    yield delta[0] if cache["single"] else delta
+
+
+def reference_backward(model, cache, upstream):
+    """Parameter gradients from reference_deltas; raises at the first layer
+    whose gradient is not finite."""
+    acts = cache["activations"]
+    w_grads, b_grads = [None] * model.n_layers, [None] * model.n_layers
+    deltas = reference_deltas(model, cache, upstream)
+    for i, delta in zip(range(model.n_layers - 1, -1, -1), deltas):
+        w_grads[i] = acts[i].T @ delta
+        b_grads[i] = delta.sum(axis=0)
+        if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
+            raise NumericError("non-finite gradient", layer_index=i)
+    return gradcore.Gradients(w_grads, b_grads)
+
+
+def reference_input_grad(model, cache, upstream):
+    """The input gradient, the last of reference_deltas."""
+    *_, grad = reference_deltas(model, cache, upstream)
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite input gradient")
+    return grad
 
 
 def reference_adamw_step(opt, model, grads, lr=None):
@@ -435,9 +453,10 @@ def test_forward_and_backward_equal_out_of_place_reference(hidden, output, rows,
             assert str(got_exc.value) == str(exc)
             return
         got = backward(model, got_cache, upstream)
+        got_inputs = input_grad(model, got_cache, upstream)
     for g, w in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
         assert g.shape == w.shape and np.array_equal(g, w)
-    assert np.array_equal(got.inputs, want.inputs, equal_nan=True)
+    assert np.array_equal(got_inputs, reference_input_grad(model, want_cache, upstream))
     assert np.array_equal(got.flat, want.flat)
 
 
@@ -464,8 +483,7 @@ def test_parameters_and_gradients_are_views_of_flat_buffers():
     assert np.shares_memory(grads.weights[0], grads.flat)
     assert np.array_equal(grads.flat, np.concatenate(
         [a.ravel() for a in grads.weights + grads.biases]))
-    packed = gradcore.Gradients([np.ones((4, 8)), np.ones((8, 3))], [np.zeros(8), np.zeros(3)],
-                                np.zeros(4))
+    packed = gradcore.Gradients([np.ones((4, 8)), np.ones((8, 3))], [np.zeros(8), np.zeros(3)])
     assert np.array_equal(packed.flat, np.r_[np.ones(56), np.zeros(11)])
 
 
@@ -496,9 +514,11 @@ def test_copied_model_keeps_training(round_trip):
 
 @pytest.fixture
 def reference_gradcore(monkeypatch):
-    """Route forward_cached, backward and AdamW.step through the references."""
+    """Route forward_cached, backward, input_grad and AdamW.step through the
+    references."""
     monkeypatch.setattr(gradcore, "forward_cached", reference_forward_cached)
     monkeypatch.setattr(gradcore, "backward", reference_backward)
+    monkeypatch.setattr(gradcore, "input_grad", reference_input_grad)
     monkeypatch.setattr(gradcore.AdamW, "step", reference_adamw_step)
 
 

@@ -345,8 +345,9 @@ def test_train_alpha_zero_bit_identical_to_no_scorer(training_instances, trained
 
 @pytest.mark.parametrize("alpha", [0.0, 100.0])
 def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatch, alpha):
-    """The frozen scorer runs once per step over all K·B rows, at alpha 0
-    (reporting loss_plaus only) as at alpha 100."""
+    """The frozen scorer runs over all K·B rows once per step at alpha 100.
+    At alpha 0, where it only reports loss_plaus, it runs once per curve
+    point: at steps 2, 4 and the last, 5."""
     scorer = trained_scorer.model
     calls = []
     forward_cached = gradcore.forward_cached
@@ -358,8 +359,38 @@ def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatc
 
     monkeypatch.setattr(gradcore, "forward_cached", counting)
     cfg = _tiny_config(steps=5)
-    train_predictor(training_instances[:20], scorer, cfg, alpha=alpha, n_heads=3)
-    assert calls == [3 * cfg.batch_size] * cfg.total_steps
+    result = train_predictor(training_instances[:20], scorer, cfg, alpha=alpha, n_heads=3,
+                             eval_every=2)
+    assert [p.step for p in result.curve] == [2, 4, 5]
+    assert calls == [3 * cfg.batch_size] * (cfg.total_steps if alpha > 0 else 3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 100.0])
+def test_curve_points_against_per_step_curve(training_instances, trained_scorer, alpha):
+    """An eval_every=50 run against an eval_every=1 run of the same seed.
+    Parameters and batches do not depend on eval_every, so the per-step
+    curve holds every step's losses. At alpha 0 each curve point's loss_plaus
+    is the loss of its own step's batch; at alpha 100 it is the mean over its
+    interval, as loss_gt is at both."""
+    cfg = _tiny_config(steps=120)
+
+    def run(eval_every):
+        return train_predictor(training_instances[:30], trained_scorer.model, cfg, alpha=alpha,
+                               n_heads=3, trunk_hidden=(32, 32), eval_every=eval_every)
+
+    coarse, per_step = run(50), run(1)
+    assert np.array_equal(coarse.model.trunk.params, per_step.model.trunk.params)
+    assert np.array_equal(coarse.model.head.params, per_step.model.head.params)
+    assert [p.step for p in coarse.curve] == [50, 100, 120]
+    assert [p.step for p in per_step.curve] == list(range(1, 121))
+    start = 0
+    for point in coarse.curve:
+        interval = per_step.curve[start : point.step]
+        start = point.step
+        assert point.loss_gt == sum(p.loss_gt for p in interval) / len(interval)
+        want_plaus = (sum(p.loss_plaus for p in interval) / len(interval) if alpha > 0
+                      else interval[-1].loss_plaus)
+        assert point.loss_plaus == want_plaus > 0.0
 
 
 def test_train_deterministic(training_instances):

@@ -19,7 +19,8 @@ import numpy as np
 from . import datakit, filtering, gradcore, locoval as locoval_mod, metrics, oracle
 from . import predictor as predictor_mod
 from .config import RunConfig, load_config, override, save_resolved_config
-from .errors import ConfigError, DataError, InputShapeError, NumericError
+from .errors import (NON_NEGATIVE, UNIT, ConfigError, DataError, InputShapeError, NumericError,
+                     check_value)
 from .metrics import pearson_r
 
 OUT_ENV_VAR = "PLAUSTRAJ_OUT"
@@ -228,8 +229,8 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
               help="Apply the plausibility filter at this threshold first.")
 def cmd_eval(config_path, out, threshold):
     """Evaluate the trained predictor on a fresh synthetic evaluation set."""
-    if threshold is not None and not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"--filter must lie in [0, 1], got {threshold!r}")
+    if threshold is not None:
+        check_value("--filter", threshold, 0.0, UNIT)
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
 
@@ -319,13 +320,13 @@ def cmd_filter(config_path, out, candidates_path, observables_path, threshold):
 @click.option("--values", default=None, help="Comma-separated grid; defaults from config.")
 def cmd_sweep(config_path, out, param, values):
     """Grid sweep over the filter threshold or the regularizer weight."""
+    grid = _parse_grid(values) if values else None
+    for value in grid or ():  # a threshold in [0, 1], or a finite alpha >= 0
+        check_value("--values", value, 0.0, UNIT if param == "lambda" else NON_NEGATIVE)
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
-    grid = (
-        _parse_grid(values)
-        if values
-        else list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
-    )
+    if grid is None:
+        grid = list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
 
     scorer = locoval_mod.load_locoval(out_dir / "locoval.json")
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)

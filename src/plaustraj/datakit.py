@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InputShapeError, ParseError
+from .errors import (NON_NEGATIVE, POSITIVE, UNIT, Checked, ConfigError, DataError,
+                     InputShapeError, ParseError, Rule, at_least, is_finite, rule)
 from .oracle import (
     DEFAULT_DT,
     REQUIRED_JOINTS,
@@ -214,48 +215,31 @@ def load_pose_bank(path) -> list[HumanoidState]:
 SCENARIOS = ("straight", "accelerate", "turn", "stop_and_go")
 
 
+# a (low, high) range of a scenario draw
+_RANGE = Rule(lambda v: len(v) == 2 and all(map(is_finite, v)) and v[0] <= v[1],
+              "two finite numbers, low <= high")
+_WEIGHTS = Rule(
+    lambda w: (set(w) <= set(SCENARIOS) and all(is_finite(x) and x >= 0 for x in w.values())
+               and any(x > 0 for x in w.values())),
+    f"an object mapping some of {', '.join(SCENARIOS)} to finite weights >= 0, not all zero")
+
+
 @dataclass
-class SyntheticConfig:
-    n_frames: int = 24
-    dt: float = DEFAULT_DT
-    noise_sigma: float = 0.02
-    speed_range: tuple = (0.8, 1.8)
-    accel_range: tuple = (0.2, 0.5)
-    turn_rate_range: tuple = (0.3, 0.9)
-    scenario_weights: dict = field(
-        default_factory=lambda: {s: 1.0 for s in SCENARIOS}
-    )
-    min_reward: float = 0.7
-    max_retries: int = 20
+class SyntheticConfig(Checked):
+    n_frames: int = rule(at_least(4), default=24)
+    dt: float = rule(POSITIVE, default=DEFAULT_DT)
+    noise_sigma: float = rule(NON_NEGATIVE, default=0.02)
+    speed_range: tuple = rule(_RANGE, default=(0.8, 1.8))
+    accel_range: tuple = rule(_RANGE, default=(0.2, 0.5))
+    turn_rate_range: tuple = rule(_RANGE, default=(0.3, 0.9))
+    scenario_weights: dict = rule(_WEIGHTS, default_factory=lambda: {s: 1.0 for s in SCENARIOS})
+    min_reward: float = rule(UNIT, default=0.7)
+    max_retries: int = rule(at_least(1), default=20)
 
     def __post_init__(self):
-        if self.n_frames < 4:
-            raise ConfigError("n_frames must be at least 4")
-        unknown = set(self.scenario_weights) - set(SCENARIOS)
-        if unknown:
-            raise ConfigError(f"scenario_weights has unknown scenarios {sorted(unknown)}")
+        super().__post_init__()
         for name in ("speed_range", "accel_range", "turn_rate_range"):
-            bounds = getattr(self, name)
-            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                    and all(map(_finite, bounds)) and bounds[0] <= bounds[1]):
-                raise ConfigError(
-                    f"{name} must be two finite numbers, low <= high, got {bounds!r}")
-            setattr(self, name, tuple(bounds))
-        if not (_finite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (_finite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if not (_finite(self.min_reward) and 0.0 <= self.min_reward <= 1.0):
-            raise ConfigError(f"min_reward must be in [0, 1], got {self.min_reward!r}")
-        if isinstance(self.max_retries, bool) or not (
-                isinstance(self.max_retries, int) and self.max_retries >= 1):
-            raise ConfigError(f"max_retries must be an integer >= 1, got {self.max_retries!r}")
-
-
-def _finite(value) -> bool:
-    """A finite real number; bools are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            setattr(self, name, tuple(getattr(self, name)))
 
 
 def _speed_profile(scenario: str, cfg: SyntheticConfig, rng: np.random.Generator,
@@ -332,8 +316,6 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     names = [s for s in SCENARIOS if config.scenario_weights.get(s, 0.0) > 0]
     weights = np.array([config.scenario_weights[s] for s in names], dtype=float)
-    if not names:
-        raise ConfigError("all scenario weights are zero")
     weights /= weights.sum()
 
     tracks = {}

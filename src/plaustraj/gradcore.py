@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InputShapeError, NumericError
+from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError,
+                     InputShapeError, NumericError, at_least, one_of, rule)
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
@@ -23,38 +24,17 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-    total_steps: int = 1000
-    batch_size: int = 64
-    seed: int = 0
-    schedule: str = "constant"  # constant | cosine
+class TrainConfig(Checked):
+    learning_rate: float = rule(POSITIVE, default=1e-3)
+    weight_decay: float = rule(NON_NEGATIVE, default=0.0)
+    total_steps: int = rule(at_least(1), default=1000)
+    batch_size: int = rule(at_least(1), default=64)
+    seed: int = rule(at_least(0), default=0)
+    schedule: str = rule(one_of("constant", "cosine"), default="constant")
     min_lr: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning_rate must be positive and finite")
-        if not math.isfinite(self.min_lr):
-            raise ConfigError("min_lr must be finite")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError("eps must be positive and finite")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"schedule must be constant or cosine, got {self.schedule!r}")
+    beta1: float = rule(BELOW_ONE, default=0.9)
+    beta2: float = rule(BELOW_ONE, default=0.999)
+    eps: float = rule(POSITIVE, default=1e-8)
 
 
 def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:

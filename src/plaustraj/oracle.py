@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InputShapeError
+from .errors import (NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError, InputShapeError,
+                     Rule, rule)
 
 REQUIRED_JOINTS = (
     "head",
@@ -172,30 +172,17 @@ class HumanoidState:
 
 
 @dataclass
-class OracleParams:
-    v_max: float = 2.5          # m/s
-    a_max: float = 2.0          # m/s^2
-    turn_rate_max: float = 2.0  # rad/s
-    gamma: float = 0.95
-    w_follow: float = 1.0
-    w_energy: float = 0.25
-    follow_scale: float = 0.5   # meters
+class OracleParams(Checked):
+    v_max: float = rule(POSITIVE, default=2.5)          # m/s
+    a_max: float = rule(POSITIVE, default=2.0)          # m/s^2
+    turn_rate_max: float = rule(POSITIVE, default=2.0)  # rad/s
+    gamma: float = rule(Rule(lambda v: 0 < v <= 1, "in (0, 1]"), default=0.95)
+    w_follow: float = rule(NON_NEGATIVE, default=1.0)
+    w_energy: float = rule(NON_NEGATIVE, default=0.25)
+    follow_scale: float = rule(POSITIVE, default=0.5)   # meters
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("v_max", "a_max", "turn_rate_max", "follow_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma!r}")
-        for name in ("w_follow", "w_energy"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        super().__post_init__()
         if self.w_follow + self.w_energy <= 0:
             raise ConfigError("w_follow and w_energy must not both be zero")
 

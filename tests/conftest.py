@@ -1,11 +1,21 @@
 """Shared fixtures. The expensive ones (trained scorer, labeled dataset) are
 session-scoped so the property tests and the acceptance suite reuse them."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from plaustraj import datakit, locoval, oracle
 from plaustraj.gradcore import TrainConfig
+
+# GitHub Actions sets CI; there a failing property prints the blob that replays
+# it locally with @reproduce_failure. Recent Hypothesis versions already load a
+# built-in "ci" profile there, which this one derives from; older ones have none.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_observable(heading=0.0, speed=1.2, root=(0.0, 0.0)):

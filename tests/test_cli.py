@@ -9,6 +9,8 @@ from plaustraj import filtering, locoval, predictor
 from plaustraj.cli import main
 
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
+WEIGHTS_RULE = ("an object mapping some of straight, accelerate, turn, stop_and_go to finite "
+                "weights >= 0, not all zero")
 
 TINY = {
     "data": {"n_tracks": 8, "n_eval_tracks": 5, "pose_bank_size": 12},
@@ -164,15 +166,24 @@ def test_eval_filter_zero_keeps_everything(tiny_config, trained_dir):
     assert not (trained_dir / "metrics_rejected.json").exists()
 
 
-@pytest.mark.parametrize("value", ["2", "-1", "nan"])
-def test_eval_filter_out_of_range_fails_before_writing(tiny_config, trained_dir, capsys, value):
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("2", "--filter must be in [0, 1], got 2.0"),
+        ("-1", "--filter must be in [0, 1], got -1.0"),
+        ("nan", "--filter must be finite, got nan"),
+    ],
+    ids=["2", "-1", "nan"],
+)
+def test_eval_filter_out_of_range_fails_before_writing(tiny_config, trained_dir, capsys, value,
+                                                        message):
     assert run("eval", "--config", tiny_config, "--out", str(trained_dir)) == 0
     before = (trained_dir / "metrics.json").read_bytes()
     capsys.readouterr()
     assert run("eval", "--config", tiny_config, "--out", str(trained_dir),
                "--filter", value) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"config error: --filter must lie in [0, 1], got {float(value)!r}\n"
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert (trained_dir / "metrics.json").read_bytes() == before
 
@@ -369,9 +380,10 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
         ("gen-data", {"predictor": {"future_frames": 1}}, "predictor.future_frames must be"),
         ("train-locoval", {"locoval": {"holdout_fraction": 1.5}},
          "locoval.holdout_fraction must be"),
-        ("train-locoval", {"locoval": {"hidden": [0]}}, "locoval.hidden widths must be"),
+        ("train-locoval", {"locoval": {"hidden": [0]}},
+         "locoval.hidden must be a list of integers >= 1, got [0]"),
         ("train-predictor", {"predictor": {"trunk_hidden": [0]}},
-         "predictor.trunk_hidden widths must be"),
+         "predictor.trunk_hidden must be a list of integers >= 1, got [0]"),
         ("gen-data", {"plausibility": {"n_plausible": "abc"}},
          "plausibility.n_plausible must be"),
         ("gen-data", {"plausibility": {"n_plausible": 2.5}}, "plausibility.n_plausible must be"),
@@ -396,14 +408,16 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
          "oracle.w_energy must be a real number, got 'x'"),
         ("gen-data", {"oracle": {"v_max": -1}}, "oracle.v_max must be positive"),
         ("train-predictor", {"predictor": {"alpha": float("nan")}},
-         "predictor.alpha must be finite and >= 0, got nan"),
+         "predictor.alpha must be finite, got nan"),
         ("train-predictor", {"predictor": {"alpha": -1}},
-         "predictor.alpha must be finite and >= 0, got -1"),
-        ("train-predictor --alpha nan", {}, "predictor.alpha must be finite and >= 0, got nan"),
-        ("train-predictor --alpha -0.5", {}, "predictor.alpha must be finite and >= 0, got -0.5"),
+         "predictor.alpha must be non-negative, got -1"),
+        ("train-predictor --alpha nan", {}, "predictor.alpha must be finite, got nan"),
+        ("train-predictor --alpha -0.5", {}, "predictor.alpha must be non-negative, got -0.5"),
         ("gen-data", {"eval": {"threshold": 1.5}}, "eval.threshold must be in [0, 1]"),
-        ("sweep", {"eval": {"lambdas": ["x"]}}, "eval.lambdas must be numbers, got 'x'"),
-        ("sweep", {"eval": {"lambdas": [0.5, 2]}}, "eval.lambdas must be in [0, 1], got 2"),
+        ("sweep", {"eval": {"lambdas": ["x"]}},
+         "eval.lambdas must be a non-empty list of numbers in [0, 1], got ['x']"),
+        ("sweep", {"eval": {"lambdas": [0.5, 2]}},
+         "eval.lambdas must be a non-empty list of numbers in [0, 1], got [0.5, 2]"),
         ("eval", {"eval": {"chi2_bins": 1}}, "eval.chi2_bins must be an integer >= 2, got 1"),
         ("eval", {"eval": {"score_bins": 0}}, "eval.score_bins must be an integer >= 1, got 0"),
         ("gen-data", {"predictor": {"stride": "x"}},
@@ -423,10 +437,11 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
         ("gen-data", {"predictor": {"window_seed": -1}},
          "predictor.window_seed must be an integer >= 0"),
         ("gen-data", {"locoval": {"train": {"seed": -1}}},
-         "locoval.train.seed must be >= 0, got -1"),
+         "locoval.train.seed must be an integer >= 0, got -1"),
         ("gen-data", {"predictor": {"train": {"seed": -1}}},
-         "predictor.train.seed must be >= 0, got -1"),
-        ("train-predictor --seed -1", {}, "predictor.train.seed must be >= 0, got -1"),
+         "predictor.train.seed must be an integer >= 0, got -1"),
+        ("train-predictor --seed -1", {},
+         "predictor.train.seed must be an integer >= 0, got -1"),
         ("gen-data", {"data": {"pose_bank_size": 0}},
          "data.pose_bank_size must be an integer >= 1, got 0"),
         ("gen-data", {"predictor": {"n_heads": 0}}, "predictor.n_heads must be an integer >= 1"),
@@ -436,6 +451,18 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
          "data.n_eval_tracks must be an integer >= 1"),
         ("gen-data", {"predictor": {"past_frames": 1}},
          "predictor.past_frames must be an integer >= 2, got 1"),
+        ("gen-data", {"data": {"synthetic": {"scenario_weights": {"turn": "x"}}}},
+         f"data.synthetic.scenario_weights must be {WEIGHTS_RULE}, got {{'turn': 'x'}}"),
+        ("gen-data", {"data": {"synthetic": {"scenario_weights": {"turn": -1.0}}}},
+         f"data.synthetic.scenario_weights must be {WEIGHTS_RULE}, got {{'turn': -1.0}}"),
+        ("gen-data", {"data": {"synthetic": {"scenario_weights": {"turn": float("nan")}}}},
+         f"data.synthetic.scenario_weights must be {WEIGHTS_RULE}, got {{'turn': nan}}"),
+        ("gen-data", {"data": {"synthetic": {"scenario_weights": {"turn": 0.0, "straight": 0}}}},
+         f"data.synthetic.scenario_weights must be {WEIGHTS_RULE}, "
+         "got {'turn': 0.0, 'straight': 0}"),
+        ("sweep --param lambda --values 0.5,2", {}, "--values must be in [0, 1], got 2.0"),
+        ("sweep --param alpha --values 0,-1", {}, "--values must be non-negative, got -1.0"),
+        ("sweep --param alpha --values 0,nan", {}, "--values must be finite, got nan"),
     ],
     ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
          "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
@@ -449,7 +476,9 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
          "sweep-values-not-a-number", "data-seed-negative", "eval-seed-negative",
          "window-seed-negative", "locoval-train-seed-negative", "predictor-train-seed-negative",
          "seed-option-negative", "pose-bank-zero", "n-heads-zero", "heads-option-zero",
-         "n-tracks-zero", "n-eval-tracks-zero", "past-frames-one"],
+         "n-tracks-zero", "n-eval-tracks-zero", "past-frames-one", "weights-string",
+         "weights-negative", "weights-nan", "weights-all-zero", "sweep-lambda-above-one",
+         "sweep-alpha-negative", "sweep-alpha-nan"],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):
@@ -461,3 +490,5 @@ def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, ov
     where = "" if message.startswith("--") else "config."
     assert err.startswith(f"config error: {where}{message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # every bad value is caught before the output directory is made
+    assert not (tmp_path / "o").exists()

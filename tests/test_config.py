@@ -1,16 +1,27 @@
+import dataclasses
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plaustraj.config import (
+    DataSection,
+    EvalSection,
+    LocoValSection,
+    PlausibilitySection,
+    PredictorSection,
     RunConfig,
     config_from_dict,
     load_config,
+    override,
     resolved_config_dict,
     save_resolved_config,
 )
+from plaustraj.datakit import SCENARIOS, SyntheticConfig
 from plaustraj.errors import ConfigError
+from plaustraj.gradcore import TrainConfig
+from plaustraj.oracle import OracleParams
 
 
 def test_defaults_construct():
@@ -149,7 +160,7 @@ def test_bad_section_fields_rejected(section, field, value):
     for key in reversed(f"{section}.{field}".split(".")):
         doc = {key: doc}
     with pytest.raises(ConfigError, match=rf"^config\.{re.escape(section)}\.{re.escape(field)} "
-                                          r"(widths )?must be"):
+                                          r"must be"):
         config_from_dict(doc)
 
 
@@ -255,3 +266,145 @@ def test_edge_values_accepted():
     assert cfg.predictor.future_frames == 2 and cfg.locoval.train.beta1 == 0.0
     assert cfg.plausibility.n_plausible == 0 and cfg.data.synthetic.speed_range == (1, 1)
     assert config_from_dict({"data": {"synthetic": {"min_reward": 0.0}}})
+
+
+# ---------------------------------------------------------------------------
+# one rule per field, on every path into a config object
+
+# where each config class sits in a run config document
+PATHS = {
+    RunConfig: "config",
+    OracleParams: "config.oracle",
+    DataSection: "config.data",
+    SyntheticConfig: "config.data.synthetic",
+    PlausibilitySection: "config.plausibility",
+    LocoValSection: "config.locoval",
+    PredictorSection: "config.predictor",
+    EvalSection: "config.eval",
+    TrainConfig: "config.predictor.train",
+}
+
+# (class, field) -> (a value of the wrong kind, a value out of the field's
+# range or None where it has none); a field added without an entry fails
+# test_every_config_field_has_bad_values
+BAD_VALUES = {
+    (RunConfig, "oracle"): ("x", None),
+    (RunConfig, "data"): (3, None),
+    (RunConfig, "plausibility"): ([], None),
+    (RunConfig, "locoval"): (True, None),
+    (RunConfig, "predictor"): ("x", None),
+    (RunConfig, "eval"): (1.5, None),
+    (OracleParams, "v_max"): ("x", -1),
+    (OracleParams, "a_max"): (True, 0.0),
+    (OracleParams, "turn_rate_max"): ([2.0], 0),
+    (OracleParams, "gamma"): ("0.95", 1.5),
+    (OracleParams, "w_follow"): (False, -1.0),
+    (OracleParams, "w_energy"): ("x", -0.25),
+    (OracleParams, "follow_scale"): ({}, 0.0),
+    (DataSection, "n_tracks"): (2.5, 0),
+    (DataSection, "n_eval_tracks"): ("30", 0),
+    (DataSection, "pose_bank_size"): (True, 0),
+    (DataSection, "seed"): ("1", -1),
+    (DataSection, "eval_seed"): (1001.0, -1),
+    (DataSection, "synthetic"): ("x", None),
+    (SyntheticConfig, "n_frames"): ("x", 3),
+    (SyntheticConfig, "dt"): ("0.4", 0.0),
+    (SyntheticConfig, "noise_sigma"): (True, -0.01),
+    (SyntheticConfig, "speed_range"): ("fast", [2.0, 1.0]),
+    (SyntheticConfig, "accel_range"): (0.2, [0.2]),
+    (SyntheticConfig, "turn_rate_range"): ({"low": 0.3}, [0.3, float("inf")]),
+    (SyntheticConfig, "scenario_weights"): ([1.0], {"turn": -1.0}),
+    (SyntheticConfig, "min_reward"): ("high", 1.5),
+    (SyntheticConfig, "max_retries"): (2.0, 0),
+    (PlausibilitySection, "n_plausible"): ("abc", -1),
+    (PlausibilitySection, "n_implausible"): (True, -1),
+    (PlausibilitySection, "seed"): (2.0, -1),
+    (LocoValSection, "hidden"): ("128", [128, 0]),
+    (LocoValSection, "include_pose"): (1, None),
+    (LocoValSection, "include_velocity"): ("yes", None),
+    (LocoValSection, "holdout_fraction"): ("0.1", 1.0),
+    (LocoValSection, "train"): ("x", None),
+    (PredictorSection, "past_frames"): (9.0, 1),
+    (PredictorSection, "future_frames"): ("12", 1),
+    (PredictorSection, "stride"): (True, 0),
+    (PredictorSection, "window_seed"): ([4], -1),
+    (PredictorSection, "n_heads"): (False, 0),
+    (PredictorSection, "alpha"): ("0", -1.0),
+    (PredictorSection, "trunk_hidden"): (256, [0]),
+    (PredictorSection, "train"): (1, None),
+    (EvalSection, "threshold"): ("0.7", 1.5),
+    (EvalSection, "score_bins"): (10.0, 0),
+    (EvalSection, "chi2_bins"): ("50", 1),
+    (EvalSection, "lambdas"): (0.5, [0.5, 2]),
+    (TrainConfig, "learning_rate"): ("x", 0.0),
+    (TrainConfig, "weight_decay"): (True, -0.1),
+    (TrainConfig, "total_steps"): (2.5, 0),
+    (TrainConfig, "batch_size"): ("64", 0),
+    (TrainConfig, "seed"): (False, -1),
+    (TrainConfig, "schedule"): (1, "linear"),
+    (TrainConfig, "min_lr"): ("0", None),
+    (TrainConfig, "beta1"): ([0.9], 1.0),
+    (TrainConfig, "beta2"): ({}, -0.1),
+    (TrainConfig, "eps"): ("1e-8", 0.0),
+}
+
+
+def test_every_config_field_has_bad_values():
+    assert set(BAD_VALUES) == {(cls, f.name) for cls in PATHS for f in dataclasses.fields(cls)}
+
+
+def _bad_value_cases():
+    for (cls, name), (wrong_kind, out_of_range) in BAD_VALUES.items():
+        where = f"{cls.__name__}.{name}"
+        yield pytest.param(cls, name, wrong_kind, id=f"{where}-kind")
+        if out_of_range is not None:
+            yield pytest.param(cls, name, out_of_range, id=f"{where}-range")
+        if isinstance(getattr(cls(), name), float):
+            for value in (float("nan"), float("-inf")):
+                yield pytest.param(cls, name, value, id=f"{where}-{value}")
+
+
+@pytest.mark.parametrize("cls, name, value", _bad_value_cases())
+def test_bad_field_value_is_a_config_error_on_every_path(cls, name, value):
+    path = PATHS[cls]
+    doc = {name: value}
+    for key in reversed(path.split(".")[1:]):
+        doc = {key: doc}
+    # pytest.raises lets any other exception, such as a TypeError, through
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\.{name} must be "):
+        config_from_dict(doc)
+    with pytest.raises(ConfigError, match=rf"^{name} must be "):
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\.{name} must be "):
+        override(cls(), path, **{name: value})
+
+
+_SCALARS = st.one_of(st.integers(), st.floats(), st.text(max_size=6), st.booleans(), st.none())
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=4),
+    st.dictionaries(st.sampled_from(SCENARIOS) | st.text(max_size=6), _SCALARS, max_size=4),
+)
+
+
+def _documents(cls):
+    """Documents for a config class: some of its field names, each with a
+    value of any kind, or a document of its own class for a nested section."""
+    fields = {}
+    for f in dataclasses.fields(cls):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        nested = dataclasses.is_dataclass(default)
+        fields[f.name] = _documents(type(default)) | _VALUES if nested else _VALUES
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_documents(RunConfig))
+@example({"oracle": {"v_max": 10**400}})  # too large for a float
+def test_any_document_loads_or_is_a_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert config_from_dict(resolved_config_dict(cfg)) == cfg

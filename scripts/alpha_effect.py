@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from plaustraj import study
+from plaustraj.filtering import evaluate_windows
 
 
 def main():
@@ -36,8 +37,8 @@ def main():
     runs = study.paired_runs(corpus.instances, scorer, ns.seeds, ns.alpha, ns.steps, ns.heads)
     rows = []
     for seed in range(ns.seeds):
-        r0, _ = study.evaluate(runs[(seed, 0.0)], corpus.eval_default)
-        r1, _ = study.evaluate(runs[(seed, ns.alpha)], corpus.eval_default)
+        r0 = evaluate_windows(runs[(seed, 0.0)], corpus.eval_default).report
+        r1 = evaluate_windows(runs[(seed, ns.alpha)], corpus.eval_default).report
         rows.append((seed, r0, r1))
         print(f"seed {seed}: ade {r0.ade:.3f} -> {r1.ade:.3f}  "
               f"minade {r0.min_ade:.3f} -> {r1.min_ade:.3f}  "

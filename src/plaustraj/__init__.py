@@ -31,7 +31,7 @@ from .predictor import (
     save_predictor,
     train_predictor,
 )
-from .filtering import FilterResult, locoval_filter, sweep_lambda
+from .filtering import FilterResult, WindowEval, evaluate_windows, locoval_filter, sweep_lambda
 from .metrics import MetricsReport, chi2_distance, evaluate_predictions
 from .config import RunConfig, load_config
 
@@ -64,6 +64,8 @@ __all__ = [
     "save_predictor",
     "train_predictor",
     "FilterResult",
+    "WindowEval",
+    "evaluate_windows",
     "locoval_filter",
     "sweep_lambda",
     "MetricsReport",

@@ -53,21 +53,6 @@ def _build_instances(cfg: RunConfig, seed: int, n_tracks: int):
     )
 
 
-def _eval_cases(model, scorer, instances):
-    """(candidates, per-head scores or None, ground truth) triples, the cases
-    filtering.sweep_lambda takes."""
-    cases = []
-    for inst in instances:
-        pred = predictor_mod.predict(model, inst.past, inst.observable)
-        scores = (
-            locoval_mod.score_batch(scorer, pred.trajectories, inst.observable)
-            if scorer is not None
-            else None
-        )
-        cases.append((pred.trajectories, scores, inst.future))
-    return cases
-
-
 @click.group()
 def cli():
     """Plausibility-aware trajectory prediction toolkit."""
@@ -241,11 +226,8 @@ def cmd_eval(config_path, out, threshold):
         raise DataError(f"--filter requires {scorer_path}")
 
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)
-    cases = _eval_cases(model, scorer, instances)
-
-    report = metrics.evaluate_predictions(
-        [c[0] for c in cases], [c[2] for c in cases], n_bins=cfg.eval.chi2_bins
-    )
+    evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
+    report = evaluation.report
     metrics.save_report_json(report, out_dir / "metrics.json")
     metrics.save_report_csv(report, out_dir / "metrics.csv")
     metrics.save_per_timestep_csv(report, out_dir / "per_timestep.csv")
@@ -256,28 +238,18 @@ def cmd_eval(config_path, out, threshold):
     )
 
     if scorer is not None:
-        scores, ades = [], []
-        for candidates, case_scores, gt in cases:
-            for traj, s in zip(candidates, case_scores):
-                scores.append(s)
-                ades.append(metrics.ade(traj, gt))
-        bins = metrics.bin_by_plausibility(scores, ades, n_bins=cfg.eval.score_bins)
+        bins = metrics.bin_by_plausibility(evaluation.scores.ravel(), evaluation.ades.ravel(),
+                                           n_bins=cfg.eval.score_bins)
         metrics.save_bins_csv(bins, out_dir / "score_bins.csv")
 
     if threshold is not None:
-        entry = filtering.sweep_lambda(cases, [threshold])[0]
+        entry = filtering.sweep_lambda(evaluation, [threshold])[0]
         metrics.save_report_json(entry.kept_report, out_dir / "metrics_kept.json")
         if entry.rejected_report is not None:
             metrics.save_report_json(entry.rejected_report, out_dir / "metrics_rejected.json")
-        click.echo(
-            f"filter lambda={threshold}: kept ADE={entry.kept_report.ade:.3f} "
-            + (
-                f"rejected ADE={entry.rejected_report.ade:.3f} "
-                if entry.rejected_report
-                else "rejected ADE=n/a "
-            )
-            + f"rejection rate={entry.rejection_rate:.1%}"
-        )
+        rejected = f"{entry.rejected_report.ade:.3f}" if entry.rejected_report else "n/a"
+        click.echo(f"filter lambda={threshold}: kept ADE={entry.kept_report.ade:.3f} "
+                   f"rejected ADE={rejected} rejection rate={entry.rejection_rate:.1%}")
 
 
 @cli.command("filter")
@@ -334,7 +306,8 @@ def cmd_sweep(config_path, out, param, values):
     rows = []
     if param == "lambda":
         model = predictor_mod.load_predictor(out_dir / "predictor.json")
-        for entry in filtering.sweep_lambda(_eval_cases(model, scorer, instances), grid):
+        evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
+        for entry in filtering.sweep_lambda(evaluation, grid):
             rows.append(
                 {
                     "value": entry.threshold,
@@ -357,10 +330,8 @@ def cmd_sweep(config_path, out, param, values):
                 n_heads=cfg.predictor.n_heads,
                 trunk_hidden=tuple(cfg.predictor.trunk_hidden),
             )
-            cases = _eval_cases(result.model, None, instances)
-            report = metrics.evaluate_predictions(
-                [c[0] for c in cases], [c[2] for c in cases], n_bins=cfg.eval.chi2_bins
-            )
+            report = filtering.evaluate_windows(result.model, instances,
+                                                n_bins=cfg.eval.chi2_bins).report
             rows.append(
                 {
                     "value": alpha,
@@ -398,7 +369,8 @@ def _parse_grid(values: str) -> list[float]:
 
 def load_candidates_tsv(path, dt: float) -> dict:
     """Rows of "case head frame x y"; returns case id -> list of trajectories
-    ordered by head index."""
+    ordered by head index. Each head's frames must run consecutively, each
+    given once."""
     raw = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -418,7 +390,12 @@ def load_candidates_tsv(path, dt: float) -> dict:
     for case, heads in raw.items():
         trajectories = []
         for head in sorted(heads):
-            pts = np.array([[x, y] for _, x, y in sorted(heads[head])])
+            rows = sorted(heads[head])
+            for (prev, _, _), (frame, _, _) in zip(rows, rows[1:]):
+                if frame != prev + 1:
+                    gap = f"frame {prev} repeated" if frame == prev else f"frame {prev + 1} missing"
+                    raise DataError(f"{path}: case {case} head {head}: {gap}")
+            pts = np.array([[x, y] for _, x, y in rows])
             trajectories.append(oracle.Trajectory(pts, dt))
         lengths = {len(t) for t in trajectories}
         if len(lengths) != 1:

@@ -84,28 +84,28 @@ class RunConfig(Checked):
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-def _from_dict(cls, data, path="config"):
+def _from_dict(default, data, path="config"):
+    """default with the fields data gives set: a partial nested section keeps
+    the other defaults of the field that holds it, not its class's."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object, got {data!r}")
-    field_map = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(field_map)
+    unknown = set(data) - {f.name for f in dataclasses.fields(default)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        f = field_map[name]
-        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-        if dataclasses.is_dataclass(default):
-            value = _from_dict(type(default), value, f"{path}.{name}")
+        section = getattr(default, name)
+        if dataclasses.is_dataclass(section):
+            value = _from_dict(section, value, f"{path}.{name}")
         kwargs[name] = list(value) if isinstance(value, list) else value
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(default, **kwargs)
     except ConfigError as exc:  # each section names the field, this the section
         raise ConfigError(f"{path}.{exc}")
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    return _from_dict(RunConfig, data)
+    return _from_dict(RunConfig(), data)
 
 
 def override(section, path: str, **values):

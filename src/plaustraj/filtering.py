@@ -1,5 +1,6 @@
 """Threshold-based rejection of implausible candidate trajectories with an
-argmax fallback, plus threshold sweeps."""
+argmax fallback, the one evaluation of a predictor on a window set, and
+threshold sweeps over it."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics, predictor
+from .datakit import TrainingInstance
 from .errors import ConfigError, InputShapeError
 from .locoval import LocoValModel, score_batch
-from .metrics import MetricsReport, evaluate_predictions
 from .oracle import ObservableState, Trajectory
 
 
@@ -64,51 +66,73 @@ def _partition(candidates: list[Trajectory], scores: list[float],
 
 
 @dataclass
+class WindowEval:
+    """A predictor's heads on a window set, each head's score and ADE, and the
+    metrics report of all the heads."""
+
+    heads: list[list[Trajectory]]   # per window, its K predicted heads
+    truths: list[Trajectory]        # per window, its ground-truth future
+    scores: np.ndarray | None       # (N, K) score_batch scores; None without a scorer
+    ades: np.ndarray                # (N, K) ADE of each head
+    report: metrics.MetricsReport
+    n_bins: int                     # the report's chi2 histogram bins
+
+
+def evaluate_windows(model: predictor.PredictorModel, instances: list[TrainingInstance],
+                     scorer: LocoValModel | None = None,
+                     n_bins: int = metrics.DEFAULT_N_BINS) -> WindowEval:
+    """Predict each window, score its heads with one score_batch call when a
+    scorer is given, and take every head's ADE in one (N*K, T, 2) pass, which
+    has the bits of metrics.ade head by head."""
+    heads = [predictor.predict(model, inst.past, inst.observable).trajectories
+             for inst in instances]
+    scores = None if scorer is None else np.array(
+        [score_batch(scorer, h, inst.observable) for h, inst in zip(heads, instances)])
+    truths = [inst.future for inst in instances]
+    report = metrics.evaluate_predictions(heads, truths, n_bins=n_bins)
+    k = len(heads[0])
+    _, ades, _ = metrics._displacement_errors(
+        np.stack([t.points for h in heads for t in h]),
+        np.repeat(np.stack([g.points for g in truths]), k, axis=0))
+    return WindowEval(heads, truths, scores, ades.reshape(-1, k), report, n_bins)
+
+
+@dataclass
 class SweepEntry:
     threshold: float
-    kept_report: MetricsReport | None
-    rejected_report: MetricsReport | None
+    kept_report: metrics.MetricsReport
+    rejected_report: metrics.MetricsReport | None
     rejection_rate: float
     fallback_cases: int
 
 
-def sweep_lambda(
-    cases: list[tuple[list[Trajectory], list[float], Trajectory]],
-    thresholds: list[float],
-) -> list[SweepEntry]:
-    """For each threshold, metrics of kept and rejected candidate sets over
-    (candidates, scores, ground truth) evaluation cases, the scores being
-    score_batch's for the candidates. Each case is partitioned by the
-    locoval_filter rule per threshold."""
+def sweep_lambda(evaluation: WindowEval, thresholds: list[float]) -> list[SweepEntry]:
+    """For each threshold, metrics of the kept and the rejected heads of a
+    scored window set, at its chi2 bin count. Each window is partitioned by
+    the locoval_filter rule per threshold, which keeps at least one head."""
     for lam in thresholds:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("every threshold must lie in [0, 1]")
+    total = sum(len(candidates) for candidates in evaluation.heads)
+    n_bins = evaluation.n_bins
     entries = []
     for lam in thresholds:
-        kept_sets, kept_gts = [], []
-        rej_sets, rej_gts = [], []
-        total, n_rejected, fallback_cases = 0, 0, 0
-        for candidates, scores, gt in cases:
+        kept_sets, rej_sets, rej_gts = [], [], []
+        n_rejected = fallback_cases = 0
+        for candidates, scores, gt in zip(evaluation.heads, evaluation.scores, evaluation.truths):
             result = _partition(candidates, scores, lam)
-            total += len(candidates)
             n_rejected += len(result.rejected)
             fallback_cases += int(result.fallback_used)
             kept_sets.append([t for _, t, _ in result.kept])
-            kept_gts.append(gt)
             if result.rejected:
                 rej_sets.append([t for _, t, _ in result.rejected])
                 rej_gts.append(gt)
-        kept_report = evaluate_predictions(kept_sets, kept_gts)
-        rejected_report = (
-            evaluate_predictions(rej_sets, rej_gts) if rej_sets else None
-        )
-        entries.append(
-            SweepEntry(
-                threshold=lam,
-                kept_report=kept_report,
-                rejected_report=rejected_report,
-                rejection_rate=n_rejected / total if total else 0.0,
-                fallback_cases=fallback_cases,
-            )
-        )
+        entries.append(SweepEntry(
+            threshold=lam,
+            kept_report=metrics.evaluate_predictions(kept_sets, evaluation.truths, n_bins=n_bins),
+            rejected_report=(metrics.evaluate_predictions(rej_sets, rej_gts, n_bins=n_bins)
+                             if rej_sets else None),
+            rejection_rate=n_rejected / total,
+            fallback_cases=fallback_cases,
+        ))
     return entries

@@ -1,6 +1,7 @@
 """The paired-seed study behind the regularizer claim: one seeded corpus, one
 frozen scorer, and K-head predictors trained at alpha 0 and at alpha from the
-same seed (same init and batch order), then evaluated on held-out windows.
+same seed (same init and batch order), then evaluated on held-out windows
+with filtering.evaluate_windows.
 
 The acceptance tests and scripts/alpha_effect.py both run it. `paired_runs`
 trains the pairs in worker processes, with the bits of training in-process.
@@ -13,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import datakit, locoval, metrics, oracle, predictor
+from . import datakit, locoval, oracle, predictor
 from .gradcore import TrainConfig
 
 PREDICTOR_STEPS = 800
@@ -92,10 +93,3 @@ def paired_runs(instances, scorer, seeds: int, alpha: float = ALPHA,
             del os.environ["OPENBLAS_NUM_THREADS"]
         else:
             os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
-def evaluate(model, instances) -> tuple[metrics.MetricsReport, list]:
-    """The metrics report over the windows, and each window's predicted heads."""
-    sets = [predictor.predict(model, inst.past, inst.observable).trajectories
-            for inst in instances]
-    return metrics.evaluate_predictions(sets, [inst.future for inst in instances]), sets

@@ -50,6 +50,21 @@ def paired_runs(corpus, scorer_run):
     return study.paired_runs(corpus.instances, scorer_run["model"], N_SEED_PAIRS)
 
 
+@pytest.fixture(scope="module")
+def hard_windows(corpus, scorer_run, paired_runs):
+    """The regularized predictors' heads on the hard windows of every seed
+    pair, scored, as one window set."""
+    evals = [filtering.evaluate_windows(paired_runs[(seed, study.ALPHA)], corpus.eval_hard,
+                                        scorer_run["model"])
+             for seed in range(N_SEED_PAIRS)]
+    heads = [h for e in evals for h in e.heads]
+    truths = [g for e in evals for g in e.truths]
+    return filtering.WindowEval(heads, truths, np.concatenate([e.scores for e in evals]),
+                                np.concatenate([e.ades for e in evals]),
+                                metrics.evaluate_predictions(heads, truths),
+                                metrics.DEFAULT_N_BINS)
+
+
 # ---------------------------------------------------------------------------
 # 1. scorer fidelity on fresh oracle-labeled pairs
 
@@ -132,8 +147,9 @@ def test_criterion_3_regularizer_effect(corpus, paired_runs):
     chi_wins = ade_wins = 0
     minade_base, minade_reg = [], []
     for seed in range(N_SEED_PAIRS):
-        r0, _ = study.evaluate(paired_runs[(seed, 0.0)], corpus.eval_default)
-        r1, _ = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_default)
+        r0 = filtering.evaluate_windows(paired_runs[(seed, 0.0)], corpus.eval_default).report
+        r1 = filtering.evaluate_windows(paired_runs[(seed, study.ALPHA)],
+                                        corpus.eval_default).report
         chi_wins += r1.chi2["velocity"] < r0.chi2["velocity"]
         ade_wins += r1.ade < r0.ade
         minade_base.append(r0.min_ade)
@@ -168,16 +184,9 @@ def test_criterion_4_baseline_recovery(corpus, scorer_run):
 # 5. filter soundness at lambda=0.7
 
 
-def test_criterion_5_filter_soundness(corpus, scorer_run, paired_runs):
+def test_criterion_5_filter_soundness(corpus, scorer_run, hard_windows):
     scorer = scorer_run["model"]
-    cases = []
-    for seed in range(N_SEED_PAIRS):
-        _, sets = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_hard)
-        cases.extend(
-            (s, locoval.score_batch(scorer, s, inst.observable), inst.future)
-            for s, inst in zip(sets, corpus.eval_hard)
-        )
-    [entry] = filtering.sweep_lambda(cases, [LAMBDA])
+    [entry] = filtering.sweep_lambda(hard_windows, [LAMBDA])
     rate_ok = 0.0 < entry.rejection_rate < 0.5
     order_ok = (
         entry.rejected_report is not None
@@ -320,15 +329,9 @@ def test_criterion_7_pose_filters():
 # 8. low plausibility scores mean high errors
 
 
-def test_criterion_8_score_error_monotonicity(corpus, scorer_run, paired_runs):
-    scorer = scorer_run["model"]
-    scores, ades = [], []
-    for seed in range(N_SEED_PAIRS):
-        _, sets = study.evaluate(paired_runs[(seed, study.ALPHA)], corpus.eval_hard)
-        for s, inst in zip(sets, corpus.eval_hard):
-            scores.extend(locoval.score_batch(scorer, s, inst.observable))
-            ades.extend(metrics.ade(t, inst.future) for t in s)
-    bins = metrics.bin_by_plausibility(scores, ades, n_bins=10)
+def test_criterion_8_score_error_monotonicity(hard_windows):
+    bins = metrics.bin_by_plausibility(hard_windows.scores.ravel(), hard_windows.ades.ravel(),
+                                       n_bins=10)
     occupied = [(b["bin"], b["mean_ade"]) for b in bins if b["count"] > 0]
     rho = metrics.spearman_rho([i for i, _ in occupied], [a for _, a in occupied])
     report(8, rho < 0.0, f"spearman(bin, mean_ade)={rho:.3f} over "

@@ -166,6 +166,15 @@ def test_eval_filter_zero_keeps_everything(tiny_config, trained_dir):
     assert not (trained_dir / "metrics_rejected.json").exists()
 
 
+def test_eval_filter_reports_use_the_config_chi2_bins(tmp_path, trained_dir):
+    cfg = tmp_path / "bins.json"
+    cfg.write_text(json.dumps({**TINY, "eval": {"chi2_bins": 20}}))
+    assert run("eval", "--config", str(cfg), "--out", str(trained_dir), "--filter", "0.0") == 0
+    # lambda 0 keeps every head, so the kept report is the full one, bins and all
+    assert ((trained_dir / "metrics_kept.json").read_bytes()
+            == (trained_dir / "metrics.json").read_bytes())
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
@@ -218,13 +227,15 @@ def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
 
 
 def write_filter_inputs(trained_dir, tmp_path, frames=12, keys=("0", "1")):
-    """Candidates TSV (two cases, two heads each) and observables JSON."""
+    """Candidates TSV (two cases, two heads each, at frames 0 to frames - 1,
+    or at the given frame numbers) and observables JSON."""
+    frames = range(frames) if isinstance(frames, int) else frames
     lines = []
     rng = np.random.default_rng(0)
     for case in range(2):
         for head in range(2):
-            pts = np.cumsum(rng.uniform(0.2, 0.5, size=(frames, 2)), axis=0)
-            for frame, (x, y) in enumerate(pts):
+            pts = np.cumsum(rng.uniform(0.2, 0.5, size=(len(frames), 2)), axis=0)
+            for frame, (x, y) in zip(frames, pts):
                 lines.append(f"{case} {head} {frame} {x} {y}")
     cand = tmp_path / "cands.tsv"
     cand.write_text("\n".join(lines) + "\n")
@@ -274,8 +285,11 @@ def test_filter_malformed_candidates(tiny_config, trained_dir, tmp_path):
         (5, ("0", "1"), None, "trajectory length 5 != layout horizon 12"),
         (12, ("0", "case-1"), None, ": malformed observable for case 'case-1'"),
         (12, ("0", "1"), "{not json", ": invalid JSON"),
+        ([*range(6), *range(5, 11)], ("0", "1"), None, "case 0 head 0: frame 5 repeated"),
+        ([*range(5), *range(6, 13)], ("0", "1"), None, "case 0 head 0: frame 5 missing"),
     ],
-    ids=["wrong-horizon", "non-integer-case-key", "observables-not-json"],
+    ids=["wrong-horizon", "non-integer-case-key", "observables-not-json", "frame-repeated",
+         "frame-missing"],
 )
 def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
                                                  capsys, frames, keys, observables, reason):
@@ -293,6 +307,8 @@ def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_p
     assert reason in err
     if reason.startswith(":"):  # the observables file is named
         assert err.startswith(f"data error: {obs_path}: ")
+    if reason.startswith("case"):  # the candidates file is named
+        assert err.startswith(f"data error: {cand}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -40,6 +40,16 @@ def test_partial_override():
     assert cfg.data.n_tracks == 60
 
 
+def test_partial_nested_section_keeps_the_section_defaults():
+    """A train section that gives some fields keeps the other defaults of its
+    section (lr 1e-4, batch 32, seed 5 for the predictor; cosine and seed 3
+    for the scorer), not TrainConfig's class defaults."""
+    cfg = config_from_dict({"predictor": {"train": {"total_steps": 60}},
+                            "locoval": {"train": {"batch_size": 16}}})
+    assert cfg.predictor.train == dataclasses.replace(PredictorSection().train, total_steps=60)
+    assert cfg.locoval.train == dataclasses.replace(LocoValSection().train, batch_size=16)
+
+
 def test_unknown_key_rejected_with_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"predictor": {"heads": 5}})

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
+from plaustraj import datakit, metrics
 from plaustraj.errors import ConfigError, InputShapeError
-from plaustraj.filtering import locoval_filter, sweep_lambda
+from plaustraj.filtering import WindowEval, evaluate_windows, locoval_filter, sweep_lambda
 from plaustraj.locoval import FeatureLayout, build_locoval, score_batch
 from plaustraj.oracle import Trajectory
+from plaustraj.predictor import InputLayout, build_predictor, predict
 
 
 class StubScorer:
@@ -133,13 +135,42 @@ def test_filter_plug_and_play():
     assert [s for _, _, s in ra.kept] == [s for _, _, s in rb.kept]
 
 
+def test_evaluate_windows_equals_per_window_scores_and_per_head_ades(pose_bank):
+    """The reference is the per-window score_batch and per-head metrics.ade
+    loop that eval and criteria 5 and 8 once ran, on 60 windows x 20 heads."""
+    dataset = datakit.generate_synthetic(datakit.SyntheticConfig(), 30, seed=21)
+    windows = datakit.make_training_instances(dataset, pose_bank, 9, 12, stride=3, seed=22)[:60]
+    model = build_predictor(InputLayout(past_frames=9), 12, 20, trunk_hidden=(32, 32), seed=9)
+    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(16,), seed=9)
+    got = evaluate_windows(model, windows, scorer, n_bins=20)
+    assert got.scores.shape == got.ades.shape == (60, 20)
+    for w, inst in enumerate(windows):
+        heads = predict(model, inst.past, inst.observable).trajectories
+        assert [t.points.tobytes() for t in got.heads[w]] == [t.points.tobytes() for t in heads]
+        assert got.truths[w] is inst.future
+        assert got.scores[w].tolist() == score_batch(scorer, heads, inst.observable)
+        assert got.ades[w].tolist() == [metrics.ade(t, inst.future) for t in heads]
+    assert got.report == metrics.evaluate_predictions(got.heads, got.truths, n_bins=20)
+    # lambda 0 keeps every head, so the kept report is the report, bins and all
+    assert sweep_lambda(got, [0.0])[0].kept_report == got.report
+    assert evaluate_windows(model, windows).scores is None
+
+
+def scored_windows(sets, scores, gt):
+    """The evaluation of candidate sets with the given scores, every window
+    with ground truth gt."""
+    truths = [gt] * len(sets)
+    return WindowEval(sets, truths, scores, [[metrics.ade(t, gt) for t in c] for c in sets],
+                      metrics.evaluate_predictions(sets, truths), metrics.DEFAULT_N_BINS)
+
+
 def test_sweep_lambda_matches_direct_filter():
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=6)
     obs = make_observable()
     gt = straight_trajectory(n=12, speed=1.0)
     sets = [candidates(4), candidates(3)[::-1]]
-    cases = [(c, score_batch(scorer, c, obs), gt) for c in sets]
-    for entry in sweep_lambda(cases, [0.3, 0.5, 0.7]):
+    evaluation = scored_windows(sets, [score_batch(scorer, c, obs) for c in sets], gt)
+    for entry in sweep_lambda(evaluation, [0.3, 0.5, 0.7]):
         direct = [locoval_filter(scorer, c, obs, entry.threshold) for c in sets]
         assert entry.rejection_rate == pytest.approx(sum(len(r.rejected) for r in direct) / 7)
         assert entry.fallback_cases == sum(r.fallback_used for r in direct)
@@ -148,8 +179,9 @@ def test_sweep_lambda_matches_direct_filter():
 def test_sweep_rejection_rate_monotone():
     rng = np.random.default_rng(17)
     gt = straight_trajectory(n=12)
-    cases = [(candidates(4), rng.uniform(0.05, 0.95, size=4).tolist(), gt) for _ in range(6)]
-    entries = sweep_lambda(cases, [0.2, 0.5, 0.8])
+    scores = np.array([rng.uniform(0.05, 0.95, size=4) for _ in range(6)])
+    entries = sweep_lambda(scored_windows([candidates(4) for _ in range(6)], scores, gt),
+                           [0.2, 0.5, 0.8])
     rates = [e.rejection_rate for e in entries]
     assert rates == sorted(rates)
 

@@ -10,7 +10,7 @@ from .errors import (
     PlausTrajError,
 )
 from .gradcore import TrainConfig
-from .oracle import ObservableState, OracleParams, Trajectory, rollout
+from .oracle import ObservableState, OracleParams, PairSet, Trajectory, rollout
 from .locoval import (
     FeatureLayout,
     LocoValModel,
@@ -45,6 +45,7 @@ __all__ = [
     "TrainConfig",
     "ObservableState",
     "OracleParams",
+    "PairSet",
     "Trajectory",
     "rollout",
     "FeatureLayout",

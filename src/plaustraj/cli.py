@@ -76,7 +76,7 @@ def cmd_gen_data(config_path, out):
     datakit.save_pose_bank(bank, out_dir / "pose_bank.json")
 
     traj_bank = datakit.future_slices(dataset, cfg.predictor.future_frames, cfg.predictor.stride)
-    samples = oracle.build_plausibility_dataset(
+    pairs = oracle.build_plausibility_dataset(
         bank,
         traj_bank,
         cfg.plausibility.n_plausible,
@@ -84,18 +84,17 @@ def cmd_gen_data(config_path, out):
         params=cfg.oracle,
         seed=cfg.plausibility.seed,
     )
-    oracle.save_plausibility_csv(samples, out_dir / "plausibility.csv")
+    oracle.save_plausibility_csv(pairs, out_dir / "plausibility.csv")
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 
-    by_label = {}
-    for s in samples:
-        by_label.setdefault(s.label, []).append(s.reward)
-    click.echo(f"tracks: {len(dataset.tracks)}  pose bank: {len(bank)}  pairs: {len(samples)}")
-    for label in sorted(by_label):
-        vals = by_label[label]
-        click.echo(f"  {label}: n={len(vals)} mean_reward={np.mean(vals):.3f}")
-    if len(by_label) == 2:
-        gap = np.mean(by_label["plausible_pair"]) - np.mean(by_label["implausible_pair"])
+    click.echo(f"tracks: {len(dataset.tracks)}  pose bank: {len(bank)}  pairs: {len(pairs)}")
+    means = {}
+    for label, mask in zip(oracle.LABELS, (~pairs.plausible, pairs.plausible)):
+        if mask.any():
+            means[label] = np.mean(pairs.rewards[mask])
+            click.echo(f"  {label}: n={mask.sum()} mean_reward={means[label]:.3f}")
+    if len(means) == 2:
+        gap = means["plausible_pair"] - means["implausible_pair"]
         click.echo(f"  reward gap (plausible - implausible): {gap:.3f}")
 
 
@@ -113,18 +112,15 @@ def cmd_train_locoval(config_path, out, data_dir):
     csv_path = data_dir / "plausibility.csv"
     if not csv_path.exists():
         raise DataError(f"missing {csv_path}; run gen-data first")
-    samples = oracle.load_plausibility_csv(csv_path)
-    if not samples:
-        raise DataError(f"{csv_path}: no pairs after the header")
-
+    pairs = oracle.load_plausibility_csv(csv_path)
     layout = locoval_mod.FeatureLayout(
-        horizon=len(samples[0].trajectory),
-        joint_count=len(samples[0].observable.joints),
+        horizon=pairs.horizon,
+        joint_count=len(pairs.observables[0].joints),
         include_pose=cfg.locoval.include_pose,
         include_velocity=cfg.locoval.include_velocity,
     )
     result = locoval_mod.train_locoval(
-        samples,
+        pairs,
         cfg.locoval.train,
         layout=layout,
         hidden=tuple(cfg.locoval.hidden),
@@ -141,9 +137,8 @@ def cmd_train_locoval(config_path, out, data_dir):
             writer.writerow([p.step, repr(p.lr), repr(p.train_mse), repr(p.holdout_mse)])
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 
-    X_ho, y_ho = locoval_mod.features_and_targets(
-        [samples[i] for i in result.holdout_indices], result.model.layout
-    )
+    X_ho, y_ho = locoval_mod.features_and_targets(pairs.subset(result.holdout_indices),
+                                                  result.model.layout)
     corr = pearson_r(gradcore.forward(result.model.net, X_ho)[:, 0], y_ho)
     click.echo(
         f"best holdout MSE: {result.best_holdout_mse:.5f}  "
@@ -301,11 +296,13 @@ def cmd_sweep(config_path, out, param, values):
         grid = list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
 
     scorer = locoval_mod.load_locoval(out_dir / "locoval.json")
+    # the lambda sweep filters this predictor's heads; the alpha sweep trains
+    # models with as many heads
+    model = predictor_mod.load_predictor(out_dir / "predictor.json")
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)
 
     rows = []
     if param == "lambda":
-        model = predictor_mod.load_predictor(out_dir / "predictor.json")
         evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
         for entry in filtering.sweep_lambda(evaluation, grid):
             rows.append(
@@ -327,7 +324,7 @@ def cmd_sweep(config_path, out, param, values):
                 scorer,
                 cfg.predictor.train,
                 alpha=alpha,
-                n_heads=cfg.predictor.n_heads,
+                n_heads=model.n_heads,
                 trunk_hidden=tuple(cfg.predictor.trunk_hidden),
             )
             report = filtering.evaluate_windows(result.model, instances,

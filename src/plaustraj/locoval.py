@@ -18,13 +18,7 @@ import numpy as np
 from . import gradcore
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
-from .oracle import (
-    REQUIRED_JOINTS,
-    ObservableState,
-    PlausibilitySample,
-    Trajectory,
-    rotation_matrix,
-)
+from .oracle import REQUIRED_JOINTS, ObservableState, PairSet, Trajectory, rotation_matrix
 
 CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -123,11 +117,9 @@ def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
     return g @ rot
 
 
-def _check_horizon(traj: Trajectory, layout: FeatureLayout):
-    if len(traj) != layout.horizon:
-        raise InputShapeError(
-            f"trajectory length {len(traj)} != layout horizon {layout.horizon}"
-        )
+def _check_horizon(horizon: int, layout: FeatureLayout):
+    if horizon != layout.horizon:
+        raise InputShapeError(f"trajectory length {horizon} != layout horizon {layout.horizon}")
 
 
 def _steps_from(root: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -149,7 +141,7 @@ def _canonicalize_shared(trajs: list[Trajectory], obs: ObservableState,
                          layout: FeatureLayout) -> np.ndarray:
     """Feature rows of trajectories in the canonical frame of one observable."""
     for traj in trajs:
-        _check_horizon(traj, layout)
+        _check_horizon(len(traj), layout)
     root, rot, tail = observation_frame(obs, layout)
     return encode_steps(_steps_from(root, np.stack([t.points for t in trajs])), rot, tail)
 
@@ -194,28 +186,18 @@ class LocoValTrainResult:
     holdout_indices: np.ndarray
 
 
-def features_and_targets(dataset: list[PlausibilitySample],
-                         layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, canonicalized in one batch, and oracle rewards. Samples
-    may share one ObservableState, which nothing mutates; the canonical frame
-    and observation tail are computed once per distinct observable."""
-    n = len(dataset)
-    points = np.empty((n, layout.horizon, 2))
-    which = np.empty(n, dtype=np.intp)
-    observables = {}  # id of an observable -> (its index, the observable)
-    for i, s in enumerate(dataset):
-        _check_horizon(s.trajectory, layout)
-        points[i] = s.trajectory.points
-        which[i] = observables.setdefault(id(s.observable), (len(observables), s.observable))[0]
+def features_and_targets(pairs: PairSet, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows, canonicalized in one batch, and oracle rewards. The
+    canonical frame and observation tail are computed once per observable."""
+    _check_horizon(pairs.horizon, layout)
     roots, rots, tails = map(np.stack, zip(*(observation_frame(obs, layout)
-                                             for _, obs in observables.values())))
-    X = encode_steps(_steps_from(roots[which], points), rots[which], tails[which])
-    y = np.array([s.reward for s in dataset])
-    return X, y
+                                             for obs in pairs.observables)))
+    k = pairs.state
+    return encode_steps(_steps_from(roots[k], pairs.points), rots[k], tails[k]), pairs.rewards
 
 
 def train_locoval(
-    dataset: list[PlausibilitySample],
+    pairs: PairSet,
     config: TrainConfig,
     layout: FeatureLayout | None = None,
     hidden=DEFAULT_HIDDEN,
@@ -224,18 +206,13 @@ def train_locoval(
 ) -> LocoValTrainResult:
     """Regression against oracle rewards with best-checkpoint selection on a
     held-out split."""
-    if not dataset:
+    if not len(pairs):
         raise DataError("empty training dataset")
-    horizon = len(dataset[0].trajectory)
-    n_joints = len(dataset[0].observable.joints)
-    for s in dataset:
-        if len(s.trajectory) != horizon or len(s.observable.joints) != n_joints:
-            raise InputShapeError("inconsistent trajectory/joint shapes in dataset")
     if layout is None:
-        layout = FeatureLayout(horizon=horizon, joint_count=n_joints)
+        layout = FeatureLayout(horizon=pairs.horizon, joint_count=len(pairs.observables[0].joints))
 
     model = build_locoval(layout, hidden=hidden, seed=config.seed)
-    X, y = features_and_targets(dataset, layout)
+    X, y = features_and_targets(pairs, layout)
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(X))

@@ -202,11 +202,7 @@ def spearman_rho(x, y) -> float:
                 r[mask] = r[mask].mean()
         return r
 
-    rx, ry = ranks(x), ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
-        return 0.0
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+    return pearson_r(ranks(x), ranks(y))
 
 
 def pearson_r(x, y) -> float:

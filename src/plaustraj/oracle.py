@@ -56,14 +56,6 @@ class Trajectory:
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
 
-    @classmethod
-    def _over(cls, points: np.ndarray, dt: float) -> "Trajectory":
-        """A Trajectory around points already checked to be a finite float
-        (T, 2) array with T >= 2, and a positive dt, without a copy."""
-        traj = cls.__new__(cls)
-        traj.points, traj.dt = points, dt
-        return traj
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -187,21 +179,71 @@ class OracleParams(Checked):
             raise ConfigError("w_follow and w_energy must not both be zero")
 
 
-@dataclass
-class PlausibilitySample:
-    """One oracle-labelled pose-trajectory pair. Samples of one pose may
-    share one ObservableState, which nothing mutates."""
+LABELS = ("implausible_pair", "plausible_pair")  # indexed by PairSet.plausible
 
-    trajectory: Trajectory
-    observable: ObservableState
-    reward: float
-    label: str  # plausible_pair | implausible_pair
+
+class PairError(InputShapeError):
+    """One pair of a PairSet breaks a rule of the set."""
+
+    def __init__(self, pair: int, reason: str):
+        self.pair, self.reason = pair, reason
+        super().__init__(f"pair {pair}: {reason}")
+
+
+@dataclass
+class PairSet:
+    """Oracle-labelled pose-trajectory pairs of one horizon and one dt.
+
+    Pair i is the trajectory points[i], labelled rewards[i] by the oracle
+    from the state observables[state[i]]; it is a plausible_pair when
+    plausible[i], else an implausible_pair. Pairs may share an observable,
+    which nothing mutates.
+    """
+
+    points: np.ndarray       # (N, T, 2) ground-plane positions, T >= 2
+    rewards: np.ndarray      # (N,) in [0, 1]
+    plausible: np.ndarray    # (N,) bool
+    state: np.ndarray        # (N,) indices into observables
+    observables: list[ObservableState]
+    dt: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.reward) and 0.0 <= self.reward <= 1.0):
-            raise InputShapeError(f"reward must be in [0, 1], got {self.reward}")
-        if self.label not in ("plausible_pair", "implausible_pair"):
-            raise ConfigError(f"unknown label {self.label!r}")
+        self.points = np.asarray(self.points, dtype=float)
+        self.rewards = np.asarray(self.rewards, dtype=float)
+        self.plausible = np.asarray(self.plausible, dtype=bool)
+        self.state = np.asarray(self.state, dtype=np.intp)
+        n = len(self.rewards)
+        shapes = [a.shape for a in (self.points, self.rewards, self.plausible, self.state)]
+        if len(shapes[0]) != 3 or shapes[0][::2] != (n, 2) or set(shapes[1:]) != {(n,)}:
+            raise InputShapeError("pair arrays must be points (N, T, 2) and rewards, plausible "
+                                  f"and state (N,), got {shapes}")
+        if n and self.horizon < 2:
+            raise InputShapeError("trajectory needs at least 2 points")
+        if not self.dt > 0:
+            raise ConfigError("dt must be positive")
+        if n and not 0 <= self.state.min() <= self.state.max() < len(self.observables):
+            raise InputShapeError(f"state indices must lie in [0, {len(self.observables)})")
+        if len({tuple(o.joint_order()) for o in self.observables}) > 1:
+            raise InputShapeError("the observables of a pair set must name the same joints")
+        # the first pair that breaks a rule, its points checked before its reward
+        bad_points = ~np.isfinite(self.points).all(axis=(1, 2))
+        bad = bad_points | ~((self.rewards >= 0.0) & (self.rewards <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise PairError(i, "trajectory contains non-finite coordinates" if bad_points[i]
+                            else f"reward must be in [0, 1], got {float(self.rewards[i])}")
+
+    def __len__(self) -> int:
+        return len(self.rewards)
+
+    @property
+    def horizon(self) -> int:
+        return self.points.shape[1]
+
+    def subset(self, index) -> "PairSet":
+        """The pairs at an index array (or mask), sharing this set's observables."""
+        return PairSet(self.points[index], self.rewards[index], self.plausible[index],
+                       self.state[index], self.observables, self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +419,9 @@ def rollout_batch(points: np.ndarray, root: np.ndarray, velocity: np.ndarray,
 # about its first point so that its first step faces the pose heading, its
 # displacements are scaled so that the first step has the pose speed, and
 # its start is moved to the pose root. An implausible pair starts an
-# unaligned trajectory at the root after one perturbation. The pairs of one
-# horizon and dt are built as arrays and match the per-pair construction
-# (kept in the tests as the reference) bit for bit, because:
+# unaligned trajectory at the root after one perturbation. The pairs are
+# built as one array and match the per-pair construction (kept in the tests
+# as the reference) bit for bit, because:
 # - each rotation is a 2x2 matmul, disp @ rot.T with rot built from math.cos
 #   and math.sin, and the stacked matmul makes the same BLAS call per pair;
 # - the operation orders stay: (disp @ rot.T) * scale, heading + pi - angle;
@@ -434,28 +476,35 @@ def build_plausibility_dataset(
     n_implausible: int,
     params: OracleParams = OracleParams(),
     seed: int = 0,
-) -> list[PlausibilitySample]:
+) -> PairSet:
     """Oracle-labeled pairs; deterministic given the seed.
 
     One loop draws every pair. A plausible pair redraws its pose and
     trajectory, up to 32 times, until the trajectory's first step moves and
     so does the pose. An implausible pair draws a perturbation and the
-    uniform that it needs. Then the pairs of each horizon and dt are built
-    as one array and labelled by one rollout_batch call. The pairs of one
-    bank state share one ObservableState and those of one horizon and dt
-    one points array, which nothing mutates.
+    uniform that it needs. Then every pair is built as one array and
+    labelled by one rollout_batch call, so the bank trajectories must share
+    one horizon and one dt. The pairs of one bank state share one
+    ObservableState.
     """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
     if n_plausible + n_implausible == 0:
-        return []
+        return PairSet(np.empty((0, 0, 2)), np.empty(0), np.empty(0, bool),
+                       np.empty(0, np.intp), [], DEFAULT_DT)
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
+    horizon, dt = len(traj_bank[0]), traj_bank[0].dt
+    for j, t in enumerate(traj_bank):
+        if len(t) != horizon or t.dt != dt:
+            raise DataError(f"trajectory bank entry {j} has {len(t)} points at dt {t.dt}, not "
+                            f"{horizon} at dt {dt}: a pair set has one horizon and one dt")
     heading = np.array([s.heading for s in pose_bank])
     root = np.stack([s.root_position for s in pose_bank])
     velocity = np.stack([s.root_velocity for s in pose_bank])
     speed = _row_norms(velocity)
-    first = np.stack([t.points[1] - t.points[0] for t in traj_bank])
+    bank = np.stack([t.points for t in traj_bank])
+    first = bank[:, 1] - bank[:, 0]
     first_norm = _row_norms(first)
     first_angle = _map(math.atan2, first[:, 1], first[:, 0])
 
@@ -483,118 +532,97 @@ def build_plausibility_dataset(
         kinds.append(kind)
         uniforms.append(rng.uniform(2.0, 4.0) if kind == _SPEED
                         else rng.uniform(1.2, 2.0) if kind == _SHARP else 0.0)
-    pose_idx, traj_idx = np.array(pose_idx), np.array(traj_idx)
-    kinds, uniforms = np.array(kinds), np.array(uniforms)
+    p, t = np.array(pose_idx), np.array(traj_idx)
+    kinds = np.array(kinds)
 
-    keys = {}  # (horizon, dt) -> group number, in bank order
-    group_of = np.array([keys.setdefault((len(t), t.dt), len(keys)) for t in traj_bank])
-    trajectories = [None] * len(pose_idx)
-    rewards = np.empty(len(pose_idx))
-    for g, (_, dt) in enumerate(keys):
-        rows = np.flatnonzero(group_of[traj_idx] == g)
-        if not len(rows):
-            continue
-        members = np.flatnonzero(group_of == g)
-        bank_disp = np.diff(np.stack([traj_bank[j].points for j in members.tolist()]), axis=1)
-        p, t = pose_idx[rows], traj_idx[rows]
-        points = _pair_points(bank_disp[np.searchsorted(members, t)], root[p], heading[p],
-                              speed[p], first_norm[t], first_angle[t], kinds[rows],
-                              uniforms[rows], dt, params)
-        # the bank trajectories fix the shape and dt; the pair points are
-        # checked once per group, then each row is wrapped as it is
-        if not np.isfinite(points).all():
-            raise InputShapeError("trajectory contains non-finite coordinates")
-        for i, pts in zip(rows.tolist(), points):
-            trajectories[i] = Trajectory._over(pts, dt)
-        rewards[rows] = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
-
-    observables = {}  # index of a bank state -> its one ObservableState
-    samples = []
-    for i, (p, traj, reward) in enumerate(zip(pose_idx.tolist(), trajectories,
-                                              rewards.tolist())):
-        obs = observables.get(p)
-        if obs is None:
-            obs = observables[p] = pose_bank[p].observable()
-        samples.append(PlausibilitySample(
-            traj, obs, reward, "plausible_pair" if i < n_plausible else "implausible_pair"
-        ))
-    return samples
+    points = _pair_points(np.diff(bank, axis=1)[t], root[p], heading[p], speed[p],
+                          first_norm[t], first_angle[t], kinds, np.array(uniforms), dt, params)
+    rewards = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
+    used, state = np.unique(p, return_inverse=True)
+    return PairSet(points, rewards, kinds == _ALIGNED, state,
+                   [pose_bank[i].observable() for i in used.tolist()], dt)
 
 
 # ---------------------------------------------------------------------------
 # Dataset file I/O
 
 
-def save_plausibility_csv(samples: list[PlausibilitySample], path):
-    """Write samples as CSV: the header, then one row per sample.
+def save_plausibility_csv(pairs: PairSet, path):
+    """Write pairs as CSV: the header, then one row per pair.
 
     Rows are the bytes csv.writer writes for the repr of each value: labels
-    are one of two literals and a float repr never needs quoting. Samples
-    that share one ObservableState share its formatted heading, root
-    velocity and joint columns.
+    are one of two literals and a float repr never needs quoting. The
+    heading, root velocity and joint columns of each observable are
+    formatted once.
     """
-    if not samples:
+    if not len(pairs):
         raise DataError("refusing to write an empty plausibility dataset")
-    horizon = len(samples[0].trajectory)
-    names = samples[0].observable.joint_order()
+    names = pairs.observables[0].joint_order()
     header = ["label", "omega", "dt", "T_f"]
-    header += [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
+    header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
     header += [f"{n}_{ax}" for n in names for ax in ("x", "y", "z")]
-    state_columns = {}  # id of an observable -> its formatted columns
+    states = [",".join(map(repr, [float(obs.heading()), *obs.root_velocity.tolist(),
+                                  *(v for n in names for v in obs.joints[n].tolist())]))
+              for obs in pairs.observables]
+    dt, horizon = repr(float(pairs.dt)), str(pairs.horizon)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for s in samples:
-            obs = s.observable
-            state = state_columns.get(id(obs))
-            if state is None:
-                values = [float(obs.heading()), *obs.root_velocity.tolist()]
-                for n in names:
-                    values += obs.joints[n].tolist()
-                state = state_columns[id(obs)] = ",".join(map(repr, values))
-            traj = s.trajectory
-            fh.write(",".join([
-                s.label, repr(float(s.reward)), repr(float(traj.dt)), str(len(traj)),
-                *map(repr, traj.points.reshape(-1).tolist()), state,
-            ]) + "\r\n")
+        for plausible, reward, pts, state in zip(
+                pairs.plausible.tolist(), pairs.rewards.tolist(),
+                pairs.points.reshape(len(pairs), -1).tolist(), pairs.state.tolist()):
+            fh.write(",".join([LABELS[plausible], repr(reward), dt, horizon, *map(repr, pts),
+                               states[state]]) + "\r\n")
 
 
-def _parse_row(row: list[str], joint_names: list[str],
-               observables: dict) -> PlausibilitySample:
-    """One sample from a row of save_plausibility_csv's columns. Rows with
-    the same state column strings share the ObservableState in observables."""
-    horizon = int(row[3])
-    heading_col = 4 + 2 * horizon
-    n_columns = heading_col + 3 + 3 * len(joint_names)
-    if len(row) != n_columns:
-        raise InputShapeError(f"expected {n_columns} columns for T_f {horizon}, got {len(row)}")
-    pts = np.array([float(v) for v in row[4:heading_col]]).reshape(horizon, 2)
-    key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
-    obs = observables.get(key)
-    if obs is None:
-        values = [float(v) for v in key]
-        joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j]) for j, n in enumerate(joint_names)}
-        obs = observables[key] = ObservableState(joints=joints, root_velocity=np.array(values[:2]))
-    return PlausibilitySample(Trajectory(pts, float(row[2])), obs, float(row[1]), row[0])
-
-
-def load_plausibility_csv(path) -> list[PlausibilitySample]:
-    """Samples written by save_plausibility_csv. Rows with the same state
-    columns share one ObservableState, which nothing mutates. A malformed row
-    is a DataError naming the file and line."""
-    samples = []
-    observables = {}
+def load_plausibility_csv(path) -> PairSet:
+    """Pairs written by save_plausibility_csv. Rows with the same state
+    columns share one ObservableState. Every row must have the first row's
+    T_f and dt. A malformed row is a DataError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty plausibility file")
-        joint_names = [col[:-2] for col in header
-                       if col.endswith("_x") and col[:-2] != "root_v"]
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                samples.append(_parse_row(row, joint_names, observables))
-            except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
-                raise DataError(f"{path}:{line_no}: malformed row ({exc})")
-    return samples
+        rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: no pairs after the header")
+    joint_names = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
+    flat, rewards, plausible, state = [], [], [], []
+    observables, index = [], {}  # state column strings -> index into observables
+    line_no = 2
+    try:
+        first = rows[0][2:4]
+        dt, horizon = float(first[0]), int(first[1])
+        heading_col = 4 + 2 * horizon
+        n_columns = heading_col + 3 + 3 * len(joint_names)
+        for line_no, row in enumerate(rows, start=2):
+            if row[2:4] != first and (float(row[2]), int(row[3])) != (dt, horizon):
+                raise InputShapeError(f"T_f {row[3]} at dt {row[2]} differs from the first "
+                                      f"row's T_f {horizon} at dt {dt}: a pair set has one "
+                                      "horizon and one dt")
+            if len(row) != n_columns:
+                raise InputShapeError(f"expected {n_columns} columns for T_f {horizon}, "
+                                      f"got {len(row)}")
+            if row[0] not in LABELS:
+                raise ConfigError(f"unknown label {row[0]!r}")
+            key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
+            k = index.get(key)
+            if k is None:
+                values = [float(v) for v in key]
+                joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j])
+                          for j, n in enumerate(joint_names)}
+                observables.append(ObservableState(joints=joints,
+                                                   root_velocity=np.array(values[:2])))
+                k = index[key] = len(observables) - 1
+            flat += map(float, row[4:heading_col])
+            rewards.append(float(row[1]))
+            plausible.append(row[0] == "plausible_pair")
+            state.append(k)
+        line_no = 2  # a rule of the whole set is located at the first row
+        return PairSet(np.array(flat).reshape(len(rows), horizon, 2), np.array(rewards),
+                       np.array(plausible), np.array(state), observables, dt)
+    except PairError as exc:
+        raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
+    except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
+        raise DataError(f"{path}:{line_no}: malformed row ({exc})")

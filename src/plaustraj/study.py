@@ -35,7 +35,7 @@ HARD_EVAL = dict(
 class Corpus:
     bank: list                 # pose bank
     traj_bank: list            # 12-frame windows of the training tracks
-    pairs: list                # oracle-labelled plausibility pairs
+    pairs: oracle.PairSet      # oracle-labelled plausibility pairs
     instances: list            # predictor training windows
     eval_default: list         # held-out windows, training distribution
     eval_hard: list            # held-out windows, HARD_EVAL distribution

@@ -33,6 +33,11 @@ def straight_trajectory(n=12, speed=1.2, heading=0.0, start=(0.0, 0.0), dt=0.4):
     return oracle.Trajectory(pts, dt)
 
 
+def pair_of(pairs, i):
+    """(trajectory, observable) of pair i of a PairSet."""
+    return oracle.Trajectory(pairs.points[i], pairs.dt), pairs.observables[pairs.state[i]]
+
+
 @pytest.fixture(scope="session")
 def pose_bank():
     return datakit.generate_pose_bank(32, seed=11)

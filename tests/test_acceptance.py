@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import pair_of
 from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor, study
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
@@ -73,9 +74,8 @@ def test_criterion_1_scorer_fidelity(corpus, scorer_run):
     fresh = oracle.build_plausibility_dataset(
         corpus.bank, corpus.traj_bank, 100, 100, seed=999
     )
-    preds = [locoval.score(scorer_run["model"], s.trajectory, s.observable) for s in fresh]
-    targets = [s.reward for s in fresh]
-    r = metrics.pearson_r(preds, targets)
+    preds = [locoval.score(scorer_run["model"], *pair_of(fresh, i)) for i in range(len(fresh))]
+    r = metrics.pearson_r(preds, fresh.rewards)
     ok = r >= 0.80 and scorer_run["seconds"] <= 300.0
     report(1, ok, f"pearson={r:.3f} on {len(fresh)} fresh pairs, "
                   f"train_time={scorer_run['seconds']:.1f}s")

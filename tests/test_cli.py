@@ -100,17 +100,19 @@ def pairs_csv(tmp_path_factory):
 @pytest.mark.parametrize(
     "column, value, reason",
     [
-        (2, "0.0", "dt must be positive"),
+        (2, "0.0", "T_f 12 at dt 0.0 differs from the first row's T_f 12 at dt 0.4: "
+                   "a pair set has one horizon and one dt"),
+        (2, "0.2", "T_f 12 at dt 0.2 differs from the first row's T_f 12 at dt 0.4"),
         (0, "foo", "unknown label 'foo'"),
-        (3, "0", "expected 31 columns for T_f 0, got 55"),
+        (3, "0", "T_f 0 at dt 0.4 differs from the first row's T_f 12 at dt 0.4"),
         (1, "nan", "reward must be in [0, 1], got nan"),
         (1, "5", "reward must be in [0, 1], got 5.0"),
         (-1, None, "expected 55 columns for T_f 12, got 54"),
         (-1, "nan", "joint 'right_ankle' must be a finite 3-vector"),
-        (3, "13", "expected 57 columns for T_f 13, got 55"),
+        (3, "13", "T_f 13 at dt 0.4 differs from the first row's T_f 12 at dt 0.4"),
         (None, None, "no pairs after the header"),
     ],
-    ids=["dt-zero", "unknown-label", "horizon-zero", "reward-nan", "reward-five",
+    ids=["dt-zero", "dt-other", "unknown-label", "horizon-zero", "reward-nan", "reward-five",
          "short-row", "nan-joint", "horizon-one-too-long", "header-only"],
 )
 def test_train_locoval_bad_row_is_located_data_error(tiny_config, tmp_path, capsys, pairs_csv,
@@ -133,6 +135,20 @@ def test_train_locoval_bad_row_is_located_data_error(tiny_config, tmp_path, caps
     assert err.startswith(f"data error: {where}: ")
     assert reason in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_train_locoval_dt_zero_on_every_row_is_located_at_the_first(tiny_config, tmp_path,
+                                                                    capsys, pairs_csv):
+    out = tmp_path / "run"
+    out.mkdir()
+    rows = [pairs_csv[0]] + [[*r[:2], "0.0", *r[3:]] for r in pairs_csv[1:]]
+    path = out / "plausibility.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run("train-locoval", "--config", tiny_config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}:2: malformed row (dt must be positive)\n"
 
 
 @pytest.fixture
@@ -224,6 +240,35 @@ def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
     ) == 0
     rows = (trained_dir / "sweep_lambda.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_sweep_alpha_trains_the_saved_predictor_head_count(tiny_config, tmp_path, monkeypatch,
+                                                           capsys):
+    out = tmp_path / "run"
+    for stage in (["gen-data"], ["train-locoval"], ["train-predictor", "--heads", "2"]):
+        assert run(*stage, "--config", tiny_config, "--out", str(out)) == 0
+    heads = []
+
+    def recording(*args, **kwargs):
+        heads.append(kwargs["n_heads"])
+        return train_predictor(*args, **kwargs)
+
+    train_predictor = predictor.train_predictor
+    monkeypatch.setattr(predictor, "train_predictor", recording)
+    sweep = ("sweep", "--config", tiny_config, "--out", str(out), "--param", "alpha",
+             "--values", "0")
+    assert run(*sweep) == 0
+    assert heads == [2]
+    with open(out / "sweep_alpha.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["min_ade"]) < float(row["ade"])
+    # without predictor.json there is no head count: one line, exit 2, as for eval
+    (out / "predictor.json").unlink()
+    capsys.readouterr()
+    assert run(*sweep) == 2
+    err = capsys.readouterr().err
+    assert "predictor.json" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert heads == [2]
 
 
 def write_filter_inputs(trained_dir, tmp_path, frames=12, keys=("0", "1")):

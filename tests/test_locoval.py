@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_observable, straight_trajectory
+from conftest import make_observable, pair_of, straight_trajectory
 from plaustraj import gradcore, locoval
 from plaustraj.errors import ConfigError, InputShapeError
 from plaustraj.gradcore import TrainConfig
@@ -22,7 +22,7 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import ObservableState, PlausibilitySample, Trajectory
+from plaustraj.oracle import ObservableState, PairSet, Trajectory
 
 
 LAYOUT = FeatureLayout(horizon=12)
@@ -103,24 +103,27 @@ def _reference_features(traj, obs, layout):
 )
 def test_batched_canonicalization_bit_identical(headings, root, seed):
     rng = np.random.default_rng(seed)
-    samples = []
+    points, observables = [], []
     for heading in headings:
         r = np.array(root) + rng.normal(0.0, 5.0, size=2)
-        obs = make_observable(heading=heading, speed=rng.uniform(0.3, 2.0), root=tuple(r))
-        pts = r + np.cumsum(rng.normal(0.0, 0.5, size=(12, 2)), axis=0)
-        samples.append(PlausibilitySample(Trajectory(pts, 0.4), obs, 0.5, "plausible_pair"))
+        observables.append(make_observable(heading=heading, speed=rng.uniform(0.3, 2.0),
+                                           root=tuple(r)))
+        points.append(r + np.cumsum(rng.normal(0.0, 0.5, size=(12, 2)), axis=0))
+    n = len(points)
+    pairs = PairSet(np.stack(points), np.full(n, 0.5), np.ones(n, bool), np.arange(n),
+                    observables, 0.4)
+    cands = [Trajectory(pts, 0.4) for pts in points]
     reference = np.stack(
-        [_reference_features(s.trajectory, s.observable, LAYOUT) for s in samples]
+        [_reference_features(t, obs, LAYOUT) for t, obs in zip(cands, observables)]
     )
     # one canonical frame per row
-    X, _ = locoval.features_and_targets(samples, LAYOUT)
+    X, _ = locoval.features_and_targets(pairs, LAYOUT)
     assert np.array_equal(X, reference)
-    singles = np.stack([canonicalize(s.trajectory, s.observable, LAYOUT) for s in samples])
+    singles = np.stack([canonicalize(t, obs, LAYOUT) for t, obs in zip(cands, observables)])
     assert np.array_equal(singles, reference)
     # every candidate in the frame of one observable, as score_batch does
     model = build_locoval(LAYOUT, hidden=(8,), seed=seed)
-    obs = samples[0].observable
-    cands = [s.trajectory for s in samples]
+    obs = observables[0]
     expected = [
         float(gradcore.forward(model.net, _reference_features(t, obs, LAYOUT))[0])
         for t in cands
@@ -136,20 +139,22 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
 )
 def test_features_and_targets_shared_observables_equal_per_row_reference(
         plausibility_dataset, layout):
-    samples = list(plausibility_dataset)
-    assert len({id(s.observable) for s in samples}) < len(samples)
-    # an equal copy of a shared observable is another object with the same rows
-    samples += [
-        PlausibilitySample(s.trajectory, ObservableState(dict(s.observable.joints),
-                                                         s.observable.root_velocity.copy()),
-                           s.reward, s.label)
-        for s in samples[:5]
-    ]
-    X, y = locoval.features_and_targets(samples, layout)
-    reference = np.stack([_reference_features(s.trajectory, s.observable, layout)
-                          for s in samples])
+    pairs = plausibility_dataset
+    assert len(pairs.observables) < len(pairs)
+    # an equal copy of a shared observable is another one with the same rows
+    copies = [ObservableState(dict(obs.joints), obs.root_velocity.copy())
+              for obs in pairs.observables]
+    first = np.arange(5)
+    pairs = PairSet(np.concatenate([pairs.points, pairs.points[first]]),
+                    np.concatenate([pairs.rewards, pairs.rewards[first]]),
+                    np.concatenate([pairs.plausible, pairs.plausible[first]]),
+                    np.concatenate([pairs.state, pairs.state[first] + len(copies)]),
+                    pairs.observables + copies, pairs.dt)
+    X, y = locoval.features_and_targets(pairs, layout)
+    reference = np.stack([_reference_features(*pair_of(pairs, i), layout)
+                          for i in range(len(pairs))])
     assert X.shape == reference.shape and X.tobytes() == reference.tobytes()
-    assert y.tolist() == [s.reward for s in samples]
+    assert y.tolist() == pairs.rewards.tolist()
 
 
 def test_feature_layout_sizes():
@@ -241,21 +246,25 @@ def test_encode_steps_adjoint_identity():
 
 def _constant_dataset(n, reward, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
+    points, observables = [], []
     for _ in range(n):
         heading = rng.uniform(-math.pi, math.pi)
         speed = rng.uniform(0.5, 2.0)
-        obs = make_observable(heading=heading, speed=speed)
-        traj = straight_trajectory(n=12, speed=speed, heading=heading)
-        samples.append(PlausibilitySample(traj, obs, reward, "plausible_pair"))
-    return samples
+        observables.append(make_observable(heading=heading, speed=speed))
+        points.append(straight_trajectory(n=12, speed=speed, heading=heading).points)
+    return PairSet(np.stack(points), np.full(n, reward), np.ones(n, bool), np.arange(n),
+                   observables, 0.4)
+
+
+def _scores(model, pairs):
+    return [score(model, *pair_of(pairs, i)) for i in range(len(pairs))]
 
 
 def test_train_single_sample_memorizes():
     ds = _constant_dataset(1, 0.63)
     cfg = TrainConfig(learning_rate=1e-2, total_steps=400, batch_size=1, seed=0)
     result = train_locoval(ds, cfg, hidden=(16,), holdout_fraction=0.0)
-    pred = score(result.model, ds[0].trajectory, ds[0].observable)
+    (pred,) = _scores(result.model, ds)
     assert (pred - 0.63) ** 2 < 1e-4
 
 
@@ -263,30 +272,18 @@ def test_train_constant_target_converges():
     ds = _constant_dataset(40, 0.8, seed=1)
     cfg = TrainConfig(learning_rate=1e-2, total_steps=500, batch_size=16, seed=1)
     result = train_locoval(ds, cfg, hidden=(16,))
-    preds = [score(result.model, s.trajectory, s.observable) for s in ds]
-    assert all(abs(p - 0.8) < 0.02 for p in preds)
+    assert all(abs(p - 0.8) < 0.02 for p in _scores(result.model, ds))
 
 
 def test_train_separates_labels(trained_scorer, plausibility_dataset):
-    holdout = [plausibility_dataset[i] for i in trained_scorer.holdout_indices]
-    plaus = [
-        score(trained_scorer.model, s.trajectory, s.observable)
-        for s in holdout
-        if s.label == "plausible_pair"
-    ]
-    implaus = [
-        score(trained_scorer.model, s.trajectory, s.observable)
-        for s in holdout
-        if s.label == "implausible_pair"
-    ]
-    assert np.mean(plaus) - np.mean(implaus) >= 0.15
+    holdout = plausibility_dataset.subset(trained_scorer.holdout_indices)
+    scores = np.array(_scores(trained_scorer.model, holdout))
+    assert np.mean(scores[holdout.plausible]) - np.mean(scores[~holdout.plausible]) >= 0.15
 
 
 def test_train_holdout_correlation(trained_scorer, plausibility_dataset):
-    holdout = [plausibility_dataset[i] for i in trained_scorer.holdout_indices]
-    preds = [score(trained_scorer.model, s.trajectory, s.observable) for s in holdout]
-    targets = [s.reward for s in holdout]
-    assert pearson_r(preds, targets) >= 0.8
+    holdout = plausibility_dataset.subset(trained_scorer.holdout_indices)
+    assert pearson_r(_scores(trained_scorer.model, holdout), holdout.rewards) >= 0.8
 
 
 def test_train_curve_recorded(trained_scorer):
@@ -297,10 +294,8 @@ def test_train_curve_recorded(trained_scorer):
 
 def test_train_inconsistent_shapes_rejected():
     ds = _constant_dataset(3, 0.5)
-    short = straight_trajectory(n=6)
-    ds.append(PlausibilitySample(short, ds[0].observable, 0.5, "plausible_pair"))
-    with pytest.raises(InputShapeError):
-        train_locoval(ds, TrainConfig(total_steps=5))
+    with pytest.raises(InputShapeError, match="^trajectory length 12 != layout horizon 6$"):
+        train_locoval(ds, TrainConfig(total_steps=5), layout=FeatureLayout(horizon=6))
 
 
 # ---------------------------------------------------------------------------

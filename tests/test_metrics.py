@@ -307,6 +307,33 @@ def test_spearman_monotone():
     assert spearman_rho(x, [40, 30, 20, 10]) == pytest.approx(-1.0)
 
 
+def _average_ranks(v):
+    """0-based ranks, ties sharing the mean of their ranks."""
+    r = np.empty(len(v))
+    r[np.argsort(v, kind="stable")] = np.arange(len(v), dtype=float)
+    for val in np.unique(v):
+        r[v == val] = r[v == val].mean()
+    return r
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(2, 1200), levels=st.sampled_from([2, 5, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_spearman_is_the_rank_correlation_formula(n, levels, seed):
+    """spearman_rho equals the covariance-over-deviations formula on average
+    ranks, bit for bit, with and without ties."""
+    rng = np.random.default_rng(seed)
+    def draw():
+        return rng.normal(size=n) if levels is None else rng.integers(levels, size=n) * 1.0
+
+    x, y = draw(), draw()
+    rx, ry = _average_ranks(x), _average_ranks(y)
+    sx, sy = rx.std(), ry.std()
+    want = 0.0 if sx == 0 or sy == 0 else float(
+        np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+    assert spearman_rho(x, y) == want
+
+
 def test_pearson_known_value():
     assert pearson_r([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
     assert pearson_r([1, 2, 3], [1, 1, 1]) == 0.0

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -386,56 +387,70 @@ def test_rollout_batch_equals_rollout_on_seeded_banks(pose_bank, traj_bank, seed
 
 def _assert_equals_reference(got, want):
     assert len(got) == len(want)
-    for sample, (traj, state, reward, label) in zip(got, want):
-        assert sample.label == label
-        _assert_bits_equal(sample.reward, reward)
-        assert sample.trajectory.dt == traj.dt
-        _assert_bits_equal(sample.trajectory.points, traj.points)
-        _assert_bits_equal(sample.observable.root_velocity, state.root_velocity)
+    assert got.points.shape == (len(want), got.horizon, 2)
+    for i, (traj, state, reward, label) in enumerate(want):
+        assert oracle.LABELS[int(got.plausible[i])] == label
+        _assert_bits_equal(got.rewards[i], reward)
+        assert got.dt == traj.dt
+        _assert_bits_equal(got.points[i], traj.points)
+        obs = got.observables[got.state[i]]
+        _assert_bits_equal(obs.root_velocity, state.root_velocity)
+        assert list(obs.joints) == list(state.joints)
         for name, pos in state.joints.items():
-            _assert_bits_equal(sample.observable.joints[name], pos)
+            _assert_bits_equal(obs.joints[name], pos)
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_dataset_equals_per_pair_reference(pose_bank, traj_bank, mixed):
+def _short_bank(traj_bank):
+    """The bank cut to its first 7 points, at dt 0.2."""
+    return [Trajectory(t.points[:7], 0.2) for t in traj_bank]
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_dataset_equals_per_pair_reference(pose_bank, traj_bank, short):
     params = OracleParams()
-    bank = traj_bank
-    if mixed:
-        bank = (
-            traj_bank[:20]
-            + [Trajectory(t.points[:7], t.dt) for t in traj_bank[20:40]]
-            + [Trajectory(t.points, 0.2) for t in traj_bank[40:60]]
-        )
+    bank = _short_bank(traj_bank) if short else traj_bank
     got = build_plausibility_dataset(pose_bank, bank, 150, 150, params, seed=21)
     want = _reference_dataset(pose_bank, bank, 150, 150, params, seed=21)
     _assert_equals_reference(got, want)
-    # the pairs of one horizon and dt are rows of one points array
-    groups = {}
-    for s in got:
-        groups.setdefault((len(s.trajectory), s.trajectory.dt), set()).add(
-            id(s.trajectory.points.base))
-    assert len(groups) == (3 if mixed else 1)
-    assert all(len(bases) == 1 for bases in groups.values())
 
 
-def _degenerate_banks(pose_bank, traj_bank):
-    """Banks with a still pose, tracks 10-14 whose first step (or every step)
-    has length zero, and tracks of two and three points."""
+@pytest.mark.parametrize("where", [0, 5, 59])
+@pytest.mark.parametrize("change", ["shorter", "dt"])
+def test_dataset_bank_of_two_horizons_or_dts_is_a_data_error(pose_bank, traj_bank, change,
+                                                             where):
+    bank = list(traj_bank)
+    t = bank[where]
+    bank[where] = (Trajectory(t.points[:7], t.dt) if change == "shorter"
+                   else Trajectory(t.points, 0.2))
+    odd = where or 1  # entry 0 sets the horizon and dt
+    message = (f"trajectory bank entry {odd} has {len(bank[odd])} points at dt {bank[odd].dt}, "
+               f"not {len(bank[0])} at dt {bank[0].dt}: a pair set has one horizon and one dt")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        build_plausibility_dataset(pose_bank, bank, 10, 10, seed=21)
+
+
+def _degenerate_banks(pose_bank, traj_bank, horizon=12, dt=None):
+    """Banks of one horizon and dt, with a still pose and tracks 10-14 whose
+    first step (or every step) has length zero."""
     poses = pose_bank[:6] + [walker(heading=0.7, speed=0.0, root=(1.0, -2.0))]
-    tracks = traj_bank[:10]
+    tracks = [t.points for t in traj_bank[:10]]
     for t in traj_bank[10:14]:
-        tracks.append(Trajectory(np.vstack([t.points[:1], t.points[:1], t.points[2:]]), t.dt))
-    tracks.append(Trajectory(np.tile(traj_bank[14].points[:1], (12, 1)), traj_bank[14].dt))
-    tracks += [Trajectory(t.points[:2], t.dt) for t in traj_bank[15:17]]
-    tracks += [Trajectory(t.points[:3], 0.25) for t in traj_bank[17:19]]
-    return poses, tracks
+        tracks.append(np.vstack([t.points[:1], t.points[:1], t.points[2:]]))
+    tracks.append(np.tile(traj_bank[14].points[:1], (12, 1)))
+    tracks += [t.points for t in traj_bank[15:19]]
+    return poses, [Trajectory(pts[:horizon], dt or traj_bank[0].dt) for pts in tracks]
 
 
-@pytest.mark.parametrize("n_plausible, n_implausible", [(60, 300), (0, 60), (60, 0)])
+@pytest.mark.parametrize(
+    "n_plausible, n_implausible, horizon, dt",
+    [(60, 300, 12, None), (0, 60, 12, None), (60, 0, 12, None), (60, 300, 3, 0.25),
+     (60, 300, 2, None)],
+    ids=["60-300", "0-60", "60-0", "60-300-3-points", "60-300-2-points"],
+)
 def test_dataset_equals_reference_on_degenerate_banks(pose_bank, traj_bank, n_plausible,
-                                                      n_implausible):
+                                                      n_implausible, horizon, dt):
     params = OracleParams()
-    poses, tracks = _degenerate_banks(pose_bank, traj_bank)
+    poses, tracks = _degenerate_banks(pose_bank, traj_bank, horizon, dt)
     stats = {}
     want = _reference_dataset(poses, tracks, n_plausible, n_implausible, params, 23, stats)
     got = build_plausibility_dataset(poses, tracks, n_plausible, n_implausible, params, seed=23)
@@ -526,30 +541,25 @@ def test_speed_scale_perturbation_lowers_reward(pose_bank):
 
 
 def test_reward_gap_between_labels(plausibility_dataset):
-    plaus = [s.reward for s in plausibility_dataset if s.label == "plausible_pair"]
-    implaus = [s.reward for s in plausibility_dataset if s.label == "implausible_pair"]
-    assert np.mean(plaus) - np.mean(implaus) >= 0.2
+    rewards, plausible = plausibility_dataset.rewards, plausibility_dataset.plausible
+    assert np.mean(rewards[plausible]) - np.mean(rewards[~plausible]) >= 0.2
 
 
 def test_label_reward_point_biserial(plausibility_dataset):
-    labels = np.array(
-        [1.0 if s.label == "plausible_pair" else 0.0 for s in plausibility_dataset]
-    )
-    rewards = np.array([s.reward for s in plausibility_dataset])
-    r = np.corrcoef(labels, rewards)[0, 1]
+    labels = plausibility_dataset.plausible.astype(float)
+    r = np.corrcoef(labels, plausibility_dataset.rewards)[0, 1]
     assert r > 0.4
 
 
 def test_dataset_deterministic(pose_bank, traj_bank):
     a = build_plausibility_dataset(pose_bank, traj_bank, 10, 10, seed=77)
     b = build_plausibility_dataset(pose_bank, traj_bank, 10, 10, seed=77)
-    for sa, sb in zip(a, b):
-        assert sa.reward == sb.reward
-        assert np.array_equal(sa.trajectory.points, sb.trajectory.points)
+    assert np.array_equal(a.rewards, b.rewards)
+    assert np.array_equal(a.points, b.points)
 
 
 def test_dataset_empty_counts():
-    assert build_plausibility_dataset([], [], 0, 0) == []
+    assert len(build_plausibility_dataset([], [], 0, 0)) == 0
 
 
 def test_dataset_empty_banks_error():
@@ -565,11 +575,51 @@ def test_dataset_rejects_non_finite_pairs(traj_bank):
 
 
 def test_dataset_rows_are_checked_trajectories(pose_bank, traj_bank):
-    for s in build_plausibility_dataset(pose_bank, traj_bank, 20, 20, seed=3):
-        t = s.trajectory
-        assert t.points.dtype == np.float64 and t.points.shape == (len(t), 2)
-        assert isinstance(t.dt, float) and t.dt > 0
-        assert np.isfinite(t.points).all()
+    pairs = build_plausibility_dataset(pose_bank, traj_bank, 20, 20, seed=3)
+    assert pairs.points.dtype == np.float64 and pairs.points.shape == (40, 12, 2)
+    assert np.isfinite(pairs.points).all()
+    assert isinstance(pairs.dt, float) and pairs.dt > 0
+    assert pairs.plausible.tolist() == [True] * 20 + [False] * 20
+    assert pairs.rewards.shape == (40,) and pairs.state.dtype == np.intp
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("points", lambda p: p[:, :1], InputShapeError, "trajectory needs at least 2 points"),
+        ("points", lambda p: p[..., :1], InputShapeError, "pair arrays must be points (N, T, 2)"),
+        ("points", lambda p: np.where(np.arange(4)[:, None, None] == 2, np.nan, p),
+         oracle.PairError, "pair 2: trajectory contains non-finite coordinates"),
+        ("rewards", lambda r: np.where(np.arange(4) == 1, 1.5, r), oracle.PairError,
+         "pair 1: reward must be in [0, 1], got 1.5"),
+        ("rewards", lambda r: np.where(np.arange(4) == 3, np.nan, r), oracle.PairError,
+         "pair 3: reward must be in [0, 1], got nan"),
+        ("plausible", lambda b: b[:3], InputShapeError, "pair arrays must be points (N, T, 2)"),
+        ("state", lambda k: k + 100, InputShapeError, "state indices must lie in"),
+        ("dt", lambda dt: 0.0, ConfigError, "dt must be positive"),
+        ("dt", lambda dt: float("nan"), ConfigError, "dt must be positive"),
+        ("observables", lambda obs: [oracle.ObservableState(
+            {**o.joints, "neck": o.joints["head"]}, o.root_velocity) for o in obs[:1]] + obs[1:],
+         InputShapeError, "the observables of a pair set must name the same joints"),
+    ],
+    ids=["one-point", "one-column", "nan-point", "reward-above-one", "reward-nan",
+         "short-labels", "state-out-of-range", "dt-zero", "dt-nan", "joint-names"],
+)
+def test_pair_set_checks_every_rule(pose_bank, traj_bank, field, value, error, message):
+    pairs = build_plausibility_dataset(pose_bank, traj_bank, 2, 2, seed=3)
+    fields = dict(points=pairs.points, rewards=pairs.rewards, plausible=pairs.plausible,
+                  state=pairs.state, observables=pairs.observables, dt=pairs.dt)
+    fields[field] = value(fields[field])
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        oracle.PairSet(**fields)
+
+
+def test_pair_set_subset_shares_the_observables(plausibility_dataset):
+    index = np.array([5, 0, 200])
+    sub = plausibility_dataset.subset(index)
+    assert len(sub) == 3 and sub.observables is plausibility_dataset.observables
+    for field in ("points", "rewards", "plausible", "state"):
+        assert np.array_equal(getattr(sub, field), getattr(plausibility_dataset, field)[index])
 
 
 def test_zero_speed_pose_resampling(traj_bank):
@@ -580,7 +630,8 @@ def test_zero_speed_pose_resampling(traj_bank):
     assert stats.get("zero_speed_resamples", 0) > 0
     got = build_plausibility_dataset([still, moving], traj_bank, 20, 0, seed=8)
     _assert_equals_reference(got, want)
-    assert all(np.array_equal(s.observable.root_velocity, moving.root_velocity) for s in got)
+    assert len(got.observables) == 1
+    assert np.array_equal(got.observables[0].root_velocity, moving.root_velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +640,17 @@ def test_zero_speed_pose_resampling(traj_bank):
 
 def test_plausibility_csv_roundtrip(tmp_path, plausibility_dataset):
     path = tmp_path / "pairs.csv"
-    subset = plausibility_dataset[:15]
+    subset = plausibility_dataset.subset(np.arange(110, 125))
     save_plausibility_csv(subset, path)
     loaded = load_plausibility_csv(path)
-    assert len(loaded) == 15
-    for a, b in zip(subset, loaded):
-        assert a.label == b.label
-        assert a.reward == b.reward
-        assert np.array_equal(a.trajectory.points, b.trajectory.points)
-        for name in a.observable.joints:
-            assert np.array_equal(a.observable.joints[name], b.observable.joints[name])
+    assert len(loaded) == 15 and loaded.dt == subset.dt
+    assert np.array_equal(loaded.plausible, subset.plausible)
+    assert np.array_equal(loaded.rewards, subset.rewards)
+    assert np.array_equal(loaded.points, subset.points)
+    for i in range(15):
+        a, b = subset.observables[subset.state[i]], loaded.observables[loaded.state[i]]
+        for name in a.joints:
+            assert np.array_equal(a.joints[name], b.joints[name])
 
 
 def test_plausibility_csv_malformed_row(tmp_path):
@@ -608,28 +660,29 @@ def test_plausibility_csv_malformed_row(tmp_path):
         load_plausibility_csv(path)
 
 
-# The writer and reader share one ObservableState between the samples of a
-# bank state. These references format and parse every row on its own.
+# The writer formats each observable once and the reader parses each state
+# once. These references format and parse every row on its own.
 
 
-def _reference_save(samples, path):
-    """csv.writer over the repr of every value, one row per sample."""
-    horizon = len(samples[0].trajectory)
-    names = samples[0].observable.joint_order()
+def _reference_save(pairs, path):
+    """csv.writer over the repr of every value, one row per pair."""
+    names = pairs.observables[0].joint_order()
     header = ["label", "omega", "dt", "T_f"]
-    header += [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
+    header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
     header += [f"{n}_{ax}" for n in names for ax in ("x", "y", "z")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in samples:
-            row = [s.label, repr(float(s.reward)), repr(float(s.trajectory.dt)), len(s.trajectory)]
-            row += [repr(float(v)) for v in s.trajectory.points.reshape(-1)]
-            row += [repr(float(s.observable.heading()))]
-            row += [repr(float(v)) for v in s.observable.root_velocity]
+        for i in range(len(pairs)):
+            obs = pairs.observables[pairs.state[i]]
+            label = "plausible_pair" if pairs.plausible[i] else "implausible_pair"
+            row = [label, repr(float(pairs.rewards[i])), repr(float(pairs.dt)), pairs.horizon]
+            row += [repr(float(v)) for v in pairs.points[i].reshape(-1)]
+            row += [repr(float(obs.heading()))]
+            row += [repr(float(v)) for v in obs.root_velocity]
             for n in names:
-                row += [repr(float(v)) for v in s.observable.joints[n]]
+                row += [repr(float(v)) for v in obs.joints[n]]
             writer.writerow(row)
 
 
@@ -655,26 +708,20 @@ def _reference_load(path):
     return rows
 
 
-def _mixed_dataset(pose_bank, traj_bank):
-    bank = (
-        traj_bank[:20]
-        + [Trajectory(t.points[:7], t.dt) for t in traj_bank[20:40]]
-        + [Trajectory(t.points, 0.2) for t in traj_bank[40:60]]
-    )
-    return build_plausibility_dataset(pose_bank, bank, 40, 40, seed=21)
+def _short_horizon_dataset(pose_bank, traj_bank):
+    return build_plausibility_dataset(pose_bank, _short_bank(traj_bank), 40, 40, seed=21)
 
 
 def _extra_joint_dataset(pose_bank, traj_bank):
-    samples = build_plausibility_dataset(pose_bank[:5], traj_bank, 10, 10, seed=22)
-    extended = {}
-    for s in samples:
-        if id(s.observable) not in extended:
-            joints = dict(s.observable.joints)
-            joints["neck"] = (joints["head"] + joints["pelvis"]) / 2
-            joints["left_wrist"] = joints["left_shoulder"] - [0.0, 0.1, 0.5]
-            extended[id(s.observable)] = oracle.ObservableState(joints, s.observable.root_velocity)
-    return [oracle.PlausibilitySample(s.trajectory, extended[id(s.observable)], s.reward, s.label)
-            for s in samples]
+    pairs = build_plausibility_dataset(pose_bank[:5], traj_bank, 10, 10, seed=22)
+    extended = []
+    for obs in pairs.observables:
+        joints = dict(obs.joints)
+        joints["neck"] = (joints["head"] + joints["pelvis"]) / 2
+        joints["left_wrist"] = joints["left_shoulder"] - [0.0, 0.1, 0.5]
+        extended.append(oracle.ObservableState(joints, obs.root_velocity))
+    return oracle.PairSet(pairs.points, pairs.rewards, pairs.plausible, pairs.state, extended,
+                          pairs.dt)
 
 
 def _edge_value_dataset(pose_bank, traj_bank):
@@ -685,24 +732,19 @@ def _edge_value_dataset(pose_bank, traj_bank):
     joints["left_knee"] = np.array(edges[1:])
     edge_obs = oracle.ObservableState(joints, np.array(edges[2:]))
     pts = np.array(edges * 3).reshape(6, 2)
-    return [
-        oracle.PlausibilitySample(Trajectory(pts, 0.1 + 0.2), edge_obs, 0.1 + 0.2,
-                                  "plausible_pair"),
-        oracle.PlausibilitySample(Trajectory(-pts, 0.4), obs, 5e-324, "implausible_pair"),
-        oracle.PlausibilitySample(Trajectory(pts[::-1], 0.4), edge_obs, -0.0,
-                                  "implausible_pair"),
-    ]
+    return oracle.PairSet(np.stack([pts, -pts, pts[::-1]]), [0.1 + 0.2, 5e-324, -0.0],
+                          [True, False, False], [1, 0, 1], [obs, edge_obs], 0.1 + 0.2)
 
 
-DATASETS = {"mixed-horizon": _mixed_dataset, "extra-joints": _extra_joint_dataset,
+DATASETS = {"short-horizon": _short_horizon_dataset, "extra-joints": _extra_joint_dataset,
             "edge-values": _edge_value_dataset}
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_save_plausibility_csv_bytes_equal_reference(tmp_path, pose_bank, traj_bank, name):
-    samples = DATASETS[name](pose_bank, traj_bank)
-    save_plausibility_csv(samples, tmp_path / "got.csv")
-    _reference_save(samples, tmp_path / "want.csv")
+    pairs = DATASETS[name](pose_bank, traj_bank)
+    save_plausibility_csv(pairs, tmp_path / "got.csv")
+    _reference_save(pairs, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -713,15 +755,16 @@ def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, tra
     got = load_plausibility_csv(path)
     want = _reference_load(path)
     assert len(got) == len(want)
-    for s, (label, reward, dt, pts, vel, joints) in zip(got, want):
-        assert s.label == label
-        _assert_bits_equal(s.reward, reward)
-        _assert_bits_equal(s.trajectory.dt, dt)
-        _assert_bits_equal(s.trajectory.points, pts)
-        _assert_bits_equal(s.observable.root_velocity, vel)
-        assert list(s.observable.joints) == list(joints)
+    for i, (label, reward, dt, pts, vel, joints) in enumerate(want):
+        assert oracle.LABELS[int(got.plausible[i])] == label
+        _assert_bits_equal(got.rewards[i], reward)
+        _assert_bits_equal(got.dt, dt)
+        _assert_bits_equal(got.points[i], pts)
+        obs = got.observables[got.state[i]]
+        _assert_bits_equal(obs.root_velocity, vel)
+        assert list(obs.joints) == list(joints)
         for n, pos in joints.items():
-            _assert_bits_equal(s.observable.joints[n], pos)
+            _assert_bits_equal(obs.joints[n], pos)
 
 
 def _state_key(obs):
@@ -736,9 +779,27 @@ def test_one_observable_per_bank_state(tmp_path, pose_bank, traj_bank):
     assert len({_state_key(s.observable()) for s in pose_bank}) == len(pose_bank)
     path = tmp_path / "pairs.csv"
     save_plausibility_csv(built, path)
-    for samples in (built, load_plausibility_csv(path)):
-        by_state = {}
-        for s in samples:
-            by_state.setdefault(_state_key(s.observable), set()).add(id(s.observable))
-        assert len(by_state) == n_states
-        assert all(len(ids) == 1 for ids in by_state.values())
+    for pairs in (built, load_plausibility_csv(path)):
+        keys = [_state_key(obs) for obs in pairs.observables]
+        assert len(set(keys)) == len(keys) == n_states
+        assert sorted(set(pairs.state.tolist())) == list(range(n_states))
+
+
+@pytest.mark.parametrize("column, value", [(3, "11"), (2, "0.2"), (2, "0.4000000000000001")],
+                         ids=["horizon", "dt", "dt-one-ulp"])
+def test_load_row_of_another_horizon_or_dt_is_located(tmp_path, plausibility_dataset, column,
+                                                      value):
+    path = tmp_path / "pairs.csv"
+    save_plausibility_csv(plausibility_dataset.subset(np.arange(5)), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[4][column] = value
+    if column == 3:  # a well-formed row of 11 points
+        del rows[4][4:6]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    horizon, dt = ("11", "0.4") if column == 3 else ("12", value)
+    message = (f"{path}:5: malformed row (T_f {horizon} at dt {dt} differs from the first row's "
+               "T_f 12 at dt 0.4: a pair set has one horizon and one dt)")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_plausibility_csv(path)

@@ -79,6 +79,14 @@ def test_predict_anchor_exact():
     assert np.all(np.isfinite(disp0))
 
 
+def test_predict_nan_head_weight_is_an_input_shape_error():
+    model = build_predictor(LAYOUT, horizon=12, n_heads=2, seed=4)
+    head_block(model.head, 1)[0, 0] = np.nan
+    past, obs = past_and_obs()
+    with pytest.raises(InputShapeError, match="^trajectory contains non-finite coordinates$"):
+        predict(model, past, obs)
+
+
 def test_head_blocks_are_the_per_head_seeded_draws():
     model = build_predictor(LAYOUT, horizon=12, n_heads=3, trunk_hidden=(16, 8), seed=7)
     assert model.n_heads == 3

@@ -1,7 +1,10 @@
 """Minimal differentiable feed-forward layer: MLPs, hand-written backprop,
 AdamW, a cosine schedule, and finite-difference gradient verification.
 
-Everything is float64 numpy. Weight matrices are stored (fan_in, fan_out) so a
+A model computes at the dtype of its parameter buffer: float64, or float32
+when it is built from float32 arrays (MlpModel.astype). Inputs and upstream
+gradients are cast to that dtype, and gradients, optimizer moments and
+activations follow it. Weight matrices are stored (fan_in, fan_out) so a
 batch X of shape (B, fan_in) propagates as X @ W + b.
 """
 
@@ -49,9 +52,11 @@ def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
 
 def _pack(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Copy every weight array, then every bias array, into one new contiguous
-    float64 buffer; return it and per-layer views of it with the same shapes."""
-    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
-    buf = np.empty(sum(a.size for a in arrays))
+    buffer; return it and per-layer views of it with the same shapes. The
+    buffer is float32 when every array is float32, and float64 otherwise."""
+    arrays = [np.asarray(a) for a in (*weights, *biases)]
+    dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+    buf = np.empty(sum(a.size for a in arrays), dtype=dtype)
     views = _views(buf, [a.shape for a in arrays])
     for view, a in zip(views, arrays):
         view[...] = a
@@ -63,12 +68,14 @@ class MlpModel:
     """A feed-forward net that owns its parameters in one flat buffer.
 
     Construction copies the given weights and biases into `params`, one
-    contiguous float64 array holding every weight matrix in layer order, then
-    every bias vector, and rebinds weights[i] and biases[i] to views of it: a
-    write through a view is a write to params, and an optimizer updates the
-    whole model in one pass over params. backward() writes parameter
-    gradients into a second buffer with the same layout, allocated on the
-    model's first backward, so a model that only serves never has one.
+    contiguous array holding every weight matrix in layer order, then every
+    bias vector, and rebinds weights[i] and biases[i] to views of it: a write
+    through a view is a write to params, and an optimizer updates the whole
+    model in one pass over params. params is float32 when every given array is
+    float32 and float64 otherwise; the model computes at that dtype.
+    backward() writes parameter gradients into a second buffer with the same
+    layout, allocated on the model's first backward, so a model that only
+    serves never has one.
     """
 
     layer_sizes: list[int]
@@ -131,6 +138,14 @@ class MlpModel:
             output_activation=self.output_activation,
         )
 
+    def astype(self, dtype) -> "MlpModel":
+        """A copy of the model that computes at dtype, float32 or float64.
+        float32 rounds the parameters; float32 to float64 is exact."""
+        return MlpModel(list(self.layer_sizes),
+                        [w.astype(dtype) for w in self.weights],
+                        [b.astype(dtype) for b in self.biases],
+                        self.hidden_activation, self.output_activation)
+
 
 def init_mlp(
     layer_sizes: list[int],
@@ -173,9 +188,10 @@ def forward_cached(model: MlpModel, x: np.ndarray):
 
     x may be (n_in,) or (B, n_in); the output matches the leading shape. The
     cache holds each layer's input and the output ("activations"); hidden
-    activations are computed in place over the pre-activations.
+    activations are computed in place over the pre-activations. x is cast to
+    the model's dtype.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=model.params.dtype)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
@@ -192,6 +208,10 @@ def forward_cached(model: MlpModel, x: np.ndarray):
             _apply_hidden(z, model.hidden_activation)
             a = z
         elif model.output_activation == "sigmoid":
+            if z.dtype == np.float32:
+                # exp(-z) overflows float32 below z = -88.7; at -87 the
+                # output, about 1.6e-38, is still a normal float32
+                np.maximum(z, -87.0, out=z)
             a = 1.0 / (1.0 + np.exp(-z))
         else:
             a = z
@@ -228,11 +248,12 @@ class Gradients:
 
 
 def _output_delta(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray:
-    """dL/d(pre-activation of the last layer), as a (B, n_out) array."""
-    upstream = np.asarray(upstream, dtype=float)
+    """dL/d(pre-activation of the last layer), as a (B, n_out) array of the
+    output's dtype."""
+    y = cache["activations"][-1]
+    upstream = np.asarray(upstream, dtype=y.dtype)
     if cache["single"]:
         upstream = upstream[None, :]
-    y = cache["activations"][-1]
     if upstream.shape != y.shape:
         raise InputShapeError(
             f"upstream gradient shape {upstream.shape} != output shape {y.shape}"
@@ -377,10 +398,13 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic parameter gradients against central finite differences.
 
-    loss_fn maps the network output to (loss, dloss/doutput).
+    loss_fn maps the network output to (loss, dloss/doutput). The check runs
+    on a float64 copy of the model, whatever its dtype: finite differences
+    need float64, and the gradient code is the same at both precisions.
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
+    model = model.astype(np.float64)
     out, cache = forward_cached(model, x)
     _, upstream = loss_fn(out)
     analytic = backward(model, cache, upstream)

@@ -4,8 +4,9 @@ A shared MLP trunk feeds one linear head layer whose column block k holds
 head k's future per-step displacements; predicted trajectories are cumulative
 sums anchored at the last observed position. Training minimizes the min-of-K
 MSE (plain MSE for one head) plus alpha * mean_k (score_k - 1)^2, the scores
-coming from a frozen scorer on every head. Checkpoints store one single-layer
-entry per head.
+coming from a frozen scorer on every head. Training computes in float32;
+the model it returns, checkpoints and predict are float64. Checkpoints store
+one single-layer entry per head.
 """
 
 from __future__ import annotations
@@ -268,6 +269,11 @@ def train_predictor(
     stay frozen. At alpha == 0 the regularizer term is fully detached so
     results are bit-identical to a run without a scorer.
 
+    Training computes in float32, on float32 copies of the trunk, the head
+    and the scorer's net. The trained values are written back into the given
+    (or built) float64 model, which the result holds; float32 to float64 is
+    exact, so saving and serving it computes with the trained values.
+
     Every eval_every steps, and at the last step, a curve point records the
     interval's mean loss_gt. Its loss_plaus is the interval's mean at
     alpha > 0; at alpha == 0, where it only reports, the scorer runs on the
@@ -293,6 +299,11 @@ def train_predictor(
     if scorer is not None and scorer.layout.horizon != horizon:
         raise ConfigError("scorer horizon does not match dataset future length")
     K = model.n_heads
+    target, model = model, PredictorModel(model.trunk.astype(np.float32),
+                                          model.head.astype(np.float32), horizon,
+                                          model.input_layout)
+    if scorer is not None:
+        scorer = LocoValModel(scorer.net.astype(np.float32), scorer.layout)
 
     X, gt, anchors, rots, offsets, tails = _prepare_training_arrays(dataset, model, scorer)
     n = len(X)
@@ -352,7 +363,9 @@ def train_predictor(
             )
             acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
 
-    return PredictorTrainResult(model=model, curve=curve, alpha=alpha, n_heads=K)
+    target.trunk.params[...] = model.trunk.params
+    target.head.params[...] = model.head.params
+    return PredictorTrainResult(model=target, curve=curve, alpha=alpha, n_heads=K)
 
 
 # ---------------------------------------------------------------------------

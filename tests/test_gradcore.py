@@ -339,8 +339,9 @@ def test_cosine_lr_bounded(step, total):
 
 
 def reference_forward_cached(model, x):
-    """Out-of-place forward that caches every pre-activation."""
-    x = np.asarray(x, dtype=float)
+    """Out-of-place forward at the model's dtype that caches every
+    pre-activation; a float32 sigmoid's pre-activation is floored at -87."""
+    x = np.asarray(x, dtype=model.params.dtype)
     single = x.ndim == 1
     a = x[None, :] if single else x
     acts, pre = [a], []
@@ -350,6 +351,8 @@ def reference_forward_cached(model, x):
         if i < model.n_layers - 1:
             a = np.maximum(z, 0.0) if model.hidden_activation == "relu" else np.tanh(z)
         elif model.output_activation == "sigmoid":
+            if z.dtype == np.float32:
+                z = np.maximum(z, -87.0)
             a = 1.0 / (1.0 + np.exp(-z))
         else:
             a = z
@@ -363,7 +366,7 @@ def reference_deltas(model, cache, upstream):
     dL/d(input): per-layer out-of-place backprop with relu masks from the
     pre-activations."""
     pre, acts = cache["pre"], cache["activations"]
-    upstream = np.asarray(upstream, dtype=float)
+    upstream = np.asarray(upstream, dtype=acts[-1].dtype)
     delta = upstream[None, :] if cache["single"] else upstream
     if model.output_activation == "sigmoid":
         delta = delta * acts[-1] * (1.0 - acts[-1])
@@ -372,7 +375,7 @@ def reference_deltas(model, cache, upstream):
         delta = delta @ model.weights[i].T
         if i > 0:
             if model.hidden_activation == "relu":
-                delta = delta * (pre[i - 1] > 0.0).astype(float)
+                delta = delta * (pre[i - 1] > 0.0).astype(delta.dtype)
             else:
                 delta = delta * (1.0 - acts[i] * acts[i])
     yield delta[0] if cache["single"] else delta
@@ -510,6 +513,102 @@ def test_copied_model_keeps_training(round_trip):
     AdamW(twin, TrainConfig()).step(twin, backward(twin, cache, np.ones_like(out)))
     assert not np.array_equal(forward(twin, x), before)
     assert np.array_equal(forward(model, x), before)
+
+
+# ---------------------------------------------------------------------------
+# precision: a model computes at the dtype of its params
+
+
+def test_init_and_loader_give_float64(tmp_path):
+    model = small_model(seed=40)
+    assert model.params.dtype == np.float64
+    save_model(model.astype(np.float32), tmp_path / "m.json")
+    assert load_model(tmp_path / "m.json").params.dtype == np.float64
+
+
+@pytest.mark.parametrize("hidden, output", [("relu", "sigmoid"), ("tanh", "identity")])
+def test_float32_model_stays_float32(hidden, output):
+    """Forward, backward, input_grad, AdamW moments, copy, pickle and the
+    astype round trip of a float32 model all keep float32; the round trip
+    through float64 keeps its values."""
+    model = small_model(seed=41, sizes=(5, 9, 7, 2), hidden=hidden, output=output)
+    m32 = model.astype(np.float32)
+    assert m32.params.dtype == np.float32 and model.params.dtype == np.float64
+    assert np.array_equal(m32.params, model.params.astype(np.float32))
+    m32.validate()
+    x = np.random.default_rng(41).normal(size=(6, 5))  # float64 input
+    out, cache = forward_cached(m32, x)
+    assert out.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in cache["activations"])
+    upstream = np.ones((6, 2))  # float64 upstream
+    grads = backward(m32, cache, upstream)
+    assert grads.flat.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads.weights + grads.biases)
+    assert input_grad(m32, cache, upstream).dtype == np.float32
+    opt = AdamW(m32, TrainConfig(weight_decay=0.01))
+    opt.step(m32, grads)
+    assert m32.params.dtype == opt.m.dtype == opt.v.dtype == np.float32
+    m32.validate()
+    for twin in (m32.copy(), pickle.loads(pickle.dumps(m32)), copy.deepcopy(m32)):
+        twin.validate()
+        assert twin.params.dtype == np.float32 and np.array_equal(twin.params, m32.params)
+        assert np.array_equal(forward(twin, x), forward(m32, x))
+    wide = m32.astype(np.float64)
+    assert wide.params.dtype == np.float64 and np.array_equal(wide.params, m32.params)
+    assert np.array_equal(wide.astype(np.float32).params, m32.params)
+
+
+def test_float32_forward_and_backward_equal_out_of_place_reference():
+    model = small_model(seed=42, sizes=(5, 9, 7, 2), hidden="relu",
+                        output="sigmoid").astype(np.float32)
+    rng = np.random.default_rng(42)
+    x, upstream = rng.normal(size=(7, 5)), rng.normal(size=(7, 2))
+    want_out, want_cache = reference_forward_cached(model, x)
+    got_out, got_cache = forward_cached(model, x)
+    assert got_out.dtype == want_out.dtype == np.float32
+    assert np.array_equal(got_out, want_out)
+    assert np.array_equal(backward(model, got_cache, upstream).flat,
+                          reference_backward(model, want_cache, upstream).flat)
+    assert np.array_equal(input_grad(model, got_cache, upstream),
+                          reference_input_grad(model, want_cache, upstream))
+
+
+def test_float32_sigmoid_does_not_overflow():
+    """A float32 logit of -1000 gives a tiny score without any floating-point
+    error; exp(1000) would overflow float32."""
+    model = small_model(seed=43, sizes=(3, 4, 1), hidden="relu",
+                        output="sigmoid").astype(np.float32)
+    model.biases[-1][0] = -1000.0
+    model.weights[-1][...] = 0.0
+    with np.errstate(all="raise"):
+        out = forward(model, np.ones((2, 3)))
+    assert out.dtype == np.float32
+    assert np.all((out >= 0.0) & (out <= 1e-30))
+
+
+def test_float64_sigmoid_keeps_its_expression():
+    """The float32 floor does not touch float64: a float64 logit of -800
+    overflows exp as it always has and gives exactly 0."""
+    model = small_model(seed=44, sizes=(3, 1), output="sigmoid")
+    model.biases[0][0] = -800.0
+    model.weights[0][...] = 0.0
+    with np.errstate(over="ignore"):
+        assert forward(model, np.ones(3))[0] == 0.0
+    model.biases[0][0] = -30.0
+    assert forward(model, np.ones(3))[0] == 1.0 / (1.0 + np.exp(30.0))
+
+
+def test_grad_check_of_float32_model_runs_at_float64():
+    model = small_model(seed=45, sizes=(3, 6, 2), hidden="tanh").astype(np.float32)
+    before = model.params.copy()
+    x = np.random.default_rng(45).normal(size=(4, 3))
+
+    def loss_fn(y):
+        return 0.5 * float(np.sum(y * y)), y
+
+    report = grad_check(model, loss_fn, x, tolerance=1e-4)
+    assert report.passed, report
+    assert model.params.dtype == np.float32 and np.array_equal(model.params, before)
 
 
 @pytest.fixture

@@ -361,7 +361,8 @@ def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatc
     forward_cached = gradcore.forward_cached
 
     def counting(model, x):
-        if model is scorer.net:
+        # training runs a float32 copy of the scorer's net: match it by its sizes
+        if model.layer_sizes == scorer.net.layer_sizes:
             calls.append(len(x))
         return forward_cached(model, x)
 
@@ -470,7 +471,8 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     _, sel, _ = min_of_k_mse(points, inst.future.points[None])
 
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)
-    before = model.head.copy()
+    # training rounds the parameters to float32, then writes them back
+    before = model.head.astype(np.float32).astype(np.float64)
     result = train_predictor([inst], None, cfg, n_heads=2, model=model)
     winner = int(sel[0])
     loser = 1 - winner
@@ -494,6 +496,44 @@ def test_predictor_checkpoint_roundtrip(tmp_path, training_instances):
     b = predict(loaded, inst.past, inst.observable)
     for ta, tb in zip(a.trajectories, b.trajectories):
         assert np.array_equal(ta.points, tb.points)
+
+
+def test_train_writes_float32_values_into_the_float64_model(training_instances,
+                                                            trained_scorer):
+    """Training computes in float32 copies and writes the trained values back
+    into the given float64 model; the scorer is left as it was."""
+    layout = InputLayout(past_frames=9, joint_count=len(training_instances[0].observable.joints))
+    model = build_predictor(layout, 12, 3, trunk_hidden=(32, 32), seed=51)
+    scorer = trained_scorer.model
+    scorer_before = scorer.net.params.copy()
+    result = train_predictor(training_instances[:20], scorer, _tiny_config(steps=10),
+                             alpha=100.0, n_heads=3, model=model)
+    assert result.model is model
+    for net in (model.trunk, model.head):
+        assert net.params.dtype == np.float64
+        assert np.array_equal(net.params.astype(np.float32).astype(np.float64), net.params)
+        net.validate()
+    assert scorer.net.params.dtype == np.float64
+    assert np.array_equal(scorer.net.params, scorer_before)
+
+
+def test_trained_checkpoint_predicts_in_process_bits(tmp_path, training_instances,
+                                                     trained_scorer):
+    """Save, load and predict give the bits of predict on the model that
+    train_predictor returned, at alpha 100 with the scorer wired in."""
+    result = train_predictor(training_instances[:20], trained_scorer.model,
+                             _tiny_config(steps=10), alpha=100.0, n_heads=3)
+    path = tmp_path / "pred.json"
+    save_predictor(result, path)
+    loaded = load_predictor(path)
+    assert loaded.trunk.params.dtype == loaded.head.params.dtype == np.float64
+    assert np.array_equal(loaded.trunk.params, result.model.trunk.params)
+    assert np.array_equal(loaded.head.params, result.model.head.params)
+    for inst in training_instances[:5]:
+        a = predict(result.model, inst.past, inst.observable)
+        b = predict(loaded, inst.past, inst.observable)
+        for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+            assert ta.points.dtype == np.float64 and np.array_equal(ta.points, tb.points)
 
 
 def test_save_checkpoint_writes_json_dump_bytes(tmp_path, trained_scorer):

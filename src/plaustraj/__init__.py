@@ -20,7 +20,7 @@ from .locoval import (
     score,
     train_locoval,
 )
-from .datakit import TrainingInstance
+from .datakit import WindowSet
 from .predictor import (
     InputLayout,
     PredictionSet,
@@ -58,7 +58,7 @@ __all__ = [
     "InputLayout",
     "PredictionSet",
     "PredictorModel",
-    "TrainingInstance",
+    "WindowSet",
     "build_predictor",
     "load_predictor",
     "predict",

@@ -38,19 +38,13 @@ def _load_run_config(config_path) -> RunConfig:
     return load_config(config_path)
 
 
-def _build_instances(cfg: RunConfig, seed: int, n_tracks: int):
-    dataset = datakit.generate_synthetic(
-        cfg.data.synthetic, n_tracks, seed=seed, params=cfg.oracle
-    )
+def _build_instances(cfg: RunConfig, seed: int, n_tracks: int) -> datakit.WindowSet:
+    """The predictor's windows over n_tracks synthetic tracks drawn from seed."""
+    dataset = datakit.generate_synthetic(cfg.data.synthetic, n_tracks, seed=seed, params=cfg.oracle)
     bank = datakit.generate_pose_bank(cfg.data.pose_bank_size, seed=cfg.data.seed + 7)
-    return datakit.make_training_instances(
-        dataset,
-        bank,
-        cfg.predictor.past_frames,
-        cfg.predictor.future_frames,
-        stride=cfg.predictor.stride,
-        seed=cfg.predictor.window_seed,
-    )
+    p = cfg.predictor
+    return datakit.make_training_instances(dataset, bank, p.past_frames, p.future_frames,
+                                           stride=p.stride, seed=p.window_seed)
 
 
 @click.group()
@@ -67,9 +61,8 @@ def cmd_gen_data(config_path, out):
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
 
-    dataset = datakit.generate_synthetic(
-        cfg.data.synthetic, cfg.data.n_tracks, seed=cfg.data.seed, params=cfg.oracle
-    )
+    dataset = datakit.generate_synthetic(cfg.data.synthetic, cfg.data.n_tracks,
+                                         seed=cfg.data.seed, params=cfg.oracle)
     datakit.save_tsv(dataset, out_dir / "trajectories.tsv")
 
     bank = datakit.generate_pose_bank(cfg.data.pose_bank_size, seed=cfg.data.seed + 7)
@@ -77,13 +70,8 @@ def cmd_gen_data(config_path, out):
 
     traj_bank = datakit.future_slices(dataset, cfg.predictor.future_frames, cfg.predictor.stride)
     pairs = oracle.build_plausibility_dataset(
-        bank,
-        traj_bank,
-        cfg.plausibility.n_plausible,
-        cfg.plausibility.n_implausible,
-        params=cfg.oracle,
-        seed=cfg.plausibility.seed,
-    )
+        bank, traj_bank, cfg.plausibility.n_plausible, cfg.plausibility.n_implausible,
+        params=cfg.oracle, seed=cfg.plausibility.seed)
     oracle.save_plausibility_csv(pairs, out_dir / "plausibility.csv")
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 
@@ -114,22 +102,13 @@ def cmd_train_locoval(config_path, out, data_dir):
         raise DataError(f"missing {csv_path}; run gen-data first")
     pairs = oracle.load_plausibility_csv(csv_path)
     layout = locoval_mod.FeatureLayout(
-        horizon=pairs.horizon,
-        joint_count=len(pairs.observables[0].joints),
-        include_pose=cfg.locoval.include_pose,
-        include_velocity=cfg.locoval.include_velocity,
-    )
-    result = locoval_mod.train_locoval(
-        pairs,
-        cfg.locoval.train,
-        layout=layout,
-        hidden=tuple(cfg.locoval.hidden),
-        holdout_fraction=cfg.locoval.holdout_fraction,
-    )
-    locoval_mod.save_locoval(
-        result.model, out_dir / "locoval.json",
-        seed=cfg.locoval.train.seed, train_config=cfg.locoval.train,
-    )
+        horizon=pairs.horizon, joint_count=len(pairs.observables[0].joints),
+        include_pose=cfg.locoval.include_pose, include_velocity=cfg.locoval.include_velocity)
+    result = locoval_mod.train_locoval(pairs, cfg.locoval.train, layout=layout,
+                                       hidden=tuple(cfg.locoval.hidden),
+                                       holdout_fraction=cfg.locoval.holdout_fraction)
+    locoval_mod.save_locoval(result.model, out_dir / "locoval.json",
+                             seed=cfg.locoval.train.seed, train_config=cfg.locoval.train)
     with open(out_dir / "locoval_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "lr", "train_mse", "holdout_mse"])
@@ -140,10 +119,8 @@ def cmd_train_locoval(config_path, out, data_dir):
     X_ho, y_ho = locoval_mod.features_and_targets(pairs.subset(result.holdout_indices),
                                                   result.model.layout)
     corr = pearson_r(gradcore.forward(result.model.net, X_ho)[:, 0], y_ho)
-    click.echo(
-        f"best holdout MSE: {result.best_holdout_mse:.5f}  "
-        f"holdout correlation(score, reward): {corr:.3f}"
-    )
+    click.echo(f"best holdout MSE: {result.best_holdout_mse:.5f}  "
+               f"holdout correlation(score, reward): {corr:.3f}")
 
 
 @cli.command("train-predictor")
@@ -161,40 +138,26 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
     out_dir = _out_dir(out)
 
     instances = _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks)
-    scorer = None
     scorer_path = out_dir / "locoval.json"
-    if cfg.predictor.alpha > 0:
-        if not scorer_path.exists():
-            raise DataError(f"alpha > 0 requires {scorer_path}; run train-locoval first")
-        scorer = locoval_mod.load_locoval(scorer_path)
-    elif scorer_path.exists():
-        scorer = locoval_mod.load_locoval(scorer_path)
+    if cfg.predictor.alpha > 0 and not scorer_path.exists():
+        raise DataError(f"alpha > 0 requires {scorer_path}; run train-locoval first")
+    scorer = locoval_mod.load_locoval(scorer_path) if scorer_path.exists() else None
 
     result = predictor_mod.train_predictor(
-        instances,
-        scorer,
-        cfg.predictor.train,
-        alpha=cfg.predictor.alpha,
-        n_heads=cfg.predictor.n_heads,
-        trunk_hidden=tuple(cfg.predictor.trunk_hidden),
-    )
-    predictor_mod.save_predictor(
-        result, out_dir / "predictor.json", train_config=cfg.predictor.train
-    )
+        instances, scorer, cfg.predictor.train, alpha=cfg.predictor.alpha,
+        n_heads=cfg.predictor.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
+    predictor_mod.save_predictor(result, out_dir / "predictor.json",
+                                 train_config=cfg.predictor.train)
     with open(out_dir / "predictor_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss_gt", "loss_plaus", "ratio", "regularizer_dominates"])
         for p in result.curve:
-            writer.writerow(
-                [p.step, repr(p.loss_gt), repr(p.loss_plaus), repr(p.ratio),
-                 int(p.regularizer_dominates)]
-            )
+            writer.writerow([p.step, repr(p.loss_gt), repr(p.loss_plaus), repr(p.ratio),
+                             int(p.regularizer_dominates)])
     save_resolved_config(cfg, out_dir / "resolved_config.json")
     last = result.curve[-1]
-    click.echo(
-        f"trained {result.n_heads}-head predictor (alpha={result.alpha}): "
-        f"loss_gt={last.loss_gt:.4f} loss_plaus={last.loss_plaus:.4f}"
-    )
+    click.echo(f"trained {result.n_heads}-head predictor (alpha={result.alpha}): "
+               f"loss_gt={last.loss_gt:.4f} loss_plaus={last.loss_plaus:.4f}")
     flagged = sum(p.regularizer_dominates for p in result.curve)
     if flagged:
         click.echo(f"warning: alpha * plausibility loss exceeded the ground-truth "
@@ -305,40 +268,24 @@ def cmd_sweep(config_path, out, param, values):
     if param == "lambda":
         evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
         for entry in filtering.sweep_lambda(evaluation, grid):
-            rows.append(
-                {
-                    "value": entry.threshold,
-                    "kept_ade": entry.kept_report.ade,
-                    "kept_fde": entry.kept_report.fde,
-                    "rejected_ade": entry.rejected_report.ade if entry.rejected_report else "",
-                    "rejected_fde": entry.rejected_report.fde if entry.rejected_report else "",
-                    "rejection_rate": entry.rejection_rate,
-                    "fallback_cases": entry.fallback_cases,
-                }
-            )
+            rejected = entry.rejected_report
+            rows.append({"value": entry.threshold, "kept_ade": entry.kept_report.ade,
+                         "kept_fde": entry.kept_report.fde,
+                         "rejected_ade": rejected.ade if rejected else "",
+                         "rejected_fde": rejected.fde if rejected else "",
+                         "rejection_rate": entry.rejection_rate,
+                         "fallback_cases": entry.fallback_cases})
     else:
         train_instances = _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks)
         for alpha in grid:
             result = predictor_mod.train_predictor(
-                train_instances,
-                scorer,
-                cfg.predictor.train,
-                alpha=alpha,
-                n_heads=model.n_heads,
-                trunk_hidden=tuple(cfg.predictor.trunk_hidden),
-            )
+                train_instances, scorer, cfg.predictor.train, alpha=alpha,
+                n_heads=model.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
             report = filtering.evaluate_windows(result.model, instances,
                                                 n_bins=cfg.eval.chi2_bins).report
-            rows.append(
-                {
-                    "value": alpha,
-                    "ade": report.ade,
-                    "fde": report.fde,
-                    "min_ade": report.min_ade,
-                    "min_fde": report.min_fde,
-                    "chi2_velocity": report.chi2["velocity"],
-                }
-            )
+            rows.append({"value": alpha, "ade": report.ade, "fde": report.fde,
+                         "min_ade": report.min_ade, "min_fde": report.min_fde,
+                         "chi2_velocity": report.chi2["velocity"]})
 
     sweep_path = out_dir / f"sweep_{param}.csv"
     with open(sweep_path, "w", newline="") as fh:
@@ -427,10 +374,7 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (click.UsageError,) as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # a UsageError too
         exc.show(file=sys.stderr)
         return 1
     except click.Abort:

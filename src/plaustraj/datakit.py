@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,14 +15,20 @@ from .errors import (NON_NEGATIVE, POSITIVE, UNIT, Checked, ConfigError, DataErr
                      InputShapeError, ParseError, Rule, at_least, is_finite, rule)
 from .oracle import (
     DEFAULT_DT,
+    PELVIS,
     REQUIRED_JOINTS,
     HumanoidState,
     ObservableState,
     OracleParams,
     Trajectory,
+    _map,
+    _row_norms,
+    joint_order,
     rollout,
+    rotation_matrices,
     rotation_matrix,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -157,30 +164,16 @@ def make_walking_pose(
 def generate_pose_bank(n: int, seed: int = 0,
                        speed_range=(0.6, 2.0)) -> list[HumanoidState]:
     rng = np.random.default_rng(seed)
-    bank = []
-    for _ in range(n):
-        bank.append(
-            make_walking_pose(
-                heading=rng.uniform(-math.pi, math.pi),
-                speed=rng.uniform(*speed_range),
-                phase=rng.uniform(0.0, 2.0 * math.pi),
-                jitter_rng=rng,
-            )
-        )
-    return bank
+    return [make_walking_pose(heading=rng.uniform(-math.pi, math.pi),
+                              speed=rng.uniform(*speed_range),
+                              phase=rng.uniform(0.0, 2.0 * math.pi), jitter_rng=rng)
+            for _ in range(n)]
 
 
 def save_pose_bank(bank: list[HumanoidState], path):
-    doc = []
-    for i, state in enumerate(bank):
-        doc.append(
-            {
-                "name": f"pose_{i:04d}",
-                "joints": {k: v.tolist() for k, v in state.joints.items()},
-                "heading": state.heading,
-                "speed": float(np.linalg.norm(state.root_velocity)),
-            }
-        )
+    doc = [{"name": f"pose_{i:04d}", "joints": {k: v.tolist() for k, v in state.joints.items()},
+            "heading": state.heading, "speed": float(np.linalg.norm(state.root_velocity))}
+           for i, state in enumerate(bank)]
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -198,13 +191,8 @@ def load_pose_bank(path) -> list[HumanoidState]:
             joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed pose entry ({exc})")
-        bank.append(
-            HumanoidState(
-                joints=joints,
-                heading=heading,
-                root_velocity=speed * np.array([math.cos(heading), math.sin(heading)]),
-            )
-        )
+        velocity = speed * np.array([math.cos(heading), math.sin(heading)])
+        bank.append(HumanoidState(joints=joints, heading=heading, root_velocity=velocity))
     return bank
 
 
@@ -410,22 +398,86 @@ def filter_pose_sequence(seq: PoseSequence, window: int = 9) -> dict:
 # Training instances
 
 
+def _spans(dataset: TrajectoryDataset, length: int, stride: int) -> np.ndarray:
+    """Every length-frame window (N, length, 2) of every track, one every
+    stride frames, tracks in id order."""
+    tracks = [dataset.tracks[tid].points for tid in sorted(dataset.tracks)]
+    return np.array([pts[start : start + length] for pts in tracks
+                     for start in range(0, len(pts) - length + 1, stride)]).reshape(-1, length, 2)
+
+
 def future_slices(dataset: TrajectoryDataset, horizon: int, stride: int) -> list[Trajectory]:
-    """Every horizon-frame window of every track, one every stride frames,
-    tracks in id order: the trajectory bank that oracle pairs draw from."""
-    slices = []
-    for tid in sorted(dataset.tracks):
-        pts = dataset.tracks[tid].points
-        for start in range(0, len(pts) - horizon + 1, stride):
-            slices.append(Trajectory(pts[start : start + horizon], dataset.dt))
-    return slices
+    """The horizon-frame _spans of the dataset as trajectories: the trajectory
+    bank that oracle pairs draw from."""
+    return [Trajectory(pts, dataset.dt) for pts in _spans(dataset, horizon, stride)]
 
 
-@dataclass
-class TrainingInstance:
+class Window(NamedTuple):
+    """One window of a WindowSet as objects, for callers that take one at a time."""
+
     past: Trajectory
     future: Trajectory
     observable: ObservableState
+
+
+@dataclass
+class WindowSet:
+    """Observation windows of one past length, one horizon and one dt.
+
+    Window i is the observed past[i], the ground-truth future[i] that follows
+    it, and the observable state at its last observed frame: the joints[i],
+    named by joint_names, and the root velocity[i]. Indexing with an integer,
+    and so iterating, gives Windows; a slice, index array or mask gives a set.
+    """
+
+    past: np.ndarray         # (N, T_p, 2), T_p >= 2
+    future: np.ndarray       # (N, T_f, 2), T_f >= 2
+    joints: np.ndarray       # (N, J, 3)
+    velocity: np.ndarray     # (N, 2)
+    joint_names: list[str]   # the J names, in ObservableState.joint_order()
+    dt: float
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=float)
+                  for a in (self.past, self.future, self.joints, self.velocity)]
+        self.past, self.future, self.joints, self.velocity = arrays
+        self.joint_names = list(self.joint_names)
+        n, J = len(self.past), len(self.joint_names)
+        shapes = [a.shape for a in arrays]
+        if ({self.past.ndim, self.future.ndim} != {3} or [s[::2] for s in shapes[:2]] + shapes[2:]
+                != [(n, 2), (n, 2), (n, J, 3), (n, 2)]):
+            raise InputShapeError(f"window arrays must be past (N, T_p, 2), future (N, T_f, 2), "
+                                  f"joints (N, {J}, 3) and velocity (N, 2), got {shapes}")
+        if self.past_frames < 2 or self.horizon < 2:
+            raise InputShapeError("a window needs at least 2 past and 2 future points")
+        if self.joint_names != joint_order(self.joint_names):
+            raise InputShapeError(f"joint names must be in joint order, got {self.joint_names}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise InputShapeError("window arrays must be finite")
+        if not self.dt > 0:
+            raise ConfigError("dt must be positive")
+
+    def __len__(self) -> int:
+        return len(self.past)
+
+    @property
+    def past_frames(self) -> int:
+        return self.past.shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.future.shape[1]
+
+    def subset(self, index) -> "WindowSet":
+        return WindowSet(self.past[index], self.future[index], self.joints[index],
+                         self.velocity[index], self.joint_names, self.dt)
+
+    def __getitem__(self, index):
+        if not isinstance(index, (int, np.integer)):
+            return self.subset(index)
+        return Window(Trajectory(self.past[index], self.dt), Trajectory(self.future[index], self.dt),
+                      ObservableState(dict(zip(self.joint_names, self.joints[index])),
+                                      self.velocity[index]))
 
 
 def make_training_instances(
@@ -436,51 +488,42 @@ def make_training_instances(
     stride: int = 1,
     seed: int = 0,
     stats: dict | None = None,
-) -> list[TrainingInstance]:
-    """Sliding windows over every track; each instance gets a bank pose
-    rotated to the window's final heading, moved to the last observed
-    position, with the root velocity derived from the past trajectory."""
+) -> WindowSet:
+    """Sliding windows over every track, tracks in id order. Each window gets
+    a bank pose, drawn in window order, rotated about its root to the
+    window's final heading and moved to the last observed position, and the
+    root velocity of the past's last step.
+
+    The poses are aligned as arrays, with the bits of HumanoidState.transformed
+    per window: the angles go through math per element (wrap_angles,
+    rotation_matrices) and each joint is rotated by a stacked matmul."""
     if past_frames < 2:
         raise ConfigError("past_frames must be >= 2 (velocity needs two frames)")
-    if future_frames < 1:
-        raise ConfigError("future_frames must be >= 1")
+    if future_frames < 2:
+        raise ConfigError("future_frames must be >= 2 (a trajectory needs two points)")
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     if not pose_bank:
         raise DataError("empty pose bank")
-    rng = np.random.default_rng(seed)
+    names = joint_order(pose_bank[0].joints)
+    if any(set(pose.joints) != set(names) for pose in pose_bank):
+        raise DataError("every pose of the bank must name the same joints")
     window = past_frames + future_frames
-    instances = []
-    skipped = 0
-    for tid in sorted(dataset.tracks):
-        track = dataset.tracks[tid]
-        if len(track) < window:
-            skipped += 1
-            continue
-        for start in range(0, len(track) - window + 1, stride):
-            past_pts = track.points[start : start + past_frames]
-            future_pts = track.points[start + past_frames : start + window]
-            last_step = past_pts[-1] - past_pts[-2]
-            velocity = last_step / dataset.dt
-            if np.linalg.norm(last_step) > 1e-9:
-                target_heading = math.atan2(last_step[1], last_step[0])
-            else:
-                target_heading = 0.0
-            pose = pose_bank[rng.integers(len(pose_bank))]
-            aligned = pose.transformed(
-                angle=wrap_angle(target_heading - pose.heading),
-                pivot=pose.root_position,
-                translation=past_pts[-1] - pose.root_position,
-            )
-            obs = ObservableState(joints=aligned.joints, root_velocity=velocity)
-            instances.append(
-                TrainingInstance(
-                    past=Trajectory(past_pts, dataset.dt),
-                    future=Trajectory(future_pts, dataset.dt),
-                    observable=obs,
-                )
-            )
+    spans = _spans(dataset, window, stride)
+    past = spans[:, :past_frames]
+    last_step = past[:, -1] - past[:, -2]
+    target = np.where(_row_norms(last_step) > 1e-9,
+                      _map(math.atan2, last_step[:, 1], last_step[:, 0]), 0.0)
+    pose = np.random.default_rng(seed).integers(len(pose_bank), size=len(spans))
+    bank = np.stack([[state.joints[n] for n in names] for state in pose_bank])[pose]
+    rots = rotation_matrices(wrap_angles(target - np.array([s.heading for s in pose_bank])[pose]))
+    pivot = bank[:, PELVIS, None, :2]
+    joints = bank.copy()
+    joints[:, :, :2] = ((rots[:, None] @ (bank[:, :, :2] - pivot)[..., None])[..., 0]
+                        + pivot + (past[:, -1, None] - pivot))
+    windows = WindowSet(past, spans[:, past_frames:], joints, last_step / dataset.dt, names,
+                        dataset.dt)
     if stats is not None:
-        stats["skipped_tracks"] = skipped
-        stats["instances"] = len(instances)
-    return instances
+        stats["skipped_tracks"] = sum(len(t) < window for t in dataset.tracks.values())
+        stats["instances"] = len(windows)
+    return windows

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, predictor
-from .datakit import TrainingInstance
-from .errors import ConfigError, InputShapeError
+from .datakit import WindowSet
+from .errors import ConfigError, DataError, InputShapeError
 from .locoval import LocoValModel, score_batch
 from .oracle import ObservableState, Trajectory
 
@@ -78,23 +78,34 @@ class WindowEval:
     n_bins: int                     # the report's chi2 histogram bins
 
 
-def evaluate_windows(model: predictor.PredictorModel, instances: list[TrainingInstance],
+def evaluate_windows(model: predictor.PredictorModel, windows: WindowSet,
                      scorer: LocoValModel | None = None,
                      n_bins: int = metrics.DEFAULT_N_BINS) -> WindowEval:
     """Predict each window, score its heads with one score_batch call when a
     scorer is given, and take every head's ADE in one (N*K, T, 2) pass, which
-    has the bits of metrics.ade head by head."""
-    heads = [predictor.predict(model, inst.past, inst.observable).trajectories
-             for inst in instances]
-    scores = None if scorer is None else np.array(
-        [score_batch(scorer, h, inst.observable) for h, inst in zip(heads, instances)])
-    truths = [inst.future for inst in instances]
+    has the bits of metrics.ade head by head. The window set must be
+    non-empty, with the model's past length and horizon."""
+    layout = model.input_layout
+    if not len(windows):
+        raise DataError("the window set has 0 windows; evaluation needs at least 1")
+    if windows.past_frames != layout.past_frames:
+        raise DataError(f"the windows have {windows.past_frames} past frames; "
+                        f"the predictor takes {layout.past_frames}")
+    if windows.horizon != model.horizon:
+        raise DataError(f"the windows have {windows.horizon} future frames; "
+                        f"the predictor predicts {model.horizon}")
+    heads, scores, truths = [], [], []
+    for past, future, obs in windows:
+        heads.append(predictor.predict(model, past, obs).trajectories)
+        if scorer is not None:
+            scores.append(score_batch(scorer, heads[-1], obs))
+        truths.append(future)
     report = metrics.evaluate_predictions(heads, truths, n_bins=n_bins)
     k = len(heads[0])
     _, ades, _ = metrics._displacement_errors(
-        np.stack([t.points for h in heads for t in h]),
-        np.repeat(np.stack([g.points for g in truths]), k, axis=0))
-    return WindowEval(heads, truths, scores, ades.reshape(-1, k), report, n_bins)
+        np.stack([t.points for h in heads for t in h]), np.repeat(windows.future, k, axis=0))
+    return WindowEval(heads, truths, np.array(scores) if scorer is not None else None,
+                      ades.reshape(-1, k), report, n_bins)
 
 
 @dataclass

@@ -130,13 +130,7 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         """A model with its own copy of the parameters (and no gradient buffer)."""
-        return MlpModel(
-            layer_sizes=list(self.layer_sizes),
-            weights=self.weights,
-            biases=self.biases,
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-        )
+        return self.astype(self.params.dtype)
 
     def astype(self, dtype) -> "MlpModel":
         """A copy of the model that computes at dtype, float32 or float64.

@@ -18,7 +18,8 @@ import numpy as np
 from . import gradcore
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
-from .oracle import REQUIRED_JOINTS, ObservableState, PairSet, Trajectory, rotation_matrix
+from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajectory, headings,
+                     rotation_matrices, rotation_matrix)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -78,24 +79,24 @@ def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
     return obs.root_position, rotation_matrix(-obs.heading())
 
 
-def observation_frame(obs: ObservableState, layout: FeatureLayout
+def observation_frame(joints: np.ndarray, velocity: np.ndarray, layout: FeatureLayout
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(root, rot, tail) of one observable: its canonical frame and the
-    features after the trajectory block in that frame, which are the
-    root-relative rotated joints (x, y, z per joint in the observable's joint
-    order), then the rotated root velocity."""
-    root, rot = canonical_frame(obs)
+    """(roots, rots, tails) of N observables, joints (N, J, 3) in joint order
+    and root velocities (N, 2): their canonical frames and the features after
+    the trajectory block in those frames, which are the root-relative rotated
+    joints (x, y, z per joint), then the rotated root velocity."""
+    roots, rots = joints[:, PELVIS, :2], rotation_matrices(-headings(joints, velocity))
+    n = len(joints)
     parts = []
     if layout.include_pose:
-        names = obs.joint_order()
-        if len(names) != layout.joint_count:
-            raise InputShapeError(f"expected {layout.joint_count} joints, got {len(names)}")
-        joints = np.stack([obs.joints[n] for n in names])
-        xy = (rot[None] @ (joints[:, :2] - root)[:, :, None])[:, :, 0]
-        parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
+        if joints.shape[1] != layout.joint_count:
+            raise InputShapeError(f"expected {layout.joint_count} joints, got {joints.shape[1]}")
+        pose = joints.copy()
+        pose[:, :, :2] = (rots[:, None] @ (joints[:, :, :2] - roots[:, None])[..., None])[..., 0]
+        parts.append(pose.reshape(n, -1))
     if layout.include_velocity:
-        parts.append(rot @ obs.root_velocity)
-    return root, rot, np.concatenate(parts) if parts else np.empty(0)
+        parts.append((rots @ velocity[:, :, None])[:, :, 0])
+    return roots, rots, np.concatenate(parts, axis=1) if parts else np.empty((n, 0))
 
 
 def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -142,8 +143,10 @@ def _canonicalize_shared(trajs: list[Trajectory], obs: ObservableState,
     """Feature rows of trajectories in the canonical frame of one observable."""
     for traj in trajs:
         _check_horizon(len(traj), layout)
-    root, rot, tail = observation_frame(obs, layout)
-    return encode_steps(_steps_from(root, np.stack([t.points for t in trajs])), rot, tail)
+    roots, rots, tails = observation_frame(obs.joint_array()[None], obs.root_velocity[None],
+                                           layout)
+    return encode_steps(_steps_from(roots[0], np.stack([t.points for t in trajs])), rots[0],
+                        tails[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +191,12 @@ class LocoValTrainResult:
 
 def features_and_targets(pairs: PairSet, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows, canonicalized in one batch, and oracle rewards. The
-    canonical frame and observation tail are computed once per observable."""
+    canonical frames and observation tails of the stacked observables are
+    computed in one call."""
     _check_horizon(pairs.horizon, layout)
-    roots, rots, tails = map(np.stack, zip(*(observation_frame(obs, layout)
-                                             for obs in pairs.observables)))
+    roots, rots, tails = observation_frame(
+        np.stack([obs.joint_array() for obs in pairs.observables]),
+        np.stack([obs.root_velocity for obs in pairs.observables]), layout)
     k = pairs.state
     return encode_steps(_steps_from(roots[k], pairs.points), rots[k], tails[k]), pairs.rewards
 

@@ -29,7 +29,18 @@ REQUIRED_JOINTS = (
     "right_ankle",
 )
 
+# rows of a joint array (J, 3) in joint_order()
+PELVIS, LEFT_SHOULDER, RIGHT_SHOULDER = map(REQUIRED_JOINTS.index,
+                                           ("pelvis", "left_shoulder", "right_shoulder"))
+
 DEFAULT_DT = 0.4  # seconds per frame, 2.5 fps
+
+
+def joint_order(names) -> list[str]:
+    """The required joints in their fixed order, then any extra joint names
+    sorted. Every flat encoding of the joints (joint arrays, plausibility CSV
+    columns, scorer features, predictor input) uses this order."""
+    return [*REQUIRED_JOINTS, *sorted(set(names) - set(REQUIRED_JOINTS))]
 
 
 def wrap_angle(a: float) -> float:
@@ -98,24 +109,15 @@ class ObservableState:
         return self.joints["pelvis"][:2]
 
     def heading(self) -> float:
-        """Facing direction inferred from the shoulder line (perpendicular,
-        pointing forward); falls back to the root-velocity direction when the
-        shoulders are degenerate."""
-        axis = self.joints["left_shoulder"][:2] - self.joints["right_shoulder"][:2]
-        if np.linalg.norm(axis) > 1e-9:
-            # left-to-right shoulder axis rotated -90 deg points forward
-            return math.atan2(-axis[0], axis[1])
-        speed = np.linalg.norm(self.root_velocity)
-        if speed > 1e-9:
-            return math.atan2(self.root_velocity[1], self.root_velocity[0])
-        return 0.0
+        """Facing direction: headings() of this one observable."""
+        return float(headings(self.joint_array()[None], self.root_velocity[None])[0])
 
     def joint_order(self) -> list[str]:
-        """The required joints in their fixed order, then any extra joints by
-        name. Every flat encoding of the joints (plausibility CSV columns,
-        scorer features, predictor input) uses this order."""
-        extras = sorted(set(self.joints) - set(REQUIRED_JOINTS))
-        return [*REQUIRED_JOINTS, *extras]
+        return joint_order(self.joints)
+
+    def joint_array(self) -> np.ndarray:
+        """The joints (J, 3) in joint_order()."""
+        return np.array([self.joints[n] for n in self.joint_order()])
 
 
 @dataclass
@@ -355,6 +357,25 @@ def _capped(v: np.ndarray, norms: np.ndarray, cap: float) -> np.ndarray:
     return v * (cap / np.maximum(norms, cap))[:, None]
 
 
+def rotation_matrices(angles: np.ndarray) -> np.ndarray:
+    """rotation_matrix of each angle (N,) as (N, 2, 2), bit for bit."""
+    c, s = _map(math.cos, angles), _map(math.sin, angles)
+    return np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+
+
+def headings(joints: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """Facing direction (N,) of N observables, from their joints (N, J, 3) in
+    joint_order() and root velocities (N, 2): the shoulder line's normal
+    pointing forward; the root-velocity direction where the shoulders are
+    degenerate; 0.0 where the walker stands still too."""
+    axis = joints[:, LEFT_SHOULDER, :2] - joints[:, RIGHT_SHOULDER, :2]
+    # the left-to-right shoulder axis rotated -90 deg points forward
+    facing = _map(math.atan2, -axis[:, 0], axis[:, 1])
+    moving = np.where(_row_norms(velocity) > 1e-9,
+                      _map(math.atan2, velocity[:, 1], velocity[:, 0]), 0.0)
+    return np.where(_row_norms(axis) > 1e-9, facing, moving)
+
+
 def wrap_angles(a: np.ndarray) -> np.ndarray:
     """wrap_angle of each element, bit for bit."""
     two_pi = 2.0 * math.pi
@@ -447,9 +468,7 @@ def _pair_points(disp: np.ndarray, root: np.ndarray, heading: np.ndarray,
     turn = kind <= _FLIP
     angle = wrap_angles(np.where(kind == _FLIP, heading + math.pi, heading)[turn]
                         - first_angle[turn])
-    c, s = _map(math.cos, angle), _map(math.sin, angle)
-    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
-    disp[turn] = disp[turn] @ rot.transpose(0, 2, 1)
+    disp[turn] = disp[turn] @ rotation_matrices(angle).transpose(0, 2, 1)
     aligned = kind == _ALIGNED
     disp[aligned] *= ((speed[aligned] * dt) / first_norm[aligned])[:, None, None]
     scaled = kind == _SPEED

@@ -17,13 +17,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import gradcore, locoval as locoval_mod
-from .datakit import TrainingInstance
+from .datakit import WindowSet
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
 from .locoval import LocoValModel, canonical_frame  # noqa: F401
-from .oracle import ObservableState, Trajectory
+from .oracle import PELVIS, ObservableState, Trajectory
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -118,19 +118,11 @@ def build_predictor(
 ) -> PredictorModel:
     """Trunk and heads drawn from head-specific seeds so heads start diverse:
     head k's column block from SeedSequence([seed, k + 1])."""
-    rng = np.random.default_rng(seed)
-    trunk = gradcore.init_mlp(
-        [input_layout.feature_size, *trunk_hidden], rng,
-        hidden_activation="relu", output_activation="identity",
-    )
-    heads = [
-        gradcore.init_mlp(
-            [trunk_hidden[-1], 2 * horizon],
-            np.random.default_rng(np.random.SeedSequence([seed, k + 1])),
-            hidden_activation="relu", output_activation="identity",
-        )
-        for k in range(n_heads)
-    ]
+    trunk = gradcore.init_mlp([input_layout.feature_size, *trunk_hidden],
+                              np.random.default_rng(seed))
+    heads = [gradcore.init_mlp([trunk_hidden[-1], 2 * horizon],
+                               np.random.default_rng(np.random.SeedSequence([seed, k + 1])))
+             for k in range(n_heads)]
     return PredictorModel(trunk=trunk, head=_fuse_heads(heads, horizon),
                           horizon=horizon, input_layout=input_layout)
 
@@ -139,40 +131,36 @@ def build_predictor(
 # Forward path
 
 
-def build_input(past: Trajectory, obs: ObservableState | None,
+def build_input(past: np.ndarray, joints: np.ndarray | None,
                 layout: InputLayout) -> np.ndarray:
-    """Past positions relative to the last observed point, plus root-relative
-    pose joints (world orientation kept so heading stays observable)."""
-    if len(past) != layout.past_frames:
-        raise InputShapeError(
-            f"past length {len(past)} != layout past_frames {layout.past_frames}"
-        )
-    rel = (past.points - past.points[-1]).reshape(-1)
+    """Input rows (N, F) of N windows: past positions (N, T_p, 2) relative to
+    the last observed point, then joints (N, J, 3) in joint order relative to
+    the root on the ground plane (world orientation kept so heading stays
+    observable)."""
+    if past.shape[1] != layout.past_frames:
+        raise InputShapeError(f"past length {past.shape[1]} != layout past_frames "
+                              f"{layout.past_frames}")
+    rel = (past - past[:, -1:]).reshape(len(past), -1)
     if not layout.include_pose:
         return rel
-    if obs is None:
+    if joints is None:
         raise InputShapeError("layout includes pose but no observable state given")
-    names = obs.joint_order()
-    if len(names) != layout.joint_count:
-        raise InputShapeError(f"expected {layout.joint_count} joints, got {len(names)}")
-    parts = [rel]
-    root = obs.root_position
-    for name in names:
-        j = obs.joints[name]
-        parts.append(np.array([j[0] - root[0], j[1] - root[1], j[2]]))
-    return np.concatenate(parts)
+    if joints.shape[1] != layout.joint_count:
+        raise InputShapeError(f"expected {layout.joint_count} joints, got {joints.shape[1]}")
+    pose = joints.copy()
+    pose[:, :, :2] -= joints[:, PELVIS, None, :2]
+    return np.concatenate([rel, pose.reshape(len(pose), -1)], axis=1)
 
 
 def predict(model: PredictorModel, past: Trajectory,
             obs: ObservableState | None = None) -> PredictionSet:
-    feats = build_input(past, obs, model.input_layout)
-    trunk_out = gradcore.forward(model.trunk, feats[None])
+    joints = None if obs is None else obs.joint_array()[None]
+    trunk_out = gradcore.forward(model.trunk,
+                                 build_input(past.points[None], joints, model.input_layout))
     disp = _head_blocks(gradcore.forward(model.head, trunk_out), model.horizon)[:, 0]
     anchor = past.points[-1]
-    trajectories = [
-        Trajectory(anchor + np.cumsum(d, axis=0), past.dt) for d in disp
-    ]
-    return PredictionSet(trajectories=trajectories, anchor=anchor)
+    return PredictionSet([Trajectory(anchor + np.cumsum(d, axis=0), past.dt) for d in disp],
+                         anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +184,16 @@ class PredictorTrainResult:
     n_heads: int
 
 
-def _prepare_training_arrays(dataset: list[TrainingInstance], model: PredictorModel,
+def _prepare_training_arrays(dataset: WindowSet, model: PredictorModel,
                              scorer: LocoValModel | None):
-    layout = model.input_layout
-    X = np.stack([build_input(inst.past, inst.observable, layout) for inst in dataset])
-    gt = np.stack([inst.future.points for inst in dataset])
-    anchors = np.stack([inst.past.points[-1] for inst in dataset])
+    X = build_input(dataset.past, dataset.joints, model.input_layout)
+    anchors = dataset.past[:, -1]
     rots = offsets = tails = None
     if scorer is not None:
-        roots, rots, tails = map(np.stack, zip(*(
-            locoval_mod.observation_frame(inst.observable, scorer.layout) for inst in dataset)))
+        roots, rots, tails = locoval_mod.observation_frame(dataset.joints, dataset.velocity,
+                                                           scorer.layout)
         offsets = anchors - roots
-    return X, gt, anchors, rots, offsets, tails
+    return X, dataset.future, anchors, rots, offsets, tails
 
 
 def min_of_k_mse(points: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -256,7 +242,7 @@ def emloco_grad(scorer: LocoValModel, scorer_pass: tuple) -> np.ndarray:
 
 
 def train_predictor(
-    dataset: list[TrainingInstance],
+    dataset: WindowSet,
     scorer: LocoValModel | None,
     config: TrainConfig,
     alpha: float = 0.0,
@@ -279,20 +265,17 @@ def train_predictor(
     alpha > 0; at alpha == 0, where it only reports, the scorer runs on the
     interval's last batch alone and loss_plaus is that batch's loss (0.0
     without a scorer)."""
-    if not dataset:
+    if not len(dataset):
         raise DataError("empty training dataset")
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha > 0 and scorer is None:
         raise ConfigError("alpha > 0 requires a scorer")
 
-    horizon = len(dataset[0].future)
+    horizon = dataset.horizon
     if model is None:
-        layout = InputLayout(
-            past_frames=len(dataset[0].past),
-            include_pose=True,
-            joint_count=len(dataset[0].observable.joints),
-        )
+        layout = InputLayout(past_frames=dataset.past_frames, include_pose=True,
+                             joint_count=len(dataset.joint_names))
         model = build_predictor(layout, horizon, n_heads, trunk_hidden, seed=config.seed)
     if model.horizon != horizon:
         raise ConfigError("model horizon does not match dataset future length")
@@ -358,9 +341,7 @@ def train_predictor(
             mean_pl = acc_pl / acc_n if alpha > 0.0 else loss_pl_val
             ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
             dominates = bool(alpha * mean_pl > mean_gt)
-            curve.append(
-                PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates)
-            )
+            curve.append(PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates))
             acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
 
     target.trunk.params[...] = model.trunk.params

@@ -36,9 +36,9 @@ class Corpus:
     bank: list                 # pose bank
     traj_bank: list            # 12-frame windows of the training tracks
     pairs: oracle.PairSet      # oracle-labelled plausibility pairs
-    instances: list            # predictor training windows
-    eval_default: list         # held-out windows, training distribution
-    eval_hard: list            # held-out windows, HARD_EVAL distribution
+    instances: datakit.WindowSet     # predictor training windows
+    eval_default: datakit.WindowSet  # held-out windows, training distribution
+    eval_hard: datakit.WindowSet     # held-out windows, HARD_EVAL distribution
 
 
 def build_corpus() -> Corpus:
@@ -64,7 +64,7 @@ def train_scorer(pairs) -> locoval.LocoValModel:
     return locoval.train_locoval(pairs, cfg, hidden=(128, 128, 128)).model
 
 
-def train_model(instances, scorer, seed: int, alpha: float, steps: int,
+def train_model(instances: datakit.WindowSet, scorer, seed: int, alpha: float, steps: int,
                 heads: int) -> predictor.PredictorModel:
     """One run of a pair; the scorer is unused at alpha 0."""
     cfg = TrainConfig(learning_rate=1e-4, total_steps=steps, batch_size=32, seed=200 + seed)
@@ -72,7 +72,7 @@ def train_model(instances, scorer, seed: int, alpha: float, steps: int,
                                      alpha=alpha, n_heads=heads).model
 
 
-def paired_runs(instances, scorer, seeds: int, alpha: float = ALPHA,
+def paired_runs(instances: datakit.WindowSet, scorer, seeds: int, alpha: float = ALPHA,
                 steps: int = PREDICTOR_STEPS, heads: int = N_HEADS) -> dict:
     """{(seed, a): model} for seed in range(seeds) and a in (0, alpha), each
     run in one of min(runs, usable cores) spawned worker processes."""

@@ -72,3 +72,26 @@ def training_instances(pose_bank):
     return datakit.make_training_instances(
         dataset, pose_bank, past_frames=9, future_frames=12, stride=3, seed=16
     )
+
+
+def awkward_observables(extra_joint=False, n=12, seed=0):
+    """Observables whose headings take every branch: a shoulder line, then
+    the root velocity where the shoulders coincide on the ground plane (or
+    lie within 1e-9 of each other), then 0.0 where the root stands still too;
+    with extra_joint, each also has a "neck" joint after the required ones."""
+    rng = np.random.default_rng(seed)
+    observables = []
+    for i in range(n):
+        obs = make_observable(heading=rng.uniform(-np.pi, np.pi), speed=rng.uniform(0.3, 2.0),
+                              root=tuple(rng.normal(0.0, 5.0, size=2)))
+        joints, velocity = dict(obs.joints), obs.root_velocity
+        if i % 3 == 1:
+            joints["left_shoulder"] = joints["right_shoulder"] + [0.0, 0.0, 0.1]
+        if i % 5 == 4:
+            joints["left_shoulder"] = joints["right_shoulder"] + [5e-10, -5e-10, 0.0]
+        if i % 4 == 2:
+            velocity = np.zeros(2)
+        if extra_joint:
+            joints["neck"] = joints["head"] + [0.01, 0.0, -0.15]
+        observables.append(oracle.ObservableState(joints, velocity))
+    return observables

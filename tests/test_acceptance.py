@@ -113,10 +113,11 @@ def test_criterion_2_gradient_correctness():
         anchor = obs.root_position + rng.normal(0, 0.2, size=2)
         disp = rng.uniform(0.05, 0.4, size=(horizon, 2))
 
-        root, rot, tail = locoval.observation_frame(obs, scorer.layout)
+        roots, rots, tails = locoval.observation_frame(obs.joint_array()[None],
+                                                       obs.root_velocity[None], scorer.layout)
         steps = disp.copy()
-        steps[0] += anchor - root
-        _, scorer_pass = predictor.emloco_loss(scorer, steps[None, None], rot[None], tail[None])
+        steps[0] += anchor - roots[0]
+        _, scorer_pass = predictor.emloco_loss(scorer, steps[None, None], rots, tails)
         analytic = predictor.emloco_grad(scorer, scorer_pass)[0, 0]
 
         def emloco_of(d):

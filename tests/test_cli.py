@@ -233,6 +233,36 @@ def test_eval_filter_scores_each_case_once(tiny_config, trained_dir, monkeypatch
     assert calls["score_batch"] == calls["predict"]
 
 
+def merged(base: dict, changes: dict) -> dict:
+    """base with changes applied section by section."""
+    out = dict(base)
+    for key, value in changes.items():
+        out[key] = merged(base[key], value) if isinstance(value, dict) and key in base else value
+    return out
+
+
+@pytest.mark.parametrize("command, output", [("eval", "metrics.json"),
+                                             ("sweep --param lambda", "sweep_lambda.csv")],
+                         ids=["eval", "sweep-lambda"])
+@pytest.mark.parametrize("changes, message", [
+    ({"data": {"synthetic": {"n_frames": 10}}},
+     "the window set has 0 windows; evaluation needs at least 1"),
+    ({"predictor": {"past_frames": 5}}, "the windows have 5 past frames; the predictor takes 9"),
+    ({"predictor": {"future_frames": 8}},
+     "the windows have 8 future frames; the predictor predicts 12"),
+], ids=["no-windows", "past-frames", "future-frames"])
+def test_eval_windows_checked_against_the_predictor(tmp_path, trained_dir, capsys, command,
+                                                     output, changes, message):
+    """Eval windows that the trained predictor cannot take are one data error
+    naming both numbers, raised before any output is written."""
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps(merged(TINY, changes)))
+    capsys.readouterr()
+    assert run(*command.split(), "--config", str(cfg), "--out", str(trained_dir)) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (trained_dir / output).exists()
+
+
 def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
     assert run(
         "sweep", "--config", tiny_config, "--out", str(trained_dir),

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from plaustraj.datakit import (
     save_tsv,
 )
 from plaustraj.errors import ConfigError, DataError, InputShapeError, ParseError
-from plaustraj.oracle import OracleParams, rollout, wrap_angle
+from plaustraj.oracle import (REQUIRED_JOINTS, ObservableState, OracleParams, Trajectory,
+                              rollout, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,7 @@ def test_short_tracks_counted_not_fatal(pose_bank):
     ds = generate_synthetic(SyntheticConfig(n_frames=6), 3, seed=25)
     stats = {}
     instances = make_training_instances(ds, pose_bank, 9, 12, stride=1, stats=stats)
-    assert instances == []
+    assert len(instances) == 0
     assert stats["skipped_tracks"] == 3
 
 
@@ -307,8 +309,151 @@ def test_instance_parameter_validation(pose_bank):
         make_training_instances(ds, pose_bank, 1, 12)
     with pytest.raises(ConfigError):
         make_training_instances(ds, pose_bank, 9, 0)
+    with pytest.raises(ConfigError, match="future_frames must be >= 2"):
+        make_training_instances(ds, pose_bank, 9, 1)
     with pytest.raises(DataError):
         make_training_instances(ds, [], 9, 12)
+    # a window set has one joint list, so every bank pose must name the same joints
+    odd = make_walking_pose(0.0, 1.0)
+    odd.joints["neck"] = odd.joints["head"] - [0.0, 0.0, 0.15]
+    with pytest.raises(DataError, match="same joints"):
+        make_training_instances(ds, [*pose_bank[:3], odd], 9, 12)
+
+
+def reference_windows(dataset, pose_bank, past_frames, future_frames, stride, seed, stats):
+    """The per-window construction that make_training_instances must equal
+    bit for bit: one pose drawn per window, aligned with
+    HumanoidState.transformed."""
+    rng = np.random.default_rng(seed)
+    window = past_frames + future_frames
+    windows = []
+    stats["skipped_tracks"] = 0
+    for tid in sorted(dataset.tracks):
+        track = dataset.tracks[tid]
+        if len(track) < window:
+            stats["skipped_tracks"] += 1
+            continue
+        for start in range(0, len(track) - window + 1, stride):
+            past_pts = track.points[start : start + past_frames]
+            last_step = past_pts[-1] - past_pts[-2]
+            if np.linalg.norm(last_step) > 1e-9:
+                target_heading = math.atan2(last_step[1], last_step[0])
+            else:
+                target_heading = 0.0
+            pose = pose_bank[rng.integers(len(pose_bank))]
+            aligned = pose.transformed(
+                angle=wrap_angle(target_heading - pose.heading),
+                pivot=pose.root_position,
+                translation=past_pts[-1] - pose.root_position,
+            )
+            obs = ObservableState(joints=aligned.joints, root_velocity=last_step / dataset.dt)
+            windows.append((past_pts, track.points[start + past_frames : start + window],
+                            obs.joint_array(), obs.root_velocity))
+    stats["instances"] = len(windows)
+    return windows
+
+
+@pytest.fixture(scope="module")
+def mixed_tracks():
+    """Tracks of 24 frames, every third cut to 9, and one standing still."""
+    ds = generate_synthetic(SyntheticConfig(), 7, seed=27)
+    ds.tracks = {tid: Trajectory(t.points[:9] if tid % 3 == 0 else t.points, ds.dt)
+                 for tid, t in ds.tracks.items()}
+    ds.tracks[7] = Trajectory(np.zeros((24, 2)) + [1.0, 2.0], ds.dt)
+    return ds
+
+
+@pytest.mark.parametrize("bank_size", [1, 12, 37, 64])
+def test_windows_equal_the_per_window_construction(mixed_tracks, bank_size):
+    bank = generate_pose_bank(bank_size, seed=bank_size)
+    if bank_size == 37:  # poses with an extra joint, which sorts after the required ones
+        for state in bank:
+            state.joints["neck"] = state.joints["head"] - [0.0, 0.0, 0.15]
+    for stride in (1, 2, 3, 4):
+        for past_frames, future_frames in ((2, 12), (9, 12), (9, 15)):
+            stats, want_stats = {}, {}
+            got = make_training_instances(mixed_tracks, bank, past_frames, future_frames,
+                                          stride=stride, seed=stride, stats=stats)
+            want = reference_windows(mixed_tracks, bank, past_frames, future_frames, stride,
+                                     stride, want_stats)
+            assert stats == want_stats and len(got) == len(want) > 0
+            if past_frames + future_frames > 9:
+                assert stats["skipped_tracks"] == 3
+            for name, arrays in zip(("past", "future", "joints", "velocity"), zip(*want)):
+                assert getattr(got, name).tobytes() == np.stack(arrays).tobytes(), name
+            assert got.joint_names == bank[0].observable().joint_order()
+            assert len(got.joint_names) == 8 + (bank_size == 37)
+
+
+@pytest.mark.parametrize("bank_size", [1, 12, 32, 37, 64])
+def test_one_pose_draw_per_set_equals_one_per_window(bank_size):
+    """make_training_instances draws every window's pose in one call; the
+    generator gives the values of one call per window, in order."""
+    for n in (1, 5, 600):
+        one, per = np.random.default_rng(n), np.random.default_rng(n)
+        assert one.integers(bank_size, size=n).tolist() == [per.integers(bank_size)
+                                                             for _ in range(n)]
+        assert one.random() == per.random()
+
+
+def _window_arrays(n=4, past=3, future=5, joints=8):
+    rng = np.random.default_rng(0)
+    return dict(past=rng.normal(size=(n, past, 2)), future=rng.normal(size=(n, future, 2)),
+                joints=rng.normal(size=(n, joints, 3)), velocity=rng.normal(size=(n, 2)),
+                joint_names=list(REQUIRED_JOINTS), dt=0.4)
+
+
+def _with(**changes):
+    return {**_window_arrays(), **changes}
+
+
+@pytest.mark.parametrize("arrays, error", [
+    (_with(past=np.zeros((4, 3))), InputShapeError),
+    (_with(past=np.zeros((3, 3, 2))), InputShapeError),
+    (_with(future=np.zeros((4, 5, 3))), InputShapeError),
+    (_with(velocity=np.zeros((4, 3))), InputShapeError),
+    (_with(joints=np.zeros((4, 7, 3))), InputShapeError),
+    (_with(joint_names=list(REQUIRED_JOINTS[:7])), InputShapeError),
+    (_with(joint_names=list(reversed(REQUIRED_JOINTS))), InputShapeError),
+    (_with(past=np.zeros((4, 1, 2))), InputShapeError),
+    (_with(future=np.zeros((4, 1, 2))), InputShapeError),
+    (_with(future=np.full((4, 5, 2), np.nan)), InputShapeError),
+    (_with(joints=np.full((4, 8, 3), np.inf)), InputShapeError),
+    (_with(velocity=np.full((4, 2), np.nan)), InputShapeError),
+    (_with(dt=0.0), ConfigError),
+    (_with(dt=-0.4), ConfigError),
+], ids=["past-2d", "past-rows", "future-3-coords", "velocity-3", "joints-7", "names-7",
+        "names-out-of-order", "past-1", "future-1", "future-nan", "joints-inf",
+        "velocity-nan", "dt-zero", "dt-negative"])
+def test_window_set_checks_every_rule(arrays, error):
+    with pytest.raises(error):
+        datakit.WindowSet(**arrays)
+
+
+def test_window_set_subsets_slices_views_and_pickles(pose_bank):
+    windows = make_training_instances(generate_synthetic(SyntheticConfig(), 4, seed=28),
+                                      pose_bank, 9, 12, stride=1, seed=29)
+    names = ("past", "future", "joints", "velocity")
+    for index in (slice(2, 7), np.array([5, 0, 3]), np.arange(len(windows)) % 3 == 1):
+        for part in (windows[index], windows.subset(index)):
+            assert len(part) == len(windows.past[index])
+            for name in names:
+                assert np.array_equal(getattr(part, name), getattr(windows, name)[index])
+            assert (part.joint_names, part.dt) == (windows.joint_names, windows.dt)
+    assert len(windows[:0]) == 0 and windows[:0].horizon == 12
+    views = list(windows)
+    assert len(views) == len(windows) > 10
+    for i in (0, 4, -1):
+        past, future, obs = windows[i]
+        assert np.array_equal(past.points, windows.past[i]) and past.dt == windows.dt
+        assert np.array_equal(future.points, windows.future[i])
+        assert np.array_equal(obs.joint_array(), windows.joints[i])
+        assert np.array_equal(obs.root_velocity, windows.velocity[i])
+        assert np.array_equal(views[i].observable.joint_array(), windows.joints[i])
+    again = pickle.loads(pickle.dumps(windows))
+    for name in names:
+        assert getattr(again, name).tobytes() == getattr(windows, name).tobytes()
+    assert (again.joint_names, again.dt) == (windows.joint_names, windows.dt)
 
 
 def test_future_slices_equal_the_window_loop():

@@ -147,7 +147,7 @@ def test_evaluate_windows_equals_per_window_scores_and_per_head_ades(pose_bank):
     for w, inst in enumerate(windows):
         heads = predict(model, inst.past, inst.observable).trajectories
         assert [t.points.tobytes() for t in got.heads[w]] == [t.points.tobytes() for t in heads]
-        assert got.truths[w] is inst.future
+        assert got.truths[w].points.tobytes() == inst.future.points.tobytes()
         assert got.scores[w].tolist() == score_batch(scorer, heads, inst.observable)
         assert got.ades[w].tolist() == [metrics.ade(t, inst.future) for t in heads]
     assert got.report == metrics.evaluate_predictions(got.heads, got.truths, n_bins=20)

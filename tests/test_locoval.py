@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_observable, pair_of, straight_trajectory
+from conftest import awkward_observables, make_observable, pair_of, straight_trajectory
 from plaustraj import gradcore, locoval
 from plaustraj.errors import ConfigError, InputShapeError
 from plaustraj.gradcore import TrainConfig
@@ -22,7 +22,7 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import ObservableState, PairSet, Trajectory
+from plaustraj.oracle import ObservableState, PairSet, Trajectory, headings, rotation_matrix
 
 
 LAYOUT = FeatureLayout(horizon=12)
@@ -77,10 +77,36 @@ def test_canonicalize_length_mismatch():
         canonicalize(straight_trajectory(n=5), obs, LAYOUT)
 
 
+def reference_heading(obs):
+    """The per-observable heading that headings() must equal bit for bit:
+    the shoulder line's forward normal, else the root-velocity direction,
+    else 0.0."""
+    axis = obs.joints["left_shoulder"][:2] - obs.joints["right_shoulder"][:2]
+    if np.linalg.norm(axis) > 1e-9:
+        return math.atan2(-axis[0], axis[1])
+    if np.linalg.norm(obs.root_velocity) > 1e-9:
+        return math.atan2(obs.root_velocity[1], obs.root_velocity[0])
+    return 0.0
+
+
+def reference_observation_frame(obs, layout):
+    """The per-observable (root, rot, tail) that observation_frame's rows
+    must equal bit for bit."""
+    root, rot = obs.root_position, rotation_matrix(-reference_heading(obs))
+    parts = []
+    if layout.include_pose:
+        joints = np.stack([obs.joints[n] for n in obs.joint_order()])
+        xy = (rot[None] @ (joints[:, :2] - root)[:, :, None])[:, :, 0]
+        parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
+    if layout.include_velocity:
+        parts.append(rot @ obs.root_velocity)
+    return root, rot, np.concatenate(parts) if parts else np.empty(0)
+
+
 def _reference_features(traj, obs, layout):
     """Per-row, per-joint canonicalization that the batched encoding must
     reproduce bit for bit."""
-    root, rot = canonical_frame(obs)
+    root, rot = obs.root_position, rotation_matrix(-reference_heading(obs))
     steps = np.diff(np.vstack([root, traj.points]), axis=0)
     parts = [(steps @ rot.T).reshape(-1)]
     if layout.include_pose:
@@ -93,6 +119,33 @@ def _reference_features(traj, obs, layout):
     if layout.include_velocity:
         parts.append(rot @ obs.root_velocity)
     return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("extra_joint", [False, True], ids=["required-joints", "extra-joint"])
+def test_headings_and_frames_equal_per_observable_references(extra_joint):
+    """headings, canonical_frame and observation_frame on observables with
+    degenerate shoulders, a standing root and an extra joint."""
+    observables = awkward_observables(extra_joint=extra_joint)
+    joints = np.stack([o.joint_array() for o in observables])
+    velocity = np.stack([o.root_velocity for o in observables])
+    want = [reference_heading(o) for o in observables]
+    assert headings(joints, velocity).tolist() == [o.heading() for o in observables] == want
+    # every branch is taken: the shoulders, the velocity and the 0.0 fallback
+    facing = [math.atan2(-a[0], a[1]) for a in joints[:, 1, :2] - joints[:, 2, :2]]
+    assert 0.0 in want and {w == f for w, f in zip(want, facing)} == {True, False}
+    for o in observables:
+        root, rot = canonical_frame(o)
+        assert root.tobytes() == o.root_position.tobytes()
+        assert rot.tobytes() == rotation_matrix(-reference_heading(o)).tobytes()
+    J = joints.shape[1]
+    for pose, vel in ((True, True), (True, False), (False, True), (False, False)):
+        layout = FeatureLayout(horizon=12, joint_count=J, include_pose=pose, include_velocity=vel)
+        got = locoval.observation_frame(joints, velocity, layout)
+        refs = [reference_observation_frame(o, layout) for o in observables]
+        for g, r in zip(got, zip(*refs)):
+            assert g.tobytes() == np.stack(r).tobytes() and g.shape == np.stack(r).shape
+    with pytest.raises(InputShapeError):
+        locoval.observation_frame(joints, velocity, FeatureLayout(horizon=12, joint_count=J + 1))
 
 
 @settings(deadline=None, max_examples=40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_observable, straight_trajectory
+from conftest import awkward_observables, make_observable, straight_trajectory
 from plaustraj import gradcore, locoval, predictor
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
@@ -114,7 +114,7 @@ def test_predict_equals_per_head_forward():
     ]
     past, obs = past_and_obs()
     pred = predict(model, past, obs)
-    feats = build_input(past, obs, LAYOUT)
+    feats = build_input(past.points[None], obs.joint_array()[None], LAYOUT)
     ref = per_head_reference(model.trunk, heads, feats, past.points[-1])
     for traj, points in zip(pred.trajectories, ref, strict=True):
         assert np.array_equal(traj.points, points)
@@ -130,7 +130,8 @@ def test_checkpoint_written_per_head_loads_and_resaves(tmp_path):
     ref = per_head_reference(
         gradcore.model_from_dict(doc["trunk"]),
         [gradcore.model_from_dict(h) for h in doc["heads"]],
-        build_input(past, obs, model.input_layout), past.points[-1],
+        build_input(past.points[None], obs.joint_array()[None], model.input_layout),
+        past.points[-1],
     )
     for traj, points in zip(pred.trajectories, ref, strict=True):
         assert np.array_equal(traj.points, points)
@@ -165,10 +166,43 @@ def test_load_predictor_rejects_mismatched_heads(tmp_path, corrupt):
 
 
 def test_build_input_shape_checks():
+    joints = make_observable().joint_array()[None]
     with pytest.raises(InputShapeError):
-        build_input(straight_trajectory(n=5), None, LAYOUT)
+        build_input(straight_trajectory(n=5).points[None], joints, LAYOUT)
     with pytest.raises(InputShapeError):
-        build_input(straight_trajectory(n=9), None, LAYOUT)  # pose flag needs obs
+        build_input(straight_trajectory(n=9).points[None], None, LAYOUT)  # pose flag needs obs
+    with pytest.raises(InputShapeError):
+        build_input(straight_trajectory(n=9).points[None], joints[:, :7], LAYOUT)
+
+
+def reference_build_input(past, obs, layout):
+    """The per-window input row that build_input's rows must equal bit for
+    bit: past positions relative to the last one, then each joint in joint
+    order relative to the root on the ground plane."""
+    rel = (past.points - past.points[-1]).reshape(-1)
+    if not layout.include_pose:
+        return rel
+    root = obs.root_position
+    parts = [rel]
+    for name in obs.joint_order():
+        j = obs.joints[name]
+        parts.append(np.array([j[0] - root[0], j[1] - root[1], j[2]]))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("extra_joint", [False, True], ids=["required-joints", "extra-joint"])
+@pytest.mark.parametrize("include_pose", [True, False], ids=["pose", "no-pose"])
+def test_build_input_rows_equal_per_window_reference(extra_joint, include_pose):
+    observables = awkward_observables(extra_joint=extra_joint)
+    rng = np.random.default_rng(7)
+    pasts = [Trajectory(o.root_position + np.cumsum(rng.normal(0, 0.5, size=(9, 2)), axis=0), 0.4)
+             for o in observables]
+    layout = InputLayout(past_frames=9, include_pose=include_pose,
+                         joint_count=len(observables[0].joints))
+    got = build_input(np.stack([p.points for p in pasts]),
+                      np.stack([o.joint_array() for o in observables]), layout)
+    want = np.stack([reference_build_input(p, o, layout) for p, o in zip(pasts, observables)])
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_input_layout_sizes():
@@ -238,7 +272,9 @@ def test_minmse_dominance(seed, k):
 
 def _frames(observables, layout):
     """Each sample's canonical root (B, 2), rotation (B, 2, 2) and observation tail."""
-    return map(np.stack, zip(*(locoval.observation_frame(obs, layout) for obs in observables)))
+    return locoval.observation_frame(np.stack([obs.joint_array() for obs in observables]),
+                                     np.stack([obs.root_velocity for obs in observables]),
+                                     layout)
 
 
 def test_loss_emloco_trivial_values():
@@ -432,7 +468,7 @@ def test_train_emloco_raises_score(training_instances, trained_scorer):
 def test_train_validates_inputs(training_instances, trained_scorer):
     cfg = _tiny_config()
     with pytest.raises(DataError):
-        train_predictor([], None, cfg)
+        train_predictor(training_instances[:0], None, cfg)
     with pytest.raises(ConfigError):
         train_predictor(training_instances[:5], None, cfg, alpha=-1.0)
     with pytest.raises(ConfigError):
@@ -463,7 +499,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     the other head's parameters must only move through the shared trunk, i.e.
     its own head weights stay put when the trunk is frozen."""
     inst = training_instances[0]
-    layout = InputLayout(past_frames=9, joint_count=len(inst.observable.joints))
+    layout = InputLayout(past_frames=9, joint_count=len(training_instances.joint_names))
     model = build_predictor(layout, 12, 2, seed=50)
     # make head 1 match the ground truth closely so head 0 is never argmin
     pred = predict(model, inst.past, inst.observable)
@@ -473,7 +509,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)
     # training rounds the parameters to float32, then writes them back
     before = model.head.astype(np.float32).astype(np.float64)
-    result = train_predictor([inst], None, cfg, n_heads=2, model=model)
+    result = train_predictor(training_instances[:1], None, cfg, n_heads=2, model=model)
     winner = int(sel[0])
     loser = 1 - winner
     # loser head got a zero upstream gradient; AdamW leaves its columns untouched
@@ -502,7 +538,7 @@ def test_train_writes_float32_values_into_the_float64_model(training_instances,
                                                             trained_scorer):
     """Training computes in float32 copies and writes the trained values back
     into the given float64 model; the scorer is left as it was."""
-    layout = InputLayout(past_frames=9, joint_count=len(training_instances[0].observable.joints))
+    layout = InputLayout(past_frames=9, joint_count=len(training_instances.joint_names))
     model = build_predictor(layout, 12, 3, trunk_hidden=(32, 32), seed=51)
     scorer = trained_scorer.model
     scorer_before = scorer.net.params.copy()

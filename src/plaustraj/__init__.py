@@ -10,7 +10,7 @@ from .errors import (
     PlausTrajError,
 )
 from .gradcore import TrainConfig
-from .oracle import ObservableState, OracleParams, PairSet, Trajectory, rollout
+from .oracle import ObservableState, OracleParams, PairSet, Trajectory, TrajectorySet, rollout
 from .locoval import (
     FeatureLayout,
     LocoValModel,
@@ -47,6 +47,7 @@ __all__ = [
     "OracleParams",
     "PairSet",
     "Trajectory",
+    "TrajectorySet",
     "rollout",
     "FeatureLayout",
     "LocoValModel",

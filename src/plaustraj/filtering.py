@@ -4,6 +4,7 @@ threshold sweeps over it."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,31 +13,48 @@ from . import metrics, predictor
 from .datakit import WindowSet
 from .errors import ConfigError, DataError, InputShapeError
 from .locoval import LocoValModel, score_batch
-from .oracle import ObservableState, Trajectory
+from .oracle import ObservableState, Trajectory, TrajectorySet
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterResult:
-    kept: list[tuple[int, Trajectory, float]]
-    rejected: list[tuple[int, Trajectory, float]]
+    """The partition of one candidate set: its candidates, their (K,) scores
+    and a (K,) keep mask. kept and rejected are (head, Trajectory, score)
+    lists in head order, built each time they are read."""
+
+    candidates: Sequence[Trajectory]
+    scores: np.ndarray
+    keep: np.ndarray
     fallback_used: bool
     threshold: float
 
+    @property
+    def kept(self) -> list[tuple[int, Trajectory, float]]:
+        return [(k, self.candidates[k], s) for k, s in self._scored(self.keep)]
+
+    @property
+    def rejected(self) -> list[tuple[int, Trajectory, float]]:
+        return [(k, self.candidates[k], s) for k, s in self._scored(~self.keep)]
+
+    def _scored(self, mask: np.ndarray):
+        """(head, score) pairs of the masked heads, in head order."""
+        return zip(np.flatnonzero(mask).tolist(), self.scores[mask].tolist())
+
     def kept_indices(self) -> list[int]:
-        return [k for k, _, _ in self.kept]
+        return np.flatnonzero(self.keep).tolist()
 
     def to_json_dict(self) -> dict:
         return {
             "lambda": self.threshold,
-            "kept": [{"head": k, "score": s} for k, _, s in self.kept],
-            "rejected": [{"head": k, "score": s} for k, _, s in self.rejected],
+            "kept": [{"head": k, "score": s} for k, s in self._scored(self.keep)],
+            "rejected": [{"head": k, "score": s} for k, s in self._scored(~self.keep)],
             "fallback_used": self.fallback_used,
         }
 
 
 def locoval_filter(
     scorer: LocoValModel,
-    candidates: list[Trajectory],
+    candidates: Sequence[Trajectory],
     obs: ObservableState,
     threshold: float,
 ) -> FilterResult:
@@ -47,22 +65,17 @@ def locoval_filter(
     return _partition(candidates, score_batch(scorer, candidates, obs), threshold)
 
 
-def _partition(candidates: list[Trajectory], scores: list[float],
-               threshold: float) -> FilterResult:
-    if not candidates:
+def _partition(candidates: Sequence[Trajectory], scores, threshold: float) -> FilterResult:
+    if not len(candidates):
         raise InputShapeError("empty candidate set")
-    kept, rejected = [], []
-    fallback = False
-    if any(s >= threshold for s in scores):
-        for k, (traj, s) in enumerate(zip(candidates, scores)):
-            (kept if s >= threshold else rejected).append((k, traj, s))
-    else:
-        fallback = True
-        best = int(np.argmax(scores))
-        for k, (traj, s) in enumerate(zip(candidates, scores)):
-            (kept if k == best else rejected).append((k, traj, s))
-    return FilterResult(kept=kept, rejected=rejected, fallback_used=fallback,
-                        threshold=threshold)
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(candidates),):
+        raise InputShapeError(f"{len(candidates)} candidates but scores of shape {scores.shape}")
+    keep = scores >= threshold
+    fallback = not keep.any()
+    if fallback:
+        keep[np.argmax(scores)] = True
+    return FilterResult(candidates, scores, keep, fallback, threshold)
 
 
 @dataclass
@@ -70,7 +83,7 @@ class WindowEval:
     """A predictor's heads on a window set, each head's score and ADE, and the
     metrics report of all the heads."""
 
-    heads: list[list[Trajectory]]   # per window, its K predicted heads
+    heads: list[TrajectorySet]      # per window, its K predicted heads
     truths: list[Trajectory]        # per window, its ground-truth future
     scores: np.ndarray | None       # (N, K) score_batch scores; None without a scorer
     ades: np.ndarray                # (N, K) ADE of each head
@@ -103,7 +116,7 @@ def evaluate_windows(model: predictor.PredictorModel, windows: WindowSet,
     report = metrics.evaluate_predictions(heads, truths, n_bins=n_bins)
     k = len(heads[0])
     _, ades, _ = metrics._displacement_errors(
-        np.stack([t.points for h in heads for t in h]), np.repeat(windows.future, k, axis=0))
+        np.concatenate([h.points for h in heads]), np.repeat(windows.future, k, axis=0))
     return WindowEval(heads, truths, np.array(scores) if scorer is not None else None,
                       ades.reshape(-1, k), report, n_bins)
 
@@ -132,10 +145,11 @@ def sweep_lambda(evaluation: WindowEval, thresholds: list[float]) -> list[SweepE
         n_rejected = fallback_cases = 0
         for candidates, scores, gt in zip(evaluation.heads, evaluation.scores, evaluation.truths):
             result = _partition(candidates, scores, lam)
-            n_rejected += len(result.rejected)
+            n_kept = int(result.keep.sum())
+            n_rejected += len(candidates) - n_kept
             fallback_cases += int(result.fallback_used)
             kept_sets.append([t for _, t, _ in result.kept])
-            if result.rejected:
+            if n_kept < len(candidates):
                 rej_sets.append([t for _, t, _ in result.rejected])
                 rej_gts.append(gt)
         entries.append(SweepEntry(

@@ -18,8 +18,8 @@ import numpy as np
 from . import gradcore
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
-from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajectory, headings,
-                     rotation_matrices, rotation_matrix)
+from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajectory,
+                     candidate_arrays, headings, rotation_matrices, rotation_matrix)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -138,35 +138,41 @@ def canonicalize(traj: Trajectory, obs: ObservableState, layout: FeatureLayout) 
     return _canonicalize_shared([traj], obs, layout)[0]
 
 
-def _canonicalize_shared(trajs: list[Trajectory], obs: ObservableState,
-                         layout: FeatureLayout) -> np.ndarray:
-    """Feature rows of trajectories in the canonical frame of one observable."""
-    for traj in trajs:
-        _check_horizon(len(traj), layout)
+def _canonicalize_shared(trajs, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
+    """Feature rows of candidate trajectories (a TrajectorySet or a sequence
+    of Trajectory objects) in the canonical frame of one observable."""
+    points, _ = candidate_arrays(trajs)
+    _check_horizon(points.shape[1], layout)
     roots, rots, tails = observation_frame(obs.joint_array()[None], obs.root_velocity[None],
                                            layout)
-    return encode_steps(_steps_from(roots[0], np.stack([t.points for t in trajs])), rots[0],
-                        tails[0])
+    return encode_steps(_steps_from(roots[0], points), rots[0], tails[0])
 
 
 # ---------------------------------------------------------------------------
 # Scoring
+#
+# The scoring contract: score_batch scores its candidates' feature rows with
+# one forward pass, so its scores are the rows of gradcore.forward over
+# _canonicalize_shared bit for bit, and score(traj, obs) is
+# score_batch([traj], obs)[0]. A row's last bits can depend on how many rows
+# share the pass (a BLAS matrix-matrix product against a matrix-vector one),
+# so a score agrees with a one-row forward of its features to within a
+# rounding error, not bit for bit.
 
 
 def score(model: LocoValModel, traj: Trajectory, obs: ObservableState) -> float:
-    feats = canonicalize(traj, obs, model.layout)
-    return float(gradcore.forward(model.net, feats)[0])
+    """The score of one trajectory."""
+    return score_batch(model, [traj], obs)[0]
 
 
-def score_batch(model: LocoValModel, candidates: list[Trajectory],
-                obs: ObservableState) -> list[float]:
-    """Scores of candidates sharing one observable. The candidates are
-    canonicalized together; each row gets its own forward pass so a score
-    does not depend on the batch it came in."""
-    if not candidates:
+def score_batch(model: LocoValModel, candidates, obs: ObservableState) -> list[float]:
+    """Scores of candidates (a TrajectorySet or a sequence of Trajectory
+    objects) sharing one observable: the candidates are canonicalized
+    together and every row is scored by one forward pass."""
+    if not len(candidates):
         return []
     X = _canonicalize_shared(candidates, obs, model.layout)
-    return [float(gradcore.forward(model.net, x)[0]) for x in X]
+    return gradcore.forward(model.net, X)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------

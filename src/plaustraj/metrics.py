@@ -7,12 +7,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .errors import ConfigError, InputShapeError
-from .oracle import Trajectory, _map, _row_norms, wrap_angles
+from .oracle import Trajectory, _map, _row_norms, candidate_arrays, wrap_angles
 
 
 @dataclass
@@ -221,17 +222,19 @@ def pearson_r(x, y) -> float:
 
 
 def evaluate_predictions(
-    prediction_sets: list[list[Trajectory]],
+    prediction_sets: list[Sequence[Trajectory]],
     ground_truths: list[Trajectory],
     n_bins: int = DEFAULT_N_BINS,
 ) -> MetricsReport:
-    """Aggregate metrics over a list of evaluation cases. ADE/FDE are averaged
-    over every head of every case; minADE/minFDE take the best head per case.
-    Chi-square distances compare pooled physics primitives of predictions
-    against those of the ground truths.
+    """Aggregate metrics over a list of evaluation cases, each a candidate set
+    (a TrajectorySet or a sequence of Trajectory objects). ADE/FDE are
+    averaged over every head of every case; minADE/minFDE take the best head
+    per case. Chi-square distances compare pooled physics primitives of
+    predictions against those of the ground truths.
 
-    Every head of every case is scored in blocks of EVAL_BLOCK trajectories
-    into per-trajectory arrays. Per-timestep errors are summed and primitive
+    A case's heads are read as one array (oracle.candidate_arrays), and
+    whole cases are scored in blocks of up to EVAL_BLOCK trajectories into
+    per-trajectory arrays. Per-timestep errors are summed and primitive
     samples pooled in trajectory order, so the report has the bits of
     scoring one trajectory at a time.
     """
@@ -246,30 +249,28 @@ def evaluate_predictions(
             raise InputShapeError(
                 f"case {c}: ground truth has {len(gt)} points, case 0's has {horizon}"
             )
-    trajs = [t for heads in prediction_sets for t in heads]
-    case_of = np.repeat(np.arange(len(counts)), counts)
-    mismatched = np.flatnonzero(np.array([len(t.points) for t in trajs]) != horizon)
-    if mismatched.size:
-        raise InputShapeError(
-            f"case {case_of[mismatched[0]]}: prediction/ground-truth length mismatch"
-        )
+    arrays = [_case_arrays(c, heads, horizon) for c, heads in enumerate(prediction_sets)]
     if horizon < 4:
         raise InputShapeError("need at least 4 points for all physics primitives")
 
     truths = np.stack([g.points for g in ground_truths])
-    n = len(trajs)
+    case_of = np.repeat(np.arange(len(counts)), counts)
+    n = len(case_of)
     ades, fdes = np.empty(n), np.empty(n)
     per_ts_sum = np.zeros(horizon)
     pred_prims = {p: np.empty((n, horizon - k)) for p, k in _LOST_STEPS.items()}
-    for lo in range(0, n, EVAL_BLOCK):
-        block = trajs[lo:lo + EVAL_BLOCK]
-        hi = lo + len(block)
-        pred = np.stack([t.points for t in block])
+    # whole cases per block, at most EVAL_BLOCK trajectories unless one case has more
+    step = max(1, EVAL_BLOCK // int(counts.max()))
+    lo = 0
+    for first in range(0, len(arrays), step):
+        pred, dts = (np.concatenate(a) for a in zip(*arrays[first:first + step]))
+        hi = lo + len(pred)
         err, ades[lo:hi], fdes[lo:hi] = _displacement_errors(pred, truths[case_of[lo:hi]])
         # an axis-0 sum adds the rows one at a time, in trajectory order
         per_ts_sum = np.vstack([per_ts_sum, err]).sum(axis=0)
-        for p, v in _primitives(pred, np.array([t.dt for t in block])).items():
+        for p, v in _primitives(pred, dts).items():
             pred_prims[p][lo:hi] = v
+        lo = hi
     gt_prims = _primitives(truths, np.array([g.dt for g in ground_truths]))
 
     chi2 = {}
@@ -291,6 +292,17 @@ def evaluate_predictions(
         n_samples=len(prediction_sets),
         histogram_specs=specs,
     )
+
+
+def _case_arrays(case: int, heads, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """candidate_arrays of one case's heads, each of the ground truth's length."""
+    try:
+        points, dts = candidate_arrays(heads)
+        if points.shape[1] == horizon:
+            return points, dts
+    except InputShapeError:  # heads of two lengths
+        pass
+    raise InputShapeError(f"case {case}: prediction/ground-truth length mismatch")
 
 
 def save_report_json(report: MetricsReport, path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -77,6 +78,52 @@ class Trajectory:
         pivot = np.asarray(pivot, dtype=float)
         pts = (self.points - pivot) @ rot.T + pivot + np.asarray(translation, dtype=float)
         return Trajectory(pts, self.dt)
+
+
+class TrajectorySet(Sequence):
+    """K trajectories of one length and one dt, held as one points array
+    (K, T, 2) and checked once for the set by Trajectory's rules. An integer
+    index, and so iteration, builds a Trajectory over a view of its row when
+    one is taken; a slice is a set over a view of the rows."""
+
+    __slots__ = ("points", "dt")
+
+    def __init__(self, points: np.ndarray, dt: float = DEFAULT_DT):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 3 or points.shape[2] != 2:
+            raise InputShapeError(f"trajectory set points must be (K, T, 2), got {points.shape}")
+        if points.shape[1] < 2:
+            raise InputShapeError("trajectory needs at least 2 points")
+        if not np.isfinite(points).all():
+            raise InputShapeError("trajectory contains non-finite coordinates")
+        if not dt > 0:
+            raise ConfigError("dt must be positive")
+        self.points, self.dt = points, dt
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TrajectorySet(self.points[index], self.dt)
+        # the set's checks cover each of its rows
+        traj = Trajectory.__new__(Trajectory)
+        traj.points, traj.dt = self.points[index], self.dt
+        return traj
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.points)))
+
+
+def candidate_arrays(candidates) -> tuple[np.ndarray, np.ndarray]:
+    """Points (K, T, 2) and dts (K,) of a candidate set: a TrajectorySet's own
+    array, or a stack of a trajectory sequence's arrays, which must share one
+    length."""
+    if isinstance(candidates, TrajectorySet):
+        return candidates.points, np.full(len(candidates), candidates.dt)
+    if len({len(t.points) for t in candidates}) > 1:
+        raise InputShapeError("the candidate trajectories differ in length")
+    return np.stack([t.points for t in candidates]), np.array([t.dt for t in candidates])
 
 
 def rotation_matrix(angle: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
 from .locoval import LocoValModel, canonical_frame  # noqa: F401
-from .oracle import PELVIS, ObservableState, Trajectory
+from .oracle import PELVIS, ObservableState, Trajectory, TrajectorySet
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -95,18 +95,12 @@ def _head_blocks(out: np.ndarray, horizon: int) -> np.ndarray:
 
 @dataclass
 class PredictionSet:
-    trajectories: list[Trajectory]
-    anchor: np.ndarray  # last observed position
+    trajectories: TrajectorySet  # the K heads, one (K, T_f, 2) array
+    anchor: np.ndarray           # last observed position
 
     @property
     def n_heads(self) -> int:
         return len(self.trajectories)
-
-    def __post_init__(self):
-        self.anchor = np.asarray(self.anchor, dtype=float)
-        for traj in self.trajectories:
-            if not np.all(np.isfinite(traj.points)):
-                raise InputShapeError("non-finite predicted trajectory")
 
 
 def build_predictor(
@@ -154,13 +148,14 @@ def build_input(past: np.ndarray, joints: np.ndarray | None,
 
 def predict(model: PredictorModel, past: Trajectory,
             obs: ObservableState | None = None) -> PredictionSet:
+    """The K heads of one window: one cumsum over the (K, T_f, 2) head block,
+    anchored at the last observed position, checked once as a TrajectorySet."""
     joints = None if obs is None else obs.joint_array()[None]
     trunk_out = gradcore.forward(model.trunk,
                                  build_input(past.points[None], joints, model.input_layout))
     disp = _head_blocks(gradcore.forward(model.head, trunk_out), model.horizon)[:, 0]
     anchor = past.points[-1]
-    return PredictionSet([Trajectory(anchor + np.cumsum(d, axis=0), past.dt) for d in disp],
-                         anchor)
+    return PredictionSet(TrajectorySet(anchor + np.cumsum(disp, axis=1), past.dt), anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -7,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_observable, straight_trajectory
 from plaustraj import datakit, metrics
 from plaustraj.errors import ConfigError, InputShapeError
-from plaustraj.filtering import WindowEval, evaluate_windows, locoval_filter, sweep_lambda
+from plaustraj.filtering import (WindowEval, _partition, evaluate_windows, locoval_filter,
+                                 sweep_lambda)
 from plaustraj.locoval import FeatureLayout, build_locoval, score_batch
-from plaustraj.oracle import Trajectory
+from plaustraj.oracle import Trajectory, TrajectorySet
 from plaustraj.predictor import InputLayout, build_predictor, predict
 
 
@@ -199,3 +202,82 @@ def test_filter_report_json():
     assert doc["lambda"] == 0.5
     assert len(doc["kept"]) + len(doc["rejected"]) == 3
     assert {"head", "score"} <= set(doc["kept"][0])
+
+
+# ---------------------------------------------------------------------------
+# the array partition against the list rule it replaced
+
+
+def reference_partition(candidates, scores, threshold):
+    """The per-candidate list rule: (kept, rejected, fallback_used)."""
+    kept, rejected = [], []
+    if any(s >= threshold for s in scores):
+        for k, (traj, s) in enumerate(zip(candidates, scores)):
+            (kept if s >= threshold else rejected).append((k, traj, s))
+        return kept, rejected, False
+    best = int(np.argmax(scores))
+    for k, (traj, s) in enumerate(zip(candidates, scores)):
+        (kept if k == best else rejected).append((k, traj, s))
+    return kept, rejected, True
+
+
+def entry_bytes(entries):
+    return [(k, t.points.tobytes(), t.dt, s) for k, t, s in entries]
+
+
+@pytest.mark.parametrize("scores, threshold", [
+    ([0.7, 0.6999999999999999, 0.9, 0.7, 0.2], 0.7),   # scores exactly at the threshold
+    ([0.3, 0.5, 0.1, 0.5, 0.5], 0.7),                   # fallback, tied maxima
+    ([0.4, 0.4, 0.4], 0.7),                             # fallback, all tied
+    ([0.2], 0.7),                                       # K=1, fallback
+    ([0.7], 0.7),                                       # K=1, at the threshold
+    ([0.9], 0.7),                                       # K=1, kept
+    ([0.0, 0.3], 0.0),                                  # lambda 0 keeps every head
+    ([0.99, 1.0], 1.0),                                 # lambda 1
+])
+def test_partition_equals_the_list_rule(scores, threshold):
+    points = np.cumsum(np.random.default_rng(len(scores)).normal(size=(len(scores), 12, 2)),
+                       axis=1)
+    heads = TrajectorySet(points, 0.4)
+    kept, rejected, fallback = reference_partition(list(heads), scores, threshold)
+    for candidates in (heads, list(heads)):
+        result = _partition(candidates, scores, threshold)
+        assert entry_bytes(result.kept) == entry_bytes(kept)
+        assert entry_bytes(result.rejected) == entry_bytes(rejected)
+        assert result.kept_indices() == [k for k, _, _ in kept]
+        assert result.fallback_used is fallback
+        assert json.dumps(result.to_json_dict()) == json.dumps({
+            "lambda": threshold,
+            "kept": [{"head": k, "score": s} for k, _, s in kept],
+            "rejected": [{"head": k, "score": s} for k, _, s in rejected],
+            "fallback_used": fallback,
+        })
+
+
+def test_partition_checks_the_score_count():
+    with pytest.raises(InputShapeError, match="3 candidates but scores of shape"):
+        _partition(candidates(3), [0.5, 0.9], 0.7)
+
+
+def test_served_case_is_held_as_arrays():
+    """predict gives one (K, T_f, 2) array; the filter result holds that set,
+    a score array and a keep mask, and builds Trajectory objects only when
+    kept or rejected is read, anew on each read."""
+    model = build_predictor(InputLayout(past_frames=9), 12, 5, trunk_hidden=(16,), seed=3)
+    scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=3)
+    obs = make_observable()
+    past = straight_trajectory(n=9)
+    heads = predict(model, past, obs).trajectories
+    assert isinstance(heads, TrajectorySet)
+    assert heads.points.shape == (5, 12, 2) and heads.points.dtype == np.float64
+    result = locoval_filter(scorer, heads, obs, 0.5)
+    assert result.candidates is heads
+    assert result.scores.shape == result.keep.shape == (5,)
+    held = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    held += gc.get_referents(heads)
+    assert not any(isinstance(o, (Trajectory, list)) for o in held)
+    assert not any(isinstance(o, Trajectory) for o in gc.get_referents(result))
+    first, again = result.kept + result.rejected, result.kept + result.rejected
+    assert all(a is not b and np.shares_memory(a.points, heads.points)
+               for (_, a, _), (_, b, _) in zip(first, again))
+    assert sorted(k for k, _, _ in first) == list(range(5))

@@ -22,10 +22,14 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import ObservableState, PairSet, Trajectory, headings, rotation_matrix
+from plaustraj.oracle import (ObservableState, PairSet, Trajectory, TrajectorySet, headings,
+                             rotation_matrix)
 
 
 LAYOUT = FeatureLayout(horizon=12)
+# a score against a one-row forward of its features: a multi-row pass may
+# round differently in the last bits, never by more than this
+ONE_ROW_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +178,16 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
     assert np.array_equal(X, reference)
     singles = np.stack([canonicalize(t, obs, LAYOUT) for t, obs in zip(cands, observables)])
     assert np.array_equal(singles, reference)
-    # every candidate in the frame of one observable, as score_batch does
+    # every candidate in the frame of one observable, as score_batch does:
+    # exactly the rows of one forward over the reference rows, and within the
+    # contract's tolerance of one-row forwards
     model = build_locoval(LAYOUT, hidden=(8,), seed=seed)
     obs = observables[0]
-    expected = [
-        float(gradcore.forward(model.net, _reference_features(t, obs, LAYOUT))[0])
-        for t in cands
-    ]
-    assert score_batch(model, cands, obs) == expected
+    rows = np.stack([_reference_features(t, obs, LAYOUT) for t in cands])
+    got = score_batch(model, cands, obs)
+    assert got == gradcore.forward(model.net, rows)[:, 0].tolist()
+    one_row = [float(gradcore.forward(model.net, x)[0]) for x in rows]
+    np.testing.assert_allclose(got, one_row, rtol=0.0, atol=ONE_ROW_ATOL)
 
 
 @pytest.mark.parametrize(
@@ -231,11 +237,24 @@ def test_score_in_open_interval():
         assert 0.0 < s < 1.0
 
 
-def test_score_batch_equals_mapped_singles():
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 20])
+def test_score_batch_scoring_contract(k):
+    """score_batch is one forward over the canonicalized rows, bit for bit,
+    for a TrajectorySet and for a list of the same trajectories; score is its
+    one-candidate call; one-row forwards agree within ONE_ROW_ATOL."""
     model = build_locoval(LAYOUT, hidden=(16,), seed=2)
-    obs = make_observable()
-    cands = [straight_trajectory(n=12, speed=s) for s in (0.5, 1.0, 2.0)]
-    assert score_batch(model, cands, obs) == [score(model, c, obs) for c in cands]
+    obs = make_observable(heading=0.3, speed=1.1, root=(2.0, -1.0))
+    rng = np.random.default_rng(k)
+    points = obs.root_position + np.cumsum(rng.normal(0.3, 0.5, size=(k, 12, 2)), axis=1)
+    heads = TrajectorySet(points, 0.4)
+    rows = locoval._canonicalize_shared(heads, obs, LAYOUT)
+    got = score_batch(model, heads, obs)
+    assert got == gradcore.forward(model.net, rows)[:, 0].tolist()
+    assert score_batch(model, list(heads), obs) == got
+    for t in heads:
+        assert score(model, t, obs) == score_batch(model, [t], obs)[0]
+    one_row = [float(gradcore.forward(model.net, x)[0]) for x in rows]
+    np.testing.assert_allclose(got, one_row, rtol=0.0, atol=ONE_ROW_ATOL)
     assert score_batch(model, [], obs) == []
 
 

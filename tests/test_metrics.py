@@ -26,7 +26,7 @@ from plaustraj.metrics import (
     physics_primitives,
     spearman_rho,
 )
-from plaustraj.oracle import Trajectory, wrap_angle
+from plaustraj.oracle import Trajectory, TrajectorySet, wrap_angle
 
 
 def traj(pts, dt=0.4):
@@ -428,6 +428,21 @@ def test_evaluate_matches_reference_around_the_block_size(n_traj):
     cases, gts = ragged_cases(rng, n_traj)
     report = assert_matches_reference(cases, gts)
     assert report.n_samples == len(cases)
+
+
+def test_evaluate_trajectory_sets_equal_trajectory_lists():
+    """Cases held as TrajectorySets give the report of the same heads as
+    lists of Trajectory objects, bit for bit, mixed in one call too."""
+    rng = np.random.default_rng(23)
+    cases, gts = ragged_cases(rng, 300, dts=(0.4, 0.25))
+    sets = [TrajectorySet(np.stack([t.points for t in c]), c[0].dt) for c in cases]
+    want = report_bytes(evaluate_predictions(cases, gts))
+    assert report_bytes(evaluate_predictions(sets, gts)) == want
+    mixed = [s if i % 2 else c for i, (s, c) in enumerate(zip(sets, cases))]
+    assert report_bytes(evaluate_predictions(mixed, gts)) == want
+    sets[1] = TrajectorySet(np.zeros((2, 11, 2)))
+    with pytest.raises(InputShapeError, match="case 1: prediction/ground-truth length"):
+        evaluate_predictions(sets, gts)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])

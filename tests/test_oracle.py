@@ -14,7 +14,9 @@ from plaustraj.oracle import (
     HumanoidState,
     OracleParams,
     Trajectory,
+    TrajectorySet,
     build_plausibility_dataset,
+    candidate_arrays,
     load_plausibility_csv,
     rollout,
     rollout_batch,
@@ -164,6 +166,42 @@ def test_trajectory_validation():
     for dt in (0.0, -0.4, float("nan")):
         with pytest.raises(ConfigError, match="dt must be positive"):
             Trajectory(np.zeros((3, 2)), dt)
+
+
+def test_trajectory_set_is_a_sequence_over_one_array():
+    points = np.arange(4 * 5 * 2, dtype=float).reshape(4, 5, 2)
+    heads = TrajectorySet(points, 0.25)
+    assert len(heads) == 4 and heads.points is not None
+    for k, t in enumerate(heads):
+        assert isinstance(t, Trajectory) and t.dt == 0.25
+        assert t.points.tobytes() == points[k].tobytes()
+        assert np.shares_memory(t.points, heads.points)
+    assert heads[-1].points.tobytes() == points[3].tobytes()
+    with pytest.raises(IndexError):
+        heads[4]
+    part = heads[1:3]
+    assert isinstance(part, TrajectorySet) and part.dt == 0.25
+    assert part.points.tobytes() == points[1:3].tobytes()
+    got, dts = candidate_arrays(heads)
+    assert got is heads.points and dts.tolist() == [0.25] * 4
+    got, dts = candidate_arrays(list(heads))
+    assert got.tobytes() == points.tobytes() and dts.tolist() == [0.25] * 4
+
+
+def test_trajectory_set_checks_the_set_once_by_the_trajectory_rules():
+    bad = np.zeros((3, 4, 2))
+    bad[2, 1, 0] = np.inf
+    with pytest.raises(InputShapeError, match="^trajectory contains non-finite coordinates$"):
+        TrajectorySet(bad)
+    with pytest.raises(InputShapeError, match="at least 2 points"):
+        TrajectorySet(np.zeros((3, 1, 2)))
+    with pytest.raises(InputShapeError, match=r"must be \(K, T, 2\)"):
+        TrajectorySet(np.zeros((4, 2)))
+    for dt in (0.0, -0.4, float("nan")):
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            TrajectorySet(np.zeros((2, 3, 2)), dt)
+    with pytest.raises(InputShapeError, match="differ in length"):
+        candidate_arrays([Trajectory(np.zeros((3, 2))), Trajectory(np.zeros((4, 2)))])
 
 
 def test_observable_requires_all_joints():

@@ -10,7 +10,7 @@ from plaustraj import gradcore, locoval, predictor
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
-from plaustraj.oracle import Trajectory
+from plaustraj.oracle import Trajectory, TrajectorySet
 from plaustraj.predictor import (
     InputLayout,
     build_input,
@@ -85,6 +85,20 @@ def test_predict_nan_head_weight_is_an_input_shape_error():
     past, obs = past_and_obs()
     with pytest.raises(InputShapeError, match="^trajectory contains non-finite coordinates$"):
         predict(model, past, obs)
+
+
+def test_predict_holds_the_heads_as_one_array():
+    """The K heads are one (K, T_f, 2) array, one cumsum of the head block
+    anchored at the last observation; taking a head builds its Trajectory."""
+    model = build_predictor(LAYOUT, horizon=12, n_heads=4, trunk_hidden=(16, 8), seed=12)
+    past, obs = past_and_obs()
+    heads = predict(model, past, obs).trajectories
+    assert isinstance(heads, TrajectorySet) and heads.dt == past.dt
+    feats = build_input(past.points[None], obs.joint_array()[None], LAYOUT)
+    out = gradcore.forward(model.head, gradcore.forward(model.trunk, feats))
+    want = past.points[-1] + np.cumsum(out.reshape(4, 12, 2), axis=1)
+    assert heads.points.shape == (4, 12, 2) and heads.points.tobytes() == want.tobytes()
+    assert [t.points.tobytes() for t in heads] == [p.tobytes() for p in want]
 
 
 def test_head_blocks_are_the_per_head_seeded_draws():

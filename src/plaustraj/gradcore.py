@@ -10,6 +10,7 @@ batch X of shape (B, fan_in) propagates as X @ W + b.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -23,7 +24,7 @@ from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, Checked, ConfigError, Da
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -442,45 +443,53 @@ def grad_check(
 
 def model_to_dict(model: MlpModel, seed: int | None = None,
                   train_config: TrainConfig | None = None) -> dict:
+    """The model as a JSON-ready dict. "params" is the base64 of the model's
+    params buffer as little-endian float64, in params order: every weight
+    matrix in layer order, then every bias. A float32 model is widened to
+    float64, which is exact."""
+    raw = model.params.astype("<f8", copy=False).tobytes()
     return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),
         "hidden_activation": model.hidden_activation,
         "output_activation": model.output_activation,
-        "parameters": [
-            {"weights": w.reshape(-1).tolist(), "biases": b.tolist()}
-            for w, b in zip(model.weights, model.biases)
-        ],
+        "params": base64.b64encode(raw).decode("ascii"),
         "seed": seed,
         "train_config": asdict(train_config) if train_config is not None else None,
     }
 
 
+def check_schema(version):
+    """A ConfigError unless a checkpoint's schema version is the one this
+    code writes; older files cannot be read and must be written anew."""
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise ConfigError(f"checkpoint schema {version!r}, but this version reads only "
+                          f"schema {CHECKPOINT_SCHEMA_VERSION}; retrain to write a new checkpoint")
+
+
 def model_from_dict(doc: dict) -> MlpModel:
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
+    """The float64 model of a model_to_dict dict. A params payload that is not
+    base64 or does not hold one float64 per parameter is a DataError."""
+    check_schema(doc["schema_version"])
     sizes = [int(s) for s in doc["layer_sizes"]]
-    if len(doc["parameters"]) != len(sizes) - 1:
-        raise DataError(
-            f"{len(doc['parameters'])} parameter layers for layer sizes {sizes}"
-        )
-    weights, biases = [], []
-    for i, layer in enumerate(doc["parameters"]):
-        n_in, n_out = sizes[i], sizes[i + 1]
-        try:
-            w = np.array(layer["weights"], dtype=float)
-            b = np.array(layer["biases"], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"layer {i}: parameters are not lists of numbers ({exc})") from None
-        if w.size != n_in * n_out or b.shape != (n_out,):
-            raise DataError(
-                f"layer {i}: expected {n_in * n_out} weights and {n_out} biases, "
-                f"got {w.size} and {b.size}"
-            )
-        weights.append(w.reshape(n_in, n_out))
-        biases.append(b)
+    if any(s < 1 for s in sizes):
+        raise DataError(f"layer sizes {sizes} must be positive")
+    shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
+    count = sum(math.prod(shape) for shape in shapes)
+    payload = doc["params"]
+    if not isinstance(payload, str):
+        raise DataError(f"params is a {type(payload).__name__}, not a base64 string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:
+        raise DataError(f"params is not base64 ({exc})") from None
+    if len(raw) != 8 * count:
+        raise DataError(f"params holds {len(raw)} bytes; layer sizes {sizes} "
+                        f"need {count} float64, {8 * count} bytes")
+    views = _views(np.frombuffer(raw, "<f8"), shapes)
+    n = len(sizes) - 1
     model = MlpModel(
-        sizes, weights, biases,
+        sizes, views[:n], views[n:],
         hidden_activation=doc["hidden_activation"],
         output_activation=doc["output_activation"],
     )
@@ -489,46 +498,17 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 
 def save_checkpoint(doc: dict, path):
-    """Write doc to path with the bytes json.dump(doc, fh) writes, but
-    faster: json.dump runs json's pure-Python encoder, this runs its C encoder
-    piece by piece (see _write_json), so the encoded text of a large
-    checkpoint is never held in memory at once."""
+    """Write doc to path as JSON, encoded in one call of json's C encoder."""
     with open(path, "w") as fh:
-        _write_json(fh, doc)
-
-
-# list items encoded per json.dumps call when a list of scalars is written
-_JSON_CHUNK = 4096
-
-
-def _write_json(fh, value):
-    """json.dump's text of value: a dict with string keys, or a list of
-    containers, one item at a time; a list of scalars _JSON_CHUNK items at a
-    time; anything else in one json.dumps call."""
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        fh.write("[")
-        for i, item in enumerate(value):
-            fh.write(", " if i else "")
-            _write_json(fh, item)
-        fh.write("]")
-    elif isinstance(value, list) and len(value) > _JSON_CHUNK:
-        for i in range(0, len(value), _JSON_CHUNK):
-            fh.write(("[" if i == 0 else ", ") + json.dumps(value[i : i + _JSON_CHUNK])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value))
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path, build: Callable[[dict], object]):
     """build(doc) from the JSON document at path. A file that is not JSON, or
-    whose structure build cannot read, is a DataError naming the path; the
-    ConfigErrors build raises for well-formed but wrong documents pass through."""
+    whose structure build cannot read, is a DataError naming the path. The
+    ConfigError build raises for a well-formed but wrong document (another
+    kind of checkpoint, an old schema) and the NumericError for a non-finite
+    parameter are raised again with the path in front."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -536,7 +516,11 @@ def load_checkpoint(path, build: Callable[[dict], object]):
             raise DataError(f"{path}: not a JSON file ({exc})") from None
     try:
         return build(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from None
     except DataError as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc})") from None
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None

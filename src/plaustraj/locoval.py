@@ -21,7 +21,6 @@ from .gradcore import AdamW, MlpModel, TrainConfig
 from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajectory,
                      candidate_arrays, headings, rotation_matrices, rotation_matrix)
 
-CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_HIDDEN = (128, 128, 128)
 
 
@@ -277,14 +276,15 @@ def save_locoval(model: LocoValModel, path, seed: int | None = None,
                  train_config: TrainConfig | None = None):
     doc = gradcore.model_to_dict(model.net, seed=seed, train_config=train_config)
     doc["feature_layout"] = asdict(model.layout)
-    doc["locoval_schema_version"] = CHECKPOINT_SCHEMA_VERSION
+    doc["locoval_schema_version"] = gradcore.CHECKPOINT_SCHEMA_VERSION
     gradcore.save_checkpoint(doc, path)
 
 
 def load_locoval(path) -> LocoValModel:
     def build(doc):
         if "feature_layout" not in doc:
-            raise ConfigError(f"{path}: not a scorer checkpoint (missing feature_layout)")
+            raise ConfigError("not a scorer checkpoint (missing feature_layout)")
+        gradcore.check_schema(doc["locoval_schema_version"])
         return LocoValModel(net=gradcore.model_from_dict(doc),
                             layout=FeatureLayout(**doc["feature_layout"]))
 

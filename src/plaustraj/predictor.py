@@ -25,8 +25,6 @@ from .gradcore import AdamW, MlpModel, TrainConfig
 from .locoval import LocoValModel, canonical_frame  # noqa: F401
 from .oracle import PELVIS, ObservableState, Trajectory, TrajectorySet
 
-CHECKPOINT_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class InputLayout:
@@ -355,7 +353,7 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
     if isinstance(result_or_model, PredictorTrainResult) and alpha is None:
         alpha = result_or_model.alpha
     doc = {
-        "predictor_schema_version": CHECKPOINT_SCHEMA_VERSION,
+        "predictor_schema_version": gradcore.CHECKPOINT_SCHEMA_VERSION,
         "trunk": gradcore.model_to_dict(model.trunk, train_config=train_config),
         "heads": [gradcore.model_to_dict(h) for h in _split_head(model)],
         "horizon": model.horizon,
@@ -369,7 +367,8 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
 def load_predictor(path) -> PredictorModel:
     def build(doc):
         if "trunk" not in doc or "heads" not in doc:
-            raise ConfigError(f"{path}: not a predictor checkpoint")
+            raise ConfigError("not a predictor checkpoint")
+        gradcore.check_schema(doc["predictor_schema_version"])
         horizon = int(doc["horizon"])
         return PredictorModel(
             trunk=gradcore.model_from_dict(doc["trunk"]),

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 from pathlib import Path
@@ -393,16 +394,28 @@ def _without_horizon() -> str:
     return json.dumps(doc)
 
 
-def _head_weight_short() -> str:
+def _horizon_not_a_number() -> str:
     doc = json.loads(PREDICTOR_FIXTURE.read_text())
-    doc["heads"][0]["parameters"][0]["weights"].pop()
+    doc["horizon"] = "twelve"
     return json.dumps(doc)
+
+
+def _with_head_params(change) -> str:
+    """The fixture with its first head's params payload replaced by change(payload)."""
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    doc["heads"][0]["params"] = change(doc["heads"][0]["params"])
+    return json.dumps(doc)
+
+
+def _head_weight_short() -> str:
+    """A payload one float short."""
+    return _with_head_params(
+        lambda p: base64.b64encode(base64.b64decode(p)[:-8]).decode("ascii"))
 
 
 def _head_weight_not_a_number() -> str:
-    doc = json.loads(PREDICTOR_FIXTURE.read_text())
-    doc["heads"][0]["parameters"][0]["weights"][0] = "abc"
-    return json.dumps(doc)
+    """A payload with a character outside the base64 alphabet."""
+    return _with_head_params(lambda p: "*" + p[1:])
 
 
 @pytest.mark.parametrize(
@@ -411,13 +424,17 @@ def _head_weight_not_a_number() -> str:
         ("predictor.json", "{not json"),
         ("predictor.json", '{"trunk": 1, "heads": [1]}'),
         ("predictor.json", _without_horizon()),
+        ("predictor.json", _horizon_not_a_number()),
         ("predictor.json", _head_weight_short()),
         ("predictor.json", _head_weight_not_a_number()),
+        ("predictor.json", _with_head_params(lambda p: "AA==")),
+        ("predictor.json", _with_head_params(lambda p: [0.0, 1.0])),
         ("locoval.json", "{not json"),
     ],
     ids=["predictor-not-json", "predictor-wrong-structure", "predictor-no-horizon",
-         "predictor-head-weight-short", "predictor-head-weight-not-a-number",
-         "locoval-not-json"],
+         "predictor-horizon-not-a-number", "predictor-head-weight-short",
+         "predictor-head-weight-not-a-number", "predictor-head-params-one-byte",
+         "predictor-head-params-not-a-string", "locoval-not-json"],
 )
 def test_eval_corrupt_checkpoint_is_one_line_data_error(tiny_config, tmp_path, capsys,
                                                         name, content):
@@ -428,6 +445,52 @@ def test_eval_corrupt_checkpoint_is_one_line_data_error(tiny_config, tmp_path, c
     assert run("eval", "--config", tiny_config, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {out / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_nan_checkpoint_parameter_is_one_line_numeric_failure(tiny_config, tmp_path,
+                                                                   capsys):
+    def with_nan(payload):
+        flat = np.frombuffer(base64.b64decode(payload), "<f8").copy()
+        flat[3] = np.nan
+        return base64.b64encode(flat.tobytes()).decode("ascii")
+
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "predictor.json").write_text(_with_head_params(with_nan))
+    assert run("eval", "--config", tiny_config, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {out / 'predictor.json'}: non-finite parameter")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _schema_1_predictor() -> str:
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    doc["predictor_schema_version"] = 1
+    return json.dumps(doc)
+
+
+# what the scorer writer wrote before parameters were a base64 payload
+SCHEMA_1_LOCOVAL = json.dumps({
+    "schema_version": 1, "layer_sizes": [2, 1], "hidden_activation": "relu",
+    "output_activation": "sigmoid", "parameters": [{"weights": [0.0, 0.0], "biases": [0.0]}],
+    "seed": None, "train_config": None, "feature_layout": {}, "locoval_schema_version": 1,
+})
+
+
+@pytest.mark.parametrize("name, content", [("predictor.json", _schema_1_predictor()),
+                                           ("locoval.json", SCHEMA_1_LOCOVAL)],
+                         ids=["predictor", "locoval"])
+def test_eval_schema_1_checkpoint_is_one_line_config_error(tiny_config, tmp_path, capsys,
+                                                           name, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "predictor.json").write_bytes(PREDICTOR_FIXTURE.read_bytes())
+    (out / name).write_text(content)
+    assert run("eval", "--config", tiny_config, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out / name}: checkpoint schema 1")
+    assert "retrain" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import pickle
@@ -693,45 +694,87 @@ def test_checkpoint_json_is_self_describing(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path, seed=22, train_config=TrainConfig())
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["layer_sizes"] == [4, 8, 3]
     assert doc["seed"] == 22
     assert doc["train_config"]["learning_rate"] == 1e-3
+    # little-endian float64 in params order: every weight matrix, then every bias
+    flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
+    assert flat.tobytes() == np.concatenate(
+        [*(w.ravel() for w in model.weights), *model.biases]).tobytes()
 
 
-def test_checkpoint_rejects_unknown_schema():
+@pytest.mark.parametrize("version", [1, 99, None])
+def test_checkpoint_rejects_unknown_schema(version):
     doc = model_to_dict(small_model())
-    doc["schema_version"] = 99
-    with pytest.raises(ConfigError):
+    doc["schema_version"] = version
+    with pytest.raises(ConfigError, match="retrain"):
         model_from_dict(doc)
 
 
-def test_save_checkpoint_bytes_match_json_dump(tmp_path):
-    """Lists longer than one encoder chunk, lists mixing containers and
-    scalars, non-string keys, tuples, empty containers, non-ASCII text and
-    NaN all come out as json.dump writes them."""
-    n = 2 * gradcore._JSON_CHUNK + 5
-    doc = {
-        "long": np.random.default_rng(0).normal(size=n).tolist(),
-        "exact": [0.5] * gradcore._JSON_CHUNK,
-        "mixed": [[1, 2], 3, {"x": None}, "s"],
-        "nested": {"a": [{}], "b": [[]], 7: [True], "t": (1, 2.5)},
-        "text": "é\n\"", "nan": float("nan"), "empty": {},
-    }
-    path = tmp_path / "c.json"
-    gradcore.save_checkpoint(doc, path)
-    with open(tmp_path / "ref.json", "w") as fh:
-        json.dump(doc, fh)
-    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
 
 
-@pytest.mark.parametrize("field", ["weights", "biases", "parameters"])
-def test_checkpoint_count_mismatch_is_data_error(field):
-    """One weight, one bias or one whole layer short."""
+def test_checkpoint_roundtrip_keeps_extreme_values(tmp_path):
+    """-0.0, subnormals and +-1e300 come back with their bits."""
+    special = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.0]
+    model = MlpModel([2, 3, 2], [np.array(special).reshape(2, 3), np.full((3, 2), -0.0)],
+                     [np.array([1e300, 5e-324, -0.0]), np.array([-1e300, 1e-310])])
+    model.validate()
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.params.dtype == np.float64
+    assert loaded.params.tobytes() == model.params.tobytes()
+
+
+def test_checkpoint_of_float32_model_loads_as_equal_float64(tmp_path):
+    model = small_model(seed=23).astype(np.float32)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.params.dtype == np.float64
+    assert np.array_equal(loaded.params, model.params)
+    assert loaded.params.tobytes() == model.params.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("change", ["float-short", "float-long", "layer-added"])
+def test_checkpoint_count_mismatch_is_data_error(change):
+    """A params payload one float short or one float long, or layer sizes
+    that need more parameters than the payload holds."""
     doc = model_to_dict(small_model())
-    entry = doc if field == "parameters" else doc["parameters"][0]
-    entry[field] = entry[field][:-1]
-    with pytest.raises(DataError):
+    raw = base64.b64decode(doc["params"])
+    if change == "float-short":
+        doc["params"] = b64(raw[:-8])
+    elif change == "float-long":
+        doc["params"] = b64(raw + raw[:8])
+    else:
+        doc["layer_sizes"] = [4, 8, 3, 3]
+    with pytest.raises(DataError, match="params holds"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b64(b"\x00"), "params holds 1 bytes"),
+    ("*" + b64(bytes(8 * 67))[1:], "not base64"),
+    ("AAAAAAAAAAA", "not base64"),
+    ([0.0] * 67, "not a base64 string"),
+    (None, "not a base64 string"),
+], ids=["one-byte", "non-base64-char", "bad-padding", "list", "null"])
+def test_checkpoint_bad_payload_is_data_error(payload, reason):
+    doc = model_to_dict(small_model())
+    doc["params"] = payload
+    with pytest.raises(DataError, match=reason):
+        model_from_dict(doc)
+
+
+def test_checkpoint_nan_payload_is_numeric_error():
+    doc = model_to_dict(small_model())
+    flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8").copy()
+    flat[5] = np.nan
+    doc["params"] = b64(flat.tobytes())
+    with pytest.raises(NumericError, match="non-finite parameter"):
         model_from_dict(doc)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -382,6 +383,18 @@ def test_locoval_checkpoint_roundtrip(tmp_path, trained_scorer):
     traj = straight_trajectory(n=12)
     assert score(loaded, traj, obs) == score(trained_scorer.model, traj, obs)
     assert loaded.layout == trained_scorer.model.layout
+
+
+@pytest.mark.parametrize("field", ["locoval_schema_version", "schema_version"])
+def test_load_refuses_schema_1_naming_the_file(tmp_path, trained_scorer, field):
+    path = tmp_path / "scorer.json"
+    save_locoval(trained_scorer.model, path)
+    doc = json.loads(path.read_text())
+    doc[field] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="retrain") as info:
+        load_locoval(path)
+    assert str(info.value).startswith(f"{path}: checkpoint schema 1")
 
 
 def test_load_rejects_plain_model_checkpoint(tmp_path):

@@ -447,7 +447,9 @@ def test_evaluate_trajectory_sets_equal_trajectory_lists():
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_evaluate_matches_reference_with_small_blocks(monkeypatch, block):
-    # cases straddle block boundaries; some blocks hold only part of a case
+    # blocks of whole cases whose sizes vary with EVAL_BLOCK: the report's bits
+    # must not depend on where the block boundaries fall, which the reference
+    # comparison checks
     monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
     rng = np.random.default_rng(block)
     cases, gts = ragged_cases(rng, 23, max_heads=4)

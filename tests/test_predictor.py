@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -157,9 +158,9 @@ def test_checkpoint_written_per_head_loads_and_resaves(tmp_path):
 def _narrow_second_head(doc):
     head = doc["heads"][1]
     head["layer_sizes"] = [8, 12]
-    layer = head["parameters"][0]
-    layer["weights"] = layer["weights"][: 8 * 12]
-    layer["biases"] = layer["biases"][:12]
+    flat = np.frombuffer(base64.b64decode(head["params"]), "<f8")
+    narrow = np.concatenate([flat[: 8 * 12], flat[8 * 24 : 8 * 24 + 12]])
+    head["params"] = base64.b64encode(narrow.tobytes()).decode("ascii")
 
 
 def _two_layer_second_head(doc):
@@ -586,23 +587,22 @@ def test_trained_checkpoint_predicts_in_process_bits(tmp_path, training_instance
             assert ta.points.dtype == np.float64 and np.array_equal(ta.points, tb.points)
 
 
-def test_save_checkpoint_writes_json_dump_bytes(tmp_path, trained_scorer):
-    """save_checkpoint writes what json.dump writes, for a predictor and a
-    scorer checkpoint."""
-    scorer_path = tmp_path / "locoval.json"
-    predictor.locoval_mod.save_locoval(trained_scorer.model, scorer_path, seed=14,
-                                       train_config=TrainConfig())
-    for source in (FIXTURE, scorer_path):
-        doc = json.loads(source.read_text())
-        gradcore.save_checkpoint(doc, tmp_path / "fast.json")
-        with open(tmp_path / "dump.json", "w") as fh:
-            json.dump(doc, fh)
-        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
-        assert (tmp_path / "fast.json").read_bytes() == source.read_bytes()
-
-
 def test_load_predictor_rejects_wrong_doc(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{}")
     with pytest.raises(ConfigError):
         load_predictor(path)
+
+
+@pytest.mark.parametrize("entry", ["document", "trunk", "head"])
+def test_load_predictor_refuses_schema_1_naming_the_file(tmp_path, entry):
+    doc = json.loads(FIXTURE.read_text())
+    if entry == "document":
+        doc["predictor_schema_version"] = 1
+    else:
+        (doc["trunk"] if entry == "trunk" else doc["heads"][1])["schema_version"] = 1
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="retrain") as info:
+        load_predictor(path)
+    assert str(info.value).startswith(f"{path}: checkpoint schema 1")

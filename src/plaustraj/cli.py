@@ -7,7 +7,6 @@ The output root comes from --out or the PLAUSTRAJ_OUT environment variable.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -33,9 +32,7 @@ def _out_dir(out) -> Path:
 
 
 def _load_run_config(config_path) -> RunConfig:
-    if config_path is None:
-        return RunConfig()
-    return load_config(config_path)
+    return RunConfig() if config_path is None else load_config(config_path)
 
 
 def _build_instances(cfg: RunConfig, seed: int, n_tracks: int) -> datakit.WindowSet:
@@ -109,11 +106,9 @@ def cmd_train_locoval(config_path, out, data_dir):
                                        holdout_fraction=cfg.locoval.holdout_fraction)
     locoval_mod.save_locoval(result.model, out_dir / "locoval.json",
                              seed=cfg.locoval.train.seed, train_config=cfg.locoval.train)
-    with open(out_dir / "locoval_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "train_mse", "holdout_mse"])
-        for p in result.curve:
-            writer.writerow([p.step, repr(p.lr), repr(p.train_mse), repr(p.holdout_mse)])
+    metrics.save_csv(out_dir / "locoval_curve.csv", ["step", "lr", "train_mse", "holdout_mse"],
+                     [[p.step, repr(p.lr), repr(p.train_mse), repr(p.holdout_mse)]
+                      for p in result.curve])
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 
     X_ho, y_ho = locoval_mod.features_and_targets(pairs.subset(result.holdout_indices),
@@ -148,12 +143,10 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
         n_heads=cfg.predictor.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
     predictor_mod.save_predictor(result, out_dir / "predictor.json",
                                  train_config=cfg.predictor.train)
-    with open(out_dir / "predictor_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss_gt", "loss_plaus", "ratio", "regularizer_dominates"])
-        for p in result.curve:
-            writer.writerow([p.step, repr(p.loss_gt), repr(p.loss_plaus), repr(p.ratio),
-                             int(p.regularizer_dominates)])
+    metrics.save_csv(out_dir / "predictor_curve.csv",
+                     ["step", "loss_gt", "loss_plaus", "ratio", "regularizer_dominates"],
+                     [[p.step, repr(p.loss_gt), repr(p.loss_plaus), repr(p.ratio),
+                       int(p.regularizer_dominates)] for p in result.curve])
     save_resolved_config(cfg, out_dir / "resolved_config.json")
     last = result.curve[-1]
     click.echo(f"trained {result.n_heads}-head predictor (alpha={result.alpha}): "
@@ -220,6 +213,8 @@ def cmd_eval(config_path, out, threshold):
 @click.option("--threshold", type=float, default=None, help="Override config threshold.")
 def cmd_filter(config_path, out, candidates_path, observables_path, threshold):
     """Score and partition externally produced candidate trajectories."""
+    if threshold is not None:
+        check_value("--threshold", threshold, 0.0, UNIT)
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
     lam = cfg.eval.threshold if threshold is None else threshold
@@ -231,8 +226,11 @@ def cmd_filter(config_path, out, candidates_path, observables_path, threshold):
     reports = []
     for case_id in sorted(cases):
         if case_id not in observables:
-            raise DataError(f"no observable state for case {case_id}")
-        result = filtering.locoval_filter(scorer, cases[case_id], observables[case_id], lam)
+            raise DataError(f"{observables_path}: no observable state for case {case_id}")
+        try:
+            result = filtering.locoval_filter(scorer, cases[case_id], observables[case_id], lam)
+        except InputShapeError as exc:  # the case's heads or pose do not fit the scorer
+            raise DataError(f"{candidates_path}, {observables_path}: case {case_id}: {exc}")
         doc = result.to_json_dict()
         doc["case"] = case_id
         reports.append(doc)
@@ -288,10 +286,7 @@ def cmd_sweep(config_path, out, param, values):
                          "chi2_velocity": report.chi2["velocity"]})
 
     sweep_path = out_dir / f"sweep_{param}.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    metrics.save_csv(sweep_path, list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         click.echo("  ".join(f"{k}={v}" for k, v in row.items()))
     click.echo(f"wrote {sweep_path}")
@@ -312,9 +307,9 @@ def _parse_grid(values: str) -> list[float]:
 
 
 def load_candidates_tsv(path, dt: float) -> dict:
-    """Rows of "case head frame x y"; returns case id -> list of trajectories
-    ordered by head index. Each head's frames must run consecutively, each
-    given once."""
+    """Rows of "case head frame x y"; returns case id -> a TrajectorySet of
+    its heads in head order. Each head's frames must run consecutively, each
+    given once, and a case's heads must share one length."""
     raw = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -330,21 +325,24 @@ def load_candidates_tsv(path, dt: float) -> dict:
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}")
             raw.setdefault(case, {}).setdefault(head, []).append((frame, x, y))
+    if not raw:
+        raise DataError(f"{path}: no candidate rows")
     cases = {}
     for case, heads in raw.items():
-        trajectories = []
+        points = []
         for head in sorted(heads):
             rows = sorted(heads[head])
             for (prev, _, _), (frame, _, _) in zip(rows, rows[1:]):
                 if frame != prev + 1:
                     gap = f"frame {prev} repeated" if frame == prev else f"frame {prev + 1} missing"
                     raise DataError(f"{path}: case {case} head {head}: {gap}")
-            pts = np.array([[x, y] for _, x, y in rows])
-            trajectories.append(oracle.Trajectory(pts, dt))
-        lengths = {len(t) for t in trajectories}
-        if len(lengths) != 1:
+            points.append([(x, y) for _, x, y in rows])
+        if len({len(p) for p in points}) != 1:
             raise DataError(f"{path}: case {case} has heads of differing lengths")
-        cases[case] = trajectories
+        try:
+            cases[case] = oracle.TrajectorySet(points, dt)
+        except InputShapeError as exc:
+            raise DataError(f"{path}: case {case}: {exc}")
     return cases
 
 
@@ -362,9 +360,9 @@ def load_observables_json(path) -> dict:
             case = int(key)
             joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
             velocity = np.array(entry["root_velocity"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            observables[case] = oracle.ObservableState(joints=joints, root_velocity=velocity)
+        except (AttributeError, KeyError, TypeError, ValueError, InputShapeError) as exc:
             raise DataError(f"{path}: malformed observable for case {key!r} ({exc})")
-        observables[case] = oracle.ObservableState(joints=joints, root_velocity=velocity)
     return observables
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import metrics, predictor
 from .datakit import WindowSet
 from .errors import ConfigError, DataError, InputShapeError
-from .locoval import LocoValModel, score_batch
+from .locoval import LocoValModel, score_batch, score_heads
 from .oracle import ObservableState, Trajectory, TrajectorySet
 
 
@@ -71,21 +71,30 @@ def _partition(candidates: Sequence[Trajectory], scores, threshold: float) -> Fi
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(candidates),):
         raise InputShapeError(f"{len(candidates)} candidates but scores of shape {scores.shape}")
+    keep, fallback = _filter_rule(scores, threshold)
+    return FilterResult(candidates, scores, keep, bool(fallback), threshold)
+
+
+def _filter_rule(scores: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The filter rule over the last axis of scores (..., K): keep every head
+    scoring >= threshold, or where none does only the argmax (ties to the
+    lowest head index). Returns the keep mask and the fallback flags (...)."""
     keep = scores >= threshold
-    fallback = not keep.any()
-    if fallback:
-        keep[np.argmax(scores)] = True
-    return FilterResult(candidates, scores, keep, fallback, threshold)
+    fallback = ~keep.any(axis=-1)
+    if fallback.any():
+        keep[fallback, np.argmax(scores[fallback], axis=-1)] = True
+    return keep, fallback
 
 
 @dataclass
 class WindowEval:
     """A predictor's heads on a window set, each head's score and ADE, and the
-    metrics report of all the heads."""
+    metrics report of all the heads, as arrays."""
 
-    heads: list[TrajectorySet]      # per window, its K predicted heads
-    truths: list[Trajectory]        # per window, its ground-truth future
-    scores: np.ndarray | None       # (N, K) score_batch scores; None without a scorer
+    heads: np.ndarray               # (N, K, T_f, 2) predicted heads
+    truths: np.ndarray              # (N, T_f, 2) ground-truth futures
+    dt: float                       # the windows' frame interval
+    scores: np.ndarray | None       # (N, K) score_heads scores; None without a scorer
     ades: np.ndarray                # (N, K) ADE of each head
     report: metrics.MetricsReport
     n_bins: int                     # the report's chi2 histogram bins
@@ -94,31 +103,27 @@ class WindowEval:
 def evaluate_windows(model: predictor.PredictorModel, windows: WindowSet,
                      scorer: LocoValModel | None = None,
                      n_bins: int = metrics.DEFAULT_N_BINS) -> WindowEval:
-    """Predict each window, score its heads with one score_batch call when a
-    scorer is given, and take every head's ADE in one (N*K, T, 2) pass, which
-    has the bits of metrics.ade head by head. The window set must be
-    non-empty, with the model's past length and horizon."""
-    layout = model.input_layout
+    """One predict_heads call over the window set, one score_heads call when a
+    scorer is given, and every head's ADE and the report from (N*K, T, 2)
+    rows, with the bits of metrics.ade and evaluate_predictions. The set must
+    be non-empty, with the model's past length and horizon."""
     if not len(windows):
         raise DataError("the window set has 0 windows; evaluation needs at least 1")
-    if windows.past_frames != layout.past_frames:
+    if windows.past_frames != model.input_layout.past_frames:
         raise DataError(f"the windows have {windows.past_frames} past frames; "
-                        f"the predictor takes {layout.past_frames}")
+                        f"the predictor takes {model.input_layout.past_frames}")
     if windows.horizon != model.horizon:
         raise DataError(f"the windows have {windows.horizon} future frames; "
                         f"the predictor predicts {model.horizon}")
-    heads, scores, truths = [], [], []
-    for past, future, obs in windows:
-        heads.append(predictor.predict(model, past, obs).trajectories)
-        if scorer is not None:
-            scores.append(score_batch(scorer, heads[-1], obs))
-        truths.append(future)
-    report = metrics.evaluate_predictions(heads, truths, n_bins=n_bins)
-    k = len(heads[0])
-    _, ades, _ = metrics._displacement_errors(
-        np.concatenate([h.points for h in heads]), np.repeat(windows.future, k, axis=0))
-    return WindowEval(heads, truths, np.array(scores) if scorer is not None else None,
-                      ades.reshape(-1, k), report, n_bins)
+    heads = predictor.predict_heads(model, windows.past, windows.joints)
+    n, k = heads.shape[:2]
+    rows = heads.reshape(n * k, model.horizon, 2)
+    TrajectorySet(rows, windows.dt)  # every head checked once, by predict's rule
+    scores = score_heads(scorer, heads, windows.joints, windows.velocity) if scorer else None
+    _, ades, _ = metrics._displacement_errors(rows, np.repeat(windows.future, k, axis=0))
+    report = metrics.evaluate_arrays(rows, np.full(n, k), windows.future, windows.dt, n_bins)
+    return WindowEval(heads, windows.future, windows.dt, scores, ades.reshape(n, k), report,
+                      n_bins)
 
 
 @dataclass
@@ -132,32 +137,25 @@ class SweepEntry:
 
 def sweep_lambda(evaluation: WindowEval, thresholds: list[float]) -> list[SweepEntry]:
     """For each threshold, metrics of the kept and the rejected heads of a
-    scored window set, at its chi2 bin count. Each window is partitioned by
-    the locoval_filter rule per threshold, which keeps at least one head."""
+    scored window set, at its chi2 bin count. Every window is partitioned by
+    the locoval_filter rule at once, which keeps at least one head."""
     for lam in thresholds:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("every threshold must lie in [0, 1]")
-    total = sum(len(candidates) for candidates in evaluation.heads)
-    n_bins = evaluation.n_bins
+    heads, truths, dt, n_bins = (evaluation.heads, evaluation.truths, evaluation.dt,
+                                 evaluation.n_bins)
     entries = []
     for lam in thresholds:
-        kept_sets, rej_sets, rej_gts = [], [], []
-        n_rejected = fallback_cases = 0
-        for candidates, scores, gt in zip(evaluation.heads, evaluation.scores, evaluation.truths):
-            result = _partition(candidates, scores, lam)
-            n_kept = int(result.keep.sum())
-            n_rejected += len(candidates) - n_kept
-            fallback_cases += int(result.fallback_used)
-            kept_sets.append([t for _, t, _ in result.kept])
-            if n_kept < len(candidates):
-                rej_sets.append([t for _, t, _ in result.rejected])
-                rej_gts.append(gt)
+        keep, fallback = _filter_rule(evaluation.scores, lam)
+        rejected = ~keep
+        some = rejected.any(axis=1)  # the windows with a rejected head
         entries.append(SweepEntry(
             threshold=lam,
-            kept_report=metrics.evaluate_predictions(kept_sets, evaluation.truths, n_bins=n_bins),
-            rejected_report=(metrics.evaluate_predictions(rej_sets, rej_gts, n_bins=n_bins)
-                             if rej_sets else None),
-            rejection_rate=n_rejected / total,
-            fallback_cases=fallback_cases,
+            kept_report=metrics.evaluate_arrays(heads[keep], keep.sum(axis=1), truths, dt, n_bins),
+            rejected_report=(metrics.evaluate_arrays(heads[rejected], rejected.sum(axis=1)[some],
+                                                     truths[some], dt, n_bins)
+                             if some.any() else None),
+            rejection_rate=int(rejected.sum()) / rejected.size,
+            fallback_cases=int(fallback.sum()),
         ))
     return entries

@@ -99,14 +99,13 @@ def observation_frame(joints: np.ndarray, velocity: np.ndarray, layout: FeatureL
 
 
 def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Feature rows (N, F) for N world-frame step sequences (N, T_f, 2).
-
-    rot is one (2, 2) canonical rotation or one per row (N, 2, 2); tail is one
-    observation tail or one per row (N, F - 2 T_f)."""
-    n, horizon = steps.shape[:2]
-    rotated = (steps @ np.swapaxes(rot, -1, -2)).reshape(n, 2 * horizon)
-    tail = np.broadcast_to(tail, (n, tail.shape[-1]))
-    return np.concatenate([rotated, tail], axis=1)
+    """Feature rows (..., F) for world-frame step sequences (..., T_f, 2). The
+    canonical rotations rot (..., 2, 2) and observation tails (..., F - 2 T_f)
+    broadcast against the leading axes: one for all, per sequence or per window."""
+    lead, horizon = steps.shape[:-2], steps.shape[-2]
+    rotated = (steps @ np.swapaxes(rot, -1, -2)).reshape(*lead, 2 * horizon)
+    tail = np.broadcast_to(tail, (*lead, tail.shape[-1]))
+    return np.concatenate([rotated, tail], axis=-1)
 
 
 def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
@@ -117,46 +116,36 @@ def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
     return g @ rot
 
 
-def _check_horizon(horizon: int, layout: FeatureLayout):
-    if horizon != layout.horizon:
-        raise InputShapeError(f"trajectory length {horizon} != layout horizon {layout.horizon}")
-
-
-def _steps_from(root: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per-step displacements of points (N, T, 2), the first step taken from
-    root, which is one (2,) position or one per row (N, 2)."""
+def _feature_rows(points: np.ndarray, frame, joints: np.ndarray, velocity: np.ndarray,
+                  layout: FeatureLayout) -> np.ndarray:
+    """Feature rows (..., F) of trajectories (..., T_f, 2), each in the frame
+    that frame indexes from one observation_frame call on N observables (joints
+    (N, J, 3) in joint order, velocities (N, 2)); the first step is from the root."""
+    if points.shape[-2] != layout.horizon:
+        raise InputShapeError(f"trajectory length {points.shape[-2]} != layout horizon "
+                              f"{layout.horizon}")
+    roots, rots, tails = observation_frame(joints, velocity, layout)
     steps = np.empty_like(points)
-    steps[:, 0] = points[:, 0] - root
-    steps[:, 1:] = points[:, 1:] - points[:, :-1]
-    return steps
+    steps[..., 0, :] = points[..., 0, :] - roots[frame]
+    steps[..., 1:, :] = points[..., 1:, :] - points[..., :-1, :]
+    return encode_steps(steps, rots[frame], tails[frame])
 
 
 def canonicalize(traj: Trajectory, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
     """Feature vector: rotated per-step displacements (first step taken from
     the root), then root-relative rotated joints, then rotated root velocity."""
-    return _canonicalize_shared([traj], obs, layout)[0]
-
-
-def _canonicalize_shared(trajs, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
-    """Feature rows of candidate trajectories (a TrajectorySet or a sequence
-    of Trajectory objects) in the canonical frame of one observable."""
-    points, _ = candidate_arrays(trajs)
-    _check_horizon(points.shape[1], layout)
-    roots, rots, tails = observation_frame(obs.joint_array()[None], obs.root_velocity[None],
-                                           layout)
-    return encode_steps(_steps_from(roots[0], points), rots[0], tails[0])
+    return _feature_rows(traj.points, 0, obs.joint_array()[None], obs.root_velocity[None],
+                         layout)
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 #
-# The scoring contract: score_batch scores its candidates' feature rows with
-# one forward pass, so its scores are the rows of gradcore.forward over
-# _canonicalize_shared bit for bit, and score(traj, obs) is
-# score_batch([traj], obs)[0]. A row's last bits can depend on how many rows
-# share the pass (a BLAS matrix-matrix product against a matrix-vector one),
-# so a score agrees with a one-row forward of its features to within a
-# rounding error, not bit for bit.
+# The scoring contract: score_heads scores the N·K feature rows of N windows'
+# heads with one forward, so its scores are that forward's rows bit for bit;
+# score_batch is its one-window call and score(traj, obs) score_batch([traj],
+# obs)[0]. A row's last bits can depend on how many rows share the pass (gemm
+# against gemv), so it agrees with a forward of fewer rows within rounding.
 
 
 def score(model: LocoValModel, traj: Trajectory, obs: ObservableState) -> float:
@@ -164,14 +153,24 @@ def score(model: LocoValModel, traj: Trajectory, obs: ObservableState) -> float:
     return score_batch(model, [traj], obs)[0]
 
 
+def score_heads(model: LocoValModel, heads: np.ndarray, joints: np.ndarray,
+                velocity: np.ndarray) -> np.ndarray:
+    """Scores (N, K) of N windows' heads (N, K, T_f, 2), each window's heads
+    in the canonical frame of its observable (joints (N, J, 3) in joint order,
+    root velocities (N, 2)), from one forward over the N·K rows."""
+    n, k = heads.shape[:2]
+    X = _feature_rows(heads, np.s_[:, None], joints, velocity, model.layout)
+    return gradcore.forward(model.net, X.reshape(n * k, -1))[:, 0].reshape(n, k)
+
+
 def score_batch(model: LocoValModel, candidates, obs: ObservableState) -> list[float]:
     """Scores of candidates (a TrajectorySet or a sequence of Trajectory
-    objects) sharing one observable: the candidates are canonicalized
-    together and every row is scored by one forward pass."""
+    objects) sharing one observable: score_heads of that one window."""
     if not len(candidates):
         return []
-    X = _canonicalize_shared(candidates, obs, model.layout)
-    return gradcore.forward(model.net, X)[:, 0].tolist()
+    points, _ = candidate_arrays(candidates)
+    return score_heads(model, points[None], obs.joint_array()[None],
+                       obs.root_velocity[None])[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +194,11 @@ class LocoValTrainResult:
 
 
 def features_and_targets(pairs: PairSet, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, canonicalized in one batch, and oracle rewards. The
-    canonical frames and observation tails of the stacked observables are
-    computed in one call."""
-    _check_horizon(pairs.horizon, layout)
-    roots, rots, tails = observation_frame(
-        np.stack([obs.joint_array() for obs in pairs.observables]),
-        np.stack([obs.root_velocity for obs in pairs.observables]), layout)
-    k = pairs.state
-    return encode_steps(_steps_from(roots[k], pairs.points), rots[k], tails[k]), pairs.rewards
+    """Feature rows, canonicalized in one batch with the frames of the stacked
+    observables indexed by the pairs' state, and oracle rewards."""
+    joints = np.stack([obs.joint_array() for obs in pairs.observables])
+    velocity = np.stack([obs.root_velocity for obs in pairs.observables])
+    return _feature_rows(pairs.points, pairs.state, joints, velocity, layout), pairs.rewards
 
 
 def train_locoval(

@@ -166,22 +166,12 @@ def bin_by_plausibility(scores, ades, n_bins: int = 10) -> list[dict]:
         raise InputShapeError("scores must lie in [0, 1]")
     bins = []
     for b in range(n_bins):
-        lo = b / n_bins
-        hi = (b + 1) / n_bins
-        if b == n_bins - 1:
-            mask = (scores >= lo) & (scores <= hi)
-        else:
-            mask = (scores >= lo) & (scores < hi)
+        lo, hi = b / n_bins, (b + 1) / n_bins
+        # each bin is [lo, hi), the last one [lo, 1]
+        mask = (scores >= lo) & ((scores < hi) | (b == n_bins - 1) & (scores <= hi))
         count = int(mask.sum())
-        bins.append(
-            {
-                "bin": b,
-                "lo": lo,
-                "hi": hi,
-                "count": count,
-                "mean_ade": float(ades[mask].mean()) if count else 0.0,
-            }
-        )
+        bins.append({"bin": b, "lo": lo, "hi": hi, "count": count,
+                     "mean_ade": float(ades[mask].mean()) if count else 0.0})
     return bins
 
 
@@ -233,11 +223,7 @@ def evaluate_predictions(
     predictions against those of the ground truths.
 
     A case's heads are read as one array (oracle.candidate_arrays), and
-    whole cases are scored in blocks of up to EVAL_BLOCK trajectories into
-    per-trajectory arrays. Per-timestep errors are summed and primitive
-    samples pooled in trajectory order, so the report has the bits of
-    scoring one trajectory at a time.
-    """
+    whole cases are scored in blocks of up to EVAL_BLOCK trajectories."""
     if len(prediction_sets) != len(ground_truths) or not prediction_sets:
         raise InputShapeError("need matching, non-empty prediction and ground-truth lists")
     counts = np.array([len(heads) for heads in prediction_sets])
@@ -250,20 +236,40 @@ def evaluate_predictions(
                 f"case {c}: ground truth has {len(gt)} points, case 0's has {horizon}"
             )
     arrays = [_case_arrays(c, heads, horizon) for c, heads in enumerate(prediction_sets)]
+    # whole cases per block, at most EVAL_BLOCK trajectories unless one case has more
+    step = max(1, EVAL_BLOCK // int(counts.max()))
+    blocks = (tuple(np.concatenate(a) for a in zip(*arrays[first:first + step]))
+              for first in range(0, len(arrays), step))
+    return _report(blocks, counts, np.stack([g.points for g in ground_truths]),
+                   np.array([g.dt for g in ground_truths]), n_bins)
+
+
+def evaluate_arrays(points: np.ndarray, counts: np.ndarray, truths: np.ndarray, dt: float,
+                    n_bins: int) -> MetricsReport:
+    """evaluate_predictions of N cases held as arrays, bit for bit: head rows
+    (n, T, 2), counts[c] >= 1 of them for case c in case order, and ground
+    truths (N, T, 2), all at one dt. Rows are scored in blocks of EVAL_BLOCK."""
+    dts = np.full(len(points), dt)
+    blocks = ((points[lo:lo + EVAL_BLOCK], dts[lo:lo + EVAL_BLOCK])
+              for lo in range(0, len(points), EVAL_BLOCK))
+    return _report(blocks, counts, truths, np.full(len(truths), dt), n_bins)
+
+
+def _report(blocks, counts: np.ndarray, truths: np.ndarray, truth_dts: np.ndarray,
+            n_bins: int) -> MetricsReport:
+    """The report of N cases whose head rows come as (points, dts) blocks in
+    row order. Rows are scored independently and per-timestep errors summed
+    in row order, so the bits are those of scoring one trajectory at a time."""
+    horizon = truths.shape[1]
     if horizon < 4:
         raise InputShapeError("need at least 4 points for all physics primitives")
-
-    truths = np.stack([g.points for g in ground_truths])
     case_of = np.repeat(np.arange(len(counts)), counts)
     n = len(case_of)
     ades, fdes = np.empty(n), np.empty(n)
     per_ts_sum = np.zeros(horizon)
     pred_prims = {p: np.empty((n, horizon - k)) for p, k in _LOST_STEPS.items()}
-    # whole cases per block, at most EVAL_BLOCK trajectories unless one case has more
-    step = max(1, EVAL_BLOCK // int(counts.max()))
     lo = 0
-    for first in range(0, len(arrays), step):
-        pred, dts = (np.concatenate(a) for a in zip(*arrays[first:first + step]))
+    for pred, dts in blocks:
         hi = lo + len(pred)
         err, ades[lo:hi], fdes[lo:hi] = _displacement_errors(pred, truths[case_of[lo:hi]])
         # an axis-0 sum adds the rows one at a time, in trajectory order
@@ -271,7 +277,7 @@ def evaluate_predictions(
         for p, v in _primitives(pred, dts).items():
             pred_prims[p][lo:hi] = v
         lo = hi
-    gt_prims = _primitives(truths, np.array([g.dt for g in ground_truths]))
+    gt_prims = _primitives(truths, truth_dts)
 
     chi2 = {}
     specs = {}
@@ -289,7 +295,7 @@ def evaluate_predictions(
         min_fde=float(np.mean(np.minimum.reduceat(fdes, starts))),
         chi2=chi2,
         per_timestep=(per_ts_sum / n).tolist(),
-        n_samples=len(prediction_sets),
+        n_samples=len(counts),
         histogram_specs=specs,
     )
 
@@ -310,30 +316,25 @@ def save_report_json(report: MetricsReport, path):
         json.dump(report.to_json_dict(), fh, indent=2)
 
 
-def save_report_csv(report: MetricsReport, path):
+def save_csv(path, header: list, rows):
+    """A header row, then the rows, as csv.writer writes them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["ade", repr(report.ade)])
-        writer.writerow(["fde", repr(report.fde)])
-        writer.writerow(["min_ade", repr(report.min_ade)])
-        writer.writerow(["min_fde", repr(report.min_fde)])
-        for p, v in report.chi2.items():
-            writer.writerow([f"chi2_{p}", repr(v)])
-        writer.writerow(["n_samples", report.n_samples])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_report_csv(report: MetricsReport, path):
+    rows = [[name, repr(getattr(report, name))] for name in ("ade", "fde", "min_ade", "min_fde")]
+    rows += [[f"chi2_{p}", repr(v)] for p, v in report.chi2.items()]
+    save_csv(path, ["metric", "value"], rows + [["n_samples", report.n_samples]])
 
 
 def save_per_timestep_csv(report: MetricsReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestep", "mean_error"])
-        for t, v in enumerate(report.per_timestep):
-            writer.writerow([t, repr(v)])
+    save_csv(path, ["timestep", "mean_error"],
+             [[t, repr(v)] for t, v in enumerate(report.per_timestep)])
 
 
 def save_bins_csv(bins: list[dict], path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "lo", "hi", "count", "mean_ade"])
-        for b in bins:
-            writer.writerow([b["bin"], b["lo"], b["hi"], b["count"], repr(b["mean_ade"])])
+    save_csv(path, ["bin", "lo", "hi", "count", "mean_ade"],
+             [[b["bin"], b["lo"], b["hi"], b["count"], repr(b["mean_ade"])] for b in bins])

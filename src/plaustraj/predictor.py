@@ -96,10 +96,6 @@ class PredictionSet:
     trajectories: TrajectorySet  # the K heads, one (K, T_f, 2) array
     anchor: np.ndarray           # last observed position
 
-    @property
-    def n_heads(self) -> int:
-        return len(self.trajectories)
-
 
 def build_predictor(
     input_layout: InputLayout,
@@ -144,16 +140,25 @@ def build_input(past: np.ndarray, joints: np.ndarray | None,
     return np.concatenate([rel, pose.reshape(len(pose), -1)], axis=1)
 
 
+def predict_heads(model: PredictorModel, past: np.ndarray,
+                  joints: np.ndarray | None) -> np.ndarray:
+    """The K heads (N, K, T_f, 2) of N windows, pasts (N, T_p, 2) and joints
+    (N, J, 3) in joint order (None without pose input): one trunk and one head
+    forward over the N input rows, and one cumsum of the head rows anchored at
+    each window's last observed position."""
+    trunk_out = gradcore.forward(model.trunk, build_input(past, joints, model.input_layout))
+    out = gradcore.forward(model.head, trunk_out)
+    return past[:, -1, None, None] + np.cumsum(out.reshape(len(past), -1, model.horizon, 2),
+                                               axis=2)
+
+
 def predict(model: PredictorModel, past: Trajectory,
             obs: ObservableState | None = None) -> PredictionSet:
-    """The K heads of one window: one cumsum over the (K, T_f, 2) head block,
-    anchored at the last observed position, checked once as a TrajectorySet."""
+    """The K heads of one window: predict_heads of its one row, as a TrajectorySet."""
     joints = None if obs is None else obs.joint_array()[None]
-    trunk_out = gradcore.forward(model.trunk,
-                                 build_input(past.points[None], joints, model.input_layout))
-    disp = _head_blocks(gradcore.forward(model.head, trunk_out), model.horizon)[:, 0]
-    anchor = past.points[-1]
-    return PredictionSet(TrajectorySet(anchor + np.cumsum(disp, axis=1), past.dt), anchor)
+    # copied, so a served set holds one (K, T_f, 2) array and not a view of the batch
+    heads = predict_heads(model, past.points[None], joints)[0].copy()
+    return PredictionSet(TrajectorySet(heads, past.dt), past.points[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,13 @@ def hard_windows(corpus, scorer_run, paired_runs):
     evals = [filtering.evaluate_windows(paired_runs[(seed, study.ALPHA)], corpus.eval_hard,
                                         scorer_run["model"])
              for seed in range(N_SEED_PAIRS)]
-    heads = [h for e in evals for h in e.heads]
-    truths = [g for e in evals for g in e.truths]
-    return filtering.WindowEval(heads, truths, np.concatenate([e.scores for e in evals]),
-                                np.concatenate([e.ades for e in evals]),
-                                metrics.evaluate_predictions(heads, truths),
-                                metrics.DEFAULT_N_BINS)
+    heads, truths, scores, ades = (np.concatenate([getattr(e, f) for e in evals])
+                                   for f in ("heads", "truths", "scores", "ades"))
+    n, k, horizon = heads.shape[:3]
+    dt = corpus.eval_hard.dt
+    report = metrics.evaluate_arrays(heads.reshape(n * k, horizon, 2), np.full(n, k), truths, dt,
+                                     metrics.DEFAULT_N_BINS)
+    return filtering.WindowEval(heads, truths, dt, scores, ades, report, metrics.DEFAULT_N_BINS)
 
 
 # ---------------------------------------------------------------------------

@@ -214,24 +214,29 @@ def test_eval_filter_out_of_range_fails_before_writing(tiny_config, trained_dir,
     assert (trained_dir / "metrics.json").read_bytes() == before
 
 
-def test_eval_filter_scores_each_case_once(tiny_config, trained_dir, monkeypatch):
-    calls = {"predict": 0, "score_batch": 0}
+def test_eval_filter_predicts_and_scores_the_window_set_once(tiny_config, trained_dir,
+                                                             monkeypatch):
+    """eval --filter predicts every window with one predict_heads call and
+    scores every head with one score_heads call; the per-case predict and
+    score_batch are not called."""
+    calls = {"predict": 0, "score_batch": 0, "predict_heads": 0, "score_heads": 0}
 
-    def counting(name, fn):
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(predictor, "predict", counting("predict", predictor.predict))
-    score_batch = counting("score_batch", locoval.score_batch)
-    monkeypatch.setattr(locoval, "score_batch", score_batch)
-    monkeypatch.setattr(filtering, "score_batch", score_batch)
+    for owner, name in ((predictor, "predict"), (predictor, "predict_heads"),
+                        (locoval, "score_batch"), (filtering, "score_batch"),
+                        (filtering, "score_heads")):
+        counting(owner, name)
     assert run(
         "eval", "--config", tiny_config, "--out", str(trained_dir), "--filter", "0.5"
     ) == 0
-    assert calls["predict"] > 0
-    assert calls["score_batch"] == calls["predict"]
+    assert calls == {"predict": 0, "score_batch": 0, "predict_heads": 1, "score_heads": 1}
 
 
 def merged(base: dict, changes: dict) -> dict:
@@ -355,23 +360,57 @@ def test_filter_malformed_candidates(tiny_config, trained_dir, tmp_path):
     assert code == 2
 
 
+def _edit_observables(change):
+    def corrupt(cand, obs):
+        doc = json.loads(obs.read_text())
+        change(doc)
+        obs.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _nan_candidate(cand, obs):
+    """Case 0 head 0's frame 3 at x = nan."""
+    lines = cand.read_text().splitlines()
+    lines[3] = " ".join(lines[3].split()[:3] + ["nan", "0.5"])
+    cand.write_text("\n".join(lines) + "\n")
+
+
+def _drop_last_frame_of_case_0_head_0(cand, obs):
+    lines = cand.read_text().splitlines()
+    cand.write_text("\n".join(lines[:11] + lines[12:]) + "\n")
+
+
 @pytest.mark.parametrize(
-    "frames, keys, observables, reason",
+    "frames, keys, corrupt, message",
     [
-        (5, ("0", "1"), None, "trajectory length 5 != layout horizon 12"),
-        (12, ("0", "case-1"), None, ": malformed observable for case 'case-1'"),
-        (12, ("0", "1"), "{not json", ": invalid JSON"),
-        ([*range(6), *range(5, 11)], ("0", "1"), None, "case 0 head 0: frame 5 repeated"),
-        ([*range(5), *range(6, 13)], ("0", "1"), None, "case 0 head 0: frame 5 missing"),
+        (5, ("0", "1"), None, "{cand}, {obs}: case 0: trajectory length 5 != layout horizon 12"),
+        (12, ("0", "case-1"), None, "{obs}: malformed observable for case 'case-1'"),
+        (12, ("0", "1"), lambda cand, obs: obs.write_text("{not json"), "{obs}: invalid JSON"),
+        ([*range(6), *range(5, 11)], ("0", "1"), None, "{cand}: case 0 head 0: frame 5 repeated"),
+        ([*range(5), *range(6, 13)], ("0", "1"), None, "{cand}: case 0 head 0: frame 5 missing"),
+        (12, ("0", "1"), _edit_observables(lambda doc: doc["0"].update(joints=[1, 2, 3])),
+         "{obs}: malformed observable for case '0' ('list' object has no attribute 'items')"),
+        (12, ("0", "1"), _edit_observables(lambda doc: doc["0"]["joints"].pop("pelvis")),
+         "{obs}: malformed observable for case '0' (missing required joints: ['pelvis'])"),
+        (12, ("0", "1"), _nan_candidate,
+         "{cand}: case 0: trajectory contains non-finite coordinates"),
+        (12, ("0",), None, "{obs}: no observable state for case 1"),
+        (12, ("0", "1"), lambda cand, obs: cand.write_text(""),
+         "{cand}: no candidate rows"),
+        (12, ("0", "1"), _drop_last_frame_of_case_0_head_0,
+         "{cand}: case 0 has heads of differing lengths"),
     ],
     ids=["wrong-horizon", "non-integer-case-key", "observables-not-json", "frame-repeated",
-         "frame-missing"],
+         "frame-missing", "joints-a-list", "joint-missing", "nan-candidate", "case-not-observed",
+         "no-candidate-rows", "heads-of-two-lengths"],
 )
 def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
-                                                 capsys, frames, keys, observables, reason):
+                                                 capsys, frames, keys, corrupt, message):
+    """Each bad filter input exits 2 with one stderr line naming the file,
+    and the case where there is one."""
     cand, obs_path = write_filter_inputs(trained_dir, tmp_path, frames=frames, keys=keys)
-    if observables is not None:
-        obs_path.write_text(observables)
+    if corrupt is not None:
+        corrupt(cand, obs_path)
     capsys.readouterr()
     code = run(
         "filter", "--config", tiny_config, "--out", str(trained_dir),
@@ -379,13 +418,26 @@ def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_p
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ")
-    assert reason in err
-    if reason.startswith(":"):  # the observables file is named
-        assert err.startswith(f"data error: {obs_path}: ")
-    if reason.startswith("case"):  # the candidates file is named
-        assert err.startswith(f"data error: {cand}: ")
+    assert err.startswith("data error: " + message.format(cand=cand, obs=obs_path))
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold", ["5", "-0.1", "nan"])
+def test_filter_threshold_is_checked_before_any_work(tiny_config, trained_dir, tmp_path, capsys,
+                                                     threshold):
+    """A threshold outside [0, 1] is a config error before any file is read,
+    even with a candidates file of no rows."""
+    cand, obs_path = write_filter_inputs(trained_dir, tmp_path)
+    cand.write_text("")
+    out = tmp_path / "never-made"
+    capsys.readouterr()
+    code = run("filter", "--config", tiny_config, "--out", str(out), "--candidates", str(cand),
+               "--observables", str(obs_path), "--threshold", threshold)
+    assert code == 1
+    err = capsys.readouterr().err
+    rule = "finite" if threshold == "nan" else "in [0, 1]"
+    assert err == f"config error: --threshold must be {rule}, got {float(threshold)!r}\n"
+    assert not out.exists()
 
 
 def _without_horizon() -> str:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_observable, straight_trajectory
-from plaustraj import datakit, metrics
+from plaustraj import datakit, gradcore, metrics
 from plaustraj.errors import ConfigError, InputShapeError
-from plaustraj.filtering import (WindowEval, _partition, evaluate_windows, locoval_filter,
-                                 sweep_lambda)
-from plaustraj.locoval import FeatureLayout, build_locoval, score_batch
+from plaustraj.filtering import (WindowEval, _filter_rule, _partition, evaluate_windows,
+                                 locoval_filter, sweep_lambda)
+from plaustraj.locoval import FeatureLayout, build_locoval, score_batch, score_heads
 from plaustraj.oracle import Trajectory, TrajectorySet
-from plaustraj.predictor import InputLayout, build_predictor, predict
+from plaustraj.predictor import InputLayout, build_predictor, predict, predict_heads
+from test_locoval import ONE_ROW_ATOL
 
 
 class StubScorer:
@@ -138,45 +139,88 @@ def test_filter_plug_and_play():
     assert [s for _, _, s in ra.kept] == [s for _, _, s in rb.kept]
 
 
-def test_evaluate_windows_equals_per_window_scores_and_per_head_ades(pose_bank):
-    """The reference is the per-window score_batch and per-head metrics.ade
-    loop that eval and criteria 5 and 8 once ran, on 60 windows x 20 heads."""
+def eval_set(pose_bank, n):
+    """n windows, a K=20 predictor and a scorer for them."""
     dataset = datakit.generate_synthetic(datakit.SyntheticConfig(), 30, seed=21)
-    windows = datakit.make_training_instances(dataset, pose_bank, 9, 12, stride=3, seed=22)[:60]
+    windows = datakit.make_training_instances(dataset, pose_bank, 9, 12, stride=3, seed=22)[:n]
     model = build_predictor(InputLayout(past_frames=9), 12, 20, trunk_hidden=(32, 32), seed=9)
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(16,), seed=9)
+    return windows, model, scorer
+
+
+def test_evaluate_windows_is_one_set_forward_within_one_row_atol_of_per_window(pose_bank):
+    """The eval contract on 60 windows x 20 heads: the heads and scores are
+    one predict_heads and one score_heads over the set, bit for bit; they
+    agree with per-window predict and score_batch within ONE_ROW_ATOL; the
+    ADEs and the report are those of the heads, bit for bit."""
+    windows, model, scorer = eval_set(pose_bank, 60)
     got = evaluate_windows(model, windows, scorer, n_bins=20)
-    assert got.scores.shape == got.ades.shape == (60, 20)
+    heads = predict_heads(model, windows.past, windows.joints)
+    assert got.heads.shape == (60, 20, 12, 2) and got.heads.tobytes() == heads.tobytes()
+    assert got.scores.tobytes() == score_heads(scorer, heads, windows.joints,
+                                               windows.velocity).tobytes()
+    assert got.truths.tobytes() == windows.future.tobytes() and got.dt == windows.dt
     for w, inst in enumerate(windows):
-        heads = predict(model, inst.past, inst.observable).trajectories
-        assert [t.points.tobytes() for t in got.heads[w]] == [t.points.tobytes() for t in heads]
-        assert got.truths[w].points.tobytes() == inst.future.points.tobytes()
-        assert got.scores[w].tolist() == score_batch(scorer, heads, inst.observable)
-        assert got.ades[w].tolist() == [metrics.ade(t, inst.future) for t in heads]
-    assert got.report == metrics.evaluate_predictions(got.heads, got.truths, n_bins=20)
+        one = predict(model, inst.past, inst.observable).trajectories
+        np.testing.assert_allclose(got.heads[w], one.points, rtol=0.0, atol=ONE_ROW_ATOL)
+        np.testing.assert_allclose(got.scores[w], score_batch(scorer, one, inst.observable),
+                                   rtol=0.0, atol=ONE_ROW_ATOL)
+    sets = [TrajectorySet(h, windows.dt) for h in got.heads]
+    truths = [Trajectory(g, windows.dt) for g in got.truths]
+    assert got.ades.tolist() == [[metrics.ade(t, gt) for t in c] for c, gt in zip(sets, truths)]
+    assert got.report == metrics.evaluate_predictions(sets, truths, n_bins=20)
     # lambda 0 keeps every head, so the kept report is the report, bins and all
     assert sweep_lambda(got, [0.0])[0].kept_report == got.report
     assert evaluate_windows(model, windows).scores is None
 
 
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_evaluate_windows_runs_one_trunk_one_head_one_scorer_forward(pose_bank, monkeypatch, n):
+    windows, model, scorer = eval_set(pose_bank, n)
+    calls = []
+    forward = gradcore.forward
+    monkeypatch.setattr(gradcore, "forward", lambda m, x: calls.append(len(x)) or forward(m, x))
+    evaluate_windows(model, windows, scorer)
+    assert calls == [n, n, 20 * n]
+
+
+def test_evaluate_windows_non_finite_head_is_an_input_shape_error(pose_bank):
+    windows, model, scorer = eval_set(pose_bank, 7)
+    model.head.biases[0][5] = np.inf
+    with pytest.raises(InputShapeError, match="^trajectory contains non-finite coordinates$"):
+        evaluate_windows(model, windows, scorer)
+
+
 def scored_windows(sets, scores, gt):
-    """The evaluation of candidate sets with the given scores, every window
-    with ground truth gt."""
-    truths = [gt] * len(sets)
-    return WindowEval(sets, truths, scores, [[metrics.ade(t, gt) for t in c] for c in sets],
-                      metrics.evaluate_predictions(sets, truths), metrics.DEFAULT_N_BINS)
+    """The evaluation of candidate sets of one size with the given scores,
+    every window with ground truth gt."""
+    heads = np.stack([[t.points for t in c] for c in sets])
+    n, k = heads.shape[:2]
+    truths = np.repeat(gt.points[None], n, axis=0)
+    report = metrics.evaluate_arrays(heads.reshape(n * k, -1, 2), np.full(n, k), truths, gt.dt,
+                                     metrics.DEFAULT_N_BINS)
+    return WindowEval(heads, truths, gt.dt, np.asarray(scores),
+                      np.array([[metrics.ade(t, gt) for t in c] for c in sets]), report,
+                      metrics.DEFAULT_N_BINS)
 
 
 def test_sweep_lambda_matches_direct_filter():
+    """Each threshold's rejection rate, fallback count and kept and rejected
+    reports are those of locoval_filter window by window."""
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=6)
     obs = make_observable()
     gt = straight_trajectory(n=12, speed=1.0)
-    sets = [candidates(4), candidates(3)[::-1]]
+    sets = [candidates(4), candidates(4)[::-1], candidates(5)[1:]]
     evaluation = scored_windows(sets, [score_batch(scorer, c, obs) for c in sets], gt)
-    for entry in sweep_lambda(evaluation, [0.3, 0.5, 0.7]):
+    for entry in sweep_lambda(evaluation, [0.0, 0.3, 0.5, 0.7, 1.0]):
         direct = [locoval_filter(scorer, c, obs, entry.threshold) for c in sets]
-        assert entry.rejection_rate == pytest.approx(sum(len(r.rejected) for r in direct) / 7)
+        assert entry.rejection_rate == sum(len(r.rejected) for r in direct) / 12
         assert entry.fallback_cases == sum(r.fallback_used for r in direct)
+        kept = [[t for _, t, _ in r.kept] for r in direct]
+        assert entry.kept_report == metrics.evaluate_predictions(kept, [gt] * 3)
+        rejected = [[t for _, t, _ in r.rejected] for r in direct if r.rejected]
+        want = metrics.evaluate_predictions(rejected, [gt] * len(rejected)) if rejected else None
+        assert entry.rejected_report == want
 
 
 def test_sweep_rejection_rate_monotone():
@@ -225,7 +269,7 @@ def entry_bytes(entries):
     return [(k, t.points.tobytes(), t.dt, s) for k, t, s in entries]
 
 
-@pytest.mark.parametrize("scores, threshold", [
+FIXED_VECTORS = [
     ([0.7, 0.6999999999999999, 0.9, 0.7, 0.2], 0.7),   # scores exactly at the threshold
     ([0.3, 0.5, 0.1, 0.5, 0.5], 0.7),                   # fallback, tied maxima
     ([0.4, 0.4, 0.4], 0.7),                             # fallback, all tied
@@ -234,7 +278,10 @@ def entry_bytes(entries):
     ([0.9], 0.7),                                       # K=1, kept
     ([0.0, 0.3], 0.0),                                  # lambda 0 keeps every head
     ([0.99, 1.0], 1.0),                                 # lambda 1
-])
+]
+
+
+@pytest.mark.parametrize("scores, threshold", FIXED_VECTORS)
 def test_partition_equals_the_list_rule(scores, threshold):
     points = np.cumsum(np.random.default_rng(len(scores)).normal(size=(len(scores), 12, 2)),
                        axis=1)
@@ -252,6 +299,20 @@ def test_partition_equals_the_list_rule(scores, threshold):
             "rejected": [{"head": k, "score": s} for k, _, s in rejected],
             "fallback_used": fallback,
         })
+
+
+def test_filter_rule_over_a_score_matrix_equals_the_list_rule_row_by_row():
+    """The rule over (N, K) scores, as sweep_lambda applies it, keeps each
+    row's heads of the list rule, at every fixed vector's threshold."""
+    for threshold in sorted({t for _, t in FIXED_VECTORS}):
+        for k in sorted({len(s) for s, _ in FIXED_VECTORS}):
+            rows = np.array([s for s, _ in FIXED_VECTORS if len(s) == k])
+            keep, fallback = _filter_rule(rows, threshold)
+            assert keep.shape == rows.shape and fallback.shape == (len(rows),)
+            for scores, mask, fell_back in zip(rows, keep, fallback):
+                kept, _, want = reference_partition(range(k), scores.tolist(), threshold)
+                assert np.flatnonzero(mask).tolist() == [i for i, _, _ in kept]
+                assert fell_back == want
 
 
 def test_partition_checks_the_score_count():

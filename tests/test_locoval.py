@@ -20,6 +20,7 @@ from plaustraj.locoval import (
     save_locoval,
     score,
     score_batch,
+    score_heads,
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
@@ -238,25 +239,52 @@ def test_score_in_open_interval():
         assert 0.0 < s < 1.0
 
 
+@pytest.mark.parametrize("include_pose", [True, False], ids=["pose", "no-pose"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 20])
-def test_score_batch_scoring_contract(k):
+def test_score_batch_scoring_contract(k, include_pose):
     """score_batch is one forward over the canonicalized rows, bit for bit,
-    for a TrajectorySet and for a list of the same trajectories; score is its
-    one-candidate call; one-row forwards agree within ONE_ROW_ATOL."""
-    model = build_locoval(LAYOUT, hidden=(16,), seed=2)
+    for a TrajectorySet and for a list of the same trajectories, and it is the
+    one-window call of score_heads; score is its one-candidate call; one-row
+    forwards agree within ONE_ROW_ATOL."""
+    layout = FeatureLayout(horizon=12, include_pose=include_pose)
+    model = build_locoval(layout, hidden=(16,), seed=2)
     obs = make_observable(heading=0.3, speed=1.1, root=(2.0, -1.0))
     rng = np.random.default_rng(k)
     points = obs.root_position + np.cumsum(rng.normal(0.3, 0.5, size=(k, 12, 2)), axis=1)
     heads = TrajectorySet(points, 0.4)
-    rows = locoval._canonicalize_shared(heads, obs, LAYOUT)
+    rows = np.stack([canonicalize(t, obs, layout) for t in heads])
     got = score_batch(model, heads, obs)
     assert got == gradcore.forward(model.net, rows)[:, 0].tolist()
+    one_window = score_heads(model, points[None], obs.joint_array()[None],
+                             obs.root_velocity[None])
+    assert one_window.shape == (1, k) and one_window[0].tolist() == got
     assert score_batch(model, list(heads), obs) == got
     for t in heads:
         assert score(model, t, obs) == score_batch(model, [t], obs)[0]
     one_row = [float(gradcore.forward(model.net, x)[0]) for x in rows]
     np.testing.assert_allclose(got, one_row, rtol=0.0, atol=ONE_ROW_ATOL)
     assert score_batch(model, [], obs) == []
+
+
+def test_score_heads_is_one_forward_over_every_window():
+    """score_heads of N windows is exactly one forward over the N·K rows,
+    each window's heads canonicalized in its own frame, and within
+    ONE_ROW_ATOL of score_batch window by window."""
+    model = build_locoval(LAYOUT, hidden=(16,), seed=5)
+    rng = np.random.default_rng(5)
+    observables = [make_observable(heading=a, speed=rng.uniform(0.3, 2.0),
+                                   root=tuple(rng.normal(0.0, 5.0, size=2)))
+                   for a in rng.uniform(-math.pi, math.pi, size=7)]
+    heads = np.stack([o.root_position + np.cumsum(rng.normal(0.3, 0.5, size=(4, 12, 2)), axis=1)
+                      for o in observables])
+    got = score_heads(model, heads, np.stack([o.joint_array() for o in observables]),
+                      np.stack([o.root_velocity for o in observables]))
+    rows = np.stack([canonicalize(Trajectory(h, 0.4), o, LAYOUT)
+                     for window, o in zip(heads, observables) for h in window])
+    assert got.shape == (7, 4)
+    assert got.ravel().tolist() == gradcore.forward(model.net, rows)[:, 0].tolist()
+    per_window = [score_batch(model, TrajectorySet(h, 0.4), o) for h, o in zip(heads, observables)]
+    np.testing.assert_allclose(got, per_window, rtol=0.0, atol=ONE_ROW_ATOL)
 
 
 def test_score_rigid_invariance():

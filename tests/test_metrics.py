@@ -445,6 +445,21 @@ def test_evaluate_trajectory_sets_equal_trajectory_lists():
         evaluate_predictions(sets, gts)
 
 
+@pytest.mark.parametrize("n_traj, block", [(1, EVAL_BLOCK), (2 * EVAL_BLOCK + 1, EVAL_BLOCK),
+                                           (23, 1), (23, 3)])
+def test_evaluate_arrays_equals_the_reference(monkeypatch, n_traj, block):
+    """Cases held as flat head rows and per-case counts, scored in blocks of
+    EVAL_BLOCK rows that split cases, give the reference report bit for bit."""
+    monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
+    rng = np.random.default_rng(n_traj)
+    cases, gts = ragged_cases(rng, n_traj, dts=(0.4,))
+    want = report_bytes(ref_evaluate_predictions(cases, gts, n_bins=17))
+    got = metrics.evaluate_arrays(np.stack([t.points for c in cases for t in c]),
+                                  np.array([len(c) for c in cases]),
+                                  np.stack([g.points for g in gts]), 0.4, 17)
+    assert report_bytes(got) == want
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_evaluate_matches_reference_with_small_blocks(monkeypatch, block):
     # blocks of whole cases whose sizes vary with EVAL_BLOCK: the report's bits

@@ -21,6 +21,7 @@ from plaustraj.predictor import (
     load_predictor,
     min_of_k_mse,
     predict,
+    predict_heads,
     save_predictor,
     train_predictor,
 )
@@ -50,7 +51,7 @@ def test_predict_anchored_at_last_observation():
     model.head.weights[0][:] = 0.0
     past, obs = past_and_obs()
     pred = predict(model, past, obs)
-    assert pred.n_heads == 1
+    assert len(pred.trajectories) == 1
     assert np.allclose(pred.trajectories[0].points, past.points[-1])
 
 
@@ -100,6 +101,29 @@ def test_predict_holds_the_heads_as_one_array():
     want = past.points[-1] + np.cumsum(out.reshape(4, 12, 2), axis=1)
     assert heads.points.shape == (4, 12, 2) and heads.points.tobytes() == want.tobytes()
     assert [t.points.tobytes() for t in heads] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("include_pose", [True, False], ids=["pose", "no-pose"])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_predict_is_the_one_row_call_of_predict_heads(k, include_pose):
+    """predict gives the one row of predict_heads bit for bit, and
+    predict_heads of N windows is one trunk and one head forward over the N
+    input rows with each window's heads anchored at its last position."""
+    layout = InputLayout(past_frames=9, include_pose=include_pose)
+    model = build_predictor(layout, horizon=12, n_heads=k, trunk_hidden=(16, 8), seed=k)
+    model.head.biases[0][:] = np.linspace(-1.0, 1.0, k * 24)
+    windows = [past_and_obs(speed=0.4 + 0.3 * i, heading=0.5 * i) for i in range(5)]
+    past = np.stack([p.points for p, _ in windows])
+    joints = np.stack([o.joint_array() for _, o in windows])
+    heads = predict_heads(model, past, joints if include_pose else None)
+    out = gradcore.forward(model.head, gradcore.forward(model.trunk,
+                                                        build_input(past, joints, layout)))
+    want = past[:, -1, None, None] + np.cumsum(out.reshape(5, k, 12, 2), axis=2)
+    assert heads.shape == (5, k, 12, 2) and heads.tobytes() == want.tobytes()
+    for p, o in windows:
+        one = predict_heads(model, p.points[None], o.joint_array()[None])
+        pred = predict(model, p, o if include_pose else None)
+        assert pred.trajectories.points.tobytes() == one[0].tobytes()
 
 
 def test_head_blocks_are_the_per_head_seeded_draws():

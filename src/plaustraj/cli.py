@@ -105,7 +105,7 @@ def cmd_train_locoval(config_path, out, data_dir):
                                        hidden=tuple(cfg.locoval.hidden),
                                        holdout_fraction=cfg.locoval.holdout_fraction)
     locoval_mod.save_locoval(result.model, out_dir / "locoval.json",
-                             seed=cfg.locoval.train.seed, train_config=cfg.locoval.train)
+                             train_config=cfg.locoval.train)
     metrics.save_csv(out_dir / "locoval_curve.csv", ["step", "lr", "train_mse", "holdout_mse"],
                      [[p.step, repr(p.lr), repr(p.train_mse), repr(p.holdout_mse)]
                       for p in result.curve])
@@ -141,8 +141,9 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
     result = predictor_mod.train_predictor(
         instances, scorer, cfg.predictor.train, alpha=cfg.predictor.alpha,
         n_heads=cfg.predictor.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
+    checksum = None if scorer is None else gradcore.params_sha256(scorer.net)
     predictor_mod.save_predictor(result, out_dir / "predictor.json",
-                                 train_config=cfg.predictor.train)
+                                 locoval_checksum=checksum, train_config=cfg.predictor.train)
     metrics.save_csv(out_dir / "predictor_curve.csv",
                      ["step", "loss_gt", "loss_plaus", "ratio", "regularizer_dominates"],
                      [[p.step, repr(p.loss_gt), repr(p.loss_plaus), repr(p.ratio),
@@ -170,11 +171,7 @@ def cmd_eval(config_path, out, threshold):
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
 
-    model = predictor_mod.load_predictor(out_dir / "predictor.json")
-    scorer_path = out_dir / "locoval.json"
-    scorer = locoval_mod.load_locoval(scorer_path) if scorer_path.exists() else None
-    if threshold is not None and scorer is None:
-        raise DataError(f"--filter requires {scorer_path}")
+    model, scorer = _load_checkpoints(out_dir, scorer_needed=threshold is not None)
 
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)
     evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
@@ -256,10 +253,9 @@ def cmd_sweep(config_path, out, param, values):
     if grid is None:
         grid = list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
 
-    scorer = locoval_mod.load_locoval(out_dir / "locoval.json")
     # the lambda sweep filters this predictor's heads; the alpha sweep trains
     # models with as many heads
-    model = predictor_mod.load_predictor(out_dir / "predictor.json")
+    model, scorer = _load_checkpoints(out_dir, scorer_needed=True)
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)
 
     rows = []
@@ -290,6 +286,21 @@ def cmd_sweep(config_path, out, param, values):
     for row in rows:
         click.echo("  ".join(f"{k}={v}" for k, v in row.items()))
     click.echo(f"wrote {sweep_path}")
+
+
+def _load_checkpoints(out_dir: Path, scorer_needed: bool):
+    """The predictor and scorer (None when absent and not needed) of out_dir; a
+    DataError unless the predictor's locoval_checksum is null or this scorer's."""
+    model_path, scorer_path = out_dir / "predictor.json", out_dir / "locoval.json"
+    model = predictor_mod.load_predictor(model_path)
+    if not (scorer_needed or scorer_path.exists()):
+        return model, None
+    scorer = locoval_mod.load_locoval(scorer_path)
+    recorded = gradcore.load_checkpoint(model_path, lambda doc: doc["locoval_checksum"])
+    if recorded not in (None, gradcore.params_sha256(scorer.net)):
+        raise DataError(f"{scorer_path} is not the scorer that {model_path} was trained "
+                        f"against; retrain the predictor")
+    return model, scorer
 
 
 def _parse_grid(values: str) -> list[float]:

@@ -11,20 +11,21 @@ batch X of shape (B, fan_in) propagates as X @ W + b.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Callable
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError,
-                     InputShapeError, NumericError, at_least, one_of, rule)
+                     InputShapeError, NumericError, at_least, check_value, one_of, rule)
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -441,39 +442,30 @@ def grad_check(
 # Checkpoint serialization
 
 
-def model_to_dict(model: MlpModel, seed: int | None = None,
-                  train_config: TrainConfig | None = None) -> dict:
-    """The model as a JSON-ready dict. "params" is the base64 of the model's
-    params buffer as little-endian float64, in params order: every weight
-    matrix in layer order, then every bias. A float32 model is widened to
-    float64, which is exact."""
-    raw = model.params.astype("<f8", copy=False).tobytes()
+def model_to_dict(model: MlpModel) -> dict:
+    """The model as a JSON-ready model entry: layer sizes, activations and
+    "params", the base64 of the params buffer as little-endian float64 in
+    params order. A float32 model is widened to float64, which is exact."""
+    raw = model.params.astype("<f8", copy=False)
     return {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),
         "hidden_activation": model.hidden_activation,
         "output_activation": model.output_activation,
         "params": base64.b64encode(raw).decode("ascii"),
-        "seed": seed,
-        "train_config": asdict(train_config) if train_config is not None else None,
     }
 
 
-def check_schema(version):
-    """A ConfigError unless a checkpoint's schema version is the one this
-    code writes; older files cannot be read and must be written anew."""
-    if version != CHECKPOINT_SCHEMA_VERSION:
-        raise ConfigError(f"checkpoint schema {version!r}, but this version reads only "
-                          f"schema {CHECKPOINT_SCHEMA_VERSION}; retrain to write a new checkpoint")
+def params_sha256(model: MlpModel) -> str:
+    """The sha256 of the bytes that model_to_dict's "params" base64-encodes."""
+    return hashlib.sha256(model.params.astype("<f8", copy=False)).hexdigest()
 
 
 def model_from_dict(doc: dict) -> MlpModel:
     """The float64 model of a model_to_dict dict. A params payload that is not
     base64 or does not hold one float64 per parameter is a DataError."""
-    check_schema(doc["schema_version"])
-    sizes = [int(s) for s in doc["layer_sizes"]]
-    if any(s < 1 for s in sizes):
-        raise DataError(f"layer sizes {sizes} must be positive")
+    sizes = doc["layer_sizes"]
+    if not (isinstance(sizes, list) and all(type(s) is int and s >= 1 for s in sizes)):
+        raise DataError(f"layer sizes {sizes!r} must be a list of integers >= 1")
     shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
     count = sum(math.prod(shape) for shape in shapes)
     payload = doc["params"]
@@ -488,38 +480,54 @@ def model_from_dict(doc: dict) -> MlpModel:
                         f"need {count} float64, {8 * count} bytes")
     views = _views(np.frombuffer(raw, "<f8"), shapes)
     n = len(sizes) - 1
-    model = MlpModel(
-        sizes, views[:n], views[n:],
-        hidden_activation=doc["hidden_activation"],
-        output_activation=doc["output_activation"],
-    )
+    model = MlpModel(sizes, views[:n], views[n:], doc["hidden_activation"],
+                     doc["output_activation"])
     model.validate()
     return model
 
 
+def read_field(doc: dict, key: str, kind, prefix: str = ""):
+    """doc[key] as kind: an integer >= 1, true or false, or a dataclass of such
+    fields (a layout) from an object giving each once; else a DataError naming it."""
+    value, name = doc[key], prefix + key
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        if not (isinstance(value, dict) and set(value) == set(hints)):
+            raise DataError(f"{name} must be an object of {', '.join(hints)}, got {value!r}")
+        return kind(**{k: read_field(value, k, t, name + ".") for k, t in hints.items()})
+    try:
+        check_value(name, value, kind(), at_least(1) if kind is int else None)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    return value
+
+
 def save_checkpoint(doc: dict, path):
-    """Write doc to path as JSON, encoded in one call of json's C encoder."""
+    """Write the schema version and doc, its dataclasses (layouts, a
+    TrainConfig) as objects, to path as JSON in one call of json's C encoder."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps({"schema_version": CHECKPOINT_SCHEMA_VERSION, **doc}, default=asdict))
 
 
 def load_checkpoint(path, build: Callable[[dict], object]):
-    """build(doc) from the JSON document at path. A file that is not JSON, or
-    whose structure build cannot read, is a DataError naming the path. The
-    ConfigError build raises for a well-formed but wrong document (another
-    kind of checkpoint, an old schema) and the NumericError for a non-finite
-    parameter are raised again with the path in front."""
+    """build(doc) from the JSON document at path, once its schema version is
+    checked. A file that is not JSON or that build cannot read is a DataError,
+    another schema or a ConfigError of build (another kind of checkpoint) a
+    ConfigError, and a non-finite parameter a NumericError, each naming path."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not a JSON file ({exc})") from None
     try:
+        # predictor files before schema 3 kept their version under another key
+        version = doc.get("schema_version", doc.get("predictor_schema_version"))
+        if version != CHECKPOINT_SCHEMA_VERSION:
+            raise ConfigError(f"checkpoint schema {version!r}, but this version reads only "
+                              f"schema {CHECKPOINT_SCHEMA_VERSION}; retrain to write a new one")
         return build(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except NumericError as exc:
-        raise NumericError(f"{path}: {exc}") from None
+    except (ConfigError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except DataError as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc})") from None
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:

@@ -11,7 +11,7 @@ what lets a predictor train against the scorer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,20 +267,16 @@ def train_locoval(
 # Checkpoint I/O
 
 
-def save_locoval(model: LocoValModel, path, seed: int | None = None,
-                 train_config: TrainConfig | None = None):
-    doc = gradcore.model_to_dict(model.net, seed=seed, train_config=train_config)
-    doc["feature_layout"] = asdict(model.layout)
-    doc["locoval_schema_version"] = gradcore.CHECKPOINT_SCHEMA_VERSION
-    gradcore.save_checkpoint(doc, path)
+def save_locoval(model: LocoValModel, path, train_config: TrainConfig | None = None):
+    gradcore.save_checkpoint({"net": gradcore.model_to_dict(model.net),
+                              "feature_layout": model.layout, "train_config": train_config}, path)
 
 
 def load_locoval(path) -> LocoValModel:
     def build(doc):
         if "feature_layout" not in doc:
             raise ConfigError("not a scorer checkpoint (missing feature_layout)")
-        gradcore.check_schema(doc["locoval_schema_version"])
-        return LocoValModel(net=gradcore.model_from_dict(doc),
-                            layout=FeatureLayout(**doc["feature_layout"]))
+        return LocoValModel(net=gradcore.model_from_dict(doc["net"]),
+                            layout=gradcore.read_field(doc, "feature_layout", FeatureLayout))
 
     return gradcore.load_checkpoint(path, build)

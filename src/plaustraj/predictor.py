@@ -5,14 +5,13 @@ head k's future per-step displacements; predicted trajectories are cumulative
 sums anchored at the last observed position. Training minimizes the min-of-K
 MSE (plain MSE for one head) plus alpha * mean_k (score_k - 1)^2, the scores
 coming from a frozen scorer on every head. Training computes in float32;
-the model it returns, checkpoints and predict are float64. Checkpoints store
-one single-layer entry per head.
+the model it returns, checkpoints and predict are float64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,25 +64,13 @@ class PredictorModel:
             raise ConfigError("trunk input size != input layout feature size")
 
 
-def _fuse_heads(heads: list[MlpModel], horizon: int) -> MlpModel:
+def _fuse_heads(heads: list[MlpModel]) -> MlpModel:
     """One linear layer whose column block k is heads[k]'s only layer."""
     if not heads:
         raise ConfigError("need at least one prediction head")
-    first, sizes = heads[0], [heads[0].layer_sizes[0], 2 * horizon]
-    for k, h in enumerate(heads):
-        if h.layer_sizes != sizes or h.output_activation != first.output_activation:
-            raise ConfigError(f"head {k} must be one linear layer {sizes} like head 0")
-    return MlpModel([sizes[0], len(heads) * sizes[1]],
+    return MlpModel([heads[0].layer_sizes[0], sum(h.layer_sizes[1] for h in heads)],
                     [np.concatenate([h.weights[0] for h in heads], axis=1)],
-                    [np.concatenate([h.biases[0] for h in heads])],
-                    first.hidden_activation, first.output_activation)
-
-
-def _split_head(model: PredictorModel) -> list[MlpModel]:
-    """One single-layer model per column block: the inverse of _fuse_heads."""
-    h, K = model.head, model.n_heads
-    return [MlpModel([len(w), w.shape[1]], [w], [b], h.hidden_activation, h.output_activation)
-            for w, b in zip(np.split(h.weights[0], K, axis=1), np.split(h.biases[0], K))]
+                    [np.concatenate([h.biases[0] for h in heads])])
 
 
 def _head_blocks(out: np.ndarray, horizon: int) -> np.ndarray:
@@ -111,7 +98,7 @@ def build_predictor(
     heads = [gradcore.init_mlp([trunk_hidden[-1], 2 * horizon],
                                np.random.default_rng(np.random.SeedSequence([seed, k + 1])))
              for k in range(n_heads)]
-    return PredictorModel(trunk=trunk, head=_fuse_heads(heads, horizon),
+    return PredictorModel(trunk=trunk, head=_fuse_heads(heads),
                           horizon=horizon, input_layout=input_layout)
 
 
@@ -354,32 +341,29 @@ def train_predictor(
 def save_predictor(result_or_model, path, alpha: float | None = None,
                    locoval_checksum: str | None = None,
                    train_config: TrainConfig | None = None):
-    model = result_or_model.model if isinstance(result_or_model, PredictorTrainResult) else result_or_model
-    if isinstance(result_or_model, PredictorTrainResult) and alpha is None:
-        alpha = result_or_model.alpha
-    doc = {
-        "predictor_schema_version": gradcore.CHECKPOINT_SCHEMA_VERSION,
-        "trunk": gradcore.model_to_dict(model.trunk, train_config=train_config),
-        "heads": [gradcore.model_to_dict(h) for h in _split_head(model)],
+    """locoval_checksum: gradcore.params_sha256 of the scorer the model was
+    trained against, None without one."""
+    model = result_or_model
+    if isinstance(model, PredictorTrainResult):
+        model, alpha = model.model, model.alpha if alpha is None else alpha
+    gradcore.save_checkpoint({
+        "trunk": gradcore.model_to_dict(model.trunk),
+        "head": gradcore.model_to_dict(model.head),
         "horizon": model.horizon,
-        "input_layout": asdict(model.input_layout),
+        "input_layout": model.input_layout,
         "alpha": alpha,
+        "train_config": train_config,
         "locoval_checksum": locoval_checksum,
-    }
-    gradcore.save_checkpoint(doc, path)
+    }, path)
 
 
 def load_predictor(path) -> PredictorModel:
     def build(doc):
-        if "trunk" not in doc or "heads" not in doc:
+        if "trunk" not in doc or "head" not in doc:
             raise ConfigError("not a predictor checkpoint")
-        gradcore.check_schema(doc["predictor_schema_version"])
-        horizon = int(doc["horizon"])
-        return PredictorModel(
-            trunk=gradcore.model_from_dict(doc["trunk"]),
-            head=_fuse_heads([gradcore.model_from_dict(h) for h in doc["heads"]], horizon),
-            horizon=horizon,
-            input_layout=InputLayout(**doc["input_layout"]),
-        )
+        return PredictorModel(gradcore.model_from_dict(doc["trunk"]),
+                              gradcore.model_from_dict(doc["head"]),
+                              gradcore.read_field(doc, "horizon", int),
+                              gradcore.read_field(doc, "input_layout", InputLayout))
 
     return gradcore.load_checkpoint(path, build)

@@ -1,6 +1,7 @@
 """Shared fixtures. The expensive ones (trained scorer, labeled dataset) are
 session-scoped so the property tests and the acceptance suite reuse them."""
 
+import base64
 import os
 
 import numpy as np
@@ -16,6 +17,17 @@ from plaustraj.gradcore import TrainConfig
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+# what the scorer writer wrote at schema 2: the model entry's fields, and the
+# version twice, at the top and as locoval_schema_version
+SCHEMA_2_LOCOVAL = {
+    "schema_version": 2, "layer_sizes": [50, 1], "hidden_activation": "relu",
+    "output_activation": "sigmoid", "params": base64.b64encode(bytes(8 * 51)).decode("ascii"),
+    "seed": 14, "train_config": None, "locoval_schema_version": 2,
+    "feature_layout": {"horizon": 12, "joint_count": 8, "include_pose": True,
+                       "include_velocity": True},
+}
 
 
 def make_observable(heading=0.0, speed=1.2, root=(0.0, 0.0)):

@@ -1,12 +1,14 @@
 import base64
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plaustraj import filtering, locoval, predictor
+from conftest import SCHEMA_2_LOCOVAL
+from plaustraj import filtering, gradcore, locoval, predictor
 from plaustraj.cli import main
 
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
@@ -453,9 +455,9 @@ def _horizon_not_a_number() -> str:
 
 
 def _with_head_params(change) -> str:
-    """The fixture with its first head's params payload replaced by change(payload)."""
+    """The fixture with its head's params payload replaced by change(payload)."""
     doc = json.loads(PREDICTOR_FIXTURE.read_text())
-    doc["heads"][0]["params"] = change(doc["heads"][0]["params"])
+    doc["head"]["params"] = change(doc["head"]["params"])
     return json.dumps(doc)
 
 
@@ -474,7 +476,7 @@ def _head_weight_not_a_number() -> str:
     "name, content",
     [
         ("predictor.json", "{not json"),
-        ("predictor.json", '{"trunk": 1, "heads": [1]}'),
+        ("predictor.json", '{"schema_version": 3, "trunk": 1, "head": 1}'),
         ("predictor.json", _without_horizon()),
         ("predictor.json", _horizon_not_a_number()),
         ("predictor.json", _head_weight_short()),
@@ -516,24 +518,18 @@ def test_eval_nan_checkpoint_parameter_is_one_line_numeric_failure(tiny_config, 
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def _schema_1_predictor() -> str:
+def _schema_2_predictor() -> str:
+    """The fixture with its version where schema 2 kept it."""
     doc = json.loads(PREDICTOR_FIXTURE.read_text())
-    doc["predictor_schema_version"] = 1
+    del doc["schema_version"]
+    doc["predictor_schema_version"] = 2
     return json.dumps(doc)
 
 
-# what the scorer writer wrote before parameters were a base64 payload
-SCHEMA_1_LOCOVAL = json.dumps({
-    "schema_version": 1, "layer_sizes": [2, 1], "hidden_activation": "relu",
-    "output_activation": "sigmoid", "parameters": [{"weights": [0.0, 0.0], "biases": [0.0]}],
-    "seed": None, "train_config": None, "feature_layout": {}, "locoval_schema_version": 1,
-})
-
-
-@pytest.mark.parametrize("name, content", [("predictor.json", _schema_1_predictor()),
-                                           ("locoval.json", SCHEMA_1_LOCOVAL)],
+@pytest.mark.parametrize("name, content", [("predictor.json", _schema_2_predictor()),
+                                           ("locoval.json", json.dumps(SCHEMA_2_LOCOVAL))],
                          ids=["predictor", "locoval"])
-def test_eval_schema_1_checkpoint_is_one_line_config_error(tiny_config, tmp_path, capsys,
+def test_eval_schema_2_checkpoint_is_one_line_config_error(tiny_config, tmp_path, capsys,
                                                            name, content):
     out = tmp_path / "run"
     out.mkdir()
@@ -541,9 +537,86 @@ def test_eval_schema_1_checkpoint_is_one_line_config_error(tiny_config, tmp_path
     (out / name).write_text(content)
     assert run("eval", "--config", tiny_config, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {out / name}: checkpoint schema 1")
+    assert err.startswith(f"config error: {out / name}: checkpoint schema 2")
     assert "retrain" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _with_field(doc: dict, field: str, value) -> str:
+    """doc with field, a key of it or of its layout entry, set to value."""
+    layout = doc.get("input_layout", doc.get("feature_layout"))
+    (doc if field in doc else layout)[field] = value
+    return json.dumps(doc)
+
+
+def _scorer_doc() -> dict:
+    """An untrained scorer of the fixture's horizon."""
+    net = locoval.build_locoval(locoval.FeatureLayout(horizon=12)).net
+    return {"schema_version": 3, "net": gradcore.model_to_dict(net), "train_config": None,
+            "feature_layout": {"horizon": 12, "joint_count": 8, "include_pose": True,
+                               "include_velocity": True}}
+
+
+@pytest.mark.parametrize("name, field, value, message", [
+    ("predictor.json", "horizon", 12.5, "horizon must be an integer, got 12.5"),
+    ("predictor.json", "horizon", True, "horizon must be an integer, got True"),
+    ("predictor.json", "include_pose", "no",
+     "input_layout.include_pose must be true or false, got 'no'"),
+    ("locoval.json", "horizon", 12.0, "feature_layout.horizon must be an integer, got 12.0"),
+    ("locoval.json", "include_pose", None,
+     "feature_layout.include_pose must be true or false, got None"),
+], ids=["horizon-real", "horizon-bool", "include-pose-string", "scorer-horizon-real",
+        "scorer-include-pose-null"])
+def test_eval_checkpoint_field_of_wrong_kind_is_one_line_data_error(tiny_config, tmp_path,
+                                                                     capsys, name, field,
+                                                                     value, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    docs = {"predictor.json": json.loads(PREDICTOR_FIXTURE.read_text()),
+            "locoval.json": _scorer_doc()}
+    for path, doc in docs.items():
+        (out / path).write_text(_with_field(doc, field, value) if path == name
+                                else json.dumps(doc))
+    assert run("eval", "--config", tiny_config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {out / name}: malformed checkpoint ({message})\n"
+
+
+def test_train_predictor_records_the_scorer_hash(trained_dir):
+    """predictor.json records the sha256 of the bytes that locoval.json's
+    params base64-encodes."""
+    pred = json.loads((trained_dir / "predictor.json").read_text())
+    net = json.loads((trained_dir / "locoval.json").read_text())["net"]
+    assert pred["locoval_checksum"] == hashlib.sha256(base64.b64decode(net["params"])).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep --param lambda",
+                                     "sweep --param alpha --values 0"])
+def test_other_scorer_is_one_line_data_error(tiny_config, trained_dir, capsys, command):
+    """A scorer that is not the one the predictor trained against, with one
+    parameter changed, is refused before any output is written."""
+    scorer_path = trained_dir / "locoval.json"
+    doc = json.loads(scorer_path.read_text())
+    flat = np.frombuffer(base64.b64decode(doc["net"]["params"]), "<f8").copy()
+    flat[0] += 1e-3
+    doc["net"]["params"] = base64.b64encode(flat.tobytes()).decode("ascii")
+    scorer_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*command.split(), "--config", tiny_config, "--out", str(trained_dir)) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {scorer_path} is not the scorer that {trained_dir / 'predictor.json'} "
+        f"was trained against; retrain the predictor\n")
+    assert not {"metrics.json", "sweep_lambda.csv", "sweep_alpha.csv"} & {
+        f.name for f in trained_dir.iterdir()}
+
+
+def test_predictor_trained_without_a_scorer_evaluates_against_any(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    for stage in (["train-predictor"], ["gen-data"], ["train-locoval"]):
+        assert run(*stage, "--config", tiny_config, "--out", str(out)) == 0
+    assert json.loads((out / "predictor.json").read_text())["locoval_checksum"] is None
+    assert run("eval", "--config", tiny_config, "--out", str(out), "--filter", "0.5") == 0
+    assert run("sweep", "--config", tiny_config, "--out", str(out)) == 0
 
 
 def test_train_predictor_zero_heads_is_config_error(tiny_config, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import base64
 import copy
+import hashlib
 import json
 import pickle
 
@@ -23,12 +24,13 @@ from plaustraj.gradcore import (
     load_checkpoint,
     model_from_dict,
     model_to_dict,
+    params_sha256,
     save_checkpoint,
 )
 
 
-def save_model(model, path, seed=None, train_config=None):
-    save_checkpoint(model_to_dict(model, seed, train_config), path)
+def save_model(model, path):
+    save_checkpoint(model_to_dict(model), path)
 
 
 def load_model(path):
@@ -683,7 +685,7 @@ def test_train_config_rejects_bad_values(kwargs):
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = small_model(seed=20, sizes=(5, 16, 16, 2), hidden="relu", output="sigmoid")
     path = tmp_path / "model.json"
-    save_model(model, path, seed=20)
+    save_model(model, path)
     loaded = load_model(path)
     x = np.random.default_rng(21).normal(size=(4, 5))
     assert np.array_equal(forward(model, x), forward(loaded, x))
@@ -692,24 +694,28 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_json_is_self_describing(tmp_path):
     model = small_model(seed=22)
     path = tmp_path / "m.json"
-    save_model(model, path, seed=22, train_config=TrainConfig())
+    save_model(model, path)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 2
+    assert list(doc) == ["schema_version", "layer_sizes", "hidden_activation",
+                         "output_activation", "params"]
+    assert doc["schema_version"] == 3
     assert doc["layer_sizes"] == [4, 8, 3]
-    assert doc["seed"] == 22
-    assert doc["train_config"]["learning_rate"] == 1e-3
     # little-endian float64 in params order: every weight matrix, then every bias
-    flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
-    assert flat.tobytes() == np.concatenate(
-        [*(w.ravel() for w in model.weights), *model.biases]).tobytes()
+    raw = base64.b64decode(doc["params"])
+    assert raw == np.concatenate([*(w.ravel() for w in model.weights), *model.biases]).tobytes()
+    assert params_sha256(model) == hashlib.sha256(raw).hexdigest()
+    assert params_sha256(model.astype(np.float32)) == hashlib.sha256(
+        model.astype(np.float32).params.astype("<f8").tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("version", [1, 99, None])
-def test_checkpoint_rejects_unknown_schema(version):
-    doc = model_to_dict(small_model())
-    doc["schema_version"] = version
-    with pytest.raises(ConfigError, match="retrain"):
-        model_from_dict(doc)
+@pytest.mark.parametrize("version", [1, 2, 99, None, "3"])
+def test_checkpoint_rejects_unknown_schema(tmp_path, version):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**model_to_dict(small_model()), "schema_version": version}))
+    with pytest.raises(ConfigError, match="retrain") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: checkpoint schema {version!r}, but this "
+                                      f"version reads only schema 3")
 
 
 def b64(raw: bytes) -> str:
@@ -766,6 +772,15 @@ def test_checkpoint_bad_payload_is_data_error(payload, reason):
     doc = model_to_dict(small_model())
     doc["params"] = payload
     with pytest.raises(DataError, match=reason):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("sizes", [[4, 8.9, 3], [4, True, 3], [4, 0, 3], "4 8 3"],
+                         ids=["real", "bool", "zero", "string"])
+def test_checkpoint_layer_sizes_must_be_positive_integers(sizes):
+    doc = model_to_dict(small_model())
+    doc["layer_sizes"] = sizes
+    with pytest.raises(DataError, match="must be a list of integers >= 1"):
         model_from_dict(doc)
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import awkward_observables, make_observable, pair_of, straight_trajectory
+from conftest import (SCHEMA_2_LOCOVAL, awkward_observables, make_observable, pair_of,
+                      straight_trajectory)
 from plaustraj import gradcore, locoval
-from plaustraj.errors import ConfigError, InputShapeError
+from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import (
     FeatureLayout,
@@ -405,7 +406,7 @@ def test_train_inconsistent_shapes_rejected():
 
 def test_locoval_checkpoint_roundtrip(tmp_path, trained_scorer):
     path = tmp_path / "scorer.json"
-    save_locoval(trained_scorer.model, path, seed=14)
+    save_locoval(trained_scorer.model, path, train_config=TrainConfig(seed=14))
     loaded = load_locoval(path)
     obs = make_observable()
     traj = straight_trajectory(n=12)
@@ -413,16 +414,29 @@ def test_locoval_checkpoint_roundtrip(tmp_path, trained_scorer):
     assert loaded.layout == trained_scorer.model.layout
 
 
-@pytest.mark.parametrize("field", ["locoval_schema_version", "schema_version"])
-def test_load_refuses_schema_1_naming_the_file(tmp_path, trained_scorer, field):
+def test_load_refuses_schema_2_naming_the_file(tmp_path):
+    path = tmp_path / "scorer.json"
+    path.write_text(json.dumps(SCHEMA_2_LOCOVAL))
+    with pytest.raises(ConfigError, match="retrain") as info:
+        load_locoval(path)
+    assert str(info.value).startswith(f"{path}: checkpoint schema 2")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 12.5, "feature_layout.horizon must be an integer, got 12.5"),
+    ("horizon", True, "feature_layout.horizon must be an integer, got True"),
+    ("joint_count", 0, "feature_layout.joint_count must be an integer >= 1, got 0"),
+    ("include_velocity", 1, "feature_layout.include_velocity must be true or false, got 1"),
+], ids=["horizon-real", "horizon-bool", "joint-count-zero", "include-velocity-int"])
+def test_load_checks_the_feature_layout(tmp_path, trained_scorer, field, value, message):
     path = tmp_path / "scorer.json"
     save_locoval(trained_scorer.model, path)
     doc = json.loads(path.read_text())
-    doc[field] = 1
+    doc["feature_layout"][field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="retrain") as info:
+    with pytest.raises(DataError) as info:
         load_locoval(path)
-    assert str(info.value).startswith(f"{path}: checkpoint schema 1")
+    assert str(info.value) == f"{path}: malformed checkpoint ({message})"
 
 
 def test_load_rejects_plain_model_checkpoint(tmp_path):

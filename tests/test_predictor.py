@@ -159,16 +159,20 @@ def test_predict_equals_per_head_forward():
         assert np.array_equal(traj.points, points)
 
 
-def test_checkpoint_written_per_head_loads_and_resaves(tmp_path):
-    """A K=2 checkpoint written when the heads were separate models."""
+def test_k2_checkpoint_loads_and_resaves(tmp_path):
+    """The K=2 fixture, first written when the heads were separate models,
+    predicts as one forward per column block of its head entry and saves
+    back to the same bytes."""
     doc = json.loads(FIXTURE.read_text())
     model = load_predictor(FIXTURE)
     assert model.n_heads == 2
     past, obs = past_and_obs()
     pred = predict(model, past, obs)
+    head = gradcore.model_from_dict(doc["head"])
     ref = per_head_reference(
         gradcore.model_from_dict(doc["trunk"]),
-        [gradcore.model_from_dict(h) for h in doc["heads"]],
+        [gradcore.MlpModel([8, 24], [head_block(head, k)], [head.biases[0][k * 24 : (k + 1) * 24]])
+         for k in range(2)],
         build_input(past.points[None], obs.joint_array()[None], model.input_layout),
         past.points[-1],
     )
@@ -179,28 +183,81 @@ def test_checkpoint_written_per_head_loads_and_resaves(tmp_path):
     assert path.read_bytes() == FIXTURE.read_bytes()
 
 
-def _narrow_second_head(doc):
-    head = doc["heads"][1]
-    head["layer_sizes"] = [8, 12]
+def test_checkpoint_model_entries_hold_only_the_model(tmp_path, training_instances,
+                                                      trained_scorer):
+    """The schema version, train config and scorer hash are fields of each
+    document; a model entry holds only its layer sizes, activations and params."""
+    entry_keys = {"layer_sizes", "hidden_activation", "output_activation", "params"}
+    result = train_predictor(training_instances[:20], None, _tiny_config(steps=2), n_heads=2)
+    pred_path, scorer_path = tmp_path / "pred.json", tmp_path / "scorer.json"
+    save_predictor(result, pred_path, locoval_checksum="ab" * 32, train_config=_tiny_config())
+    locoval.save_locoval(trained_scorer.model, scorer_path, train_config=_tiny_config())
+    pred, scorer = json.loads(pred_path.read_text()), json.loads(scorer_path.read_text())
+    assert set(pred) == {"schema_version", "trunk", "head", "horizon", "input_layout", "alpha",
+                         "train_config", "locoval_checksum"}
+    assert set(scorer) == {"schema_version", "net", "feature_layout", "train_config"}
+    for entry in (pred["trunk"], pred["head"], scorer["net"]):
+        assert set(entry) == entry_keys
+    assert pred["schema_version"] == scorer["schema_version"] == 3
+    assert pred["train_config"]["total_steps"] == scorer["train_config"]["total_steps"] == 60
+    assert pred["locoval_checksum"] == "ab" * 32 and pred["alpha"] == 0.0
+
+
+def _head_width_36(doc):
+    """A head entry 36 wide: not a multiple of 2 * horizon = 24."""
+    head = doc["head"]
     flat = np.frombuffer(base64.b64decode(head["params"]), "<f8")
-    narrow = np.concatenate([flat[: 8 * 12], flat[8 * 24 : 8 * 24 + 12]])
+    weights, biases = flat[: 8 * 48].reshape(8, 48), flat[8 * 48 :]
+    head["layer_sizes"] = [8, 36]
+    narrow = np.concatenate([weights[:, :36].ravel(), biases[:36]])
     head["params"] = base64.b64encode(narrow.tobytes()).decode("ascii")
 
 
-def _two_layer_second_head(doc):
-    doc["heads"][1] = gradcore.model_to_dict(
-        gradcore.init_mlp([8, 8, 24], np.random.default_rng(0))
+def _two_layer_head(doc):
+    doc["head"] = gradcore.model_to_dict(
+        gradcore.init_mlp([8, 8, 48], np.random.default_rng(0))
     )
 
 
-@pytest.mark.parametrize("corrupt", [_narrow_second_head, _two_layer_second_head],
-                         ids=["different-widths", "two-layers"])
-def test_load_predictor_rejects_mismatched_heads(tmp_path, corrupt):
+@pytest.mark.parametrize("corrupt", [_head_width_36, _two_layer_head],
+                         ids=["width-not-a-multiple", "two-layers"])
+def test_load_predictor_rejects_a_bad_head(tmp_path, corrupt):
     doc = json.loads(FIXTURE.read_text())
     corrupt(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="the head must be one linear layer emitting a "
+                                          "multiple of 24 displacements"):
+        load_predictor(path)
+
+
+def test_build_predictor_needs_a_head():
+    with pytest.raises(ConfigError, match="need at least one prediction head"):
+        build_predictor(LAYOUT, horizon=12, n_heads=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 0, "horizon must be an integer >= 1, got 0"),
+    ("past_frames", 9.0, "input_layout.past_frames must be an integer, got 9.0"),
+    ("joint_count", None, "input_layout.joint_count must be an integer, got None"),
+], ids=["horizon-zero", "past-frames-real", "joint-count-null"])
+def test_load_predictor_checks_its_fields(tmp_path, field, value, message):
+    doc = json.loads(FIXTURE.read_text())
+    (doc if field == "horizon" else doc["input_layout"])[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_predictor(path)
+    assert str(info.value) == f"{path}: malformed checkpoint ({message})"
+
+
+def test_load_predictor_needs_every_layout_field(tmp_path):
+    doc = json.loads(FIXTURE.read_text())
+    del doc["input_layout"]["include_pose"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="input_layout must be an object of "
+                                        "past_frames, include_pose, joint_count, got"):
         load_predictor(path)
 
 
@@ -618,15 +675,18 @@ def test_load_predictor_rejects_wrong_doc(tmp_path):
         load_predictor(path)
 
 
-@pytest.mark.parametrize("entry", ["document", "trunk", "head"])
-def test_load_predictor_refuses_schema_1_naming_the_file(tmp_path, entry):
+@pytest.mark.parametrize("layout", ["schema-2", "version-2"])
+def test_load_predictor_refuses_schema_2_naming_the_file(tmp_path, layout):
+    """A schema-2 file (its version under predictor_schema_version), and this
+    layout marked version 2, are refused once for the whole file."""
     doc = json.loads(FIXTURE.read_text())
-    if entry == "document":
-        doc["predictor_schema_version"] = 1
+    if layout == "schema-2":
+        del doc["schema_version"]
+        doc["predictor_schema_version"] = 2
     else:
-        (doc["trunk"] if entry == "trunk" else doc["heads"][1])["schema_version"] = 1
+        doc["schema_version"] = 2
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="retrain") as info:
         load_predictor(path)
-    assert str(info.value).startswith(f"{path}: checkpoint schema 1")
+    assert str(info.value).startswith(f"{path}: checkpoint schema 2")

@@ -290,13 +290,15 @@ def cmd_sweep(config_path, out, param, values):
 
 def _load_checkpoints(out_dir: Path, scorer_needed: bool):
     """The predictor and scorer (None when absent and not needed) of out_dir; a
-    DataError unless the predictor's locoval_checksum is null or this scorer's."""
+    DataError unless the predictor's locoval_checksum is null or this scorer's.
+    predictor.json is parsed once, for the model and the checksum."""
     model_path, scorer_path = out_dir / "predictor.json", out_dir / "locoval.json"
-    model = predictor_mod.load_predictor(model_path)
-    if not (scorer_needed or scorer_path.exists()):
+    with_scorer = scorer_needed or scorer_path.exists()
+    model, recorded = gradcore.load_checkpoint(model_path, lambda doc: (
+        predictor_mod.predictor_from_dict(doc), doc["locoval_checksum"] if with_scorer else None))
+    if not with_scorer:
         return model, None
     scorer = locoval_mod.load_locoval(scorer_path)
-    recorded = gradcore.load_checkpoint(model_path, lambda doc: doc["locoval_checksum"])
     if recorded not in (None, gradcore.params_sha256(scorer.net)):
         raise DataError(f"{scorer_path} is not the scorer that {model_path} was trained "
                         f"against; retrain the predictor")

@@ -22,6 +22,7 @@ from .oracle import (
     OracleParams,
     Trajectory,
     _map,
+    _norm,
     _row_norms,
     joint_order,
     rollout,
@@ -267,15 +268,18 @@ def _speed_profile(scenario: str, cfg: SyntheticConfig, rng: np.random.Generator
 
 def _synthesize_track(scenario: str, cfg: SyntheticConfig, rng: np.random.Generator,
                       params: OracleParams) -> Trajectory:
+    """One track of a scenario, stepped on Python floats: each coordinate has
+    the bits of the same steps on numpy 2-vectors."""
     speeds, turns = _speed_profile(scenario, cfg, rng, params)
-    heading = rng.uniform(-math.pi, math.pi)
-    pos = rng.uniform(-5.0, 5.0, size=2)
-    pts = [pos.copy()]
-    h = heading
-    for s, w in zip(speeds, turns):
-        h = wrap_angle(h + w * cfg.dt)
-        pos = pos + s * cfg.dt * np.array([math.cos(h), math.sin(h)])
-        pts.append(pos.copy())
+    h = rng.uniform(-math.pi, math.pi)
+    x, y = rng.uniform(-5.0, 5.0, size=2).tolist()
+    dt = cfg.dt
+    pts = [(x, y)]
+    for s, w in zip(speeds.tolist(), turns.tolist()):
+        h = wrap_angle(h + w * dt)
+        step = s * dt
+        x, y = x + step * math.cos(h), y + step * math.sin(h)
+        pts.append((x, y))
     pts = np.array(pts)
     if cfg.noise_sigma > 0:
         pts = pts + rng.normal(0.0, cfg.noise_sigma, size=pts.shape)
@@ -284,9 +288,10 @@ def _synthesize_track(scenario: str, cfg: SyntheticConfig, rng: np.random.Genera
 
 def _track_reward(traj: Trajectory, params: OracleParams) -> float:
     """Feasibility probe: roll the walker along the track from an aligned start."""
-    first = traj.points[1] - traj.points[0]
-    speed = np.linalg.norm(first) / traj.dt
-    heading = math.atan2(first[1], first[0]) if speed > 1e-9 else 0.0
+    (x0, y0), (x1, y1) = traj.points[:2].tolist()
+    dx, dy = x1 - x0, y1 - y0
+    speed = _norm(dx, dy, np.empty(2)) / traj.dt
+    heading = math.atan2(dy, dx) if speed > 1e-9 else 0.0
     state = make_walking_pose(heading, min(speed, params.v_max))
     state = state.transformed(translation=traj.points[0] - state.root_position)
     return rollout(Trajectory(traj.points[1:], traj.dt), state, params)

@@ -461,11 +461,16 @@ def params_sha256(model: MlpModel) -> str:
 
 
 def model_from_dict(doc: dict) -> MlpModel:
-    """The float64 model of a model_to_dict dict. A params payload that is not
+    """The float64 model of a model_to_dict dict. Layer sizes that are not
+    integers >= 1, an unknown activation, or a params payload that is not
     base64 or does not hold one float64 per parameter is a DataError."""
     sizes = doc["layer_sizes"]
     if not (isinstance(sizes, list) and all(type(s) is int and s >= 1 for s in sizes)):
         raise DataError(f"layer sizes {sizes!r} must be a list of integers >= 1")
+    for key, known in (("hidden_activation", HIDDEN_ACTIVATIONS),
+                       ("output_activation", OUTPUT_ACTIVATIONS)):
+        if doc[key] not in known:
+            raise DataError(f"{key} {doc[key]!r} must be one of {', '.join(known)}")
     shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
     count = sum(math.prod(shape) for shape in shapes)
     payload = doc["params"]

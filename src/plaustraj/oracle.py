@@ -197,16 +197,17 @@ class HumanoidState:
 
     def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
                     pivot=(0.0, 0.0)) -> "HumanoidState":
-        """Rigid transform about the vertical axis."""
+        """Rigid transform about the vertical axis. The joints move as one
+        array, each rotated by a stacked (2, 2) @ (2, 1) matmul, with the
+        bits of rotating each joint alone."""
         rot = rotation_matrix(angle)
         pivot = np.asarray(pivot, dtype=float)
-        translation = np.asarray(translation, dtype=float)
-        joints = {}
-        for name, pos in self.joints.items():
-            xy = rot @ (pos[:2] - pivot) + pivot + translation
-            joints[name] = np.array([xy[0], xy[1], pos[2]])
+        names = list(self.joints)
+        pts = np.array([self.joints[n] for n in names])
+        pts[:, :2] = ((rot @ (pts[:, :2] - pivot)[..., None])[..., 0] + pivot
+                      + np.asarray(translation, dtype=float))
         return HumanoidState(
-            joints=joints,
+            joints=dict(zip(names, pts)),
             heading=wrap_angle(self.heading + angle),
             root_velocity=rot @ self.root_velocity,
         )
@@ -305,66 +306,77 @@ def rollout(traj: Trajectory, state: HumanoidState,
     return rollout_detailed(traj, state, params)["reward"]
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a 2-vector, bit for bit (the same BLAS dot), without
-    its dispatch."""
-    return math.sqrt(v.dot(v))
+def _norm(x: float, y: float, buf: np.ndarray) -> float:
+    """np.linalg.norm((x, y)) bit for bit: the sqrt of the same BLAS dot,
+    taken on buf, a 2-element work array the caller reuses."""
+    buf[0] = x
+    buf[1] = y
+    return math.sqrt(buf.dot(buf))
 
 
 def rollout_detailed(traj: Trajectory, state: HumanoidState,
                      params: OracleParams) -> dict:
-    """Rollout returning per-step positions, velocities, and rewards."""
-    dt = traj.dt
-    pos = state.root_position.copy()
-    vel = state.root_velocity.copy()
-    speed = _norm(vel)
-    if speed > params.v_max:
-        vel = vel * (params.v_max / speed)
+    """Rollout returning per-step positions, velocities, and rewards.
+
+    The walker steps on Python floats with the bits of the same steps on
+    numpy 2-vectors: each coordinate is one IEEE operation either way, _norm
+    is np.linalg.norm's BLAS dot, and each clamp takes the value that min
+    and max would."""
+    dt, v_max, a_max = traj.dt, params.v_max, params.a_max
+    w_follow, w_energy, follow_scale = params.w_follow, params.w_energy, params.follow_scale
+    max_turn = params.turn_rate_max * dt
+    accel_cap = a_max * dt
+    atan2, cos, sin, exp = math.atan2, math.cos, math.sin, math.exp
+    buf = np.empty(2)
+    px, py = state.root_position.tolist()
+    vx, vy = state.root_velocity.tolist()
+    speed = _norm(vx, vy, buf)
+    if speed > v_max:
+        k = v_max / speed
+        vx, vy = vx * k, vy * k
     heading = state.heading
 
-    positions = [pos.copy()]
-    velocities = [vel.copy()]
+    positions = [(px, py)]
+    velocities = [(vx, vy)]
     rewards = []
-    for target in traj.points:
-        to_target = target - pos
-        dist = _norm(to_target)
+    for tx, ty in traj.points.tolist():
+        dx, dy = tx - px, ty - py
+        dist = _norm(dx, dy, buf)
         if dist > 1e-12:
-            desired_heading = math.atan2(to_target[1], to_target[0])
-            turn = wrap_angle(desired_heading - heading)
-            max_turn = params.turn_rate_max * dt
-            turn = max(-max_turn, min(max_turn, turn))
+            turn = wrap_angle(atan2(dy, dx) - heading)
+            turn = turn if turn < max_turn else max_turn
+            turn = turn if turn > -max_turn else -max_turn
             new_heading = wrap_angle(heading + turn)
-            target_speed = min(dist / dt, params.v_max)
+            target_speed = dist / dt
+            target_speed = target_speed if target_speed <= v_max else v_max
         else:
             new_heading = heading
             target_speed = 0.0
-        target_vel = target_speed * np.array([math.cos(new_heading), math.sin(new_heading)])
-        dv = target_vel - vel
-        dv_norm = _norm(dv)
-        accel_cap = params.a_max * dt
+        dvx = target_speed * cos(new_heading) - vx
+        dvy = target_speed * sin(new_heading) - vy
+        dv_norm = _norm(dvx, dvy, buf)
         if dv_norm > accel_cap:
-            dv = dv * (accel_cap / dv_norm)
-        new_vel = vel + dv
-        accel = _norm(dv) / dt
-        pos = pos + new_vel * dt
-        new_speed = _norm(new_vel)
-        if new_speed > 1e-9:
-            heading = math.atan2(new_vel[1], new_vel[0])
-        vel = new_vel
+            k = accel_cap / dv_norm
+            dvx, dvy = dvx * k, dvy * k
+            dv_norm = _norm(dvx, dvy, buf)
+        vx, vy = vx + dvx, vy + dvy
+        px, py = px + vx * dt, py + vy * dt
+        if _norm(vx, vy, buf) > 1e-9:
+            heading = atan2(vy, vx)
 
-        err = _norm(pos - target)
-        r = params.w_follow * math.exp(-(err / params.follow_scale) ** 2)
-        r -= params.w_energy * (accel / params.a_max) ** 2
-        rewards.append(min(1.0, max(0.0, r)))
-        positions.append(pos.copy())
-        velocities.append(vel.copy())
+        err = _norm(px - tx, py - ty, buf)
+        r = w_follow * exp(-(err / follow_scale) ** 2)
+        r -= w_energy * (dv_norm / dt / a_max) ** 2
+        r = r if r > 0.0 else 0.0
+        rewards.append(r if r < 1.0 else 1.0)
+        positions.append((px, py))
+        velocities.append((vx, vy))
 
-    T = len(rewards)
-    discounts = params.gamma ** np.arange(T)
-    omega = float(np.dot(discounts, rewards) / discounts.sum())
+    step_rewards = np.array(rewards)
+    discounts = params.gamma ** np.arange(len(rewards))
     return {
-        "reward": omega,
-        "step_rewards": np.array(rewards),
+        "reward": float(np.dot(discounts, step_rewards) / discounts.sum()),
+        "step_rewards": step_rewards,
         "positions": np.array(positions),
         "velocities": np.array(velocities),
     }
@@ -376,7 +388,11 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
 #   because numpy's SIMD versions differ in the last bit and a heading-flip
 #   pair sits on the +-pi tie of the turn, where one bit flips the direction
 #   (numpy squares with x*x, the scalar code with pow);
-# - row norms are one BLAS dot per row, as in np.linalg.norm;
+# - each walker takes its 2-vector norms as np.linalg.norm does, the sqrt of
+#   one BLAS dot, so they round alike on any BLAS: here each row's norm is
+#   that dot (a stacked matmul of (1, 2) by (2, 1) rows), and
+#   rollout_detailed's _norm is the dot of its Python floats on a reused
+#   2-element array;
 # - the angle wrap is fmod plus one +-2pi correction: both steps are exact,
 #   so it lands on the same representative in (-pi, pi] as wrap_angle.
 

@@ -357,13 +357,16 @@ def save_predictor(result_or_model, path, alpha: float | None = None,
     }, path)
 
 
-def load_predictor(path) -> PredictorModel:
-    def build(doc):
-        if "trunk" not in doc or "head" not in doc:
-            raise ConfigError("not a predictor checkpoint")
-        return PredictorModel(gradcore.model_from_dict(doc["trunk"]),
-                              gradcore.model_from_dict(doc["head"]),
-                              gradcore.read_field(doc, "horizon", int),
-                              gradcore.read_field(doc, "input_layout", InputLayout))
+def predictor_from_dict(doc: dict) -> PredictorModel:
+    """The model of a predictor checkpoint document, as gradcore.load_checkpoint
+    hands it to its build function."""
+    if "trunk" not in doc or "head" not in doc:
+        raise ConfigError("not a predictor checkpoint")
+    return PredictorModel(gradcore.model_from_dict(doc["trunk"]),
+                          gradcore.model_from_dict(doc["head"]),
+                          gradcore.read_field(doc, "horizon", int),
+                          gradcore.read_field(doc, "input_layout", InputLayout))
 
-    return gradcore.load_checkpoint(path, build)
+
+def load_predictor(path) -> PredictorModel:
+    return gradcore.load_checkpoint(path, predictor_from_dict)

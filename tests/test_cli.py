@@ -461,6 +461,13 @@ def _with_head_params(change) -> str:
     return json.dumps(doc)
 
 
+def _trunk_hidden_sigmoid() -> str:
+    """The fixture with an activation that no hidden layer has."""
+    doc = json.loads(PREDICTOR_FIXTURE.read_text())
+    doc["trunk"]["hidden_activation"] = "sigmoid"
+    return json.dumps(doc)
+
+
 def _head_weight_short() -> str:
     """A payload one float short."""
     return _with_head_params(
@@ -483,12 +490,14 @@ def _head_weight_not_a_number() -> str:
         ("predictor.json", _head_weight_not_a_number()),
         ("predictor.json", _with_head_params(lambda p: "AA==")),
         ("predictor.json", _with_head_params(lambda p: [0.0, 1.0])),
+        ("predictor.json", _trunk_hidden_sigmoid()),
         ("locoval.json", "{not json"),
     ],
     ids=["predictor-not-json", "predictor-wrong-structure", "predictor-no-horizon",
          "predictor-horizon-not-a-number", "predictor-head-weight-short",
          "predictor-head-weight-not-a-number", "predictor-head-params-one-byte",
-         "predictor-head-params-not-a-string", "locoval-not-json"],
+         "predictor-head-params-not-a-string", "predictor-trunk-hidden-sigmoid",
+         "locoval-not-json"],
 )
 def test_eval_corrupt_checkpoint_is_one_line_data_error(tiny_config, tmp_path, capsys,
                                                         name, content):

@@ -24,6 +24,7 @@ from plaustraj.datakit import (
 from plaustraj.errors import ConfigError, DataError, InputShapeError, ParseError
 from plaustraj.oracle import (REQUIRED_JOINTS, ObservableState, OracleParams, Trajectory,
                               rollout, wrap_angle)
+from test_oracle import reference_rollout
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,72 @@ def test_synthetic_tracks_feasible():
     ds = generate_synthetic(cfg, 30, seed=12, params=params)
     for track in ds.tracks.values():
         assert datakit._track_reward(track, params) >= cfg.min_reward
+
+
+# Track synthesis and its feasibility probe on numpy 2-vectors: the reference
+# that generate_synthetic (on Python floats) matches bit for bit
+
+
+def _reference_synthesize_track(scenario, cfg, rng, params):
+    speeds, turns = datakit._speed_profile(scenario, cfg, rng, params)
+    heading = rng.uniform(-math.pi, math.pi)
+    pos = rng.uniform(-5.0, 5.0, size=2)
+    pts = [pos.copy()]
+    h = heading
+    for s, w in zip(speeds, turns):
+        h = wrap_angle(h + w * cfg.dt)
+        pos = pos + s * cfg.dt * np.array([math.cos(h), math.sin(h)])
+        pts.append(pos.copy())
+    pts = np.array(pts)
+    if cfg.noise_sigma > 0:
+        pts = pts + rng.normal(0.0, cfg.noise_sigma, size=pts.shape)
+    return Trajectory(pts, cfg.dt)
+
+
+def _reference_track_reward(traj, params):
+    first = traj.points[1] - traj.points[0]
+    speed = np.linalg.norm(first) / traj.dt
+    heading = math.atan2(first[1], first[0]) if speed > 1e-9 else 0.0
+    state = make_walking_pose(heading, min(speed, params.v_max))
+    state = state.transformed(translation=traj.points[0] - state.root_position)
+    return reference_rollout(Trajectory(traj.points[1:], traj.dt), state, params)
+
+
+def _reference_synthetic(config, n_tracks, seed, params):
+    """generate_synthetic's tracks, and the probe reward of every track it drew."""
+    rng = np.random.default_rng(seed)
+    names = [s for s in datakit.SCENARIOS if config.scenario_weights.get(s, 0.0) > 0]
+    weights = np.array([config.scenario_weights[s] for s in names], dtype=float)
+    weights /= weights.sum()
+    tracks, probes = [], []
+    for _ in range(n_tracks):
+        scenario = names[rng.choice(len(names), p=weights)]
+        for _ in range(config.max_retries):
+            traj = _reference_synthesize_track(scenario, config, rng, params)
+            probes.append((traj, _reference_track_reward(traj, params)))
+            if probes[-1][1] >= config.min_reward:
+                tracks.append(traj.points)
+                break
+        else:
+            raise DataError(f"no feasible {scenario!r} track")
+    return tracks, probes
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+@pytest.mark.parametrize("scenario", [*datakit.SCENARIOS, "mixed"])
+def test_synthetic_equals_numpy_reference(scenario, noise_sigma):
+    weights = ({s: 1.0 for s in datakit.SCENARIOS} if scenario == "mixed"
+               else {scenario: 1.0})
+    cfg = SyntheticConfig(noise_sigma=noise_sigma, scenario_weights=weights)
+    params = OracleParams()
+    for seed in (0, 1, 2, 31):
+        got = generate_synthetic(cfg, 12, seed=seed, params=params)
+        want, probes = _reference_synthetic(cfg, 12, seed, params)
+        assert sorted(got.tracks) == list(range(len(want)))
+        for tid, points in enumerate(want):
+            assert got.tracks[tid].points.tobytes() == points.tobytes()
+        for traj, reward in probes:
+            assert datakit._track_reward(traj, params) == reward
 
 
 def test_synthetic_turn_rate_cap_enforced():

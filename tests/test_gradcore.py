@@ -784,6 +784,17 @@ def test_checkpoint_layer_sizes_must_be_positive_integers(sizes):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hidden_activation", "sigmoid"), ("hidden_activation", None),
+    ("output_activation", "relu"), ("output_activation", ["sigmoid"]),
+], ids=["hidden-sigmoid", "hidden-null", "output-relu", "output-list"])
+def test_checkpoint_unknown_activation_is_data_error(key, value):
+    doc = model_to_dict(small_model())
+    doc[key] = value
+    with pytest.raises(DataError, match=f"^{key} .* must be one of "):
+        model_from_dict(doc)
+
+
 def test_checkpoint_nan_payload_is_numeric_error():
     doc = model_to_dict(small_model())
     flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8").copy()

@@ -137,11 +137,81 @@ def _reference_dataset(pose_bank, traj_bank, n_plausible, n_implausible, params,
     out = []
     for _ in range(n_plausible):
         traj, state = sample_plausible_pair(pose_bank, traj_bank, rng, stats=stats)
-        out.append((traj, state, rollout(traj, state, params), "plausible_pair"))
+        out.append((traj, state, reference_rollout(traj, state, params), "plausible_pair"))
     for _ in range(n_implausible):
         traj, state = sample_implausible_pair(pose_bank, traj_bank, rng, params, stats=stats)
-        out.append((traj, state, rollout(traj, state, params), "implausible_pair"))
+        out.append((traj, state, reference_rollout(traj, state, params), "implausible_pair"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The walker on numpy 2-vectors: the reference that rollout_detailed (on
+# Python floats) and rollout_batch (on (N, 2) arrays) match bit for bit
+
+
+def _reference_norm(v):
+    return math.sqrt(v.dot(v))
+
+
+def _reference_rollout_detailed(traj, state, params):
+    dt = traj.dt
+    pos = state.root_position.copy()
+    vel = state.root_velocity.copy()
+    speed = _reference_norm(vel)
+    if speed > params.v_max:
+        vel = vel * (params.v_max / speed)
+    heading = state.heading
+
+    positions = [pos.copy()]
+    velocities = [vel.copy()]
+    rewards = []
+    for target in traj.points:
+        to_target = target - pos
+        dist = _reference_norm(to_target)
+        if dist > 1e-12:
+            desired_heading = math.atan2(to_target[1], to_target[0])
+            turn = wrap_angle(desired_heading - heading)
+            max_turn = params.turn_rate_max * dt
+            turn = max(-max_turn, min(max_turn, turn))
+            new_heading = wrap_angle(heading + turn)
+            target_speed = min(dist / dt, params.v_max)
+        else:
+            new_heading = heading
+            target_speed = 0.0
+        target_vel = target_speed * np.array([math.cos(new_heading), math.sin(new_heading)])
+        dv = target_vel - vel
+        dv_norm = _reference_norm(dv)
+        accel_cap = params.a_max * dt
+        if dv_norm > accel_cap:
+            dv = dv * (accel_cap / dv_norm)
+        new_vel = vel + dv
+        accel = _reference_norm(dv) / dt
+        pos = pos + new_vel * dt
+        new_speed = _reference_norm(new_vel)
+        if new_speed > 1e-9:
+            heading = math.atan2(new_vel[1], new_vel[0])
+        vel = new_vel
+
+        err = _reference_norm(pos - target)
+        r = params.w_follow * math.exp(-(err / params.follow_scale) ** 2)
+        r -= params.w_energy * (accel / params.a_max) ** 2
+        rewards.append(min(1.0, max(0.0, r)))
+        positions.append(pos.copy())
+        velocities.append(vel.copy())
+
+    T = len(rewards)
+    discounts = params.gamma ** np.arange(T)
+    omega = float(np.dot(discounts, rewards) / discounts.sum())
+    return {
+        "reward": omega,
+        "step_rewards": np.array(rewards),
+        "positions": np.array(positions),
+        "velocities": np.array(velocities),
+    }
+
+
+def reference_rollout(traj, state, params=OracleParams()):
+    return _reference_rollout_detailed(traj, state, params)["reward"]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +390,8 @@ def test_rollout_speed_cap_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# batched rollout: the per-pair rollout is the reference, bit for bit
+# the walker on Python floats and the batched walker: the numpy walker is the
+# reference of both, bit for bit
 
 
 def _batch_rewards(pairs, params=OracleParams()):
@@ -407,7 +478,9 @@ def _probe_pair(heading, speed, kind, horizon, dt, seed, params):
 def test_rollout_batch_equals_rollout(rows, horizon, dt):
     params = OracleParams()
     pairs = [_probe_pair(h, v, kind, horizon, dt, seed, params) for h, v, kind, seed in rows]
-    _assert_bits_equal(_batch_rewards(pairs, params), [rollout(t, s, params) for t, s in pairs])
+    want = [reference_rollout(t, s, params) for t, s in pairs]
+    _assert_bits_equal(_batch_rewards(pairs, params), want)
+    _assert_bits_equal([rollout(t, s, params) for t, s in pairs], want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -420,7 +493,133 @@ def test_rollout_batch_equals_rollout_on_seeded_banks(pose_bank, traj_bank, seed
             sample_implausible_pair(pose_bank, traj_bank, rng, params, perturbation=kind)
             for _ in range(100)
         ]
-    _assert_bits_equal(_batch_rewards(pairs, params), [rollout(t, s, params) for t, s in pairs])
+    want = [reference_rollout(t, s, params) for t, s in pairs]
+    _assert_bits_equal(_batch_rewards(pairs, params), want)
+    _assert_bits_equal([rollout(t, s, params) for t, s in pairs], want)
+
+
+def _norm_probes():
+    """Vectors whose norm _norm must round as np.linalg.norm does: 100,000
+    of random sign with log-uniform coordinates from 1e-9 to 1e3; every pair
+    of halves from -4 to 4 (exact squares and sums); signed zeros; and
+    coordinates whose squares underflow or overflow."""
+    rng = np.random.default_rng(7)
+    magnitudes = np.exp(rng.uniform(math.log(1e-9), math.log(1e3), size=(100_000, 2)))
+    vectors = (magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.shape)).tolist()
+    halves = [i / 2 for i in range(-8, 9)]
+    vectors += [[x, y] for x in halves for y in halves]
+    zeros = [0.0, -0.0]
+    vectors += [[x, y] for x in zeros for y in zeros]
+    extremes = [1e-300, -1e-160, 5e-324, 2.0 ** -485, 2.0 ** 510, 1.3e154, 1e150, -1e200, 1e300]
+    vectors += [[x, y] for x in [*extremes, 0.0, 1.0] for y in extremes]
+    return vectors
+
+
+def test_norm_rounds_as_np_linalg_norm():
+    """_norm reuses one work array for the BLAS dot that np.linalg.norm
+    takes of a fresh 2-vector; the bits must not depend on which."""
+    vectors = _norm_probes()
+    buf = np.empty(2)
+    with np.errstate(over="ignore"):  # the squares of 1e200 and 1e300
+        _assert_bits_equal([oracle._norm(x, y, buf) for x, y in vectors],
+                           [np.linalg.norm(v) for v in np.array(vectors)])
+
+
+def _walker_probes(n, params, seed):
+    """n probes of the walker, cycling through its branches: a random walk
+    from the root, a walk with zero-distance targets, a heading flip (its
+    targets behind the walker, on the +-pi turn tie), a standing start, a
+    start above v_max, and a reversed and a rotated walk."""
+    rng = np.random.default_rng(seed)
+    kinds = ("walk", "still", "flip", "standing", "fast", "reversed", "rotated")
+    probes = []
+    for i in range(n):
+        kind = kinds[i % len(kinds)]
+        speed = {"standing": 0.0, "fast": rng.uniform(params.v_max, 4.0 * params.v_max)}.get(
+            kind, rng.uniform(0.0, params.v_max))
+        traj, state = _probe_pair(rng.uniform(-math.pi, math.pi), speed,
+                                  kind if kind in ("still", "flip") else "walk",
+                                  int(rng.integers(2, 21)), (0.1, 0.4, 0.5)[i % 3],
+                                  int(rng.integers(2**32)), params)
+        if kind == "reversed":
+            traj = Trajectory(traj.points[::-1], traj.dt)
+        elif kind == "rotated":
+            angle, root = rng.uniform(-math.pi, math.pi), state.root_position
+            traj = traj.transformed(angle, pivot=root)
+            state = state.transformed(angle, pivot=root)
+        probes.append((traj, state))
+    return probes
+
+
+def _tie_probes():
+    """Walkers at the origin facing along an axis, with targets exactly
+    behind them, so that the first turn is +-pi before the wrap, some with a
+    -0.0 coordinate."""
+    probes = []
+    for heading, behind in ((0.0, [[-1.0, 0.0], [-2.0, -0.0]]),
+                            (0.0, [[-1.0, -0.0], [-1.5, 0.0], [-1.5, 0.0]]),
+                            (math.pi, [[1.0, 0.0], [2.0, 0.0]]),
+                            (math.pi, [[0.5, -0.0], [0.0, 0.0]]),
+                            (-math.pi, [[1.0, -0.0], [3.0, 0.0]])):
+        for speed in (0.0, 1.0, 3.0):
+            for dt in (0.1, 0.4):
+                probes.append((Trajectory(np.array(behind), dt), walker(heading, speed)))
+    return probes
+
+
+@pytest.mark.parametrize("params", [
+    OracleParams(),
+    OracleParams(v_max=1.0, a_max=0.5, turn_rate_max=0.5, gamma=0.5, w_energy=1.0),
+], ids=["default", "tight"])
+def test_rollout_detailed_equals_numpy_reference(params):
+    for traj, state in _walker_probes(3000, params, seed=5) + _tie_probes():
+        got = rollout_detailed(traj, state, params)
+        want = _reference_rollout_detailed(traj, state, params)
+        assert list(got) == list(want)
+        for key in want:
+            _assert_bits_equal(got[key], want[key])
+
+
+def _reference_transformed(state, angle=0.0, translation=(0.0, 0.0), pivot=(0.0, 0.0)):
+    """HumanoidState.transformed with each joint rotated alone, as a (2, 2)
+    by (2,) matmul: the reference that the one-array transform matches bit
+    for bit."""
+    rot = oracle.rotation_matrix(angle)
+    pivot = np.asarray(pivot, dtype=float)
+    translation = np.asarray(translation, dtype=float)
+    joints = {}
+    for name, pos in state.joints.items():
+        xy = rot @ (pos[:2] - pivot) + pivot + translation
+        joints[name] = np.array([xy[0], xy[1], pos[2]])
+    return HumanoidState(joints=joints, heading=wrap_angle(state.heading + angle),
+                         root_velocity=rot @ state.root_velocity)
+
+
+def test_transformed_equals_per_joint_reference():
+    rng = np.random.default_rng(9)
+    states = [make_walking_pose(h, s) for h in (0.0, -0.0, 2.0, math.pi, -math.pi / 2)
+              for s in (0.0, 1.3)]
+    for vx, vy in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0)):
+        state = make_walking_pose(0.4, 1.0)
+        state.root_velocity = np.array([vx, vy])
+        states.append(state)
+    # -0.0 joint coordinates, which a rotation by 0 and a zero pivot make +0.0
+    state = make_walking_pose(0.4, 1.0)
+    state.joints["pelvis"] = np.array([-0.0, -0.0, 0.95])
+    state.joints["head"] = np.array([-0.0, 0.3, 1.7])
+    states.append(state)
+    for state in states:
+        for angle in (0.0, -0.0, math.pi, -math.pi / 2, rng.uniform(-math.pi, math.pi)):
+            for shift in (np.zeros(2), np.array([-0.0, -0.0]), -state.root_position,
+                          rng.uniform(-5.0, 5.0, size=2)):
+                for pivot in ((0.0, 0.0), state.root_position, rng.uniform(-5.0, 5.0, size=2)):
+                    got = state.transformed(angle, translation=shift, pivot=pivot)
+                    want = _reference_transformed(state, angle, translation=shift, pivot=pivot)
+                    assert list(got.joints) == list(want.joints)
+                    _assert_bits_equal(got.heading, want.heading)
+                    _assert_bits_equal(got.root_velocity, want.root_velocity)
+                    for name, pos in want.joints.items():
+                        _assert_bits_equal(got.joints[name], pos)
 
 
 def _assert_equals_reference(got, want):

@@ -21,6 +21,7 @@ from .oracle import (
     ObservableState,
     OracleParams,
     Trajectory,
+    TrajectorySet,
     _map,
     _norm,
     _row_norms,
@@ -37,7 +38,6 @@ from .oracle import (
 class TrajectoryDataset:
     tracks: dict
     dt: float
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.tracks)
@@ -111,7 +111,7 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
             pts = np.array([[x, y] for _, x, y in seg])
             tracks[next_id] = Trajectory(pts, dt)
             next_id += 1
-    return TrajectoryDataset(tracks=tracks, dt=dt, source=str(path))
+    return TrajectoryDataset(tracks=tracks, dt=dt)
 
 
 def save_tsv(dataset: TrajectoryDataset, path):
@@ -180,20 +180,26 @@ def save_pose_bank(bank: list[HumanoidState], path):
 
 
 def load_pose_bank(path) -> list[HumanoidState]:
+    """The states of a file written by save_pose_bank. A malformed file or
+    entry is a DataError naming the file and the pose index."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, list):
         raise DataError(f"{path}: pose bank must be a JSON list")
     bank = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
         try:
-            heading = float(entry["heading"])
-            speed = float(entry["speed"])
-            joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed pose entry ({exc})")
-        velocity = speed * np.array([math.cos(heading), math.sin(heading)])
-        bank.append(HumanoidState(joints=joints, heading=heading, root_velocity=velocity))
+            heading, speed = float(entry["heading"]), float(entry["speed"])
+            if not (math.isfinite(heading) and math.isfinite(speed)):
+                raise ValueError(f"heading and speed must be finite, got {heading} and {speed}")
+            velocity = speed * np.array([math.cos(heading), math.sin(heading)])
+            bank.append(HumanoidState(joints=dict(entry["joints"]), heading=heading,
+                                      root_velocity=velocity))
+        except (KeyError, TypeError, ValueError) as exc:  # the toolkit's errors are ValueErrors
+            raise DataError(f"{path}: pose {i}: malformed pose entry ({exc})")
     return bank
 
 
@@ -324,7 +330,7 @@ def generate_synthetic(
                 f"could not synthesize a feasible {scenario!r} track in "
                 f"{config.max_retries} attempts"
             )
-    return TrajectoryDataset(tracks=tracks, dt=config.dt, source=f"synthetic(seed={seed})")
+    return TrajectoryDataset(tracks=tracks, dt=config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +417,10 @@ def _spans(dataset: TrajectoryDataset, length: int, stride: int) -> np.ndarray:
                      for start in range(0, len(pts) - length + 1, stride)]).reshape(-1, length, 2)
 
 
-def future_slices(dataset: TrajectoryDataset, horizon: int, stride: int) -> list[Trajectory]:
-    """The horizon-frame _spans of the dataset as trajectories: the trajectory
+def future_slices(dataset: TrajectoryDataset, horizon: int, stride: int) -> TrajectorySet:
+    """The horizon-frame _spans of the dataset as one set: the trajectory
     bank that oracle pairs draw from."""
-    return [Trajectory(pts, dataset.dt) for pts in _spans(dataset, horizon, stride)]
+    return TrajectorySet(_spans(dataset, horizon, stride), dataset.dt)
 
 
 class Window(NamedTuple):

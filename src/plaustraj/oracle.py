@@ -52,21 +52,34 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def _checked_points(points, dt: float, ndim: int) -> np.ndarray:
+    """points as a float array of ndim axes, checked by the trajectory rules:
+    (T, 2) for a trajectory or (K, T, 2) for a set, T >= 2, every coordinate
+    finite, and a positive dt."""
+    name, layout = ("trajectory", "(T, 2)") if ndim == 2 else ("trajectory set", "(K, T, 2)")
+    try:
+        points = np.asarray(points, dtype=float)
+    except ValueError:  # an inhomogeneous shape, or a string
+        raise InputShapeError(f"{name} points must be {layout}, got rows of unequal length "
+                              "or non-numbers")
+    if points.ndim != ndim or points.shape[-1] != 2:
+        raise InputShapeError(f"{name} points must be {layout}, got {points.shape}")
+    if points.shape[-2] < 2:
+        raise InputShapeError("trajectory needs at least 2 points")
+    if not np.isfinite(points).all():
+        raise InputShapeError("trajectory contains non-finite coordinates")
+    if not dt > 0:
+        raise ConfigError("dt must be positive")
+    return points
+
+
 @dataclass
 class Trajectory:
     points: np.ndarray  # (T, 2) ground-plane positions in meters
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise InputShapeError(f"trajectory points must be (T, 2), got {self.points.shape}")
-        if len(self.points) < 2:
-            raise InputShapeError("trajectory needs at least 2 points")
-        if not np.isfinite(self.points).all():
-            raise InputShapeError("trajectory contains non-finite coordinates")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        self.points = _checked_points(self.points, self.dt, 2)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -84,27 +97,18 @@ class TrajectorySet(Sequence):
     """K trajectories of one length and one dt, held as one points array
     (K, T, 2) and checked once for the set by Trajectory's rules. An integer
     index, and so iteration, builds a Trajectory over a view of its row when
-    one is taken; a slice is a set over a view of the rows."""
+    one is taken; a slice, index array or mask gives a set of those rows."""
 
     __slots__ = ("points", "dt")
 
     def __init__(self, points: np.ndarray, dt: float = DEFAULT_DT):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 3 or points.shape[2] != 2:
-            raise InputShapeError(f"trajectory set points must be (K, T, 2), got {points.shape}")
-        if points.shape[1] < 2:
-            raise InputShapeError("trajectory needs at least 2 points")
-        if not np.isfinite(points).all():
-            raise InputShapeError("trajectory contains non-finite coordinates")
-        if not dt > 0:
-            raise ConfigError("dt must be positive")
-        self.points, self.dt = points, dt
+        self.points, self.dt = _checked_points(points, dt, 3), dt
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if not isinstance(index, (int, np.integer)):
             return TrajectorySet(self.points[index], self.dt)
         # the set's checks cover each of its rows
         traj = Trajectory.__new__(Trajectory)
@@ -132,28 +136,47 @@ def rotation_matrix(angle: float) -> np.ndarray:
 
 
 @dataclass
-class ObservableState:
-    """The observation-time subset of a humanoid state: named 3-D joints and
-    the ground-plane root velocity."""
+class _Pose:
+    """Named 3-D joints, every required one among them, and the ground-plane
+    root velocity: the check and the root that both state types share."""
 
     joints: dict
     root_velocity: np.ndarray  # (2,) m/s
 
     def __post_init__(self):
-        self.joints = {k: np.asarray(v, dtype=float) for k, v in self.joints.items()}
-        self.root_velocity = np.asarray(self.root_velocity, dtype=float)
         missing = [j for j in REQUIRED_JOINTS if j not in self.joints]
         if missing:
             raise InputShapeError(f"missing required joints: {missing}")
-        for name, pos in self.joints.items():
-            if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-                raise InputShapeError(f"joint {name!r} must be a finite 3-vector")
-        if self.root_velocity.shape != (2,) or not np.all(np.isfinite(self.root_velocity)):
+        try:
+            pts = np.array(list(self.joints.values()), dtype=float)
+        except (TypeError, ValueError):  # joints of unequal length, or not numbers
+            pts = None
+        if pts is None or pts.shape != (len(self.joints), 3) or not np.isfinite(pts).all():
+            bad = next(n for n, pos in self.joints.items() if not _is_joint(pos))
+            raise InputShapeError(f"joint {bad!r} must be a finite 3-vector")
+        self.joints = dict(zip(self.joints, pts))
+        self.root_velocity = np.asarray(self.root_velocity, dtype=float)
+        if self.root_velocity.shape != (2,) or not np.isfinite(self.root_velocity).all():
             raise InputShapeError("root_velocity must be a finite 2-vector")
 
     @property
     def root_position(self) -> np.ndarray:
         return self.joints["pelvis"][:2]
+
+
+def _is_joint(pos) -> bool:
+    """pos is a finite 3-vector."""
+    try:
+        pos = np.asarray(pos, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return pos.shape == (3,) and bool(np.isfinite(pos).all())
+
+
+@dataclass
+class ObservableState(_Pose):
+    """The observation-time subset of a humanoid state: named 3-D joints and
+    the ground-plane root velocity."""
 
     def heading(self) -> float:
         """Facing direction: headings() of this one observable."""
@@ -168,32 +191,20 @@ class ObservableState:
 
 
 @dataclass
-class HumanoidState:
+class HumanoidState(_Pose):
     """Full oracle-side state: observable joints plus the heading that only
     the simulator sees."""
 
-    joints: dict
     heading: float
-    root_velocity: np.ndarray
 
     def __post_init__(self):
-        self.joints = {k: np.asarray(v, dtype=float) for k, v in self.joints.items()}
-        self.root_velocity = np.asarray(self.root_velocity, dtype=float)
-        missing = [j for j in REQUIRED_JOINTS if j not in self.joints]
-        if missing:
-            raise InputShapeError(f"missing required joints: {missing}")
         if not math.isfinite(self.heading):
             raise InputShapeError("heading must be finite")
         self.heading = wrap_angle(self.heading)
-        if self.root_velocity.shape != (2,) or not np.all(np.isfinite(self.root_velocity)):
-            raise InputShapeError("root_velocity must be a finite 2-vector")
-
-    @property
-    def root_position(self) -> np.ndarray:
-        return self.joints["pelvis"][:2]
+        super().__post_init__()
 
     def observable(self) -> ObservableState:
-        return ObservableState(joints=dict(self.joints), root_velocity=self.root_velocity.copy())
+        return ObservableState(joints=self.joints, root_velocity=self.root_velocity.copy())
 
     def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
                     pivot=(0.0, 0.0)) -> "HumanoidState":
@@ -300,12 +311,6 @@ class PairSet:
 # Rollout
 
 
-def rollout(traj: Trajectory, state: HumanoidState,
-            params: OracleParams = OracleParams()) -> float:
-    """Discounted cumulative tracking reward of the capped walker, in [0, 1]."""
-    return rollout_detailed(traj, state, params)["reward"]
-
-
 def _norm(x: float, y: float, buf: np.ndarray) -> float:
     """np.linalg.norm((x, y)) bit for bit: the sqrt of the same BLAS dot,
     taken on buf, a 2-element work array the caller reuses."""
@@ -314,9 +319,9 @@ def _norm(x: float, y: float, buf: np.ndarray) -> float:
     return math.sqrt(buf.dot(buf))
 
 
-def rollout_detailed(traj: Trajectory, state: HumanoidState,
-                     params: OracleParams) -> dict:
-    """Rollout returning per-step positions, velocities, and rewards.
+def rollout(traj: Trajectory, state: HumanoidState,
+            params: OracleParams = OracleParams()) -> float:
+    """Discounted cumulative tracking reward of the capped walker, in [0, 1].
 
     The walker steps on Python floats with the bits of the same steps on
     numpy 2-vectors: each coordinate is one IEEE operation either way, _norm
@@ -336,8 +341,6 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
         vx, vy = vx * k, vy * k
     heading = state.heading
 
-    positions = [(px, py)]
-    velocities = [(vx, vy)]
     rewards = []
     for tx, ty in traj.points.tolist():
         dx, dy = tx - px, ty - py
@@ -369,30 +372,21 @@ def rollout_detailed(traj: Trajectory, state: HumanoidState,
         r -= w_energy * (dv_norm / dt / a_max) ** 2
         r = r if r > 0.0 else 0.0
         rewards.append(r if r < 1.0 else 1.0)
-        positions.append((px, py))
-        velocities.append((vx, vy))
 
-    step_rewards = np.array(rewards)
     discounts = params.gamma ** np.arange(len(rewards))
-    return {
-        "reward": float(np.dot(discounts, step_rewards) / discounts.sum()),
-        "step_rewards": step_rewards,
-        "positions": np.array(positions),
-        "velocities": np.array(velocities),
-    }
+    return float(np.dot(discounts, rewards) / discounts.sum())
 
 
-# The batched walker below repeats rollout_detailed's arithmetic on (N, 2)
-# arrays and must return its rewards bit for bit. Three things make that hold:
+# The batched walker below repeats rollout's arithmetic on (N, 2) arrays
+# and must return its rewards bit for bit. Three things make that hold:
 # - atan2, cos, sin, exp and the squares go through math (libm) per element,
 #   because numpy's SIMD versions differ in the last bit and a heading-flip
 #   pair sits on the +-pi tie of the turn, where one bit flips the direction
 #   (numpy squares with x*x, the scalar code with pow);
 # - each walker takes its 2-vector norms as np.linalg.norm does, the sqrt of
 #   one BLAS dot, so they round alike on any BLAS: here each row's norm is
-#   that dot (a stacked matmul of (1, 2) by (2, 1) rows), and
-#   rollout_detailed's _norm is the dot of its Python floats on a reused
-#   2-element array;
+#   that dot (a stacked matmul of (1, 2) by (2, 1) rows), and rollout's
+#   _norm is the dot of its Python floats on a reused 2-element array;
 # - the angle wrap is fmod plus one +-2pi correction: both steps are exact,
 #   so it lands on the same representative in (-pi, pi] as wrap_angle.
 
@@ -553,7 +547,7 @@ def _pair_points(disp: np.ndarray, root: np.ndarray, heading: np.ndarray,
 
 def build_plausibility_dataset(
     pose_bank: list[HumanoidState],
-    traj_bank: list[Trajectory],
+    traj_bank: TrajectorySet,
     n_plausible: int,
     n_implausible: int,
     params: OracleParams = OracleParams(),
@@ -564,10 +558,9 @@ def build_plausibility_dataset(
     One loop draws every pair. A plausible pair redraws its pose and
     trajectory, up to 32 times, until the trajectory's first step moves and
     so does the pose. An implausible pair draws a perturbation and the
-    uniform that it needs. Then every pair is built as one array and
-    labelled by one rollout_batch call, so the bank trajectories must share
-    one horizon and one dt. The pairs of one bank state share one
-    ObservableState.
+    uniform that it needs. Then every pair is built as one array from the
+    bank's one horizon and dt, and labelled by one rollout_batch call. The
+    pairs of one bank state share one ObservableState.
     """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
@@ -576,16 +569,11 @@ def build_plausibility_dataset(
                        np.empty(0, np.intp), [], DEFAULT_DT)
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
-    horizon, dt = len(traj_bank[0]), traj_bank[0].dt
-    for j, t in enumerate(traj_bank):
-        if len(t) != horizon or t.dt != dt:
-            raise DataError(f"trajectory bank entry {j} has {len(t)} points at dt {t.dt}, not "
-                            f"{horizon} at dt {dt}: a pair set has one horizon and one dt")
+    bank, dt = traj_bank.points, traj_bank.dt
     heading = np.array([s.heading for s in pose_bank])
     root = np.stack([s.root_position for s in pose_bank])
     velocity = np.stack([s.root_velocity for s in pose_bank])
     speed = _row_norms(velocity)
-    bank = np.stack([t.points for t in traj_bank])
     first = bank[:, 1] - bank[:, 0]
     first_norm = _row_norms(first)
     first_angle = _map(math.atan2, first[:, 1], first[:, 0])

@@ -81,7 +81,6 @@ def _head_blocks(out: np.ndarray, horizon: int) -> np.ndarray:
 @dataclass
 class PredictionSet:
     trajectories: TrajectorySet  # the K heads, one (K, T_f, 2) array
-    anchor: np.ndarray           # last observed position
 
 
 def build_predictor(
@@ -145,7 +144,7 @@ def predict(model: PredictorModel, past: Trajectory,
     joints = None if obs is None else obs.joint_array()[None]
     # copied, so a served set holds one (K, T_f, 2) array and not a view of the batch
     heads = predict_heads(model, past.points[None], joints)[0].copy()
-    return PredictionSet(TrajectorySet(heads, past.dt), past.points[-1])
+    return PredictionSet(TrajectorySet(heads, past.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +337,14 @@ def train_predictor(
 # Checkpoint I/O
 
 
-def save_predictor(result_or_model, path, alpha: float | None = None,
-                   locoval_checksum: str | None = None,
+def save_predictor(result_or_model, path, locoval_checksum: str | None = None,
                    train_config: TrainConfig | None = None):
-    """locoval_checksum: gradcore.params_sha256 of the scorer the model was
+    """A train result's model and alpha, or a bare model with no alpha.
+    locoval_checksum: gradcore.params_sha256 of the scorer the model was
     trained against, None without one."""
-    model = result_or_model
+    model, alpha = result_or_model, None
     if isinstance(model, PredictorTrainResult):
-        model, alpha = model.model, model.alpha if alpha is None else alpha
+        model, alpha = model.model, model.alpha
     gradcore.save_checkpoint({
         "trunk": gradcore.model_to_dict(model.trunk),
         "head": gradcore.model_to_dict(model.head),

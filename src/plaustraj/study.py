@@ -34,7 +34,7 @@ HARD_EVAL = dict(
 @dataclass
 class Corpus:
     bank: list                 # pose bank
-    traj_bank: list            # 12-frame windows of the training tracks
+    traj_bank: oracle.TrajectorySet  # 12-frame windows of the training tracks
     pairs: oracle.PairSet      # oracle-labelled plausibility pairs
     instances: datakit.WindowSet     # predictor training windows
     eval_default: datakit.WindowSet  # held-out windows, training distribution

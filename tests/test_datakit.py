@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -23,7 +24,7 @@ from plaustraj.datakit import (
 )
 from plaustraj.errors import ConfigError, DataError, InputShapeError, ParseError
 from plaustraj.oracle import (REQUIRED_JOINTS, ObservableState, OracleParams, Trajectory,
-                              rollout, wrap_angle)
+                              TrajectorySet, rollout, wrap_angle)
 from test_oracle import reference_rollout
 
 
@@ -111,6 +112,43 @@ def test_pose_bank_roundtrip(tmp_path):
         assert a.heading == pytest.approx(b.heading)
         for name in a.joints:
             np.testing.assert_allclose(a.joints[name], b.joints[name])
+
+
+def _joint(name, value):
+    return lambda entry: {**entry, "joints": {**entry["joints"], name: value}}
+
+
+def _field(name, value):
+    return lambda entry: {**entry, name: value}
+
+
+def _without_knee(entry):
+    return {**entry, "joints": {k: v for k, v in entry["joints"].items() if k != "left_knee"}}
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_joint("pelvis", [0.0, float("nan"), 0.95]), "joint 'pelvis' must be a finite 3-vector"),
+    (_joint("pelvis", [0.0, 0.0]), "joint 'pelvis' must be a finite 3-vector"),
+    (_without_knee, "missing required joints: ['left_knee']"),
+    (_field("heading", float("nan")), "heading and speed must be finite, got nan and "),
+    (_field("speed", float("nan")), "heading and speed must be finite, got "),
+    (lambda entry: {}, "'heading'"),
+    (lambda entry: [1.0, 2.0], ""),
+    (lambda entry: "pose", ""),
+    (lambda entry: None, ""),
+], ids=["nan-joint", "two-element-joint", "missing-joint", "nan-heading", "nan-speed",
+        "no-fields", "list", "string", "null"])
+def test_load_pose_bank_malformed_entry_is_one_line_data_error(tmp_path, corrupt, reason):
+    path = tmp_path / "bank.json"
+    save_pose_bank(generate_pose_bank(4, seed=4), path)
+    doc = json.loads(path.read_text())
+    doc[2] = corrupt(doc[2])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_pose_bank(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: pose 2: malformed pose entry ({reason}")
+    assert message.endswith(")") and "\n" not in message
 
 
 def test_pose_bank_deterministic():
@@ -532,7 +570,7 @@ def test_future_slices_equal_the_window_loop():
         for start in range(0, len(pts) - 12 + 1, 3):
             expected.append(pts[start : start + 12])
     slices = datakit.future_slices(dataset, 12, 3)
-    assert len(slices) == len(expected) > 6
-    for got, want in zip(slices, expected):
-        assert np.array_equal(got.points, want) and got.dt == dataset.dt
-    assert datakit.future_slices(dataset, len(dataset.tracks[0]) + 1, 1) == []
+    assert isinstance(slices, TrajectorySet) and slices.dt == dataset.dt
+    assert slices.points.tobytes() == np.array(expected).tobytes() and len(expected) > 6
+    none = datakit.future_slices(dataset, len(dataset.tracks[0]) + 1, 1)
+    assert isinstance(none, TrajectorySet) and none.points.shape == (0, 25, 2)

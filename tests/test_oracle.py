@@ -20,7 +20,6 @@ from plaustraj.oracle import (
     load_plausibility_csv,
     rollout,
     rollout_batch,
-    rollout_detailed,
     rotation_matrix,
     save_plausibility_csv,
     wrap_angle,
@@ -145,8 +144,9 @@ def _reference_dataset(pose_bank, traj_bank, n_plausible, n_implausible, params,
 
 
 # ---------------------------------------------------------------------------
-# The walker on numpy 2-vectors: the reference that rollout_detailed (on
-# Python floats) and rollout_batch (on (N, 2) arrays) match bit for bit
+# The walker on numpy 2-vectors: the reference that rollout (on Python
+# floats) and rollout_batch (on (N, 2) arrays) match bit for bit; it also
+# returns the per-step rewards, positions and velocities
 
 
 def _reference_norm(v):
@@ -274,6 +274,76 @@ def test_trajectory_set_checks_the_set_once_by_the_trajectory_rules():
         candidate_arrays([Trajectory(np.zeros((3, 2))), Trajectory(np.zeros((4, 2)))])
 
 
+@pytest.mark.parametrize("where", [0, 5, 59])
+def test_trajectory_bank_of_two_horizons_is_refused_by_its_type(traj_bank, where):
+    rows = list(traj_bank.points)
+    rows[where] = rows[where][:7]
+    message = "trajectory set points must be (K, T, 2), got rows of unequal length or non-numbers"
+    with pytest.raises(InputShapeError, match=f"^{re.escape(message)}$"):
+        TrajectorySet(rows, traj_bank.dt)
+
+
+@pytest.mark.parametrize("index", [np.array([0, 2]), np.array([True, False, True, False]),
+                                   [3, 0], np.int64(2)], ids=["indices", "mask", "list", "int64"])
+def test_trajectory_set_index_arrays_give_sets(index):
+    points = np.arange(4 * 5 * 2, dtype=float).reshape(4, 5, 2)
+    got = TrajectorySet(points, 0.25)[index]
+    if isinstance(index, np.integer):
+        assert isinstance(got, Trajectory) and got.points.tobytes() == points[2].tobytes()
+    else:
+        assert isinstance(got, TrajectorySet) and got.dt == 0.25
+        assert got.points.tobytes() == points[index].tobytes()
+
+
+def _observable(joints, velocity):
+    return oracle.ObservableState(joints=joints, root_velocity=velocity)
+
+
+def _humanoid(joints, velocity):
+    return HumanoidState(joints=joints, heading=0.3, root_velocity=velocity)
+
+
+def _without_knee(joints):
+    return {k: v for k, v in joints.items() if k != "left_knee"}
+
+
+@pytest.mark.parametrize("make", [_observable, _humanoid], ids=["observable", "humanoid"])
+@pytest.mark.parametrize("joints, velocity, message", [
+    (_without_knee, None, "missing required joints: ['left_knee']"),
+    (lambda j: {**j, "head": [0.0, np.nan, 1.7]}, None, "joint 'head' must be a finite 3-vector"),
+    (lambda j: {**j, "pelvis": [0.0, 0.0]}, None, "joint 'pelvis' must be a finite 3-vector"),
+    (lambda j: {**j, "neck": "up"}, None, "joint 'neck' must be a finite 3-vector"),
+    (lambda j: {**j, "right_ankle": [np.inf] * 3, "head": [0.0]}, None,
+     "joint 'head' must be a finite 3-vector"),
+    (None, [1.0, 0.0, 0.0], "root_velocity must be a finite 2-vector"),
+    (None, [np.nan, 0.0], "root_velocity must be a finite 2-vector"),
+], ids=["missing-joint", "nan-joint", "two-element-joint", "string-joint", "first-bad-joint",
+        "three-element-velocity", "nan-velocity"])
+def test_pose_checks_every_rule(make, joints, velocity, message):
+    state = walker()
+    joints = (joints or dict)(state.joints)
+    velocity = state.root_velocity if velocity is None else np.array(velocity)
+    with pytest.raises(InputShapeError, match=f"^{re.escape(message)}$"):
+        make(joints, velocity)
+
+
+@pytest.mark.parametrize("make", [_observable, _humanoid], ids=["observable", "humanoid"])
+def test_pose_keeps_the_joints_bits_in_their_order(make):
+    joints = {**walker(heading=0.4).joints, "neck": [-0.0, 5e-324, 1.5]}
+    got = make(joints, np.array([-0.0, 1.0]))
+    assert list(got.joints) == list(joints)
+    for name, pos in joints.items():
+        assert got.joints[name].tobytes() == np.asarray(pos, dtype=float).tobytes()
+    assert got.root_position.tobytes() == np.asarray(joints["pelvis"])[:2].tobytes()
+
+
+def test_humanoid_heading_must_be_finite():
+    state = walker()
+    for heading in (np.nan, np.inf):
+        with pytest.raises(InputShapeError, match="^heading must be finite$"):
+            HumanoidState(joints=state.joints, heading=heading, root_velocity=np.zeros(2))
+
+
 def test_observable_requires_all_joints():
     state = walker()
     joints = dict(state.joints)
@@ -367,7 +437,8 @@ def test_rollout_respects_kinematic_caps(seed):
     traj = Trajectory(pts, 0.4)
     params = OracleParams()
     state = walker(heading=rng.uniform(-math.pi, math.pi), speed=rng.uniform(0, 2.4))
-    detail = rollout_detailed(traj, state, params)
+    detail = _reference_rollout_detailed(traj, state, params)
+    _assert_bits_equal(rollout(traj, state, params), detail["reward"])
     vels = detail["velocities"]
     speeds = np.linalg.norm(vels, axis=1)
     assert np.all(speeds <= params.v_max + 1e-9)
@@ -571,13 +642,10 @@ def _tie_probes():
     OracleParams(),
     OracleParams(v_max=1.0, a_max=0.5, turn_rate_max=0.5, gamma=0.5, w_energy=1.0),
 ], ids=["default", "tight"])
-def test_rollout_detailed_equals_numpy_reference(params):
-    for traj, state in _walker_probes(3000, params, seed=5) + _tie_probes():
-        got = rollout_detailed(traj, state, params)
-        want = _reference_rollout_detailed(traj, state, params)
-        assert list(got) == list(want)
-        for key in want:
-            _assert_bits_equal(got[key], want[key])
+def test_rollout_equals_numpy_reference(params):
+    probes = _walker_probes(3000, params, seed=5) + _tie_probes()
+    _assert_bits_equal([rollout(traj, state, params) for traj, state in probes],
+                       [reference_rollout(traj, state, params) for traj, state in probes])
 
 
 def _reference_transformed(state, angle=0.0, translation=(0.0, 0.0), pivot=(0.0, 0.0)):
@@ -639,7 +707,7 @@ def _assert_equals_reference(got, want):
 
 def _short_bank(traj_bank):
     """The bank cut to its first 7 points, at dt 0.2."""
-    return [Trajectory(t.points[:7], 0.2) for t in traj_bank]
+    return TrajectorySet(traj_bank.points[:, :7], 0.2)
 
 
 @pytest.mark.parametrize("short", [False, True])
@@ -651,21 +719,6 @@ def test_dataset_equals_per_pair_reference(pose_bank, traj_bank, short):
     _assert_equals_reference(got, want)
 
 
-@pytest.mark.parametrize("where", [0, 5, 59])
-@pytest.mark.parametrize("change", ["shorter", "dt"])
-def test_dataset_bank_of_two_horizons_or_dts_is_a_data_error(pose_bank, traj_bank, change,
-                                                             where):
-    bank = list(traj_bank)
-    t = bank[where]
-    bank[where] = (Trajectory(t.points[:7], t.dt) if change == "shorter"
-                   else Trajectory(t.points, 0.2))
-    odd = where or 1  # entry 0 sets the horizon and dt
-    message = (f"trajectory bank entry {odd} has {len(bank[odd])} points at dt {bank[odd].dt}, "
-               f"not {len(bank[0])} at dt {bank[0].dt}: a pair set has one horizon and one dt")
-    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        build_plausibility_dataset(pose_bank, bank, 10, 10, seed=21)
-
-
 def _degenerate_banks(pose_bank, traj_bank, horizon=12, dt=None):
     """Banks of one horizon and dt, with a still pose and tracks 10-14 whose
     first step (or every step) has length zero."""
@@ -675,7 +728,7 @@ def _degenerate_banks(pose_bank, traj_bank, horizon=12, dt=None):
         tracks.append(np.vstack([t.points[:1], t.points[:1], t.points[2:]]))
     tracks.append(np.tile(traj_bank[14].points[:1], (12, 1)))
     tracks += [t.points for t in traj_bank[15:19]]
-    return poses, [Trajectory(pts[:horizon], dt or traj_bank[0].dt) for pts in tracks]
+    return poses, TrajectorySet([pts[:horizon] for pts in tracks], dt or traj_bank.dt)
 
 
 @pytest.mark.parametrize(
@@ -702,7 +755,7 @@ def test_dataset_equals_reference_on_degenerate_banks(pose_bank, traj_bank, n_pl
 
 def test_plausible_pair_found_on_last_try(pose_bank, traj_bank):
     poses, tracks = _degenerate_banks(pose_bank, traj_bank)
-    poses, tracks = poses[:1], tracks[:1] + tracks[10:14] * 2 + tracks[14:15]
+    poses, tracks = poses[:1], tracks[[0, *range(10, 14), *range(10, 14), 14]]
     stats = {}
     want = _reference_dataset(poses, tracks, 3, 0, OracleParams(), 57, stats)
     assert stats["most_tries"] == 32

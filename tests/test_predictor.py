@@ -75,10 +75,11 @@ def test_predict_anchor_exact():
     model = build_predictor(LAYOUT, horizon=12, n_heads=3, seed=3)
     past, obs = past_and_obs()
     pred = predict(model, past, obs)
-    disp0 = pred.trajectories[0].points[0] - past.points[-1]
-    # first predicted point = anchor + first displacement, by construction
-    assert np.array_equal(pred.anchor, past.points[-1])
-    assert np.all(np.isfinite(disp0))
+    feats = build_input(past.points[None], obs.joint_array()[None], LAYOUT)
+    out = gradcore.forward(model.head, gradcore.forward(model.trunk, feats))
+    # each head's first point = the last observed point + its first displacement
+    first = past.points[-1] + out.reshape(3, 12, 2)[:, 0]
+    assert pred.trajectories.points[:, 0].tobytes() == first.tobytes()
 
 
 def test_predict_nan_head_weight_is_an_input_shape_error():

@@ -350,8 +350,6 @@ def load_candidates_tsv(path, dt: float) -> dict:
                     gap = f"frame {prev} repeated" if frame == prev else f"frame {prev + 1} missing"
                     raise DataError(f"{path}: case {case} head {head}: {gap}")
             points.append([(x, y) for _, x, y in rows])
-        if len({len(p) for p in points}) != 1:
-            raise DataError(f"{path}: case {case} has heads of differing lengths")
         try:
             cases[case] = oracle.TrajectorySet(points, dt)
         except InputShapeError as exc:

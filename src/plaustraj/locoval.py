@@ -110,9 +110,10 @@ def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.nda
 
 def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
                          horizon: int) -> np.ndarray:
-    """Pull gradients w.r.t. feature rows (N, F) back to the world-frame steps
-    (N, T_f, 2) passed to encode_steps with the same rot."""
-    g = feature_grad[:, : 2 * horizon].reshape(len(feature_grad), horizon, 2)
+    """Pull gradients w.r.t. feature rows (..., F) back to the world-frame
+    steps (..., T_f, 2) passed to encode_steps with the same rot (..., 2, 2),
+    which broadcasts as it does there."""
+    g = feature_grad[..., : 2 * horizon].reshape(*feature_grad.shape[:-1], horizon, 2)
     return g @ rot
 
 
@@ -245,13 +246,13 @@ def train_locoval(
         xb, yb = X_tr[idx], y_tr[idx]
         out, cache = gradcore.forward_cached(model.net, xb)
         err = out[:, 0] - yb
-        train_mse = float(np.mean(err**2))
         upstream = (2.0 * err / len(err))[:, None]
         grads = gradcore.backward(model.net, cache, upstream)
         opt.step(model.net, grads)
 
         if (step + 1) % eval_every == 0 or step == config.total_steps - 1:
             ho = holdout_mse(model.net)
+            train_mse = float(np.mean(err**2))
             curve.append(TrainingCurvePoint(step + 1, opt.current_lr(), train_mse, ho))
             if ho < best_mse:
                 best_mse = ho

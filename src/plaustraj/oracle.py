@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -654,45 +655,46 @@ def load_plausibility_csv(path) -> PairSet:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty plausibility file")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no pairs after the header")
-    joint_names = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
-    flat, rewards, plausible, state = [], [], [], []
-    observables, index = [], {}  # state column strings -> index into observables
-    line_no = 2
-    try:
-        first = rows[0][2:4]
-        dt, horizon = float(first[0]), int(first[1])
-        heading_col = 4 + 2 * horizon
-        n_columns = heading_col + 3 + 3 * len(joint_names)
-        for line_no, row in enumerate(rows, start=2):
-            if row[2:4] != first and (float(row[2]), int(row[3])) != (dt, horizon):
-                raise InputShapeError(f"T_f {row[3]} at dt {row[2]} differs from the first "
-                                      f"row's T_f {horizon} at dt {dt}: a pair set has one "
-                                      "horizon and one dt")
-            if len(row) != n_columns:
-                raise InputShapeError(f"expected {n_columns} columns for T_f {horizon}, "
-                                      f"got {len(row)}")
-            if row[0] not in LABELS:
-                raise ConfigError(f"unknown label {row[0]!r}")
-            key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
-            k = index.get(key)
-            if k is None:
-                values = [float(v) for v in key]
-                joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j])
-                          for j, n in enumerate(joint_names)}
-                observables.append(ObservableState(joints=joints,
-                                                   root_velocity=np.array(values[:2])))
-                k = index[key] = len(observables) - 1
-            flat += map(float, row[4:heading_col])
-            rewards.append(float(row[1]))
-            plausible.append(row[0] == "plausible_pair")
-            state.append(k)
-        line_no = 2  # a rule of the whole set is located at the first row
-        return PairSet(np.array(flat).reshape(len(rows), horizon, 2), np.array(rewards),
-                       np.array(plausible), np.array(state), observables, dt)
-    except PairError as exc:
-        raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
-    except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
-        raise DataError(f"{path}:{line_no}: malformed row ({exc})")
+        row = next(reader, None)
+        if row is None:
+            raise DataError(f"{path}: no pairs after the header")
+        joint_names = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
+        flat, rewards, plausible, state = array("d"), [], [], []  # 8 bytes a coordinate
+        observables, index = [], {}  # state column strings -> index into observables
+        line_no = 2
+        try:
+            first = row[2:4]
+            dt, horizon = float(first[0]), int(first[1])
+            heading_col = 4 + 2 * horizon
+            n_columns = heading_col + 3 + 3 * len(joint_names)
+            # each row is parsed as the reader yields it, so no row's strings are kept
+            for line_no, row in enumerate(chain([row], reader), start=2):
+                if row[2:4] != first and (float(row[2]), int(row[3])) != (dt, horizon):
+                    raise InputShapeError(f"T_f {row[3]} at dt {row[2]} differs from the first "
+                                          f"row's T_f {horizon} at dt {dt}: a pair set has one "
+                                          "horizon and one dt")
+                if len(row) != n_columns:
+                    raise InputShapeError(f"expected {n_columns} columns for T_f {horizon}, "
+                                          f"got {len(row)}")
+                if row[0] not in LABELS:
+                    raise ConfigError(f"unknown label {row[0]!r}")
+                key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
+                k = index.get(key)
+                if k is None:
+                    values = [float(v) for v in key]
+                    joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j])
+                              for j, n in enumerate(joint_names)}
+                    observables.append(ObservableState(joints=joints,
+                                                       root_velocity=np.array(values[:2])))
+                    k = index[key] = len(observables) - 1
+                flat.extend(map(float, row[4:heading_col]))
+                rewards.append(float(row[1]))
+                plausible.append(row[0] == "plausible_pair")
+                state.append(k)
+            line_no = 2  # a rule of the whole set is located at the first row
+            return PairSet(np.array(flat).reshape(len(rewards), horizon, 2), np.array(rewards),
+                           np.array(plausible), np.array(state), observables, dt)
+        except PairError as exc:
+            raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
+        except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
+            raise DataError(f"{path}:{line_no}: malformed row ({exc})")

@@ -73,11 +73,6 @@ def _fuse_heads(heads: list[MlpModel]) -> MlpModel:
                     [np.concatenate([h.biases[0] for h in heads])])
 
 
-def _head_blocks(out: np.ndarray, horizon: int) -> np.ndarray:
-    """(B, K·2T_f) head-layer rows as a (K, B, T_f, 2) view of the same memory."""
-    return out.reshape(len(out), -1, horizon, 2).transpose(1, 0, 2, 3)
-
-
 @dataclass
 class PredictionSet:
     trajectories: TrajectorySet  # the K heads, one (K, T_f, 2) array
@@ -181,48 +176,48 @@ def _prepare_training_arrays(dataset: WindowSet, model: PredictorModel,
 
 
 def min_of_k_mse(points: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Min-of-K MSE of head points (K, B, T_f, 2) against ground truths
+    """Min-of-K MSE of head points (B, K, T_f, 2) against ground truths
     (B, T_f, 2), plain MSE for one head. Returns the mean over samples of the
     smallest per-head MSE, the argmin head per sample (ties go to the lowest
-    index) and the gradient w.r.t. points[sel[b], b] (B, T_f, 2); every other
+    index) and the gradient w.r.t. points[b, sel[b]] (B, T_f, 2); every other
     head's points get zero gradient."""
-    B, horizon = points.shape[1:3]
+    B, _, horizon = points.shape[:3]
     rows = np.arange(B)
-    err = points - gt[None]
-    per_head = np.mean(err**2, axis=(2, 3))  # (K, B)
-    sel = np.argmin(per_head, axis=0)
-    return (float(np.mean(per_head[sel, rows])), sel,
-            2.0 * err[sel, rows] / (2 * horizon) / B)
+    err = points - gt[:, None]
+    per_head = np.mean(err**2, axis=(2, 3))  # (B, K)
+    sel = np.argmin(per_head, axis=1)
+    return (float(np.mean(per_head[rows, sel])), sel,
+            2.0 * err[rows, sel] / (2 * horizon) / B)
 
 
 def emloco_loss(scorer: LocoValModel, steps: np.ndarray, rots: np.ndarray,
                 tails: np.ndarray) -> tuple[float, tuple]:
     """The Embodied Locomotion term mean_k mean_b (score - 1)^2 of K heads on
-    B samples, from one frozen-scorer pass over the K·B rows (row k·B + b).
+    B samples, from one frozen-scorer pass over the B·K head rows.
 
-    steps (K, B, T_f, 2) are world-frame displacements, the first taken from
+    steps (B, K, T_f, 2) are world-frame displacements, the first taken from
     sample b's root; rots (B, 2, 2) and tails (B, F - 2 T_f) are each sample's
     canonical rotation and observation tail. Returns the loss and the scorer
     pass, from which emloco_grad takes the gradient."""
-    K, B, horizon = steps.shape[:3]
-    rb = np.tile(rots, (K, 1, 1))
-    feats = locoval_mod.encode_steps(steps.reshape(K * B, horizon, 2), rb,
-                                     np.tile(tails, (K, 1)))
-    out, cache = gradcore.forward_cached(scorer.net, feats)
-    s = out[:, 0].reshape(K, B)
-    # added in head order: np.sum's pairwise order would move loss_plaus in the last bits
-    loss = sum(float(v) for v in np.mean((s - 1.0) ** 2, axis=1)) / K
-    return loss, (s, rb, cache)
+    B, K = steps.shape[:2]
+    rots = rots[:, None]
+    feats = locoval_mod.encode_steps(steps, rots, tails[:, None])
+    out, cache = gradcore.forward_cached(scorer.net, feats.reshape(B * K, -1))
+    s = out[:, 0].reshape(B, K)
+    # per head, in head order, over a contiguous copy: a strided mean or np.sum's
+    # pairwise order would move loss_plaus in the last bits
+    loss = sum(float(v) for v in np.mean((s.T.copy() - 1.0) ** 2, axis=1)) / K
+    return loss, (s, rots, cache)
 
 
 def emloco_grad(scorer: LocoValModel, scorer_pass: tuple) -> np.ndarray:
-    """Gradient of emloco_loss w.r.t. its steps (K, B, T_f, 2), from the
+    """Gradient of emloco_loss w.r.t. its steps (B, K, T_f, 2), from the
     scorer pass it returned, with one input-only backward."""
-    s, rb, cache = scorer_pass
-    K, B = s.shape
-    g_feats = gradcore.input_grad(scorer.net, cache, (2.0 * (s - 1.0) / B / K).reshape(K * B, 1))
-    horizon = scorer.layout.horizon
-    return locoval_mod.encode_steps_adjoint(g_feats, rb, horizon).reshape(K, B, horizon, 2)
+    s, rots, cache = scorer_pass
+    B, K = s.shape
+    g_feats = gradcore.input_grad(scorer.net, cache, (2.0 * (s - 1.0) / B / K).reshape(B * K, 1))
+    return locoval_mod.encode_steps_adjoint(g_feats.reshape(B, K, -1), rots,
+                                            scorer.layout.horizon)
 
 
 def train_predictor(
@@ -290,20 +285,20 @@ def train_predictor(
 
         trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, xb)
         out, head_cache = gradcore.forward_cached(model.head, trunk_out)
-        disp = _head_blocks(out, horizon)                            # (K, B, T_f, 2)
-        points = anchb[None, :, None, :] + np.cumsum(disp, axis=2)  # (K, B, T_f, 2)
+        disp = out.reshape(B, K, horizon, 2)
+        points = anchb[:, None, None] + np.cumsum(disp, axis=2)  # (B, K, T_f, 2)
 
         # upstream gradients on the head layer's output, written through d_disp
         d_out = np.zeros_like(out)
-        d_disp = _head_blocks(d_out, horizon)
+        d_disp = d_out.reshape(B, K, horizon, 2)
         loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
-        d_disp[sel, np.arange(B)] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
+        d_disp[np.arange(B), sel] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
         closes_interval = (step + 1) % eval_every == 0 or step == config.total_steps - 1
         loss_pl_val = 0.0
         if scorer is not None and (alpha > 0.0 or closes_interval):
             steps = disp.copy()
-            steps[:, :, 0, :] += offsets[idx]
+            steps[:, :, 0, :] += offsets[idx, None]
             # the pass stays bound until the next one replaces it: freed within a
             # step, its 2.6 MB of activations (K=20, B=32) went back to the
             # system and faulted in again, 630 minor page faults a step, not 15

@@ -400,7 +400,8 @@ def _drop_last_frame_of_case_0_head_0(cand, obs):
         (12, ("0", "1"), lambda cand, obs: cand.write_text(""),
          "{cand}: no candidate rows"),
         (12, ("0", "1"), _drop_last_frame_of_case_0_head_0,
-         "{cand}: case 0 has heads of differing lengths"),
+         "{cand}: case 0: trajectory set points must be (K, T, 2), got rows of unequal "
+         "length or non-numbers"),
     ],
     ids=["wrong-horizon", "non-integer-case-key", "observables-not-json", "frame-repeated",
          "frame-missing", "joints-a-list", "joint-missing", "nan-candidate", "case-not-observed",

@@ -342,6 +342,23 @@ def test_encode_steps_adjoint_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def test_encode_steps_adjoint_broadcasts_like_encode_steps():
+    """Gradients of (N, K, F) rows with one rotation (N, 1, 2, 2) per window
+    pull back bit for bit as each (N·K, F) row does with its own rotation."""
+    layout = FeatureLayout(horizon=5)
+    rng = np.random.default_rng(8)
+    n, k = 4, 3
+    rots = np.stack([canonical_frame(make_observable(heading=a))[1]
+                     for a in rng.uniform(-math.pi, math.pi, size=n)])
+    g = rng.normal(size=(n, k, layout.feature_size))
+    got = encode_steps_adjoint(g, rots[:, None], layout.horizon)
+    assert got.shape == (n, k, layout.horizon, 2)
+    for i in range(n):
+        for j in range(k):
+            want = encode_steps_adjoint(g[i, j][None], rots[i][None], layout.horizon)[0]
+            assert got[i, j].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training
 

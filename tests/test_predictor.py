@@ -14,6 +14,7 @@ from plaustraj.locoval import FeatureLayout, build_locoval
 from plaustraj.oracle import Trajectory, TrajectorySet
 from plaustraj.predictor import (
     InputLayout,
+    PredictorModel,
     build_input,
     build_predictor,
     emloco_grad,
@@ -323,21 +324,21 @@ def test_loss_mse_zero_and_offset():
 def test_loss_mse_matches_double_loop():
     """K=1 is plain MSE, averaged over the batch."""
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(1, 3, 12, 2))
+    a = rng.normal(size=(3, 1, 12, 2))
     b = rng.normal(size=(3, 12, 2))
     got, _, grad = min_of_k_mse(a, b)
     total = 0.0
     for i in range(3):
         for t in range(12):
             for c in range(2):
-                total += (a[0, i, t, c] - b[i, t, c]) ** 2
+                total += (a[i, 0, t, c] - b[i, t, c]) ** 2
     assert got == pytest.approx(total / (3 * 24))
-    np.testing.assert_allclose(grad, 2.0 * (a[0] - b) / (3 * 24))
+    np.testing.assert_allclose(grad, 2.0 * (a[:, 0] - b) / (3 * 24))
 
 
 def test_loss_minmse_picks_exact_head():
     gt = straight_trajectory(n=12).points
-    value, sel, grad = min_of_k_mse(np.stack([gt + 2.0, gt])[:, None], gt[None])
+    value, sel, grad = min_of_k_mse(np.stack([gt + 2.0, gt])[None], gt[None])
     assert value == 0.0
     assert sel.tolist() == [1]
     assert not grad.any()
@@ -346,7 +347,7 @@ def test_loss_minmse_picks_exact_head():
 def test_loss_minmse_tie_breaks_low_index():
     gt = straight_trajectory(n=12).points
     dup = gt + 1.0
-    _, sel, _ = min_of_k_mse(np.stack([dup, dup, dup])[:, None], gt[None])
+    _, sel, _ = min_of_k_mse(np.stack([dup, dup, dup])[None], gt[None])
     assert sel.tolist() == [0]
 
 
@@ -355,9 +356,9 @@ def test_loss_minmse_tie_breaks_low_index():
 def test_minmse_dominance(seed, k):
     rng = np.random.default_rng(seed)
     gt = rng.normal(size=(4, 8, 2))
-    heads = rng.normal(size=(k, 4, 8, 2))
+    heads = rng.normal(size=(4, k, 8, 2))
     value, sel, _ = min_of_k_mse(heads, gt)
-    per_head = [[min_of_k_mse(heads[j : j + 1, i : i + 1], gt[i : i + 1])[0]
+    per_head = [[min_of_k_mse(heads[i : i + 1, j : j + 1], gt[i : i + 1])[0]
                  for i in range(4)] for j in range(k)]
     for i in range(4):
         column = [per_head[j][i] for j in range(k)]
@@ -380,7 +381,7 @@ def test_loss_emloco_trivial_values():
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=5)
     past, obs = past_and_obs()
     _, rots, tails = _frames([obs, obs], scorer.layout)
-    steps = np.random.default_rng(6).uniform(0.1, 0.5, size=(3, 2, 12, 2))
+    steps = np.random.default_rng(6).uniform(0.1, 0.5, size=(2, 3, 12, 2))
     scorer.net.weights[-1][:] = 0.0
     for bias, expected in ((0.0, 0.25), (800.0, 0.0)):
         scorer.net.biases[-1][:] = bias
@@ -392,10 +393,10 @@ def test_loss_emloco_trivial_values():
 def _emloco_fd_check(scorer, observables, disp, anchors):
     """emloco_grad's step gradient against central finite differences of
     mean_k mean_b (score - 1)^2, each score from locoval.score."""
-    K, B, horizon = disp.shape[:3]
+    B, K, horizon = disp.shape[:3]
     roots, rots, tails = _frames(observables, scorer.layout)
     steps = disp.copy()
-    steps[:, :, 0] += anchors - roots
+    steps[:, :, 0] += (anchors - roots)[:, None]
     analytic = emloco_grad(scorer, emloco_loss(scorer, steps, rots, tails)[1])
 
     def emloco_of(d, b):
@@ -404,18 +405,18 @@ def _emloco_fd_check(scorer, observables, disp, anchors):
         return (s - 1.0) ** 2 / (K * B)
 
     eps = 1e-6
-    for k in range(K):
-        for b in range(B):
+    for b in range(B):
+        for k in range(K):
             for t in range(horizon):
                 for c in range(2):
-                    bumped = disp[k, b].copy()
+                    bumped = disp[b, k].copy()
                     bumped[t, c] += eps
                     up = emloco_of(bumped, b)
                     bumped[t, c] -= 2 * eps
                     down = emloco_of(bumped, b)
                     numeric = (up - down) / (2 * eps)
-                    denom = max(abs(analytic[k, b, t, c]), abs(numeric), 1e-6)
-                    assert abs(analytic[k, b, t, c] - numeric) / denom < 1e-4
+                    denom = max(abs(analytic[b, k, t, c]), abs(numeric), 1e-6)
+                    assert abs(analytic[b, k, t, c] - numeric) / denom < 1e-4
 
 
 def test_emloco_gradient_through_scorer_finite_differences():
@@ -426,7 +427,7 @@ def test_emloco_gradient_through_scorer_finite_differences():
     horizon, K = 6, 3
     scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=9)
     past, obs = past_and_obs(speed=1.0, heading=0.2)
-    disp = np.random.default_rng(10).uniform(0.05, 0.4, size=(K, 1, horizon, 2))
+    disp = np.random.default_rng(10).uniform(0.05, 0.4, size=(1, K, horizon, 2))
     _emloco_fd_check(scorer, [obs], disp, past.points[-1][None])
 
 
@@ -535,6 +536,109 @@ def test_curve_points_against_per_step_curve(training_instances, trained_scorer,
         assert point.loss_plaus == want_plaus > 0.0
 
 
+def _k_major_train(dataset, scorer, config, alpha, n_heads, trunk_hidden, eval_every):
+    """The training loop with the heads ordered K-major, (K, B, T_f, 2) with
+    scorer row k·B + b and each sample's frame tiled K times: the reference
+    that train_predictor, in the head layer's (B, K, T_f, 2) order, matches
+    bit for bit while the B·K scorer rows fill whole row blocks. Returns the
+    float32 trunk and head and the curve."""
+    horizon, K = dataset.horizon, n_heads
+    layout = InputLayout(past_frames=dataset.past_frames, joint_count=len(dataset.joint_names))
+    built = build_predictor(layout, horizon, K, trunk_hidden, seed=config.seed)
+    trunk, head = built.trunk.astype(np.float32), built.head.astype(np.float32)
+    scorer = locoval.LocoValModel(scorer.net.astype(np.float32), scorer.layout)
+    X, gt, anchors, rots, offsets, tails = predictor._prepare_training_arrays(
+        dataset, PredictorModel(trunk, head, horizon, layout), scorer)
+    rng = np.random.default_rng(config.seed)
+    opt_trunk, opt_head = gradcore.AdamW(trunk, config), gradcore.AdamW(head, config)
+    curve, acc_gt, acc_pl, acc_n = [], 0.0, 0.0, 0
+    for step in range(config.total_steps):
+        idx = rng.integers(len(X), size=min(config.batch_size, len(X)))
+        B, rows = len(idx), np.arange(len(idx))
+        trunk_out, trunk_cache = gradcore.forward_cached(trunk, X[idx])
+        out, head_cache = gradcore.forward_cached(head, trunk_out)
+        disp = out.reshape(B, K, horizon, 2).transpose(1, 0, 2, 3)
+        points = anchors[idx][None, :, None, :] + np.cumsum(disp, axis=2)
+        d_out = np.zeros_like(out)
+        d_disp = d_out.reshape(B, K, horizon, 2).transpose(1, 0, 2, 3)
+        err = points - gt[idx][None]
+        per_head = np.mean(err**2, axis=(2, 3))  # (K, B)
+        sel = np.argmin(per_head, axis=0)
+        loss_gt = float(np.mean(per_head[sel, rows]))
+        d_points = 2.0 * err[sel, rows] / (2 * horizon) / B
+        d_disp[sel, rows] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
+        closes = (step + 1) % eval_every == 0 or step == config.total_steps - 1
+        loss_pl = 0.0
+        if alpha > 0.0 or closes:
+            steps = disp.copy()
+            steps[:, :, 0, :] += offsets[idx]
+            rb = np.tile(rots[idx], (K, 1, 1))
+            feats = locoval.encode_steps(steps.reshape(K * B, horizon, 2), rb,
+                                         np.tile(tails[idx], (K, 1)))
+            s_out, cache = gradcore.forward_cached(scorer.net, feats)
+            s = s_out[:, 0].reshape(K, B)
+            loss_pl = sum(float(v) for v in np.mean((s - 1.0) ** 2, axis=1)) / K
+            if alpha > 0.0:
+                g = gradcore.input_grad(scorer.net, cache,
+                                        (2.0 * (s - 1.0) / B / K).reshape(K * B, 1))
+                d_disp += alpha * locoval.encode_steps_adjoint(g, rb, horizon).reshape(
+                    K, B, horizon, 2)
+        g_head = gradcore.backward(head, head_cache, d_out)
+        d_trunk = gradcore.input_grad(head, head_cache, d_out)
+        opt_head.step(head, g_head)
+        opt_trunk.step(trunk, gradcore.backward(trunk, trunk_cache, d_trunk))
+        acc_gt, acc_pl, acc_n = acc_gt + loss_gt, acc_pl + loss_pl, acc_n + 1
+        if closes:
+            mean_gt = acc_gt / acc_n
+            mean_pl = acc_pl / acc_n if alpha > 0.0 else loss_pl
+            curve.append(predictor.PredictorCurvePoint(
+                step + 1, mean_gt, mean_pl, alpha * mean_pl / mean_gt,
+                bool(alpha * mean_pl > mean_gt)))
+            acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
+    return trunk, head, curve
+
+
+def _train_against_k_major(instances, scorer, alpha, k, n, batch):
+    cfg = TrainConfig(learning_rate=1e-3, total_steps=40, batch_size=batch, seed=23)
+    result = train_predictor(instances[:n], scorer, cfg, alpha=alpha, n_heads=k,
+                             trunk_hidden=(32, 32), eval_every=10)
+    trunk, head, curve = _k_major_train(instances[:n], scorer, cfg, alpha, k, (32, 32),
+                                        eval_every=10)
+    assert [p.step for p in curve] == [10, 20, 30, 40]
+    return result, trunk, head, curve
+
+
+@pytest.mark.parametrize("n, batch", [(30, 16), (16, 24)], ids=["batch-16", "batch-over-n"])
+@pytest.mark.parametrize("k", [1, 3, 20])
+@pytest.mark.parametrize("alpha", [0.0, 10.0, 100.0])
+def test_train_matches_k_major_reference(training_instances, trained_scorer, alpha, k, n,
+                                         batch):
+    """Training in the head layer's (B, K) order gives the K-major loop's
+    trunk, head and curve bit for bit, for a batch of 16 of 30 windows and
+    for one larger than its 16 windows. Both give B·K scorer rows in whole
+    blocks of 16 (see the partial-block test below)."""
+    result, trunk, head, curve = _train_against_k_major(
+        training_instances, trained_scorer.model, alpha, k, n, batch)
+    assert np.array_equal(result.model.trunk.params, trunk.params)
+    assert np.array_equal(result.model.head.params, head.params)
+    assert result.curve == curve
+
+
+def test_train_k_major_reference_with_a_partial_row_block(training_instances, trained_scorer):
+    """The scorer's output layer is one matrix-vector product over the B·K
+    rows, and BLAS computes its last B·K mod 4 rows (on some builds mod 8 or
+    16) on a remainder path that rounds differently. Which head of which
+    sample lands there depends on the row order, so at B·K = 30·3 the two
+    orders agree only to float32 rounding."""
+    result, trunk, head, curve = _train_against_k_major(
+        training_instances, trained_scorer.model, 100.0, 3, 30, 40)
+    np.testing.assert_allclose(result.model.trunk.params, trunk.params, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.model.head.params, head.params, rtol=0, atol=1e-6)
+    for got, want in zip(result.curve, curve):
+        assert got.step == want.step and got.loss_gt == pytest.approx(want.loss_gt, rel=1e-5)
+        assert got.loss_plaus == pytest.approx(want.loss_plaus, rel=1e-5)
+
+
 def test_train_deterministic(training_instances):
     cfg = _tiny_config(seed=33)
     a = train_predictor(training_instances[:30], None, cfg, n_heads=2)
@@ -600,7 +704,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     model = build_predictor(layout, 12, 2, seed=50)
     # make head 1 match the ground truth closely so head 0 is never argmin
     pred = predict(model, inst.past, inst.observable)
-    points = np.stack([t.points for t in pred.trajectories])[:, None]
+    points = np.stack([t.points for t in pred.trajectories])[None]
     _, sel, _ = min_of_k_mse(points, inst.future.points[None])
 
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)

@@ -6,7 +6,6 @@ from .errors import (
     DataError,
     InputShapeError,
     NumericError,
-    ParseError,
     PlausTrajError,
 )
 from .gradcore import TrainConfig
@@ -40,7 +39,6 @@ __all__ = [
     "DataError",
     "InputShapeError",
     "NumericError",
-    "ParseError",
     "PlausTrajError",
     "TrainConfig",
     "ObservableState",

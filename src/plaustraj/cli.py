@@ -99,7 +99,7 @@ def cmd_train_locoval(config_path, out, data_dir):
         raise DataError(f"missing {csv_path}; run gen-data first")
     pairs = oracle.load_plausibility_csv(csv_path)
     layout = locoval_mod.FeatureLayout(
-        horizon=pairs.horizon, joint_count=len(pairs.observables[0].joints),
+        horizon=pairs.horizon, joint_count=len(pairs.joint_names),
         include_pose=cfg.locoval.include_pose, include_velocity=cfg.locoval.include_velocity)
     result = locoval_mod.train_locoval(pairs, cfg.locoval.train, layout=layout,
                                        hidden=tuple(cfg.locoval.hidden),

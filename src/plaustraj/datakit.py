@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (NON_NEGATIVE, POSITIVE, UNIT, Checked, ConfigError, DataError,
-                     InputShapeError, ParseError, Rule, at_least, is_finite, rule)
+                     InputShapeError, Rule, at_least, is_finite, rule)
 from .oracle import (
     DEFAULT_DT,
     PELVIS,
@@ -22,6 +22,7 @@ from .oracle import (
     OracleParams,
     Trajectory,
     TrajectorySet,
+    _bank_arrays,
     _map,
     _norm,
     _row_norms,
@@ -73,16 +74,15 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}",
-                                 path=path, line=line_no)
+                raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
             try:
                 frame = int(float(parts[0]))
                 ped = int(float(parts[1]))
                 x, y = float(parts[2]), float(parts[3])
             except ValueError:
-                raise ParseError(f"non-numeric field in {parts!r}", path=path, line=line_no)
+                raise DataError(f"{path}:{line_no}: non-numeric field in {parts!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError("non-finite coordinate", path=path, line=line_no)
+                raise DataError(f"{path}:{line_no}: non-finite coordinate")
             rows.append((ped, frame, x, y))
 
     by_ped = {}
@@ -162,11 +162,10 @@ def make_walking_pose(
     return HumanoidState(joints=joints, heading=heading, root_velocity=speed * direction)
 
 
-def generate_pose_bank(n: int, seed: int = 0,
-                       speed_range=(0.6, 2.0)) -> list[HumanoidState]:
+def generate_pose_bank(n: int, seed: int = 0) -> list[HumanoidState]:
     rng = np.random.default_rng(seed)
     return [make_walking_pose(heading=rng.uniform(-math.pi, math.pi),
-                              speed=rng.uniform(*speed_range),
+                              speed=rng.uniform(0.6, 2.0),  # m/s
                               phase=rng.uniform(0.0, 2.0 * math.pi), jitter_rng=rng)
             for _ in range(n)]
 
@@ -498,7 +497,6 @@ def make_training_instances(
     future_frames: int,
     stride: int = 1,
     seed: int = 0,
-    stats: dict | None = None,
 ) -> WindowSet:
     """Sliding windows over every track, tracks in id order. Each window gets
     a bank pose, drawn in window order, rotated about its root to the
@@ -516,25 +514,18 @@ def make_training_instances(
         raise ConfigError("stride must be >= 1")
     if not pose_bank:
         raise DataError("empty pose bank")
-    names = joint_order(pose_bank[0].joints)
-    if any(set(pose.joints) != set(names) for pose in pose_bank):
-        raise DataError("every pose of the bank must name the same joints")
-    window = past_frames + future_frames
-    spans = _spans(dataset, window, stride)
+    names, bank_joints, _, bank_heading = _bank_arrays(pose_bank)
+    spans = _spans(dataset, past_frames + future_frames, stride)
     past = spans[:, :past_frames]
     last_step = past[:, -1] - past[:, -2]
     target = np.where(_row_norms(last_step) > 1e-9,
                       _map(math.atan2, last_step[:, 1], last_step[:, 0]), 0.0)
     pose = np.random.default_rng(seed).integers(len(pose_bank), size=len(spans))
-    bank = np.stack([[state.joints[n] for n in names] for state in pose_bank])[pose]
-    rots = rotation_matrices(wrap_angles(target - np.array([s.heading for s in pose_bank])[pose]))
+    bank = bank_joints[pose]
+    rots = rotation_matrices(wrap_angles(target - bank_heading[pose]))
     pivot = bank[:, PELVIS, None, :2]
     joints = bank.copy()
     joints[:, :, :2] = ((rots[:, None] @ (bank[:, :, :2] - pivot)[..., None])[..., 0]
                         + pivot + (past[:, -1, None] - pivot))
-    windows = WindowSet(past, spans[:, past_frames:], joints, last_step / dataset.dt, names,
-                        dataset.dt)
-    if stats is not None:
-        stats["skipped_tracks"] = sum(len(t) < window for t in dataset.tracks.values())
-        stats["instances"] = len(windows)
-    return windows
+    return WindowSet(past, spans[:, past_frames:], joints, last_step / dataset.dt, names,
+                     dataset.dt)

@@ -27,20 +27,6 @@ class DataError(PlausTrajError, ValueError):
     """Unparseable or malformed data file."""
 
 
-class ParseError(DataError):
-    """A specific line of a data file could not be parsed."""
-
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}: "
-        super().__init__(f"{loc}{message}")
-
-
 class NumericError(PlausTrajError, ArithmeticError):
     """A computation produced a non-finite value."""
 

@@ -22,6 +22,7 @@ from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajecto
                      candidate_arrays, headings, rotation_matrices, rotation_matrix)
 
 DEFAULT_HIDDEN = (128, 128, 128)
+EVAL_EVERY = 50  # training steps between holdout checks
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,10 @@ class LocoValTrainResult:
 
 
 def features_and_targets(pairs: PairSet, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, canonicalized in one batch with the frames of the stacked
-    observables indexed by the pairs' state, and oracle rewards."""
-    joints = np.stack([obs.joint_array() for obs in pairs.observables])
-    velocity = np.stack([obs.root_velocity for obs in pairs.observables])
-    return _feature_rows(pairs.points, pairs.state, joints, velocity, layout), pairs.rewards
+    """Feature rows, canonicalized in one batch with the frames of the set's
+    states indexed by the pairs' state, and oracle rewards."""
+    return (_feature_rows(pairs.points, pairs.state, pairs.joints, pairs.velocity, layout),
+            pairs.rewards)
 
 
 def train_locoval(
@@ -208,14 +208,13 @@ def train_locoval(
     layout: FeatureLayout | None = None,
     hidden=DEFAULT_HIDDEN,
     holdout_fraction: float = 0.1,
-    eval_every: int = 50,
 ) -> LocoValTrainResult:
     """Regression against oracle rewards with best-checkpoint selection on a
-    held-out split."""
+    held-out split, checked every EVAL_EVERY steps and at the last step."""
     if not len(pairs):
         raise DataError("empty training dataset")
     if layout is None:
-        layout = FeatureLayout(horizon=pairs.horizon, joint_count=len(pairs.observables[0].joints))
+        layout = FeatureLayout(horizon=pairs.horizon, joint_count=len(pairs.joint_names))
 
     model = build_locoval(layout, hidden=hidden, seed=config.seed)
     X, y = features_and_targets(pairs, layout)
@@ -250,7 +249,7 @@ def train_locoval(
         grads = gradcore.backward(model.net, cache, upstream)
         opt.step(model.net, grads)
 
-        if (step + 1) % eval_every == 0 or step == config.total_steps - 1:
+        if (step + 1) % EVAL_EVERY == 0 or step == config.total_steps - 1:
             ho = holdout_mse(model.net)
             train_mse = float(np.mean(err**2))
             curve.append(TrainingCurvePoint(step + 1, opt.current_lr(), train_mse, ho))

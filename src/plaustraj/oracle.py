@@ -204,9 +204,6 @@ class HumanoidState(_Pose):
         self.heading = wrap_angle(self.heading)
         super().__post_init__()
 
-    def observable(self) -> ObservableState:
-        return ObservableState(joints=self.joints, root_velocity=self.root_velocity.copy())
-
     def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
                     pivot=(0.0, 0.0)) -> "HumanoidState":
         """Rigid transform about the vertical axis. The joints move as one
@@ -257,16 +254,18 @@ class PairSet:
     """Oracle-labelled pose-trajectory pairs of one horizon and one dt.
 
     Pair i is the trajectory points[i], labelled rewards[i] by the oracle
-    from the state observables[state[i]]; it is a plausible_pair when
-    plausible[i], else an implausible_pair. Pairs may share an observable,
-    which nothing mutates.
+    from the state state[i]: the joints[state[i]], named by joint_names, and
+    the root velocity[state[i]]; it is a plausible_pair when plausible[i],
+    else an implausible_pair. Pairs may share a state, which nothing mutates.
     """
 
     points: np.ndarray       # (N, T, 2) ground-plane positions, T >= 2
     rewards: np.ndarray      # (N,) in [0, 1]
     plausible: np.ndarray    # (N,) bool
-    state: np.ndarray        # (N,) indices into observables
-    observables: list[ObservableState]
+    state: np.ndarray        # (N,) indices into joints and velocity
+    joints: np.ndarray       # (S, J, 3)
+    velocity: np.ndarray     # (S, 2) m/s
+    joint_names: list[str]   # the J names, in joint_order()
     dt: float
 
     def __post_init__(self):
@@ -274,26 +273,47 @@ class PairSet:
         self.rewards = np.asarray(self.rewards, dtype=float)
         self.plausible = np.asarray(self.plausible, dtype=bool)
         self.state = np.asarray(self.state, dtype=np.intp)
-        n = len(self.rewards)
+        self.joints = np.asarray(self.joints, dtype=float)
+        self.velocity = np.asarray(self.velocity, dtype=float)
+        self.joint_names = list(self.joint_names)
+        n, s, J = len(self.rewards), len(self.joints), len(self.joint_names)
         shapes = [a.shape for a in (self.points, self.rewards, self.plausible, self.state)]
         if len(shapes[0]) != 3 or shapes[0][::2] != (n, 2) or set(shapes[1:]) != {(n,)}:
             raise InputShapeError("pair arrays must be points (N, T, 2) and rewards, plausible "
                                   f"and state (N,), got {shapes}")
+        if (self.joints.shape, self.velocity.shape) != ((s, J, 3), (s, 2)):
+            raise InputShapeError(f"state arrays must be joints (S, {J}, 3) and velocity (S, 2), "
+                                  f"got {self.joints.shape} and {self.velocity.shape}")
+        if self.joint_names != joint_order(self.joint_names):
+            raise InputShapeError(f"joint names must be in joint order, got {self.joint_names}")
         if n and self.horizon < 2:
             raise InputShapeError("trajectory needs at least 2 points")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if n and not 0 <= self.state.min() <= self.state.max() < len(self.observables):
-            raise InputShapeError(f"state indices must lie in [0, {len(self.observables)})")
-        if len({tuple(o.joint_order()) for o in self.observables}) > 1:
-            raise InputShapeError("the observables of a pair set must name the same joints")
-        # the first pair that breaks a rule, its points checked before its reward
+        if n and not 0 <= self.state.min() <= self.state.max() < s:
+            raise InputShapeError(f"state indices must lie in [0, {s})")
+        # the first pair that breaks a rule, its state checked before its points
+        # and its points before its reward
+        bad_joints = ~np.isfinite(self.joints).all(axis=2)
+        bad_states = bad_joints.any(axis=1) | ~np.isfinite(self.velocity).all(axis=1)
         bad_points = ~np.isfinite(self.points).all(axis=(1, 2))
-        bad = bad_points | ~((self.rewards >= 0.0) & (self.rewards <= 1.0))
+        bad_rewards = ~((self.rewards >= 0.0) & (self.rewards <= 1.0))
+        bad = bad_states[self.state] | bad_points | bad_rewards
         if bad.any():
             i = int(np.argmax(bad))
-            raise PairError(i, "trajectory contains non-finite coordinates" if bad_points[i]
-                            else f"reward must be in [0, 1], got {float(self.rewards[i])}")
+            k = self.state[i]
+            if bad_joints[k].any():
+                name = self.joint_names[np.argmax(bad_joints[k])]
+                reason = f"joint {name!r} must be a finite 3-vector"
+            elif bad_states[k]:
+                reason = "root_velocity must be a finite 2-vector"
+            elif bad_points[i]:
+                reason = "trajectory contains non-finite coordinates"
+            else:
+                reason = f"reward must be in [0, 1], got {float(self.rewards[i])}"
+            raise PairError(i, reason)
+        if bad_states.any():  # a state that no pair uses
+            raise InputShapeError("state arrays must be finite")
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -303,9 +323,9 @@ class PairSet:
         return self.points.shape[1]
 
     def subset(self, index) -> "PairSet":
-        """The pairs at an index array (or mask), sharing this set's observables."""
+        """The pairs at an index array (or mask), sharing this set's state arrays."""
         return PairSet(self.points[index], self.rewards[index], self.plausible[index],
-                       self.state[index], self.observables, self.dt)
+                       self.state[index], self.joints, self.velocity, self.joint_names, self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +566,19 @@ def _pair_points(disp: np.ndarray, root: np.ndarray, heading: np.ndarray,
     return points
 
 
+def _bank_arrays(pose_bank: list[HumanoidState]
+                 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The joint names in joint_order(), the joints (P, J, 3) in that order,
+    the root velocities (P, 2) and the headings (P,) of a non-empty bank of
+    P poses, which must all name the same joints."""
+    names = joint_order(pose_bank[0].joints)
+    if any(set(pose.joints) != set(names) for pose in pose_bank):
+        raise DataError("every pose of the bank must name the same joints")
+    joints = np.array([[pose.joints[n] for n in names] for pose in pose_bank])
+    velocity = np.array([pose.root_velocity for pose in pose_bank])
+    return names, joints, velocity, np.array([pose.heading for pose in pose_bank])
+
+
 def build_plausibility_dataset(
     pose_bank: list[HumanoidState],
     traj_bank: TrajectorySet,
@@ -561,19 +594,18 @@ def build_plausibility_dataset(
     so does the pose. An implausible pair draws a perturbation and the
     uniform that it needs. Then every pair is built as one array from the
     bank's one horizon and dt, and labelled by one rollout_batch call. The
-    pairs of one bank state share one ObservableState.
+    pairs of one bank state share its row of the set's state arrays.
     """
     if n_plausible < 0 or n_implausible < 0:
         raise ConfigError("sample counts must be non-negative")
     if n_plausible + n_implausible == 0:
-        return PairSet(np.empty((0, 0, 2)), np.empty(0), np.empty(0, bool),
-                       np.empty(0, np.intp), [], DEFAULT_DT)
+        return PairSet(np.empty((0, 0, 2)), [], [], [], np.empty((0, len(REQUIRED_JOINTS), 3)),
+                       np.empty((0, 2)), REQUIRED_JOINTS, DEFAULT_DT)
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
     bank, dt = traj_bank.points, traj_bank.dt
-    heading = np.array([s.heading for s in pose_bank])
-    root = np.stack([s.root_position for s in pose_bank])
-    velocity = np.stack([s.root_velocity for s in pose_bank])
+    names, joints, velocity, heading = _bank_arrays(pose_bank)
+    root = joints[:, PELVIS, :2]
     speed = _row_norms(velocity)
     first = bank[:, 1] - bank[:, 0]
     first_norm = _row_norms(first)
@@ -610,8 +642,8 @@ def build_plausibility_dataset(
                           first_norm[t], first_angle[t], kinds, np.array(uniforms), dt, params)
     rewards = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
     used, state = np.unique(p, return_inverse=True)
-    return PairSet(points, rewards, kinds == _ALIGNED, state,
-                   [pose_bank[i].observable() for i in used.tolist()], dt)
+    return PairSet(points, rewards, kinds == _ALIGNED, state, joints[used], velocity[used], names,
+                   dt)
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +655,18 @@ def save_plausibility_csv(pairs: PairSet, path):
 
     Rows are the bytes csv.writer writes for the repr of each value: labels
     are one of two literals and a float repr never needs quoting. The
-    heading, root velocity and joint columns of each observable are
-    formatted once.
+    heading, root velocity and joint columns of each state are formatted
+    once.
     """
     if not len(pairs):
         raise DataError("refusing to write an empty plausibility dataset")
-    names = pairs.observables[0].joint_order()
     header = ["label", "omega", "dt", "T_f"]
     header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
-    header += [f"{n}_{ax}" for n in names for ax in ("x", "y", "z")]
-    states = [",".join(map(repr, [float(obs.heading()), *obs.root_velocity.tolist(),
-                                  *(v for n in names for v in obs.joints[n].tolist())]))
-              for obs in pairs.observables]
+    header += [f"{n}_{ax}" for n in pairs.joint_names for ax in ("x", "y", "z")]
+    states = [",".join(map(repr, [heading, *velocity, *joints])) for heading, velocity, joints
+              in zip(headings(pairs.joints, pairs.velocity).tolist(), pairs.velocity.tolist(),
+                     pairs.joints.reshape(len(pairs.joints), -1).tolist())]
     dt, horizon = repr(float(pairs.dt)), str(pairs.horizon)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -648,8 +679,9 @@ def save_plausibility_csv(pairs: PairSet, path):
 
 def load_plausibility_csv(path) -> PairSet:
     """Pairs written by save_plausibility_csv. Rows with the same state
-    columns share one ObservableState. Every row must have the first row's
-    T_f and dt. A malformed row is a DataError naming the file and line."""
+    columns share one state, whose joints are stored in joint_order() in
+    whatever order the header names them. Every row must have the first
+    row's T_f and dt. A malformed row is a DataError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -658,15 +690,19 @@ def load_plausibility_csv(path) -> PairSet:
         row = next(reader, None)
         if row is None:
             raise DataError(f"{path}: no pairs after the header")
-        joint_names = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
+        columns = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
+        names = joint_order(columns)
         flat, rewards, plausible, state = array("d"), [], [], []  # 8 bytes a coordinate
-        observables, index = [], {}  # state column strings -> index into observables
+        states, index = [], {}  # state column strings -> index into states
         line_no = 2
         try:
+            missing = [n for n in REQUIRED_JOINTS if n not in columns]
+            if missing:
+                raise InputShapeError(f"missing required joints: {missing}")
             first = row[2:4]
             dt, horizon = float(first[0]), int(first[1])
             heading_col = 4 + 2 * horizon
-            n_columns = heading_col + 3 + 3 * len(joint_names)
+            n_columns = heading_col + 3 + 3 * len(columns)
             # each row is parsed as the reader yields it, so no row's strings are kept
             for line_no, row in enumerate(chain([row], reader), start=2):
                 if row[2:4] != first and (float(row[2]), int(row[3])) != (dt, horizon):
@@ -681,19 +717,17 @@ def load_plausibility_csv(path) -> PairSet:
                 key = tuple(row[heading_col + 1 :])  # the heading column is derivable and not read
                 k = index.get(key)
                 if k is None:
-                    values = [float(v) for v in key]
-                    joints = {n: np.array(values[2 + 3 * j : 5 + 3 * j])
-                              for j, n in enumerate(joint_names)}
-                    observables.append(ObservableState(joints=joints,
-                                                       root_velocity=np.array(values[:2])))
-                    k = index[key] = len(observables) - 1
+                    states.append([float(v) for v in key])
+                    k = index[key] = len(states) - 1
                 flat.extend(map(float, row[4:heading_col]))
                 rewards.append(float(row[1]))
                 plausible.append(row[0] == "plausible_pair")
                 state.append(k)
             line_no = 2  # a rule of the whole set is located at the first row
+            states = np.array(states)  # (S, 2 + 3 J): root velocity, then joints in header order
+            joints = states[:, 2:].reshape(len(states), -1, 3)[:, [columns.index(n) for n in names]]
             return PairSet(np.array(flat).reshape(len(rewards), horizon, 2), np.array(rewards),
-                           np.array(plausible), np.array(state), observables, dt)
+                           np.array(plausible), np.array(state), joints, states[:, :2], names, dt)
         except PairError as exc:
             raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
         except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors

@@ -30,11 +30,16 @@ SCHEMA_2_LOCOVAL = {
 }
 
 
+def observable_of(state):
+    """The observable part of a HumanoidState: its joints and root velocity."""
+    return oracle.ObservableState(joints=state.joints, root_velocity=state.root_velocity.copy())
+
+
 def make_observable(heading=0.0, speed=1.2, root=(0.0, 0.0)):
     """A clean walking pose as an ObservableState, placed and oriented."""
     state = datakit.make_walking_pose(heading, speed)
     state = state.transformed(translation=np.asarray(root, dtype=float) - state.root_position)
-    return state.observable()
+    return observable_of(state)
 
 
 def straight_trajectory(n=12, speed=1.2, heading=0.0, start=(0.0, 0.0), dt=0.4):
@@ -45,9 +50,24 @@ def straight_trajectory(n=12, speed=1.2, heading=0.0, start=(0.0, 0.0), dt=0.4):
     return oracle.Trajectory(pts, dt)
 
 
+def state_of(pairs, k):
+    """State k of a PairSet as an ObservableState."""
+    return oracle.ObservableState(dict(zip(pairs.joint_names, pairs.joints[k])),
+                                  pairs.velocity[k])
+
+
 def pair_of(pairs, i):
     """(trajectory, observable) of pair i of a PairSet."""
-    return oracle.Trajectory(pairs.points[i], pairs.dt), pairs.observables[pairs.state[i]]
+    return oracle.Trajectory(pairs.points[i], pairs.dt), state_of(pairs, pairs.state[i])
+
+
+def pair_set(points, rewards, plausible, state, observables, dt):
+    """A PairSet whose states are the given ObservableStates, which must name
+    the same joints."""
+    names = observables[0].joint_order()
+    return oracle.PairSet(points, rewards, plausible, state,
+                          np.stack([o.joint_array() for o in observables]),
+                          np.stack([o.root_velocity for o in observables]), names, dt)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pair_of
+from conftest import observable_of, pair_of
 from plaustraj import datakit, filtering, gradcore, locoval, metrics, oracle, predictor, study
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
@@ -110,7 +110,7 @@ def test_criterion_2_gradient_correctness():
         heading = rng.uniform(-np.pi, np.pi)
         speed = rng.uniform(0.5, 2.0)
         pose = datakit.make_walking_pose(heading, speed)
-        obs = pose.observable()
+        obs = observable_of(pose)
         anchor = obs.root_position + rng.normal(0, 0.2, size=2)
         disp = rng.uniform(0.05, 0.4, size=(horizon, 2))
 

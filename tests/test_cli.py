@@ -112,11 +112,12 @@ def pairs_csv(tmp_path_factory):
         (1, "5", "reward must be in [0, 1], got 5.0"),
         (-1, None, "expected 55 columns for T_f 12, got 54"),
         (-1, "nan", "joint 'right_ankle' must be a finite 3-vector"),
+        (29, "nan", "root_velocity must be a finite 2-vector"),  # root_vx, after 12 points
         (3, "13", "T_f 13 at dt 0.4 differs from the first row's T_f 12 at dt 0.4"),
         (None, None, "no pairs after the header"),
     ],
     ids=["dt-zero", "dt-other", "unknown-label", "horizon-zero", "reward-nan", "reward-five",
-         "short-row", "nan-joint", "horizon-one-too-long", "header-only"],
+         "short-row", "nan-joint", "nan-root-vx", "horizon-one-too-long", "header-only"],
 )
 def test_train_locoval_bad_row_is_located_data_error(tiny_config, tmp_path, capsys, pairs_csv,
                                                      column, value, reason):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (SCHEMA_2_LOCOVAL, awkward_observables, make_observable, pair_of,
-                      straight_trajectory)
+from conftest import (SCHEMA_2_LOCOVAL, awkward_observables, make_observable, observable_of,
+                      pair_of, pair_set, straight_trajectory)
 from plaustraj import gradcore, locoval
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
@@ -25,8 +25,7 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import (ObservableState, PairSet, Trajectory, TrajectorySet, headings,
-                             rotation_matrix)
+from plaustraj.oracle import PairSet, Trajectory, TrajectorySet, headings, rotation_matrix
 
 
 LAYOUT = FeatureLayout(horizon=12)
@@ -66,7 +65,7 @@ def test_canonicalize_rigid_invariance(angle, dx, dy):
     state = state.transformed(translation=np.array([1.0, -2.0]) - state.root_position)
     moved_state = state.transformed(angle=angle, translation=(dx, dy))
     moved_traj = traj.transformed(angle=angle, translation=(dx, dy))
-    moved = canonicalize(moved_traj, moved_state.observable(), LAYOUT)
+    moved = canonicalize(moved_traj, observable_of(moved_state), LAYOUT)
     np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
@@ -170,8 +169,8 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
                                            root=tuple(r)))
         points.append(r + np.cumsum(rng.normal(0.0, 0.5, size=(12, 2)), axis=0))
     n = len(points)
-    pairs = PairSet(np.stack(points), np.full(n, 0.5), np.ones(n, bool), np.arange(n),
-                    observables, 0.4)
+    pairs = pair_set(np.stack(points), np.full(n, 0.5), np.ones(n, bool), np.arange(n),
+                     observables, 0.4)
     cands = [Trajectory(pts, 0.4) for pts in points]
     reference = np.stack(
         [_reference_features(t, obs, LAYOUT) for t, obs in zip(cands, observables)]
@@ -202,16 +201,15 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
 def test_features_and_targets_shared_observables_equal_per_row_reference(
         plausibility_dataset, layout):
     pairs = plausibility_dataset
-    assert len(pairs.observables) < len(pairs)
-    # an equal copy of a shared observable is another one with the same rows
-    copies = [ObservableState(dict(obs.joints), obs.root_velocity.copy())
-              for obs in pairs.observables]
-    first = np.arange(5)
+    assert len(pairs.joints) < len(pairs)
+    # an equal copy of a shared state is another one with the same rows
+    n_states, first = len(pairs.joints), np.arange(5)
     pairs = PairSet(np.concatenate([pairs.points, pairs.points[first]]),
                     np.concatenate([pairs.rewards, pairs.rewards[first]]),
                     np.concatenate([pairs.plausible, pairs.plausible[first]]),
-                    np.concatenate([pairs.state, pairs.state[first] + len(copies)]),
-                    pairs.observables + copies, pairs.dt)
+                    np.concatenate([pairs.state, pairs.state[first] + n_states]),
+                    np.concatenate([pairs.joints, pairs.joints]),
+                    np.concatenate([pairs.velocity, pairs.velocity]), pairs.joint_names, pairs.dt)
     X, y = locoval.features_and_targets(pairs, layout)
     reference = np.stack([_reference_features(*pair_of(pairs, i), layout)
                           for i in range(len(pairs))])
@@ -294,11 +292,11 @@ def test_score_rigid_invariance():
 
     state = make_walking_pose(0.4, 1.1)
     traj = straight_trajectory(n=12, speed=1.1, heading=0.4)
-    base = score(model, traj, state.observable())
+    base = score(model, traj, observable_of(state))
     moved = score(
         model,
         traj.transformed(angle=1.9, translation=(5.0, -7.0)),
-        state.transformed(angle=1.9, translation=(5.0, -7.0)).observable(),
+        observable_of(state.transformed(angle=1.9, translation=(5.0, -7.0))),
     )
     assert moved == pytest.approx(base, abs=1e-9)
 
@@ -371,8 +369,8 @@ def _constant_dataset(n, reward, seed=0):
         speed = rng.uniform(0.5, 2.0)
         observables.append(make_observable(heading=heading, speed=speed))
         points.append(straight_trajectory(n=12, speed=speed, heading=heading).points)
-    return PairSet(np.stack(points), np.full(n, reward), np.ones(n, bool), np.arange(n),
-                   observables, 0.4)
+    return pair_set(np.stack(points), np.full(n, reward), np.ones(n, bool), np.arange(n),
+                    observables, 0.4)
 
 
 def _scores(model, pairs):

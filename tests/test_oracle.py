@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_observable, straight_trajectory
+from conftest import make_observable, observable_of, pair_set, state_of, straight_trajectory
 from plaustraj import oracle
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.oracle import (
@@ -354,7 +354,7 @@ def test_observable_requires_all_joints():
 
 def test_heading_from_shoulder_line():
     for h in (0.0, 1.1, -2.4, math.pi / 2):
-        obs = walker(heading=h).observable()
+        obs = observable_of(walker(heading=h))
         assert wrap_angle(obs.heading() - h) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -698,9 +698,9 @@ def _assert_equals_reference(got, want):
         _assert_bits_equal(got.rewards[i], reward)
         assert got.dt == traj.dt
         _assert_bits_equal(got.points[i], traj.points)
-        obs = got.observables[got.state[i]]
+        obs = state_of(got, got.state[i])
         _assert_bits_equal(obs.root_velocity, state.root_velocity)
-        assert list(obs.joints) == list(state.joints)
+        assert got.joint_names == oracle.joint_order(state.joints)
         for name, pos in state.joints.items():
             _assert_bits_equal(obs.joints[name], pos)
 
@@ -888,26 +888,63 @@ def test_dataset_rows_are_checked_trajectories(pose_bank, traj_bank):
         ("state", lambda k: k + 100, InputShapeError, "state indices must lie in"),
         ("dt", lambda dt: 0.0, ConfigError, "dt must be positive"),
         ("dt", lambda dt: float("nan"), ConfigError, "dt must be positive"),
-        ("observables", lambda obs: [oracle.ObservableState(
-            {**o.joints, "neck": o.joints["head"]}, o.root_velocity) for o in obs[:1]] + obs[1:],
-         InputShapeError, "the observables of a pair set must name the same joints"),
+        ("joint_names", lambda names: names[::-1], InputShapeError,
+         "joint names must be in joint order"),
+        ("joints", lambda j: j[:, :7], InputShapeError,
+         "state arrays must be joints (S, 8, 3) and velocity (S, 2), got"),
+        ("velocity", lambda v: v[:, :1], InputShapeError,
+         "state arrays must be joints (S, 8, 3) and velocity (S, 2), got"),
+        ("joint_names", lambda names: [*names, "neck"], InputShapeError,
+         "state arrays must be joints (S, 9, 3) and velocity (S, 2), got"),
     ],
     ids=["one-point", "one-column", "nan-point", "reward-above-one", "reward-nan",
-         "short-labels", "state-out-of-range", "dt-zero", "dt-nan", "joint-names"],
+         "short-labels", "state-out-of-range", "dt-zero", "dt-nan", "joint-names",
+         "seven-joints", "one-velocity-column", "one-name-too-many"],
 )
 def test_pair_set_checks_every_rule(pose_bank, traj_bank, field, value, error, message):
     pairs = build_plausibility_dataset(pose_bank, traj_bank, 2, 2, seed=3)
     fields = dict(points=pairs.points, rewards=pairs.rewards, plausible=pairs.plausible,
-                  state=pairs.state, observables=pairs.observables, dt=pairs.dt)
+                  state=pairs.state, joints=pairs.joints, velocity=pairs.velocity,
+                  joint_names=pairs.joint_names, dt=pairs.dt)
     fields[field] = value(fields[field])
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         oracle.PairSet(**fields)
 
 
-def test_pair_set_subset_shares_the_observables(plausibility_dataset):
+@pytest.mark.parametrize(
+    "array, joint, message",
+    [("joints", 4, "joint 'left_knee' must be a finite 3-vector"),
+     ("joints", 7, "joint 'right_ankle' must be a finite 3-vector"),
+     ("velocity", 0, "root_velocity must be a finite 2-vector")],
+    ids=["left-knee", "right-ankle", "root-velocity"],
+)
+def test_pair_set_bad_state_is_located_at_its_first_pair(plausibility_dataset, array, joint,
+                                                         message):
+    """A non-finite state is reported at the first pair that uses it, ahead
+    of that pair's bad points; a non-finite state no pair uses is refused too."""
+    pairs = plausibility_dataset
+    k = pairs.state[100]
+    first = int(np.argmax(pairs.state == k))
+    fields = dict(points=pairs.points.copy(), rewards=pairs.rewards, plausible=pairs.plausible,
+                  state=pairs.state, joints=pairs.joints.copy(), velocity=pairs.velocity.copy(),
+                  joint_names=pairs.joint_names, dt=pairs.dt)
+    fields[array][k, joint] = np.inf
+    fields["points"][first, 3] = np.nan
+    with pytest.raises(oracle.PairError, match=f"^pair {first}: {re.escape(message)}$"):
+        oracle.PairSet(**fields)
+    fields["state"] = np.where(pairs.state == k, (k + 1) % len(pairs.joints), pairs.state)
+    fields["points"] = pairs.points
+    with pytest.raises(InputShapeError, match="^state arrays must be finite$"):
+        oracle.PairSet(**fields)
+
+
+def test_pair_set_subset_shares_the_state_arrays(plausibility_dataset):
     index = np.array([5, 0, 200])
     sub = plausibility_dataset.subset(index)
-    assert len(sub) == 3 and sub.observables is plausibility_dataset.observables
+    assert len(sub) == 3
+    assert sub.joints is plausibility_dataset.joints
+    assert sub.velocity is plausibility_dataset.velocity
+    assert sub.joint_names == plausibility_dataset.joint_names
     for field in ("points", "rewards", "plausible", "state"):
         assert np.array_equal(getattr(sub, field), getattr(plausibility_dataset, field)[index])
 
@@ -920,8 +957,8 @@ def test_zero_speed_pose_resampling(traj_bank):
     assert stats.get("zero_speed_resamples", 0) > 0
     got = build_plausibility_dataset([still, moving], traj_bank, 20, 0, seed=8)
     _assert_equals_reference(got, want)
-    assert len(got.observables) == 1
-    assert np.array_equal(got.observables[0].root_velocity, moving.root_velocity)
+    assert len(got.joints) == len(got.velocity) == 1
+    assert np.array_equal(got.velocity[0], moving.root_velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +974,11 @@ def test_plausibility_csv_roundtrip(tmp_path, plausibility_dataset):
     assert np.array_equal(loaded.plausible, subset.plausible)
     assert np.array_equal(loaded.rewards, subset.rewards)
     assert np.array_equal(loaded.points, subset.points)
+    assert loaded.joint_names == subset.joint_names
     for i in range(15):
-        a, b = subset.observables[subset.state[i]], loaded.observables[loaded.state[i]]
-        for name in a.joints:
-            assert np.array_equal(a.joints[name], b.joints[name])
+        a, b = subset.state[i], loaded.state[i]
+        assert np.array_equal(subset.joints[a], loaded.joints[b])
+        assert np.array_equal(subset.velocity[a], loaded.velocity[b])
 
 
 def test_plausibility_csv_malformed_row(tmp_path):
@@ -950,13 +988,13 @@ def test_plausibility_csv_malformed_row(tmp_path):
         load_plausibility_csv(path)
 
 
-# The writer formats each observable once and the reader parses each state
+# The writer formats each state once and the reader parses each state
 # once. These references format and parse every row on its own.
 
 
 def _reference_save(pairs, path):
     """csv.writer over the repr of every value, one row per pair."""
-    names = pairs.observables[0].joint_order()
+    names = pairs.joint_names
     header = ["label", "omega", "dt", "T_f"]
     header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
@@ -965,7 +1003,7 @@ def _reference_save(pairs, path):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(len(pairs)):
-            obs = pairs.observables[pairs.state[i]]
+            obs = state_of(pairs, pairs.state[i])
             label = "plausible_pair" if pairs.plausible[i] else "implausible_pair"
             row = [label, repr(float(pairs.rewards[i])), repr(float(pairs.dt)), pairs.horizon]
             row += [repr(float(v)) for v in pairs.points[i].reshape(-1)]
@@ -1005,25 +1043,25 @@ def _short_horizon_dataset(pose_bank, traj_bank):
 def _extra_joint_dataset(pose_bank, traj_bank):
     pairs = build_plausibility_dataset(pose_bank[:5], traj_bank, 10, 10, seed=22)
     extended = []
-    for obs in pairs.observables:
+    for k in range(len(pairs.joints)):
+        obs = state_of(pairs, k)
         joints = dict(obs.joints)
         joints["neck"] = (joints["head"] + joints["pelvis"]) / 2
         joints["left_wrist"] = joints["left_shoulder"] - [0.0, 0.1, 0.5]
         extended.append(oracle.ObservableState(joints, obs.root_velocity))
-    return oracle.PairSet(pairs.points, pairs.rewards, pairs.plausible, pairs.state, extended,
-                          pairs.dt)
+    return pair_set(pairs.points, pairs.rewards, pairs.plausible, pairs.state, extended, pairs.dt)
 
 
 def _edge_value_dataset(pose_bank, traj_bank):
     edges = [-0.0, 5e-324, 1e22, 0.1 + 0.2]
-    obs = pose_bank[0].observable()
+    obs = observable_of(pose_bank[0])
     joints = dict(obs.joints)
     joints["head"] = np.array(edges[:3])
     joints["left_knee"] = np.array(edges[1:])
     edge_obs = oracle.ObservableState(joints, np.array(edges[2:]))
     pts = np.array(edges * 3).reshape(6, 2)
-    return oracle.PairSet(np.stack([pts, -pts, pts[::-1]]), [0.1 + 0.2, 5e-324, -0.0],
-                          [True, False, False], [1, 0, 1], [obs, edge_obs], 0.1 + 0.2)
+    return pair_set(np.stack([pts, -pts, pts[::-1]]), [0.1 + 0.2, 5e-324, -0.0],
+                    [True, False, False], [1, 0, 1], [obs, edge_obs], 0.1 + 0.2)
 
 
 DATASETS = {"short-horizon": _short_horizon_dataset, "extra-joints": _extra_joint_dataset,
@@ -1038,10 +1076,25 @@ def test_save_plausibility_csv_bytes_equal_reference(tmp_path, pose_bank, traj_b
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(DATASETS))
+def _reverse_joint_columns(path):
+    """Rewrite a plausibility file with its joint column triples in reverse order."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    start = rows[0].index("root_vy") + 1
+    triples = range(len(rows[0]) - 3, start - 3, -3)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([*row[:start], *(v for j in triples for v in row[j : j + 3])]
+                                 for row in rows)
+
+
+@pytest.mark.parametrize("name", [*sorted(DATASETS), "reversed-joint-columns"])
 def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, traj_bank, name):
-    path = tmp_path / "pairs.csv"
-    save_plausibility_csv(DATASETS[name](pose_bank, traj_bank), path)
+    path, saved = tmp_path / "pairs.csv", tmp_path / "saved.csv"
+    save_plausibility_csv(DATASETS.get(name, _extra_joint_dataset)(pose_bank, traj_bank), saved)
+    path.write_bytes(saved.read_bytes())
+    if name == "reversed-joint-columns":
+        _reverse_joint_columns(path)
+        assert path.read_bytes() != saved.read_bytes()
     got = load_plausibility_csv(path)
     want = _reference_load(path)
     assert len(got) == len(want)
@@ -1050,11 +1103,14 @@ def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, tra
         _assert_bits_equal(got.rewards[i], reward)
         _assert_bits_equal(got.dt, dt)
         _assert_bits_equal(got.points[i], pts)
-        obs = got.observables[got.state[i]]
+        obs = state_of(got, got.state[i])
         _assert_bits_equal(obs.root_velocity, vel)
-        assert list(obs.joints) == list(joints)
+        assert got.joint_names == oracle.joint_order(joints)
         for n, pos in joints.items():
             _assert_bits_equal(obs.joints[n], pos)
+    # saving what was loaded writes the saved file again, joints in joint order
+    save_plausibility_csv(got, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == saved.read_bytes()
 
 
 def _state_key(obs):
@@ -1066,11 +1122,11 @@ def test_one_observable_per_bank_state(tmp_path, pose_bank, traj_bank):
     built = build_plausibility_dataset(pose_bank, traj_bank, 150, 150, seed=21)
     drawn = _reference_dataset(pose_bank, traj_bank, 150, 150, OracleParams(), seed=21)
     n_states = len({id(state) for _, state, _, _ in drawn})
-    assert len({_state_key(s.observable()) for s in pose_bank}) == len(pose_bank)
+    assert len({_state_key(observable_of(s)) for s in pose_bank}) == len(pose_bank)
     path = tmp_path / "pairs.csv"
     save_plausibility_csv(built, path)
     for pairs in (built, load_plausibility_csv(path)):
-        keys = [_state_key(obs) for obs in pairs.observables]
+        keys = [_state_key(state_of(pairs, k)) for k in range(len(pairs.joints))]
         assert len(set(keys)) == len(keys) == n_states
         assert sorted(set(pairs.state.tolist())) == list(range(n_states))
 
@@ -1091,5 +1147,18 @@ def test_load_row_of_another_horizon_or_dt_is_located(tmp_path, plausibility_dat
     horizon, dt = ("11", "0.4") if column == 3 else ("12", value)
     message = (f"{path}:5: malformed row (T_f {horizon} at dt {dt} differs from the first row's "
                "T_f 12 at dt 0.4: a pair set has one horizon and one dt)")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_plausibility_csv(path)
+
+
+def test_load_header_without_a_required_joint_is_located(tmp_path, plausibility_dataset):
+    path = tmp_path / "pairs.csv"
+    save_plausibility_csv(plausibility_dataset.subset(np.arange(5)), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[0] = [col.replace("pelvis_", "hips_") for col in rows[0]]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    message = f"{path}:2: malformed row (missing required joints: ['pelvis'])"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_plausibility_csv(path)

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import datakit, filtering, gradcore, locoval as locoval_mod, metrics, oracle
+from . import datakit, filtering, gradcore, locoval as locoval_mod, metrics, oracle, study
 from . import predictor as predictor_mod
 from .config import RunConfig, load_config, override, save_resolved_config
 from .errors import (NON_NEGATIVE, UNIT, ConfigError, DataError, InputShapeError, NumericError,
@@ -271,11 +271,11 @@ def cmd_sweep(config_path, out, param, values):
                          "fallback_cases": entry.fallback_cases})
     else:
         train_instances = _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks)
-        for alpha in grid:
-            result = predictor_mod.train_predictor(
-                train_instances, scorer, cfg.predictor.train, alpha=alpha,
-                n_heads=model.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
-            report = filtering.evaluate_windows(result.model, instances,
+        jobs = [dict(dataset=train_instances, scorer=scorer, config=cfg.predictor.train,
+                     alpha=alpha, n_heads=model.n_heads,
+                     trunk_hidden=tuple(cfg.predictor.trunk_hidden)) for alpha in grid]
+        for alpha, trained in zip(grid, study.train_jobs(jobs)):
+            report = filtering.evaluate_windows(trained, instances,
                                                 n_bins=cfg.eval.chi2_bins).report
             rows.append({"value": alpha, "ade": report.ade, "fde": report.fde,
                          "min_ade": report.min_ade, "min_fde": report.min_fde,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gradcore, locoval as locoval_mod
 from .datakit import WindowSet
-from .errors import ConfigError, DataError, InputShapeError
+from .errors import ConfigError, DataError, InputShapeError, NumericError
 from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
@@ -243,7 +243,8 @@ def train_predictor(
     interval's mean loss_gt. Its loss_plaus is the interval's mean at
     alpha > 0; at alpha == 0, where it only reports, the scorer runs on the
     interval's last batch alone and loss_plaus is that batch's loss (0.0
-    without a scorer)."""
+    without a scorer). A step's overflow, invalid value or division by zero
+    raises NumericError "training step <n>: <what numpy reports>"."""
     if not len(dataset):
         raise DataError("empty training dataset")
     if not (alpha >= 0 and math.isfinite(alpha)):
@@ -276,52 +277,60 @@ def train_predictor(
     curve = []
     acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
 
-    for step in range(config.total_steps):
-        idx = rng.integers(n, size=min(config.batch_size, n))
-        xb = X[idx]
-        gtb = gt[idx]          # (B, T_f, 2)
-        anchb = anchors[idx]   # (B, 2)
-        B = len(idx)
+    # an overflow, nan or division by zero raises at once, not a RuntimeWarning per
+    # call: an overflowing AdamW moment would freeze its parameters without a failure
+    saved = np.seterr(over="raise", invalid="raise", divide="raise")
+    try:
+        for step in range(config.total_steps):
+            idx = rng.integers(n, size=min(config.batch_size, n))
+            xb = X[idx]
+            gtb = gt[idx]          # (B, T_f, 2)
+            anchb = anchors[idx]   # (B, 2)
+            B = len(idx)
 
-        trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, xb)
-        out, head_cache = gradcore.forward_cached(model.head, trunk_out)
-        disp = out.reshape(B, K, horizon, 2)
-        points = anchb[:, None, None] + np.cumsum(disp, axis=2)  # (B, K, T_f, 2)
+            trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, xb)
+            out, head_cache = gradcore.forward_cached(model.head, trunk_out)
+            disp = out.reshape(B, K, horizon, 2)
+            points = anchb[:, None, None] + np.cumsum(disp, axis=2)  # (B, K, T_f, 2)
 
-        # upstream gradients on the head layer's output, written through d_disp
-        d_out = np.zeros_like(out)
-        d_disp = d_out.reshape(B, K, horizon, 2)
-        loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
-        d_disp[np.arange(B), sel] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
+            # upstream gradients on the head layer's output, written through d_disp
+            d_out = np.zeros_like(out)
+            d_disp = d_out.reshape(B, K, horizon, 2)
+            loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
+            d_disp[np.arange(B), sel] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
-        closes_interval = (step + 1) % eval_every == 0 or step == config.total_steps - 1
-        loss_pl_val = 0.0
-        if scorer is not None and (alpha > 0.0 or closes_interval):
-            steps = disp.copy()
-            steps[:, :, 0, :] += offsets[idx, None]
-            # the pass stays bound until the next one replaces it: freed within a
-            # step, its 2.6 MB of activations (K=20, B=32) went back to the
-            # system and faulted in again, 630 minor page faults a step, not 15
-            loss_pl_val, scorer_pass = emloco_loss(scorer, steps, rots[idx], tails[idx])
-            if alpha > 0.0:
-                d_disp += alpha * emloco_grad(scorer, scorer_pass)
+            closes_interval = (step + 1) % eval_every == 0 or step == config.total_steps - 1
+            loss_pl_val = 0.0
+            if scorer is not None and (alpha > 0.0 or closes_interval):
+                steps = disp.copy()
+                steps[:, :, 0, :] += offsets[idx, None]
+                # the pass stays bound until the next one replaces it: freed within a
+                # step, its 2.6 MB of activations (K=20, B=32) went back to the
+                # system and faulted in again, 630 minor page faults a step, not 15
+                loss_pl_val, scorer_pass = emloco_loss(scorer, steps, rots[idx], tails[idx])
+                if alpha > 0.0:
+                    d_disp += alpha * emloco_grad(scorer, scorer_pass)
 
-        g_head = gradcore.backward(model.head, head_cache, d_out)
-        d_trunk = gradcore.input_grad(model.head, head_cache, d_out)
-        opt_head.step(model.head, g_head)
-        g_trunk = gradcore.backward(model.trunk, trunk_cache, d_trunk)
-        opt_trunk.step(model.trunk, g_trunk)
+            g_head = gradcore.backward(model.head, head_cache, d_out)
+            d_trunk = gradcore.input_grad(model.head, head_cache, d_out)
+            opt_head.step(model.head, g_head)
+            g_trunk = gradcore.backward(model.trunk, trunk_cache, d_trunk)
+            opt_trunk.step(model.trunk, g_trunk)
 
-        acc_gt += loss_gt_val
-        acc_pl += loss_pl_val
-        acc_n += 1
-        if closes_interval:
-            mean_gt = acc_gt / acc_n
-            mean_pl = acc_pl / acc_n if alpha > 0.0 else loss_pl_val
-            ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
-            dominates = bool(alpha * mean_pl > mean_gt)
-            curve.append(PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates))
-            acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
+            acc_gt += loss_gt_val
+            acc_pl += loss_pl_val
+            acc_n += 1
+            if closes_interval:
+                mean_gt = acc_gt / acc_n
+                mean_pl = acc_pl / acc_n if alpha > 0.0 else loss_pl_val
+                ratio = alpha * mean_pl / mean_gt if mean_gt > 0 else math.inf
+                dominates = bool(alpha * mean_pl > mean_gt)
+                curve.append(PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates))
+                acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
+    except FloatingPointError as exc:
+        raise NumericError(f"training step {step + 1}: {exc}") from None
+    finally:
+        np.seterr(**saved)
 
     target.trunk.params[...] = model.trunk.params
     target.head.params[...] = model.head.params

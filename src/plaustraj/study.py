@@ -3,19 +3,19 @@ frozen scorer, and K-head predictors trained at alpha 0 and at alpha from the
 same seed (same init and batch order), then evaluated on held-out windows
 with filtering.evaluate_windows.
 
-The acceptance tests and scripts/alpha_effect.py both run it. `paired_runs`
-trains the pairs in worker processes, with the bits of training in-process.
+The acceptance tests and scripts/alpha_effect.py both run it. `train_jobs`
+is the one pool that trains several predictors, with the bits of training
+in-process: `paired_runs` trains the pairs through it, and so does
+`sweep --param alpha`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import datakit, locoval, oracle, predictor
-from .gradcore import TrainConfig
+from .config import LocoValSection, PredictorSection
 
 PREDICTOR_STEPS = 800
 N_HEADS = 20
@@ -59,24 +59,25 @@ def build_corpus() -> Corpus:
 
 
 def train_scorer(pairs) -> locoval.LocoValModel:
-    cfg = TrainConfig(learning_rate=1e-3, total_steps=3000, batch_size=64, seed=104,
-                      schedule="cosine")
+    cfg = replace(LocoValSection().train, seed=104)
     return locoval.train_locoval(pairs, cfg, hidden=(128, 128, 128)).model
 
 
-def train_model(instances: datakit.WindowSet, scorer, seed: int, alpha: float, steps: int,
-                heads: int) -> predictor.PredictorModel:
-    """One run of a pair; the scorer is unused at alpha 0."""
-    cfg = TrainConfig(learning_rate=1e-4, total_steps=steps, batch_size=32, seed=200 + seed)
-    return predictor.train_predictor(instances, scorer if alpha > 0 else None, cfg,
-                                     alpha=alpha, n_heads=heads).model
+def _train(job: dict) -> predictor.PredictorModel:
+    return predictor.train_predictor(**job).model
 
 
-def paired_runs(instances: datakit.WindowSet, scorer, seeds: int, alpha: float = ALPHA,
-                steps: int = PREDICTOR_STEPS, heads: int = N_HEADS) -> dict:
-    """{(seed, a): model} for seed in range(seeds) and a in (0, alpha), each
-    run in one of min(runs, usable cores) spawned worker processes."""
-    jobs = [(seed, a) for seed in range(seeds) for a in (0.0, alpha)]
+def train_jobs(jobs: list[dict]) -> list[predictor.PredictorModel]:
+    """The model of predictor.train_predictor(**job) for each job, in job
+    order, each trained in one of min(jobs, usable cores) spawned worker
+    processes. A job's scorer goes to its worker only at alpha > 0, where
+    the model uses it."""
+    # imported here: they cost about 28 ms, which every CLI command would pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    jobs = [{**job, "scorer": job["scorer"] if job.get("alpha", 0.0) > 0 else None}
+            for job in jobs]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     # one BLAS thread per worker, read when it imports numpy: a thread per core
     # in each worker oversubscribes the cores (the acceptance corpus, scorer
@@ -85,11 +86,21 @@ def paired_runs(instances: datakit.WindowSet, scorer, seeds: int, alpha: float =
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(train_model, instances, scorer, seed, a, steps, heads)
-                       for seed, a in jobs]
-            return {job: future.result() for job, future in zip(jobs, futures)}
+            return list(pool.map(_train, jobs))
     finally:
         if saved is None:
             del os.environ["OPENBLAS_NUM_THREADS"]
         else:
             os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def paired_runs(instances: datakit.WindowSet, scorer, seeds: int, alpha: float = ALPHA,
+                steps: int = PREDICTOR_STEPS, heads: int = N_HEADS) -> dict:
+    """{(seed, a): model} for seed in range(seeds) and a in (0, alpha): one
+    train_jobs call, the run of a seed training from seed 200 + seed."""
+    keys = [(seed, a) for seed in range(seeds) for a in (0.0, alpha)]
+    train = PredictorSection().train
+    jobs = [dict(dataset=instances, scorer=scorer, alpha=a, n_heads=heads,
+                 config=replace(train, total_steps=steps, seed=200 + seed))
+            for seed, a in keys]
+    return dict(zip(keys, train_jobs(jobs)))

@@ -2,14 +2,19 @@ import base64
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SCHEMA_2_LOCOVAL
+import plaustraj
 from plaustraj import filtering, gradcore, locoval, predictor
-from plaustraj.cli import main
+from plaustraj.cli import _build_instances, main
+from plaustraj.config import load_config
 
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
 WEIGHTS_RULE = ("an object mapping some of straight, accelerate, turn, stop_and_go to finite "
@@ -40,6 +45,18 @@ def run(*args):
 def test_help_exits_zero(cmd, capsys):
     assert run(cmd, "--help") == 0
     assert "Usage" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_the_training_pool():
+    """Only sweep --param alpha trains in worker processes; importing the CLI,
+    which every command pays for, does not import their machinery."""
+    src = str(Path(plaustraj.__file__).parents[1])
+    code = ("import sys, plaustraj.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_gen_data_writes_files(tiny_config, tmp_path):
@@ -281,33 +298,35 @@ def test_sweep_lambda_writes_csv(tiny_config, trained_dir):
     assert len(rows) == 3
 
 
-def test_sweep_alpha_trains_the_saved_predictor_head_count(tiny_config, tmp_path, monkeypatch,
-                                                           capsys):
+def test_sweep_alpha_trains_the_saved_predictor_head_count(tiny_config, tmp_path, capsys):
+    """The grid trains in worker processes, so the head count is read from
+    the row: it is the evaluation of a 2-head model trained in-process."""
     out = tmp_path / "run"
     for stage in (["gen-data"], ["train-locoval"], ["train-predictor", "--heads", "2"]):
         assert run(*stage, "--config", tiny_config, "--out", str(out)) == 0
-    heads = []
-
-    def recording(*args, **kwargs):
-        heads.append(kwargs["n_heads"])
-        return train_predictor(*args, **kwargs)
-
-    train_predictor = predictor.train_predictor
-    monkeypatch.setattr(predictor, "train_predictor", recording)
     sweep = ("sweep", "--config", tiny_config, "--out", str(out), "--param", "alpha",
              "--values", "0")
     assert run(*sweep) == 0
-    assert heads == [2]
     with open(out / "sweep_alpha.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert float(row["min_ade"]) < float(row["ade"])
+    cfg = load_config(tiny_config)
+    model = predictor.train_predictor(
+        _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks),
+        locoval.load_locoval(out / "locoval.json"), cfg.predictor.train, alpha=0.0, n_heads=2,
+        trunk_hidden=tuple(cfg.predictor.trunk_hidden)).model
+    report = filtering.evaluate_windows(
+        model, _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks),
+        n_bins=cfg.eval.chi2_bins).report
+    assert row == {"value": "0.0", "ade": repr(report.ade), "fde": repr(report.fde),
+                   "min_ade": repr(report.min_ade), "min_fde": repr(report.min_fde),
+                   "chi2_velocity": repr(report.chi2["velocity"])}
+    assert report.min_ade < report.ade
     # without predictor.json there is no head count: one line, exit 2, as for eval
     (out / "predictor.json").unlink()
     capsys.readouterr()
     assert run(*sweep) == 2
     err = capsys.readouterr().err
     assert "predictor.json" in err and err.count("\n") == 1 and "Traceback" not in err
-    assert heads == [2]
 
 
 def write_filter_inputs(trained_dir, tmp_path, frames=12, keys=("0", "1")):
@@ -654,6 +673,25 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
     last_ratio = float(rows[-1].split(",")[3])
     assert f"(last interval ratio {last_ratio:.3g})" in out
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
+@pytest.mark.parametrize("command", ["train-predictor --alpha 1e30 --heads 3",
+                                     "train-predictor --alpha 1e300 --heads 3",
+                                     "sweep --param alpha --values 1e300"],
+                         ids=["alpha-1e30", "alpha-1e300", "sweep-alpha-1e300"])
+def test_training_overflow_is_one_line_numeric_failure(tiny_config, trained_dir, capfd,
+                                                       command):
+    """At 1e30 AdamW's second moment overflows, at 1e300 the regularizer's
+    gradient does; in-process or in a sweep worker, whose stderr is this
+    process's file descriptor 2, the run stops at once with one line."""
+    before = (trained_dir / "predictor.json").read_bytes()
+    capfd.readouterr()
+    assert run(*command.split(), "--config", tiny_config, "--out", str(trained_dir)) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numeric failure: training step 1: overflow encountered in ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (trained_dir / "predictor.json").read_bytes() == before
+    assert not (trained_dir / "sweep_alpha.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,18 @@
-"""The paired-seed study: its worker pool trains the models that training in
-this process does, bit for bit."""
+"""The study's training pool: its worker processes train the models that
+predictor.train_predictor calls in this process do, bit for bit, for the
+study's pairs and for an alpha sweep's grid."""
 
 import numpy as np
 
-from plaustraj import study
+from plaustraj import predictor, study
+from plaustraj.config import PredictorSection
+from plaustraj.gradcore import TrainConfig
+
+
+def assert_same_params(got, want):
+    for a, b in ((got.trunk, want.trunk), (got.head, want.head)):
+        a.validate()
+        assert np.array_equal(a.params, b.params)
 
 
 def test_pooled_pairs_equal_in_process_training(training_instances, trained_scorer):
@@ -11,8 +20,24 @@ def test_pooled_pairs_equal_in_process_training(training_instances, trained_scor
     pooled = study.paired_runs(training_instances, scorer, seeds=2, steps=20, heads=3)
     assert list(pooled) == [(0, 0.0), (0, study.ALPHA), (1, 0.0), (1, study.ALPHA)]
     for (seed, alpha), model in pooled.items():
-        local = study.train_model(training_instances, scorer, seed, alpha, steps=20, heads=3)
-        for got, want in ((model.trunk, local.trunk), (model.head, local.head)):
-            got.validate()
-            assert np.array_equal(got.params, want.params)
+        # the study's settings, spelled out: 1e-4, batch 32, a constant rate
+        config = TrainConfig(learning_rate=1e-4, total_steps=20, batch_size=32, seed=200 + seed)
+        local = predictor.train_predictor(training_instances, scorer if alpha > 0 else None,
+                                          config, alpha=alpha, n_heads=3).model
+        assert_same_params(model, local)
     assert not np.array_equal(pooled[(0, 0.0)].head.params, pooled[(0, study.ALPHA)].head.params)
+
+
+def test_pooled_sweep_grid_equals_in_process_training(training_instances, trained_scorer):
+    """An alpha sweep's jobs, which pass the scorer at alpha 0 too: the pool
+    drops it there, and the model keeps its bits."""
+    config = TrainConfig(learning_rate=1e-4, total_steps=20, batch_size=16, seed=5)
+    jobs = [dict(dataset=training_instances, scorer=trained_scorer.model, config=config,
+                 alpha=alpha, n_heads=2, trunk_hidden=tuple(PredictorSection().trunk_hidden))
+            for alpha in (0.0, 10.0)]
+    pooled = study.train_jobs(jobs)
+    assert len(pooled) == 2
+    for job, model in zip(jobs, pooled):
+        assert model.n_heads == 2
+        assert_same_params(model, predictor.train_predictor(**job).model)
+    assert not np.array_equal(pooled[0].head.params, pooled[1].head.params)

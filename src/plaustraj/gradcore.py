@@ -26,6 +26,7 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 CHECKPOINT_SCHEMA_VERSION = 3
+CURVE_EVERY = 50  # training steps per curve point; the last step closes one too
 
 
 @dataclass
@@ -304,8 +305,6 @@ def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray
 
 def cosine_lr(base_lr: float, step: int, total_steps: int, min_lr: float = 0.0) -> float:
     """Half-cosine decay from base_lr at step 0 to min_lr at total_steps."""
-    if step < 0:
-        raise ConfigError("step must be non-negative")
     if step >= total_steps:
         return min_lr
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * step / total_steps))
@@ -338,10 +337,9 @@ class AdamW:
             )
         return self.config.learning_rate
 
-    def step(self, model: MlpModel, grads: Gradients, lr: float | None = None):
+    def step(self, model: MlpModel, grads: Gradients):
         cfg = self.config
-        if lr is None:
-            lr = self.current_lr()
+        lr = self.current_lr()
         self.t += 1
         t = self.t
         b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
@@ -371,6 +369,31 @@ class AdamW:
         if decay != 1.0:  # p * 1.0 is p exactly (weight_decay 0)
             p *= decay
         p -= update
+
+
+class TrainingSteps:
+    """The steps of a training loop and their one contract. Iterating gives
+    (step, closes_interval) for step in range(total_steps), closes_interval
+    true every CURVE_EVERY steps and at the last, where a curve point is due.
+    In the with block numpy's overflow, invalid-value and divide-by-zero flags
+    raise (an overflowing AdamW moment would freeze its parameters silently),
+    and leave it as NumericError "training step <n>: <what numpy reports>"."""
+
+    def __init__(self, total_steps: int):
+        self.last, self.step = total_steps - 1, 0
+
+    def __iter__(self):
+        for self.step in range(self.last + 1):
+            yield self.step, (self.step + 1) % CURVE_EVERY == 0 or self.step == self.last
+
+    def __enter__(self) -> "TrainingSteps":
+        self._saved = np.seterr(over="raise", invalid="raise", divide="raise")
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        np.seterr(**self._saved)
+        if isinstance(exc, FloatingPointError):
+            raise NumericError(f"training step {self.step + 1}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .oracle import (PELVIS, REQUIRED_JOINTS, ObservableState, PairSet, Trajecto
                      candidate_arrays, headings, rotation_matrices, rotation_matrix)
 
 DEFAULT_HIDDEN = (128, 128, 128)
-EVAL_EVERY = 50  # training steps between holdout checks
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,8 @@ def train_locoval(
     holdout_fraction: float = 0.1,
 ) -> LocoValTrainResult:
     """Regression against oracle rewards with best-checkpoint selection on a
-    held-out split, checked every EVAL_EVERY steps and at the last step."""
+    held-out split, checked at each curve point of gradcore.TrainingSteps,
+    whose numeric rule the steps run under."""
     if not len(pairs):
         raise DataError("empty training dataset")
     if layout is None:
@@ -221,13 +221,11 @@ def train_locoval(
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(X))
-    n_hold = max(1, int(round(holdout_fraction * len(X)))) if len(X) > 1 else 0
+    n_hold = max(1, int(round(holdout_fraction * len(X))))
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
     if len(train_idx) == 0:
-        train_idx, hold_idx = perm, perm
-    if len(hold_idx) == 0:
-        # no held-out split requested: select the checkpoint on training data
-        hold_idx = train_idx
+        # too few pairs to hold any out: select the checkpoint on the training pairs
+        train_idx = hold_idx = perm
     X_tr, y_tr = X[train_idx], y[train_idx]
     X_ho, y_ho = X[hold_idx], y[hold_idx]
 
@@ -236,26 +234,22 @@ def train_locoval(
     best_mse = math.inf
     curve = []
 
-    def holdout_mse(net: MlpModel) -> float:
-        pred = gradcore.forward(net, X_ho)[:, 0]
-        return float(np.mean((pred - y_ho) ** 2))
+    with gradcore.TrainingSteps(config.total_steps) as training:
+        for step, closes_interval in training:
+            idx = rng.integers(len(X_tr), size=min(config.batch_size, len(X_tr)))
+            xb, yb = X_tr[idx], y_tr[idx]
+            out, cache = gradcore.forward_cached(model.net, xb)
+            err = out[:, 0] - yb
+            upstream = (2.0 * err / len(err))[:, None]
+            opt.step(model.net, gradcore.backward(model.net, cache, upstream))
 
-    for step in range(config.total_steps):
-        idx = rng.integers(len(X_tr), size=min(config.batch_size, len(X_tr)))
-        xb, yb = X_tr[idx], y_tr[idx]
-        out, cache = gradcore.forward_cached(model.net, xb)
-        err = out[:, 0] - yb
-        upstream = (2.0 * err / len(err))[:, None]
-        grads = gradcore.backward(model.net, cache, upstream)
-        opt.step(model.net, grads)
-
-        if (step + 1) % EVAL_EVERY == 0 or step == config.total_steps - 1:
-            ho = holdout_mse(model.net)
-            train_mse = float(np.mean(err**2))
-            curve.append(TrainingCurvePoint(step + 1, opt.current_lr(), train_mse, ho))
-            if ho < best_mse:
-                best_mse = ho
-                best_params = model.net.copy()
+            if closes_interval:
+                ho = float(np.mean((gradcore.forward(model.net, X_ho)[:, 0] - y_ho) ** 2))
+                train_mse = float(np.mean(err**2))
+                curve.append(TrainingCurvePoint(step + 1, opt.current_lr(), train_mse, ho))
+                if ho < best_mse:
+                    best_mse = ho
+                    best_params = model.net.copy()
 
     model = LocoValModel(net=best_params, layout=layout)
     return LocoValTrainResult(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gradcore, locoval as locoval_mod
 from .datakit import WindowSet
-from .errors import ConfigError, DataError, InputShapeError, NumericError
+from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
@@ -227,24 +227,20 @@ def train_predictor(
     alpha: float = 0.0,
     n_heads: int = 1,
     trunk_hidden=(256, 256),
-    model: PredictorModel | None = None,
-    eval_every: int = 50,
 ) -> PredictorTrainResult:
     """Train with min_of_k_mse + alpha * emloco_loss; the scorer's weights
     stay frozen. At alpha == 0 the regularizer term is fully detached so
     results are bit-identical to a run without a scorer.
 
-    Training computes in float32, on float32 copies of the trunk, the head
-    and the scorer's net. The trained values are written back into the given
-    (or built) float64 model, which the result holds; float32 to float64 is
-    exact, so saving and serving it computes with the trained values.
+    Training computes in float32, on float32 copies of the scorer's net and
+    of the model that build_predictor draws from the config seed, then writes
+    the trained values back into that float64 model, which the result holds;
+    float32 to float64 is exact, so serving it computes with those values.
 
-    Every eval_every steps, and at the last step, a curve point records the
-    interval's mean loss_gt. Its loss_plaus is the interval's mean at
-    alpha > 0; at alpha == 0, where it only reports, the scorer runs on the
-    interval's last batch alone and loss_plaus is that batch's loss (0.0
-    without a scorer). A step's overflow, invalid value or division by zero
-    raises NumericError "training step <n>: <what numpy reports>"."""
+    The steps run under gradcore.TrainingSteps. A curve point records its
+    interval's mean loss_gt, and its mean loss_plaus at alpha > 0; at alpha
+    == 0, where the scorer only reports, it runs on the interval's last batch
+    alone and loss_plaus is that batch's loss (0.0 without a scorer)."""
     if not len(dataset):
         raise DataError("empty training dataset")
     if not (alpha >= 0 and math.isfinite(alpha)):
@@ -253,18 +249,13 @@ def train_predictor(
         raise ConfigError("alpha > 0 requires a scorer")
 
     horizon = dataset.horizon
-    if model is None:
-        layout = InputLayout(past_frames=dataset.past_frames, include_pose=True,
-                             joint_count=len(dataset.joint_names))
-        model = build_predictor(layout, horizon, n_heads, trunk_hidden, seed=config.seed)
-    if model.horizon != horizon:
-        raise ConfigError("model horizon does not match dataset future length")
     if scorer is not None and scorer.layout.horizon != horizon:
         raise ConfigError("scorer horizon does not match dataset future length")
-    K = model.n_heads
-    target, model = model, PredictorModel(model.trunk.astype(np.float32),
-                                          model.head.astype(np.float32), horizon,
-                                          model.input_layout)
+    layout = InputLayout(past_frames=dataset.past_frames, joint_count=len(dataset.joint_names))
+    target = build_predictor(layout, horizon, n_heads, trunk_hidden, seed=config.seed)
+    K = target.n_heads
+    model = PredictorModel(target.trunk.astype(np.float32), target.head.astype(np.float32),
+                           horizon, layout)
     if scorer is not None:
         scorer = LocoValModel(scorer.net.astype(np.float32), scorer.layout)
 
@@ -277,18 +268,14 @@ def train_predictor(
     curve = []
     acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
 
-    # an overflow, nan or division by zero raises at once, not a RuntimeWarning per
-    # call: an overflowing AdamW moment would freeze its parameters without a failure
-    saved = np.seterr(over="raise", invalid="raise", divide="raise")
-    try:
-        for step in range(config.total_steps):
+    with gradcore.TrainingSteps(config.total_steps) as training:
+        for step, closes_interval in training:
             idx = rng.integers(n, size=min(config.batch_size, n))
-            xb = X[idx]
             gtb = gt[idx]          # (B, T_f, 2)
             anchb = anchors[idx]   # (B, 2)
             B = len(idx)
 
-            trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, xb)
+            trunk_out, trunk_cache = gradcore.forward_cached(model.trunk, X[idx])
             out, head_cache = gradcore.forward_cached(model.head, trunk_out)
             disp = out.reshape(B, K, horizon, 2)
             points = anchb[:, None, None] + np.cumsum(disp, axis=2)  # (B, K, T_f, 2)
@@ -299,7 +286,6 @@ def train_predictor(
             loss_gt_val, sel, d_points = min_of_k_mse(points, gtb)
             d_disp[np.arange(B), sel] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
-            closes_interval = (step + 1) % eval_every == 0 or step == config.total_steps - 1
             loss_pl_val = 0.0
             if scorer is not None and (alpha > 0.0 or closes_interval):
                 steps = disp.copy()
@@ -314,8 +300,7 @@ def train_predictor(
             g_head = gradcore.backward(model.head, head_cache, d_out)
             d_trunk = gradcore.input_grad(model.head, head_cache, d_out)
             opt_head.step(model.head, g_head)
-            g_trunk = gradcore.backward(model.trunk, trunk_cache, d_trunk)
-            opt_trunk.step(model.trunk, g_trunk)
+            opt_trunk.step(model.trunk, gradcore.backward(model.trunk, trunk_cache, d_trunk))
 
             acc_gt += loss_gt_val
             acc_pl += loss_pl_val
@@ -327,10 +312,6 @@ def train_predictor(
                 dominates = bool(alpha * mean_pl > mean_gt)
                 curve.append(PredictorCurvePoint(step + 1, mean_gt, mean_pl, ratio, dominates))
                 acc_gt, acc_pl, acc_n = 0.0, 0.0, 0
-    except FloatingPointError as exc:
-        raise NumericError(f"training step {step + 1}: {exc}") from None
-    finally:
-        np.seterr(**saved)
 
     target.trunk.params[...] = model.trunk.params
     target.head.params[...] = model.head.params

@@ -63,18 +63,18 @@ def train_scorer(pairs) -> locoval.LocoValModel:
     return locoval.train_locoval(pairs, cfg, hidden=(128, 128, 128)).model
 
 
-def _train(job: dict) -> predictor.PredictorModel:
-    return predictor.train_predictor(**job).model
+def _train(indexed_job: tuple[int, dict]) -> tuple[int, predictor.PredictorModel]:
+    return indexed_job[0], predictor.train_predictor(**indexed_job[1]).model
 
 
 def train_jobs(jobs: list[dict]) -> list[predictor.PredictorModel]:
     """The model of predictor.train_predictor(**job) for each job, in job
     order, each trained in one of min(jobs, usable cores) spawned worker
     processes. A job's scorer goes to its worker only at alpha > 0, where
-    the model uses it."""
-    # imported here: they cost about 28 ms, which every CLI command would pay
+    the model uses it. The first job to fail, in completion order, raises
+    its error here, and the workers still training are terminated."""
+    # imported here: the pool costs about 30 ms to import, which every command would pay
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     jobs = [{**job, "scorer": job["scorer"] if job.get("alpha", 0.0) > 0 else None}
             for job in jobs]
@@ -85,8 +85,10 @@ def train_jobs(jobs: list[dict]) -> list[predictor.PredictorModel]:
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(_train, jobs))
+        # leaving the block terminates the workers, and joins them
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            models = dict(pool.imap_unordered(_train, enumerate(jobs)))
+        return [models[i] for i in range(len(jobs))]
     finally:
         if saved is None:
             del os.environ["OPENBLAS_NUM_THREADS"]

@@ -675,22 +675,34 @@ def test_train_predictor_warns_once(tiny_config, trained_dir, capsys, caplog):
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
-@pytest.mark.parametrize("command", ["train-predictor --alpha 1e30 --heads 3",
-                                     "train-predictor --alpha 1e300 --heads 3",
-                                     "sweep --param alpha --values 1e300"],
-                         ids=["alpha-1e30", "alpha-1e300", "sweep-alpha-1e300"])
-def test_training_overflow_is_one_line_numeric_failure(tiny_config, trained_dir, capfd,
-                                                       command):
-    """At 1e30 AdamW's second moment overflows, at 1e300 the regularizer's
-    gradient does; in-process or in a sweep worker, whose stderr is this
-    process's file descriptor 2, the run stops at once with one line."""
-    before = (trained_dir / "predictor.json").read_bytes()
+@pytest.mark.parametrize("command, scorer_lr, step, op", [
+    ("train-predictor --alpha 1e30 --heads 3", None, 1, ""),
+    ("train-predictor --alpha 1e300 --heads 3", None, 1, ""),
+    ("sweep --param alpha --values 1e300", None, 1, ""),
+    ("train-locoval", 1e30, 2, "exp"),
+    ("train-locoval", 1e300, 2, "matmul"),
+], ids=["alpha-1e30", "alpha-1e300", "sweep-alpha-1e300", "scorer-lr-1e30", "scorer-lr-1e300"])
+def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, capfd, command,
+                                                       scorer_lr, step, op):
+    """At alpha 1e30 AdamW's second moment overflows, at 1e300 the
+    regularizer's gradient does; in-process or in a sweep worker, whose
+    stderr is this process's file descriptor 2, the run stops at once with
+    one line. The scorer fit follows the same rule: at a learning rate of
+    1e30 its first step drives the sigmoid's exp to overflow on the next,
+    at 1e300 the next step's matmul overflows. Nothing is written."""
+    config = json.loads(json.dumps(TINY))
+    if scorer_lr is not None:
+        config["locoval"]["train"]["learning_rate"] = scorer_lr
+    config_path = tmp_path / "blowup.json"
+    config_path.write_text(json.dumps(config))
+    outputs = ("predictor.json", "predictor_curve.csv", "locoval.json", "locoval_curve.csv")
+    before = [(trained_dir / name).read_bytes() for name in outputs]
     capfd.readouterr()
-    assert run(*command.split(), "--config", tiny_config, "--out", str(trained_dir)) == 3
+    assert run(*command.split(), "--config", str(config_path), "--out", str(trained_dir)) == 3
     err = capfd.readouterr().err
-    assert err.startswith("numeric failure: training step 1: overflow encountered in ")
+    assert err.startswith(f"numeric failure: training step {step}: overflow encountered in {op}")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert (trained_dir / "predictor.json").read_bytes() == before
+    assert [(trained_dir / name).read_bytes() for name in outputs] == before
     assert not (trained_dir / "sweep_alpha.csv").exists()
 
 

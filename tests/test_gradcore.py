@@ -406,11 +406,10 @@ def reference_input_grad(model, cache, upstream):
     return grad
 
 
-def reference_adamw_step(opt, model, grads, lr=None):
+def reference_adamw_step(opt, model, grads):
     """Out-of-place AdamW over each layer's arrays; the moments live on opt."""
     cfg = opt.config
-    if lr is None:
-        lr = opt.current_lr()
+    lr = opt.current_lr()
     opt.t += 1
     params = model.weights + model.biases
     if opt.t == 1:

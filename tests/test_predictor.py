@@ -489,7 +489,7 @@ def test_train_alpha_zero_bit_identical_to_no_scorer(training_instances, trained
 def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatch, alpha):
     """The frozen scorer runs over all K·B rows once per step at alpha 100.
     At alpha 0, where it only reports loss_plaus, it runs once per curve
-    point: at steps 2, 4 and the last, 5."""
+    point: at a curve point every 2 steps, at steps 2, 4 and the last, 5."""
     scorer = trained_scorer.model
     calls = []
     forward_cached = gradcore.forward_cached
@@ -501,25 +501,28 @@ def test_one_scorer_pass_per_step(training_instances, trained_scorer, monkeypatc
         return forward_cached(model, x)
 
     monkeypatch.setattr(gradcore, "forward_cached", counting)
+    monkeypatch.setattr(gradcore, "CURVE_EVERY", 2)
     cfg = _tiny_config(steps=5)
-    result = train_predictor(training_instances[:20], scorer, cfg, alpha=alpha, n_heads=3,
-                             eval_every=2)
+    result = train_predictor(training_instances[:20], scorer, cfg, alpha=alpha, n_heads=3)
     assert [p.step for p in result.curve] == [2, 4, 5]
     assert calls == [3 * cfg.batch_size] * (cfg.total_steps if alpha > 0 else 3)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 100.0])
-def test_curve_points_against_per_step_curve(training_instances, trained_scorer, alpha):
-    """An eval_every=50 run against an eval_every=1 run of the same seed.
-    Parameters and batches do not depend on eval_every, so the per-step
+def test_curve_points_against_per_step_curve(training_instances, trained_scorer, monkeypatch,
+                                             alpha):
+    """A run at the curve cadence of 50 steps against a run with a curve
+    point every step, of the same seed. Parameters and batches do not
+    depend on the cadence, so the per-step
     curve holds every step's losses. At alpha 0 each curve point's loss_plaus
     is the loss of its own step's batch; at alpha 100 it is the mean over its
     interval, as loss_gt is at both."""
     cfg = _tiny_config(steps=120)
 
-    def run(eval_every):
+    def run(curve_every):
+        monkeypatch.setattr(gradcore, "CURVE_EVERY", curve_every)
         return train_predictor(training_instances[:30], trained_scorer.model, cfg, alpha=alpha,
-                               n_heads=3, trunk_hidden=(32, 32), eval_every=eval_every)
+                               n_heads=3, trunk_hidden=(32, 32))
 
     coarse, per_step = run(50), run(1)
     assert np.array_equal(coarse.model.trunk.params, per_step.model.trunk.params)
@@ -598,10 +601,11 @@ def _k_major_train(dataset, scorer, config, alpha, n_heads, trunk_hidden, eval_e
     return trunk, head, curve
 
 
-def _train_against_k_major(instances, scorer, alpha, k, n, batch):
+def _train_against_k_major(monkeypatch, instances, scorer, alpha, k, n, batch):
     cfg = TrainConfig(learning_rate=1e-3, total_steps=40, batch_size=batch, seed=23)
+    monkeypatch.setattr(gradcore, "CURVE_EVERY", 10)
     result = train_predictor(instances[:n], scorer, cfg, alpha=alpha, n_heads=k,
-                             trunk_hidden=(32, 32), eval_every=10)
+                             trunk_hidden=(32, 32))
     trunk, head, curve = _k_major_train(instances[:n], scorer, cfg, alpha, k, (32, 32),
                                         eval_every=10)
     assert [p.step for p in curve] == [10, 20, 30, 40]
@@ -611,27 +615,28 @@ def _train_against_k_major(instances, scorer, alpha, k, n, batch):
 @pytest.mark.parametrize("n, batch", [(30, 16), (16, 24)], ids=["batch-16", "batch-over-n"])
 @pytest.mark.parametrize("k", [1, 3, 20])
 @pytest.mark.parametrize("alpha", [0.0, 10.0, 100.0])
-def test_train_matches_k_major_reference(training_instances, trained_scorer, alpha, k, n,
-                                         batch):
+def test_train_matches_k_major_reference(training_instances, trained_scorer, monkeypatch, alpha,
+                                         k, n, batch):
     """Training in the head layer's (B, K) order gives the K-major loop's
     trunk, head and curve bit for bit, for a batch of 16 of 30 windows and
     for one larger than its 16 windows. Both give B·K scorer rows in whole
     blocks of 16 (see the partial-block test below)."""
     result, trunk, head, curve = _train_against_k_major(
-        training_instances, trained_scorer.model, alpha, k, n, batch)
+        monkeypatch, training_instances, trained_scorer.model, alpha, k, n, batch)
     assert np.array_equal(result.model.trunk.params, trunk.params)
     assert np.array_equal(result.model.head.params, head.params)
     assert result.curve == curve
 
 
-def test_train_k_major_reference_with_a_partial_row_block(training_instances, trained_scorer):
+def test_train_k_major_reference_with_a_partial_row_block(training_instances, trained_scorer,
+                                                          monkeypatch):
     """The scorer's output layer is one matrix-vector product over the B·K
     rows, and BLAS computes its last B·K mod 4 rows (on some builds mod 8 or
     16) on a remainder path that rounds differently. Which head of which
     sample lands there depends on the row order, so at B·K = 30·3 the two
     orders agree only to float32 rounding."""
     result, trunk, head, curve = _train_against_k_major(
-        training_instances, trained_scorer.model, 100.0, 3, 30, 40)
+        monkeypatch, training_instances, trained_scorer.model, 100.0, 3, 30, 40)
     np.testing.assert_allclose(result.model.trunk.params, trunk.params, rtol=0, atol=1e-6)
     np.testing.assert_allclose(result.model.head.params, head.params, rtol=0, atol=1e-6)
     for got, want in zip(result.curve, curve):
@@ -678,11 +683,11 @@ def test_train_validates_inputs(training_instances, trained_scorer):
         train_predictor(training_instances[:5], None, cfg, alpha=10.0)
 
 
-def test_train_curve_logs_ratio(training_instances, trained_scorer, caplog):
+def test_train_curve_logs_ratio(training_instances, trained_scorer, monkeypatch, caplog):
     cfg = _tiny_config(steps=100)
+    monkeypatch.setattr(gradcore, "CURVE_EVERY", 1)
     result = train_predictor(
         training_instances[:30], trained_scorer.model, cfg, alpha=100.0, n_heads=2,
-        eval_every=1,
     )
     assert result.curve
     for point in result.curve:
@@ -710,7 +715,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     cfg = TrainConfig(learning_rate=1e-3, total_steps=1, batch_size=1, seed=50)
     # training rounds the parameters to float32, then writes them back
     before = model.head.astype(np.float32).astype(np.float64)
-    result = train_predictor(training_instances[:1], None, cfg, n_heads=2, model=model)
+    result = train_predictor(training_instances[:1], None, cfg, n_heads=2)
     winner = int(sel[0])
     loser = 1 - winner
     # loser head got a zero upstream gradient; AdamW leaves its columns untouched
@@ -738,17 +743,19 @@ def test_predictor_checkpoint_roundtrip(tmp_path, training_instances):
 def test_train_writes_float32_values_into_the_float64_model(training_instances,
                                                             trained_scorer):
     """Training computes in float32 copies and writes the trained values back
-    into the given float64 model; the scorer is left as it was."""
+    into the float64 model drawn from the config seed; the scorer is left as
+    it was."""
     layout = InputLayout(past_frames=9, joint_count=len(training_instances.joint_names))
-    model = build_predictor(layout, 12, 3, trunk_hidden=(32, 32), seed=51)
+    initial = build_predictor(layout, 12, 3, trunk_hidden=(32, 32), seed=51)
     scorer = trained_scorer.model
     scorer_before = scorer.net.params.copy()
-    result = train_predictor(training_instances[:20], scorer, _tiny_config(steps=10),
-                             alpha=100.0, n_heads=3, model=model)
-    assert result.model is model
-    for net in (model.trunk, model.head):
+    result = train_predictor(training_instances[:20], scorer, _tiny_config(steps=10, seed=51),
+                             alpha=100.0, n_heads=3, trunk_hidden=(32, 32))
+    for net, start in ((result.model.trunk, initial.trunk), (result.model.head, initial.head)):
         assert net.params.dtype == np.float64
         assert np.array_equal(net.params.astype(np.float32).astype(np.float64), net.params)
+        assert net.params.shape == start.params.shape
+        assert not np.array_equal(net.params, start.params)
         net.validate()
     assert scorer.net.params.dtype == np.float64
     assert np.array_equal(scorer.net.params, scorer_before)

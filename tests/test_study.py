@@ -2,10 +2,16 @@
 predictor.train_predictor calls in this process do, bit for bit, for the
 study's pairs and for an alpha sweep's grid."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
+import pytest
 
 from plaustraj import predictor, study
 from plaustraj.config import PredictorSection
+from plaustraj.errors import NumericError
 from plaustraj.gradcore import TrainConfig
 
 
@@ -41,3 +47,24 @@ def test_pooled_sweep_grid_equals_in_process_training(training_instances, traine
         assert model.n_heads == 2
         assert_same_params(model, predictor.train_predictor(**job).model)
     assert not np.array_equal(pooled[0].head.params, pooled[1].head.params)
+
+
+@pytest.mark.parametrize("failing_first", [True, False], ids=["failing-first", "failing-last"])
+def test_a_failing_job_ends_the_running_workers(training_instances, trained_scorer,
+                                                failing_first):
+    """A job of 10^6 steps (about two minutes in a worker on a 2-core
+    machine) beside one at alpha 1e300, which overflows at its first step,
+    in either order: train_jobs raises the failure when it happens, not when
+    the long job ends, and terminates the long job's worker."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the two jobs train side by side only on two usable cores")
+    windows = training_instances[:2]
+    long_job = dict(dataset=windows, scorer=None, trunk_hidden=(4,),
+                    config=TrainConfig(total_steps=10**6, batch_size=1, seed=1))
+    failing = dict(dataset=windows, scorer=trained_scorer.model, alpha=1e300, trunk_hidden=(4,),
+                   config=TrainConfig(total_steps=10, batch_size=1, seed=1))
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match="^training step 1: overflow encountered in "):
+        study.train_jobs([failing, long_job] if failing_first else [long_job, failing])
+    assert time.perf_counter() - start < 30.0
+    assert multiprocessing.active_children() == []

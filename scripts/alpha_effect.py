@@ -3,9 +3,14 @@
 Trains a K-head predictor twice per seed (alpha = 0 and alpha = args.alpha,
 identical init and batch order otherwise) and reports ADE, minADE, and the
 chi-square distance between predicted and ground-truth velocity histograms.
-The regularized runs should win on the distributional metric and mean ADE
-without giving up much minADE. The corpus, scorer and pairs are those of the
-acceptance tests (plaustraj.study); the pairs train on every usable core.
+It prints the tallies of acceptance criterion 3: on how many seeds the
+regularized run has the lower velocity chi2 and the lower mean ADE, and the
+ratio of the mean minADEs. These do not show plausibility on their own: ADE
+averages over all K heads, so any narrower head set wins it, and a
+plausibility-blind narrowing with no scorer (relaxed winner-takes-all) wins
+these tallies too (ROADMAP items 14 and 16). The corpus, scorer and pairs
+are those of the acceptance tests (plaustraj.study); the pairs train on every
+usable core.
 
 Usage:
     python scripts/alpha_effect.py [--seeds 5] [--heads 20] [--alpha 100]

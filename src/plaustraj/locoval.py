@@ -4,8 +4,7 @@ A sigmoid-headed MLP regressed onto the locomotion oracle's reward. Inputs are
 canonicalized (root at the origin, facing direction rotated to +x) and the
 trajectory is encoded as per-step displacements, so the score is invariant to
 rigid motions and the speed cue is explicit. Feature rows are linear in the
-displacements and encode_steps_adjoint pulls gradients back to them, which is
-what lets a predictor train against the scorer.
+displacements, which is what lets a predictor train against the scorer.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def build_locoval(layout: FeatureLayout, hidden=DEFAULT_HIDDEN, seed: int = 0) -
 #
 # A feature row is the trajectory block (per-step displacements rotated into
 # the canonical frame) then the observation tail. All scorer features are built
-# by encode_steps, and all gradients to the steps by encode_steps_adjoint.
+# by encode_steps, one block of step sequences per observable frame.
 
 
 def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
@@ -99,44 +98,40 @@ def observation_frame(joints: np.ndarray, velocity: np.ndarray, layout: FeatureL
 
 
 def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Feature rows (..., F) for world-frame step sequences (..., T_f, 2). The
-    canonical rotations rot (..., 2, 2) and observation tails (..., F - 2 T_f)
-    broadcast against the leading axes: one for all, per sequence or per window."""
-    lead, horizon = steps.shape[:-2], steps.shape[-2]
-    rotated = (steps @ np.swapaxes(rot, -1, -2)).reshape(*lead, 2 * horizon)
-    tail = np.broadcast_to(tail, (*lead, tail.shape[-1]))
-    return np.concatenate([rotated, tail], axis=-1)
-
-
-def encode_steps_adjoint(feature_grad: np.ndarray, rot: np.ndarray,
-                         horizon: int) -> np.ndarray:
-    """Pull gradients w.r.t. feature rows (..., F) back to the world-frame
-    steps (..., T_f, 2) passed to encode_steps with the same rot (..., 2, 2),
-    which broadcasts as it does there."""
-    g = feature_grad[..., : 2 * horizon].reshape(*feature_grad.shape[:-1], horizon, 2)
-    return g @ rot
+    """Feature rows (N, M, F) of N blocks of M world-frame step sequences
+    (N, M, T_f, 2), block i in the canonical frame of observable i: rotation
+    rot[i] (2, 2) and observation tail tail[i] (F - 2 T_f). One (M·T_f, 2)
+    matmul per block rotates its steps."""
+    n, m, horizon = steps.shape[:3]
+    width = 2 * horizon
+    rows = np.empty((n, m, width + tail.shape[1]), dtype=np.result_type(steps, rot, tail))
+    rows[:, :, :width] = (steps.reshape(n, m * horizon, 2)
+                          @ np.swapaxes(rot, 1, 2)).reshape(n, m, width)
+    rows[:, :, width:] = tail[:, None]
+    return rows
 
 
 def _feature_rows(points: np.ndarray, frame, joints: np.ndarray, velocity: np.ndarray,
                   layout: FeatureLayout) -> np.ndarray:
-    """Feature rows (..., F) of trajectories (..., T_f, 2), each in the frame
-    that frame indexes from one observation_frame call on N observables (joints
-    (N, J, 3) in joint order, velocities (N, 2)); the first step is from the root."""
+    """Feature rows (N, M, F) of N blocks of trajectories (N, M, T_f, 2), block
+    i in the frame that frame[i] indexes from one observation_frame call on the
+    observables (joints (S, J, 3) in joint order, velocities (S, 2)); the
+    first step is from the root."""
     if points.shape[-2] != layout.horizon:
         raise InputShapeError(f"trajectory length {points.shape[-2]} != layout horizon "
                               f"{layout.horizon}")
     roots, rots, tails = observation_frame(joints, velocity, layout)
     steps = np.empty_like(points)
-    steps[..., 0, :] = points[..., 0, :] - roots[frame]
-    steps[..., 1:, :] = points[..., 1:, :] - points[..., :-1, :]
+    steps[:, :, 0] = points[:, :, 0] - roots[frame][:, None]
+    steps[:, :, 1:] = points[:, :, 1:] - points[:, :, :-1]
     return encode_steps(steps, rots[frame], tails[frame])
 
 
 def canonicalize(traj: Trajectory, obs: ObservableState, layout: FeatureLayout) -> np.ndarray:
     """Feature vector: rotated per-step displacements (first step taken from
     the root), then root-relative rotated joints, then rotated root velocity."""
-    return _feature_rows(traj.points, 0, obs.joint_array()[None], obs.root_velocity[None],
-                         layout)
+    return _feature_rows(traj.points[None, None], np.s_[:], obs.joint_array()[None],
+                         obs.root_velocity[None], layout)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def score_heads(model: LocoValModel, heads: np.ndarray, joints: np.ndarray,
     in the canonical frame of its observable (joints (N, J, 3) in joint order,
     root velocities (N, 2)), from one forward over the N·K rows."""
     n, k = heads.shape[:2]
-    X = _feature_rows(heads, np.s_[:, None], joints, velocity, model.layout)
+    X = _feature_rows(heads, np.s_[:], joints, velocity, model.layout)
     return gradcore.forward(model.net, X.reshape(n * k, -1))[:, 0].reshape(n, k)
 
 
@@ -195,10 +190,10 @@ class LocoValTrainResult:
 
 
 def features_and_targets(pairs: PairSet, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, canonicalized in one batch with the frames of the set's
-    states indexed by the pairs' state, and oracle rewards."""
-    return (_feature_rows(pairs.points, pairs.state, pairs.joints, pairs.velocity, layout),
-            pairs.rewards)
+    """Feature rows, canonicalized in one batch of one-pair blocks, each in the
+    frame of its pair's state, and oracle rewards."""
+    X = _feature_rows(pairs.points[:, None], pairs.state, pairs.joints, pairs.velocity, layout)
+    return X[:, 0], pairs.rewards
 
 
 def train_locoval(
@@ -223,8 +218,9 @@ def train_locoval(
     perm = rng.permutation(len(X))
     n_hold = max(1, int(round(holdout_fraction * len(X))))
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
-    if len(train_idx) == 0:
-        # too few pairs to hold any out: select the checkpoint on the training pairs
+    if holdout_fraction == 0 or len(train_idx) == 0:
+        # a fraction of 0, or too few pairs to hold any out: select the
+        # checkpoint on the training pairs
         train_idx = hold_idx = perm
     X_tr, y_tr = X[train_idx], y[train_idx]
     X_ho, y_ho = X[hold_idx], y[hold_idx]

@@ -200,8 +200,7 @@ def emloco_loss(scorer: LocoValModel, steps: np.ndarray, rots: np.ndarray,
     canonical rotation and observation tail. Returns the loss and the scorer
     pass, from which emloco_grad takes the gradient."""
     B, K = steps.shape[:2]
-    rots = rots[:, None]
-    feats = locoval_mod.encode_steps(steps, rots, tails[:, None])
+    feats = locoval_mod.encode_steps(steps, rots, tails)
     out, cache = gradcore.forward_cached(scorer.net, feats.reshape(B * K, -1))
     s = out[:, 0].reshape(B, K)
     # per head, in head order, over a contiguous copy: a strided mean or np.sum's
@@ -212,12 +211,14 @@ def emloco_loss(scorer: LocoValModel, steps: np.ndarray, rots: np.ndarray,
 
 def emloco_grad(scorer: LocoValModel, scorer_pass: tuple) -> np.ndarray:
     """Gradient of emloco_loss w.r.t. its steps (B, K, T_f, 2), from the
-    scorer pass it returned, with one input-only backward."""
+    scorer pass it returned, with one input-only backward. The step columns of
+    the feature gradient pull back through each sample's rotation, the
+    transpose of encode_steps: one (K·T_f, 2) matmul per sample."""
     s, rots, cache = scorer_pass
     B, K = s.shape
+    horizon = scorer.layout.horizon
     g_feats = gradcore.input_grad(scorer.net, cache, (2.0 * (s - 1.0) / B / K).reshape(B * K, 1))
-    return locoval_mod.encode_steps_adjoint(g_feats.reshape(B, K, -1), rots,
-                                            scorer.layout.horizon)
+    return (g_feats[:, :2 * horizon].reshape(B, K * horizon, 2) @ rots).reshape(B, K, horizon, 2)
 
 
 def train_predictor(

@@ -16,7 +16,6 @@ from plaustraj.locoval import (
     canonical_frame,
     canonicalize,
     encode_steps,
-    encode_steps_adjoint,
     load_locoval,
     save_locoval,
     score,
@@ -322,38 +321,46 @@ def test_model_shape_validation():
 # feature gradients
 
 
-def test_encode_steps_adjoint_identity():
-    """encode_steps is linear in the steps (the tail held at zero), and
-    encode_steps_adjoint is its transpose: <g, encode_steps(d)> equals
-    <encode_steps_adjoint(g), d>, for one shared rotation and one per row."""
+def _block_inputs(rng, layout, n, m, dtype=np.float64):
+    """n blocks of m step sequences, each block with the rotation of a random
+    heading and a random tail."""
+    rots = np.stack([canonical_frame(make_observable(heading=a))[1]
+                     for a in rng.uniform(-math.pi, math.pi, size=n)])
+    steps = rng.normal(size=(n, m, layout.horizon, 2)).astype(dtype)
+    tails = rng.normal(size=(n, layout.feature_size - 2 * layout.horizon))
+    return steps, rots, tails
+
+
+@pytest.mark.parametrize("n, m", [(7, 1), (7, 4), (1, 4)], ids=["M=1", "M=K", "one-block"])
+def test_encode_steps_block_pull_back_is_transpose(n, m):
+    """encode_steps is linear in the steps (the tail held at zero), and the
+    pull-back that predictor.emloco_grad takes, each block's step columns
+    (N, M·T_f, 2) times its rotation, is its transpose: <g, encode_steps(d)>
+    equals <pull-back(g), d>."""
     layout = FeatureLayout(horizon=5)
     rng = np.random.default_rng(3)
-    n = 7
-    tail = np.zeros(layout.feature_size - 2 * layout.horizon)
-    rots = np.stack([canonical_frame(make_observable(heading=a))[1]
-                     for a in rng.uniform(-math.pi, math.pi, size=n)])
-    for rot in (rots[0], rots):
-        d = rng.normal(size=(n, layout.horizon, 2))
-        g = rng.normal(size=(n, layout.feature_size))
-        lhs = np.sum(g * encode_steps(d, rot, tail))
-        rhs = np.sum(encode_steps_adjoint(g, rot, layout.horizon) * d)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    d, rots, tails = _block_inputs(rng, layout, n, m)
+    g = rng.normal(size=(n, m, layout.feature_size))
+    lhs = np.sum(g * encode_steps(d, rots, np.zeros_like(tails)))
+    pulled = g[:, :, :2 * layout.horizon].reshape(n, m * layout.horizon, 2) @ rots
+    rhs = np.sum(pulled.reshape(d.shape) * d)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_encode_steps_adjoint_broadcasts_like_encode_steps():
-    """Gradients of (N, K, F) rows with one rotation (N, 1, 2, 2) per window
-    pull back bit for bit as each (N·K, F) row does with its own rotation."""
-    layout = FeatureLayout(horizon=5)
-    rng = np.random.default_rng(8)
-    n, k = 4, 3
-    rots = np.stack([canonical_frame(make_observable(heading=a))[1]
-                     for a in rng.uniform(-math.pi, math.pi, size=n)])
-    g = rng.normal(size=(n, k, layout.feature_size))
-    got = encode_steps_adjoint(g, rots[:, None], layout.horizon)
-    assert got.shape == (n, k, layout.horizon, 2)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n, m", [(7, 1), (7, 20), (1, 20)], ids=["M=1", "M=K", "one-block"])
+def test_encode_steps_block_equals_each_row_encoded_alone(n, m, dtype):
+    """A block's rows are bit for bit the rows of each sequence encoded alone
+    as a one-row block in the same frame, for blocks of one sequence, of K
+    heads and for one block, from float64 steps and from the float32 steps of
+    the predictor's training step."""
+    layout = FeatureLayout(horizon=12)
+    steps, rots, tails = _block_inputs(np.random.default_rng(8), layout, n, m, dtype)
+    got = encode_steps(steps, rots, tails)
+    assert got.shape == (n, m, layout.feature_size) and got.dtype == np.float64
     for i in range(n):
-        for j in range(k):
-            want = encode_steps_adjoint(g[i, j][None], rots[i][None], layout.horizon)[0]
+        for j in range(m):
+            want = encode_steps(steps[i, j][None, None], rots[i][None], tails[i][None])[0, 0]
             assert got[i, j].tobytes() == want.tobytes()
 
 
@@ -383,6 +390,17 @@ def test_train_single_sample_memorizes():
     result = train_locoval(ds, cfg, hidden=(16,), holdout_fraction=0.0)
     (pred,) = _scores(result.model, ds)
     assert (pred - 0.63) ** 2 < 1e-4
+
+
+def test_holdout_fraction_zero_selects_on_the_training_pairs():
+    """On 10 pairs a fraction of 0.1 holds out one pair, and 0 holds out none:
+    the checkpoint is selected on every pair, all of which train."""
+    ds = _constant_dataset(10, 0.5, seed=2)
+    cfg = TrainConfig(total_steps=5, batch_size=4, seed=0)
+    held = {f: train_locoval(ds, cfg, hidden=(4,), holdout_fraction=f).holdout_indices
+            for f in (0.0, 0.1)}
+    assert len(held[0.1]) == 1
+    assert sorted(held[0.0]) == list(range(10))
 
 
 def test_train_constant_target_converges():

@@ -576,15 +576,16 @@ def _k_major_train(dataset, scorer, config, alpha, n_heads, trunk_hidden, eval_e
             steps = disp.copy()
             steps[:, :, 0, :] += offsets[idx]
             rb = np.tile(rots[idx], (K, 1, 1))
-            feats = locoval.encode_steps(steps.reshape(K * B, horizon, 2), rb,
+            # each of the K·B rows a one-row block in its own tiled frame
+            feats = locoval.encode_steps(steps.reshape(K * B, 1, horizon, 2), rb,
                                          np.tile(tails[idx], (K, 1)))
-            s_out, cache = gradcore.forward_cached(scorer.net, feats)
+            s_out, cache = gradcore.forward_cached(scorer.net, feats.reshape(K * B, -1))
             s = s_out[:, 0].reshape(K, B)
             loss_pl = sum(float(v) for v in np.mean((s - 1.0) ** 2, axis=1)) / K
             if alpha > 0.0:
                 g = gradcore.input_grad(scorer.net, cache,
                                         (2.0 * (s - 1.0) / B / K).reshape(K * B, 1))
-                d_disp += alpha * locoval.encode_steps_adjoint(g, rb, horizon).reshape(
+                d_disp += alpha * (g[:, :2 * horizon].reshape(K * B, horizon, 2) @ rb).reshape(
                     K, B, horizon, 2)
         g_head = gradcore.backward(head, head_cache, d_out)
         d_trunk = gradcore.input_grad(head, head_cache, d_out)

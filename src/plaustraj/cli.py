@@ -245,7 +245,7 @@ def cmd_filter(config_path, out, candidates_path, observables_path, threshold):
 @click.option("--values", default=None, help="Comma-separated grid; defaults from config.")
 def cmd_sweep(config_path, out, param, values):
     """Grid sweep over the filter threshold or the regularizer weight."""
-    grid = _parse_grid(values) if values else None
+    grid = None if values is None else _parse_grid(values)
     for value in grid or ():  # a threshold in [0, 1], or a finite alpha >= 0
         check_value("--values", value, 0.0, UNIT if param == "lambda" else NON_NEGATIVE)
     cfg = _load_run_config(config_path)

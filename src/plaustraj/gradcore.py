@@ -20,7 +20,8 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError,
-                     InputShapeError, NumericError, at_least, check_value, one_of, rule)
+                     InputShapeError, NumericError, PlausTrajError, at_least, check_value,
+                     one_of, rule)
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
@@ -484,16 +485,12 @@ def params_sha256(model: MlpModel) -> str:
 
 
 def model_from_dict(doc: dict) -> MlpModel:
-    """The float64 model of a model_to_dict dict. Layer sizes that are not
-    integers >= 1, an unknown activation, or a params payload that is not
-    base64 or does not hold one float64 per parameter is a DataError."""
+    """The float64 model of a model_to_dict dict, once MlpModel.validate has
+    passed it. Bad layer sizes or a params payload that does not hold one
+    float64 per parameter raise; load_checkpoint decides how each fails."""
     sizes = doc["layer_sizes"]
     if not (isinstance(sizes, list) and all(type(s) is int and s >= 1 for s in sizes)):
         raise DataError(f"layer sizes {sizes!r} must be a list of integers >= 1")
-    for key, known in (("hidden_activation", HIDDEN_ACTIVATIONS),
-                       ("output_activation", OUTPUT_ACTIVATIONS)):
-        if doc[key] not in known:
-            raise DataError(f"{key} {doc[key]!r} must be one of {', '.join(known)}")
     shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
     count = sum(math.prod(shape) for shape in shapes)
     payload = doc["params"]
@@ -516,17 +513,14 @@ def model_from_dict(doc: dict) -> MlpModel:
 
 def read_field(doc: dict, key: str, kind, prefix: str = ""):
     """doc[key] as kind: an integer >= 1, true or false, or a dataclass of such
-    fields (a layout) from an object giving each once; else a DataError naming it."""
+    fields (a layout) from an object giving each once; else an error naming it."""
     value, name = doc[key], prefix + key
     if is_dataclass(kind):
         hints = get_type_hints(kind)
         if not (isinstance(value, dict) and set(value) == set(hints)):
             raise DataError(f"{name} must be an object of {', '.join(hints)}, got {value!r}")
         return kind(**{k: read_field(value, k, t, name + ".") for k, t in hints.items()})
-    try:
-        check_value(name, value, kind(), at_least(1) if kind is int else None)
-    except ConfigError as exc:
-        raise DataError(str(exc)) from None
+    check_value(name, value, kind(), at_least(1) if kind is int else None)
     return value
 
 
@@ -539,9 +533,10 @@ def save_checkpoint(doc: dict, path):
 
 def load_checkpoint(path, build: Callable[[dict], object]):
     """build(doc) from the JSON document at path, once its schema version is
-    checked. A file that is not JSON or that build cannot read is a DataError,
-    another schema or a ConfigError of build (another kind of checkpoint) a
-    ConfigError, and a non-finite parameter a NumericError, each naming path."""
+    checked: the one place that decides how a bad checkpoint fails, naming
+    path. Another schema is a ConfigError, a non-finite parameter a
+    NumericError, and any other fault (not JSON, another kind of checkpoint, a
+    field missing or of the wrong kind, parts that disagree) a DataError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -550,13 +545,13 @@ def load_checkpoint(path, build: Callable[[dict], object]):
     try:
         # predictor files before schema 3 kept their version under another key
         version = doc.get("schema_version", doc.get("predictor_schema_version"))
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise ConfigError(f"checkpoint schema {version!r}, but this version reads only "
-                              f"schema {CHECKPOINT_SCHEMA_VERSION}; retrain to write a new one")
-        return build(doc)
-    except (ConfigError, NumericError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except DataError as exc:
-        raise DataError(f"{path}: malformed checkpoint ({exc})") from None
+        if version == CHECKPOINT_SCHEMA_VERSION:
+            return build(doc)
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
+        # every other toolkit error is a ValueError, named by its message alone
+        what = exc if isinstance(exc, PlausTrajError) else f"{type(exc).__name__}: {exc}"
+        raise DataError(f"{path}: malformed checkpoint ({what})") from None
+    raise ConfigError(f"{path}: checkpoint schema {version!r}, but this version reads only "
+                      f"schema {CHECKPOINT_SCHEMA_VERSION}; retrain to write a new one")

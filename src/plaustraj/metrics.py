@@ -79,7 +79,9 @@ def _displacement_errors(pred: np.ndarray, gt: np.ndarray):
 
 
 def _primitives(points: np.ndarray, dt: np.ndarray) -> dict:
-    """physics_primitives of each row of points (n, T, 2) with its dt (n,)."""
+    """Speed, tangential acceleration, angular velocity and angular
+    acceleration sequences of each row of points (n, T, 2) with its dt (n,).
+    Stationary steps carry the previous heading forward."""
     dt = dt[:, None]
     disp = np.diff(points, axis=1)
     speeds = np.linalg.norm(disp, axis=-1) / dt
@@ -114,19 +116,6 @@ def ade(pred: Trajectory, gt: Trajectory) -> float:
 def fde(pred: Trajectory, gt: Trajectory) -> float:
     """Euclidean distance at the final frame."""
     return float(_displacement_errors(*_one_row(pred, gt))[2][0])
-
-
-def per_timestep_errors(pred: Trajectory, gt: Trajectory) -> np.ndarray:
-    return _displacement_errors(*_one_row(pred, gt))[0][0]
-
-
-def physics_primitives(traj: Trajectory) -> dict:
-    """Speed, tangential acceleration, angular velocity, angular acceleration
-    sequences. Stationary steps carry the previous heading forward."""
-    if len(traj) < 4:
-        raise InputShapeError("need at least 4 points for all physics primitives")
-    prims = _primitives(traj.points[None], np.array([traj.dt]))
-    return {p: v[0] for p, v in prims.items()}
 
 
 def chi2_distance(pred_samples, gt_samples, spec: HistogramSpec) -> float:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -610,6 +611,80 @@ def test_eval_checkpoint_field_of_wrong_kind_is_one_line_data_error(tiny_config,
     assert run("eval", "--config", tiny_config, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err == f"data error: {out / name}: malformed checkpoint ({message})\n"
+
+
+@pytest.fixture(scope="module")
+def alpha_100_run(tmp_path_factory):
+    """A tiny run trained at alpha 100 with 3 heads, to be copied, not changed."""
+    out = tmp_path_factory.mktemp("alpha_100") / "run"
+    cfg = out.parent / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    for command in (["gen-data"], ["train-locoval"],
+                    ["train-predictor", "--alpha", "100", "--heads", "3"]):
+        assert run(*command, "--config", str(cfg), "--out", str(out)) == 0
+    return out
+
+
+def _nan_trunk_parameter(doc):
+    flat = np.frombuffer(base64.b64decode(doc["trunk"]["params"]), "<f8").copy()
+    flat[0] = np.nan
+    doc["trunk"]["params"] = base64.b64encode(flat.tobytes()).decode("ascii")
+
+
+# (file, a corruption that edits its document in place or returns the one to
+# write, or None to copy locoval.json over it, exit code)
+BAD_CHECKPOINTS = {
+    "schema-2": ("predictor.json", lambda d: d.update(schema_version=2), 1),
+    "head-params-cut": ("predictor.json",
+                        lambda d: d["head"].update(params=d["head"]["params"][:-4]), 2),
+    "trunk-sigmoid": ("predictor.json",
+                      lambda d: d["trunk"].update(hidden_activation="sigmoid"), 2),
+    "past-frames-8": ("predictor.json", lambda d: d["input_layout"].update(past_frames=8), 2),
+    "horizon-11": ("predictor.json", lambda d: d.update(horizon=11), 2),
+    "scorer-as-predictor": ("predictor.json", None, 2),
+    "scorer-joint-count-7": ("locoval.json",
+                             lambda d: d["feature_layout"].update(joint_count=7), 2),
+    "empty-list": ("predictor.json", lambda d: [], 2),
+    "nan-trunk-parameter": ("predictor.json", _nan_trunk_parameter, 3),
+}
+
+
+@pytest.mark.parametrize("name, corrupt, code", BAD_CHECKPOINTS.values(),
+                         ids=BAD_CHECKPOINTS.keys())
+def test_eval_bad_checkpoint_exit_codes(alpha_100_run, tiny_config, tmp_path, capsys,
+                                        name, corrupt, code):
+    """load_checkpoint alone decides how a bad checkpoint fails: another schema
+    is a config error, a non-finite parameter a numeric failure, and any other
+    fault a data error; each is one stderr line naming the file."""
+    out = tmp_path / "run"
+    shutil.copytree(alpha_100_run, out)
+    if corrupt is None:
+        shutil.copyfile(out / "locoval.json", out / name)
+    else:
+        doc = json.loads((out / name).read_text())
+        changed = corrupt(doc)
+        (out / name).write_text(json.dumps(doc if changed is None else changed))
+    assert run("eval", "--config", tiny_config, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    kind = {1: "config error", 2: "data error", 3: "numeric failure"}[code]
+    assert err.startswith(f"{kind}: {out / name}: ")
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("param", ["lambda", "alpha"])
+def test_sweep_empty_values_is_one_line_config_error(alpha_100_run, tiny_config, tmp_path,
+                                                     capsys, param):
+    """An empty --values is parsed like any other: it does not fall back to
+    the config's grid, and the last sweep's file keeps its bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(alpha_100_run, out)
+    sweep_path = out / f"sweep_{param}.csv"
+    sweep_path.write_text("value,ade\n0.5,1.0\n")
+    assert run("sweep", "--config", tiny_config, "--out", str(out), "--param", param,
+               "--values", "") == 1
+    assert capsys.readouterr().err == "config error: --values: '' is not a number\n"
+    assert sweep_path.read_text() == "value,ade\n0.5,1.0\n"
 
 
 def test_train_predictor_records_the_scorer_hash(trained_dir):

@@ -787,11 +787,15 @@ def test_checkpoint_layer_sizes_must_be_positive_integers(sizes):
     ("hidden_activation", "sigmoid"), ("hidden_activation", None),
     ("output_activation", "relu"), ("output_activation", ["sigmoid"]),
 ], ids=["hidden-sigmoid", "hidden-null", "output-relu", "output-list"])
-def test_checkpoint_unknown_activation_is_data_error(key, value):
-    doc = model_to_dict(small_model())
-    doc[key] = value
-    with pytest.raises(DataError, match=f"^{key} .* must be one of "):
-        model_from_dict(doc)
+def test_checkpoint_unknown_activation_is_data_error(tmp_path, key, value):
+    """MlpModel.validate refuses the activation, and load_checkpoint reports
+    it as a malformed checkpoint that names the file and the activation."""
+    path = tmp_path / "m.json"
+    save_checkpoint({**model_to_dict(small_model()), key: value}, path)
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    kind = key.split("_")[0]
+    assert str(info.value) == f"{path}: malformed checkpoint (unknown {kind} activation {value!r})"
 
 
 def test_checkpoint_nan_payload_is_numeric_error():

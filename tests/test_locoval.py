@@ -476,5 +476,7 @@ def test_load_rejects_plain_model_checkpoint(tmp_path):
     path = tmp_path / "plain.json"
     rng = np.random.default_rng(0)
     gradcore.save_checkpoint(gradcore.model_to_dict(gradcore.init_mlp([4, 4, 1], rng)), path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError) as info:
         load_locoval(path)
+    assert str(info.value) == (f"{path}: malformed checkpoint "
+                               f"(not a scorer checkpoint (missing feature_layout))")

@@ -22,8 +22,6 @@ from plaustraj.metrics import (
     fde,
     histogram_spec_from_samples,
     pearson_r,
-    per_timestep_errors,
-    physics_primitives,
     spearman_rho,
 )
 from plaustraj.oracle import Trajectory, TrajectorySet, wrap_angle
@@ -35,6 +33,16 @@ def traj(pts, dt=0.4):
 
 def random_traj(rng, n=8):
     return traj(rng.normal(scale=2.0, size=(n, 2)))
+
+
+def errors_of(pred, gt):
+    """The array core's per-frame errors of one prediction."""
+    return metrics._displacement_errors(pred.points[None], gt.points[None])[0][0]
+
+
+def primitives_of(t):
+    """The array core's physics primitives of one trajectory."""
+    return {p: v[0] for p, v in metrics._primitives(t.points[None], np.array([t.dt])).items()}
 
 
 def min_over_heads(metric, trajectories, gt):
@@ -158,7 +166,7 @@ def test_ade_fde_hand_instance():
     b = traj([[0.5, 0.0], [1.0, 0.0], [2.0, -1.5]])
     assert ade(a, b) == pytest.approx(1.0)
     assert fde(a, b) == pytest.approx(1.5)
-    np.testing.assert_allclose(per_timestep_errors(a, b), [0.5, 1.0, 1.5])
+    np.testing.assert_allclose(errors_of(a, b), [0.5, 1.0, 1.5])
 
 
 def test_length_mismatch_raises():
@@ -189,7 +197,7 @@ def test_min_over_heads_brute_force(seed, k):
 
 def test_primitives_straight_line():
     pts = np.outer(np.arange(10), [1.0, 0.0])
-    prims = physics_primitives(traj(pts, dt=0.5))
+    prims = primitives_of(traj(pts, dt=0.5))
     np.testing.assert_allclose(prims["velocity"], 2.0)
     np.testing.assert_allclose(prims["acceleration"], 0.0, atol=1e-12)
     np.testing.assert_allclose(prims["angular_velocity"], 0.0, atol=1e-12)
@@ -201,27 +209,22 @@ def test_primitives_circle_angular_velocity():
     r, omega, dt = 3.0, 0.5, 0.1
     ts = np.arange(40) * dt
     pts = r * np.stack([np.cos(omega * ts), np.sin(omega * ts)], axis=1)
-    prims = physics_primitives(traj(pts, dt=dt))
+    prims = primitives_of(traj(pts, dt=dt))
     v = prims["velocity"].mean()
     np.testing.assert_allclose(prims["angular_velocity"], v / r, rtol=2e-3)
 
 
 def test_primitives_stationary():
     pts = np.zeros((6, 2))
-    prims = physics_primitives(traj(pts))
+    prims = primitives_of(traj(pts))
     np.testing.assert_allclose(prims["velocity"], 0.0)
     np.testing.assert_allclose(prims["angular_velocity"], 0.0)
-
-
-def test_primitives_too_short():
-    with pytest.raises(InputShapeError):
-        physics_primitives(traj([[0, 0], [1, 0], [2, 0]]))
 
 
 def test_primitives_heading_carries_through_pause():
     # a pause in the middle must not produce a spurious heading jump
     pts = np.array([[0, 0], [1, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
-    prims = physics_primitives(traj(pts))
+    prims = primitives_of(traj(pts))
     np.testing.assert_allclose(prims["angular_velocity"], 0.0, atol=1e-12)
 
 
@@ -516,7 +519,7 @@ def test_physics_primitives_match_reference_on_awkward_tracks():
                                  for _ in range(200)]
     for pts in tracks:
         for dt in (0.4, 0.13):
-            got, want = physics_primitives(traj(pts, dt)), ref_physics_primitives(traj(pts, dt))
+            got, want = primitives_of(traj(pts, dt)), ref_physics_primitives(traj(pts, dt))
             for p in PRIMITIVES:
                 assert got[p].tobytes() == want[p].tobytes(), p
 
@@ -540,7 +543,7 @@ def test_array_core_rows_match_reference():
 
 def test_headings_on_the_pi_tie_wrap_to_zero_turn():
     west = traj(awkward_tracks()[4])
-    np.testing.assert_array_equal(physics_primitives(west)["angular_velocity"], 0.0)
+    np.testing.assert_array_equal(primitives_of(west)["angular_velocity"], 0.0)
 
 
 def test_evaluate_matches_reference_on_awkward_tracks():
@@ -561,7 +564,7 @@ def test_one_row_metrics_match_reference():
         a, b = (traj(rng.normal(scale=3.0, size=(horizon, 2))) for _ in range(2))
         assert ade(a, b) == ref_ade(a, b)
         assert fde(a, b) == ref_fde(a, b)
-        assert per_timestep_errors(a, b).tobytes() == ref_errors(a, b).tobytes()
+        assert errors_of(a, b).tobytes() == ref_errors(a, b).tobytes()
 
 
 def test_evaluate_rejects_a_case_without_heads():

@@ -228,9 +228,10 @@ def test_load_predictor_rejects_a_bad_head(tmp_path, corrupt):
     corrupt(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="the head must be one linear layer emitting a "
-                                          "multiple of 24 displacements"):
+    with pytest.raises(DataError, match="the head must be one linear layer emitting a "
+                                        "multiple of 24 displacements") as info:
         load_predictor(path)
+    assert str(info.value).startswith(f"{path}: malformed checkpoint (")
 
 
 def test_build_predictor_needs_a_head():

@@ -22,6 +22,7 @@ from .oracle import (
     OracleParams,
     Trajectory,
     TrajectorySet,
+    WalkerStart,
     _bank_arrays,
     _map,
     _norm,
@@ -76,14 +77,16 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
             if len(parts) != 4:
                 raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
             try:
-                frame = int(float(parts[0]))
-                ped = int(float(parts[1]))
-                x, y = float(parts[2]), float(parts[3])
+                frame, ped, x, y = map(float, parts)
             except ValueError:
                 raise DataError(f"{path}:{line_no}: non-numeric field in {parts!r}")
+            # an ETH/UCY-style id such as 780.0 is an integer; 1.5, inf or nan is not
+            if not (frame.is_integer() and ped.is_integer()):
+                raise DataError(f"{path}:{line_no}: frame and track ids must be integers, "
+                                f"got {parts[0]!r} and {parts[1]!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{path}:{line_no}: non-finite coordinate")
-            rows.append((ped, frame, x, y))
+            rows.append((int(ped), int(frame), x, y))
 
     by_ped = {}
     for ped, frame, x, y in rows:
@@ -117,8 +120,8 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
 def save_tsv(dataset: TrajectoryDataset, path):
     with open(path, "w") as fh:
         for tid in sorted(dataset.tracks):
-            for frame, (x, y) in enumerate(dataset.tracks[tid].points):
-                fh.write(f"{frame} {tid} {float(x)!r} {float(y)!r}\n")
+            fh.write("".join(f"{frame} {tid} {x!r} {y!r}\n" for frame, (x, y)
+                             in enumerate(dataset.tracks[tid].points.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def save_pose_bank(bank: list[HumanoidState], path):
             "heading": state.heading, "speed": float(np.linalg.norm(state.root_velocity))}
            for i, state in enumerate(bank)]
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump's bytes, through the C encoder
 
 
 def load_pose_bank(path) -> list[HumanoidState]:
@@ -292,14 +295,18 @@ def _synthesize_track(scenario: str, cfg: SyntheticConfig, rng: np.random.Genera
 
 
 def _track_reward(traj: Trajectory, params: OracleParams) -> float:
-    """Feasibility probe: roll the walker along the track from an aligned start."""
+    """Feasibility probe: roll the walker along the track from its first
+    point, moving along its first step at that step's speed, capped at
+    v_max. The start has the bits of the pelvis, velocity and heading of
+    make_walking_pose(heading, speed) moved onto the first point."""
     (x0, y0), (x1, y1) = traj.points[:2].tolist()
     dx, dy = x1 - x0, y1 - y0
     speed = _norm(dx, dy, np.empty(2)) / traj.dt
     heading = math.atan2(dy, dx) if speed > 1e-9 else 0.0
-    state = make_walking_pose(heading, min(speed, params.v_max))
-    state = state.transformed(translation=traj.points[0] - state.root_position)
-    return rollout(Trajectory(traj.points[1:], traj.dt), state, params)
+    speed = min(speed, params.v_max)
+    start = WalkerStart((x0, y0), (speed * math.cos(heading), speed * math.sin(heading)),
+                        wrap_angle(heading))
+    return rollout(Trajectory(traj.points[1:], traj.dt), start, params)
 
 
 def generate_synthetic(

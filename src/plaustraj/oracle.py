@@ -14,6 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,22 +341,32 @@ def _norm(x: float, y: float, buf: np.ndarray) -> float:
     return math.sqrt(buf.dot(buf))
 
 
-def rollout(traj: Trajectory, state: HumanoidState,
+class WalkerStart(NamedTuple):
+    """The walker's start, the three values that rollout reads of a state."""
+
+    root_position: tuple[float, float]  # (x, y) m
+    root_velocity: tuple[float, float]  # (vx, vy) m/s
+    heading: float                      # rad, in (-pi, pi]
+
+
+def rollout(traj: Trajectory, state: HumanoidState | WalkerStart,
             params: OracleParams = OracleParams()) -> float:
     """Discounted cumulative tracking reward of the capped walker, in [0, 1].
 
-    The walker steps on Python floats with the bits of the same steps on
-    numpy 2-vectors: each coordinate is one IEEE operation either way, _norm
-    is np.linalg.norm's BLAS dot, and each clamp takes the value that min
-    and max would."""
+    Of state it reads only root_position, root_velocity and heading, so a
+    HumanoidState and a WalkerStart of its pelvis, velocity and heading roll
+    out alike. The walker steps on Python floats with the bits of the same
+    steps on numpy 2-vectors: each coordinate is one IEEE operation either
+    way, _norm is np.linalg.norm's BLAS dot, and each clamp takes the value
+    that min and max would."""
     dt, v_max, a_max = traj.dt, params.v_max, params.a_max
     w_follow, w_energy, follow_scale = params.w_follow, params.w_energy, params.follow_scale
     max_turn = params.turn_rate_max * dt
     accel_cap = a_max * dt
     atan2, cos, sin, exp = math.atan2, math.cos, math.sin, math.exp
     buf = np.empty(2)
-    px, py = state.root_position.tolist()
-    vx, vy = state.root_velocity.tolist()
+    px, py = map(float, state.root_position)
+    vx, vy = map(float, state.root_velocity)
     speed = _norm(vx, vy, buf)
     if speed > v_max:
         k = v_max / speed

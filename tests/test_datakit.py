@@ -70,6 +70,28 @@ def test_load_tsv_parse_error_names_line(tmp_path):
         load_tsv(p)
 
 
+@pytest.mark.parametrize("row", ["1.5 1 0.5 0.0", "inf 1 0.5 0.0", "nan 1 0.5 0.0",
+                                 "1 2.5 0.5 0.0", "1 -inf 0.5 0.0"])
+def test_load_tsv_rejects_a_non_integral_id(tmp_path, row):
+    # a frame 1.5 must not be truncated into frame 1, nor inf overflow int()
+    p = tmp_path / "ids.tsv"
+    p.write_text(f"0 1 0.0 0.0\n{row}\n2 1 1.0 0.0\n")
+    with pytest.raises(DataError) as info:
+        load_tsv(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}:2: frame and track ids must be integers, got ")
+    assert "\n" not in message
+
+
+def test_load_tsv_accepts_integral_float_ids(tmp_path):
+    # ETH/UCY files write their frame and track ids as floats
+    p = tmp_path / "eth.tsv"
+    p.write_text("780.0 3.0 1.0 2.0\n790.0 3.0 1.5 2.0\n800.0 3.0 2.0 2.5\n")
+    ds = load_tsv(p)
+    assert len(ds) == 1
+    assert ds.tracks[0].points.tolist() == [[1.0, 2.0], [1.5, 2.0], [2.0, 2.5]]
+
+
 def test_load_tsv_skips_comments_and_blanks(tmp_path):
     p = tmp_path / "e.tsv"
     p.write_text("# header comment\n\n0 1 0 0\n1 1 1 1\n")
@@ -256,6 +278,50 @@ def test_synthetic_equals_numpy_reference(scenario, noise_sigma):
             assert got.tracks[tid].points.tobytes() == points.tobytes()
         for traj, reward in probes:
             assert datakit._track_reward(traj, params) == reward
+
+
+def _track_from(first, second, rest_step=(0.45, 0.1), n=10, dt=0.4):
+    """A track through first and second, then n - 2 steps of rest_step."""
+    rest = np.array(second) + np.cumsum(np.tile(rest_step, (n - 2, 1)), axis=0)
+    return Trajectory(np.array([first, second, *rest]), dt)
+
+
+@pytest.mark.parametrize("track", [
+    # a standing start: a first step under 1e-9 m, so the walker faces +x
+    _track_from([1.25, -0.75], [1.25, -0.75]),
+    _track_from([1.25, -0.75], [1.25 + 2e-10, -0.75 - 1e-10]),
+    # a first step faster than v_max: the start speed is capped
+    _track_from([-3.0, 2.0], [-1.4, 2.9]),
+    _track_from([-3.0, 2.0], [-3.3, 0.3], rest_step=(-0.2, -0.6)),
+    # a first step along -x whose y step is -0.0 - 0.0 = -0.0: atan2 gives
+    # -pi, the walker's heading wraps to pi and its velocity keeps sin(-pi)
+    _track_from([2.0, 0.0], [1.5, -0.0], rest_step=(-0.45, 0.05)),
+], ids=["standing", "standing-1e-10", "fast", "fast-turning", "minus-x"])
+def test_track_reward_equals_reference(track):
+    params = OracleParams()
+    (x0, y0), (x1, y1) = track.points[:2].tolist()
+    if y1 == y0 and x1 < x0:  # the -x case must reach the wrap
+        assert math.atan2(y1 - y0, x1 - x0) == -math.pi
+    assert datakit._track_reward(track, params) == _reference_track_reward(track, params)
+
+
+def test_synthetic_rolls_out_once_per_probe(monkeypatch):
+    # the count behind the benchmark's traced datakit.track_accept_ratio
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(datakit, "rollout", counted)
+    cfg, params = SyntheticConfig(), OracleParams()
+    for seed in (0, 7):
+        calls = 0
+        generate_synthetic(cfg, 20, seed=seed, params=params)
+        _, probes = _reference_synthetic(cfg, 20, seed, params)
+        assert len(probes) > 20  # some probes rejected their track
+        assert calls == len(probes)
 
 
 def test_synthetic_turn_rate_cap_enforced():

@@ -86,15 +86,13 @@ def cmd_gen_data(config_path, out):
 @cli.command("train-locoval")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default=None)
-@click.option("--data", "data_dir", default=None,
-              help="Directory holding plausibility.csv (default: the output dir).")
-def cmd_train_locoval(config_path, out, data_dir):
-    """Train the plausibility scorer against the oracle-labeled dataset."""
+def cmd_train_locoval(config_path, out):
+    """Train the plausibility scorer against the oracle-labeled dataset in
+    the output directory."""
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
-    data_dir = Path(data_dir) if data_dir else out_dir
 
-    csv_path = data_dir / "plausibility.csv"
+    csv_path = out_dir / "plausibility.csv"
     if not csv_path.exists():
         raise DataError(f"missing {csv_path}; run gen-data first")
     pairs = oracle.load_plausibility_csv(csv_path)
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:  # a UsageError too
-        exc.show(file=sys.stderr)
+        print(f"usage error: {exc.format_message()}", file=sys.stderr)
         return 1
     except click.Abort:
         return 1

@@ -67,7 +67,7 @@ class PoseSequence:
 
 
 def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
-    rows = []
+    rows, first_line = [], {}  # (track, frame) -> the line that gave it
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -86,7 +86,12 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
                                 f"got {parts[0]!r} and {parts[1]!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{path}:{line_no}: non-finite coordinate")
-            rows.append((int(ped), int(frame), x, y))
+            key = (int(ped), int(frame))
+            if key in first_line:
+                raise DataError(f"{path}:{line_no}: frame {key[1]} of track {key[0]} "
+                                f"repeats line {first_line[key]}")
+            first_line[key] = line_no
+            rows.append((*key, x, y))
 
     by_ped = {}
     for ped, frame, x, y in rows:
@@ -96,9 +101,7 @@ def load_tsv(path, dt: float = DEFAULT_DT) -> TrajectoryDataset:
     next_id = 0
     for ped in sorted(by_ped):
         entries = sorted(by_ped[ped])
-        frames = [f for f, _, _ in entries]
-        diffs = [b - a for a, b in zip(frames, frames[1:])]
-        step = min((d for d in diffs if d > 0), default=1)
+        step = min((b[0] - a[0] for a, b in zip(entries, entries[1:])), default=1)
         segment = [entries[0]]
         segments = []
         for prev, cur in zip(entries, entries[1:]):

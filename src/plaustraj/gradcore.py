@@ -19,29 +19,24 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .errors import (BELOW_ONE, NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError,
-                     InputShapeError, NumericError, PlausTrajError, at_least, check_value,
-                     one_of, rule)
+from .errors import (POSITIVE, Checked, ConfigError, DataError, InputShapeError, NumericError,
+                     PlausTrajError, at_least, check_value, one_of, rule)
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 CHECKPOINT_SCHEMA_VERSION = 3
 CURVE_EVERY = 50  # training steps per curve point; the last step closes one too
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
 @dataclass
 class TrainConfig(Checked):
     learning_rate: float = rule(POSITIVE, default=1e-3)
-    weight_decay: float = rule(NON_NEGATIVE, default=0.0)
     total_steps: int = rule(at_least(1), default=1000)
     batch_size: int = rule(at_least(1), default=64)
     seed: int = rule(at_least(0), default=0)
     schedule: str = rule(one_of("constant", "cosine"), default="constant")
-    min_lr: float = 0.0
-    beta1: float = rule(BELOW_ONE, default=0.9)
-    beta2: float = rule(BELOW_ONE, default=0.999)
-    eps: float = rule(POSITIVE, default=1e-8)
 
 
 def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
@@ -304,20 +299,22 @@ def input_grad(model: MlpModel, cache: dict, upstream: np.ndarray) -> np.ndarray
     return delta[0] if cache["single"] else delta
 
 
-def cosine_lr(base_lr: float, step: int, total_steps: int, min_lr: float = 0.0) -> float:
-    """Half-cosine decay from base_lr at step 0 to min_lr at total_steps."""
+def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
+    """Half-cosine decay from base_lr at step 0 to 0.0 at total_steps."""
     if step >= total_steps:
-        return min_lr
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * step / total_steps))
+        return 0.0
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over an MlpModel's flat parameter buffer.
+    """AdamW with no weight decay, that is Adam, over an MlpModel's flat
+    parameter buffer, at the constant moment decays BETA1 and BETA2 and
+    denominator floor EPS.
 
     Moments persist across step() calls as two flat arrays, m and v, in the
-    layout of params; m_w, m_b, v_w and v_b are their per-layer views. The
-    step counter is internal and starts at 1 on the first update. step()
-    updates the moments and model.params in place, with a fixed number of
+    layout of params (model.split gives their per-layer views). The step
+    counter is internal and starts at 1 on the first update. step() updates
+    the moments and model.params in place, with a fixed number of
     whole-buffer numpy calls whatever the number of layers.
     """
 
@@ -326,49 +323,38 @@ class AdamW:
         self.t = 0
         self.m = np.zeros_like(model.params)
         self.v = np.zeros_like(model.params)
-        self.m_w, self.m_b = model.split(self.m)
-        self.v_w, self.v_b = model.split(self.v)
         self._scratch = (np.empty_like(model.params), np.empty_like(model.params))
 
     def current_lr(self) -> float:
         if self.config.schedule == "cosine":
-            return cosine_lr(
-                self.config.learning_rate, self.t, self.config.total_steps,
-                self.config.min_lr,
-            )
+            return cosine_lr(self.config.learning_rate, self.t, self.config.total_steps)
         return self.config.learning_rate
 
     def step(self, model: MlpModel, grads: Gradients):
-        cfg = self.config
         lr = self.current_lr()
         self.t += 1
-        t = self.t
-        b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
-        decay = 1.0 - lr * cfg.weight_decay
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         p, g, m, v = model.params, grads.flat, self.m, self.v
         denom, update = self._scratch
-        # in place, in the operation order of p * decay - lr * (m / bc1) / (sqrt(v / bc2) + eps),
+        # in place, in the operation order of p - lr * (m / bc1) / (sqrt(v / bc2) + EPS),
         # so results are bit-identical to computing that expression out of place
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=update)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=update)
         m += update
-        v *= b2
+        v *= BETA2
         np.multiply(g, g, out=update)
-        update *= 1.0 - b2
+        update *= 1.0 - BETA2
         v += update
         np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += eps
-        if bc1 == 1.0:  # m / 1.0 is m exactly (from t ~ 350 at beta1 0.9)
+        denom += EPS
+        if bc1 == 1.0:  # m / 1.0 is m exactly (from t ~ 350)
             np.multiply(m, lr, out=update)
         else:
             np.divide(m, bc1, out=update)
             update *= lr
         update /= denom
-        if decay != 1.0:  # p * 1.0 is p exactly (weight_decay 0)
-            p *= decay
         p -= update
 
 

@@ -18,6 +18,7 @@ from plaustraj.cli import _build_instances, main
 from plaustraj.config import load_config
 
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
+REMOVED_TRAIN_KEYS = ("weight_decay", "min_lr", "beta1", "beta2", "eps")
 WEIGHTS_RULE = ("an object mapping some of straight, accelerate, turn, stop_and_go to finite "
                 "weights >= 0, not all zero")
 
@@ -104,6 +105,15 @@ def test_unknown_config_key_exit_code(tmp_path):
 
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
+
+
+def test_train_locoval_data_option_is_one_line_usage_error(tmp_path, capsys):
+    """train-locoval reads plausibility.csv from its output directory only."""
+    assert run("train-locoval", "--data", "x", "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: No such option") and "--data" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 
@@ -788,8 +798,6 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "locoval.train.learning_rate must be"),
         ("train-locoval", {"locoval": {"train": {"learning_rate": float("nan")}}},
          "locoval.train.learning_rate must be"),
-        ("train-locoval", {"locoval": {"train": {"beta1": 1.0}}}, "locoval.train.beta1 must be"),
-        ("train-locoval", {"locoval": {"train": {"eps": 0}}}, "locoval.train.eps must be"),
         ("gen-data", {"predictor": {"stride": 0}}, "predictor.stride must be"),
         ("gen-data", {"predictor": {"stride": -1}}, "predictor.stride must be"),
         ("gen-data", {"predictor": {"future_frames": 1}}, "predictor.future_frames must be"),
@@ -878,8 +886,14 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
         ("sweep --param lambda --values 0.5,2", {}, "--values must be in [0, 1], got 2.0"),
         ("sweep --param alpha --values 0,-1", {}, "--values must be non-negative, got -1.0"),
         ("sweep --param alpha --values 0,nan", {}, "--values must be finite, got nan"),
+        # AdamW's betas and eps are constants, and weight decay and the cosine
+        # floor are gone: a config that names one, such as a
+        # resolved_config.json written before they went, names the unknown key
+        *[(f"train-{section}", {section: {"train": {key: 0.1}}},
+           f"{section}.train: unknown keys ['{key}']")
+          for section in ("locoval", "predictor") for key in REMOVED_TRAIN_KEYS],
     ],
-    ids=["lr-1e400", "lr-nan", "beta1-one", "eps-zero", "stride-zero", "stride-negative",
+    ids=["lr-1e400", "lr-nan", "stride-zero", "stride-negative",
          "future-one", "holdout-1.5", "hidden-zero", "trunk-hidden-zero",
          "n-plausible-string", "n-plausible-float", "n-implausible-bool", "pair-seed-string",
          "speed-range-one-value", "speed-range-reversed", "accel-range-string",
@@ -893,7 +907,9 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "seed-option-negative", "pose-bank-zero", "n-heads-zero", "heads-option-zero",
          "n-tracks-zero", "n-eval-tracks-zero", "past-frames-one", "weights-string",
          "weights-negative", "weights-nan", "weights-all-zero", "sweep-lambda-above-one",
-         "sweep-alpha-negative", "sweep-alpha-nan"],
+         "sweep-alpha-negative", "sweep-alpha-nan",
+         *[f"{section}-{key}" for section in ("locoval", "predictor")
+           for key in REMOVED_TRAIN_KEYS]],
 )
 def test_bad_config_field_is_one_line_config_error(tmp_path, capsys, command, override,
                                                    message):

@@ -63,6 +63,15 @@ def test_load_tsv_splits_on_frame_gap(tmp_path):
     assert len(ds) == 2
 
 
+def test_load_tsv_repeated_row_is_a_located_data_error(tmp_path):
+    # a repeated (frame, track) row is not a gap: it does not split the track
+    p = tmp_path / "dup.tsv"
+    p.write_text("0 1 0.0 0.0\n1 1 0.5 0.0\n1 1 0.6 0.0\n2 1 1.0 0.0\n")
+    with pytest.raises(DataError) as info:
+        load_tsv(p)
+    assert str(info.value) == f"{p}:3: frame 1 of track 1 repeats line 2"
+
+
 def test_load_tsv_parse_error_names_line(tmp_path):
     p = tmp_path / "d.tsv"
     p.write_text("0 1 0.0 0.0\n1 1 abc 0.0\n")

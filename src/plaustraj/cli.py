@@ -26,9 +26,9 @@ OUT_ENV_VAR = "PLAUSTRAJ_OUT"
 
 
 def _out_dir(out) -> Path:
-    root = Path(out or os.environ.get(OUT_ENV_VAR, "runs"))
-    root.mkdir(parents=True, exist_ok=True)
-    return root
+    """The output root, not made here: a command that only reads from it
+    fails on the missing input and leaves no empty directory behind."""
+    return Path(out or os.environ.get(OUT_ENV_VAR, "runs"))
 
 
 def _load_run_config(config_path) -> RunConfig:
@@ -60,6 +60,7 @@ def cmd_gen_data(config_path, out):
 
     dataset = datakit.generate_synthetic(cfg.data.synthetic, cfg.data.n_tracks,
                                          seed=cfg.data.seed, params=cfg.oracle)
+    out_dir.mkdir(parents=True, exist_ok=True)
     datakit.save_tsv(dataset, out_dir / "trajectories.tsv")
 
     bank = datakit.generate_pose_bank(cfg.data.pose_bank_size, seed=cfg.data.seed + 7)
@@ -140,6 +141,7 @@ def cmd_train_predictor(config_path, out, alpha, heads, seed):
         instances, scorer, cfg.predictor.train, alpha=cfg.predictor.alpha,
         n_heads=cfg.predictor.n_heads, trunk_hidden=tuple(cfg.predictor.trunk_hidden))
     checksum = None if scorer is None else gradcore.params_sha256(scorer.net)
+    out_dir.mkdir(parents=True, exist_ok=True)
     predictor_mod.save_predictor(result, out_dir / "predictor.json",
                                  locoval_checksum=checksum, train_config=cfg.predictor.train)
     metrics.save_csv(out_dir / "predictor_curve.csv",

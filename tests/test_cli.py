@@ -17,6 +17,10 @@ from plaustraj import filtering, gradcore, locoval, predictor
 from plaustraj.cli import _build_instances, main
 from plaustraj.config import load_config
 
+# a numeric warning is a failure: the CLI turns overflow into one exit-3 line,
+# and in-process pytest records warnings where they never reach capsys
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
 REMOVED_TRAIN_KEYS = ("weight_decay", "min_lr", "beta1", "beta2", "eps")
 WEIGHTS_RULE = ("an object mapping some of straight, accelerate, turn, stop_and_go to finite "
@@ -41,6 +45,13 @@ def run(*args):
     return main(list(args))
 
 
+def python(*args):
+    """A fresh interpreter run with args, importing this checkout's package."""
+    src = str(Path(plaustraj.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.mark.parametrize(
     "cmd", ["gen-data", "train-locoval", "train-predictor", "eval", "filter", "sweep"]
 )
@@ -52,13 +63,40 @@ def test_help_exits_zero(cmd, capsys):
 def test_cli_import_leaves_out_the_training_pool():
     """Only sweep --param alpha trains in worker processes; importing the CLI,
     which every command pays for, does not import their machinery."""
-    src = str(Path(plaustraj.__file__).parents[1])
     code = ("import sys, plaustraj.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("kind, code", [("usage error", 1), ("config error", 1),
+                                        ("data error", 2), ("numeric failure", 3)],
+                         ids=["usage", "config", "data", "numeric"])
+def test_module_entry_exit_status(tiny_config, tmp_path, kind, code):
+    """python -m plaustraj.cli makes each failure arm of main the process's
+    exit status, and the interpreter adds nothing to its one stderr line: a
+    RuntimeWarning, which pytest records in-process, would print two more."""
+    out = tmp_path / "run"
+    cfg = tmp_path / "case.json"
+    if kind == "usage error":
+        args = ["train-locoval", "--data", "x"]
+    elif kind == "config error":
+        cfg.write_text(json.dumps({"predictor": {"train": {"weight_decay": 0.1}}}))
+        args = ["train-predictor", "--config", str(cfg)]
+    elif kind == "data error":  # no plausibility.csv
+        out.mkdir()
+        args = ["train-locoval", "--config", tiny_config]
+    else:  # the fit's second step overflows
+        assert run("gen-data", "--config", tiny_config, "--out", str(out)) == 0
+        cfg.write_text(json.dumps(merged(TINY, {"locoval": {"train": {"learning_rate": 1e300}}})))
+        args = ["train-locoval", "--config", str(cfg)]
+    proc = python("-m", "plaustraj.cli", *args, "--out", str(out))
+    assert proc.returncode == code
+    err = proc.stderr
+    assert err.startswith(f"{kind}: ") and err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "locoval.json").exists()
 
 
 def test_gen_data_writes_files(tiny_config, tmp_path):
@@ -89,6 +127,31 @@ def test_train_locoval_requires_data(tiny_config, tmp_path, capsys):
     code = run("train-locoval", "--config", tiny_config, "--out", str(tmp_path / "x"))
     assert code == 2
     assert "gen-data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, missing, kind", [
+    ("eval", "predictor.json", "I/O error"),
+    ("filter", "locoval.json", "I/O error"),
+    ("sweep", "predictor.json", "I/O error"),
+    ("train-locoval", "plausibility.csv", "data error"),
+    ("train-predictor --alpha 100", "locoval.json", "data error"),
+], ids=["eval", "filter", "sweep", "train-locoval", "train-predictor-alpha-100"])
+def test_missing_input_makes_no_output_dir(tiny_config, tmp_path, capsys, command, missing,
+                                           kind):
+    """A command whose input under --out is missing exits 2 with one line
+    naming it, and leaves no empty output directory behind."""
+    out = tmp_path / "fresh"
+    args = [*command.split(), "--config", tiny_config, "--out", str(out)]
+    if command == "filter":
+        for name in ("cands.tsv", "obs.json"):
+            (tmp_path / name).write_text("")
+        args += ["--candidates", str(tmp_path / "cands.tsv"),
+                 "--observables", str(tmp_path / "obs.json")]
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind}: ") and str(out / missing) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):

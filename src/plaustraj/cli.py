@@ -122,13 +122,10 @@ def cmd_train_locoval(config_path, out):
 @click.option("--out", default=None)
 @click.option("--alpha", type=float, default=None, help="Override the regularizer weight.")
 @click.option("--heads", type=int, default=None, help="Override the head count.")
-@click.option("--seed", type=int, default=None, help="Override the training seed.")
-def cmd_train_predictor(config_path, out, alpha, heads, seed):
+def cmd_train_predictor(config_path, out, alpha, heads):
     """Train the trajectory predictor (regularized when alpha > 0)."""
     cfg = _load_run_config(config_path)
-    train = override(cfg.predictor.train, "config.predictor.train", seed=seed)
-    cfg.predictor = override(cfg.predictor, "config.predictor", alpha=alpha, n_heads=heads,
-                             train=train)
+    cfg.predictor = override(cfg.predictor, "config.predictor", alpha=alpha, n_heads=heads)
     out_dir = _out_dir(out)
 
     instances = _build_instances(cfg, cfg.data.seed, cfg.data.n_tracks)
@@ -207,14 +204,12 @@ def cmd_eval(config_path, out, threshold):
               help="TSV of externally produced candidates: case head frame x y.")
 @click.option("--observables", "observables_path", type=click.Path(exists=True), required=True,
               help="JSON mapping case id to pose-bank-style observable state.")
-@click.option("--threshold", type=float, default=None, help="Override config threshold.")
-def cmd_filter(config_path, out, candidates_path, observables_path, threshold):
-    """Score and partition externally produced candidate trajectories."""
-    if threshold is not None:
-        check_value("--threshold", threshold, 0.0, UNIT)
+def cmd_filter(config_path, out, candidates_path, observables_path):
+    """Score and partition externally produced candidate trajectories at the
+    config's eval.threshold."""
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
-    lam = cfg.eval.threshold if threshold is None else threshold
+    lam = cfg.eval.threshold
 
     scorer = locoval_mod.load_locoval(out_dir / "locoval.json")
     cases = load_candidates_tsv(candidates_path, dt=cfg.data.synthetic.dt)
@@ -358,22 +353,29 @@ def load_candidates_tsv(path, dt: float) -> dict:
 
 
 def load_observables_json(path) -> dict:
+    """Case id -> ObservableState. Each case is given once: a key repeated,
+    or two keys of one integer such as "1" and "01", is a DataError."""
+    objects = []  # the (key, value) pairs of each JSON object, the outermost last
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(
+                fh, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected an object mapping case id to state")
-    observables = {}
-    for key, entry in doc.items():
+    observables, keys = {}, {}
+    for key, entry in objects[-1]:
         try:
             case = int(key)
             joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
             velocity = np.array(entry["root_velocity"], dtype=float)
-            observables[case] = oracle.ObservableState(joints=joints, root_velocity=velocity)
+            observable = oracle.ObservableState(joints=joints, root_velocity=velocity)
         except (AttributeError, KeyError, TypeError, ValueError, InputShapeError) as exc:
             raise DataError(f"{path}: malformed observable for case {key!r} ({exc})")
+        if case in keys:
+            raise DataError(f"{path}: case {case} is given twice ({keys[case]!r} and {key!r})")
+        observables[case], keys[case] = observable, key
     return observables
 
 

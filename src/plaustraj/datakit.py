@@ -513,9 +513,10 @@ def make_training_instances(
     window's final heading and moved to the last observed position, and the
     root velocity of the past's last step.
 
-    The poses are aligned as arrays, with the bits of HumanoidState.transformed
-    per window: the angles go through math per element (wrap_angles,
-    rotation_matrices) and each joint is rotated by a stacked matmul."""
+    The poses are aligned as arrays, with the bits of rotating each window's
+    pose alone, joint by joint (reference_windows in tests/test_datakit.py):
+    the angles go through math per element (wrap_angles, rotation_matrices)
+    and each joint is rotated by a stacked matmul."""
     if past_frames < 2:
         raise ConfigError("past_frames must be >= 2 (velocity needs two frames)")
     if future_frames < 2:

@@ -86,14 +86,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
-                    pivot=(0.0, 0.0)) -> "Trajectory":
-        """Rigid transform: rotate by angle about pivot, then translate."""
-        rot = rotation_matrix(angle)
-        pivot = np.asarray(pivot, dtype=float)
-        pts = (self.points - pivot) @ rot.T + pivot + np.asarray(translation, dtype=float)
-        return Trajectory(pts, self.dt)
-
 
 class TrajectorySet(Sequence):
     """K trajectories of one length and one dt, held as one points array
@@ -204,23 +196,6 @@ class HumanoidState(_Pose):
             raise InputShapeError("heading must be finite")
         self.heading = wrap_angle(self.heading)
         super().__post_init__()
-
-    def transformed(self, angle: float = 0.0, translation=(0.0, 0.0),
-                    pivot=(0.0, 0.0)) -> "HumanoidState":
-        """Rigid transform about the vertical axis. The joints move as one
-        array, each rotated by a stacked (2, 2) @ (2, 1) matmul, with the
-        bits of rotating each joint alone."""
-        rot = rotation_matrix(angle)
-        pivot = np.asarray(pivot, dtype=float)
-        names = list(self.joints)
-        pts = np.array([self.joints[n] for n in names])
-        pts[:, :2] = ((rot @ (pts[:, :2] - pivot)[..., None])[..., 0] + pivot
-                      + np.asarray(translation, dtype=float))
-        return HumanoidState(
-            joints=dict(zip(names, pts)),
-            heading=wrap_angle(self.heading + angle),
-            root_velocity=rot @ self.root_velocity,
-        )
 
 
 @dataclass

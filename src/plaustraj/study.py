@@ -72,7 +72,10 @@ def train_jobs(jobs: list[dict]) -> list[predictor.PredictorModel]:
     order, each trained in one of min(jobs, usable cores) spawned worker
     processes. A job's scorer goes to its worker only at alpha > 0, where
     the model uses it. The first job to fail, in completion order, raises
-    its error here, and the workers still training are terminated."""
+    its error here, and the workers still training are terminated. No jobs
+    train nothing, and start no pool."""
+    if not jobs:
+        return []
     # imported here: the pool costs about 30 ms to import, which every command would pay
     import multiprocessing
 

@@ -35,10 +35,35 @@ def observable_of(state):
     return oracle.ObservableState(joints=state.joints, root_velocity=state.root_velocity.copy())
 
 
+def transformed_state(state, angle=0.0, translation=(0.0, 0.0), pivot=(0.0, 0.0)):
+    """A HumanoidState moved rigidly about the vertical axis: rotated by angle
+    about pivot, then translated, each joint rotated alone by a (2, 2) by (2,)
+    matmul. The arrays that datakit.make_training_instances aligns match it
+    bit for bit."""
+    rot = oracle.rotation_matrix(angle)
+    pivot = np.asarray(pivot, dtype=float)
+    translation = np.asarray(translation, dtype=float)
+    joints = {}
+    for name, pos in state.joints.items():
+        xy = rot @ (pos[:2] - pivot) + pivot + translation
+        joints[name] = np.array([xy[0], xy[1], pos[2]])
+    return oracle.HumanoidState(joints=joints, heading=oracle.wrap_angle(state.heading + angle),
+                                root_velocity=rot @ state.root_velocity)
+
+
+def transformed_trajectory(traj, angle=0.0, translation=(0.0, 0.0), pivot=(0.0, 0.0)):
+    """A Trajectory moved as transformed_state moves a state."""
+    rot = oracle.rotation_matrix(angle)
+    pivot = np.asarray(pivot, dtype=float)
+    pts = (traj.points - pivot) @ rot.T + pivot + np.asarray(translation, dtype=float)
+    return oracle.Trajectory(pts, traj.dt)
+
+
 def make_observable(heading=0.0, speed=1.2, root=(0.0, 0.0)):
     """A clean walking pose as an ObservableState, placed and oriented."""
     state = datakit.make_walking_pose(heading, speed)
-    state = state.transformed(translation=np.asarray(root, dtype=float) - state.root_position)
+    state = transformed_state(state, translation=np.asarray(root, dtype=float)
+                              - state.root_position)
     return observable_of(state)
 
 

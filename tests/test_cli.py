@@ -170,11 +170,24 @@ def test_usage_error_exit_code():
     assert run("no-such-command") == 1
 
 
-def test_train_locoval_data_option_is_one_line_usage_error(tmp_path, capsys):
-    """train-locoval reads plausibility.csv from its output directory only."""
-    assert run("train-locoval", "--data", "x", "--out", str(tmp_path / "o")) == 1
+@pytest.mark.parametrize(
+    "command, option",
+    [("train-locoval --data x", "--data"),
+     ("train-predictor --seed 3", "--seed"),
+     ("filter --candidates {tmp}/c.tsv --observables {tmp}/o.json --threshold 0.5",
+      "--threshold")],
+    ids=["train-locoval-data", "train-predictor-seed", "filter-threshold"],
+)
+def test_removed_option_is_one_line_usage_error(tmp_path, capsys, command, option):
+    """train-locoval reads plausibility.csv from its output directory only,
+    and the training seed and the filter threshold come from the config
+    (predictor.train.seed, eval.threshold)."""
+    (tmp_path / "c.tsv").write_text("")
+    (tmp_path / "o.json").write_text("{}")
+    args = command.format(tmp=tmp_path).split()
+    assert run(*args, "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: No such option") and "--data" in err
+    assert err.startswith("usage error: No such option") and option in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -430,12 +443,13 @@ def write_filter_inputs(trained_dir, tmp_path, frames=12, keys=("0", "1")):
     return cand, obs_path
 
 
-def test_filter_external_candidates(tiny_config, trained_dir, tmp_path):
+def test_filter_external_candidates(trained_dir, tmp_path):
     cand, obs_path = write_filter_inputs(trained_dir, tmp_path)
+    cfg = tmp_path / "cfg-threshold.json"
+    cfg.write_text(json.dumps({**TINY, "eval": {"threshold": 0.5}}))
     assert run(
-        "filter", "--config", tiny_config, "--out", str(trained_dir),
+        "filter", "--config", str(cfg), "--out", str(trained_dir),
         "--candidates", str(cand), "--observables", str(obs_path),
-        "--threshold", "0.5",
     ) == 0
     doc = json.loads((trained_dir / "filter_report.json").read_text())
     assert len(doc) == 2
@@ -519,22 +533,22 @@ def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_p
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("threshold", ["5", "-0.1", "nan"])
-def test_filter_threshold_is_checked_before_any_work(tiny_config, trained_dir, tmp_path, capsys,
-                                                     threshold):
-    """A threshold outside [0, 1] is a config error before any file is read,
-    even with a candidates file of no rows."""
-    cand, obs_path = write_filter_inputs(trained_dir, tmp_path)
-    cand.write_text("")
-    out = tmp_path / "never-made"
+@pytest.mark.parametrize("second", ["01", "1"], ids=["1-and-01", "1-twice"])
+def test_filter_case_given_twice_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
+                                                        capsys, second):
+    """Two observables of case 1, by two keys of one integer or by one key
+    repeated, would leave the filter to score the case against the last."""
+    cand, obs_path = write_filter_inputs(trained_dir, tmp_path, keys=("0", "1", "second"))
+    obs_path.write_text(obs_path.read_text().replace('"second"', f'"{second}"'))
     capsys.readouterr()
-    code = run("filter", "--config", tiny_config, "--out", str(out), "--candidates", str(cand),
-               "--observables", str(obs_path), "--threshold", threshold)
-    assert code == 1
-    err = capsys.readouterr().err
-    rule = "finite" if threshold == "nan" else "in [0, 1]"
-    assert err == f"config error: --threshold must be {rule}, got {float(threshold)!r}\n"
-    assert not out.exists()
+    code = run(
+        "filter", "--config", tiny_config, "--out", str(trained_dir),
+        "--candidates", str(cand), "--observables", str(obs_path),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {obs_path}: case 1 is given twice ('1' and '{second}')\n")
+    assert not (trained_dir / "filter_report.json").exists()
 
 
 def _without_horizon() -> str:
@@ -926,8 +940,6 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "locoval.train.seed must be an integer >= 0, got -1"),
         ("gen-data", {"predictor": {"train": {"seed": -1}}},
          "predictor.train.seed must be an integer >= 0, got -1"),
-        ("train-predictor --seed -1", {},
-         "predictor.train.seed must be an integer >= 0, got -1"),
         ("gen-data", {"data": {"pose_bank_size": 0}},
          "data.pose_bank_size must be an integer >= 1, got 0"),
         ("gen-data", {"predictor": {"n_heads": 0}}, "predictor.n_heads must be an integer >= 1"),
@@ -967,7 +979,7 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "lr-string", "holdout-null", "n-heads-bool", "include-pose-int",
          "sweep-values-not-a-number", "data-seed-negative", "eval-seed-negative",
          "window-seed-negative", "locoval-train-seed-negative", "predictor-train-seed-negative",
-         "seed-option-negative", "pose-bank-zero", "n-heads-zero", "heads-option-zero",
+         "pose-bank-zero", "n-heads-zero", "heads-option-zero",
          "n-tracks-zero", "n-eval-tracks-zero", "past-frames-one", "weights-string",
          "weights-negative", "weights-nan", "weights-all-zero", "sweep-lambda-above-one",
          "sweep-alpha-negative", "sweep-alpha-nan",

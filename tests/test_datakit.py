@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import observable_of
+from conftest import observable_of, transformed_state
 from plaustraj import datakit
 from plaustraj.datakit import (
     PoseSequence,
@@ -248,7 +248,7 @@ def _reference_track_reward(traj, params):
     speed = np.linalg.norm(first) / traj.dt
     heading = math.atan2(first[1], first[0]) if speed > 1e-9 else 0.0
     state = make_walking_pose(heading, min(speed, params.v_max))
-    state = state.transformed(translation=traj.points[0] - state.root_position)
+    state = transformed_state(state, translation=traj.points[0] - state.root_position)
     return reference_rollout(Trajectory(traj.points[1:], traj.dt), state, params)
 
 
@@ -502,8 +502,8 @@ def test_instance_parameter_validation(pose_bank):
 
 def reference_windows(dataset, pose_bank, past_frames, future_frames, stride, seed, stats):
     """The per-window construction that make_training_instances must equal
-    bit for bit: one pose drawn per window, aligned with
-    HumanoidState.transformed."""
+    bit for bit: one pose drawn per window, aligned joint by joint with
+    transformed_state."""
     rng = np.random.default_rng(seed)
     window = past_frames + future_frames
     windows = []
@@ -521,7 +521,8 @@ def reference_windows(dataset, pose_bank, past_frames, future_frames, stride, se
             else:
                 target_heading = 0.0
             pose = pose_bank[rng.integers(len(pose_bank))]
-            aligned = pose.transformed(
+            aligned = transformed_state(
+                pose,
                 angle=wrap_angle(target_heading - pose.heading),
                 pivot=pose.root_position,
                 translation=past_pts[-1] - pose.root_position,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (SCHEMA_2_LOCOVAL, awkward_observables, make_observable, observable_of,
-                      pair_of, pair_set, straight_trajectory)
+                      pair_of, pair_set, straight_trajectory, transformed_state,
+                      transformed_trajectory)
 from plaustraj import gradcore, locoval
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
@@ -61,9 +62,9 @@ def test_canonicalize_rigid_invariance(angle, dx, dy):
     from plaustraj.datakit import make_walking_pose
 
     state = make_walking_pose(0.7, 1.3)
-    state = state.transformed(translation=np.array([1.0, -2.0]) - state.root_position)
-    moved_state = state.transformed(angle=angle, translation=(dx, dy))
-    moved_traj = traj.transformed(angle=angle, translation=(dx, dy))
+    state = transformed_state(state, translation=np.array([1.0, -2.0]) - state.root_position)
+    moved_state = transformed_state(state, angle=angle, translation=(dx, dy))
+    moved_traj = transformed_trajectory(traj, angle=angle, translation=(dx, dy))
     moved = canonicalize(moved_traj, observable_of(moved_state), LAYOUT)
     np.testing.assert_allclose(moved, base, atol=1e-9)
 
@@ -294,8 +295,8 @@ def test_score_rigid_invariance():
     base = score(model, traj, observable_of(state))
     moved = score(
         model,
-        traj.transformed(angle=1.9, translation=(5.0, -7.0)),
-        observable_of(state.transformed(angle=1.9, translation=(5.0, -7.0))),
+        transformed_trajectory(traj, angle=1.9, translation=(5.0, -7.0)),
+        observable_of(transformed_state(state, angle=1.9, translation=(5.0, -7.0))),
     )
     assert moved == pytest.approx(base, abs=1e-9)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import transformed_trajectory
 from plaustraj import metrics
 from plaustraj.errors import ConfigError, InputShapeError
 from plaustraj.metrics import (
@@ -369,8 +370,8 @@ def test_evaluate_predictions_rigid_invariance():
     base = evaluate_predictions(cases, gts)
     angle, shift = 1.3, (4.0, -2.0)
     moved = evaluate_predictions(
-        [[t.transformed(angle=angle, translation=shift) for t in c] for c in cases],
-        [g.transformed(angle=angle, translation=shift) for g in gts],
+        [[transformed_trajectory(t, angle=angle, translation=shift) for t in c] for c in cases],
+        [transformed_trajectory(g, angle=angle, translation=shift) for g in gts],
     )
     assert moved.ade == pytest.approx(base.ade, abs=1e-9)
     assert moved.fde == pytest.approx(base.fde, abs=1e-9)

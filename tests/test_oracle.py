@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_observable, observable_of, pair_set, state_of, straight_trajectory
+from conftest import (make_observable, observable_of, pair_set, state_of, straight_trajectory,
+                      transformed_state, transformed_trajectory)
 from plaustraj import oracle
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.oracle import (
@@ -30,7 +31,8 @@ from plaustraj.datakit import make_walking_pose
 
 def walker(heading=0.0, speed=1.2, root=(0.0, 0.0)):
     state = make_walking_pose(heading, speed)
-    return state.transformed(translation=np.asarray(root, dtype=float) - state.root_position)
+    return transformed_state(state, translation=np.asarray(root, dtype=float)
+                             - state.root_position)
 
 
 def initial_heading(traj: Trajectory) -> float:
@@ -423,8 +425,8 @@ def test_rollout_rigid_invariance(angle, dx, dy, speed):
     state = walker(speed=speed)
     base = rollout(traj, state)
     moved = rollout(
-        traj.transformed(angle=angle, translation=(dx, dy)),
-        state.transformed(angle=angle, translation=(dx, dy)),
+        transformed_trajectory(traj, angle=angle, translation=(dx, dy)),
+        transformed_state(state, angle=angle, translation=(dx, dy)),
     )
     assert moved == pytest.approx(base, abs=1e-9)
 
@@ -616,8 +618,8 @@ def _walker_probes(n, params, seed):
             traj = Trajectory(traj.points[::-1], traj.dt)
         elif kind == "rotated":
             angle, root = rng.uniform(-math.pi, math.pi), state.root_position
-            traj = traj.transformed(angle, pivot=root)
-            state = state.transformed(angle, pivot=root)
+            traj = transformed_trajectory(traj, angle, pivot=root)
+            state = transformed_state(state, angle, pivot=root)
         probes.append((traj, state))
     return probes
 
@@ -646,48 +648,6 @@ def test_rollout_equals_numpy_reference(params):
     probes = _walker_probes(3000, params, seed=5) + _tie_probes()
     _assert_bits_equal([rollout(traj, state, params) for traj, state in probes],
                        [reference_rollout(traj, state, params) for traj, state in probes])
-
-
-def _reference_transformed(state, angle=0.0, translation=(0.0, 0.0), pivot=(0.0, 0.0)):
-    """HumanoidState.transformed with each joint rotated alone, as a (2, 2)
-    by (2,) matmul: the reference that the one-array transform matches bit
-    for bit."""
-    rot = oracle.rotation_matrix(angle)
-    pivot = np.asarray(pivot, dtype=float)
-    translation = np.asarray(translation, dtype=float)
-    joints = {}
-    for name, pos in state.joints.items():
-        xy = rot @ (pos[:2] - pivot) + pivot + translation
-        joints[name] = np.array([xy[0], xy[1], pos[2]])
-    return HumanoidState(joints=joints, heading=wrap_angle(state.heading + angle),
-                         root_velocity=rot @ state.root_velocity)
-
-
-def test_transformed_equals_per_joint_reference():
-    rng = np.random.default_rng(9)
-    states = [make_walking_pose(h, s) for h in (0.0, -0.0, 2.0, math.pi, -math.pi / 2)
-              for s in (0.0, 1.3)]
-    for vx, vy in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0)):
-        state = make_walking_pose(0.4, 1.0)
-        state.root_velocity = np.array([vx, vy])
-        states.append(state)
-    # -0.0 joint coordinates, which a rotation by 0 and a zero pivot make +0.0
-    state = make_walking_pose(0.4, 1.0)
-    state.joints["pelvis"] = np.array([-0.0, -0.0, 0.95])
-    state.joints["head"] = np.array([-0.0, 0.3, 1.7])
-    states.append(state)
-    for state in states:
-        for angle in (0.0, -0.0, math.pi, -math.pi / 2, rng.uniform(-math.pi, math.pi)):
-            for shift in (np.zeros(2), np.array([-0.0, -0.0]), -state.root_position,
-                          rng.uniform(-5.0, 5.0, size=2)):
-                for pivot in ((0.0, 0.0), state.root_position, rng.uniform(-5.0, 5.0, size=2)):
-                    got = state.transformed(angle, translation=shift, pivot=pivot)
-                    want = _reference_transformed(state, angle, translation=shift, pivot=pivot)
-                    assert list(got.joints) == list(want.joints)
-                    _assert_bits_equal(got.heading, want.heading)
-                    _assert_bits_equal(got.root_velocity, want.root_velocity)
-                    for name, pos in want.joints.items():
-                        _assert_bits_equal(got.joints[name], pos)
 
 
 def _assert_equals_reference(got, want):

@@ -68,3 +68,10 @@ def test_a_failing_job_ends_the_running_workers(training_instances, trained_scor
         study.train_jobs([failing, long_job] if failing_first else [long_job, failing])
     assert time.perf_counter() - start < 30.0
     assert multiprocessing.active_children() == []
+
+
+def test_no_jobs_train_nothing(training_instances):
+    """A study of no seeds trains nothing and starts no pool."""
+    assert study.train_jobs([]) == []
+    assert study.paired_runs(training_instances, None, seeds=0) == {}
+    assert multiprocessing.active_children() == []

@@ -97,9 +97,8 @@ def cmd_train_locoval(config_path, out):
     if not csv_path.exists():
         raise DataError(f"missing {csv_path}; run gen-data first")
     pairs = oracle.load_plausibility_csv(csv_path)
-    layout = locoval_mod.FeatureLayout(
-        horizon=pairs.horizon, joint_count=len(pairs.joint_names),
-        include_pose=cfg.locoval.include_pose, include_velocity=cfg.locoval.include_velocity)
+    layout = locoval_mod.FeatureLayout(pairs.horizon, include_pose=cfg.locoval.include_pose,
+                                       include_velocity=cfg.locoval.include_velocity)
     result = locoval_mod.train_locoval(pairs, cfg.locoval.train, layout=layout,
                                        hidden=tuple(cfg.locoval.hidden),
                                        holdout_fraction=cfg.locoval.holdout_fraction)
@@ -316,8 +315,8 @@ def _parse_grid(values: str) -> list[float]:
 
 def load_candidates_tsv(path, dt: float) -> dict:
     """Rows of "case head frame x y"; returns case id -> a TrajectorySet of
-    its heads in head order. Each head's frames must run consecutively, each
-    given once, and a case's heads must share one length."""
+    its heads, head h at row h. A case's head ids must run 0..K-1, each head's
+    frames consecutively, each given once, and its heads must share one length."""
     raw = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -338,7 +337,9 @@ def load_candidates_tsv(path, dt: float) -> dict:
     cases = {}
     for case, heads in raw.items():
         points = []
-        for head in sorted(heads):
+        for head in range(len(heads)):  # K ids that are not 0..K-1 miss one of them
+            if head not in heads:
+                raise DataError(f"{path}: case {case}: head {head} missing (head ids run 0..K-1)")
             rows = sorted(heads[head])
             for (prev, _, _), (frame, _, _) in zip(rows, rows[1:]):
                 if frame != prev + 1:
@@ -352,20 +353,27 @@ def load_candidates_tsv(path, dt: float) -> dict:
     return cases
 
 
+class _JsonObject(dict):
+    """A JSON object as a dict that keeps its (key, value) pairs, repeats too."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def load_observables_json(path) -> dict:
     """Case id -> ObservableState. Each case is given once: a key repeated,
-    or two keys of one integer such as "1" and "01", is a DataError."""
-    objects = []  # the (key, value) pairs of each JSON object, the outermost last
+    or two keys of one integer such as "1" and "01", is a DataError, and so
+    is a joint given twice in one case."""
     with open(path) as fh:
         try:
-            doc = json.load(
-                fh, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
+            doc = json.load(fh, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected an object mapping case id to state")
     observables, keys = {}, {}
-    for key, entry in objects[-1]:
+    for key, entry in doc.pairs:
         try:
             case = int(key)
             joints = {k: np.array(v, dtype=float) for k, v in entry["joints"].items()}
@@ -373,6 +381,10 @@ def load_observables_json(path) -> dict:
             observable = oracle.ObservableState(joints=joints, root_velocity=velocity)
         except (AttributeError, KeyError, TypeError, ValueError, InputShapeError) as exc:
             raise DataError(f"{path}: malformed observable for case {key!r} ({exc})")
+        names = [name for name, _ in entry["joints"].pairs]
+        if len(names) > len(observable.joints):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DataError(f"{path}: case {case}: joint {twice!r} is given twice")
         if case in keys:
             raise DataError(f"{path}: case {case} is given twice ({keys[case]!r} and {key!r})")
         observables[case], keys[case] = observable, key

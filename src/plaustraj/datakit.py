@@ -27,7 +27,6 @@ from .oracle import (
     _map,
     _norm,
     _row_norms,
-    joint_order,
     rollout,
     rotation_matrices,
     rotation_matrix,
@@ -375,9 +374,8 @@ def pose_consistency_filter(seq: PoseSequence, window: int = 9) -> tuple[list[in
         raise ConfigError("window must be >= 1")
     T = len(seq)
     half = window // 2
-    joint_names = list(seq.frames[0][1].keys())
     bad = np.zeros(T, dtype=bool)
-    for name in joint_names:
+    for name in seq.frames[0][1]:
         pos = np.stack([np.asarray(joints[name], dtype=float) for _, joints in seq.frames])
         dist = np.empty(T)
         for t in range(T):
@@ -446,23 +444,21 @@ class WindowSet:
 
     Window i is the observed past[i], the ground-truth future[i] that follows
     it, and the observable state at its last observed frame: the joints[i],
-    named by joint_names, and the root velocity[i]. Indexing with an integer,
+    the REQUIRED_JOINTS in their order, and the root velocity[i]. Indexing with an integer,
     and so iterating, gives Windows; a slice, index array or mask gives a set.
     """
 
     past: np.ndarray         # (N, T_p, 2), T_p >= 2
     future: np.ndarray       # (N, T_f, 2), T_f >= 2
-    joints: np.ndarray       # (N, J, 3)
+    joints: np.ndarray       # (N, 8, 3)
     velocity: np.ndarray     # (N, 2)
-    joint_names: list[str]   # the J names, in ObservableState.joint_order()
     dt: float
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=float)
                   for a in (self.past, self.future, self.joints, self.velocity)]
         self.past, self.future, self.joints, self.velocity = arrays
-        self.joint_names = list(self.joint_names)
-        n, J = len(self.past), len(self.joint_names)
+        n, J = len(self.past), len(REQUIRED_JOINTS)
         shapes = [a.shape for a in arrays]
         if ({self.past.ndim, self.future.ndim} != {3} or [s[::2] for s in shapes[:2]] + shapes[2:]
                 != [(n, 2), (n, 2), (n, J, 3), (n, 2)]):
@@ -470,8 +466,6 @@ class WindowSet:
                                   f"joints (N, {J}, 3) and velocity (N, 2), got {shapes}")
         if self.past_frames < 2 or self.horizon < 2:
             raise InputShapeError("a window needs at least 2 past and 2 future points")
-        if self.joint_names != joint_order(self.joint_names):
-            raise InputShapeError(f"joint names must be in joint order, got {self.joint_names}")
         if not all(np.isfinite(a).all() for a in arrays):
             raise InputShapeError("window arrays must be finite")
         if not self.dt > 0:
@@ -490,13 +484,13 @@ class WindowSet:
 
     def subset(self, index) -> "WindowSet":
         return WindowSet(self.past[index], self.future[index], self.joints[index],
-                         self.velocity[index], self.joint_names, self.dt)
+                         self.velocity[index], self.dt)
 
     def __getitem__(self, index):
         if not isinstance(index, (int, np.integer)):
             return self.subset(index)
         return Window(Trajectory(self.past[index], self.dt), Trajectory(self.future[index], self.dt),
-                      ObservableState(dict(zip(self.joint_names, self.joints[index])),
+                      ObservableState(dict(zip(REQUIRED_JOINTS, self.joints[index])),
                                       self.velocity[index]))
 
 
@@ -525,7 +519,7 @@ def make_training_instances(
         raise ConfigError("stride must be >= 1")
     if not pose_bank:
         raise DataError("empty pose bank")
-    names, bank_joints, _, bank_heading = _bank_arrays(pose_bank)
+    bank_joints, _, bank_heading = _bank_arrays(pose_bank)
     spans = _spans(dataset, past_frames + future_frames, stride)
     past = spans[:, :past_frames]
     last_step = past[:, -1] - past[:, -2]
@@ -538,5 +532,4 @@ def make_training_instances(
     joints = bank.copy()
     joints[:, :, :2] = ((rots[:, None] @ (bank[:, :, :2] - pivot)[..., None])[..., 0]
                         + pivot + (past[:, -1, None] - pivot))
-    return WindowSet(past, spans[:, past_frames:], joints, last_step / dataset.dt, names,
-                     dataset.dt)
+    return WindowSet(past, spans[:, past_frames:], joints, last_step / dataset.dt, dataset.dt)

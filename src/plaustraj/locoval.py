@@ -79,9 +79,9 @@ def canonical_frame(obs: ObservableState) -> tuple[np.ndarray, np.ndarray]:
 
 def observation_frame(joints: np.ndarray, velocity: np.ndarray, layout: FeatureLayout
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(roots, rots, tails) of N observables, joints (N, J, 3) in joint order
-    and root velocities (N, 2): their canonical frames and the features after
-    the trajectory block in those frames, which are the root-relative rotated
+    """(roots, rots, tails) of N observables, joints (N, 8, 3) and root
+    velocities (N, 2): their canonical frames and the features after the
+    trajectory block in those frames, which are the root-relative rotated
     joints (x, y, z per joint), then the rotated root velocity."""
     roots, rots = joints[:, PELVIS, :2], rotation_matrices(-headings(joints, velocity))
     n = len(joints)
@@ -115,8 +115,8 @@ def _feature_rows(points: np.ndarray, frame, joints: np.ndarray, velocity: np.nd
                   layout: FeatureLayout) -> np.ndarray:
     """Feature rows (N, M, F) of N blocks of trajectories (N, M, T_f, 2), block
     i in the frame that frame[i] indexes from one observation_frame call on the
-    observables (joints (S, J, 3) in joint order, velocities (S, 2)); the
-    first step is from the root."""
+    observables (joints (S, 8, 3), velocities (S, 2)); the first step is from
+    the root."""
     if points.shape[-2] != layout.horizon:
         raise InputShapeError(f"trajectory length {points.shape[-2]} != layout horizon "
                               f"{layout.horizon}")
@@ -152,8 +152,8 @@ def score(model: LocoValModel, traj: Trajectory, obs: ObservableState) -> float:
 def score_heads(model: LocoValModel, heads: np.ndarray, joints: np.ndarray,
                 velocity: np.ndarray) -> np.ndarray:
     """Scores (N, K) of N windows' heads (N, K, T_f, 2), each window's heads
-    in the canonical frame of its observable (joints (N, J, 3) in joint order,
-    root velocities (N, 2)), from one forward over the N·K rows."""
+    in the canonical frame of its observable (joints (N, 8, 3), root
+    velocities (N, 2)), from one forward over the N·K rows."""
     n, k = heads.shape[:2]
     X = _feature_rows(heads, np.s_[:], joints, velocity, model.layout)
     return gradcore.forward(model.net, X.reshape(n * k, -1))[:, 0].reshape(n, k)
@@ -209,7 +209,7 @@ def train_locoval(
     if not len(pairs):
         raise DataError("empty training dataset")
     if layout is None:
-        layout = FeatureLayout(horizon=pairs.horizon, joint_count=len(pairs.joint_names))
+        layout = FeatureLayout(horizon=pairs.horizon)
 
     model = build_locoval(layout, hidden=hidden, seed=config.seed)
     X, y = features_and_targets(pairs, layout)

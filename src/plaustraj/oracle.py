@@ -4,6 +4,9 @@ A point-mass walker with speed, acceleration, and turn-rate caps greedily
 tracks a candidate trajectory from an initial humanoid state. The discounted
 cumulative tracking reward in [0, 1] is the plausibility label; misaligned
 pose-trajectory pairs earn low reward because the walker cannot keep up.
+
+A pose has exactly the eight REQUIRED_JOINTS, and every joint array is
+(..., 8, 3) with its rows in that order.
 """
 
 from __future__ import annotations
@@ -32,18 +35,13 @@ REQUIRED_JOINTS = (
     "right_ankle",
 )
 
-# rows of a joint array (J, 3) in joint_order()
+# rows of a joint array (8, 3); every flat encoding of the joints (joint
+# arrays, plausibility CSV columns, scorer features, predictor input) holds
+# the REQUIRED_JOINTS in their order
 PELVIS, LEFT_SHOULDER, RIGHT_SHOULDER = map(REQUIRED_JOINTS.index,
                                            ("pelvis", "left_shoulder", "right_shoulder"))
 
 DEFAULT_DT = 0.4  # seconds per frame, 2.5 fps
-
-
-def joint_order(names) -> list[str]:
-    """The required joints in their fixed order, then any extra joint names
-    sorted. Every flat encoding of the joints (joint arrays, plausibility CSV
-    columns, scorer features, predictor input) uses this order."""
-    return [*REQUIRED_JOINTS, *sorted(set(names) - set(REQUIRED_JOINTS))]
 
 
 def wrap_angle(a: float) -> float:
@@ -131,8 +129,8 @@ def rotation_matrix(angle: float) -> np.ndarray:
 
 @dataclass
 class _Pose:
-    """Named 3-D joints, every required one among them, and the ground-plane
-    root velocity: the check and the root that both state types share."""
+    """Named 3-D joints, exactly the required ones, and the ground-plane root
+    velocity: the check and the root that both state types share."""
 
     joints: dict
     root_velocity: np.ndarray  # (2,) m/s
@@ -141,6 +139,9 @@ class _Pose:
         missing = [j for j in REQUIRED_JOINTS if j not in self.joints]
         if missing:
             raise InputShapeError(f"missing required joints: {missing}")
+        unknown = [j for j in self.joints if j not in REQUIRED_JOINTS]
+        if unknown:
+            raise InputShapeError(f"unknown joints: {unknown}")
         try:
             pts = np.array(list(self.joints.values()), dtype=float)
         except (TypeError, ValueError):  # joints of unequal length, or not numbers
@@ -176,12 +177,9 @@ class ObservableState(_Pose):
         """Facing direction: headings() of this one observable."""
         return float(headings(self.joint_array()[None], self.root_velocity[None])[0])
 
-    def joint_order(self) -> list[str]:
-        return joint_order(self.joints)
-
     def joint_array(self) -> np.ndarray:
-        """The joints (J, 3) in joint_order()."""
-        return np.array([self.joints[n] for n in self.joint_order()])
+        """The joints (8, 3), the REQUIRED_JOINTS in their order."""
+        return np.array([self.joints[n] for n in REQUIRED_JOINTS])
 
 
 @dataclass
@@ -230,8 +228,8 @@ class PairSet:
     """Oracle-labelled pose-trajectory pairs of one horizon and one dt.
 
     Pair i is the trajectory points[i], labelled rewards[i] by the oracle
-    from the state state[i]: the joints[state[i]], named by joint_names, and
-    the root velocity[state[i]]; it is a plausible_pair when plausible[i],
+    from the state state[i]: the joints[state[i]], the REQUIRED_JOINTS in
+    their order, and the root velocity[state[i]]; it is a plausible_pair when plausible[i],
     else an implausible_pair. Pairs may share a state, which nothing mutates.
     """
 
@@ -239,9 +237,8 @@ class PairSet:
     rewards: np.ndarray      # (N,) in [0, 1]
     plausible: np.ndarray    # (N,) bool
     state: np.ndarray        # (N,) indices into joints and velocity
-    joints: np.ndarray       # (S, J, 3)
+    joints: np.ndarray       # (S, 8, 3)
     velocity: np.ndarray     # (S, 2) m/s
-    joint_names: list[str]   # the J names, in joint_order()
     dt: float
 
     def __post_init__(self):
@@ -251,8 +248,7 @@ class PairSet:
         self.state = np.asarray(self.state, dtype=np.intp)
         self.joints = np.asarray(self.joints, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        self.joint_names = list(self.joint_names)
-        n, s, J = len(self.rewards), len(self.joints), len(self.joint_names)
+        n, s, J = len(self.rewards), len(self.joints), len(REQUIRED_JOINTS)
         shapes = [a.shape for a in (self.points, self.rewards, self.plausible, self.state)]
         if len(shapes[0]) != 3 or shapes[0][::2] != (n, 2) or set(shapes[1:]) != {(n,)}:
             raise InputShapeError("pair arrays must be points (N, T, 2) and rewards, plausible "
@@ -260,8 +256,6 @@ class PairSet:
         if (self.joints.shape, self.velocity.shape) != ((s, J, 3), (s, 2)):
             raise InputShapeError(f"state arrays must be joints (S, {J}, 3) and velocity (S, 2), "
                                   f"got {self.joints.shape} and {self.velocity.shape}")
-        if self.joint_names != joint_order(self.joint_names):
-            raise InputShapeError(f"joint names must be in joint order, got {self.joint_names}")
         if n and self.horizon < 2:
             raise InputShapeError("trajectory needs at least 2 points")
         if not self.dt > 0:
@@ -279,7 +273,7 @@ class PairSet:
             i = int(np.argmax(bad))
             k = self.state[i]
             if bad_joints[k].any():
-                name = self.joint_names[np.argmax(bad_joints[k])]
+                name = REQUIRED_JOINTS[np.argmax(bad_joints[k])]
                 reason = f"joint {name!r} must be a finite 3-vector"
             elif bad_states[k]:
                 reason = "root_velocity must be a finite 2-vector"
@@ -301,7 +295,7 @@ class PairSet:
     def subset(self, index) -> "PairSet":
         """The pairs at an index array (or mask), sharing this set's state arrays."""
         return PairSet(self.points[index], self.rewards[index], self.plausible[index],
-                       self.state[index], self.joints, self.velocity, self.joint_names, self.dt)
+                       self.state[index], self.joints, self.velocity, self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +422,10 @@ def rotation_matrices(angles: np.ndarray) -> np.ndarray:
 
 
 def headings(joints: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Facing direction (N,) of N observables, from their joints (N, J, 3) in
-    joint_order() and root velocities (N, 2): the shoulder line's normal
-    pointing forward; the root-velocity direction where the shoulders are
-    degenerate; 0.0 where the walker stands still too."""
+    """Facing direction (N,) of N observables, from their joints (N, 8, 3) and
+    root velocities (N, 2): the shoulder line's normal pointing forward; the
+    root-velocity direction where the shoulders are degenerate; 0.0 where the
+    walker stands still too."""
     axis = joints[:, LEFT_SHOULDER, :2] - joints[:, RIGHT_SHOULDER, :2]
     # the left-to-right shoulder axis rotated -90 deg points forward
     facing = _map(math.atan2, -axis[:, 0], axis[:, 1])
@@ -552,17 +546,12 @@ def _pair_points(disp: np.ndarray, root: np.ndarray, heading: np.ndarray,
     return points
 
 
-def _bank_arrays(pose_bank: list[HumanoidState]
-                 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The joint names in joint_order(), the joints (P, J, 3) in that order,
-    the root velocities (P, 2) and the headings (P,) of a non-empty bank of
-    P poses, which must all name the same joints."""
-    names = joint_order(pose_bank[0].joints)
-    if any(set(pose.joints) != set(names) for pose in pose_bank):
-        raise DataError("every pose of the bank must name the same joints")
-    joints = np.array([[pose.joints[n] for n in names] for pose in pose_bank])
+def _bank_arrays(pose_bank: list[HumanoidState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joints (P, J, 3), the root velocities (P, 2) and the headings (P,)
+    of a non-empty bank of P poses."""
+    joints = np.array([[pose.joints[n] for n in REQUIRED_JOINTS] for pose in pose_bank])
     velocity = np.array([pose.root_velocity for pose in pose_bank])
-    return names, joints, velocity, np.array([pose.heading for pose in pose_bank])
+    return joints, velocity, np.array([pose.heading for pose in pose_bank])
 
 
 def build_plausibility_dataset(
@@ -586,11 +575,11 @@ def build_plausibility_dataset(
         raise ConfigError("sample counts must be non-negative")
     if n_plausible + n_implausible == 0:
         return PairSet(np.empty((0, 0, 2)), [], [], [], np.empty((0, len(REQUIRED_JOINTS), 3)),
-                       np.empty((0, 2)), REQUIRED_JOINTS, DEFAULT_DT)
+                       np.empty((0, 2)), DEFAULT_DT)
     if not pose_bank or not traj_bank:
         raise DataError("pose and trajectory banks must be non-empty")
     bank, dt = traj_bank.points, traj_bank.dt
-    names, joints, velocity, heading = _bank_arrays(pose_bank)
+    joints, velocity, heading = _bank_arrays(pose_bank)
     root = joints[:, PELVIS, :2]
     speed = _row_norms(velocity)
     first = bank[:, 1] - bank[:, 0]
@@ -628,8 +617,7 @@ def build_plausibility_dataset(
                           first_norm[t], first_angle[t], kinds, np.array(uniforms), dt, params)
     rewards = rollout_batch(points, root[p], velocity[p], heading[p], dt, params)
     used, state = np.unique(p, return_inverse=True)
-    return PairSet(points, rewards, kinds == _ALIGNED, state, joints[used], velocity[used], names,
-                   dt)
+    return PairSet(points, rewards, kinds == _ALIGNED, state, joints[used], velocity[used], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +637,7 @@ def save_plausibility_csv(pairs: PairSet, path):
     header = ["label", "omega", "dt", "T_f"]
     header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
-    header += [f"{n}_{ax}" for n in pairs.joint_names for ax in ("x", "y", "z")]
+    header += [f"{n}_{ax}" for n in REQUIRED_JOINTS for ax in ("x", "y", "z")]
     states = [",".join(map(repr, [heading, *velocity, *joints])) for heading, velocity, joints
               in zip(headings(pairs.joints, pairs.velocity).tolist(), pairs.velocity.tolist(),
                      pairs.joints.reshape(len(pairs.joints), -1).tolist())]
@@ -665,9 +653,9 @@ def save_plausibility_csv(pairs: PairSet, path):
 
 def load_plausibility_csv(path) -> PairSet:
     """Pairs written by save_plausibility_csv. Rows with the same state
-    columns share one state, whose joints are stored in joint_order() in
-    whatever order the header names them. Every row must have the first
-    row's T_f and dt. A malformed row is a DataError naming the file and line."""
+    columns share one state. The header names the REQUIRED_JOINTS' columns in
+    their order, and every row must have the first row's T_f and dt. A
+    malformed header or row is a DataError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -677,7 +665,6 @@ def load_plausibility_csv(path) -> PairSet:
         if row is None:
             raise DataError(f"{path}: no pairs after the header")
         columns = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
-        names = joint_order(columns)
         flat, rewards, plausible, state = array("d"), [], [], []  # 8 bytes a coordinate
         states, index = [], {}  # state column strings -> index into states
         line_no = 2
@@ -685,10 +672,13 @@ def load_plausibility_csv(path) -> PairSet:
             missing = [n for n in REQUIRED_JOINTS if n not in columns]
             if missing:
                 raise InputShapeError(f"missing required joints: {missing}")
+            if columns != list(REQUIRED_JOINTS):
+                raise InputShapeError(f"joint columns must be {list(REQUIRED_JOINTS)} in this "
+                                      f"order, got {columns}")
             first = row[2:4]
             dt, horizon = float(first[0]), int(first[1])
             heading_col = 4 + 2 * horizon
-            n_columns = heading_col + 3 + 3 * len(columns)
+            n_columns = heading_col + 3 + 3 * len(REQUIRED_JOINTS)
             # each row is parsed as the reader yields it, so no row's strings are kept
             for line_no, row in enumerate(chain([row], reader), start=2):
                 if row[2:4] != first and (float(row[2]), int(row[3])) != (dt, horizon):
@@ -710,10 +700,10 @@ def load_plausibility_csv(path) -> PairSet:
                 plausible.append(row[0] == "plausible_pair")
                 state.append(k)
             line_no = 2  # a rule of the whole set is located at the first row
-            states = np.array(states)  # (S, 2 + 3 J): root velocity, then joints in header order
-            joints = states[:, 2:].reshape(len(states), -1, 3)[:, [columns.index(n) for n in names]]
+            states = np.array(states)  # (S, 2 + 3 J): root velocity, then joints
             return PairSet(np.array(flat).reshape(len(rewards), horizon, 2), np.array(rewards),
-                           np.array(plausible), np.array(state), joints, states[:, :2], names, dt)
+                           np.array(plausible), np.array(state),
+                           states[:, 2:].reshape(len(states), -1, 3), states[:, :2], dt)
         except PairError as exc:
             raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
         except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors

@@ -22,14 +22,14 @@ from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
 from .locoval import LocoValModel, canonical_frame  # noqa: F401
-from .oracle import PELVIS, ObservableState, Trajectory, TrajectorySet
+from .oracle import PELVIS, REQUIRED_JOINTS, ObservableState, Trajectory, TrajectorySet
 
 
 @dataclass(frozen=True)
 class InputLayout:
     past_frames: int            # T_p
     include_pose: bool = True
-    joint_count: int = 8
+    joint_count: int = len(REQUIRED_JOINTS)
 
     @property
     def feature_size(self) -> int:
@@ -103,9 +103,8 @@ def build_predictor(
 def build_input(past: np.ndarray, joints: np.ndarray | None,
                 layout: InputLayout) -> np.ndarray:
     """Input rows (N, F) of N windows: past positions (N, T_p, 2) relative to
-    the last observed point, then joints (N, J, 3) in joint order relative to
-    the root on the ground plane (world orientation kept so heading stays
-    observable)."""
+    the last observed point, then joints (N, 8, 3) relative to the root on the
+    ground plane (world orientation kept so heading stays observable)."""
     if past.shape[1] != layout.past_frames:
         raise InputShapeError(f"past length {past.shape[1]} != layout past_frames "
                               f"{layout.past_frames}")
@@ -124,9 +123,9 @@ def build_input(past: np.ndarray, joints: np.ndarray | None,
 def predict_heads(model: PredictorModel, past: np.ndarray,
                   joints: np.ndarray | None) -> np.ndarray:
     """The K heads (N, K, T_f, 2) of N windows, pasts (N, T_p, 2) and joints
-    (N, J, 3) in joint order (None without pose input): one trunk and one head
-    forward over the N input rows, and one cumsum of the head rows anchored at
-    each window's last observed position."""
+    (N, 8, 3) (None without pose input): one trunk and one head forward over
+    the N input rows, and one cumsum of the head rows anchored at each
+    window's last observed position."""
     trunk_out = gradcore.forward(model.trunk, build_input(past, joints, model.input_layout))
     out = gradcore.forward(model.head, trunk_out)
     return past[:, -1, None, None] + np.cumsum(out.reshape(len(past), -1, model.horizon, 2),
@@ -252,7 +251,7 @@ def train_predictor(
     horizon = dataset.horizon
     if scorer is not None and scorer.layout.horizon != horizon:
         raise ConfigError("scorer horizon does not match dataset future length")
-    layout = InputLayout(past_frames=dataset.past_frames, joint_count=len(dataset.joint_names))
+    layout = InputLayout(past_frames=dataset.past_frames)
     target = build_predictor(layout, horizon, n_heads, trunk_hidden, seed=config.seed)
     K = target.n_heads
     model = PredictorModel(target.trunk.astype(np.float32), target.head.astype(np.float32),

@@ -77,7 +77,7 @@ def straight_trajectory(n=12, speed=1.2, heading=0.0, start=(0.0, 0.0), dt=0.4):
 
 def state_of(pairs, k):
     """State k of a PairSet as an ObservableState."""
-    return oracle.ObservableState(dict(zip(pairs.joint_names, pairs.joints[k])),
+    return oracle.ObservableState(dict(zip(oracle.REQUIRED_JOINTS, pairs.joints[k])),
                                   pairs.velocity[k])
 
 
@@ -87,12 +87,10 @@ def pair_of(pairs, i):
 
 
 def pair_set(points, rewards, plausible, state, observables, dt):
-    """A PairSet whose states are the given ObservableStates, which must name
-    the same joints."""
-    names = observables[0].joint_order()
+    """A PairSet whose states are the given ObservableStates."""
     return oracle.PairSet(points, rewards, plausible, state,
                           np.stack([o.joint_array() for o in observables]),
-                          np.stack([o.root_velocity for o in observables]), names, dt)
+                          np.stack([o.root_velocity for o in observables]), dt)
 
 
 @pytest.fixture(scope="session")
@@ -131,11 +129,10 @@ def training_instances(pose_bank):
     )
 
 
-def awkward_observables(extra_joint=False, n=12, seed=0):
+def awkward_observables(n=12, seed=0):
     """Observables whose headings take every branch: a shoulder line, then
     the root velocity where the shoulders coincide on the ground plane (or
-    lie within 1e-9 of each other), then 0.0 where the root stands still too;
-    with extra_joint, each also has a "neck" joint after the required ones."""
+    lie within 1e-9 of each other), then 0.0 where the root stands still too."""
     rng = np.random.default_rng(seed)
     observables = []
     for i in range(n):
@@ -148,7 +145,5 @@ def awkward_observables(extra_joint=False, n=12, seed=0):
             joints["left_shoulder"] = joints["right_shoulder"] + [5e-10, -5e-10, 0.0]
         if i % 4 == 2:
             velocity = np.zeros(2)
-        if extra_joint:
-            joints["neck"] = joints["head"] + [0.01, 0.0, -0.15]
         observables.append(oracle.ObservableState(joints, velocity))
     return observables

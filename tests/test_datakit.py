@@ -25,8 +25,8 @@ from plaustraj.datakit import (
     save_tsv,
 )
 from plaustraj.errors import ConfigError, DataError, InputShapeError
-from plaustraj.oracle import (REQUIRED_JOINTS, ObservableState, OracleParams, Trajectory,
-                              TrajectorySet, rollout, wrap_angle)
+from plaustraj.oracle import (ObservableState, OracleParams, Trajectory, TrajectorySet, rollout,
+                              wrap_angle)
 from test_oracle import reference_rollout
 
 
@@ -493,11 +493,6 @@ def test_instance_parameter_validation(pose_bank):
         make_training_instances(ds, pose_bank, 9, 1)
     with pytest.raises(DataError):
         make_training_instances(ds, [], 9, 12)
-    # a window set has one joint list, so every bank pose must name the same joints
-    odd = make_walking_pose(0.0, 1.0)
-    odd.joints["neck"] = odd.joints["head"] - [0.0, 0.0, 0.15]
-    with pytest.raises(DataError, match="same joints"):
-        make_training_instances(ds, [*pose_bank[:3], odd], 9, 12)
 
 
 def reference_windows(dataset, pose_bank, past_frames, future_frames, stride, seed, stats):
@@ -544,12 +539,9 @@ def mixed_tracks():
     return ds
 
 
-@pytest.mark.parametrize("bank_size", [1, 12, 37, 64])
+@pytest.mark.parametrize("bank_size", [1, 12, 64])
 def test_windows_equal_the_per_window_construction(mixed_tracks, bank_size):
     bank = generate_pose_bank(bank_size, seed=bank_size)
-    if bank_size == 37:  # poses with an extra joint, which sorts after the required ones
-        for state in bank:
-            state.joints["neck"] = state.joints["head"] - [0.0, 0.0, 0.15]
     for stride in (1, 2, 3, 4):
         for past_frames, future_frames in ((2, 12), (9, 12), (9, 15)):
             stats = {}
@@ -562,8 +554,6 @@ def test_windows_equal_the_per_window_construction(mixed_tracks, bank_size):
                 assert stats["skipped_tracks"] == 3
             for name, arrays in zip(("past", "future", "joints", "velocity"), zip(*want)):
                 assert getattr(got, name).tobytes() == np.stack(arrays).tobytes(), name
-            assert got.joint_names == observable_of(bank[0]).joint_order()
-            assert len(got.joint_names) == 8 + (bank_size == 37)
 
 
 @pytest.mark.parametrize("bank_size", [1, 12, 32, 37, 64])
@@ -580,8 +570,7 @@ def test_one_pose_draw_per_set_equals_one_per_window(bank_size):
 def _window_arrays(n=4, past=3, future=5, joints=8):
     rng = np.random.default_rng(0)
     return dict(past=rng.normal(size=(n, past, 2)), future=rng.normal(size=(n, future, 2)),
-                joints=rng.normal(size=(n, joints, 3)), velocity=rng.normal(size=(n, 2)),
-                joint_names=list(REQUIRED_JOINTS), dt=0.4)
+                joints=rng.normal(size=(n, joints, 3)), velocity=rng.normal(size=(n, 2)), dt=0.4)
 
 
 def _with(**changes):
@@ -594,8 +583,6 @@ def _with(**changes):
     (_with(future=np.zeros((4, 5, 3))), InputShapeError),
     (_with(velocity=np.zeros((4, 3))), InputShapeError),
     (_with(joints=np.zeros((4, 7, 3))), InputShapeError),
-    (_with(joint_names=list(REQUIRED_JOINTS[:7])), InputShapeError),
-    (_with(joint_names=list(reversed(REQUIRED_JOINTS))), InputShapeError),
     (_with(past=np.zeros((4, 1, 2))), InputShapeError),
     (_with(future=np.zeros((4, 1, 2))), InputShapeError),
     (_with(future=np.full((4, 5, 2), np.nan)), InputShapeError),
@@ -603,9 +590,8 @@ def _with(**changes):
     (_with(velocity=np.full((4, 2), np.nan)), InputShapeError),
     (_with(dt=0.0), ConfigError),
     (_with(dt=-0.4), ConfigError),
-], ids=["past-2d", "past-rows", "future-3-coords", "velocity-3", "joints-7", "names-7",
-        "names-out-of-order", "past-1", "future-1", "future-nan", "joints-inf",
-        "velocity-nan", "dt-zero", "dt-negative"])
+], ids=["past-2d", "past-rows", "future-3-coords", "velocity-3", "joints-7", "past-1",
+        "future-1", "future-nan", "joints-inf", "velocity-nan", "dt-zero", "dt-negative"])
 def test_window_set_checks_every_rule(arrays, error):
     with pytest.raises(error):
         datakit.WindowSet(**arrays)
@@ -620,7 +606,7 @@ def test_window_set_subsets_slices_views_and_pickles(pose_bank):
             assert len(part) == len(windows.past[index])
             for name in names:
                 assert np.array_equal(getattr(part, name), getattr(windows, name)[index])
-            assert (part.joint_names, part.dt) == (windows.joint_names, windows.dt)
+            assert part.dt == windows.dt
     assert len(windows[:0]) == 0 and windows[:0].horizon == 12
     views = list(windows)
     assert len(views) == len(windows) > 10
@@ -634,7 +620,7 @@ def test_window_set_subsets_slices_views_and_pickles(pose_bank):
     again = pickle.loads(pickle.dumps(windows))
     for name in names:
         assert getattr(again, name).tobytes() == getattr(windows, name).tobytes()
-    assert (again.joint_names, again.dt) == (windows.joint_names, windows.dt)
+    assert again.dt == windows.dt
 
 
 def test_future_slices_equal_the_window_loop():

@@ -25,7 +25,8 @@ from plaustraj.locoval import (
     train_locoval,
 )
 from plaustraj.metrics import pearson_r
-from plaustraj.oracle import PairSet, Trajectory, TrajectorySet, headings, rotation_matrix
+from plaustraj.oracle import (REQUIRED_JOINTS, PairSet, Trajectory, TrajectorySet, headings,
+                              rotation_matrix)
 
 
 LAYOUT = FeatureLayout(horizon=12)
@@ -101,7 +102,7 @@ def reference_observation_frame(obs, layout):
     root, rot = obs.root_position, rotation_matrix(-reference_heading(obs))
     parts = []
     if layout.include_pose:
-        joints = np.stack([obs.joints[n] for n in obs.joint_order()])
+        joints = np.stack([obs.joints[n] for n in REQUIRED_JOINTS])
         xy = (rot[None] @ (joints[:, :2] - root)[:, :, None])[:, :, 0]
         parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
     if layout.include_velocity:
@@ -117,7 +118,7 @@ def _reference_features(traj, obs, layout):
     parts = [(steps @ rot.T).reshape(-1)]
     if layout.include_pose:
         pose = []
-        for name in obs.joint_order():
+        for name in REQUIRED_JOINTS:
             j = obs.joints[name]
             xy = rot @ (j[:2] - root)
             pose.extend([xy[0], xy[1], j[2]])
@@ -127,11 +128,10 @@ def _reference_features(traj, obs, layout):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("extra_joint", [False, True], ids=["required-joints", "extra-joint"])
-def test_headings_and_frames_equal_per_observable_references(extra_joint):
+def test_headings_and_frames_equal_per_observable_references():
     """headings, canonical_frame and observation_frame on observables with
-    degenerate shoulders, a standing root and an extra joint."""
-    observables = awkward_observables(extra_joint=extra_joint)
+    degenerate shoulders and a standing root."""
+    observables = awkward_observables()
     joints = np.stack([o.joint_array() for o in observables])
     velocity = np.stack([o.root_velocity for o in observables])
     want = [reference_heading(o) for o in observables]
@@ -209,7 +209,7 @@ def test_features_and_targets_shared_observables_equal_per_row_reference(
                     np.concatenate([pairs.plausible, pairs.plausible[first]]),
                     np.concatenate([pairs.state, pairs.state[first] + n_states]),
                     np.concatenate([pairs.joints, pairs.joints]),
-                    np.concatenate([pairs.velocity, pairs.velocity]), pairs.joint_names, pairs.dt)
+                    np.concatenate([pairs.velocity, pairs.velocity]), pairs.dt)
     X, y = locoval.features_and_targets(pairs, layout)
     reference = np.stack([_reference_features(*pair_of(pairs, i), layout)
                           for i in range(len(pairs))])

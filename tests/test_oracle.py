@@ -314,13 +314,14 @@ def _without_knee(joints):
     (_without_knee, None, "missing required joints: ['left_knee']"),
     (lambda j: {**j, "head": [0.0, np.nan, 1.7]}, None, "joint 'head' must be a finite 3-vector"),
     (lambda j: {**j, "pelvis": [0.0, 0.0]}, None, "joint 'pelvis' must be a finite 3-vector"),
-    (lambda j: {**j, "neck": "up"}, None, "joint 'neck' must be a finite 3-vector"),
+    (lambda j: {**j, "right_ankle": "up"}, None, "joint 'right_ankle' must be a finite 3-vector"),
     (lambda j: {**j, "right_ankle": [np.inf] * 3, "head": [0.0]}, None,
      "joint 'head' must be a finite 3-vector"),
+    (lambda j: {**j, "neck": [0.0, 0.0, 1.5]}, None, "unknown joints: ['neck']"),
     (None, [1.0, 0.0, 0.0], "root_velocity must be a finite 2-vector"),
     (None, [np.nan, 0.0], "root_velocity must be a finite 2-vector"),
 ], ids=["missing-joint", "nan-joint", "two-element-joint", "string-joint", "first-bad-joint",
-        "three-element-velocity", "nan-velocity"])
+        "unknown-joint", "three-element-velocity", "nan-velocity"])
 def test_pose_checks_every_rule(make, joints, velocity, message):
     state = walker()
     joints = (joints or dict)(state.joints)
@@ -331,7 +332,7 @@ def test_pose_checks_every_rule(make, joints, velocity, message):
 
 @pytest.mark.parametrize("make", [_observable, _humanoid], ids=["observable", "humanoid"])
 def test_pose_keeps_the_joints_bits_in_their_order(make):
-    joints = {**walker(heading=0.4).joints, "neck": [-0.0, 5e-324, 1.5]}
+    joints = {**walker(heading=0.4).joints, "head": [-0.0, 5e-324, 1.5]}
     got = make(joints, np.array([-0.0, 1.0]))
     assert list(got.joints) == list(joints)
     for name, pos in joints.items():
@@ -660,7 +661,6 @@ def _assert_equals_reference(got, want):
         _assert_bits_equal(got.points[i], traj.points)
         obs = state_of(got, got.state[i])
         _assert_bits_equal(obs.root_velocity, state.root_velocity)
-        assert got.joint_names == oracle.joint_order(state.joints)
         for name, pos in state.joints.items():
             _assert_bits_equal(obs.joints[name], pos)
 
@@ -848,24 +848,19 @@ def test_dataset_rows_are_checked_trajectories(pose_bank, traj_bank):
         ("state", lambda k: k + 100, InputShapeError, "state indices must lie in"),
         ("dt", lambda dt: 0.0, ConfigError, "dt must be positive"),
         ("dt", lambda dt: float("nan"), ConfigError, "dt must be positive"),
-        ("joint_names", lambda names: names[::-1], InputShapeError,
-         "joint names must be in joint order"),
         ("joints", lambda j: j[:, :7], InputShapeError,
          "state arrays must be joints (S, 8, 3) and velocity (S, 2), got"),
         ("velocity", lambda v: v[:, :1], InputShapeError,
          "state arrays must be joints (S, 8, 3) and velocity (S, 2), got"),
-        ("joint_names", lambda names: [*names, "neck"], InputShapeError,
-         "state arrays must be joints (S, 9, 3) and velocity (S, 2), got"),
     ],
     ids=["one-point", "one-column", "nan-point", "reward-above-one", "reward-nan",
-         "short-labels", "state-out-of-range", "dt-zero", "dt-nan", "joint-names",
-         "seven-joints", "one-velocity-column", "one-name-too-many"],
+         "short-labels", "state-out-of-range", "dt-zero", "dt-nan", "seven-joints",
+         "one-velocity-column"],
 )
 def test_pair_set_checks_every_rule(pose_bank, traj_bank, field, value, error, message):
     pairs = build_plausibility_dataset(pose_bank, traj_bank, 2, 2, seed=3)
     fields = dict(points=pairs.points, rewards=pairs.rewards, plausible=pairs.plausible,
-                  state=pairs.state, joints=pairs.joints, velocity=pairs.velocity,
-                  joint_names=pairs.joint_names, dt=pairs.dt)
+                  state=pairs.state, joints=pairs.joints, velocity=pairs.velocity, dt=pairs.dt)
     fields[field] = value(fields[field])
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         oracle.PairSet(**fields)
@@ -887,7 +882,7 @@ def test_pair_set_bad_state_is_located_at_its_first_pair(plausibility_dataset, a
     first = int(np.argmax(pairs.state == k))
     fields = dict(points=pairs.points.copy(), rewards=pairs.rewards, plausible=pairs.plausible,
                   state=pairs.state, joints=pairs.joints.copy(), velocity=pairs.velocity.copy(),
-                  joint_names=pairs.joint_names, dt=pairs.dt)
+                  dt=pairs.dt)
     fields[array][k, joint] = np.inf
     fields["points"][first, 3] = np.nan
     with pytest.raises(oracle.PairError, match=f"^pair {first}: {re.escape(message)}$"):
@@ -904,7 +899,6 @@ def test_pair_set_subset_shares_the_state_arrays(plausibility_dataset):
     assert len(sub) == 3
     assert sub.joints is plausibility_dataset.joints
     assert sub.velocity is plausibility_dataset.velocity
-    assert sub.joint_names == plausibility_dataset.joint_names
     for field in ("points", "rewards", "plausible", "state"):
         assert np.array_equal(getattr(sub, field), getattr(plausibility_dataset, field)[index])
 
@@ -934,7 +928,6 @@ def test_plausibility_csv_roundtrip(tmp_path, plausibility_dataset):
     assert np.array_equal(loaded.plausible, subset.plausible)
     assert np.array_equal(loaded.rewards, subset.rewards)
     assert np.array_equal(loaded.points, subset.points)
-    assert loaded.joint_names == subset.joint_names
     for i in range(15):
         a, b = subset.state[i], loaded.state[i]
         assert np.array_equal(subset.joints[a], loaded.joints[b])
@@ -954,7 +947,7 @@ def test_plausibility_csv_malformed_row(tmp_path):
 
 def _reference_save(pairs, path):
     """csv.writer over the repr of every value, one row per pair."""
-    names = pairs.joint_names
+    names = oracle.REQUIRED_JOINTS
     header = ["label", "omega", "dt", "T_f"]
     header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
     header += ["heading", "root_vx", "root_vy"]
@@ -1000,18 +993,6 @@ def _short_horizon_dataset(pose_bank, traj_bank):
     return build_plausibility_dataset(pose_bank, _short_bank(traj_bank), 40, 40, seed=21)
 
 
-def _extra_joint_dataset(pose_bank, traj_bank):
-    pairs = build_plausibility_dataset(pose_bank[:5], traj_bank, 10, 10, seed=22)
-    extended = []
-    for k in range(len(pairs.joints)):
-        obs = state_of(pairs, k)
-        joints = dict(obs.joints)
-        joints["neck"] = (joints["head"] + joints["pelvis"]) / 2
-        joints["left_wrist"] = joints["left_shoulder"] - [0.0, 0.1, 0.5]
-        extended.append(oracle.ObservableState(joints, obs.root_velocity))
-    return pair_set(pairs.points, pairs.rewards, pairs.plausible, pairs.state, extended, pairs.dt)
-
-
 def _edge_value_dataset(pose_bank, traj_bank):
     edges = [-0.0, 5e-324, 1e22, 0.1 + 0.2]
     obs = observable_of(pose_bank[0])
@@ -1024,8 +1005,7 @@ def _edge_value_dataset(pose_bank, traj_bank):
                     [True, False, False], [1, 0, 1], [obs, edge_obs], 0.1 + 0.2)
 
 
-DATASETS = {"short-horizon": _short_horizon_dataset, "extra-joints": _extra_joint_dataset,
-            "edge-values": _edge_value_dataset}
+DATASETS = {"short-horizon": _short_horizon_dataset, "edge-values": _edge_value_dataset}
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
@@ -1036,25 +1016,11 @@ def test_save_plausibility_csv_bytes_equal_reference(tmp_path, pose_bank, traj_b
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def _reverse_joint_columns(path):
-    """Rewrite a plausibility file with its joint column triples in reverse order."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    start = rows[0].index("root_vy") + 1
-    triples = range(len(rows[0]) - 3, start - 3, -3)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([*row[:start], *(v for j in triples for v in row[j : j + 3])]
-                                 for row in rows)
-
-
-@pytest.mark.parametrize("name", [*sorted(DATASETS), "reversed-joint-columns"])
+@pytest.mark.parametrize("name", sorted(DATASETS))
 def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, traj_bank, name):
     path, saved = tmp_path / "pairs.csv", tmp_path / "saved.csv"
-    save_plausibility_csv(DATASETS.get(name, _extra_joint_dataset)(pose_bank, traj_bank), saved)
+    save_plausibility_csv(DATASETS[name](pose_bank, traj_bank), saved)
     path.write_bytes(saved.read_bytes())
-    if name == "reversed-joint-columns":
-        _reverse_joint_columns(path)
-        assert path.read_bytes() != saved.read_bytes()
     got = load_plausibility_csv(path)
     want = _reference_load(path)
     assert len(got) == len(want)
@@ -1065,10 +1031,10 @@ def test_load_plausibility_csv_equals_per_row_reference(tmp_path, pose_bank, tra
         _assert_bits_equal(got.points[i], pts)
         obs = state_of(got, got.state[i])
         _assert_bits_equal(obs.root_velocity, vel)
-        assert got.joint_names == oracle.joint_order(joints)
+        assert list(joints) == list(oracle.REQUIRED_JOINTS)
         for n, pos in joints.items():
             _assert_bits_equal(obs.joints[n], pos)
-    # saving what was loaded writes the saved file again, joints in joint order
+    # saving what was loaded writes the saved file again
     save_plausibility_csv(got, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == saved.read_bytes()
 
@@ -1111,14 +1077,36 @@ def test_load_row_of_another_horizon_or_dt_is_located(tmp_path, plausibility_dat
         load_plausibility_csv(path)
 
 
+def _with_neck_columns(rows):
+    """Each row with a neck joint's three columns after the required joints'."""
+    return [[*rows[0], "neck_x", "neck_y", "neck_z"], *([*row, *row[-3:]] for row in rows[1:])]
+
+
+def _reversed_joint_columns(rows):
+    """Each row with its joint column triples in reverse order."""
+    start = rows[0].index("root_vy") + 1
+    triples = range(len(rows[0]) - 3, start - 3, -3)
+    return [[*row[:start], *(v for j in triples for v in row[j : j + 3])] for row in rows]
+
+
 def test_load_header_without_a_required_joint_is_located(tmp_path, plausibility_dataset):
+    """A header must name the required joints' columns in their order: one
+    renamed, one added or all reordered is a located data error."""
     path = tmp_path / "pairs.csv"
     save_plausibility_csv(plausibility_dataset.subset(np.arange(5)), path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[0] = [col.replace("pelvis_", "hips_") for col in rows[0]]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    message = f"{path}:2: malformed row (missing required joints: ['pelvis'])"
-    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        load_plausibility_csv(path)
+        saved = list(csv.reader(fh))
+    required = list(oracle.REQUIRED_JOINTS)
+    for rows, reason in [
+        ([[col.replace("pelvis_", "hips_") for col in saved[0]], *saved[1:]],
+         "missing required joints: ['pelvis']"),
+        (_with_neck_columns(saved),
+         f"joint columns must be {required} in this order, got {[*required, 'neck']}"),
+        (_reversed_joint_columns(saved),
+         f"joint columns must be {required} in this order, got {required[::-1]}"),
+    ]:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        message = f"{path}:2: malformed row ({reason})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_plausibility_csv(path)

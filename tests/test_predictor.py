@@ -11,7 +11,7 @@ from plaustraj import gradcore, locoval, predictor
 from plaustraj.errors import ConfigError, DataError, InputShapeError
 from plaustraj.gradcore import TrainConfig
 from plaustraj.locoval import FeatureLayout, build_locoval
-from plaustraj.oracle import Trajectory, TrajectorySet
+from plaustraj.oracle import REQUIRED_JOINTS, Trajectory, TrajectorySet
 from plaustraj.predictor import (
     InputLayout,
     PredictorModel,
@@ -276,28 +276,26 @@ def test_build_input_shape_checks():
 
 def reference_build_input(past, obs, layout):
     """The per-window input row that build_input's rows must equal bit for
-    bit: past positions relative to the last one, then each joint in joint
-    order relative to the root on the ground plane."""
+    bit: past positions relative to the last one, then each joint in
+    REQUIRED_JOINTS order relative to the root on the ground plane."""
     rel = (past.points - past.points[-1]).reshape(-1)
     if not layout.include_pose:
         return rel
     root = obs.root_position
     parts = [rel]
-    for name in obs.joint_order():
+    for name in REQUIRED_JOINTS:
         j = obs.joints[name]
         parts.append(np.array([j[0] - root[0], j[1] - root[1], j[2]]))
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("extra_joint", [False, True], ids=["required-joints", "extra-joint"])
 @pytest.mark.parametrize("include_pose", [True, False], ids=["pose", "no-pose"])
-def test_build_input_rows_equal_per_window_reference(extra_joint, include_pose):
-    observables = awkward_observables(extra_joint=extra_joint)
+def test_build_input_rows_equal_per_window_reference(include_pose):
+    observables = awkward_observables()
     rng = np.random.default_rng(7)
     pasts = [Trajectory(o.root_position + np.cumsum(rng.normal(0, 0.5, size=(9, 2)), axis=0), 0.4)
              for o in observables]
-    layout = InputLayout(past_frames=9, include_pose=include_pose,
-                         joint_count=len(observables[0].joints))
+    layout = InputLayout(past_frames=9, include_pose=include_pose)
     got = build_input(np.stack([p.points for p in pasts]),
                       np.stack([o.joint_array() for o in observables]), layout)
     want = np.stack([reference_build_input(p, o, layout) for p, o in zip(pasts, observables)])
@@ -547,7 +545,7 @@ def _k_major_train(dataset, scorer, config, alpha, n_heads, trunk_hidden, eval_e
     bit for bit while the B·K scorer rows fill whole row blocks. Returns the
     float32 trunk and head and the curve."""
     horizon, K = dataset.horizon, n_heads
-    layout = InputLayout(past_frames=dataset.past_frames, joint_count=len(dataset.joint_names))
+    layout = InputLayout(past_frames=dataset.past_frames)
     built = build_predictor(layout, horizon, K, trunk_hidden, seed=config.seed)
     trunk, head = built.trunk.astype(np.float32), built.head.astype(np.float32)
     scorer = locoval.LocoValModel(scorer.net.astype(np.float32), scorer.layout)
@@ -707,7 +705,7 @@ def test_minmse_routes_gradient_to_argmin_head_only(training_instances):
     the other head's parameters must only move through the shared trunk, i.e.
     its own head weights stay put when the trunk is frozen."""
     inst = training_instances[0]
-    layout = InputLayout(past_frames=9, joint_count=len(training_instances.joint_names))
+    layout = InputLayout(past_frames=9)
     model = build_predictor(layout, 12, 2, seed=50)
     # make head 1 match the ground truth closely so head 0 is never argmin
     pred = predict(model, inst.past, inst.observable)
@@ -747,7 +745,7 @@ def test_train_writes_float32_values_into_the_float64_model(training_instances,
     """Training computes in float32 copies and writes the trained values back
     into the float64 model drawn from the config seed; the scorer is left as
     it was."""
-    layout = InputLayout(past_frames=9, joint_count=len(training_instances.joint_names))
+    layout = InputLayout(past_frames=9)
     initial = build_predictor(layout, 12, 3, trunk_hidden=(32, 32), seed=51)
     scorer = trained_scorer.model
     scorer_before = scorer.net.params.copy()

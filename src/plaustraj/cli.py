@@ -23,6 +23,8 @@ from .errors import (NON_NEGATIVE, UNIT, ConfigError, DataError, InputShapeError
 from .metrics import pearson_r
 
 OUT_ENV_VAR = "PLAUSTRAJ_OUT"
+# sweep's grid of each parameter when --values is not given
+DEFAULT_GRIDS = {"lambda": (0.5, 0.6, 0.7, 0.8), "alpha": (0.0, 1.0, 10.0, 100.0)}
 
 
 def _out_dir(out) -> Path:
@@ -97,8 +99,7 @@ def cmd_train_locoval(config_path, out):
     if not csv_path.exists():
         raise DataError(f"missing {csv_path}; run gen-data first")
     pairs = oracle.load_plausibility_csv(csv_path)
-    layout = locoval_mod.FeatureLayout(pairs.horizon, include_pose=cfg.locoval.include_pose,
-                                       include_velocity=cfg.locoval.include_velocity)
+    layout = locoval_mod.FeatureLayout(pairs.horizon, include_pose=cfg.locoval.include_pose)
     result = locoval_mod.train_locoval(pairs, cfg.locoval.train, layout=layout,
                                        hidden=tuple(cfg.locoval.hidden),
                                        holdout_fraction=cfg.locoval.holdout_fraction)
@@ -112,8 +113,11 @@ def cmd_train_locoval(config_path, out):
     X_ho, y_ho = locoval_mod.features_and_targets(pairs.subset(result.holdout_indices),
                                                   result.model.layout)
     corr = pearson_r(gradcore.forward(result.model.net, X_ho)[:, 0], y_ho)
-    click.echo(f"best holdout MSE: {result.best_holdout_mse:.5f}  "
-               f"holdout correlation(score, reward): {corr:.3f}")
+    # with no pair held out, the checkpoint was selected on the training pairs
+    split = "holdout" if len(result.holdout_indices) < len(pairs) else "training-set"
+    note = "" if split == "holdout" else "  (no pair held out)"
+    click.echo(f"best {split} MSE: {result.best_holdout_mse:.5f}  "
+               f"{split} correlation(score, reward): {corr:.3f}{note}")
 
 
 @cli.command("train-predictor")
@@ -170,7 +174,7 @@ def cmd_eval(config_path, out, threshold):
     model, scorer = _load_checkpoints(out_dir, scorer_needed=threshold is not None)
 
     instances = _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)
-    evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
+    evaluation = filtering.evaluate_windows(model, instances, scorer)
     report = evaluation.report
     metrics.save_report_json(report, out_dir / "metrics.json")
     metrics.save_report_csv(report, out_dir / "metrics.csv")
@@ -182,8 +186,7 @@ def cmd_eval(config_path, out, threshold):
     )
 
     if scorer is not None:
-        bins = metrics.bin_by_plausibility(evaluation.scores.ravel(), evaluation.ades.ravel(),
-                                           n_bins=cfg.eval.score_bins)
+        bins = metrics.bin_by_plausibility(evaluation.scores.ravel(), evaluation.ades.ravel())
         metrics.save_bins_csv(bins, out_dir / "score_bins.csv")
 
     if threshold is not None:
@@ -236,16 +239,15 @@ def cmd_filter(config_path, out, candidates_path, observables_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default=None)
 @click.option("--param", type=click.Choice(["lambda", "alpha"]), default="lambda")
-@click.option("--values", default=None, help="Comma-separated grid; defaults from config.")
+@click.option("--values", default=None,
+              help="Comma-separated grid (default lambda 0.5,0.6,0.7,0.8; alpha 0,1,10,100).")
 def cmd_sweep(config_path, out, param, values):
     """Grid sweep over the filter threshold or the regularizer weight."""
-    grid = None if values is None else _parse_grid(values)
-    for value in grid or ():  # a threshold in [0, 1], or a finite alpha >= 0
+    grid = DEFAULT_GRIDS[param] if values is None else _parse_grid(values)
+    for value in grid:  # a threshold in [0, 1], or a finite alpha >= 0
         check_value("--values", value, 0.0, UNIT if param == "lambda" else NON_NEGATIVE)
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
-    if grid is None:
-        grid = list(cfg.eval.lambdas if param == "lambda" else [0.0, 1.0, 10.0, 100.0])
 
     # the lambda sweep filters this predictor's heads; the alpha sweep trains
     # models with as many heads
@@ -254,7 +256,7 @@ def cmd_sweep(config_path, out, param, values):
 
     rows = []
     if param == "lambda":
-        evaluation = filtering.evaluate_windows(model, instances, scorer, cfg.eval.chi2_bins)
+        evaluation = filtering.evaluate_windows(model, instances, scorer)
         for entry in filtering.sweep_lambda(evaluation, grid):
             rejected = entry.rejected_report
             rows.append({"value": entry.threshold, "kept_ade": entry.kept_report.ade,
@@ -269,8 +271,7 @@ def cmd_sweep(config_path, out, param, values):
                      alpha=alpha, n_heads=model.n_heads,
                      trunk_hidden=tuple(cfg.predictor.trunk_hidden)) for alpha in grid]
         for alpha, trained in zip(grid, study.train_jobs(jobs)):
-            report = filtering.evaluate_windows(trained, instances,
-                                                n_bins=cfg.eval.chi2_bins).report
+            report = filtering.evaluate_windows(trained, instances).report
             rows.append({"value": alpha, "ade": report.ade, "fde": report.fde,
                          "min_ade": report.min_ade, "min_fde": report.min_fde,
                          "chi2_velocity": report.chi2["velocity"]})
@@ -364,7 +365,7 @@ class _JsonObject(dict):
 def load_observables_json(path) -> dict:
     """Case id -> ObservableState. Each case is given once: a key repeated,
     or two keys of one integer such as "1" and "01", is a DataError, and so
-    is a joint given twice in one case."""
+    is a key or a joint given twice in one case."""
     with open(path) as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_JsonObject)
@@ -381,10 +382,11 @@ def load_observables_json(path) -> dict:
             observable = oracle.ObservableState(joints=joints, root_velocity=velocity)
         except (AttributeError, KeyError, TypeError, ValueError, InputShapeError) as exc:
             raise DataError(f"{path}: malformed observable for case {key!r} ({exc})")
-        names = [name for name, _ in entry["joints"].pairs]
-        if len(names) > len(observable.joints):
-            twice = next(n for i, n in enumerate(names) if n in names[:i])
-            raise DataError(f"{path}: case {case}: joint {twice!r} is given twice")
+        for what, obj in (("key", entry), ("joint", entry["joints"])):
+            names = [name for name, _ in obj.pairs]
+            if len(names) > len(obj):
+                twice = next(n for i, n in enumerate(names) if n in names[:i])
+                raise DataError(f"{path}: case {case}: {what} {twice!r} is given twice")
         if case in keys:
             raise DataError(f"{path}: case {case} is given twice ({keys[case]!r} and {key!r})")
         observables[case], keys[case] = observable, key

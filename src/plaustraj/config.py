@@ -9,13 +9,11 @@ from dataclasses import dataclass, field, asdict
 
 from .datakit import SyntheticConfig
 from .errors import (BELOW_ONE, NON_NEGATIVE, UNIT, Checked, ConfigError, Rule, at_least, is_int,
-                     is_real, rule)
+                     rule)
 from .gradcore import TrainConfig
 from .oracle import OracleParams
 
 _WIDTHS = Rule(lambda v: all(is_int(w) and w >= 1 for w in v), "a list of integers >= 1")
-_LAMBDAS = Rule(lambda v: len(v) > 0 and all(is_real(x) and UNIT.ok(x) for x in v),
-                "a non-empty list of numbers in [0, 1]")
 
 
 @dataclass
@@ -39,7 +37,6 @@ class PlausibilitySection(Checked):
 class LocoValSection(Checked):
     hidden: list = rule(_WIDTHS, default_factory=lambda: [128, 128, 128])
     include_pose: bool = True
-    include_velocity: bool = True
     holdout_fraction: float = rule(BELOW_ONE, default=0.1)
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(
@@ -69,9 +66,6 @@ class PredictorSection(Checked):
 @dataclass
 class EvalSection(Checked):
     threshold: float = rule(UNIT, default=0.7)
-    score_bins: int = rule(at_least(1), default=10)
-    chi2_bins: int = rule(at_least(2), default=50)
-    lambdas: list = rule(_LAMBDAS, default_factory=lambda: [0.5, 0.6, 0.7, 0.8])
 
 
 @dataclass

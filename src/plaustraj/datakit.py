@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, POSITIVE, UNIT, Checked, ConfigError, DataError,
+from .errors import (NON_NEGATIVE, POSITIVE, Checked, ConfigError, DataError,
                      InputShapeError, Rule, at_least, is_finite, rule)
 from .oracle import (
     DEFAULT_DT,
@@ -212,6 +212,8 @@ def load_pose_bank(path) -> list[HumanoidState]:
 
 
 SCENARIOS = ("straight", "accelerate", "turn", "stop_and_go")
+MIN_TRACK_REWARD = 0.7  # the oracle reward a synthetic track must reach
+MAX_TRACK_ATTEMPTS = 20  # draws of one track before generate_synthetic gives up
 
 
 # a (low, high) range of a scenario draw
@@ -232,8 +234,6 @@ class SyntheticConfig(Checked):
     accel_range: tuple = rule(_RANGE, default=(0.2, 0.5))
     turn_rate_range: tuple = rule(_RANGE, default=(0.3, 0.9))
     scenario_weights: dict = rule(_WEIGHTS, default_factory=lambda: {s: 1.0 for s in SCENARIOS})
-    min_reward: float = rule(UNIT, default=0.7)
-    max_retries: int = rule(at_least(1), default=20)
 
     def __post_init__(self):
         super().__post_init__()
@@ -328,15 +328,15 @@ def generate_synthetic(
     tracks = {}
     for tid in range(n_tracks):
         scenario = names[rng.choice(len(names), p=weights)]
-        for attempt in range(config.max_retries):
+        for attempt in range(MAX_TRACK_ATTEMPTS):
             traj = _synthesize_track(scenario, config, rng, params)
-            if _track_reward(traj, params) >= config.min_reward:
+            if _track_reward(traj, params) >= MIN_TRACK_REWARD:
                 tracks[tid] = traj
                 break
         else:
             raise DataError(
                 f"could not synthesize a feasible {scenario!r} track in "
-                f"{config.max_retries} attempts"
+                f"{MAX_TRACK_ATTEMPTS} attempts"
             )
     return TrajectoryDataset(tracks=tracks, dt=config.dt)
 

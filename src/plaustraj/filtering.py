@@ -97,12 +97,10 @@ class WindowEval:
     scores: np.ndarray | None       # (N, K) score_heads scores; None without a scorer
     ades: np.ndarray                # (N, K) ADE of each head
     report: metrics.MetricsReport
-    n_bins: int                     # the report's chi2 histogram bins
 
 
 def evaluate_windows(model: predictor.PredictorModel, windows: WindowSet,
-                     scorer: LocoValModel | None = None,
-                     n_bins: int = metrics.DEFAULT_N_BINS) -> WindowEval:
+                     scorer: LocoValModel | None = None) -> WindowEval:
     """One predict_heads call over the window set, one score_heads call when a
     scorer is given, and every head's ADE and the report from (N*K, T, 2)
     rows, with the bits of metrics.ade and evaluate_predictions. The set must
@@ -121,9 +119,8 @@ def evaluate_windows(model: predictor.PredictorModel, windows: WindowSet,
     TrajectorySet(rows, windows.dt)  # every head checked once, by predict's rule
     scores = score_heads(scorer, heads, windows.joints, windows.velocity) if scorer else None
     _, ades, _ = metrics._displacement_errors(rows, np.repeat(windows.future, k, axis=0))
-    report = metrics.evaluate_arrays(rows, np.full(n, k), windows.future, windows.dt, n_bins)
-    return WindowEval(heads, windows.future, windows.dt, scores, ades.reshape(n, k), report,
-                      n_bins)
+    report = metrics.evaluate_arrays(rows, np.full(n, k), windows.future, windows.dt)
+    return WindowEval(heads, windows.future, windows.dt, scores, ades.reshape(n, k), report)
 
 
 @dataclass
@@ -137,13 +134,12 @@ class SweepEntry:
 
 def sweep_lambda(evaluation: WindowEval, thresholds: list[float]) -> list[SweepEntry]:
     """For each threshold, metrics of the kept and the rejected heads of a
-    scored window set, at its chi2 bin count. Every window is partitioned by
-    the locoval_filter rule at once, which keeps at least one head."""
+    scored window set. Every window is partitioned by the locoval_filter rule
+    at once, which keeps at least one head."""
     for lam in thresholds:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError("every threshold must lie in [0, 1]")
-    heads, truths, dt, n_bins = (evaluation.heads, evaluation.truths, evaluation.dt,
-                                 evaluation.n_bins)
+    heads, truths, dt = evaluation.heads, evaluation.truths, evaluation.dt
     entries = []
     for lam in thresholds:
         keep, fallback = _filter_rule(evaluation.scores, lam)
@@ -151,9 +147,9 @@ def sweep_lambda(evaluation: WindowEval, thresholds: list[float]) -> list[SweepE
         some = rejected.any(axis=1)  # the windows with a rejected head
         entries.append(SweepEntry(
             threshold=lam,
-            kept_report=metrics.evaluate_arrays(heads[keep], keep.sum(axis=1), truths, dt, n_bins),
+            kept_report=metrics.evaluate_arrays(heads[keep], keep.sum(axis=1), truths, dt),
             rejected_report=(metrics.evaluate_arrays(heads[rejected], rejected.sum(axis=1)[some],
-                                                     truths[some], dt, n_bins)
+                                                     truths[some], dt)
                              if some.any() else None),
             rejection_rate=int(rejected.sum()) / rejected.size,
             fallback_cases=int(fallback.sum()),

@@ -25,7 +25,7 @@ from .errors import (POSITIVE, Checked, ConfigError, DataError, InputShapeError,
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 CURVE_EVERY = 50  # training steps per curve point; the last step closes one too
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 

@@ -26,17 +26,13 @@ DEFAULT_HIDDEN = (128, 128, 128)
 @dataclass(frozen=True)
 class FeatureLayout:
     horizon: int              # trajectory length T_f
-    joint_count: int = len(REQUIRED_JOINTS)
     include_pose: bool = True
-    include_velocity: bool = True
 
     @property
     def feature_size(self) -> int:
-        n = 2 * self.horizon
+        n = 2 * self.horizon + 2
         if self.include_pose:
-            n += 3 * self.joint_count
-        if self.include_velocity:
-            n += 2
+            n += 3 * len(REQUIRED_JOINTS)
         return n
 
 
@@ -82,19 +78,16 @@ def observation_frame(joints: np.ndarray, velocity: np.ndarray, layout: FeatureL
     """(roots, rots, tails) of N observables, joints (N, 8, 3) and root
     velocities (N, 2): their canonical frames and the features after the
     trajectory block in those frames, which are the root-relative rotated
-    joints (x, y, z per joint), then the rotated root velocity."""
+    joints (x, y, z per joint) when the layout includes the pose, then the
+    rotated root velocity."""
     roots, rots = joints[:, PELVIS, :2], rotation_matrices(-headings(joints, velocity))
-    n = len(joints)
     parts = []
     if layout.include_pose:
-        if joints.shape[1] != layout.joint_count:
-            raise InputShapeError(f"expected {layout.joint_count} joints, got {joints.shape[1]}")
         pose = joints.copy()
         pose[:, :, :2] = (rots[:, None] @ (joints[:, :, :2] - roots[:, None])[..., None])[..., 0]
-        parts.append(pose.reshape(n, -1))
-    if layout.include_velocity:
-        parts.append((rots @ velocity[:, :, None])[:, :, 0])
-    return roots, rots, np.concatenate(parts, axis=1) if parts else np.empty((n, 0))
+        parts.append(pose.reshape(len(joints), -1))
+    parts.append((rots @ velocity[:, :, None])[:, :, 0])
+    return roots, rots, np.concatenate(parts, axis=1)
 
 
 def encode_steps(steps: np.ndarray, rot: np.ndarray, tail: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ class HistogramSpec:
 
 
 PRIMITIVES = ("velocity", "acceleration", "angular_velocity", "angular_acceleration")
-DEFAULT_N_BINS = 50
-DEFAULT_RANGE_MARGIN = 0.05
+CHI2_BINS = 50  # bins of every chi2 histogram
+CHI2_RANGE_MARGIN = 0.05  # of the ground-truth sample range, added at each end
 STATIONARY_EPS = 1e-6
 
 
@@ -136,13 +136,12 @@ def chi2_distance(pred_samples, gt_samples, spec: HistogramSpec) -> float:
     return float(np.sum(num[mask] / denom[mask]))
 
 
-def histogram_spec_from_samples(samples, n_bins: int = DEFAULT_N_BINS,
-                                margin: float = DEFAULT_RANGE_MARGIN) -> HistogramSpec:
-    """Uniform bins over the ground-truth sample range with a safety margin."""
+def histogram_spec_from_samples(samples) -> HistogramSpec:
+    """CHI2_BINS uniform bins over the ground-truth sample range with a safety margin."""
     samples = np.asarray(samples, dtype=float)
     lo, hi = float(samples.min()), float(samples.max())
-    span = max(hi - lo, 1e-9)
-    return HistogramSpec(n_bins=n_bins, lo=lo - margin * span, hi=hi + margin * span)
+    pad = CHI2_RANGE_MARGIN * max(hi - lo, 1e-9)
+    return HistogramSpec(n_bins=CHI2_BINS, lo=lo - pad, hi=hi + pad)
 
 
 def bin_by_plausibility(scores, ades, n_bins: int = 10) -> list[dict]:
@@ -203,7 +202,6 @@ def pearson_r(x, y) -> float:
 def evaluate_predictions(
     prediction_sets: list[Sequence[Trajectory]],
     ground_truths: list[Trajectory],
-    n_bins: int = DEFAULT_N_BINS,
 ) -> MetricsReport:
     """Aggregate metrics over a list of evaluation cases, each a candidate set
     (a TrajectorySet or a sequence of Trajectory objects). ADE/FDE are
@@ -230,22 +228,22 @@ def evaluate_predictions(
     blocks = (tuple(np.concatenate(a) for a in zip(*arrays[first:first + step]))
               for first in range(0, len(arrays), step))
     return _report(blocks, counts, np.stack([g.points for g in ground_truths]),
-                   np.array([g.dt for g in ground_truths]), n_bins)
+                   np.array([g.dt for g in ground_truths]))
 
 
-def evaluate_arrays(points: np.ndarray, counts: np.ndarray, truths: np.ndarray, dt: float,
-                    n_bins: int) -> MetricsReport:
+def evaluate_arrays(points: np.ndarray, counts: np.ndarray, truths: np.ndarray,
+                    dt: float) -> MetricsReport:
     """evaluate_predictions of N cases held as arrays, bit for bit: head rows
     (n, T, 2), counts[c] >= 1 of them for case c in case order, and ground
     truths (N, T, 2), all at one dt. Rows are scored in blocks of EVAL_BLOCK."""
     dts = np.full(len(points), dt)
     blocks = ((points[lo:lo + EVAL_BLOCK], dts[lo:lo + EVAL_BLOCK])
               for lo in range(0, len(points), EVAL_BLOCK))
-    return _report(blocks, counts, truths, np.full(len(truths), dt), n_bins)
+    return _report(blocks, counts, truths, np.full(len(truths), dt))
 
 
-def _report(blocks, counts: np.ndarray, truths: np.ndarray, truth_dts: np.ndarray,
-            n_bins: int) -> MetricsReport:
+def _report(blocks, counts: np.ndarray, truths: np.ndarray,
+            truth_dts: np.ndarray) -> MetricsReport:
     """The report of N cases whose head rows come as (points, dts) blocks in
     row order. Rows are scored independently and per-timestep errors summed
     in row order, so the bits are those of scoring one trajectory at a time."""
@@ -272,7 +270,7 @@ def _report(blocks, counts: np.ndarray, truths: np.ndarray, truth_dts: np.ndarra
     specs = {}
     for p in PRIMITIVES:
         gt_all = gt_prims[p].ravel()
-        spec = histogram_spec_from_samples(gt_all, n_bins=n_bins)
+        spec = histogram_spec_from_samples(gt_all)
         specs[p] = asdict(spec)
         chi2[p] = chi2_distance(pred_prims[p].ravel(), gt_all, spec)
 

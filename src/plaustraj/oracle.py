@@ -624,6 +624,14 @@ def build_plausibility_dataset(
 # Dataset file I/O
 
 
+def plausibility_csv_header(horizon: int) -> list[str]:
+    """The one header of a plausibility CSV of trajectories of horizon points."""
+    return (["label", "omega", "dt", "T_f"]
+            + [f"{ax}{t}" for t in range(horizon) for ax in ("x", "y")]
+            + ["heading", "root_vx", "root_vy"]
+            + [f"{n}_{ax}" for n in REQUIRED_JOINTS for ax in ("x", "y", "z")])
+
+
 def save_plausibility_csv(pairs: PairSet, path):
     """Write pairs as CSV: the header, then one row per pair.
 
@@ -634,16 +642,12 @@ def save_plausibility_csv(pairs: PairSet, path):
     """
     if not len(pairs):
         raise DataError("refusing to write an empty plausibility dataset")
-    header = ["label", "omega", "dt", "T_f"]
-    header += [f"{ax}{t}" for t in range(pairs.horizon) for ax in ("x", "y")]
-    header += ["heading", "root_vx", "root_vy"]
-    header += [f"{n}_{ax}" for n in REQUIRED_JOINTS for ax in ("x", "y", "z")]
     states = [",".join(map(repr, [heading, *velocity, *joints])) for heading, velocity, joints
               in zip(headings(pairs.joints, pairs.velocity).tolist(), pairs.velocity.tolist(),
                      pairs.joints.reshape(len(pairs.joints), -1).tolist())]
     dt, horizon = repr(float(pairs.dt)), str(pairs.horizon)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        csv.writer(fh).writerow(plausibility_csv_header(pairs.horizon))
         for plausible, reward, pts, state in zip(
                 pairs.plausible.tolist(), pairs.rewards.tolist(),
                 pairs.points.reshape(len(pairs), -1).tolist(), pairs.state.tolist()):
@@ -653,9 +657,10 @@ def save_plausibility_csv(pairs: PairSet, path):
 
 def load_plausibility_csv(path) -> PairSet:
     """Pairs written by save_plausibility_csv. Rows with the same state
-    columns share one state. The header names the REQUIRED_JOINTS' columns in
-    their order, and every row must have the first row's T_f and dt. A
-    malformed header or row is a DataError naming the file and line."""
+    columns share one state. The header must be plausibility_csv_header of
+    the first row's T_f, and every row must have that T_f and the first
+    row's dt. A malformed header or row is a DataError naming the file and
+    line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -664,19 +669,14 @@ def load_plausibility_csv(path) -> PairSet:
         row = next(reader, None)
         if row is None:
             raise DataError(f"{path}: no pairs after the header")
-        columns = [col[:-2] for col in header if col.endswith("_x") and col[:-2] != "root_v"]
         flat, rewards, plausible, state = array("d"), [], [], []  # 8 bytes a coordinate
         states, index = [], {}  # state column strings -> index into states
         line_no = 2
         try:
-            missing = [n for n in REQUIRED_JOINTS if n not in columns]
-            if missing:
-                raise InputShapeError(f"missing required joints: {missing}")
-            if columns != list(REQUIRED_JOINTS):
-                raise InputShapeError(f"joint columns must be {list(REQUIRED_JOINTS)} in this "
-                                      f"order, got {columns}")
             first = row[2:4]
             dt, horizon = float(first[0]), int(first[1])
+            line_no = 1
+            _check_header(header, horizon)
             heading_col = 4 + 2 * horizon
             n_columns = heading_col + 3 + 3 * len(REQUIRED_JOINTS)
             # each row is parsed as the reader yields it, so no row's strings are kept
@@ -707,4 +707,19 @@ def load_plausibility_csv(path) -> PairSet:
         except PairError as exc:
             raise DataError(f"{path}:{exc.pair + 2}: malformed row ({exc.reason})")
         except (ValueError, IndexError) as exc:  # the toolkit's errors are ValueErrors
-            raise DataError(f"{path}:{line_no}: malformed row ({exc})")
+            part = "header" if line_no == 1 else "row"
+            raise DataError(f"{path}:{line_no}: malformed {part} ({exc})")
+
+
+def _check_header(header: list[str], horizon: int):
+    """An InputShapeError naming the first column where header differs from
+    plausibility_csv_header(horizon)."""
+    # a T_f past len(header) cannot match, and the header of len(header)
+    # points has the same first len(header) + 1 columns as the T_f's
+    want = plausibility_csv_header(min(horizon, len(header)))
+    if header != want:
+        col = next(i for i, (a, b) in enumerate(zip([*header, None], [*want, None])) if a != b)
+        got = repr(header[col]) if col < len(header) else "missing"
+        expected = repr(want[col]) if col < len(want) else "the end of the header"
+        raise InputShapeError(f"column {col + 1} is {got}, expected {expected} for the first "
+                              f"row's T_f {horizon}")

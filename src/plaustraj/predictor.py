@@ -29,13 +29,12 @@ from .oracle import PELVIS, REQUIRED_JOINTS, ObservableState, Trajectory, Trajec
 class InputLayout:
     past_frames: int            # T_p
     include_pose: bool = True
-    joint_count: int = len(REQUIRED_JOINTS)
 
     @property
     def feature_size(self) -> int:
         n = 2 * self.past_frames
         if self.include_pose:
-            n += 3 * self.joint_count
+            n += 3 * len(REQUIRED_JOINTS)
         return n
 
 
@@ -113,8 +112,6 @@ def build_input(past: np.ndarray, joints: np.ndarray | None,
         return rel
     if joints is None:
         raise InputShapeError("layout includes pose but no observable state given")
-    if joints.shape[1] != layout.joint_count:
-        raise InputShapeError(f"expected {layout.joint_count} joints, got {joints.shape[1]}")
     pose = joints.copy()
     pose[:, :, :2] -= joints[:, PELVIS, None, :2]
     return np.concatenate([rel, pose.reshape(len(pose), -1)], axis=1)

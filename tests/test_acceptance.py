@@ -62,9 +62,8 @@ def hard_windows(corpus, scorer_run, paired_runs):
                                    for f in ("heads", "truths", "scores", "ades"))
     n, k, horizon = heads.shape[:3]
     dt = corpus.eval_hard.dt
-    report = metrics.evaluate_arrays(heads.reshape(n * k, horizon, 2), np.full(n, k), truths, dt,
-                                     metrics.DEFAULT_N_BINS)
-    return filtering.WindowEval(heads, truths, dt, scores, ades, report, metrics.DEFAULT_N_BINS)
+    report = metrics.evaluate_arrays(heads.reshape(n * k, horizon, 2), np.full(n, k), truths, dt)
+    return filtering.WindowEval(heads, truths, dt, scores, ades, report)
 
 
 # ---------------------------------------------------------------------------

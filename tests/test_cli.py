@@ -15,7 +15,7 @@ from conftest import SCHEMA_2_LOCOVAL
 import plaustraj
 from plaustraj import filtering, gradcore, locoval, predictor
 from plaustraj.cli import _build_instances, main
-from plaustraj.config import load_config
+from plaustraj.config import RunConfig, load_config, resolved_config_dict
 
 PREDICTOR_FIXTURE = Path(__file__).parent / "data" / "predictor_k2.json"
 REMOVED_TRAIN_KEYS = ("weight_decay", "min_lr", "beta1", "beta2", "eps")
@@ -162,6 +162,17 @@ def test_unknown_config_key_exit_code(tmp_path):
     assert run("gen-data", "--config", str(p), "--out", str(tmp_path / "o")) == 1
 
 
+def test_gen_data_infeasible_tracks_is_one_line_data_error(tmp_path, capsys):
+    """Tracks too noisy for the oracle to accept give up after
+    datakit.MAX_TRACK_ATTEMPTS draws, before the output directory is made."""
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps({"data": {"synthetic": {"noise_sigma": 1.0}}}))
+    assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "data error: could not synthesize a feasible 'turn' track in 20 attempts\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
 
@@ -255,6 +266,22 @@ def test_train_locoval_dt_zero_on_every_row_is_located_at_the_first(tiny_config,
     assert err == f"data error: {path}:2: malformed row (dt must be positive)\n"
 
 
+@pytest.mark.parametrize("fraction, split", [(0.1, "holdout"), (0.0, "training-set")],
+                         ids=["holdout", "no-holdout"])
+def test_train_locoval_names_the_pairs_it_selected_on(tmp_path, capsys, fraction, split):
+    """With no pair held out, the best checkpoint is chosen on the training
+    pairs, and the summary line says so instead of naming a holdout."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(merged(TINY, {"locoval": {"holdout_fraction": fraction}})))
+    for stage in ("gen-data", "train-locoval"):
+        assert run(stage, "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"best {split} MSE: ")
+    assert f"  {split} correlation(score, reward): " in line
+    assert ("holdout" in line) == (fraction > 0)
+    assert line.endswith("  (no pair held out)") == (fraction == 0)
+
+
 @pytest.fixture
 def trained_dir(tiny_config, tmp_path):
     out = tmp_path / "run"
@@ -284,15 +311,6 @@ def test_eval_filter_zero_keeps_everything(tiny_config, trained_dir):
     kept = json.loads((trained_dir / "metrics_kept.json").read_text())
     assert kept["ade"] == pytest.approx(plain["ade"], abs=1e-12)
     assert not (trained_dir / "metrics_rejected.json").exists()
-
-
-def test_eval_filter_reports_use_the_config_chi2_bins(tmp_path, trained_dir):
-    cfg = tmp_path / "bins.json"
-    cfg.write_text(json.dumps({**TINY, "eval": {"chi2_bins": 20}}))
-    assert run("eval", "--config", str(cfg), "--out", str(trained_dir), "--filter", "0.0") == 0
-    # lambda 0 keeps every head, so the kept report is the full one, bins and all
-    assert ((trained_dir / "metrics_kept.json").read_bytes()
-            == (trained_dir / "metrics.json").read_bytes())
 
 
 @pytest.mark.parametrize(
@@ -398,8 +416,7 @@ def test_sweep_alpha_trains_the_saved_predictor_head_count(tiny_config, tmp_path
         locoval.load_locoval(out / "locoval.json"), cfg.predictor.train, alpha=0.0, n_heads=2,
         trunk_hidden=tuple(cfg.predictor.trunk_hidden)).model
     report = filtering.evaluate_windows(
-        model, _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks),
-        n_bins=cfg.eval.chi2_bins).report
+        model, _build_instances(cfg, cfg.data.eval_seed, cfg.data.n_eval_tracks)).report
     assert row == {"value": "0.0", "ade": repr(report.ade), "fde": repr(report.fde),
                    "min_ade": repr(report.min_ade), "min_fde": repr(report.min_fde),
                    "chi2_velocity": repr(report.chi2["velocity"])}
@@ -494,6 +511,14 @@ def _case_0_pelvis_twice(cand, obs):
     obs.write_text(text[:at] + '"pelvis": [9.0, 9.0, 0.9], ' + text[at:])
 
 
+def _case_0_root_velocity_twice(cand, obs):
+    """Case 0's object with a second root_velocity after its first."""
+    text = obs.read_text()
+    at = text.index('"root_velocity": ') + len('"root_velocity": ')
+    at = text.index("]", at) + 1
+    obs.write_text(text[:at] + ', "root_velocity": [9.0, 0.0]' + text[at:])
+
+
 def _drop_last_frame_of_case_0_head_0(cand, obs):
     lines = cand.read_text().splitlines()
     cand.write_text("\n".join(lines[:11] + lines[12:]) + "\n")
@@ -525,11 +550,13 @@ def _drop_last_frame_of_case_0_head_0(cand, obs):
         (12, ("0", "1"),
          _edit_observables(lambda doc: doc["0"]["joints"].update(neck=[0.0, 0.0, 1.5])),
          "{obs}: malformed observable for case '0' (unknown joints: ['neck'])"),
+        (12, ("0", "1"), _case_0_root_velocity_twice,
+         "{obs}: case 0: key 'root_velocity' is given twice"),
     ],
     ids=["wrong-horizon", "non-integer-case-key", "observables-not-json", "frame-repeated",
          "frame-missing", "joints-a-list", "joint-missing", "nan-candidate", "case-not-observed",
          "no-candidate-rows", "heads-of-two-lengths", "head-id-missing", "joint-given-twice",
-         "extra-joint"],
+         "extra-joint", "key-given-twice"],
 )
 def test_filter_bad_input_is_one_line_data_error(tiny_config, trained_dir, tmp_path,
                                                  capsys, frames, keys, corrupt, message):
@@ -608,7 +635,7 @@ def _head_weight_not_a_number() -> str:
     "name, content",
     [
         ("predictor.json", "{not json"),
-        ("predictor.json", '{"schema_version": 3, "trunk": 1, "head": 1}'),
+        ("predictor.json", '{"schema_version": 4, "trunk": 1, "head": 1}'),
         ("predictor.json", _without_horizon()),
         ("predictor.json", _horizon_not_a_number()),
         ("predictor.json", _head_weight_short()),
@@ -660,18 +687,35 @@ def _schema_2_predictor() -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("name, content", [("predictor.json", _schema_2_predictor()),
-                                           ("locoval.json", json.dumps(SCHEMA_2_LOCOVAL))],
-                         ids=["predictor", "locoval"])
+def _schema_3(doc: dict) -> str:
+    """A schema-4 checkpoint document as schema 3 wrote it: each layout with
+    its joint count, the scorer's with include_velocity too."""
+    doc["schema_version"] = 3
+    if "input_layout" in doc:
+        doc["input_layout"]["joint_count"] = 8
+    else:
+        doc["feature_layout"].update(joint_count=8, include_velocity=True)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name, content, version", [
+    ("predictor.json", _schema_2_predictor, 2),
+    ("locoval.json", lambda: json.dumps(SCHEMA_2_LOCOVAL), 2),
+    ("predictor.json", lambda: _schema_3(json.loads(PREDICTOR_FIXTURE.read_text())), 3),
+    ("locoval.json", lambda: _schema_3(_scorer_doc()), 3),
+], ids=["predictor", "locoval", "predictor-schema-3", "locoval-schema-3"])
 def test_eval_schema_2_checkpoint_is_one_line_config_error(tiny_config, tmp_path, capsys,
-                                                           name, content):
+                                                           name, content, version):
+    """A checkpoint of an older schema, such as one whose layout still names
+    a joint count, is refused once for the whole file."""
     out = tmp_path / "run"
     out.mkdir()
     (out / "predictor.json").write_bytes(PREDICTOR_FIXTURE.read_bytes())
-    (out / name).write_text(content)
+    (out / name).write_text(content())
     assert run("eval", "--config", tiny_config, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {out / name}: checkpoint schema 2")
+    assert err.startswith(f"config error: {out / name}: checkpoint schema {version}, but this "
+                          "version reads only schema 4")
     assert "retrain" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -686,9 +730,8 @@ def _with_field(doc: dict, field: str, value) -> str:
 def _scorer_doc() -> dict:
     """An untrained scorer of the fixture's horizon."""
     net = locoval.build_locoval(locoval.FeatureLayout(horizon=12)).net
-    return {"schema_version": 3, "net": gradcore.model_to_dict(net), "train_config": None,
-            "feature_layout": {"horizon": 12, "joint_count": 8, "include_pose": True,
-                               "include_velocity": True}}
+    return {"schema_version": 4, "net": gradcore.model_to_dict(net), "train_config": None,
+            "feature_layout": {"horizon": 12, "include_pose": True}}
 
 
 @pytest.mark.parametrize("name, field, value, message", [
@@ -884,6 +927,16 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
     assert not (trained_dir / "sweep_alpha.csv").exists()
 
 
+def _older_resolved_config() -> dict:
+    """The default resolved_config.json as it was written while the six
+    settings that are constants now were config fields."""
+    doc = resolved_config_dict(RunConfig())
+    doc["data"]["synthetic"].update(min_reward=0.7, max_retries=20)
+    doc["locoval"]["include_velocity"] = True
+    doc["eval"].update(score_bins=10, chi2_bins=50, lambdas=[0.5, 0.6, 0.7, 0.8])
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, override, message",
     [
@@ -914,10 +967,14 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "data.synthetic.accel_range must be"),
         ("gen-data", {"data": {"synthetic": {"noise_sigma": -1}}},
          "data.synthetic.noise_sigma must be"),
+        # the track reward floor and attempt count are constants, as are (below)
+        # the lambda grid, the bin counts and the scorer's velocity input: a
+        # config that names one, such as a resolved_config.json written before
+        # they went, names the unknown key
         ("gen-data", {"data": {"synthetic": {"min_reward": 1.5}}},
-         "data.synthetic.min_reward must be"),
+         "data.synthetic: unknown keys ['min_reward']"),
         ("gen-data", {"data": {"synthetic": {"max_retries": 0}}},
-         "data.synthetic.max_retries must be"),
+         "data.synthetic: unknown keys ['max_retries']"),
         ("gen-data", {"oracle": {"a_max": float("inf")}}, "oracle.a_max must be finite"),
         ("gen-data", {"oracle": {"v_max": float("nan")}}, "oracle.v_max must be finite"),
         ("gen-data", {"oracle": {"w_energy": "x"}},
@@ -930,12 +987,14 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
         ("train-predictor --alpha nan", {}, "predictor.alpha must be finite, got nan"),
         ("train-predictor --alpha -0.5", {}, "predictor.alpha must be non-negative, got -0.5"),
         ("gen-data", {"eval": {"threshold": 1.5}}, "eval.threshold must be in [0, 1]"),
-        ("sweep", {"eval": {"lambdas": ["x"]}},
-         "eval.lambdas must be a non-empty list of numbers in [0, 1], got ['x']"),
-        ("sweep", {"eval": {"lambdas": [0.5, 2]}},
-         "eval.lambdas must be a non-empty list of numbers in [0, 1], got [0.5, 2]"),
-        ("eval", {"eval": {"chi2_bins": 1}}, "eval.chi2_bins must be an integer >= 2, got 1"),
-        ("eval", {"eval": {"score_bins": 0}}, "eval.score_bins must be an integer >= 1, got 0"),
+        ("sweep", {"eval": {"lambdas": ["x"]}}, "eval: unknown keys ['lambdas']"),
+        ("sweep", {"eval": {"lambdas": [0.5, 2]}}, "eval: unknown keys ['lambdas']"),
+        ("eval", {"eval": {"chi2_bins": 1}}, "eval: unknown keys ['chi2_bins']"),
+        ("eval", {"eval": {"score_bins": 0}}, "eval: unknown keys ['score_bins']"),
+        ("train-locoval", {"locoval": {"include_velocity": True}},
+         "locoval: unknown keys ['include_velocity']"),
+        ("gen-data", _older_resolved_config(),
+         "data.synthetic: unknown keys ['max_retries', 'min_reward']\n"),
         ("gen-data", {"predictor": {"stride": "x"}},
          "predictor.stride must be an integer, got 'x'"),
         ("gen-data", {"data": {"n_tracks": 2.5}}, "data.n_tracks must be an integer, got 2.5"),
@@ -991,7 +1050,9 @@ def test_training_overflow_is_one_line_numeric_failure(tmp_path, trained_dir, ca
          "noise-negative", "min-reward-above-one", "max-retries-zero", "a-max-infinite",
          "v-max-nan", "w-energy-string", "v-max-negative", "alpha-nan", "alpha-negative",
          "alpha-option-nan", "alpha-option-negative", "threshold-1.5", "lambdas-string",
-         "lambdas-above-one", "chi2-bins-one", "score-bins-zero", "stride-string", "n-tracks-float",
+         "lambdas-above-one", "chi2-bins-one", "score-bins-zero", "include-velocity",
+         "older-resolved-config",
+         "stride-string", "n-tracks-float",
          "lr-string", "holdout-null", "n-heads-bool", "include-pose-int",
          "sweep-values-not-a-number", "data-seed-negative", "eval-seed-negative",
          "window-seed-negative", "locoval-train-seed-negative", "predictor-train-seed-negative",

@@ -96,9 +96,46 @@ def test_resolved_config_roundtrip(tmp_path):
     assert doc["predictor"]["alpha"] == 42.0
 
 
+# every setting of a run, as the dotted path of its leaf in the config
+# document: a setting added or removed shows here
+CONFIG_LEAVES = [
+    "oracle.v_max", "oracle.a_max", "oracle.turn_rate_max", "oracle.gamma", "oracle.w_follow",
+    "oracle.w_energy", "oracle.follow_scale",
+    "data.n_tracks", "data.n_eval_tracks", "data.pose_bank_size", "data.seed", "data.eval_seed",
+    "data.synthetic.n_frames", "data.synthetic.dt", "data.synthetic.noise_sigma",
+    "data.synthetic.speed_range", "data.synthetic.accel_range",
+    "data.synthetic.turn_rate_range", "data.synthetic.scenario_weights",
+    "plausibility.n_plausible", "plausibility.n_implausible", "plausibility.seed",
+    "locoval.hidden", "locoval.include_pose", "locoval.holdout_fraction",
+    "locoval.train.learning_rate", "locoval.train.total_steps", "locoval.train.batch_size",
+    "locoval.train.seed", "locoval.train.schedule",
+    "predictor.past_frames", "predictor.future_frames", "predictor.stride",
+    "predictor.window_seed", "predictor.n_heads", "predictor.alpha", "predictor.trunk_hidden",
+    "predictor.train.learning_rate", "predictor.train.total_steps", "predictor.train.batch_size",
+    "predictor.train.seed", "predictor.train.schedule",
+    "eval.threshold",
+]
+
+# settings that are constants now: a document that sets one names the unknown key
+REMOVED_SETTINGS = {("data.synthetic", "min_reward"), ("data.synthetic", "max_retries"),
+                    ("locoval", "include_velocity"), ("eval", "lambdas"),
+                    ("eval", "chi2_bins"), ("eval", "score_bins")}
+
+
+def _leaves(section, prefix: str = "") -> list[str]:
+    """The dotted paths of a config section's leaf fields, in field order."""
+    paths = []
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        paths += (_leaves(value, f"{prefix}{f.name}.") if dataclasses.is_dataclass(value)
+                  else [prefix + f.name])
+    return paths
+
+
 def test_resolved_config_contains_every_section():
     doc = resolved_config_dict(RunConfig())
     assert set(doc) == {"oracle", "data", "plausibility", "locoval", "predictor", "eval"}
+    assert _leaves(RunConfig()) == CONFIG_LEAVES
 
 
 @pytest.mark.parametrize(
@@ -170,14 +207,18 @@ def test_optimizer_settings_that_can_only_diverge_rejected(section, field, value
         ("predictor", "past_frames", 1),
         ("locoval", "train.seed", -1),
         ("predictor", "train.seed", -1),
+        ("locoval", "include_velocity", 1),
     ],
 )
 def test_bad_section_fields_rejected(section, field, value):
     doc = value
     for key in reversed(f"{section}.{field}".split(".")):
         doc = {key: doc}
-    with pytest.raises(ConfigError, match=rf"^config\.{re.escape(section)}\.{re.escape(field)} "
-                                          r"must be"):
+    if (section, field) in REMOVED_SETTINGS:
+        message = rf": unknown keys \['{field}'\]$"
+    else:
+        message = rf"\.{re.escape(field)} must be"
+    with pytest.raises(ConfigError, match=rf"^config\.{re.escape(section)}{message}"):
         config_from_dict(doc)
 
 
@@ -222,7 +263,11 @@ def test_bad_plausibility_fields_rejected(field, value):
     ],
 )
 def test_bad_synthetic_fields_rejected(field, value):
-    with pytest.raises(ConfigError, match=rf"^config\.data\.synthetic\.{field} must be"):
+    if ("data.synthetic", field) in REMOVED_SETTINGS:
+        message = rf": unknown keys \['{field}'\]$"
+    else:
+        message = rf"\.{field} must be"
+    with pytest.raises(ConfigError, match=rf"^config\.data\.synthetic{message}"):
         config_from_dict({"data": {"synthetic": {field: value}}})
 
 
@@ -273,16 +318,14 @@ def test_edge_values_accepted():
                     "train": {"total_steps": 1, "batch_size": 1}},
         "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1], "alpha": 0,
                       "past_frames": 2, "window_seed": 0, "n_heads": 1, "train": {"seed": 0}},
-        "eval": {"threshold": 1, "lambdas": [0, 1.0], "chi2_bins": 2, "score_bins": 1},
+        "eval": {"threshold": 1},
         "plausibility": {"n_plausible": 0, "n_implausible": 0, "seed": 0},
         "data": {"n_tracks": 1, "n_eval_tracks": 1, "pose_bank_size": 1, "seed": 0,
                  "eval_seed": 0,
-                 "synthetic": {"speed_range": [1, 1], "noise_sigma": 0, "min_reward": 1,
-                               "max_retries": 1}},
+                 "synthetic": {"speed_range": [1, 1], "noise_sigma": 0}},
     })
     assert cfg.predictor.future_frames == 2 and cfg.locoval.train.total_steps == 1
     assert cfg.plausibility.n_plausible == 0 and cfg.data.synthetic.speed_range == (1, 1)
-    assert config_from_dict({"data": {"synthetic": {"min_reward": 0.0}}})
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +374,11 @@ BAD_VALUES = {
     (SyntheticConfig, "accel_range"): (0.2, [0.2]),
     (SyntheticConfig, "turn_rate_range"): ({"low": 0.3}, [0.3, float("inf")]),
     (SyntheticConfig, "scenario_weights"): ([1.0], {"turn": -1.0}),
-    (SyntheticConfig, "min_reward"): ("high", 1.5),
-    (SyntheticConfig, "max_retries"): (2.0, 0),
     (PlausibilitySection, "n_plausible"): ("abc", -1),
     (PlausibilitySection, "n_implausible"): (True, -1),
     (PlausibilitySection, "seed"): (2.0, -1),
     (LocoValSection, "hidden"): ("128", [128, 0]),
     (LocoValSection, "include_pose"): (1, None),
-    (LocoValSection, "include_velocity"): ("yes", None),
     (LocoValSection, "holdout_fraction"): ("0.1", 1.0),
     (LocoValSection, "train"): ("x", None),
     (PredictorSection, "past_frames"): (9.0, 1),
@@ -350,9 +390,6 @@ BAD_VALUES = {
     (PredictorSection, "trunk_hidden"): (256, [0]),
     (PredictorSection, "train"): (1, None),
     (EvalSection, "threshold"): ("0.7", 1.5),
-    (EvalSection, "score_bins"): (10.0, 0),
-    (EvalSection, "chi2_bins"): ("50", 1),
-    (EvalSection, "lambdas"): (0.5, [0.5, 2]),
     (TrainConfig, "learning_rate"): ("x", 0.0),
     (TrainConfig, "total_steps"): (2.5, 0),
     (TrainConfig, "batch_size"): ("64", 0),

@@ -220,7 +220,7 @@ def test_synthetic_tracks_feasible():
     params = OracleParams()
     ds = generate_synthetic(cfg, 30, seed=12, params=params)
     for track in ds.tracks.values():
-        assert datakit._track_reward(track, params) >= cfg.min_reward
+        assert datakit._track_reward(track, params) >= datakit.MIN_TRACK_REWARD == 0.7
 
 
 # Track synthesis and its feasibility probe on numpy 2-vectors: the reference
@@ -261,10 +261,10 @@ def _reference_synthetic(config, n_tracks, seed, params):
     tracks, probes = [], []
     for _ in range(n_tracks):
         scenario = names[rng.choice(len(names), p=weights)]
-        for _ in range(config.max_retries):
+        for _ in range(20):  # datakit.MAX_TRACK_ATTEMPTS
             traj = _reference_synthesize_track(scenario, config, rng, params)
             probes.append((traj, _reference_track_reward(traj, params)))
-            if probes[-1][1] >= config.min_reward:
+            if probes[-1][1] >= 0.7:  # datakit.MIN_TRACK_REWARD
                 tracks.append(traj.points)
                 break
         else:

@@ -154,7 +154,7 @@ def test_evaluate_windows_is_one_set_forward_within_one_row_atol_of_per_window(p
     agree with per-window predict and score_batch within ONE_ROW_ATOL; the
     ADEs and the report are those of the heads, bit for bit."""
     windows, model, scorer = eval_set(pose_bank, 60)
-    got = evaluate_windows(model, windows, scorer, n_bins=20)
+    got = evaluate_windows(model, windows, scorer)
     heads = predict_heads(model, windows.past, windows.joints)
     assert got.heads.shape == (60, 20, 12, 2) and got.heads.tobytes() == heads.tobytes()
     assert got.scores.tobytes() == score_heads(scorer, heads, windows.joints,
@@ -168,7 +168,7 @@ def test_evaluate_windows_is_one_set_forward_within_one_row_atol_of_per_window(p
     sets = [TrajectorySet(h, windows.dt) for h in got.heads]
     truths = [Trajectory(g, windows.dt) for g in got.truths]
     assert got.ades.tolist() == [[metrics.ade(t, gt) for t in c] for c, gt in zip(sets, truths)]
-    assert got.report == metrics.evaluate_predictions(sets, truths, n_bins=20)
+    assert got.report == metrics.evaluate_predictions(sets, truths)
     # lambda 0 keeps every head, so the kept report is the report, bins and all
     assert sweep_lambda(got, [0.0])[0].kept_report == got.report
     assert evaluate_windows(model, windows).scores is None
@@ -197,11 +197,9 @@ def scored_windows(sets, scores, gt):
     heads = np.stack([[t.points for t in c] for c in sets])
     n, k = heads.shape[:2]
     truths = np.repeat(gt.points[None], n, axis=0)
-    report = metrics.evaluate_arrays(heads.reshape(n * k, -1, 2), np.full(n, k), truths, gt.dt,
-                                     metrics.DEFAULT_N_BINS)
+    report = metrics.evaluate_arrays(heads.reshape(n * k, -1, 2), np.full(n, k), truths, gt.dt)
     return WindowEval(heads, truths, gt.dt, np.asarray(scores),
-                      np.array([[metrics.ade(t, gt) for t in c] for c in sets]), report,
-                      metrics.DEFAULT_N_BINS)
+                      np.array([[metrics.ade(t, gt) for t in c] for c in sets]), report)
 
 
 def test_sweep_lambda_matches_direct_filter():

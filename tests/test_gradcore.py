@@ -682,7 +682,7 @@ def test_checkpoint_json_is_self_describing(tmp_path):
     doc = json.loads(path.read_text())
     assert list(doc) == ["schema_version", "layer_sizes", "hidden_activation",
                          "output_activation", "params"]
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["layer_sizes"] == [4, 8, 3]
     # little-endian float64 in params order: every weight matrix, then every bias
     raw = base64.b64decode(doc["params"])
@@ -692,14 +692,15 @@ def test_checkpoint_json_is_self_describing(tmp_path):
         model.astype(np.float32).params.astype("<f8").tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 99, None, "3"])
+@pytest.mark.parametrize("version", [1, 2, 3, 99, None, "3", "4"],
+                         ids=["1", "2", "schema-3", "99", "None", "3", "4"])
 def test_checkpoint_rejects_unknown_schema(tmp_path, version):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**model_to_dict(small_model()), "schema_version": version}))
     with pytest.raises(ConfigError, match="retrain") as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: checkpoint schema {version!r}, but this "
-                                      f"version reads only schema 3")
+                                      f"version reads only schema 4")
 
 
 def b64(raw: bytes) -> str:

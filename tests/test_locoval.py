@@ -105,9 +105,8 @@ def reference_observation_frame(obs, layout):
         joints = np.stack([obs.joints[n] for n in REQUIRED_JOINTS])
         xy = (rot[None] @ (joints[:, :2] - root)[:, :, None])[:, :, 0]
         parts.append(np.column_stack([xy, joints[:, 2]]).reshape(-1))
-    if layout.include_velocity:
-        parts.append(rot @ obs.root_velocity)
-    return root, rot, np.concatenate(parts) if parts else np.empty(0)
+    parts.append(rot @ obs.root_velocity)
+    return root, rot, np.concatenate(parts)
 
 
 def _reference_features(traj, obs, layout):
@@ -123,8 +122,7 @@ def _reference_features(traj, obs, layout):
             xy = rot @ (j[:2] - root)
             pose.extend([xy[0], xy[1], j[2]])
         parts.append(np.array(pose))
-    if layout.include_velocity:
-        parts.append(rot @ obs.root_velocity)
+    parts.append(rot @ obs.root_velocity)
     return np.concatenate(parts)
 
 
@@ -143,15 +141,12 @@ def test_headings_and_frames_equal_per_observable_references():
         root, rot = canonical_frame(o)
         assert root.tobytes() == o.root_position.tobytes()
         assert rot.tobytes() == rotation_matrix(-reference_heading(o)).tobytes()
-    J = joints.shape[1]
-    for pose, vel in ((True, True), (True, False), (False, True), (False, False)):
-        layout = FeatureLayout(horizon=12, joint_count=J, include_pose=pose, include_velocity=vel)
+    for pose in (True, False):
+        layout = FeatureLayout(horizon=12, include_pose=pose)
         got = locoval.observation_frame(joints, velocity, layout)
         refs = [reference_observation_frame(o, layout) for o in observables]
         for g, r in zip(got, zip(*refs)):
             assert g.tobytes() == np.stack(r).tobytes() and g.shape == np.stack(r).shape
-    with pytest.raises(InputShapeError):
-        locoval.observation_frame(joints, velocity, FeatureLayout(horizon=12, joint_count=J + 1))
 
 
 @settings(deadline=None, max_examples=40)
@@ -194,9 +189,8 @@ def test_batched_canonicalization_bit_identical(headings, root, seed):
 
 @pytest.mark.parametrize(
     "layout",
-    [LAYOUT, FeatureLayout(horizon=12, include_pose=False),
-     FeatureLayout(horizon=12, include_velocity=False)],
-    ids=["pose-and-velocity", "no-pose", "no-velocity"],
+    [LAYOUT, FeatureLayout(horizon=12, include_pose=False)],
+    ids=["pose-and-velocity", "no-pose"],
 )
 def test_features_and_targets_shared_observables_equal_per_row_reference(
         plausibility_dataset, layout):
@@ -220,10 +214,6 @@ def test_features_and_targets_shared_observables_equal_per_row_reference(
 def test_feature_layout_sizes():
     assert FeatureLayout(horizon=12).feature_size == 24 + 24 + 2
     assert FeatureLayout(horizon=12, include_pose=False).feature_size == 26
-    assert FeatureLayout(horizon=12, include_velocity=False).feature_size == 48
-    assert FeatureLayout(
-        horizon=12, include_pose=False, include_velocity=False
-    ).feature_size == 24
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +449,11 @@ def test_load_refuses_schema_2_naming_the_file(tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("horizon", 12.5, "feature_layout.horizon must be an integer, got 12.5"),
     ("horizon", True, "feature_layout.horizon must be an integer, got True"),
-    ("joint_count", 0, "feature_layout.joint_count must be an integer >= 1, got 0"),
-    ("include_velocity", 1, "feature_layout.include_velocity must be true or false, got 1"),
+    # layout fields that schema 4 dropped: the layout is not one this version reads
+    ("joint_count", 0, "feature_layout must be an object of horizon, include_pose, got "
+                       "{'horizon': 12, 'include_pose': True, 'joint_count': 0}"),
+    ("include_velocity", 1, "feature_layout must be an object of horizon, include_pose, got "
+                            "{'horizon': 12, 'include_pose': True, 'include_velocity': 1}"),
 ], ids=["horizon-real", "horizon-bool", "joint-count-zero", "include-velocity-int"])
 def test_load_checks_the_feature_layout(tmp_path, trained_scorer, field, value, message):
     path = tmp_path / "scorer.json"

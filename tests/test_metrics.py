@@ -10,7 +10,6 @@ from conftest import transformed_trajectory
 from plaustraj import metrics
 from plaustraj.errors import ConfigError, InputShapeError
 from plaustraj.metrics import (
-    DEFAULT_N_BINS,
     PRIMITIVES,
     STATIONARY_EPS,
     EVAL_BLOCK,
@@ -93,7 +92,7 @@ def ref_physics_primitives(t):
             "angular_acceleration": ang_acc}
 
 
-def ref_evaluate_predictions(prediction_sets, ground_truths, n_bins=DEFAULT_N_BINS):
+def ref_evaluate_predictions(prediction_sets, ground_truths):
     if len(prediction_sets) != len(ground_truths) or not prediction_sets:
         raise InputShapeError("need matching, non-empty prediction and ground-truth lists")
     per_ts_sum = np.zeros(len(ground_truths[0]))
@@ -118,7 +117,7 @@ def ref_evaluate_predictions(prediction_sets, ground_truths, n_bins=DEFAULT_N_BI
     chi2, specs = {}, {}
     for p in PRIMITIVES:
         gt_all = np.concatenate(gt_prims[p])
-        spec = histogram_spec_from_samples(gt_all, n_bins=n_bins)
+        spec = histogram_spec_from_samples(gt_all)
         specs[p] = asdict(spec)
         chi2[p] = chi2_distance(np.concatenate(pred_prims[p]), gt_all, spec)
     return MetricsReport(
@@ -133,9 +132,9 @@ def report_bytes(report):
     return json.dumps(report.to_json_dict(), indent=2)
 
 
-def assert_matches_reference(cases, gts, **kwargs):
-    got = evaluate_predictions(cases, gts, **kwargs)
-    assert report_bytes(got) == report_bytes(ref_evaluate_predictions(cases, gts, **kwargs))
+def assert_matches_reference(cases, gts):
+    got = evaluate_predictions(cases, gts)
+    assert report_bytes(got) == report_bytes(ref_evaluate_predictions(cases, gts))
     return got
 
 
@@ -280,7 +279,8 @@ def test_histogram_spec_validation():
 
 
 def test_histogram_spec_from_samples_margin():
-    spec = histogram_spec_from_samples([0.0, 10.0], n_bins=10)
+    spec = histogram_spec_from_samples([0.0, 10.0])
+    assert spec.n_bins == 50
     assert spec.lo == pytest.approx(-0.5)
     assert spec.hi == pytest.approx(10.5)
 
@@ -351,7 +351,7 @@ def test_evaluate_predictions_report_consistency():
     rng = np.random.default_rng(7)
     cases = [[random_traj(rng), random_traj(rng)] for _ in range(6)]
     gts = [random_traj(rng) for _ in range(6)]
-    report = evaluate_predictions(cases, gts, n_bins=16)
+    report = evaluate_predictions(cases, gts)
     # per-timestep decomposition must average back to the ADE
     assert np.mean(report.per_timestep) == pytest.approx(report.ade, abs=1e-9)
     assert report.min_ade <= report.ade + 1e-12
@@ -360,6 +360,7 @@ def test_evaluate_predictions_report_consistency():
         "velocity", "acceleration", "angular_velocity", "angular_acceleration"
     }
     assert all(0.0 <= v <= 2.0 for v in report.chi2.values())
+    assert all(spec["n_bins"] == 50 for spec in report.histogram_specs.values())
     assert report.n_samples == 6
 
 
@@ -457,10 +458,10 @@ def test_evaluate_arrays_equals_the_reference(monkeypatch, n_traj, block):
     monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
     rng = np.random.default_rng(n_traj)
     cases, gts = ragged_cases(rng, n_traj, dts=(0.4,))
-    want = report_bytes(ref_evaluate_predictions(cases, gts, n_bins=17))
+    want = report_bytes(ref_evaluate_predictions(cases, gts))
     got = metrics.evaluate_arrays(np.stack([t.points for c in cases for t in c]),
                                   np.array([len(c) for c in cases]),
-                                  np.stack([g.points for g in gts]), 0.4, 17)
+                                  np.stack([g.points for g in gts]), 0.4)
     assert report_bytes(got) == want
 
 
@@ -484,14 +485,6 @@ def test_evaluate_matches_reference_with_one_head_cases_and_mixed_dt():
     # a head may carry a dt other than its ground truth's
     cases[0][0] = traj(cases[0][0].points, 0.7)
     assert_matches_reference(cases, gts)
-
-
-def test_evaluate_matches_reference_with_a_non_default_bin_count():
-    rng = np.random.default_rng(12)
-    cases, gts = ragged_cases(rng, 200)
-    for n_bins in (2, 7, 123):
-        report = assert_matches_reference(cases, gts, n_bins=n_bins)
-        assert all(s["n_bins"] == n_bins for s in report.histogram_specs.values())
 
 
 def awkward_tracks():

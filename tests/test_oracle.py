@@ -1090,23 +1090,30 @@ def _reversed_joint_columns(rows):
 
 
 def test_load_header_without_a_required_joint_is_located(tmp_path, plausibility_dataset):
-    """A header must name the required joints' columns in their order: one
-    renamed, one added or all reordered is a located data error."""
+    """A header must be plausibility_csv_header of the first row's T_f: a
+    joint renamed, added or reordered, a coordinate or label column renamed,
+    or two coordinate columns short, is a data error at line 1 naming the
+    first column that differs."""
     path = tmp_path / "pairs.csv"
     save_plausibility_csv(plausibility_dataset.subset(np.arange(5)), path)
     with open(path, newline="") as fh:
         saved = list(csv.reader(fh))
-    required = list(oracle.REQUIRED_JOINTS)
+    assert saved[0] == oracle.plausibility_csv_header(12)
+
+    def header(change):
+        return [change(saved[0]), *saved[1:]]
+
     for rows, reason in [
-        ([[col.replace("pelvis_", "hips_") for col in saved[0]], *saved[1:]],
-         "missing required joints: ['pelvis']"),
-        (_with_neck_columns(saved),
-         f"joint columns must be {required} in this order, got {[*required, 'neck']}"),
-        (_reversed_joint_columns(saved),
-         f"joint columns must be {required} in this order, got {required[::-1]}"),
+        (header(lambda h: [col.replace("pelvis_", "hips_") for col in h]),
+         "column 41 is 'hips_x', expected 'pelvis_x'"),
+        (_with_neck_columns(saved), "column 56 is 'neck_x', expected the end of the header"),
+        (_reversed_joint_columns(saved), "column 32 is 'right_ankle_x', expected 'head_x'"),
+        (header(lambda h: [*h[:4], "x_0", *h[5:]]), "column 5 is 'x_0', expected 'x0'"),
+        (header(lambda h: ["kind", "reward", *h[2:]]), "column 1 is 'kind', expected 'label'"),
+        (header(lambda h: [*h[:4], *h[6:]]), "column 5 is 'x1', expected 'x0'"),
     ]:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        message = f"{path}:2: malformed row ({reason})"
+        message = f"{path}:1: malformed header ({reason} for the first row's T_f 12)"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_plausibility_csv(path)

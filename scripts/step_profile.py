@@ -6,8 +6,10 @@ gradcore.forward_cached, gradcore.backward, gradcore.input_grad and
 gradcore.AdamW.step (each split by the net it runs on: trunk, head or scorer)
 and locoval.encode_steps, and around each step of gradcore.TrainingSteps. It
 prints each part's median and mean ms per step (a step that does not call a
-part counts 0 ms), the rest of the step outside those parts, and the whole
-step's median. The training loop is train_predictor's own; nothing is copied.
+part counts 0 ms), the rest of the step outside those parts, the EmLoco term
+(encode_steps plus the scorer's forward and input gradient, summed per step)
+and the whole step's median. The training loop is train_predictor's own;
+nothing is copied.
 
 Usage:
     python scripts/step_profile.py --out runs/pipeline [--steps 500]
@@ -23,6 +25,8 @@ import numpy as np
 from plaustraj import cli, config, gradcore, locoval, predictor
 
 ALPHAS = (0.0, 100.0)
+# the parts of a step that locoval.EmLocoTerm runs
+TERM_PARTS = ("encode_steps", "forward_cached.scorer", "input_grad.scorer")
 
 
 def net_role(model) -> str:
@@ -76,6 +80,7 @@ class StepTimer:
         parts = sorted({p for step in self.steps for p in step})
         per_part = {p: 1e3 * np.array([step.get(p, 0.0) for step in self.steps]) for p in parts}
         per_part["rest of step"] = walls - sum(per_part.values())
+        per_part["EmLoco term"] = sum(per_part.get(p, np.zeros_like(walls)) for p in TERM_PARTS)
         print(f"{label}: {len(walls)} steps, median step {np.median(walls):.3f} ms")
         print(f"  {'part':<26}{'median ms':>10}{'mean ms':>10}")
         for part, ms in per_part.items():

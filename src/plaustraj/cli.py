@@ -60,18 +60,18 @@ def cmd_gen_data(config_path, out):
     cfg = _load_run_config(config_path)
     out_dir = _out_dir(out)
 
+    # everything is built before any file is written, so a data error leaves no output
     dataset = datakit.generate_synthetic(cfg.data.synthetic, cfg.data.n_tracks,
                                          seed=cfg.data.seed, params=cfg.oracle)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    datakit.save_tsv(dataset, out_dir / "trajectories.tsv")
-
     bank = datakit.generate_pose_bank(cfg.data.pose_bank_size, seed=cfg.data.seed + 7)
-    datakit.save_pose_bank(bank, out_dir / "pose_bank.json")
-
     traj_bank = datakit.future_slices(dataset, cfg.predictor.future_frames, cfg.predictor.stride)
     pairs = oracle.build_plausibility_dataset(
         bank, traj_bank, cfg.plausibility.n_plausible, cfg.plausibility.n_implausible,
         params=cfg.oracle, seed=cfg.plausibility.seed)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    datakit.save_tsv(dataset, out_dir / "trajectories.tsv")
+    datakit.save_pose_bank(bank, out_dir / "pose_bank.json")
     oracle.save_plausibility_csv(pairs, out_dir / "plausibility.csv")
     save_resolved_config(cfg, out_dir / "resolved_config.json")
 

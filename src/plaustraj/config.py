@@ -32,6 +32,11 @@ class PlausibilitySection(Checked):
     n_implausible: int = rule(at_least(0), default=200)
     seed: int = rule(at_least(0), default=2)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_plausible + self.n_implausible == 0:
+            raise ConfigError("n_plausible and n_implausible must not both be 0")
+
 
 @dataclass
 class LocoValSection(Checked):
@@ -78,14 +83,26 @@ class RunConfig(Checked):
     eval: EvalSection = field(default_factory=EvalSection)
 
 
+def _unknown_keys(default, data, path="config") -> list[str]:
+    """"<path>: unknown keys [...]" of data and of each section in it, in the
+    config's section order."""
+    if not isinstance(data, dict):
+        return []
+    names = [f.name for f in dataclasses.fields(default)]
+    unknown = set(data) - set(names)
+    found = [f"{path}: unknown keys {sorted(unknown)}"] if unknown else []
+    for name in names:
+        if name in data and dataclasses.is_dataclass(getattr(default, name)):
+            found += _unknown_keys(getattr(default, name), data[name], f"{path}.{name}")
+    return found
+
+
 def _from_dict(default, data, path="config"):
-    """default with the fields data gives set: a partial nested section keeps
-    the other defaults of the field that holds it, not its class's."""
+    """default with the fields data gives set, data holding no unknown key: a
+    partial nested section keeps the other defaults of the field that holds
+    it, not its class's."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(default)}
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
         section = getattr(default, name)
@@ -99,6 +116,9 @@ def _from_dict(default, data, path="config"):
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    unknown = _unknown_keys(RunConfig(), data)
+    if unknown:
+        raise ConfigError("; ".join(unknown))
     return _from_dict(RunConfig(), data)
 
 

@@ -163,6 +163,51 @@ def score_batch(model: LocoValModel, candidates, obs: ObservableState) -> list[f
 
 
 # ---------------------------------------------------------------------------
+# The Embodied Locomotion (EmLoco) term
+
+
+class EmLocoTerm:
+    """mean_k mean_b (score - 1)^2 of B windows' K heads under a frozen
+    scorer (its net as given), for the N windows of joints (N, 8, 3), root
+    velocities (N, 2) and last observed points (N, 2) it is built on.
+    loss(disp, idx) scores windows idx's head displacements (B, K, T_f, 2),
+    taken from their last observed points, with one scorer pass over the B·K
+    rows, each window's heads one encode_steps block in its frame, and keeps
+    the pass until the next call: freed within a training step, its
+    activations were faulted in again every step. grad() is the gradient
+    w.r.t. disp: one input-only backward, then the transpose of encode_steps,
+    one (K·T_f, 2) matmul per window."""
+
+    def __init__(self, scorer: LocoValModel, joints: np.ndarray, velocity: np.ndarray,
+                 anchors: np.ndarray):
+        roots, self.rots, self.tails = observation_frame(joints, velocity, scorer.layout)
+        self.offsets = anchors - roots
+        self.scorer = scorer
+        self._pass = None
+
+    def loss(self, disp: np.ndarray, idx: np.ndarray) -> float:
+        B, K = disp.shape[:2]
+        steps = disp.copy()
+        steps[:, :, 0, :] += self.offsets[idx, None]
+        rots = self.rots[idx]
+        feats = encode_steps(steps, rots, self.tails[idx])
+        out, cache = gradcore.forward_cached(self.scorer.net, feats.reshape(B * K, -1))
+        s = out[:, 0].reshape(B, K)
+        self._pass = s, rots, cache
+        # per head, in head order, over a contiguous copy: a strided mean or np.sum's
+        # pairwise order would move the loss in the last bits
+        return sum(float(v) for v in np.mean((s.T.copy() - 1.0) ** 2, axis=1)) / K
+
+    def grad(self) -> np.ndarray:
+        s, rots, cache = self._pass
+        (B, K), horizon = s.shape, self.scorer.layout.horizon
+        g_feats = gradcore.input_grad(self.scorer.net, cache,
+                                      (2.0 * (s - 1.0) / B / K).reshape(B * K, 1))
+        return (g_feats[:, :2 * horizon].reshape(B, K * horizon, 2) @ rots).reshape(
+            B, K, horizon, 2)
+
+
+# ---------------------------------------------------------------------------
 # Training
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gradcore, locoval as locoval_mod
+from . import gradcore
 from .datakit import WindowSet
 from .errors import ConfigError, DataError, InputShapeError
 from .gradcore import AdamW, MlpModel, TrainConfig
 # canonical_frame is imported for the traced benchmark, which wraps
 # predictor.canonical_frame
-from .locoval import LocoValModel, canonical_frame  # noqa: F401
+from .locoval import EmLocoTerm, LocoValModel, canonical_frame  # noqa: F401
 from .oracle import PELVIS, REQUIRED_JOINTS, ObservableState, Trajectory, TrajectorySet
 
 
@@ -159,18 +159,6 @@ class PredictorTrainResult:
     n_heads: int
 
 
-def _prepare_training_arrays(dataset: WindowSet, model: PredictorModel,
-                             scorer: LocoValModel | None):
-    X = build_input(dataset.past, dataset.joints, model.input_layout)
-    anchors = dataset.past[:, -1]
-    rots = offsets = tails = None
-    if scorer is not None:
-        roots, rots, tails = locoval_mod.observation_frame(dataset.joints, dataset.velocity,
-                                                           scorer.layout)
-        offsets = anchors - roots
-    return X, dataset.future, anchors, rots, offsets, tails
-
-
 def min_of_k_mse(points: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Min-of-K MSE of head points (B, K, T_f, 2) against ground truths
     (B, T_f, 2), plain MSE for one head. Returns the mean over samples of the
@@ -186,37 +174,6 @@ def min_of_k_mse(points: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray,
             2.0 * err[rows, sel] / (2 * horizon) / B)
 
 
-def emloco_loss(scorer: LocoValModel, steps: np.ndarray, rots: np.ndarray,
-                tails: np.ndarray) -> tuple[float, tuple]:
-    """The Embodied Locomotion term mean_k mean_b (score - 1)^2 of K heads on
-    B samples, from one frozen-scorer pass over the B·K head rows.
-
-    steps (B, K, T_f, 2) are world-frame displacements, the first taken from
-    sample b's root; rots (B, 2, 2) and tails (B, F - 2 T_f) are each sample's
-    canonical rotation and observation tail. Returns the loss and the scorer
-    pass, from which emloco_grad takes the gradient."""
-    B, K = steps.shape[:2]
-    feats = locoval_mod.encode_steps(steps, rots, tails)
-    out, cache = gradcore.forward_cached(scorer.net, feats.reshape(B * K, -1))
-    s = out[:, 0].reshape(B, K)
-    # per head, in head order, over a contiguous copy: a strided mean or np.sum's
-    # pairwise order would move loss_plaus in the last bits
-    loss = sum(float(v) for v in np.mean((s.T.copy() - 1.0) ** 2, axis=1)) / K
-    return loss, (s, rots, cache)
-
-
-def emloco_grad(scorer: LocoValModel, scorer_pass: tuple) -> np.ndarray:
-    """Gradient of emloco_loss w.r.t. its steps (B, K, T_f, 2), from the
-    scorer pass it returned, with one input-only backward. The step columns of
-    the feature gradient pull back through each sample's rotation, the
-    transpose of encode_steps: one (K·T_f, 2) matmul per sample."""
-    s, rots, cache = scorer_pass
-    B, K = s.shape
-    horizon = scorer.layout.horizon
-    g_feats = gradcore.input_grad(scorer.net, cache, (2.0 * (s - 1.0) / B / K).reshape(B * K, 1))
-    return (g_feats[:, :2 * horizon].reshape(B, K * horizon, 2) @ rots).reshape(B, K, horizon, 2)
-
-
 def train_predictor(
     dataset: WindowSet,
     scorer: LocoValModel | None,
@@ -225,7 +182,7 @@ def train_predictor(
     n_heads: int = 1,
     trunk_hidden=(256, 256),
 ) -> PredictorTrainResult:
-    """Train with min_of_k_mse + alpha * emloco_loss; the scorer's weights
+    """Train with min_of_k_mse + alpha * locoval.EmLocoTerm; the scorer's weights
     stay frozen. At alpha == 0 the regularizer term is fully detached so
     results are bit-identical to a run without a scorer.
 
@@ -239,7 +196,7 @@ def train_predictor(
     == 0, where the scorer only reports, it runs on the interval's last batch
     alone and loss_plaus is that batch's loss (0.0 without a scorer)."""
     if not len(dataset):
-        raise DataError("empty training dataset")
+        raise DataError("the window set has 0 windows; training needs at least 1")
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha > 0 and scorer is None:
@@ -253,10 +210,11 @@ def train_predictor(
     K = target.n_heads
     model = PredictorModel(target.trunk.astype(np.float32), target.head.astype(np.float32),
                            horizon, layout)
-    if scorer is not None:
-        scorer = LocoValModel(scorer.net.astype(np.float32), scorer.layout)
-
-    X, gt, anchors, rots, offsets, tails = _prepare_training_arrays(dataset, model, scorer)
+    X = build_input(dataset.past, dataset.joints, layout)
+    gt, anchors = dataset.future, dataset.past[:, -1]
+    term = None if scorer is None else EmLocoTerm(
+        LocoValModel(scorer.net.astype(np.float32), scorer.layout), dataset.joints,
+        dataset.velocity, anchors)
     n = len(X)
     rng = np.random.default_rng(config.seed)
     opt_trunk = AdamW(model.trunk, config)
@@ -284,15 +242,10 @@ def train_predictor(
             d_disp[np.arange(B), sel] = np.flip(np.cumsum(np.flip(d_points, axis=1), axis=1), axis=1)
 
             loss_pl_val = 0.0
-            if scorer is not None and (alpha > 0.0 or closes_interval):
-                steps = disp.copy()
-                steps[:, :, 0, :] += offsets[idx, None]
-                # the pass stays bound until the next one replaces it: freed within a
-                # step, its 2.6 MB of activations (K=20, B=32) went back to the
-                # system and faulted in again, 630 minor page faults a step, not 15
-                loss_pl_val, scorer_pass = emloco_loss(scorer, steps, rots[idx], tails[idx])
+            if term is not None and (alpha > 0.0 or closes_interval):
+                loss_pl_val = term.loss(disp, idx)
                 if alpha > 0.0:
-                    d_disp += alpha * emloco_grad(scorer, scorer_pass)
+                    d_disp += alpha * term.grad()
 
             g_head = gradcore.backward(model.head, head_cache, d_out)
             d_trunk = gradcore.input_grad(model.head, head_cache, d_out)

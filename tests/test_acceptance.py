@@ -102,7 +102,7 @@ def test_criterion_2_gradient_correctness():
         rep = gradcore.grad_check(net, mse_loss, x)
         worst = max(worst, rep.max_rel_error)
 
-        # regularizer gradient through the scorer, from the functions the
+        # regularizer gradient through the scorer, from the term the
         # training loop calls (one head, one sample)
         horizon = 6
         scorer = build_locoval(FeatureLayout(horizon=horizon), hidden=(10, 10), seed=seed)
@@ -113,12 +113,10 @@ def test_criterion_2_gradient_correctness():
         anchor = obs.root_position + rng.normal(0, 0.2, size=2)
         disp = rng.uniform(0.05, 0.4, size=(horizon, 2))
 
-        roots, rots, tails = locoval.observation_frame(obs.joint_array()[None],
-                                                       obs.root_velocity[None], scorer.layout)
-        steps = disp.copy()
-        steps[0] += anchor - roots[0]
-        _, scorer_pass = predictor.emloco_loss(scorer, steps[None, None], rots, tails)
-        analytic = predictor.emloco_grad(scorer, scorer_pass)[0, 0]
+        term = locoval.EmLocoTerm(scorer, obs.joint_array()[None], obs.root_velocity[None],
+                                  anchor[None])
+        term.loss(disp[None, None], np.arange(1))
+        analytic = term.grad()[0, 0]
 
         def emloco_of(d):
             pts = anchor + np.cumsum(d, axis=0)

@@ -173,6 +173,21 @@ def test_gen_data_infeasible_tracks_is_one_line_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, n_frames, message", [
+    ("gen-data", 10, "pose and trajectory banks must be non-empty"),
+    ("train-predictor", 15, "the window set has 0 windows; training needs at least 1"),
+], ids=["gen-data", "train-predictor"])
+def test_tracks_too_short_is_one_line_data_error(tmp_path, capsys, command, n_frames, message):
+    """Tracks of 10 frames hold no 12-frame future to label, and tracks of 15
+    no window of 9 past and 12 future points: the error comes before any
+    file is written."""
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"data": {"synthetic": {"n_frames": n_frames}}}))
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
 
@@ -994,7 +1009,11 @@ def _older_resolved_config() -> dict:
         ("train-locoval", {"locoval": {"include_velocity": True}},
          "locoval: unknown keys ['include_velocity']"),
         ("gen-data", _older_resolved_config(),
-         "data.synthetic: unknown keys ['max_retries', 'min_reward']\n"),
+         "data.synthetic: unknown keys ['max_retries', 'min_reward']; "
+         "config.locoval: unknown keys ['include_velocity']; "
+         "config.eval: unknown keys ['chi2_bins', 'lambdas', 'score_bins']\n"),
+        ("gen-data", {"plausibility": {"n_plausible": 0, "n_implausible": 0}},
+         "plausibility.n_plausible and n_implausible must not both be 0\n"),
         ("gen-data", {"predictor": {"stride": "x"}},
          "predictor.stride must be an integer, got 'x'"),
         ("gen-data", {"data": {"n_tracks": 2.5}}, "data.n_tracks must be an integer, got 2.5"),
@@ -1051,7 +1070,7 @@ def _older_resolved_config() -> dict:
          "v-max-nan", "w-energy-string", "v-max-negative", "alpha-nan", "alpha-negative",
          "alpha-option-nan", "alpha-option-negative", "threshold-1.5", "lambdas-string",
          "lambdas-above-one", "chi2-bins-one", "score-bins-zero", "include-velocity",
-         "older-resolved-config",
+         "older-resolved-config", "pairs-zero",
          "stride-string", "n-tracks-float",
          "lr-string", "holdout-null", "n-heads-bool", "include-pose-int",
          "sweep-values-not-a-number", "data-seed-negative", "eval-seed-negative",

@@ -319,7 +319,7 @@ def test_edge_values_accepted():
         "predictor": {"stride": 1, "future_frames": 2, "trunk_hidden": [1], "alpha": 0,
                       "past_frames": 2, "window_seed": 0, "n_heads": 1, "train": {"seed": 0}},
         "eval": {"threshold": 1},
-        "plausibility": {"n_plausible": 0, "n_implausible": 0, "seed": 0},
+        "plausibility": {"n_plausible": 0, "n_implausible": 1, "seed": 0},
         "data": {"n_tracks": 1, "n_eval_tracks": 1, "pose_bank_size": 1, "seed": 0,
                  "eval_seed": 0,
                  "synthetic": {"speed_range": [1, 1], "noise_sigma": 0}},

@@ -325,7 +325,7 @@ def _block_inputs(rng, layout, n, m, dtype=np.float64):
 @pytest.mark.parametrize("n, m", [(7, 1), (7, 4), (1, 4)], ids=["M=1", "M=K", "one-block"])
 def test_encode_steps_block_pull_back_is_transpose(n, m):
     """encode_steps is linear in the steps (the tail held at zero), and the
-    pull-back that predictor.emloco_grad takes, each block's step columns
+    pull-back that EmLocoTerm.grad takes, each block's step columns
     (N, M·T_f, 2) times its rotation, is its transpose: <g, encode_steps(d)>
     equals <pull-back(g), d>."""
     layout = FeatureLayout(horizon=5)

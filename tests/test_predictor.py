@@ -1,5 +1,7 @@
 import base64
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,8 @@ from plaustraj.locoval import FeatureLayout, build_locoval
 from plaustraj.oracle import REQUIRED_JOINTS, Trajectory, TrajectorySet
 from plaustraj.predictor import (
     InputLayout,
-    PredictorModel,
     build_input,
     build_predictor,
-    emloco_grad,
-    emloco_loss,
     load_predictor,
     min_of_k_mse,
     predict,
@@ -367,11 +366,10 @@ def test_minmse_dominance(seed, k):
         assert value == pytest.approx(np.mean(per_head[0]))
 
 
-def _frames(observables, layout):
-    """Each sample's canonical root (B, 2), rotation (B, 2, 2) and observation tail."""
-    return locoval.observation_frame(np.stack([obs.joint_array() for obs in observables]),
-                                     np.stack([obs.root_velocity for obs in observables]),
-                                     layout)
+def _term(scorer, observables, anchors):
+    """The EmLoco term of one window per observable, with last observed points anchors."""
+    return locoval.EmLocoTerm(scorer, np.stack([obs.joint_array() for obs in observables]),
+                              np.stack([obs.root_velocity for obs in observables]), anchors)
 
 
 def test_loss_emloco_trivial_values():
@@ -379,24 +377,47 @@ def test_loss_emloco_trivial_values():
     the loss is (sigmoid(bias) - 1)^2 and no gradient reaches the steps."""
     scorer = build_locoval(FeatureLayout(horizon=12), hidden=(8,), seed=5)
     past, obs = past_and_obs()
-    _, rots, tails = _frames([obs, obs], scorer.layout)
-    steps = np.random.default_rng(6).uniform(0.1, 0.5, size=(2, 3, 12, 2))
+    term = _term(scorer, [obs, obs], np.stack([past.points[-1]] * 2))
+    disp = np.random.default_rng(6).uniform(0.1, 0.5, size=(2, 3, 12, 2))
     scorer.net.weights[-1][:] = 0.0
     for bias, expected in ((0.0, 0.25), (800.0, 0.0)):
         scorer.net.biases[-1][:] = bias
-        value, scorer_pass = emloco_loss(scorer, steps, rots, tails)
-        assert value == expected
-        assert not emloco_grad(scorer, scorer_pass).any()
+        assert term.loss(disp, np.arange(2)) == expected
+        assert not term.grad().any()
+
+
+def test_emloco_pass_outlives_grad(monkeypatch):
+    """The term keeps its scorer pass until the next loss call replaces it,
+    so the pass's activations outlive grad()."""
+    scorer = build_locoval(FeatureLayout(horizon=6), hidden=(8,), seed=5)
+    past, obs = past_and_obs()
+    term = _term(scorer, [obs], past.points[-1][None])
+    disp = np.random.default_rng(6).uniform(0.1, 0.5, size=(1, 2, 6, 2))
+    first_layer = []
+    forward_cached = gradcore.forward_cached
+
+    def recording(model, x):
+        out, cache = forward_cached(model, x)
+        first_layer.append(weakref.ref(cache["activations"][1]))
+        return out, cache
+
+    monkeypatch.setattr(gradcore, "forward_cached", recording)
+    term.loss(disp, np.arange(1))
+    term.grad()
+    gc.collect()
+    assert first_layer[0]() is not None
+    term.loss(disp, np.arange(1))
+    gc.collect()
+    assert first_layer[0]() is None and first_layer[1]() is not None
 
 
 def _emloco_fd_check(scorer, observables, disp, anchors):
-    """emloco_grad's step gradient against central finite differences of
-    mean_k mean_b (score - 1)^2, each score from locoval.score."""
+    """EmLocoTerm.grad's displacement gradient against central finite
+    differences of mean_k mean_b (score - 1)^2, each score from locoval.score."""
     B, K, horizon = disp.shape[:3]
-    roots, rots, tails = _frames(observables, scorer.layout)
-    steps = disp.copy()
-    steps[:, :, 0] += (anchors - roots)[:, None]
-    analytic = emloco_grad(scorer, emloco_loss(scorer, steps, rots, tails)[1])
+    term = _term(scorer, observables, anchors)
+    term.loss(disp, np.arange(B))
+    analytic = term.grad()
 
     def emloco_of(d, b):
         pts = anchors[b] + np.cumsum(d, axis=0)
@@ -419,7 +440,7 @@ def _emloco_fd_check(scorer, observables, disp, anchors):
 
 
 def test_emloco_gradient_through_scorer_finite_differences():
-    """The regularizer gradient w.r.t. head displacements, from the functions
+    """The regularizer gradient w.r.t. head displacements, from the term
     train_predictor calls (one scorer pass over the rows of K heads), must
     match central finite differences of the composed score. This is the chain
     that makes the second training stage work."""
@@ -549,8 +570,10 @@ def _k_major_train(dataset, scorer, config, alpha, n_heads, trunk_hidden, eval_e
     built = build_predictor(layout, horizon, K, trunk_hidden, seed=config.seed)
     trunk, head = built.trunk.astype(np.float32), built.head.astype(np.float32)
     scorer = locoval.LocoValModel(scorer.net.astype(np.float32), scorer.layout)
-    X, gt, anchors, rots, offsets, tails = predictor._prepare_training_arrays(
-        dataset, PredictorModel(trunk, head, horizon, layout), scorer)
+    X = build_input(dataset.past, dataset.joints, layout)
+    gt, anchors = dataset.future, dataset.past[:, -1]
+    roots, rots, tails = locoval.observation_frame(dataset.joints, dataset.velocity, scorer.layout)
+    offsets = anchors - roots
     rng = np.random.default_rng(config.seed)
     opt_trunk, opt_head = gradcore.AdamW(trunk, config), gradcore.AdamW(head, config)
     curve, acc_gt, acc_pl, acc_n = [], 0.0, 0.0, 0
@@ -662,7 +685,7 @@ def test_train_emloco_raises_score(training_instances, trained_scorer):
         model = train_predictor(subset, trained_scorer.model, cfg, alpha=alpha,
                                 n_heads=2).model
         return np.mean([
-            predictor.locoval_mod.score_batch(
+            locoval.score_batch(
                 trained_scorer.model, predict(model, inst.past, inst.observable).trajectories,
                 inst.observable)
             for inst in subset
